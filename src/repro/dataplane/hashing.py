@@ -6,22 +6,38 @@ mix (blake2b-based for quality and portability) reduced into a configurable
 output range.  The same family backs the Bloom-filter and Count-Min sketch
 reference implementations so data-plane and software results agree bit for
 bit.
+
+The batch path splits the work the way the hardware does.  A K module
+produces one key column; the two or three H modules behind it (the rows of
+a Bloom filter or Count-Min sketch) differ only in seed.  So the key column
+is deduplicated *once* into a :class:`KeyGroup` — distinct keys, their raw
+bytes, and the row -> distinct-key inverse — and every hash op on that
+column, whatever its seed, only resolves the distinct keys through its
+seed's memo (:func:`hash_rows`) and gathers by the shared inverse.  Keys
+travel as big-endian ``uint64`` word columns, so the dedupe is an integer
+sort, and the raw bytes are byte-identical to ``GLOBAL_FIELDS.pack``, so
+digests equal :func:`hash_bytes` of the scalar path's key.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["HashUnit", "HashFamily", "hash_bytes", "hash_rows"]
+__all__ = ["HashUnit", "HashFamily", "KeyGroup", "hash_bytes", "hash_rows",
+           "pack_key_words"]
 
-#: Entries per seed kept in a family's bulk memo cache before it is cleared;
-#: bounds memory on arbitrarily long runs while keeping steady-state traces
-#: (whose key population recurs window after window) fully memoised.
-_BULK_CACHE_LIMIT = 1 << 21
+#: Entries one seed's memo may hold when a window rolls; beyond it the memo
+#: is cleared (:meth:`HashFamily.trim_bulk_caches`).  Sized from measured
+#: working sets: a trace whose key population recurs stays fully memoised
+#: (the benchmark's elephants run ends near 20k entries a seed, the
+#: 17-query fleet near 85k), while a trace of all-new keys (mice: ~2.3k
+#: new entries a seed a window) is held to ~100 B x limit x seeds of memo
+#: instead of growing for the life of the process.
+_BULK_CACHE_LIMIT = 1 << 17
 
 
 def hash_bytes(data: bytes, seed: int) -> int:
@@ -36,45 +52,88 @@ def hash_bytes(data: bytes, seed: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def hash_rows(rows: np.ndarray, seed: int,
-              cache: Optional[Dict[bytes, int]] = None) -> np.ndarray:
-    """Vectorized :func:`hash_bytes` over fixed-width key rows.
+def pack_key_words(columns: Sequence[np.ndarray],
+                   byte_widths: Sequence[int], n: int) -> np.ndarray:
+    """Pack ``n`` rows of masked field columns into ``uint64`` key words.
 
-    ``rows`` is a ``(n, key_width)`` uint8 matrix where each row is one
-    packed operation key.  Bit-identical to hashing each row's bytes with
-    :func:`hash_bytes`: the digest itself stays a per-key blake2b call, but
-    it runs once per *unique* key (``np.unique`` over the raw rows) and the
-    results are gathered back, which is what makes the vectorized engine's
-    hashing cost scale with distinct flows instead of packets.
-
-    ``cache`` optionally memoises ``key bytes -> hash`` across calls for
-    one seed (see :meth:`HashFamily.bulk_cache`).
+    The key of a row is its fields' values concatenated big-endian, each at
+    its byte width — the ``GLOBAL_FIELDS.pack`` layout — read as one
+    integer and laid right-aligned into ``ceil(width / 8)`` words, most
+    significant first.  Returns a ``(words, n)`` array; values must already
+    fit their widths (``column & mask`` does).
     """
-    n = rows.shape[0]
-    out = np.empty(n, dtype=np.uint64)
-    if n == 0:
-        return out
-    width = rows.shape[1]
-    if width == 0:
-        out.fill(hash_bytes(b"", seed))
-        return out
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    as_void = rows.view(np.dtype((np.void, width))).ravel()
-    uniq, inverse = np.unique(as_void, return_inverse=True)
-    digests = np.empty(len(uniq), dtype=np.uint64)
+    width = sum(byte_widths)
+    nwords = -(-width // 8)
+    words = np.zeros((nwords, n), dtype=np.uint64)
+    below = 8 * width           # key bits not yet placed
+    for column, byte_width in zip(columns, byte_widths):
+        below -= 8 * byte_width
+        word, shift = divmod(below, 64)
+        value = column.astype(np.uint64)
+        row = nwords - 1 - word
+        words[row] |= value << np.uint64(shift)
+        if shift + 8 * byte_width > 64:     # the field straddles two words
+            words[row - 1] |= value >> np.uint64(64 - shift)
+    return words
+
+
+class KeyGroup:
+    """The distinct keys of one packed key column.
+
+    ``words`` is the :func:`pack_key_words` form of ``width``-byte keys.
+    The group holds each distinct key's bytes once — ``raw``, in the
+    ``GLOBAL_FIELDS.pack`` layout — and ``inverse``, the index into ``raw``
+    of every row, so any number of hash ops over the same column share
+    one sort.
+    """
+
+    __slots__ = ("raw", "inverse")
+
+    def __init__(self, words: np.ndarray, width: int):
+        nwords, n = words.shape
+        if nwords == 0:
+            # No field selected: every row carries the empty key.
+            self.inverse = np.zeros(n, dtype=np.intp)
+            self.raw: List[bytes] = [b""] * min(n, 1)
+            return
+        order = (np.argsort(words[0]) if nwords == 1
+                 else np.lexsort(words[::-1]))
+        ordered = words[:, order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        self.inverse = np.empty(n, dtype=np.intp)
+        self.inverse[order] = np.cumsum(first) - 1
+        distinct = ordered[:, first].T
+        stride = 8 * nwords
+        buffer = distinct.astype(">u8").tobytes()
+        self.raw = [buffer[end - width:end]
+                    for end in range(stride, len(buffer) + 1, stride)]
+
+
+def hash_rows(keys: KeyGroup, seed: int,
+              cache: Optional[Dict[bytes, int]] = None) -> np.ndarray:
+    """:func:`hash_bytes` of every distinct key of ``keys`` (``uint64``).
+
+    One digest per entry of ``keys.raw``; ``digests[keys.inverse]`` is the
+    per-row column.  The digest stays a per-key keyed blake2b call, but it
+    runs only for keys ``cache`` — the seed's ``key bytes -> hash`` memo
+    (see :meth:`HashFamily.bulk_cache`) — has never seen, which is what
+    makes the vectorized engine's hashing cost scale with new flows
+    instead of packets.  Every memo insert happens here.
+    """
     if cache is None:
-        for i, key in enumerate(uniq):
-            digests[i] = hash_bytes(key.tobytes(), seed)
-    else:
-        for i, key in enumerate(uniq):
-            raw = key.tobytes()
-            value = cache.get(raw)
-            if value is None:
-                value = hash_bytes(raw, seed)
-                cache[raw] = value
-            digests[i] = value
-    out[:] = digests[inverse]
-    return out
+        cache = {}
+    blake2b = hashlib.blake2b
+    seed_key = seed.to_bytes(8, "big", signed=False)
+    digests = []
+    for raw in keys.raw:
+        digest = cache.get(raw)
+        if digest is None:
+            digest = cache[raw] = int.from_bytes(
+                blake2b(raw, digest_size=8, key=seed_key).digest(), "big"
+            )
+        digests.append(digest)
+    return np.array(digests, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -96,11 +155,13 @@ class HashUnit:
     def __call__(self, key: bytes) -> int:
         return hash_bytes(key, self.seed) % self.range_size
 
-    def many(self, rows: np.ndarray,
+    def many(self, keys: KeyGroup,
              cache: Optional[Dict[bytes, int]] = None) -> np.ndarray:
-        """Vectorized ``__call__`` over packed key rows (int64 indices)."""
-        hashed = hash_rows(rows, self.seed, cache)
-        return (hashed % np.uint64(self.range_size)).astype(np.int64)
+        """Vectorized ``__call__`` over every row of ``keys`` (int64
+        indices): reduce the distinct digests, then gather."""
+        hashed = hash_rows(keys, self.seed, cache)
+        reduced = (hashed % np.uint64(self.range_size)).astype(np.int64)
+        return reduced[keys.inverse]
 
 
 class HashFamily:
@@ -127,12 +188,22 @@ class HashFamily:
         """Per-seed ``key bytes -> hash`` memo for :func:`hash_rows`.
 
         Shared by every vectorized hash op using that seed; the contents
-        are a pure function of the seed, so sharing never changes results.
+        are a pure function of the seed, so sharing (or clearing) never
+        changes results.
         """
-        cache = self._bulk_caches.setdefault(seed, {})
-        if len(cache) > _BULK_CACHE_LIMIT:
-            cache.clear()
-        return cache
+        return self._bulk_caches.setdefault(seed, {})
+
+    def trim_bulk_caches(self) -> None:
+        """Clear every memo that outgrew ``_BULK_CACHE_LIMIT``.
+
+        Called at each window roll: that is where a long-running
+        deployment's memos grow (whether or not rules ever change), and a
+        clear there costs at most one window of re-hashing.  Cleared in
+        place — compiled programs hold references to the dicts.
+        """
+        for cache in self._bulk_caches.values():
+            if len(cache) > _BULK_CACHE_LIMIT:
+                cache.clear()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HashFamily) and other.base_seed == self.base_seed

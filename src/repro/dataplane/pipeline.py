@@ -592,8 +592,10 @@ class NewtonPipeline:
     # ------------------------------------------------------------------ #
 
     def advance_window(self) -> None:
-        """Roll the 100 ms window: reset registers, bump the epoch."""
+        """Roll the 100 ms window: reset registers, bump the epoch, hold
+        the hash memos to their bound."""
         self.epoch += 1
         for bank in self.layout.state_banks():
             assert isinstance(bank, StateBankModule)
             bank.reset_window()
+        self.hash_family.trim_bulk_caches()

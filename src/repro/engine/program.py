@@ -8,6 +8,14 @@ slice-0 versions are flattened into tensor-friendly programs:
 * each query's module sequence becomes a list of op records holding the
   exact objects the scalar path would touch (register arrays, storage
   keys, hash units), so both engines mutate the *same* state;
+* a K op packs its masked fields big-endian into ``uint64`` word columns
+  (:func:`~repro.dataplane.hashing.pack_key_words`: one word for keys up
+  to 8 bytes, two up to 16, ...), whose bytes equal ``GLOBAL_FIELDS.pack``;
+* the H ops behind one K differ only in seed, so they share one
+  :class:`~repro.dataplane.hashing.KeyGroup` — the distinct keys of the
+  still-active rows and the row -> key inverse — built at the first H and
+  rebuilt only after an R ``stop`` actually removed rows; each H then
+  resolves the distinct keys through its seed's memo and gathers;
 * R ternary matches become ``(lo, hi)`` range arrays evaluated per entry.
 
 Programs the compiler cannot express with batch semantics (multi-slice
@@ -44,7 +52,7 @@ from repro.core.rules import (
     SConfig,
 )
 from repro.dataplane.alu import REGISTER_MAX, ResultOp
-from repro.dataplane.hashing import HashUnit
+from repro.dataplane.hashing import HashUnit, KeyGroup, pack_key_words
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.pipeline import NewtonPipeline
 from repro.dataplane.registers import RegisterArray
@@ -168,11 +176,12 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
         if spec.module_type is ModuleType.KEY_SELECTION:
             config: KConfig = spec.config
             plan = []
+            masks = config.mask_map()
             for fld in GLOBAL_FIELDS:
-                mask = config.mask_map().get(fld.name)
+                mask = masks.get(fld.name)
                 if mask is None or mask == 0:
                     continue
-                plan.append((fld.name, mask, fld.byte_width))
+                plan.append((fld.name, mask & fld.max_value, fld.byte_width))
                 needed.add(fld.name)
             ops.append(_KOp(
                 set_id=spec.set_id,
@@ -265,10 +274,19 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
 class _SetState:
     """Columnar mirror of one ``MetadataSet`` across the batch."""
 
-    __slots__ = ("key", "fields", "hash", "hash_has", "state", "state_has")
+    __slots__ = ("words", "key_width", "group", "group_rows", "fields",
+                 "hash", "hash_has", "state", "state_has")
 
-    def __init__(self) -> None:
-        self.key: Optional[np.ndarray] = None       # (k, width) uint8
+    def __init__(self, k: int) -> None:
+        #: K output: (words, k) uint64 key column; before any K, the
+        #: empty key (what the scalar path hashes then).
+        self.words = np.empty((0, k), dtype=np.uint64)
+        self.key_width = 0
+        #: Distinct keys of ``words[:, group_rows]``, shared by every H on
+        #: this set until K rewrites the column or an R stop shrinks the
+        #: active rows (``group`` is dropped then and rebuilt on demand).
+        self.group: Optional[KeyGroup] = None
+        self.group_rows: Optional[np.ndarray] = None
         self.fields: Optional[List[Tuple[str, np.ndarray]]] = None
         self.hash: Optional[np.ndarray] = None      # int64
         self.hash_has = False
@@ -295,14 +313,14 @@ def execute_program(
 
     ``sanitizer`` enables observe-only invariant checks; ``hash_trace``
     (a list) additionally collects ``((seed, range), local rows, key
-    rows)`` per hash op so the caller can run the cross-program
+    group)`` per hash op so the caller can run the cross-program
     collision check over a whole batch.
     """
     k = len(ts)
     act = np.ones(k, dtype=bool)
     global_val = np.zeros(k, dtype=np.int64)
     global_has = np.zeros(k, dtype=bool)
-    sets = (_SetState(), _SetState())
+    sets = (_SetState(k), _SetState(k))
 
     for op in program.ops:
         if not act.any():
@@ -312,14 +330,12 @@ def execute_program(
             st.fields = [
                 (name, cols[name] & mask) for name, mask, _bw in op.plan
             ]
-            mat = np.empty((k, op.key_width), dtype=np.uint8)
-            offset = 0
-            for name, mask, bw in op.plan:
-                masked = cols[name] & mask
-                for j in range(bw):
-                    mat[:, offset + bw - 1 - j] = (masked >> (8 * j)) & 0xFF
-                offset += bw
-            st.key = mat
+            st.words = pack_key_words(
+                [column for _name, column in st.fields],
+                [bw for _name, _mask, bw in op.plan], k,
+            )
+            st.key_width = op.key_width
+            st.group = None
         elif isinstance(op, _HOp):
             # Always bind a fresh array: an S passthrough may have aliased
             # the previous hash column as the state column, which must
@@ -330,20 +346,20 @@ def execute_program(
                 else:
                     st.hash = cols[op.direct_field].copy()
             else:
-                idx = np.flatnonzero(act)
-                if st.key is None:
-                    rows = np.zeros((len(idx), 0), dtype=np.uint8)
-                else:
-                    rows = st.key[idx]
+                if st.group is None:
+                    st.group_rows = np.flatnonzero(act)
+                    st.group = KeyGroup(st.words[:, st.group_rows],
+                                        st.key_width)
                 assert op.unit is not None
-                values = op.unit.many(rows, op.cache)
+                values = op.unit.many(st.group, op.cache)
                 if hash_trace is not None:
-                    hash_trace.append(
-                        ((op.unit.seed, op.unit.range_size), idx, rows)
-                    )
+                    hash_trace.append((
+                        (op.unit.seed, op.unit.range_size),
+                        st.group_rows, st.group,
+                    ))
                 fresh = (np.zeros(k, dtype=np.int64) if st.hash is None
                          else st.hash.copy())
-                fresh[idx] = values
+                fresh[st.group_rows] = values
                 st.hash = fresh
             st.hash_has = True
         elif isinstance(op, _SOp):
@@ -426,7 +442,10 @@ def _execute_r(
                        ts, window_epoch, switch_id, sink_reports)
         if action.stop:
             stop_rows |= rows
-    act &= ~stop_rows
+    if stop_rows.any():
+        act &= ~stop_rows
+        for shrunk in sets:
+            shrunk.group = None
 
 
 def _fold(result_op: ResultOp, rows: np.ndarray, st: _SetState,

@@ -12,9 +12,13 @@ Inside a sub-batch nothing external can happen, so the per-switch rule
 state is frozen and the compiled rule programs (:mod:`repro.engine.
 program`) run each installed query over whole packet columns at once.
 State-bank updates go through :meth:`RegisterArray.execute_many`, whose
-grouped scans are bit-identical to the sequential ALU, and hashing
-through :func:`~repro.dataplane.hashing.hash_rows`, which memoises per
-unique key — the two hot loops of the scalar path.
+grouped scans are bit-identical to the sequential ALU.  Hashing follows
+the sketch shape: each K packs its key column into ``uint64`` words and
+deduplicates it once into a :class:`~repro.dataplane.hashing.KeyGroup`
+that every H behind it shares, and each H resolves only the distinct
+keys through its seed's cross-window memo
+(:func:`~repro.dataplane.hashing.hash_rows`; one blake2b per never-seen
+key) — the two hot loops of the scalar path.
 
 Batches whose rule state the compiler cannot express (multi-slice CQE
 queries, negative S constants) fall back to the scalar reference engine
@@ -337,9 +341,8 @@ class VectorizedEngine(ExecutionEngine):
                 np.minimum(rank, entry_rank, out=rank)
         window_epoch = pipeline.epoch
         sanitizer = sim.sanitizer
-        # (hash unit, key width) -> qid -> [(global row | key bytes) rows].
-        hash_groups: Dict[Tuple[Tuple[int, int], int],
-                          Dict[str, List[np.ndarray]]] = {}
+        # hash unit -> qid -> {(global row, key bytes)} it hashed.
+        hashed: Dict[Tuple[int, int], Dict[str, set]] = {}
         for qid, rank in ranks.items():
             program = bundle.programs.get(qid)
             if program is None:
@@ -362,24 +365,20 @@ class VectorizedEngine(ExecutionEngine):
             )
             if hash_trace:
                 global_rows = rows[sel]
-                for unit_key, local_idx, key_rows in hash_trace:
-                    # Pack (global row, key bytes) side by side so the
-                    # collision scan can dedupe and intersect in one
-                    # np.unique pass per query pair.
-                    combo = np.concatenate(
-                        [global_rows[local_idx].reshape(-1, 1),
-                         key_rows.astype(np.int64)], axis=1,
-                    )
-                    hash_groups.setdefault(
-                        (unit_key, key_rows.shape[1]), {}
-                    ).setdefault(qid, []).append(combo)
+                for unit_key, local_idx, group in hash_trace:
+                    hashed.setdefault(unit_key, {}).setdefault(
+                        qid, set()
+                    ).update(zip(
+                        global_rows[local_idx].tolist(),
+                        map(group.raw.__getitem__, group.inverse.tolist()),
+                    ))
             for local, report in reports:
                 pending.append((
                     int(rows[sel[local]]), int(rank[sel[local]]),
                     sid, report,
                 ))
-        if sanitizer is not None and hash_groups:
-            _check_hash_collisions(sanitizer, sid, hash_groups)
+        if hashed:
+            _check_hash_collisions(sanitizer, sid, hashed)
 
     def _emit_reports(self, sim: "NetworkSimulator",
                       stats: "SimulationStats",
@@ -430,32 +429,22 @@ def _forwarding_mask(switch, ts: np.ndarray) -> np.ndarray:
 def _check_hash_collisions(
     sanitizer,
     sid: Hashable,
-    hash_groups: Dict[Tuple[Tuple[int, int], int],
-                      Dict[str, List[np.ndarray]]],
+    hashed: Dict[Tuple[int, int], Dict[str, set]],
 ) -> None:
     """Cross-query hash-unit collision scan over one ingress batch.
 
     Mirrors the scalar sanitizer exactly: for each physical unit, two
     queries collide on a packet when both hashed the *same key bytes*
-    through it.  Each per-query matrix is deduped, so a common
-    ``(row, key)`` appears exactly twice in the concatenated pair and
-    the hit count equals the scalar per-packet pair count.
+    through it, so the hit count of a query pair is the size of the
+    intersection of their ``(row, key)`` sets — the scalar per-packet
+    pair count.
     """
-    for (unit_key, _width), per_qid in hash_groups.items():
-        if len(per_qid) < 2:
-            continue
-        mats = {
-            qid: np.unique(np.concatenate(chunks), axis=0)
-            for qid, chunks in per_qid.items()
-        }
-        qids = sorted(mats)
+    for (seed, range_size), per_qid in hashed.items():
+        qids = sorted(per_qid)
         for i, qa in enumerate(qids):
             for qb in qids[i + 1:]:
-                both = np.concatenate([mats[qa], mats[qb]])
-                _uniq, counts = np.unique(both, axis=0, return_counts=True)
-                hits = int((counts == 2).sum())
+                hits = len(per_qid[qa] & per_qid[qb])
                 if hits:
-                    seed, range_size = unit_key
                     sanitizer.record(
                         "hash-collision",
                         (

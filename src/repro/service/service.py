@@ -32,7 +32,7 @@ import asyncio
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.compiler import QueryParams
 from repro.core.library import QUERY_DESCRIPTIONS, build_query
@@ -76,6 +76,12 @@ class ServiceError(Exception):
 # --------------------------------------------------------------------- #
 
 _PIPELINE_OPS = ("filter", "map", "distinct", "reduce", "where")
+
+
+def _key_tuple(key: Any) -> Tuple[Any, ...]:
+    """A result or detection key as a tuple: single-field keys (Q6's
+    join on ``dip``) arrive as bare scalars."""
+    return key if isinstance(key, tuple) else (key,)
 
 
 def query_from_spec(spec: Dict[str, Any]) -> QueryLike:
@@ -789,13 +795,13 @@ class NewtonService:
                 window = collector.merged_results(sub.qid).get(closed)
                 if window:
                     results[sub.qid] = {
-                        ",".join(str(k) for k in key): count
+                        ",".join(str(k) for k in _key_tuple(key)): count
                         for key, count in sorted(window.items())
                     }
             detections = []
             try:
                 detections = [
-                    list(key) for key in
+                    list(_key_tuple(key)) for key in
                     self.deployment.analyzer.detections(qid).get(closed, [])
                 ]
             except KeyError:

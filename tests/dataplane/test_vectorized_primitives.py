@@ -2,45 +2,161 @@
 
 The vectorized engine's correctness rests on two batch primitives being
 bit-identical to the per-packet code paths they replace: seeded hashing
-over packed key rows and the register ALU's grouped-scan batch execution.
+over word-packed key groups and the register ALU's grouped-scan batch
+execution.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.fields import GLOBAL_FIELDS
+from repro.dataplane import hashing
 from repro.dataplane.alu import REGISTER_MAX, StatefulOp
-from repro.dataplane.hashing import HashFamily, hash_bytes, hash_rows
+from repro.dataplane.hashing import (
+    HashFamily,
+    KeyGroup,
+    hash_bytes,
+    hash_rows,
+    pack_key_words,
+)
 from repro.dataplane.registers import RegisterArray
+
+
+def key_group(rows: np.ndarray) -> KeyGroup:
+    """The group over a ``(n, width)`` uint8 matrix, one key per row."""
+    n, width = rows.shape
+    words = pack_key_words(
+        [rows[:, j].astype(np.int64) for j in range(width)], [1] * width, n
+    )
+    return KeyGroup(words, width)
 
 
 class TestHashRows:
     def test_matches_per_row_hash_bytes(self):
         rng = np.random.default_rng(7)
         rows = rng.integers(0, 256, size=(300, 6)).astype(np.uint8)
-        out = hash_rows(rows, seed=99)
+        keys = key_group(rows)
+        out = hash_rows(keys, seed=99)[keys.inverse]
         for i in range(len(rows)):
             assert int(out[i]) == hash_bytes(rows[i].tobytes(), 99)
 
     def test_duplicate_rows_share_one_digest(self):
         rows = np.zeros((50, 4), dtype=np.uint8)
         rows[:, 0] = 3
-        out = hash_rows(rows, seed=1)
-        assert len(set(int(v) for v in out)) == 1
-        assert int(out[0]) == hash_bytes(rows[0].tobytes(), 1)
+        keys = key_group(rows)
+        assert keys.raw == [rows[0].tobytes()]
+        out = hash_rows(keys, seed=1)
+        assert [int(v) for v in out] == [hash_bytes(rows[0].tobytes(), 1)]
 
     def test_cache_is_filled_and_reused(self):
         cache = {}
-        rows = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        first = hash_rows(rows, seed=5, cache=cache)
+        keys = key_group(np.arange(12, dtype=np.uint8).reshape(3, 4))
+        first = hash_rows(keys, 5, cache)
         assert len(cache) == 3
         cache_before = dict(cache)
-        second = hash_rows(rows, seed=5, cache=cache)
+        second = hash_rows(keys, 5, cache)
         assert cache == cache_before
         assert np.array_equal(first, second)
 
+    def test_one_group_serves_every_seed(self):
+        """The H ops behind one K differ only in seed: the group is
+        built once and each seed fills only its own memo."""
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 4, size=(200, 10)).astype(np.uint8)
+        keys = key_group(rows)
+        family = HashFamily(0x5EED)
+        for index in range(3):
+            unit = family.unit(index, range_size=512)
+            out = unit.many(keys, family.bulk_cache(unit.seed))
+            assert [int(v) for v in out] == [
+                unit(row.tobytes()) for row in rows
+            ]
+            assert len(family.bulk_cache(unit.seed)) == len(keys.raw)
+
     def test_empty_batch(self):
-        out = hash_rows(np.empty((0, 4), dtype=np.uint8), seed=2)
-        assert out.shape == (0,)
+        keys = key_group(np.empty((0, 4), dtype=np.uint8))
+        cache = {}
+        assert hash_rows(keys, 2, cache).shape == (0,)
+        assert cache == {}
+
+    def test_empty_key(self):
+        """No K before the H (or an all-zero mask): every row hashes the
+        empty byte string, as the scalar path does."""
+        keys = KeyGroup(pack_key_words([], [], 5), 0)
+        assert keys.raw == [b""]
+        out = hash_rows(keys, seed=8)[keys.inverse]
+        assert [int(v) for v in out] == [hash_bytes(b"", 8)] * 5
+
+
+#: A K plan: a subset of the global fields, each with a non-zero mask.
+field_plans = st.lists(
+    st.sampled_from(list(GLOBAL_FIELDS)), unique=True
+).flatmap(lambda fields: st.fixed_dictionaries({
+    field.name: st.integers(1, field.max_value) for field in fields
+}))
+_FULL = {field.name: field.max_value for field in GLOBAL_FIELDS}
+
+
+class TestPackedKeyGroups:
+    """K -> H hand-off: word-packed keys against ``GLOBAL_FIELDS.pack``."""
+
+    @given(field_plans, st.integers(0, 2**32), st.integers(1, 60),
+           st.integers(1, 12))
+    # Key widths 0, 1-8 (one word), 9-16 (two, ``sip`` straddling them)
+    # and 19 bytes (three).
+    @example({}, 1, 7, 3)
+    @example({"dip": 0xFFFFFF00, "dport": 0xFFFF}, 2, 40, 5)
+    @example({"sip": _FULL["sip"], "dip": _FULL["dip"], "proto": 0x0F,
+              "tcp_flags": 0x12}, 3, 40, 5)
+    @example(_FULL, 4, 40, 5)
+    @settings(max_examples=150, deadline=None)
+    def test_raw_bytes_and_digests_match_scalar(self, masks, seed, n, pool):
+        rng = np.random.default_rng(seed)
+        # Rows drawn from a small pool: duplicates in every batch.
+        picks = rng.integers(0, pool, size=n)
+        columns = {
+            field.name: rng.integers(0, field.max_value + 1,
+                                     size=pool)[picks]
+            for field in GLOBAL_FIELDS
+        }
+        expected = [
+            GLOBAL_FIELDS.pack(
+                {name: int(col[i]) for name, col in columns.items()}, masks
+            )
+            for i in range(n)
+        ]
+        plan = [f for f in GLOBAL_FIELDS if f.name in masks]
+        words = pack_key_words(
+            [columns[f.name] & masks[f.name] for f in plan],
+            [f.byte_width for f in plan], n,
+        )
+        width = sum(f.byte_width for f in plan)
+        assert words.shape == (-(-width // 8), n)
+        keys = KeyGroup(words, width)
+        assert [keys.raw[i] for i in keys.inverse] == expected
+        assert len(keys.raw) == len(set(expected))
+        cache = {}
+        digests = hash_rows(keys, seed, cache)[keys.inverse]
+        assert [int(d) for d in digests] == [
+            hash_bytes(key, seed) for key in expected
+        ]
+        assert set(cache) == set(expected)
+
+
+class TestMemoBound:
+    def test_trim_clears_only_overgrown_memos(self, monkeypatch):
+        monkeypatch.setattr(hashing, "_BULK_CACHE_LIMIT", 4)
+        family = HashFamily()
+        small = family.bulk_cache(1)
+        big = family.bulk_cache(2)
+        small.update({bytes([i]): i for i in range(4)})
+        big.update({bytes([i]): i for i in range(5)})
+        family.trim_bulk_caches()
+        assert len(small) == 4
+        # Cleared in place: compiled programs hold the dict itself.
+        assert big == {} and family.bulk_cache(2) is big
 
 
 class TestHashUnitMany:
@@ -48,7 +164,7 @@ class TestHashUnitMany:
         unit = HashFamily(0x5EED).unit(2, range_size=1024)
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 256, size=(200, 5)).astype(np.uint8)
-        out = unit.many(rows)
+        out = unit.many(key_group(rows))
         assert out.dtype == np.int64
         for i in range(len(rows)):
             assert int(out[i]) == unit(rows[i].tobytes())

@@ -8,8 +8,10 @@ the final register dumps of every state bank.  Scenarios cover the
 places where batching could plausibly diverge: window boundaries inside
 a batch, a mid-trace ``update_query`` scheduled through ``at()`` (a
 rule-epoch flip that must land on a sub-batch edge), reboot drop
-windows, and multi-slice CQE installs (which the vectorized engine must
-hand back to the scalar path wholesale).
+windows, multi-slice CQE installs (which the vectorized engine must
+hand back to the scalar path wholesale), and the K -> H hand-off (one key
+group shared by every hash op of a K across an R ``stop``, and a hash
+memo cleared between windows).
 """
 
 from dataclasses import replace
@@ -18,6 +20,8 @@ import pytest
 
 from repro.core.compiler import QueryParams, compile_query
 from repro.core.library import build_query
+from repro.core.query import Query
+from repro.dataplane import hashing
 from repro.engine import VectorizedEngine
 from repro.experiments.common import evaluation_thresholds
 from repro.network.deployment import build_deployment
@@ -208,3 +212,57 @@ class TestEquivalence:
         assert vector_sig == scalar_sig
         assert vector_regs == scalar_regs
         assert scalar_stats.sp_bytes > 0  # the install really is sliced
+
+
+class TestKeyGroupHandOff:
+    def test_stop_between_hash_ops_of_one_key(self):
+        """``distinct`` then ``reduce`` over one K: the Bloom filter's R
+        stops every repeat of a key, and the Count-Min H ops behind it
+        hash the same key column — over the survivors only.  A key group
+        left stale across the stop would have the vector engine hash
+        rows the scalar engine never does; two same-shaped queries make
+        the sanitizer's per-packet collision count expose exactly that."""
+        def twin(qid):
+            return (Query(qid).map("dip").distinct("dip")
+                    .reduce("dip").where(ge=1))
+
+        def run(engine):
+            deployment = build_deployment(
+                linear(1), array_size=1 << 13, engine=engine, sanitize=True,
+            )
+            for qid in ("stop.a", "stop.b"):
+                deployment.controller.install_query(
+                    twin(qid), PARAMS, path=["s0"]
+                )
+            recorded = record_reports(deployment)
+            stats = deployment.simulator.run(workload(3000))
+            return (signature(stats, recorded), register_dumps(deployment),
+                    dict(deployment.sanitizer.counts), stats)
+
+        scalar = run("scalar")
+        vector = run("vector")
+        assert vector[:3] == scalar[:3]
+        stats = scalar[3]
+        # Repeats were stopped, and the stops did not starve the reduce.
+        assert 0 < stats.reports_total < stats.initiated_by_query["stop.a"]
+        assert scalar[2]["hash-collision"] > 0
+
+    def test_memo_cleared_between_windows_changes_nothing(self, monkeypatch):
+        """The hash memo is held to its bound at every window roll, and a
+        clear is invisible: digests are a pure function of key and seed."""
+        limit = 32
+        monkeypatch.setattr(hashing, "_BULK_CACHE_LIMIT", limit)
+        sizes = []
+        trim = hashing.HashFamily.trim_bulk_caches
+
+        def recording_trim(family):
+            trim(family)
+            sizes.extend(len(memo) for memo in family._bulk_caches.values())
+
+        monkeypatch.setattr(hashing.HashFamily, "trim_bulk_caches",
+                            recording_trim)
+        stats = assert_equivalent(workload(), queries=("Q1", "Q4", "Q5"))
+        assert stats.epochs > 3
+        # Each window brings far more new keys than the limit, so every
+        # roll found overgrown memos and left them empty.
+        assert sizes and max(sizes) <= limit

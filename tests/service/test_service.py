@@ -1,10 +1,25 @@
 """NewtonService in-process: ticks, CRUD, admission, pruning."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.compiler import QueryParams
+from repro.core.library import all_queries
+from repro.experiments.common import evaluation_thresholds
 from repro.core.query import flatten
-from repro.service import GeneratorSource, NewtonService, ServiceConfig
+from repro.network.deployment import build_deployment
+from repro.network.topology import linear
+from repro.service import (
+    GeneratorSource,
+    NewtonService,
+    ReplaySource,
+    ServiceConfig,
+)
 from repro.service.service import ServiceError, query_from_spec
+from repro.traffic.columnar import ColumnarTrace
+from repro.traffic.generators import assign_hosts, caida_like, syn_flood
+from repro.traffic.traces import merge_traces
 
 PPS = 2000
 
@@ -212,3 +227,35 @@ class TestIngest:
         assert "# TYPE service_windows_total counter" in text
         assert "service_windows_total 1" in text
         assert 'service_ops_total{op="install",outcome="ok"} 1' in text
+
+
+class TestWindowEventKeys:
+    """Single-field result / detection keys (Q6's join on ``dip``) are
+    bare ints, not tuples; the window event must carry them all the same."""
+
+    def test_eval9_ticks_through_five_windows(self):
+        trace = ColumnarTrace.from_trace(assign_hosts(merge_traces([
+            caida_like(3000, duration_s=0.5, seed=3),
+            syn_flood(n_packets=600, duration_s=0.5, seed=4),
+        ]), [("h_src0", "h_dst0")]))
+        deployment = build_deployment(linear(2), array_size=1 << 14)
+        thresholds = replace(evaluation_thresholds(), syn_flood=1,
+                             syn_flood_sub=3)
+        for query in all_queries(thresholds).values():
+            deployment.controller.install_query(
+                query, QueryParams(cm_depth=2, reduce_registers=1024,
+                                   distinct_registers=1024),
+                path=["s0", "s1"],
+            )
+        service = NewtonService(ReplaySource(trace), deployment=deployment)
+        events = [service.tick() for _ in range(5)]
+        assert all(event["type"] == "window" for event in events)
+        detections = [key for event in events
+                      for key in event["queries"]["Q6"]["detections"]]
+        assert detections and all(
+            isinstance(key, list) and len(key) == 1 for key in detections
+        )
+        results = [key for event in events
+                   for sub in event["queries"]["Q6"]["results"].values()
+                   for key in sub]
+        assert results and all(key.isdigit() for key in results)

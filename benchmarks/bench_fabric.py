@@ -42,15 +42,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.compiler import QueryParams
 from repro.core.packet import Proto, TcpFlags
 from repro.core.query import Query, QueryLike
-from repro.core.rules import Report
 from repro.experiments.common import evaluation_queries, workload
 from repro.fabric import ShardedDeployment
-from repro.fabric.merge import ReportSig, canonical_reports
+from repro.fabric.merge import canonical_reports, record_reports
 from repro.network.deployment import build_deployment
 from repro.network.topology import fat_tree
 from repro.traffic.columnar import ColumnarTrace
@@ -153,23 +152,6 @@ def _make_trace(n_packets: int, seed: int,
     return ColumnarTrace.from_packets(pkts)
 
 
-def _record(deployment) -> List[ReportSig]:
-    recorded: List[ReportSig] = []
-    for sid, switch in deployment.switches.items():
-        def wrap(sid: object,
-                 inner: Optional[Callable[[Report], None]]):
-            def sink(report: Report) -> None:
-                recorded.append((str(sid), report.qid, float(report.ts),
-                                 int(report.epoch),
-                                 tuple(sorted(report.payload.items()))))
-                if inner is not None:
-                    inner(report)
-            return sink
-        switch.pipeline.report_sink = wrap(sid,
-                                           switch.pipeline.report_sink)
-    return recorded
-
-
 @dataclass
 class WorkerRun:
     """Best-of-N timing of one worker count over the workload."""
@@ -210,29 +192,19 @@ class FabricResult:
         raise KeyError(workers)
 
 
-def _register_dumps(deployment) -> Dict[str, Tuple]:
-    return {
-        str(sid): tuple(
-            tuple(bank.array.dump().tolist())
-            for bank in switch.pipeline.layout.state_banks()
-        )
-        for sid, switch in deployment.switches.items()
-    }
-
-
 def _baseline(topo, trace: ColumnarTrace, queries: Sequence[QueryLike],
               dump_registers: bool = False):
     deployment = build_deployment(topo, **_deploy_kwargs())
     for query in queries:
         deployment.controller.install_query(query, PARAMS, topology=topo)
-    recorded = _record(deployment)
+    recorded = record_reports(deployment.switches)
     start = time.process_time()
     stats = deployment.simulator.run(trace)
     cpu = time.process_time() - start
     sig = canonical_reports([recorded])
     key = (stats.packets, stats.delivered, stats.dropped,
            stats.payload_bytes)
-    dumps = _register_dumps(deployment) if dump_registers else None
+    dumps = deployment.register_dumps() if dump_registers else None
     return cpu, sig, key, dumps
 
 

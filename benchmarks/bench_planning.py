@@ -167,9 +167,9 @@ def run_plan(deployment, traces: List[Trace],
             execution = planner.step()
             if execution is not None:
                 steps.extend(
-                    (index, s.kind, s.trigger, s.status,
-                     None if s.params is None
-                     else s.params.reduce_registers)
+                    (index, s.op.kind, s.trigger, s.status,
+                     None if s.op.params is None
+                     else s.op.params.reduce_registers)
                     for s in execution.steps
                 )
     return {

@@ -104,13 +104,7 @@ def _run(engine: str, n_packets: int, crash_at: float = CRASH_AT_S,
                 }
                 for qid in ("Q1",)
             },
-            "registers": {
-                str(sid): [
-                    bank.array.dump().tolist()
-                    for bank in sw.pipeline.layout.state_banks()
-                ]
-                for sid, sw in deployment.switches.items()
-            },
+            "registers": deployment.register_dumps(),
             "rule_epochs": {
                 str(sid): sw.rule_epoch
                 for sid, sw in deployment.switches.items()

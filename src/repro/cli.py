@@ -748,8 +748,8 @@ def cmd_serve(args) -> int:
     )
     sharded = None
     if args.workers > 1:
-        # Fabric plane: the ShardedDeployment duck-types Deployment, so
-        # the service's CRUD/tick/prune paths drive it unchanged.
+        # Fabric plane: a ShardedDeployment is a Deployment, so the
+        # service's CRUD/tick/prune paths drive it unchanged.
         from repro.fabric import ShardedDeployment
         from repro.network.topology import linear
         from repro.resilience import ResilienceConfig
@@ -909,10 +909,10 @@ def cmd_plan(args) -> int:
             if execution is None:
                 continue
             for s in execution.steps:
-                registers = ("" if s.params is None
-                             else s.params.reduce_registers)
+                registers = ("" if s.op.params is None
+                             else s.op.params.reduce_registers)
                 journal_rows.append([
-                    execution.epoch, s.kind, s.qid, s.trigger,
+                    execution.epoch, s.op.kind, s.op.qid, s.trigger,
                     registers, s.status,
                 ])
         print()

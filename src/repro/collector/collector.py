@@ -191,18 +191,31 @@ class ReportCollector:
     # Lifecycle (driven by the controller)                                #
     # ------------------------------------------------------------------ #
 
-    def on_install(self, query, compiled, slices, by_switch) -> None:
-        """Register a freshly installed query's sub-queries for decoding.
+    def on_commit(self, op, record) -> None:
+        """Controller commit listener: swap ``op.qid``'s registrations.
 
-        Mirrors what the controller knows at install time: where each
-        sub-query's slices landed determines how far the data plane runs
-        and therefore where the CPU tail starts.
+        Dropping the outgoing sub-queries and registering the new ones in
+        one call mirrors the control plane's atomic epoch flip: no
+        mirrored report ever finds the registry mid-swap.  Reports of a
+        removed or outgoing version that are still queued decode against
+        the new registration when the sub-query ids coincide and are
+        dropped (accounted) at the next window close when they do not.
+        What the controller knows at commit time — where each sub-query's
+        slices landed — determines how far the data plane runs and
+        therefore where the CPU tail starts.
         """
-        for sub in flatten(query):
-            sub_slices = slices[sub.qid]
+        for sub_qid in [
+            qid for qid, reg in self._registrations.items()
+            if reg.top_qid == op.qid
+        ]:
+            del self._registrations[sub_qid]
+        if record is None:
+            return
+        for sub in flatten(record.query):
+            sub_slices = record.slices[sub.qid]
             installed = {
                 index
-                for entries in by_switch.values()
+                for entries in record.by_switch.values()
                 for (sub_qid, index) in entries
                 if sub_qid == sub.qid
             }
@@ -210,42 +223,17 @@ class ReportCollector:
             stage_limit = (
                 sub_slices[0].num_stages * executed if sub_slices else 0
             )
-            cpu_start = first_incomplete_primitive(
-                compiled[sub.qid], stage_limit
-            )
+            compiled = record.compiled[sub.qid]
+            cpu_start = first_incomplete_primitive(compiled, stage_limit)
             self._registrations[sub.qid] = QueryRegistration(
                 qid=sub.qid,
-                top_qid=query.qid,
+                top_qid=op.qid,
                 key_fields=result_key_fields(sub),
-                result_set=result_set_id(compiled[sub.qid]),
+                result_set=result_set_id(compiled),
                 cpu_start=cpu_start,
                 num_primitives=len(sub.primitives),
                 tail=tuple(sub.primitives[cpu_start:]),
             )
-
-    def on_remove(self, top_qid: str) -> None:
-        """Forget a removed query; queued reports for it become stale and
-        are dropped (accounted) at the next window close."""
-        for sub_qid in [
-            qid for qid, reg in self._registrations.items()
-            if reg.top_qid == top_qid
-        ]:
-            del self._registrations[sub_qid]
-
-    def on_update(self, query, compiled, slices, by_switch) -> None:
-        """Swap a hitlessly updated query's registrations in one step.
-
-        The control plane's epoch flip replaces the rules atomically;
-        mirroring that here (drop old sub-queries, register the new ones
-        in the same call) means no mirrored report ever finds the
-        registry mid-swap.  Reports emitted by the outgoing version that
-        are still in flight decode against the new registration when the
-        sub-query ids coincide, and are dropped (accounted as
-        ``unregistered``) when they do not — same loss-tolerance story as
-        a remove.
-        """
-        self.on_remove(query.qid)
-        self.on_install(query, compiled, slices, by_switch)
 
     def registration(self, sub_qid: str) -> Optional[QueryRegistration]:
         return self._registrations.get(sub_qid)
@@ -518,6 +506,13 @@ class ReportCollector:
         for stale in [e for e in self._signals if e < horizon]:
             del self._signals[stale]
 
+    def export_signals(self) -> Dict[int, WindowSignals]:
+        """Copy of the retained per-epoch signals (a shard's share)."""
+        return dict(self._signals)
+
+    def clear_signals(self) -> None:
+        self._signals.clear()
+
     def _expire(self, epoch: int) -> None:
         """Drop open-window state past the lateness watermark so memory
         stays bounded by the lateness horizon, not the run length."""
@@ -536,6 +531,17 @@ class ReportCollector:
             if qid == sub_qid:
                 out[epoch] = dict(bucket)
         return out
+
+    def export_results(self) -> Dict[Tuple[str, int], Dict[Key, int]]:
+        """Copy of every retained ``(sub_qid, epoch)`` answer bucket."""
+        return {key: dict(b) for key, b in self._results.items()}
+
+    def absorb_results(
+        self, results: Dict[Tuple[str, int], Dict[Key, int]]
+    ) -> None:
+        """Take over another replica's exported buckets (the fabric's
+        control replica absorbing an owner shard's answers)."""
+        self._results.update(results)
 
     def prune_results(self, before_epoch: int) -> int:
         """Discard per-window answers for epochs ``< before_epoch``.

@@ -101,6 +101,12 @@ class Analyzer:
             self._sub_to_top.pop(sub.qid, None)
             self._deferred_states.pop(sub.qid, None)
 
+    def on_commit(self, op, record) -> None:
+        """Controller commit listener: swap ``op.qid``'s registration."""
+        self.unregister(op.qid)
+        if record is not None:
+            self.register(record.query, record.compiled)
+
     # ------------------------------------------------------------------ #
     # Report ingestion                                                    #
     # ------------------------------------------------------------------ #
@@ -216,6 +222,17 @@ class Analyzer:
             del self._results[key]
         self.reports = [r for r in self.reports if r.epoch >= before_epoch]
         return len(stale)
+
+    def export_results(self) -> Dict[Tuple[str, int], Dict[Key, int]]:
+        """Copy of every retained ``(sub_qid, epoch)`` answer bucket."""
+        return {key: dict(b) for key, b in self._results.items()}
+
+    def absorb_results(
+        self, results: Dict[Tuple[str, int], Dict[Key, int]]
+    ) -> None:
+        """Take over another replica's exported buckets (the fabric's
+        control replica absorbing an owner shard's answers)."""
+        self._results.update(results)
 
     def reset(self) -> None:
         self._results.clear()

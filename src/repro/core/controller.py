@@ -16,7 +16,15 @@ Two deployment modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.analyzer import Analyzer, first_incomplete_primitive
 from repro.core.compiler import (
@@ -26,6 +34,7 @@ from repro.core.compiler import (
     compile_query,
     slice_compiled,
 )
+from repro.core.ops import ControlOp
 from repro.core.placement import PlacementError, PlacementResult, place_slices
 from repro.core.query import QueryLike, flatten
 from repro.core.rules import QuerySlice
@@ -107,10 +116,21 @@ class NewtonController:
         #: registry lives and dies with install/remove operations, and its
         #: loss reconciliation reads registers through this controller.
         self.collector = collector
+        #: ``check(op)`` runs before an operation's transaction and may
+        #: veto it by raising (the fabric refuses ops it cannot ship).
+        self.checks: List[Callable[[ControlOp], None]] = []
+        #: ``listener(op, record)`` runs after the commit, in order;
+        #: ``record`` is the new installed record, ``None`` for a remove.
+        self.listeners: List[
+            Callable[[ControlOp, Optional[InstalledQuery]], None]
+        ] = []
+        if analyzer is not None:
+            self.listeners.append(analyzer.on_commit)
         if collector is not None:
             collector.controller = self
             if analyzer is not None and collector.analyzer is None:
                 collector.analyzer = analyzer
+            self.listeners.append(collector.on_commit)
         self.installed: Dict[str, InstalledQuery] = {}
         self._sub_owner: Dict[str, str] = {}
 
@@ -124,19 +144,16 @@ class NewtonController:
         params: QueryParams = QueryParams(),
         opts: Optimizations = Optimizations.all(),
         *,
-        path: Optional[Sequence[object]] = None,
-        topology=None,
-        edge_switches: Optional[Iterable[object]] = None,
-        stages_per_switch: Optional[int] = None,
-        placement_method: str = "auto",
         verify: bool = True,
         verifier_config: Optional[VerifierConfig] = None,
+        **deploy,
     ) -> InstallResult:
         """Compile and deploy a query at runtime.
 
-        Exactly one of ``path`` or (``topology`` + ``edge_switches``) must
-        be given.  ``stages_per_switch`` defaults to the first target
-        switch's pipeline depth.
+        ``deploy`` names where: exactly one of ``path`` or (``topology``
+        + ``edge_switches``), optionally ``stages_per_switch`` (default:
+        the first target switch's pipeline depth) and
+        ``placement_method``.
 
         Unless ``verify=False``, the compiled artifacts are statically
         verified before any rule is sent: error diagnostics raise
@@ -146,66 +163,144 @@ class NewtonController:
         """
         if query.qid in self.installed:
             raise ValueError(f"query {query.qid!r} is already installed")
-        if edge_switches is not None:
-            edge_switches = tuple(edge_switches)
-        deploy = self._deploy_spec(
-            path=path, topology=topology, edge_switches=edge_switches,
-            stages_per_switch=stages_per_switch,
-            placement_method=placement_method,
+        return self._deploy("install", query, params, opts, verify,
+                            verifier_config, deploy)
+
+    def update_query(self, query: QueryLike,
+                     params: QueryParams = QueryParams(),
+                     opts: Optimizations = Optimizations.all(),
+                     *,
+                     verify: bool = True,
+                     verifier_config: Optional[VerifierConfig] = None,
+                     **deploy) -> InstallResult:
+        """Replace an installed query with a new definition, hitlessly.
+
+        One make-before-break transaction: the new version is staged
+        under a shadow epoch while the old one keeps serving, the epoch
+        flips atomically across every switch involved, and only then is
+        the old version garbage-collected — no packet ever sees neither
+        (or both) versions.  If anything fails — verification, staging,
+        the flip — the transaction rolls back and the old version keeps
+        running untouched.
+
+        ``delay_s`` is the visible switchover latency (stage + flip);
+        background GC of the old rules is excluded, as it no longer
+        affects monitoring.
+        """
+        if query.qid not in self.installed:
+            raise KeyError(f"query {query.qid!r} is not installed")
+        return self._deploy("update", query, params, opts, verify,
+                            verifier_config, deploy)
+
+    def _deploy(self, kind: str, query: QueryLike, params: QueryParams,
+                opts: Optimizations, verify: bool,
+                verifier_config: Optional[VerifierConfig],
+                deploy: Dict[str, object]) -> InstallResult:
+        """Install or update: plan, verify, stage (and retire the old
+        version, if any) in one transaction, then record and announce."""
+        spec = self._deploy_spec(**deploy)
+        call = dict(spec)
+        if not verify:
+            call["verify"] = False
+        if verifier_config is not None:
+            call["verifier_config"] = verifier_config
+        op = self._admit(
+            ControlOp(kind, query.qid, query, params, opts, call)
         )
         (subqueries, compiled, slices, by_switch, placements) = (
-            self._plan_deployment(
-                query, params, opts, path=path, topology=topology,
-                edge_switches=edge_switches,
-                stages_per_switch=stages_per_switch,
-                placement_method=placement_method,
-            )
+            self._plan_deployment(query, params, opts, **spec)
         )
         report = VerificationReport()
         gate = (
             self._verification_gate(compiled, slices, by_switch, report,
-                                    verifier_config)
+                                    verifier_config,
+                                    exclude_qid=query.qid)
             if verify else None
         )
-        plan = TxnPlan(
-            op="install",
-            qid=query.qid,
-            ops={
-                sid: SwitchOps(stage=tuple(
-                    slices[sub_qid][index] for sub_qid, index in entries
-                ))
-                for sid, entries in by_switch.items()
-            },
-            verify=gate,
-        )
-        result = self.txn.execute(plan)
-
-        record = InstalledQuery(
+        ops: Dict[object, SwitchOps] = {
+            sid: SwitchOps(stage=tuple(
+                slices[sub_qid][index] for sub_qid, index in entries
+            ))
+            for sid, entries in by_switch.items()
+        }
+        old = self.installed.get(query.qid)
+        for sid, entries in (old.by_switch.items() if old else ()):
+            ops[sid] = SwitchOps(
+                stage=ops[sid].stage if sid in ops else (),
+                retire=tuple(sorted({q for q, _ in entries})),
+            )
+        plan = TxnPlan(op=kind, qid=query.qid, ops=ops, verify=gate)
+        result = self.txn.execute(plan)  # raises => old version intact
+        self._commit(op, InstalledQuery(
             query=query, compiled=compiled, slices=slices,
-            by_switch=by_switch, params=params, opts=opts, deploy=deploy,
-        )
-        self.installed[query.qid] = record
-        for sub in subqueries:
-            self._sub_owner[sub.qid] = query.qid
-        if self.analyzer is not None:
-            self.analyzer.register(query, compiled)
-        if self.collector is not None:
-            self.collector.on_install(query, compiled, slices, by_switch)
-
+            by_switch=by_switch, params=params, opts=opts, deploy=spec,
+        ))
         return InstallResult(
             qid=query.qid,
             delay_s=result.delay_s,
             rules_staged=result.rules_staged,
-            op="install",
+            rules_removed=result.rules_removed,
+            op=kind,
             slices_per_sub={q: len(s) for q, s in slices.items()},
             placements=placements,
             diagnostics=report.diagnostics,
         )
 
+    def remove_query(self, qid: str) -> InstallResult:
+        """Remove a query's rules everywhere; again purely runtime.
+
+        Transactionally: the rules are marked to retire, the epoch flips,
+        and garbage collection deletes them — ``delay_s`` covers the full
+        sequence, after which no physical entry remains.
+        """
+        record = self.installed.get(qid)
+        if record is None:
+            raise KeyError(f"query {qid!r} is not installed")
+        op = self._admit(ControlOp("remove", qid))
+        plan = TxnPlan(
+            op="remove",
+            qid=qid,
+            ops={
+                sid: SwitchOps(retire=tuple(sorted({q for q, _ in entries})))
+                for sid, entries in record.by_switch.items()
+            },
+        )
+        result = self.txn.execute(plan)
+        self._commit(op, None)
+        return InstallResult(
+            qid=qid,
+            delay_s=result.delay_s + result.gc_delay_s,
+            rules_removed=result.rules_removed,
+            op="remove",
+        )
+
+    def _admit(self, op: ControlOp) -> ControlOp:
+        for check in self.checks:
+            check(op)
+        return op
+
+    def _commit(self, op: ControlOp,
+                record: Optional[InstalledQuery]) -> None:
+        """Swap ``op.qid``'s installed record and tell the listeners."""
+        old = self.installed.get(op.qid)
+        if old is not None:
+            for sub in flatten(old.query):
+                self._sub_owner.pop(sub.qid, None)
+        if record is None:
+            del self.installed[op.qid]
+        else:
+            self.installed[op.qid] = record
+            for sub in flatten(record.query):
+                self._sub_owner[sub.qid] = op.qid
+        for listener in self.listeners:
+            listener(op, record)
+
     @staticmethod
     def _deploy_spec(**kwargs) -> Dict[str, object]:
         """Normalize deployment kwargs for the installed record (drops
         defaults so the stored spec round-trips through update_query)."""
+        if kwargs.get("edge_switches") is not None:
+            kwargs["edge_switches"] = tuple(kwargs["edge_switches"])
         return {k: v for k, v in kwargs.items()
                 if v is not None and v != "auto" and v != ()}
 
@@ -334,114 +429,6 @@ class NewtonController:
             if not report.ok:
                 raise VerificationError(report)
         return gate
-
-    def remove_query(self, qid: str) -> InstallResult:
-        """Remove a query's rules everywhere; again purely runtime.
-
-        Transactionally: the rules are marked to retire, the epoch flips,
-        and garbage collection deletes them — ``delay_s`` covers the full
-        sequence, after which no physical entry remains.
-        """
-        record = self.installed.get(qid)
-        if record is None:
-            raise KeyError(f"query {qid!r} is not installed")
-        plan = TxnPlan(
-            op="remove",
-            qid=qid,
-            ops={
-                sid: SwitchOps(retire=tuple(sorted({q for q, _ in entries})))
-                for sid, entries in record.by_switch.items()
-            },
-        )
-        result = self.txn.execute(plan)
-        self.installed.pop(qid)
-        for sub in flatten(record.query):
-            self._sub_owner.pop(sub.qid, None)
-        if self.analyzer is not None:
-            self.analyzer.unregister(qid)
-        if self.collector is not None:
-            self.collector.on_remove(qid)
-        return InstallResult(
-            qid=qid,
-            delay_s=result.delay_s + result.gc_delay_s,
-            rules_removed=result.rules_removed,
-            op="remove",
-        )
-
-    def update_query(self, query: QueryLike,
-                     params: QueryParams = QueryParams(),
-                     opts: Optimizations = Optimizations.all(),
-                     *,
-                     verify: bool = True,
-                     verifier_config: Optional[VerifierConfig] = None,
-                     **kwargs) -> InstallResult:
-        """Replace an installed query with a new definition, hitlessly.
-
-        One make-before-break transaction: the new version is staged
-        under a shadow epoch while the old one keeps serving, the epoch
-        flips atomically across every switch involved, and only then is
-        the old version garbage-collected — no packet ever sees neither
-        (or both) versions.  If anything fails — verification, staging,
-        the flip — the transaction rolls back and the old version keeps
-        running untouched.
-
-        ``delay_s`` is the visible switchover latency (stage + flip);
-        background GC of the old rules is excluded, as it no longer
-        affects monitoring.
-        """
-        old = self.installed.get(query.qid)
-        if old is None:
-            raise KeyError(f"query {query.qid!r} is not installed")
-        (subqueries, compiled, slices, by_switch, placements) = (
-            self._plan_deployment(query, params, opts, **kwargs)
-        )
-        report = VerificationReport()
-        gate = (
-            self._verification_gate(compiled, slices, by_switch, report,
-                                    verifier_config,
-                                    exclude_qid=query.qid)
-            if verify else None
-        )
-        ops: Dict[object, SwitchOps] = {
-            sid: SwitchOps(stage=tuple(
-                slices[sub_qid][index] for sub_qid, index in entries
-            ))
-            for sid, entries in by_switch.items()
-        }
-        for sid, entries in old.by_switch.items():
-            outgoing = tuple(sorted({q for q, _ in entries}))
-            ops[sid] = SwitchOps(
-                stage=ops[sid].stage if sid in ops else (),
-                retire=outgoing,
-            )
-        plan = TxnPlan(op="update", qid=query.qid, ops=ops, verify=gate)
-        result = self.txn.execute(plan)  # raises => old version intact
-
-        for sub in flatten(old.query):
-            self._sub_owner.pop(sub.qid, None)
-        record = InstalledQuery(
-            query=query, compiled=compiled, slices=slices,
-            by_switch=by_switch, params=params, opts=opts,
-            deploy=self._deploy_spec(**kwargs),
-        )
-        self.installed[query.qid] = record
-        for sub in subqueries:
-            self._sub_owner[sub.qid] = query.qid
-        if self.analyzer is not None:
-            self.analyzer.unregister(query.qid)
-            self.analyzer.register(query, compiled)
-        if self.collector is not None:
-            self.collector.on_update(query, compiled, slices, by_switch)
-        return InstallResult(
-            qid=query.qid,
-            delay_s=result.delay_s,
-            rules_staged=result.rules_staged,
-            rules_removed=result.rules_removed,
-            op="update",
-            slices_per_sub={q: len(s) for q, s in slices.items()},
-            placements=placements,
-            diagnostics=report.diagnostics,
-        )
 
     # ------------------------------------------------------------------ #
     # Recovery (driven by repro.resilience)                               #

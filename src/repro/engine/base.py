@@ -7,6 +7,15 @@ An engine owns the packet-forwarding inner loop of a
 (:meth:`at` callbacks), window synchronisation, and the component wiring;
 engines drive those hooks but never reimplement them, which is what keeps
 the two engines' observable semantics identical.
+
+The whole simulator contract an engine may use: ``sim.advance(ts)``
+before executing the packet(s) at ``ts`` (fires due callbacks, rolls
+windows, sets trace time), ``sim.next_scheduled_ts()`` and ``sim.epoch``
+to find where a batch must be cut, ``sim.finish(stats)`` to end the run,
+and the component attributes (``switches``, ``router``, ``topology``,
+``collector``, ``analyzer``, ``controller``, ``sanitizer``, ``shard``,
+``window_s``).  Nothing underscore-prefixed — ``tests/test_layering.py``
+holds engines to that.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ class ExecutionEngine(ABC):
             stats: "SimulationStats") -> "SimulationStats":
         """Forward every packet of ``packets`` through ``sim``.
 
-        Must fire scheduled callbacks and roll windows exactly as the
-        per-packet reference loop would, fill in ``stats`` and return it.
+        Must ``sim.advance`` to every packet's timestamp before
+        executing it, fill in ``stats`` and return ``sim.finish(stats)``.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

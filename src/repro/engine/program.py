@@ -36,7 +36,7 @@ conditionally) need per-packet arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,10 @@ from repro.dataplane.hashing import HashUnit, KeyGroup, pack_key_words
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.pipeline import NewtonPipeline
 from repro.dataplane.registers import RegisterArray
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.dataplane.pipeline import _Installed
+    from repro.runtime.sanitizer import Sanitizer
 
 __all__ = [
     "SwitchPrograms",
@@ -168,7 +172,7 @@ def compile_switch_programs(pipeline: NewtonPipeline) -> SwitchPrograms:
 
 
 def _compile_program(pipeline: NewtonPipeline, qid: str,
-                     installed) -> Optional[RuleProgram]:
+                     installed: _Installed) -> Optional[RuleProgram]:
     ops: List[object] = []
     needed: set = set()
     has_hash = [False, False]
@@ -301,8 +305,9 @@ def execute_program(
     window_epoch: int,
     switch_id: object,
     sink_reports: List[Tuple[int, Report]],
-    sanitizer=None,
-    hash_trace=None,
+    sanitizer: Optional["Sanitizer"] = None,
+    hash_trace: Optional[List[Tuple[Tuple[int, int], np.ndarray,
+                                    KeyGroup]]] = None,
 ) -> None:
     """Run one compiled program over ``k`` packets (in packet order).
 

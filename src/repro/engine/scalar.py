@@ -2,7 +2,8 @@
 
 This is the original simulator inner loop, extracted verbatim: one
 ``Switch.process`` call per packet per hop, a fresh SP header per packet,
-window sync and scheduled callbacks checked before every packet.  It is
+and :meth:`NetworkSimulator.advance` (scheduled callbacks, window sync)
+before every packet.  It is
 the semantic ground truth the vectorized engine is differentially tested
 against, and the fallback path for programs the vectorized compiler does
 not support (multi-slice CQE queries).
@@ -10,7 +11,7 @@ not support (multi-slice CQE queries).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Hashable, Sequence
 
 from repro.core.packet import Packet
 from repro.engine.base import ExecutionEngine
@@ -32,17 +33,12 @@ class ScalarEngine(ExecutionEngine):
             stats: "SimulationStats") -> "SimulationStats":
         for packet in packets:
             self.step(sim, packet, stats)
-        sim._fire_scheduled(float("inf"))
-        sim._close_window(stats)
-        stats.epochs = sim._epoch + 1
-        return stats
+        return sim.finish(stats)
 
     def step(self, sim: "NetworkSimulator", packet: Packet,
              stats: "SimulationStats") -> None:
         """Execute exactly one packet (also the vector engine's fallback)."""
-        sim._fire_scheduled(packet.ts)
-        sim._sync_windows(packet.ts, stats)
-        sim._now = packet.ts
+        sim.advance(packet.ts)
         # Under the fabric plane every shard replica executes every
         # packet (each filtered to its owned queries), but only the
         # packet's flow-hash primary shard counts the per-packet stats —
@@ -53,8 +49,9 @@ class ScalarEngine(ExecutionEngine):
         path = sim.router.path_for(packet)
         self._forward(sim, packet, path, stats, primary)
 
-    def _forward(self, sim: "NetworkSimulator", packet: Packet, path,
-                 stats: "SimulationStats", primary: bool = True) -> None:
+    def _forward(self, sim: "NetworkSimulator", packet: Packet,
+                 path: Sequence[Hashable], stats: "SimulationStats",
+                 primary: bool = True) -> None:
         snapshot = SnapshotHeader()
         seen_epochs: Dict[str, int] = {}
         mixed = False

@@ -27,7 +27,16 @@ packet by packet, trading speed, never correctness.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -48,12 +57,21 @@ from repro.traffic.columnar import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.rules import Report
+    from repro.dataplane.switch import Switch
     from repro.network.simulator import NetworkSimulator, SimulationStats
+    from repro.runtime.sanitizer import Sanitizer
+    from repro.traffic.columnar import PacketSource
 
 __all__ = ["VectorizedEngine"]
 
 #: Fields of the ECMP flow key, in ``Packet.five_tuple`` order.
 _FIVE_TUPLE = ("sip", "dip", "proto", "sport", "dport")
+
+#: Most flows memoised per (src, dst, seed, fanout) ECMP group; a full
+#: group is cleared before the next insert.  Sized like
+#: ``hashing._BULK_CACHE_LIMIT``, so a long-running service on a
+#: multipath topology stays bounded.
+_ECMP_MEMO_LIMIT = 1 << 17
 
 
 class VectorizedEngine(ExecutionEngine):
@@ -61,7 +79,7 @@ class VectorizedEngine(ExecutionEngine):
 
     name = "vector"
 
-    def __init__(self, batch_size: int = DEFAULT_CHUNK_SIZE):
+    def __init__(self, batch_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch size must be positive, got {batch_size}")
         self.batch_size = batch_size
@@ -73,12 +91,13 @@ class VectorizedEngine(ExecutionEngine):
         #: index}.  ECMP choices are pure functions of the flow key, so
         #: they are memoised across batches (and windows) — the string
         #: hash below otherwise dominates routing on high-fanout
-        #: topologies.
+        #: topologies.  No group ever holds more than
+        #: ``_ECMP_MEMO_LIMIT`` flows (:meth:`_path_groups` clears it).
         self._ecmp_choices: Dict[Tuple, Dict[bytes, int]] = {}
 
     # ------------------------------------------------------------------ #
 
-    def run(self, sim: "NetworkSimulator", packets,
+    def run(self, sim: "NetworkSimulator", packets: "PacketSource",
             stats: "SimulationStats") -> "SimulationStats":
         window_s = sim.window_s
         for chunk in iter_column_chunks(packets, self.batch_size):
@@ -89,23 +108,19 @@ class VectorizedEngine(ExecutionEngine):
             n = len(chunk)
             pos = 0
             while pos < n:
-                first_ts = float(ts[pos])
-                sim._fire_scheduled(first_ts)
-                sim._sync_windows(first_ts, stats)
-                sim._now = first_ts
+                sim.advance(float(ts[pos]))
                 end = self._split_at(sim, ts, epoch_col, pos)
                 sub = chunk.slice(pos, end)
                 if self._supported(sim):
                     self._run_batch(sim, sub, stats)
-                    sim._now = float(ts[end - 1])
+                    # Nothing is due and no window ends inside a
+                    # sub-batch: this only moves trace time to its end.
+                    sim.advance(float(ts[end - 1]))
                 else:
                     for i in range(len(sub)):
                         self._scalar.step(sim, sub.packet_at(i), stats)
                 pos = end
-        sim._fire_scheduled(float("inf"))
-        sim._close_window(stats)
-        stats.epochs = sim._epoch + 1
-        return stats
+        return sim.finish(stats)
 
     def _split_at(self, sim: "NetworkSimulator", ts: np.ndarray,
                   epoch_col: np.ndarray, pos: int) -> int:
@@ -116,8 +131,8 @@ class VectorizedEngine(ExecutionEngine):
         (only an epoch regression raises), and the vector engine must
         accept exactly the same traces.
         """
-        splits = epoch_col[pos:] != sim._epoch
-        pending = sim._next_scheduled_ts()
+        splits = epoch_col[pos:] != sim.epoch
+        pending = sim.next_scheduled_ts()
         if pending is not None:
             splits = splits | (ts[pos:] >= pending)
         hits = np.flatnonzero(splits)
@@ -246,8 +261,10 @@ class VectorizedEngine(ExecutionEngine):
             if switch.newton_enabled and len(sel):
                 ingress_rows.setdefault(sid, []).append(sel)
 
-    def _path_groups(self, sim: "NetworkSimulator", batch: ColumnarTrace,
-                     subset: Optional[np.ndarray] = None):
+    def _path_groups(
+        self, sim: "NetworkSimulator", batch: ColumnarTrace,
+        subset: Optional[np.ndarray] = None,
+    ) -> Iterator[Tuple[Sequence[Hashable], np.ndarray]]:
         """Yield ``(path, ascending row indices)`` per forwarding path.
 
         ``subset`` restricts the walk to those batch rows (sharded runs
@@ -294,6 +311,10 @@ class VectorizedEngine(ExecutionEngine):
                 if picked is None:
                     flow = ",".join(str(int(v)) for v in flow_row).encode()
                     picked = hash_bytes(flow, router.seed) % len(paths)
+                    if len(cache) >= _ECMP_MEMO_LIMIT:
+                        # A pure function of the flow key: clearing
+                        # costs re-hashing, never a different choice.
+                        cache.clear()
                     cache[key] = picked
                 choice[k] = picked
             per_row = choice[inverse]
@@ -409,7 +430,7 @@ class VectorizedEngine(ExecutionEngine):
             i = j
 
 
-def _forwarding_mask(switch, ts: np.ndarray) -> np.ndarray:
+def _forwarding_mask(switch: "Switch", ts: np.ndarray) -> np.ndarray:
     """Vectorized :meth:`Switch.is_forwarding` over a timestamp column.
 
     Searches the switch's merged outage intervals (same structure the
@@ -427,7 +448,7 @@ def _forwarding_mask(switch, ts: np.ndarray) -> np.ndarray:
 
 
 def _check_hash_collisions(
-    sanitizer,
+    sanitizer: "Sanitizer",
     sid: Hashable,
     hashed: Dict[Tuple[int, int], Dict[str, set]],
 ) -> None:

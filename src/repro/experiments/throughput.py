@@ -17,23 +17,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.compiler import QueryParams
 from repro.core.library import build_query
-from repro.core.rules import Report
 from repro.experiments.common import evaluation_thresholds
+from repro.fabric.merge import ReportSig, canonical_reports, record_reports
 from repro.network.deployment import Deployment, build_deployment
 from repro.network.topology import linear
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.generators import caida_like_columnar, port_scan, syn_flood
 
 __all__ = ["EngineRun", "ThroughputResult", "measure_throughput"]
-
-#: Signature of one emitted report: (switch, qid, ts, epoch, payload).
-_ReportSig = Tuple[str, str, float, int, Tuple]
 
 
 @dataclass
@@ -82,19 +79,7 @@ def _install(deployment: Deployment, queries: Sequence[str],
         )
 
 
-def _recording_sink(sid: object, inner: Optional[Callable[[Report], None]],
-                    out: List[_ReportSig]) -> Callable[[Report], None]:
-    def sink(report: Report) -> None:
-        out.append((str(sid), report.qid, float(report.ts),
-                    int(report.epoch),
-                    tuple(sorted(report.payload.items()))))
-        if inner is not None:
-            inner(report)
-
-    return sink
-
-
-def _signature(stats, reports: List[_ReportSig]) -> Tuple:
+def _signature(stats, reports: List[ReportSig]) -> Tuple:
     return (
         stats.packets, stats.delivered, stats.dropped,
         dict(stats.reports_by_switch), stats.deferred, stats.stale_deferred,
@@ -162,11 +147,7 @@ def measure_throughput(
             linear(switches), array_size=1 << 13, engine=engine
         )
         _install(deployment, queries, switches)
-        recorded: List[_ReportSig] = []
-        for sid, switch in deployment.switches.items():
-            switch.pipeline.report_sink = _recording_sink(
-                sid, switch.pipeline.report_sink, recorded
-            )
+        recorded = record_reports(deployment.switches)
         source = trace if engine != "scalar" else trace.iter_packets()
         start = time.perf_counter()
         stats = deployment.simulator.run(source)
@@ -199,9 +180,7 @@ def measure_throughput(
     return ThroughputResult(runs=runs, speedup=speedup, identical=identical)
 
 
-def _canonical_signature(stats, reports: Sequence[_ReportSig]) -> Tuple:
-    from repro.fabric.merge import canonical_reports
-
+def _canonical_signature(stats, reports: Sequence[ReportSig]) -> Tuple:
     return _signature(stats, list(canonical_reports([reports])))
 
 

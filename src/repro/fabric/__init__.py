@@ -8,11 +8,11 @@ fault-free runs.  See :mod:`repro.fabric.sharded` for the facade.
 """
 
 from repro.fabric.merge import (
-    absorb_results,
     canonical_reports,
     merge_metrics,
-    merge_register_dumps,
+    merge_register_arrays,
     merge_stats,
+    record_reports,
 )
 from repro.fabric.partition import (
     FlowHashPartitioner,
@@ -38,10 +38,10 @@ __all__ = [
     "WorkerDiedError",
     "WorkerSpec",
     "WorkerSupervisor",
-    "absorb_results",
     "canonical_reports",
     "merge_metrics",
-    "merge_register_dumps",
+    "merge_register_arrays",
     "merge_stats",
     "owned_sub_qids",
+    "record_reports",
 ]

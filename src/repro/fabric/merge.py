@@ -26,7 +26,8 @@ union:
 
 * **Collector / analyzer results** — keyed ``(sub_qid, epoch)``;
   sub-query ids are disjoint across shards (whole queries are owned),
-  so absorption is a disjoint dict union into the parent replica.
+  so absorption (``export_results`` → ``absorb_results`` on both) is a
+  disjoint dict union into the parent replica.
 
 * **Metrics** — :meth:`MetricsRegistry.merge` sums counters and
   histograms label-set by label-set.
@@ -35,26 +36,50 @@ union:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.collector.metrics import MetricsRegistry
+from repro.core.rules import Report
+from repro.dataplane.switch import Switch
 from repro.network.simulator import SimulationStats
 
 __all__ = [
-    "absorb_results",
+    "ReportSig",
     "canonical_reports",
     "merge_metrics",
-    "merge_register_dumps",
+    "merge_register_arrays",
     "merge_stats",
+    "record_reports",
 ]
 
 #: One recorded report: (switch, qid, ts, epoch, sorted payload items).
 ReportSig = Tuple[str, str, float, int, Tuple]
 
-#: Register dumps: switch id → one int tuple per state bank.
-RegisterDumps = Dict[str, Tuple[Tuple[int, ...], ...]]
+#: Register files: switch id → one cell array per state bank.
+RegisterArrays = Dict[str, Tuple[np.ndarray, ...]]
+
+
+def record_reports(switches: Dict[Hashable, Switch]) -> List[ReportSig]:
+    """Wrap every switch's report sink so each emitted report is also
+    appended, as a :data:`ReportSig`, to the returned list — the stream
+    both sides of an identity check feed to :func:`canonical_reports`."""
+    recorded: List[ReportSig] = []
+
+    def wrap(sid, inner):
+        def sink(report: Report) -> None:
+            recorded.append((
+                str(sid), report.qid, float(report.ts), int(report.epoch),
+                tuple(sorted(report.payload.items())),
+            ))
+            if inner is not None:
+                inner(report)
+        return sink
+
+    for sid, switch in switches.items():
+        switch.pipeline.report_sink = wrap(sid, switch.pipeline.report_sink)
+    return recorded
 
 
 def merge_stats(per_shard: Sequence[SimulationStats]) -> SimulationStats:
@@ -99,30 +124,24 @@ def canonical_reports(
     return tuple(merged)
 
 
-def merge_register_dumps(
-    per_shard: Sequence[Dict[str, Tuple[np.ndarray, ...]]],
-) -> RegisterDumps:
+def merge_register_arrays(
+    per_shard: Sequence[RegisterArrays],
+) -> RegisterArrays:
     """Elementwise sum of per-shard register arrays, per switch and bank."""
     if not per_shard:
         raise ValueError("nothing to merge")
     shapes = {tuple(sorted(d)) for d in per_shard}
     if len(shapes) != 1:
         raise AssertionError("shards disagree on the switch set")
-    out: RegisterDumps = {}
+    out: RegisterArrays = {}
     for sid in per_shard[0]:
         banks = [d[sid] for d in per_shard]
         n_banks = {len(b) for b in banks}
         if len(n_banks) != 1:
             raise AssertionError(f"shards disagree on {sid}'s bank count")
-        merged_banks = []
-        for bank_arrays in zip(*banks):
-            total = np.zeros_like(np.asarray(bank_arrays[0]))
-            for arr in bank_arrays:
-                total = total + np.asarray(arr)
-            # ``tolist`` already yields Python ints — per-cell int() calls
-            # would dominate the whole merge on big register files.
-            merged_banks.append(tuple(total.tolist()))
-        out[sid] = tuple(merged_banks)
+        out[sid] = tuple(
+            np.sum(bank_arrays, axis=0) for bank_arrays in zip(*banks)
+        )
     return out
 
 
@@ -132,18 +151,3 @@ def merge_metrics(registries: Sequence[MetricsRegistry]) -> MetricsRegistry:
     for registry in registries:
         merged.merge(registry)
     return merged
-
-
-def absorb_results(
-    target: Dict[Tuple[str, int], Dict[Tuple[int, ...], int]],
-    per_shard: Iterable[Dict[Tuple[str, int], Dict[Tuple[int, ...], int]]],
-) -> None:
-    """Disjoint union of per-shard ``(sub_qid, epoch) → {key: count}``
-    buckets into a parent-side result map (collector or analyzer).
-
-    Owner shards are authoritative for their sub-queries, so an incoming
-    bucket replaces whatever the parent held for that key.
-    """
-    for results in per_shard:
-        for key, bucket in results.items():
-            target[key] = dict(bucket)

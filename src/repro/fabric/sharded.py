@@ -1,41 +1,51 @@
-"""The sharded fabric deployment: N shard replicas behind one facade.
+"""The sharded fabric deployment: N shard replicas behind one deployment.
 
-``ShardedDeployment`` mirrors :func:`~repro.network.deployment.
-build_deployment` but executes traffic across a pool of shard workers —
-in-process (``inline=True``, no IPC; used by the differential sweeps) or
-as a persistent pool of worker processes fed through bounded handoff
-queues.  Each worker holds a *full* deployment replica built from the
-same spec, so control-plane decisions are identical everywhere; work is
-divided by query ownership (pipeline ``query_filter``) and per-packet
-accounting by flow-hash primacy (``simulator.shard``) — see
-:mod:`repro.fabric.partition`.
+``ShardedDeployment`` *is a* :class:`~repro.network.deployment.
+Deployment` — same components, same ``prune`` / ``register_dumps`` /
+``fabric_status`` methods — whose ``simulator`` executes traffic across
+a pool of shard workers: in-process (``inline=True``, no IPC; used by
+the differential sweeps) or a persistent pool of worker processes fed
+through bounded handoff queues.  Each worker holds a *full* deployment
+replica built from the same spec, so control-plane decisions are
+identical everywhere; work is divided by query ownership (pipeline
+``query_filter``) and per-packet accounting by flow-hash primacy
+(``simulator.shard``) — see :mod:`repro.fabric.partition`.
 
-The parent keeps one more replica of its own, the **control replica**:
-it never executes packets, but every control operation is applied to it
-first (static verification and the fleet gate run parent-side, and a
-failure there stops the fan-out), and worker results are absorbed into
-its collector/analyzer so read paths — ``controller.installed``,
+The components it exposes are those of one more replica, the **control
+replica**: it never executes packets, but ``controller`` is its real
+:class:`~repro.core.controller.NewtonController`, so every control
+operation — whoever issues it: the service, the planner, recovery's
+``replace_query`` — is verified and committed there first.  The fabric
+hangs on that controller twice: a pre-transaction *check* refuses an op
+it could not ship (pickle), and a post-commit *listener* assigns the
+owner shard and fans the committed :class:`~repro.core.ops.ControlOp`
+out to every worker, so a failure on the control replica stops the
+fan-out.  Worker answers are absorbed into the control replica's
+collector/analyzer, so reads — ``controller.installed``,
 ``collector.merged_results``, ``analyzer.detections`` — behave exactly
-as on a single-process :class:`Deployment`.  The facade duck-types
-``Deployment`` closely enough that :class:`~repro.service.service.
-NewtonService` can drive it unchanged (``serve --workers N``).
+as on a single-process deployment.
 
 Merge semantics (see :mod:`repro.fabric.merge`): stats sum field-wise,
 report streams interleave canonically, register dumps sum elementwise,
 metrics registries sum per label set — all bit-identical to
-single-process execution on fault-free runs.
+single-process execution on fault-free runs.  A stream returns one
+payload shape (stats, busy time, recorded reports, windowed answers);
+register dumps and metrics are shipped only when asked for.
 
 **Supervision** (see :mod:`repro.fabric.supervisor`): every RPC and
 chunk-feed to a worker process is bounded by the supervisor config's
 timeouts and raises :class:`WorkerDiedError` instead of hanging on a
-dead peer.  The facade then *respawns* the worker and replays the
-declarative control-op log plus the retained window stream — replicas
-are deterministic, so the replacement converges to bit-identical state
-— or, once the shard's respawn budget is spent, *degrades*: the dead
-shard's queries are repartitioned onto survivors (``adopt`` ops), its
-flow-hash primacy is adopted by an heir (``adopt_flows``), and the
-measurement gap is recorded through the resilience plane's
-:class:`~repro.resilience.coverage.CoverageTracker`.
+dead peer.  The deployment then *respawns* the worker and replays the
+fabric op log plus the retained window stream — replicas are
+deterministic, so the replacement converges to bit-identical state — or,
+once the shard's respawn budget is spent, *degrades*: the dead shard's
+queries are repartitioned onto survivors (``adopt`` ops), its flow-hash
+primacy is adopted by an heir (``adopt_flows``), and the measurement gap
+is recorded through the resilience plane's
+:class:`~repro.resilience.coverage.CoverageTracker`.  The op log is
+never compacted: first-fit register offsets and transaction epochs
+depend on the whole history, and merged dumps assume every replica laid
+its registers out identically.
 """
 
 from __future__ import annotations
@@ -45,16 +55,18 @@ import pickle
 import queue as queue_mod
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.compiler import QueryParams
+from repro.core.ops import ControlOp, apply_op
 from repro.core.query import QueryLike
 from repro.fabric.merge import (
     ReportSig,
-    absorb_results,
     canonical_reports,
     merge_metrics,
-    merge_register_dumps,
+    merge_register_arrays,
     merge_stats,
 )
 from repro.fabric.partition import QueryPartitioner
@@ -71,8 +83,8 @@ from repro.fabric.worker import (
 )
 from repro.collector.metrics import MetricsRegistry
 from repro.collector.signals import WindowSignals, merge_window_signals
-from repro.network.deployment import build_deployment
-from repro.network.simulator import SimulationStats
+from repro.network.deployment import Deployment, build_deployment
+from repro.network.simulator import NetworkSimulator, SimulationStats
 from repro.network.topology import Topology
 from repro.resilience import FaultPlan
 from repro.resilience.coverage import CoverageTracker
@@ -98,7 +110,6 @@ class _InlineBackend:
         self.index = spec.index
         self.runtime = ShardRuntime(spec)
         self._pending: List[ColumnarTrace] = []
-        self._detail = "full"
 
     def alive(self) -> bool:
         return True
@@ -106,9 +117,8 @@ class _InlineBackend:
     def request(self, kind: str, arg: Any = None) -> Any:
         return dispatch(self.runtime, kind, arg)
 
-    def start_stream(self, detail: str) -> None:
+    def start_stream(self) -> None:
         self._pending = []
-        self._detail = detail
 
     def feed(self, chunk: ColumnarTrace) -> None:
         self._pending.append(chunk)
@@ -116,7 +126,7 @@ class _InlineBackend:
     def finish_stream(self) -> Dict[str, Any]:
         chunks, self._pending = self._pending, []
         return dispatch(
-            self.runtime, "run_stream", self._detail, chunks=iter(chunks)
+            self.runtime, "run_stream", None, chunks=iter(chunks)
         )
 
     def shutdown(self) -> None:
@@ -239,9 +249,9 @@ class _ProcBackend:
             raise self._died(kind, f"pipe send failed: {exc}") from exc
         return self._recv(self.config.request_timeout_s, phase=kind)
 
-    def start_stream(self, detail: str) -> None:
+    def start_stream(self) -> None:
         try:
-            self.conn.send(("run_stream", detail))
+            self.conn.send(("run_stream", None))
         except (OSError, BrokenPipeError) as exc:
             raise self._died(
                 "start_stream", f"pipe send failed: {exc}"
@@ -323,7 +333,6 @@ class _StreamState:
     while the fleet is still in that window.
     """
 
-    detail: str
     epoch: int
     chunks: List[ColumnarTrace] = field(default_factory=list)
     #: Control ops raised *during* the stream (degrade repartitions).
@@ -333,95 +342,40 @@ class _StreamState:
 
 
 # --------------------------------------------------------------------- #
-# Read-path proxies (Deployment duck typing for the service plane)      #
+# The sharded simulator                                                 #
 # --------------------------------------------------------------------- #
 
 
-class _FanoutController:
-    """Controller proxy: mutations fan out, reads hit the control
-    replica."""
-
-    def __init__(self, sharded: "ShardedDeployment"):
-        self._sharded = sharded
-        self._local = sharded.local.controller
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._local, name)
-
-    def install_query(self, query, params: QueryParams = QueryParams(),
-                      **kwargs):
-        return self._sharded.install_query(query, params, **kwargs)
-
-    def update_query(self, query, params: QueryParams = QueryParams(),
-                     **kwargs):
-        return self._sharded.update_query(query, params, **kwargs)
-
-    def remove_query(self, qid: str):
-        return self._sharded.remove_query(qid)
-
-    def replace_query(self, *args, **kwargs):
-        raise NotImplementedError(
-            "replace_query is not fanned out by the fabric plane; "
-            "use remove_query + install_query"
-        )
-
-
-class _FanoutCollector:
-    """Collector proxy: ``prune_results`` fans out (workers prune their
-    collector *and* analyzer), everything else reads the control
-    replica — whose ``_results`` the absorbed worker answers live in."""
-
-    def __init__(self, sharded: "ShardedDeployment"):
-        self._sharded = sharded
-        self._local = sharded.local.collector
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._local, name)
-
-    def prune_results(self, before_epoch: int) -> int:
-        self._sharded._fanout_request("prune", before_epoch)
-        return self._local.prune_results(before_epoch)
-
-
 class _ShardedSimulator:
-    """Simulator proxy: drives all shards, reports the fabric epoch."""
+    """What drivers use of a simulator, executed across the shards.
 
-    def __init__(self, sharded: "ShardedDeployment"):
+    There is deliberately no ``at``: an opaque callback cannot be
+    shipped to a worker — use :meth:`ShardedDeployment.schedule`.
+    """
+
+    def __init__(self, sharded: "ShardedDeployment",
+                 control: NetworkSimulator):
         self._sharded = sharded
+        self.window_s = control.window_s
+        self.engine = control.engine
 
     @property
     def epoch(self) -> int:
         return self._sharded._epoch
 
-    @property
-    def window_s(self) -> float:
-        return self._sharded.local.simulator.window_s
-
-    @property
-    def engine(self):
-        return self._sharded.local.simulator.engine
-
     def run(self, source) -> SimulationStats:
-        """Per-window drive (service ticks): merged stats only."""
-        return self._sharded._run_impl(source, detail="stats")
+        return self._sharded.run(source)
 
     def roll_window(self) -> int:
         return self._sharded.roll_window()
 
-    def at(self, ts: float, callback) -> None:
-        raise NotImplementedError(
-            "opaque callbacks cannot fan out to shard workers; use "
-            "ShardedDeployment.schedule_install/schedule_update/"
-            "schedule_remove"
-        )
-
 
 # --------------------------------------------------------------------- #
-# The facade                                                            #
+# The deployment                                                        #
 # --------------------------------------------------------------------- #
 
 
-class ShardedDeployment:
+class ShardedDeployment(Deployment):
     """A Newton deployment executed across a pool of shard workers."""
 
     def __init__(
@@ -448,26 +402,35 @@ class ShardedDeployment:
                 "sharded deployments need the engine by name (the spec "
                 "is shipped to worker processes)"
             )
-        self.topology = topology
+        # The control replica's components become this deployment's own;
+        # only the simulator differs (it drives the shards).
+        control = build_deployment(topology, **deploy_kwargs)
+        super().__init__(**vars(control))
+        self.simulator = _ShardedSimulator(self, control.simulator)
+        self.controller.checks.append(pickle.dumps)
+        self.controller.listeners.append(self._fan_out)
         self.workers = workers
         self.inline = inline
         self.chunk_size = chunk_size
-        self.local = build_deployment(topology, **deploy_kwargs)
         self.qpart = QueryPartitioner(workers, seed=assign_seed)
         self.supervisor = WorkerSupervisor(
-            workers, supervisor, self.local.collector.metrics
+            workers, supervisor, self.collector.metrics
         )
         #: Degrade gaps ride the resilience plane's tracker when one
         #: exists, so ``/coverage`` and recovery summaries see them.
-        recovery = self.local.recovery
         self.coverage: CoverageTracker = (
-            recovery.coverage if recovery is not None
-            else CoverageTracker(registry=self.local.collector.metrics)
+            self.recovery.coverage if self.recovery is not None
+            else CoverageTracker(registry=self.collector.metrics)
         )
-        #: The declarative control-op log, in fan-out order — replayed
-        #: verbatim into a respawned replica.  Ops are appended *before*
-        #: the fan-out so a death mid-fan-out is covered by replay.
+        #: The fabric op log, in fan-out order — replayed verbatim into a
+        #: respawned replica.  Ops are appended *before* the fan-out so a
+        #: death mid-fan-out is covered by replay.
         self._oplog: List[Tuple] = []
+        #: Set around one controller call by :meth:`install_query` (a
+        #: placement hint) and :meth:`schedule` (a trace time); read by
+        #: the commit listener that call triggers.
+        self._placement: Dict[str, Any] = {}
+        self._fire_at: Optional[float] = None
         #: shard index -> failure reason, for shards degraded away.
         self._degraded: Dict[int, str] = {}
         self._specs = [
@@ -504,12 +467,6 @@ class ShardedDeployment:
         self.worker_busy_s: List[float] = []
         #: Canonically ordered merged report stream of the last batch run.
         self.reports: Tuple[ReportSig, ...] = ()
-        self._last_dumps: Optional[Dict] = None
-        self._last_metrics: Optional[MetricsRegistry] = None
-        # Deployment duck typing for the service plane.
-        self.simulator = _ShardedSimulator(self)
-        self.controller = _FanoutController(self)
-        self.collector = _FanoutCollector(self)
 
     def _spawn_backend(self, spec: WorkerSpec):
         if self.inline:
@@ -517,43 +474,6 @@ class ShardedDeployment:
         return _ProcBackend(
             spec, self._ctx, self._queue_chunks, self.supervisor.config
         )
-
-    # -- Deployment-compatible read surface ---------------------------- #
-
-    @property
-    def switches(self):
-        return self.local.switches
-
-    @property
-    def router(self):
-        return self.local.router
-
-    @property
-    def analyzer(self):
-        return self.local.analyzer
-
-    @property
-    def clock(self):
-        return self.local.clock
-
-    @property
-    def detector(self):
-        return self.local.detector
-
-    @property
-    def recovery(self):
-        return self.local.recovery
-
-    @property
-    def faults(self):
-        return self.local.faults
-
-    @property
-    def sanitizer(self):
-        return self.local.sanitizer
-
-    def switch(self, switch_id):
-        return self.local.switches[switch_id]
 
     # ------------------------------------------------------------------ #
     # Supervision: detection, respawn-with-replay, degrade               #
@@ -618,7 +538,7 @@ class ShardedDeployment:
         stream = self._stream or self._last_stream
         if stream is None or stream.epoch != self._epoch:
             return
-        backend.start_stream(stream.detail)
+        backend.start_stream()
         for chunk in stream.chunks:
             backend.feed(chunk)
         if stream is not self._stream:
@@ -672,7 +592,7 @@ class ShardedDeployment:
         While a stream is in flight the workers are draining the chunk
         queue and will not answer a pipe RPC until it ends, so ops
         raised mid-stream (degrade repartitions) are deferred and
-        flushed by :meth:`_run_impl` right after the stream finishes —
+        flushed by :meth:`run` right after the stream finishes —
         the recorded coverage gap spans the affected window either way.
         """
         self._oplog.append(op)
@@ -699,7 +619,7 @@ class ShardedDeployment:
         return out
 
     def fabric_status(self) -> Dict[str, Any]:
-        """JSON-safe per-shard status (surfaced by ``/healthz``)."""
+        """JSON-safe per-shard status (``/healthz``)."""
         status = self.supervisor.status()
         status.update({
             "workers": self.workers,
@@ -716,16 +636,32 @@ class ShardedDeployment:
     # Control fan-out                                                    #
     # ------------------------------------------------------------------ #
 
-    def _fanout_op(self, op: Tuple) -> None:
-        self._guarded_fanout(op)
+    def _fan_out(self, op: ControlOp, record) -> None:
+        """Controller commit listener: the control replica committed
+        ``op`` — settle which shard executes the query and replay the op
+        on every worker."""
+        if op.kind == "install":
+            owner = self.qpart.assign(op.query, **self._placement)
+            if owner in self._degraded:
+                # The pinned shard is gone; place on a survivor instead.
+                owner = self.qpart.reassign(
+                    op.qid,
+                    candidates=tuple(sorted(b.index for b in self._backends)),
+                )
+        elif op.kind == "update":
+            owner = self.qpart.owner_of(op.qid)
+        else:
+            owner = self.qpart.release(op.qid)
+        self._guarded_fanout(
+            ("control", pickle.dumps(op), owner, self._fire_at)
+        )
 
     def install_query(self, query: QueryLike,
                       params: QueryParams = QueryParams(),
                       weight: Optional[float] = None,
                       owner: Optional[int] = None,
                       **kwargs: Any):
-        """Install everywhere: verify + install on the control replica,
-        then replay on every shard; the owner shard starts executing.
+        """``controller.install_query`` with a placement hint.
 
         ``weight`` overrides the placement load unit (default: number of
         sub-queries) with a caller-supplied cost estimate — installing in
@@ -733,34 +669,25 @@ class ShardedDeployment:
         pins the query to one shard, the hook for affinity-aware
         placement (see :meth:`QueryPartitioner.assign`).
         """
-        query_bytes = pickle.dumps(query)  # must be shippable up front
-        result = self.local.controller.install_query(
-            query, params, **kwargs
-        )
-        owner = self.qpart.assign(query, weight=weight, owner=owner)
-        if owner in self._degraded:
-            # The pinned shard is gone; place on a survivor instead.
-            owner = self.qpart.reassign(
-                query.qid,
-                candidates=tuple(sorted(b.index for b in self._backends)),
-            )
-        self._fanout_op(("install", query_bytes, params, kwargs, owner))
-        return result
+        self._placement = {"weight": weight, "owner": owner}
+        try:
+            return self.controller.install_query(query, params, **kwargs)
+        finally:
+            self._placement = {}
 
-    def update_query(self, query: QueryLike,
-                     params: QueryParams = QueryParams(),
-                     **kwargs: Any):
-        query_bytes = pickle.dumps(query)
-        result = self.local.controller.update_query(query, params, **kwargs)
-        owner = self.qpart.owner_of(query.qid)
-        self._fanout_op(("update", query_bytes, params, kwargs, owner))
-        return result
+    def schedule(self, ts: float, op: ControlOp):
+        """Apply ``op`` mid-trace, at trace time ``ts``.
 
-    def remove_query(self, qid: str):
-        result = self.local.controller.remove_query(qid)
-        self.qpart.release(qid)
-        self._fanout_op(("remove", qid))
-        return result
+        The control replica applies it eagerly — it executes no packets,
+        so only the converged final control state matters there — while
+        every shard fires it at ``ts``, between packets, exactly as a
+        single-process ``simulator.at`` callback would.
+        """
+        self._fire_at = ts
+        try:
+            return apply_op(self.controller, op)
+        finally:
+            self._fire_at = None
 
     def arm_faults(self, plan: FaultPlan) -> None:
         """Arm a declarative fault plan on every shard replica.
@@ -769,62 +696,26 @@ class ShardedDeployment:
         loss event perturbs each replica's (shard-local) state, which is
         the point of chaos runs — invariants must hold, not equality.
         """
-        self._fanout_op(("arm_faults", plan.to_dict()))
-
-    # Scheduled (mid-trace) control ops: the parent applies the op to the
-    # control replica eagerly — it executes no packets, so only the
-    # converged final control state matters there — while every shard
-    # fires it at the trace timestamp, between packets, exactly as a
-    # single-process ``simulator.at`` would.
-
-    def schedule_install(self, ts: float, query: QueryLike,
-                         params: QueryParams = QueryParams(),
-                         **kwargs: Any) -> None:
-        query_bytes = pickle.dumps(query)
-        self.local.controller.install_query(query, params, **kwargs)
-        owner = self.qpart.assign(query)
-        self._fanout_op((
-            "schedule", ts,
-            ("install", query_bytes, params, kwargs, owner),
-        ))
-
-    def schedule_update(self, ts: float, query: QueryLike,
-                        params: QueryParams = QueryParams(),
-                        **kwargs: Any) -> None:
-        query_bytes = pickle.dumps(query)
-        self.local.controller.update_query(query, params, **kwargs)
-        owner = self.qpart.owner_of(query.qid)
-        self._fanout_op((
-            "schedule", ts,
-            ("update", query_bytes, params, kwargs, owner),
-        ))
-
-    def schedule_remove(self, ts: float, qid: str) -> None:
-        self.local.controller.remove_query(qid)
-        self.qpart.release(qid)
-        self._fanout_op(("schedule", ts, ("remove", qid)))
+        self._guarded_fanout(("arm_faults", plan.to_dict()))
 
     # ------------------------------------------------------------------ #
     # Execution                                                          #
     # ------------------------------------------------------------------ #
 
     def run(self, source) -> SimulationStats:
-        """Run a whole trace across the pool; returns merged stats.
+        """Run a packet stream — a whole trace or one window's worth —
+        across the pool; returns merged stats.
 
-        Afterwards :attr:`reports`, :meth:`register_dumps`,
-        :meth:`merged_metrics`, and the control replica's collector /
-        analyzer reads reflect the merged run.
+        Afterwards :attr:`reports`, :attr:`worker_busy_s` and the
+        collector / analyzer reads reflect the merged run.
         """
-        return self._run_impl(source, detail="full")
-
-    def _run_impl(self, source, detail: str) -> SimulationStats:
         self.poll_workers()
-        stream = _StreamState(detail=detail, epoch=self._epoch)
+        stream = _StreamState(epoch=self._epoch)
         self._stream = stream
         try:
             for backend in list(self._backends):
                 try:
-                    backend.start_stream(detail)
+                    backend.start_stream()
                 except WorkerDiedError as exc:
                     self._recover(backend, exc)
             for chunk in iter_column_chunks(source, self.chunk_size):
@@ -858,21 +749,10 @@ class ShardedDeployment:
                 self._recover(backend, exc)
         if not payloads:
             raise RuntimeError("no live fabric shard finished the stream")
-        stats = merge_stats([p["stats"] for p in payloads])
         self.worker_busy_s = [float(p["busy_s"]) for p in payloads]
-        if detail == "full":
-            self._absorb(payloads)
-            self.reports = canonical_reports(
-                [p["recorded"] for p in payloads]
-            )
-            self._last_dumps = merge_register_dumps(
-                [p["dumps"] for p in payloads]
-            )
-            self._last_metrics = merge_metrics(
-                [self.local.collector.metrics]
-                + [p["metrics"] for p in payloads]
-            )
-        return stats
+        self._absorb(payloads)
+        self.reports = canonical_reports([p["recorded"] for p in payloads])
+        return merge_stats([p["stats"] for p in payloads])
 
     def roll_window(self) -> int:
         """Force-close the current window on every shard and absorb the
@@ -892,24 +772,19 @@ class ShardedDeployment:
         self._last_stream = None
         return epoch
 
-    def _absorb(self, payloads: Iterable[Dict[str, Any]]) -> None:
-        payloads = list(payloads)
-        absorb_results(
-            self.local.collector._results,
-            [p["collector"] for p in payloads],
-        )
-        absorb_results(
-            self.local.analyzer._results,
-            [p["analyzer"] for p in payloads],
-        )
-        # Planner feedback: merge per-shard window signals (disjoint
-        # sub-query ownership) into one fleet view on the control replica.
+    def _absorb(self, payloads: List[Dict[str, Any]]) -> None:
+        """Owner shards are authoritative for their sub-queries: their
+        buckets replace whatever the control replica held."""
         per_epoch: Dict[int, List[WindowSignals]] = {}
         for payload in payloads:
-            for epoch, signals in payload.get("signals", {}).items():
+            self.collector.absorb_results(payload["collector"])
+            self.analyzer.absorb_results(payload["analyzer"])
+            for epoch, signals in payload["signals"].items():
                 per_epoch.setdefault(epoch, []).append(signals)
+        # Planner feedback: merge per-shard window signals (disjoint
+        # sub-query ownership) into one fleet view on the control replica.
         for epoch in sorted(per_epoch):
-            self.local.collector.absorb_signals(
+            self.collector.absorb_signals(
                 merge_window_signals(tuple(per_epoch[epoch]))
             )
 
@@ -917,15 +792,19 @@ class ShardedDeployment:
     # Merged read-outs                                                   #
     # ------------------------------------------------------------------ #
 
-    def register_dumps(self) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
-        """Merged (elementwise-summed) register dumps across shards."""
-        dumps = self._fanout_request("dumps")
-        return merge_register_dumps(dumps)
+    def prune(self, before_epoch: int) -> None:
+        self._fanout_request("prune", before_epoch)
+        super().prune(before_epoch)
+
+    def register_arrays(self) -> Dict[str, Tuple[np.ndarray, ...]]:
+        """Every shard's register files, summed elementwise (the control
+        replica's own stay zero: it executes no packets)."""
+        return merge_register_arrays(self._fanout_request("dumps"))
 
     def merged_metrics(self) -> MetricsRegistry:
         """Fresh registry: control-replica metrics + every shard's."""
         registries = self._fanout_request("metrics")
-        return merge_metrics([self.local.collector.metrics] + registries)
+        return merge_metrics([self.collector.metrics] + registries)
 
     @property
     def critical_path_s(self) -> float:

@@ -16,11 +16,16 @@ command vocabulary (:func:`dispatch`) that both backends share:
   packet reaches the shard that owns its query state through that
   queue and is re-executed there under the same window discipline).
 
-Control operations arrive as declarative specs — the pickled query
-object plus its params and install kwargs — and are replayed verbatim,
-so every replica's control-plane decisions (placement, rule epochs, CQE
-slicing, vector-fallback) are identical to the parent's by determinism
-of the controller.
+Fabric ops are plain tuples.  The one that matters is ``("control",
+blob, owner, ts)``: ``blob`` is a pickled
+:class:`~repro.core.ops.ControlOp` — the op the control replica's
+controller just committed — replayed verbatim through
+:func:`~repro.core.ops.apply_op` (at trace time ``ts`` when one is
+given), so every replica's control-plane decisions (placement, rule
+epochs, CQE slicing, vector-fallback) are identical to the parent's by
+determinism of the controller.  The fabric-only kinds (``adopt``,
+``adopt_flows``, ``arm_faults``) move ownership or arm faults and never
+touch a controller.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.compiler import QueryParams
+from repro.core.ops import apply_op
 from repro.core.query import QueryLike
-from repro.core.rules import Report
+from repro.fabric.merge import ReportSig, record_reports
 from repro.network.deployment import Deployment, build_deployment
 from repro.network.simulator import SimulationStats
 from repro.network.topology import Topology
@@ -45,9 +50,6 @@ from repro.fabric.partition import (
 from repro.traffic.columnar import ChunkStream, ColumnarTrace
 
 __all__ = ["ShardRuntime", "WorkerSpec", "dispatch", "worker_main"]
-
-#: One recorded report: (switch, qid, ts, epoch, sorted payload items).
-ReportSig = Tuple[str, str, float, int, Tuple]
 
 
 @dataclass
@@ -77,11 +79,12 @@ class ShardRuntime:
         self.deployment.simulator.shard = ShardContext(self.flow, spec.index)
         self._owned: Set[str] = set()
         self._owned_tops: Dict[str, Tuple[str, ...]] = {}
-        self.recorded: List[ReportSig] = []
+        self.recorded: List[ReportSig] = (
+            record_reports(self.deployment.switches)
+            if spec.record_reports else []
+        )
         self.busy_s = 0.0
         self._refresh_filter()
-        if spec.record_reports:
-            self._wrap_sinks()
 
     # ------------------------------------------------------------------ #
     # Ownership                                                          #
@@ -108,34 +111,17 @@ class ShardRuntime:
     # ------------------------------------------------------------------ #
 
     def apply(self, op: Tuple) -> None:
-        """Replay one control op; specs are built by the parent."""
+        """Replay one fabric op; ops are built by the parent."""
         kind = op[0]
         controller = self.deployment.controller
-        if kind == "install":
-            _, query_bytes, params, kwargs, owner = op
-            query = pickle.loads(query_bytes)
-            controller.install_query(
-                query, params or QueryParams(), **kwargs
-            )
-            if owner == self.spec.index:
-                self._own(query)
-        elif kind == "update":
-            _, query_bytes, params, kwargs, owner = op
-            query = pickle.loads(query_bytes)
-            controller.update_query(
-                query, params or QueryParams(), **kwargs
-            )
-            if owner == self.spec.index:
-                # The updated pipeline may have different sub-queries.
-                self._disown(query.qid)
-                self._own(query)
-        elif kind == "remove":
-            _, qid = op
-            controller.remove_query(qid)
-            self._disown(qid)
-        elif kind == "schedule":
-            _, ts, inner = op
-            self.deployment.simulator.at(ts, lambda: self.apply(inner))
+        if kind == "control":
+            _, blob, owner, ts = op
+            if ts is None:
+                self._apply_control(blob, owner)
+            else:
+                self.deployment.simulator.at(
+                    ts, lambda: self._apply_control(blob, owner)
+                )
         elif kind == "adopt":
             # Degrade repartition: the query moves to ``owner`` without a
             # reinstall — every replica already holds its rules; only the
@@ -168,6 +154,15 @@ class ShardRuntime:
         else:
             raise ValueError(f"unknown fabric op {kind!r}")
 
+    def _apply_control(self, blob: bytes, owner: int) -> None:
+        """Run one controller op on this replica; the owner shard then
+        executes the query (an update may change its sub-queries)."""
+        op = pickle.loads(blob)
+        apply_op(self.deployment.controller, op)
+        self._disown(op.qid)
+        if op.query is not None and owner == self.spec.index:
+            self._own(op.query)
+
     # ------------------------------------------------------------------ #
     # Execution                                                          #
     # ------------------------------------------------------------------ #
@@ -195,9 +190,6 @@ class ShardRuntime:
         self.recorded.clear()
         self.busy_s = 0.0
 
-    def roll_window(self) -> int:
-        return self.deployment.simulator.roll_window()
-
     def seek_window(self, epoch: int) -> int:
         """Fast-forward a freshly respawned replica to the fleet's open
         window.
@@ -213,78 +205,33 @@ class ShardRuntime:
         sim = self.deployment.simulator
         while sim.epoch < epoch:
             sim.roll_window()
-        self.prune(epoch)
-        self.deployment.collector._signals.clear()
+        self.deployment.prune(epoch)
+        self.deployment.collector.clear_signals()
         self.recorded.clear()
         return sim.epoch
-
-    def prune(self, before_epoch: int) -> None:
-        self.deployment.collector.prune_results(before_epoch)
-        self.deployment.analyzer.prune(before_epoch)
 
     # ------------------------------------------------------------------ #
     # Results                                                            #
     # ------------------------------------------------------------------ #
 
-    def _wrap_sinks(self) -> None:
-        recorded = self.recorded
-
-        def wrap(sid, inner):
-            def sink(report: Report) -> None:
-                recorded.append((
-                    str(sid), report.qid, float(report.ts),
-                    int(report.epoch),
-                    tuple(sorted(report.payload.items())),
-                ))
-                if inner is not None:
-                    inner(report)
-            return sink
-
-        for sid, switch in self.deployment.switches.items():
-            switch.pipeline.report_sink = wrap(
-                sid, switch.pipeline.report_sink
-            )
-
-    def register_dumps(self) -> Dict[str, Tuple]:
-        """Raw per-bank register arrays (merged by elementwise sum)."""
+    def windows_payload(self) -> Dict[str, Any]:
+        """Windowed answers and planner signals of the queries this
+        shard owns (disjoint across shards; absorbed by the parent)."""
+        collector = self.deployment.collector
         return {
-            str(sid): tuple(
-                bank.array.dump()
-                for bank in switch.pipeline.layout.state_banks()
-            )
-            for sid, switch in self.deployment.switches.items()
-        }
-
-    def results_payload(self) -> Dict[str, Any]:
-        """Windowed answers owned by this shard (absorbed by the parent)."""
-        return {
-            "collector": {
-                key: dict(bucket)
-                for key, bucket in
-                self.deployment.collector._results.items()
-            },
-            "analyzer": {
-                key: dict(bucket)
-                for key, bucket in
-                self.deployment.analyzer._results.items()
-            },
-            # Planner feedback: this shard's per-window signals for the
-            # queries it owns (disjoint across shards; the parent merges
-            # them into one fleet-wide view per epoch).
-            "signals": dict(self.deployment.collector._signals),
+            "collector": collector.export_results(),
+            "analyzer": self.deployment.analyzer.export_results(),
+            "signals": collector.export_signals(),
         }
 
     def stream_payload(self, stats: SimulationStats) -> Dict[str, Any]:
-        """Everything the merge layer needs after a batch run."""
-        payload = self.results_payload()
-        payload.update({
+        """The one thing a finished stream returns, whoever drove it."""
+        return {
+            **self.windows_payload(),
             "stats": stats,
             "busy_s": self.busy_s,
             "recorded": list(self.recorded),
-            "dumps": self.register_dumps(),
-            "metrics": self.deployment.collector.metrics,
-        })
-        return payload
+        }
 
 
 # --------------------------------------------------------------------- #
@@ -310,21 +257,17 @@ def dispatch(
     if kind == "run_stream":
         runtime.reset_run()
         stats = runtime.run_stream(chunks if chunks is not None else ())
-        if arg == "stats":
-            return {"stats": stats, "busy_s": runtime.busy_s}
         return runtime.stream_payload(stats)
     if kind == "roll_window":
-        closed = runtime.roll_window()
-        payload = runtime.results_payload()
-        payload["closed"] = closed
-        return payload
+        closed = runtime.deployment.simulator.roll_window()
+        return {**runtime.windows_payload(), "closed": closed}
     if kind == "prune":
-        runtime.prune(arg)
+        runtime.deployment.prune(arg)
         return None
     if kind == "seek_window":
         return runtime.seek_window(arg)
     if kind == "dumps":
-        return runtime.register_dumps()
+        return runtime.deployment.register_arrays()
     if kind == "metrics":
         return runtime.deployment.collector.metrics
     raise ValueError(f"unknown fabric command {kind!r}")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Tuple
+
+import numpy as np
 
 from repro.collector import CollectorConfig, ReportCollector
 from repro.core.analyzer import Analyzer
@@ -64,6 +66,36 @@ class Deployment:
 
     def switch(self, switch_id: Hashable) -> Switch:
         return self.switches[switch_id]
+
+    # What drivers (service, planner, benchmarks) need beyond the
+    # components.  The sharded fabric deployment overrides ``prune``,
+    # ``register_arrays`` and ``fabric_status``.
+
+    def prune(self, before_epoch: int) -> None:
+        """Discard windowed answers for epochs ``< before_epoch``."""
+        self.collector.prune_results(before_epoch)
+        self.analyzer.prune(before_epoch)
+
+    def register_arrays(self) -> Dict[str, Tuple[np.ndarray, ...]]:
+        """A copy of every switch's state-bank register files."""
+        return {
+            str(sid): tuple(
+                bank.array.dump()
+                for bank in switch.pipeline.layout.state_banks()
+            )
+            for sid, switch in self.switches.items()
+        }
+
+    def register_dumps(self) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
+        """:meth:`register_arrays` as comparable tuples of ints."""
+        return {
+            sid: tuple(tuple(cells.tolist()) for cells in banks)
+            for sid, banks in self.register_arrays().items()
+        }
+
+    def fabric_status(self) -> Dict[str, Any]:
+        """JSON-safe execution-backend status (``/healthz``)."""
+        return {"workers": 1, "backend": "single-process"}
 
 
 def build_deployment(

@@ -192,10 +192,41 @@ class NetworkSimulator:
             _, _, callback = heapq.heappop(self._scheduled)
             callback()
 
-    def _next_scheduled_ts(self) -> Optional[float]:
+    # ------------------------------------------------------------------ #
+    # Engine contract: everything an engine may ask of the simulator     #
+    # (besides ``epoch`` and the component attributes)                   #
+    # ------------------------------------------------------------------ #
+
+    def advance(self, ts: float) -> None:
+        """Bring the simulation to trace time ``ts``, the timestamp of
+        the packet(s) an engine is about to execute: fire the callbacks
+        due at or before it, close every window that ended before it,
+        and record it as the current trace time."""
+        if self._scheduled and self._scheduled[0][0] <= ts:
+            self._fire_scheduled(ts)
+        # WindowClock.epoch_of, inlined: this runs once per scalar packet.
+        pkt_epoch = int(ts / self.window_s)
+        if pkt_epoch != self._epoch:
+            if pkt_epoch < self._epoch:
+                raise ValueError(
+                    "trace packets must be sorted by timestamp"
+                )
+            while self._epoch < pkt_epoch:
+                self._roll()
+        self._now = ts
+
+    def next_scheduled_ts(self) -> Optional[float]:
         """Timestamp of the earliest pending callback (engines split
         batches here so callbacks fire between packets, never within)."""
         return self._scheduled[0][0] if self._scheduled else None
+
+    def finish(self, stats: SimulationStats) -> SimulationStats:
+        """End an engine run: fire every remaining callback, close the
+        window in progress, and stamp the window count on ``stats``."""
+        self._fire_scheduled(float("inf"))
+        self._close_window()
+        stats.epochs = self._epoch + 1
+        return stats
 
     def run(self, packets: Iterable[Packet]) -> SimulationStats:
         """Forward a time-ordered packet stream; returns aggregate stats.
@@ -230,24 +261,14 @@ class NetworkSimulator:
         that was closed.
         """
         closed = self._epoch
-        self._close_window(SimulationStats())
-        for switch in self.switches.values():
-            switch.advance_window()
-        self._epoch += 1
+        self._roll()
         # Packets of the closed window can no longer be accepted; pin the
         # trace clock to the new window's start so `at()` and the next
         # `run()` agree on what "now" means.
         self._now = max(self._now, self.clock.close_time(closed))
         return closed
 
-    def _sync_windows(self, ts: float, stats: SimulationStats) -> None:
-        pkt_epoch = self.clock.epoch_of(ts)
-        if pkt_epoch < self._epoch:
-            raise ValueError("trace packets must be sorted by timestamp")
-        while self._epoch < pkt_epoch:
-            self._roll(stats)
-
-    def _close_window(self, stats: SimulationStats) -> None:
+    def _close_window(self) -> None:
         # Idempotent: every engine run() ends by closing the in-progress
         # window, so a driver that feeds one window per run() (the service
         # plane) would otherwise close each epoch twice — draining the
@@ -256,8 +277,8 @@ class NetworkSimulator:
         if self.clock.epoch <= self._epoch:
             self.clock.close(self._epoch)
 
-    def _roll(self, stats: SimulationStats) -> None:
-        self._close_window(stats)
+    def _roll(self) -> None:
+        self._close_window()
         for switch in self.switches.values():
             switch.advance_window()
         self._epoch += 1

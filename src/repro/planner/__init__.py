@@ -18,10 +18,10 @@ skew — and re-plans at runtime:
 
 Every decision is an explicit, journaled :class:`PlanStep`; the
 :class:`PlanDriver` executes each step as one verified make-before-break
-2PC transaction through the controller facade — a plain
+2PC transaction on the deployment's controller — a plain
 :class:`~repro.network.deployment.Deployment` or a
-:class:`~repro.fabric.sharded.ShardedDeployment`, whose fan-out
-controller replays every step through the per-shard RPC unchanged.
+:class:`~repro.fabric.sharded.ShardedDeployment`, whose commit listener
+replays every step's op on each shard worker unchanged.
 """
 
 from repro.planner.driver import PlanDriver, PlanError

@@ -1,25 +1,28 @@
 """Plan-transaction driver: PlanSteps → 2PC transactions, journaled.
 
-The driver is the only component that touches the controller.  It takes
-a decided list of :class:`~repro.planner.plan.PlanStep` and executes
-them sequentially, each step as exactly one verified make-before-break
-transaction (``install_query`` / ``update_query`` / ``remove_query`` —
-all of which route through :class:`~repro.ctrlplane.TransactionManager`
-and its static-verifier + fleet-analyzer gate).  A failed step rolls
-back inside the control plane — the running version keeps serving — and
-the driver stops, marking the remaining steps ``skipped``: later steps
-may depend on resources an earlier step was meant to free.
+The driver is the only planner component that touches the controller.
+It takes a decided list of :class:`~repro.planner.plan.PlanStep` and
+executes them sequentially, each step's :class:`~repro.core.ops.
+ControlOp` through :func:`~repro.core.ops.apply_op` — exactly one
+verified make-before-break transaction, routed through
+:class:`~repro.ctrlplane.TransactionManager` and its static-verifier +
+fleet-analyzer gate.  A failed step rolls back inside the control plane
+— the running version keeps serving — and the driver stops, marking the
+remaining steps ``skipped``: later steps may depend on resources an
+earlier step was meant to free.
 
-The controller may be a single-process
-:class:`~repro.core.controller.NewtonController` or a sharded facade's
-fan-out controller — the driver is agnostic, which is what lets the
-planner run unchanged at fabric scale.
+The controller is always a real
+:class:`~repro.core.controller.NewtonController`; on a sharded
+deployment it is the control replica's, whose commit listener fans each
+op out to the workers — which is what lets the planner run unchanged at
+fabric scale.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.ops import apply_op
 from repro.planner.plan import PlanStep
 
 __all__ = ["PlanDriver", "PlanError"]
@@ -53,7 +56,7 @@ class PlanDriver:
                 self._count(step)
                 continue
             try:
-                result = self._dispatch(step)
+                result = apply_op(self.controller, step.op)
             except Exception as exc:
                 step.status = "failed"
                 step.error = f"{type(exc).__name__}: {exc}"
@@ -62,26 +65,13 @@ class PlanDriver:
             else:
                 step.status = "committed"
                 step.delay_s = result.delay_s
-                step.rules_staged = getattr(result, "rules_staged", 0)
-                step.rules_removed = getattr(result, "rules_removed", 0)
+                step.rules_staged = result.rules_staged
+                step.rules_removed = result.rules_removed
             self._count(step)
         return steps
-
-    def _dispatch(self, step: PlanStep):
-        if step.kind == "install":
-            return self.controller.install_query(
-                step.query, step.params, **step.deploy
-            )
-        if step.kind == "update":
-            return self.controller.update_query(
-                step.query, step.params, **step.deploy
-            )
-        if step.kind == "remove":
-            return self.controller.remove_query(step.qid)
-        raise PlanError(f"unknown plan step kind {step.kind!r}")
 
     def _count(self, step: PlanStep) -> None:
         if self._steps_total is not None:
             self._steps_total.inc(
-                kind=step.kind, trigger=step.trigger, outcome=step.status
+                kind=step.op.kind, trigger=step.trigger, outcome=step.status
             )

@@ -1,13 +1,14 @@
 """Plan and PlanStep — the explicit, replayable unit of control change.
 
-The original controller API is one-shot: ``install_query`` compiles,
-verifies, places, and emits rules in a single opaque call.  The planner
-needs those stages to be *explicit* — decided in one place, executed in
+The controller API is one-shot: ``install_query`` compiles, verifies,
+places, and emits rules in a single opaque call.  The planner needs
+those stages to be *explicit* — decided in one place, executed in
 another, journaled, and inspectable over the service plane — so every
 control-plane change it makes is reified as a :class:`PlanStep`: what to
-do (install/update/remove), why (the trigger and a human-readable
-reason), with which artifacts (query variant, params, deployment spec),
-and what happened (status, transaction latency, rules moved).
+do (a :class:`~repro.core.ops.ControlOp` — the same record the
+controller announces and the fabric ships), why (the trigger and a
+human-readable reason), and what happened (status, transaction latency,
+rules moved).
 
 :class:`QueryPlan` is the planner's durable per-query state: the
 currently-installed variant, its ladder position, refinement children,
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.compiler import QueryParams
+from repro.core.ops import ControlOp
 from repro.core.query import QueryLike
 
 __all__ = ["PlanStep", "QueryPlan", "PlanExecution", "STEP_STATUSES"]
@@ -33,13 +35,9 @@ STEP_STATUSES = ("pending", "committed", "failed", "skipped")
 class PlanStep:
     """One planner-decided control-plane change (= one 2PC transaction)."""
 
-    kind: str  # "install" | "update" | "remove"
-    qid: str
+    op: ControlOp
     trigger: str  # bootstrap|refine|coarsen|grow|shrink|rebalance|manual
     reason: str
-    query: Optional[QueryLike] = None
-    params: Optional[QueryParams] = None
-    deploy: Dict[str, Any] = field(default_factory=dict)
     #: Window whose signals triggered the step (None for bootstrap).
     epoch: Optional[int] = None
     seq: int = 0
@@ -54,10 +52,11 @@ class PlanStep:
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
+        params = self.op.params
         return {
             "seq": self.seq,
-            "kind": self.kind,
-            "qid": self.qid,
+            "kind": self.op.kind,
+            "qid": self.op.qid,
             "trigger": self.trigger,
             "reason": self.reason,
             "epoch": self.epoch,
@@ -67,16 +66,16 @@ class PlanStep:
             "rules_staged": self.rules_staged,
             "rules_removed": self.rules_removed,
             "params": (
-                None if self.params is None else {
-                    "cm_depth": self.params.cm_depth,
-                    "bf_hashes": self.params.bf_hashes,
-                    "reduce_registers": self.params.reduce_registers,
-                    "distinct_registers": self.params.distinct_registers,
+                None if params is None else {
+                    "cm_depth": params.cm_depth,
+                    "bf_hashes": params.bf_hashes,
+                    "reduce_registers": params.reduce_registers,
+                    "distinct_registers": params.distinct_registers,
                 }
             ),
             "deploy": {
                 k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in self.deploy.items()
+                for k, v in self.op.deploy.items()
                 if k in ("path", "edge_switches", "placement_method",
                          "stages_per_switch")
             },

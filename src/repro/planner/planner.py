@@ -1,8 +1,8 @@
 """The dynamic planner: window signals in, verified plan steps out.
 
 One :class:`DynamicPlanner` manages any number of queries on one
-deployment facade (single-process or sharded — anything exposing
-``controller``, ``collector``, and ``switches``).  Per closed window it
+:class:`~repro.network.deployment.Deployment` (single-process or
+sharded).  Per closed window it
 reads the collector's :class:`~repro.collector.WindowSignals` and
 decides, per managed query:
 
@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.collector.signals import QuerySignals, WindowSignals
 from repro.core.admission import AdmissionPlanner
 from repro.core.compiler import QueryParams
+from repro.core.ops import ControlOp
 from repro.core.placement import offload_path, report_skew
 from repro.core.query import QueryLike
 from repro.planner.driver import PlanDriver, PlanError
@@ -105,12 +106,13 @@ class DynamicPlanner:
             raise ValueError(f"query {query.qid!r} is already managed")
         variant = ladder.coarse(query) if ladder is not None else query
         step = self._step(
-            kind="install", qid=query.qid, trigger="bootstrap",
+            ControlOp("install", query.qid, variant, params,
+                      deploy=dict(deploy)),
+            trigger="bootstrap",
             reason=(
                 f"manage {query.qid!r}"
                 + (f" at rung 0 ({ladder.field})" if ladder else "")
             ),
-            query=variant, params=params, deploy=dict(deploy),
         )
         self.driver.execute([step])
         self.history.append(step)
@@ -135,7 +137,7 @@ class DynamicPlanner:
         if plan.parent is not None and plan.parent in self.plans:
             self.plans[plan.parent].children.pop(qid, None)
         if remove:
-            step = self._step(kind="remove", qid=qid, trigger="manual",
+            step = self._step(ControlOp("remove", qid), trigger="manual",
                               reason=f"release {qid!r}")
             self.driver.execute([step])
             self.history.append(step)
@@ -217,7 +219,7 @@ class DynamicPlanner:
         if plan.idle_windows < self.config.child_idle_windows:
             return None
         return self._step(
-            kind="remove", qid=plan.qid, trigger="coarsen",
+            ControlOp("remove", plan.qid), trigger="coarsen",
             reason=(
                 f"{plan.qid!r} idle for {plan.idle_windows} windows; "
                 f"zooming back out"
@@ -249,13 +251,14 @@ class DynamicPlanner:
             budget -= 1
             child = ladder.zoom(plan.query, plan.rung, prefix, child_qid)
             steps.append(self._step(
-                kind="install", qid=child_qid, trigger="refine",
+                ControlOp("install", child_qid, child, plan.params,
+                          deploy=dict(plan.deploy)),
+                trigger="refine",
                 reason=(
                     f"hot prefix {ladder.field}&{ladder.mask_at(plan.rung):#x}"
                     f"=={prefix:#x} (count {count}); zoom to rung "
                     f"{plan.rung + 1}"
                 ),
-                query=child, params=plan.params, deploy=dict(plan.deploy),
                 epoch=epoch,
                 meta={"parent": plan.qid, "rung": plan.rung + 1,
                       "prefix": prefix},
@@ -274,14 +277,13 @@ class DynamicPlanner:
             if candidate is None:
                 return None
             return self._step(
-                kind="update", qid=plan.qid, trigger="grow",
+                self._update_op(plan, params=candidate), trigger="grow",
                 reason=(
                     f"occupancy {sig.occupancy:.2f} >= "
                     f"{cfg.occupancy_high}: reduce registers "
                     f"{current} -> {candidate.reduce_registers}"
                 ),
-                query=plan.query, params=candidate,
-                deploy=dict(plan.deploy), epoch=epoch,
+                epoch=epoch,
             )
         if (sig.occupancy <= cfg.occupancy_low
                 and current > cfg.min_registers and plan.resizes > 0):
@@ -290,14 +292,13 @@ class DynamicPlanner:
                 reduce_registers=max(cfg.min_registers, current // 2),
             )
             return self._step(
-                kind="update", qid=plan.qid, trigger="shrink",
+                self._update_op(plan, params=candidate), trigger="shrink",
                 reason=(
                     f"occupancy {sig.occupancy:.2f} <= "
                     f"{cfg.occupancy_low}: reduce registers "
                     f"{current} -> {candidate.reduce_registers}"
                 ),
-                query=plan.query, params=candidate,
-                deploy=dict(plan.deploy), epoch=epoch,
+                epoch=epoch,
             )
         return None
 
@@ -343,12 +344,11 @@ class DynamicPlanner:
         deploy["path"] = pruned
         dropped = set(path) - set(pruned)
         return self._step(
-            kind="update", qid=plan.qid, trigger="rebalance",
+            self._update_op(plan, deploy=deploy), trigger="rebalance",
             reason=(
                 f"report skew {skew:.2f} >= {cfg.skew_ratio}: move "
                 f"slices off {sorted(map(str, dropped))}"
             ),
-            query=plan.query, params=plan.params, deploy=deploy,
             epoch=epoch,
         )
 
@@ -357,11 +357,12 @@ class DynamicPlanner:
     # ------------------------------------------------------------------ #
 
     def _apply(self, step: PlanStep, epoch: int) -> None:
+        op = step.op
         cooldown = epoch + self.config.cooldown_windows
         if step.status != "committed":
             # Leave the plan unchanged but rest the query anyway: the
             # same signals would re-trigger the same failing step.
-            plan = self.plans.get(step.qid) or self.plans.get(
+            plan = self.plans.get(op.qid) or self.plans.get(
                 step.meta.get("parent", "")
             )
             if plan is not None:
@@ -369,32 +370,32 @@ class DynamicPlanner:
             return
         if step.trigger == "refine":
             parent = self.plans[step.meta["parent"]]
-            parent.children[step.qid] = (parent.rung, step.meta["prefix"])
+            parent.children[op.qid] = (parent.rung, step.meta["prefix"])
             parent.cooldown_until = cooldown
-            self.plans[step.qid] = QueryPlan(
-                qid=step.qid, query=step.query, params=step.params,
-                deploy=dict(step.deploy), ladder=parent.ladder,
+            self.plans[op.qid] = QueryPlan(
+                qid=op.qid, query=op.query, params=op.params,
+                deploy=dict(op.deploy), ladder=parent.ladder,
                 rung=step.meta["rung"], parent=parent.qid,
                 cooldown_until=cooldown,
             )
             return
         if step.trigger == "coarsen":
-            plan = self.plans.pop(step.qid, None)
+            plan = self.plans.pop(op.qid, None)
             if plan is not None and plan.parent in self.plans:
                 parent = self.plans[plan.parent]
-                parent.children.pop(step.qid, None)
+                parent.children.pop(op.qid, None)
                 parent.cooldown_until = max(parent.cooldown_until, cooldown)
             # Orphaned grandchildren (if any) are removed on their own
             # idle expiry: their traffic scope died with this child.
             return
-        plan = self.plans.get(step.qid)
+        plan = self.plans.get(op.qid)
         if plan is None:
             return
         if step.trigger in ("grow", "shrink"):
-            plan.params = step.params
+            plan.params = op.params
             plan.resizes += 1
         elif step.trigger == "rebalance":
-            plan.deploy = dict(step.deploy)
+            plan.deploy = dict(op.deploy)
         plan.cooldown_until = cooldown
 
     def _signals_for(self, plan: QueryPlan,
@@ -411,9 +412,18 @@ class DynamicPlanner:
                 return sig
         return candidates[0]
 
-    def _step(self, **kwargs: Any) -> PlanStep:
+    @staticmethod
+    def _update_op(plan: QueryPlan, params: Optional[QueryParams] = None,
+                   deploy: Optional[Dict[str, Any]] = None) -> ControlOp:
+        """``plan``'s installed variant, re-sized or re-placed."""
+        return ControlOp(
+            "update", plan.qid, plan.query, params or plan.params,
+            deploy=dict(plan.deploy) if deploy is None else deploy,
+        )
+
+    def _step(self, op: ControlOp, **why: Any) -> PlanStep:
         self._seq += 1
-        return PlanStep(seq=self._seq, **kwargs)
+        return PlanStep(op=op, seq=self._seq, **why)
 
     def state(self) -> Dict[str, Any]:
         """JSON-ready snapshot for ``GET /plan``."""

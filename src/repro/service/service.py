@@ -570,20 +570,10 @@ class NewtonService:
         """Compact per-switch register fingerprint for snapshots: the
         sum of each state bank (cheap, and windows reset registers at
         every close — full dumps would mostly snapshot zeros)."""
-        dumps = getattr(self.deployment, "register_dumps", None)
-        if callable(dumps):  # sharded: merged across workers
-            merged = dumps()
-        else:
-            merged = {
-                str(sid): tuple(
-                    bank.array.dump()
-                    for bank in switch.pipeline.layout.state_banks()
-                )
-                for sid, switch in self.deployment.switches.items()
-            }
+        dumps = self.deployment.register_dumps()
         return {
-            sid: [int(sum(bank)) for bank in banks]
-            for sid, banks in sorted(merged.items())
+            sid: [sum(bank) for bank in banks]
+            for sid, banks in sorted(dumps.items())
         }
 
     def _wal_snapshot(self, closed: int) -> None:
@@ -720,10 +710,8 @@ class NewtonService:
             "engine": self.deployment.simulator.engine.name,
             "window_ms": self.config.window_ms,
             "source_exhausted": self.exhausted,
+            "fabric": self.deployment.fabric_status(),
         }
-        fabric = getattr(self.deployment, "fabric_status", None)
-        if callable(fabric):
-            out["fabric"] = fabric()
         if self.wal is not None:
             out["wal"] = {
                 "path": self.wal.path,
@@ -825,8 +813,7 @@ class NewtonService:
         horizon = closed - self.config.prune_lateness
         if horizon <= 0:
             return
-        self.deployment.collector.prune_results(horizon)
-        self.deployment.analyzer.prune(horizon)
+        self.deployment.prune(horizon)
 
     async def run(self) -> None:
         """The ingest loop: tick until stopped or the source dries up."""

@@ -8,6 +8,7 @@ from repro.collector import (
     QueryRegistration,
     ReportCollector,
 )
+from repro.core.ops import ControlOp
 from repro.core.rules import Report
 
 QID = "q.sub"
@@ -233,7 +234,7 @@ class TestStaleQueries:
 
     def test_on_remove_forgets_subqueries(self):
         collector = make_collector()
-        collector.on_remove(TOP)
+        collector.on_commit(ControlOp("remove", TOP), None)
         assert collector.registration(QID) is None
         assert not collector.ingest(report(9))
         assert_balanced(collector)

@@ -1,9 +1,9 @@
 """The service plane drives a sharded deployment unchanged.
 
-:class:`ShardedDeployment` duck-types :class:`Deployment`, so
+:class:`ShardedDeployment` is a :class:`Deployment`, so
 ``NewtonService`` runs its CRUD, tick, prune, and health paths against
-the fabric facade without modification — and every published window
-event matches a single-process service bit for bit.
+it without modification — and every published window event matches a
+single-process service bit for bit.
 """
 
 from dataclasses import replace
@@ -77,7 +77,7 @@ class TestServiceParity:
 
     def test_crud_and_health_through_the_facade(self):
         """Install / update / remove via the service's spec path, plus
-        health and metrics, all through the fan-out proxies."""
+        health and metrics, all fanned out by the commit listener."""
         with ShardedDeployment(
             linear(3), workers=2, inline=True, record_reports=False,
             **deploy_kwargs(),
@@ -110,13 +110,11 @@ class TestServiceParity:
             assert "t.live" not in sd.qpart.owners()
             assert service.health()["queries"] == []
 
-    def test_simulator_at_is_rejected(self):
-        """Opaque callbacks cannot fan out; the facade points callers at
-        the declarative schedule_* API instead."""
+    def test_simulator_has_no_at(self):
+        """Opaque callbacks cannot fan out: the sharded simulator has no
+        ``at`` at all (``ShardedDeployment.schedule`` takes an op)."""
         with ShardedDeployment(
             linear(3), workers=2, inline=True, **deploy_kwargs()
         ) as sd:
-            with pytest.raises(NotImplementedError):
+            with pytest.raises(AttributeError):
                 sd.simulator.at(0.1, lambda: None)
-            with pytest.raises(NotImplementedError):
-                sd.controller.replace_query("Q1")

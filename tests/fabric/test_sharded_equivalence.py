@@ -17,9 +17,14 @@ import pytest
 
 from repro.core.compiler import QueryParams
 from repro.core.library import build_query
+from repro.core.ops import ControlOp
 from repro.core.query import flatten
 from repro.experiments.common import evaluation_thresholds
-from repro.fabric import ShardedDeployment, canonical_reports
+from repro.fabric import (
+    ShardedDeployment,
+    canonical_reports,
+    record_reports,
+)
 from repro.network.deployment import build_deployment
 from repro.network.topology import leaf_spine, linear
 from repro.traffic.generators import (
@@ -59,26 +64,6 @@ def workload(seed, n_packets=1200, duration_s=0.3,
     return assign_hosts(trace, list(pairs))
 
 
-def record_reports(deployment):
-    """Wrap every switch's report sink with the fabric's report
-    signature, so a baseline stream compares against ``sd.reports``."""
-    recorded = []
-
-    def wrap(sid, inner):
-        def sink(report):
-            recorded.append((
-                str(sid), report.qid, float(report.ts), int(report.epoch),
-                tuple(sorted(report.payload.items())),
-            ))
-            if inner is not None:
-                inner(report)
-        return sink
-
-    for sid, switch in deployment.switches.items():
-        switch.pipeline.report_sink = wrap(sid, switch.pipeline.report_sink)
-    return recorded
-
-
 def stats_sig(stats):
     return (
         stats.packets, stats.delivered, stats.dropped,
@@ -87,16 +72,6 @@ def stats_sig(stats):
         stats.epochs, stats.mixed_rule_epoch_packets,
         dict(stats.initiated_by_query),
     )
-
-
-def register_dumps(deployment):
-    return {
-        str(sid): tuple(
-            tuple(bank.array.dump().tolist())
-            for bank in switch.pipeline.layout.state_banks()
-        )
-        for sid, switch in deployment.switches.items()
-    }
 
 
 def window_answers(collector, analyzer, queries):
@@ -120,14 +95,14 @@ def run_baseline(trace, engine, queries, topology, install_kw, th=None,
     built = [build_query(name, th or thresholds()) for name in queries]
     for query in built:
         deployment.controller.install_query(query, params, **install_kw)
-    recorded = record_reports(deployment)
+    recorded = record_reports(deployment.switches)
     if schedule is not None:
         schedule(deployment)
     stats = deployment.simulator.run(trace)
     return {
         "stats": stats_sig(stats),
         "reports": canonical_reports([recorded]),
-        "registers": register_dumps(deployment),
+        "registers": deployment.register_dumps(),
         "answers": window_answers(
             deployment.collector, deployment.analyzer, built
         ),
@@ -215,7 +190,7 @@ class TestShardedEquivalence:
         assert base["answers"][("detections", "Q6")]  # the join fired
 
     def test_scheduled_update_mid_trace(self):
-        """``schedule_update`` fires the rule-epoch flip at the same
+        """A scheduled update op fires the rule-epoch flip at the same
         packet position on every shard as ``simulator.at`` does in the
         single-process baseline."""
         trace = workload(31, n_packets=2000)
@@ -231,8 +206,10 @@ class TestShardedEquivalence:
             ))
 
         def schedule_shard(sd):
-            sd.schedule_update(0.15, updated, PARAMS,
-                               path=["s0", "s1", "s2"])
+            sd.schedule(0.15, ControlOp(
+                "update", updated.qid, updated, PARAMS,
+                deploy={"path": ["s0", "s1", "s2"]},
+            ))
 
         base = run_baseline(
             trace, "vector", ("Q1", "Q4"), schedule=schedule_base,
@@ -254,7 +231,7 @@ class TestShardedEquivalence:
             deployment.controller.remove_query("Q4")
 
         def no_q4_sharded(sd):
-            sd.remove_query("Q4")
+            sd.controller.remove_query("Q4")
 
         base = run_baseline(
             trace, "vector", ("Q1", "Q4"), schedule=no_q4_baseline,

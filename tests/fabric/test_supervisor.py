@@ -106,7 +106,7 @@ class TestBoundedBackendOps:
                 # The queue may absorb a few chunks; a dead consumer
                 # must surface by finish_stream at the latest — never
                 # hang.
-                backend.start_stream("full")
+                backend.start_stream()
                 for _ in range(50):
                     backend.feed(trace)
                 backend.finish_stream()

@@ -71,8 +71,9 @@ def trajectory(dep, windows=6):
         if execution is None:
             continue
         steps.extend(
-            (execution.epoch, s.kind, s.qid, s.trigger, s.status,
-             None if s.params is None else s.params.reduce_registers)
+            (execution.epoch, s.op.kind, s.op.qid, s.trigger, s.status,
+             None if s.op.params is None
+             else s.op.params.reduce_registers)
             for s in execution.steps
         )
     answers = {}

@@ -168,7 +168,7 @@ class TestPlanDriver:
         def __init__(self):
             self.calls = []
 
-        def install_query(self, query, params, **deploy):
+        def install_query(self, query, params, opts, **deploy):
             self.calls.append(query.qid)
             if query.qid == "bad":
                 raise RuntimeError("verifier said no")
@@ -180,13 +180,14 @@ class TestPlanDriver:
             return R()
 
     def test_failure_skips_remaining_steps(self):
+        from repro.core.ops import ControlOp
         from repro.planner.plan import PlanStep
 
         controller = self._Boom()
         driver = PlanDriver(controller)
         steps = [
-            PlanStep(kind="install", qid=q, trigger="refine", reason="",
-                     query=heavy_hitter(q), params=PARAMS, seq=i)
+            PlanStep(ControlOp("install", q, heavy_hitter(q), PARAMS),
+                     trigger="refine", reason="", seq=i)
             for i, q in enumerate(["ok", "bad", "after"])
         ]
         driver.execute(steps)
@@ -272,7 +273,7 @@ class TestDynamicPlannerLifecycle:
                          heavy_keys=(((0xBB000000,), 50),)),
         ))
         execution = planner.step(signals)
-        assert [s for s in execution.steps if s.qid == "Q1"] == []
+        assert [s for s in execution.steps if s.op.qid == "Q1"] == []
 
     def test_rebalance_moves_slices_off_busiest_switch(self):
         dep = build_deployment(linear(3), array_size=1 << 13)
@@ -287,7 +288,7 @@ class TestDynamicPlannerLifecycle:
         steps = [s for s in execution.steps if s.trigger == "rebalance"]
         assert len(steps) == 1
         assert steps[0].status == "committed"
-        assert list(steps[0].deploy["path"]) == ["s1", "s2"]
+        assert list(steps[0].op.deploy["path"]) == ["s1", "s2"]
         assert planner.plans["Q1"].deploy["path"] == ("s1", "s2")
         # The query survived the move and still answers.
         assert "Q1" in dep.controller.installed

@@ -11,7 +11,7 @@ rule-epoch flip that must land on a sub-batch edge), reboot drop
 windows, multi-slice CQE installs (which the vectorized engine must
 hand back to the scalar path wholesale), and the K -> H hand-off (one key
 group shared by every hash op of a K across an R ``stop``, and a hash
-memo cleared between windows).
+memo cleared between windows), and the bounded ECMP choice memo.
 """
 
 from dataclasses import replace
@@ -23,9 +23,11 @@ from repro.core.library import build_query
 from repro.core.query import Query
 from repro.dataplane import hashing
 from repro.engine import VectorizedEngine
+from repro.engine import vector as vector_module
 from repro.experiments.common import evaluation_thresholds
+from repro.fabric.merge import record_reports
 from repro.network.deployment import build_deployment
-from repro.network.topology import linear
+from repro.network.topology import leaf_spine, linear
 from repro.traffic.generators import (
     assign_hosts,
     caida_like,
@@ -55,25 +57,6 @@ def workload(n_packets=6000, duration_s=0.5, seed=3):
     return assign_hosts(trace, [("h_src0", "h_dst0")])
 
 
-def record_reports(deployment):
-    """Wrap every switch's report sink; returns the recording list."""
-    recorded = []
-
-    def wrap(sid, inner):
-        def sink(report):
-            recorded.append((
-                str(sid), report.qid, float(report.ts), int(report.epoch),
-                tuple(sorted(report.payload.items())),
-            ))
-            if inner is not None:
-                inner(report)
-        return sink
-
-    for sid, switch in deployment.switches.items():
-        switch.pipeline.report_sink = wrap(sid, switch.pipeline.report_sink)
-    return recorded
-
-
 def signature(stats, recorded):
     return (
         stats.packets, stats.delivered, stats.dropped,
@@ -82,16 +65,6 @@ def signature(stats, recorded):
         stats.epochs, stats.mixed_rule_epoch_packets,
         dict(stats.initiated_by_query), tuple(recorded),
     )
-
-
-def register_dumps(deployment):
-    return {
-        str(sid): tuple(
-            tuple(bank.array.dump().tolist())
-            for bank in switch.pipeline.layout.state_banks()
-        )
-        for sid, switch in deployment.switches.items()
-    }
 
 
 def run_engine(engine, trace, queries=("Q1", "Q4"), switches=3,
@@ -104,11 +77,11 @@ def run_engine(engine, trace, queries=("Q1", "Q4"), switches=3,
         deployment.controller.install_query(
             build_query(name, thresholds()), PARAMS, path=path
         )
-    recorded = record_reports(deployment)
+    recorded = record_reports(deployment.switches)
     if schedule is not None:
         schedule(deployment)
     stats = deployment.simulator.run(trace)
-    return signature(stats, recorded), register_dumps(deployment), stats
+    return signature(stats, recorded), deployment.register_dumps(), stats
 
 
 def assert_equivalent(trace, vector_engine="vector", **kw):
@@ -202,9 +175,9 @@ class TestEquivalence:
                 query, PARAMS, path=["s0", "s1", "s2"],
                 stages_per_switch=stages,
             )
-            recorded = record_reports(deployment)
+            recorded = record_reports(deployment.switches)
             stats = deployment.simulator.run(workload(3000))
-            return signature(stats, recorded), register_dumps(deployment), \
+            return signature(stats, recorded), deployment.register_dumps(), \
                 stats
 
         scalar_sig, scalar_regs, scalar_stats = run("scalar")
@@ -234,9 +207,9 @@ class TestKeyGroupHandOff:
                 deployment.controller.install_query(
                     twin(qid), PARAMS, path=["s0"]
                 )
-            recorded = record_reports(deployment)
+            recorded = record_reports(deployment.switches)
             stats = deployment.simulator.run(workload(3000))
-            return (signature(stats, recorded), register_dumps(deployment),
+            return (signature(stats, recorded), deployment.register_dumps(),
                     dict(deployment.sanitizer.counts), stats)
 
         scalar = run("scalar")
@@ -266,3 +239,61 @@ class TestKeyGroupHandOff:
         # Each window brings far more new keys than the limit, so every
         # roll found overgrown memos and left them empty.
         assert sizes and max(sizes) <= limit
+
+
+class TestEcmpMemoBound:
+    """The vector engine's ECMP choice memo is bounded, invisibly."""
+
+    PAIRS = [("hlf0n0", "hlf1n0"), ("hlf1n0", "hlf0n0")]
+
+    def observe(self, engine, windows=6, clear_between=False):
+        """Per-window traces of all-new flows over a 2-spine Clos."""
+        topo = leaf_spine(2, 2)
+        deployment = build_deployment(topo, array_size=1 << 13,
+                                      engine=engine)
+        for name in ("Q1", "Q4"):
+            deployment.controller.install_query(
+                build_query(name, thresholds()), PARAMS, topology=topo
+            )
+        recorded = record_reports(deployment.switches)
+        out = []
+        for index in range(windows):
+            trace = assign_hosts(merge_traces([
+                caida_like(400, duration_s=0.1, seed=70 + index,
+                           start_s=index * 0.1),
+                syn_flood(n_packets=120, duration_s=0.1, seed=90 + index,
+                          start_s=index * 0.1),
+            ]), self.PAIRS)
+            stats = deployment.simulator.run(trace)
+            out.append((signature(stats, recorded),
+                        deployment.register_dumps()))
+            if clear_between:
+                for memo in deployment.simulator.engine._ecmp_choices.values():
+                    memo.clear()
+        return out, deployment.simulator.engine
+
+    def test_memo_stays_under_the_limit(self, monkeypatch):
+        limit = 48
+        monkeypatch.setattr(vector_module, "_ECMP_MEMO_LIMIT", limit)
+        sizes = []
+        path_groups = VectorizedEngine._path_groups
+
+        def watched(engine, *args, **kwargs):
+            yield from path_groups(engine, *args, **kwargs)
+            sizes.extend(len(m) for m in engine._ecmp_choices.values())
+
+        monkeypatch.setattr(VectorizedEngine, "_path_groups", watched)
+        bounded, _ = self.observe("vector")
+        # Every window brings several times ``limit`` new flows a group.
+        assert len(sizes) >= 12 and 0 < max(sizes) <= limit
+        monkeypatch.undo()
+        unbounded, engine = self.observe("vector")
+        assert max(len(m) for m in engine._ecmp_choices.values()) > 4 * limit
+        assert bounded == unbounded == self.observe("scalar")[0]
+        assert bounded[-1][0][-1]  # reports were emitted
+
+    def test_forced_clear_between_windows_changes_nothing(self):
+        kept, _ = self.observe("vector")
+        cleared, engine = self.observe("vector", clear_between=True)
+        assert cleared == kept
+        assert not any(engine._ecmp_choices.values())

@@ -96,13 +96,7 @@ def test_sanitizing_never_perturbs_execution():
             dict(stats.reports_by_switch), stats.deferred,
             stats.mixed_rule_epoch_packets,
             dict(stats.initiated_by_query),
-            {
-                str(sid): tuple(
-                    tuple(bank.array.dump().tolist())
-                    for bank in sw.pipeline.layout.state_banks()
-                )
-                for sid, sw in dep.switches.items()
-            },
+            dep.register_dumps(),
         )
         assert dep.sanitizer.summary() == {c: 0 for c in CHECKS}
     assert outcomes["scalar"] == outcomes["vector"]

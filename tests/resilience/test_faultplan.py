@@ -126,10 +126,7 @@ class TestScheduling:
                 Packet(sip=1, dip=2, proto=6, ts=0.01,
                        src_host="h_src0", dst_host="h_dst0")
             ]))
-            banks = dep.switches["s0"].pipeline.layout.state_banks()
-            return tuple(
-                tuple(bank.array.dump().tolist()) for bank in banks
-            )
+            return dep.register_dumps()["s0"]
 
         assert corrupted_cells(5) == corrupted_cells(5)
         assert corrupted_cells(5) != corrupted_cells(6)

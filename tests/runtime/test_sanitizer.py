@@ -93,13 +93,7 @@ class TestCleanRuns:
         def observe(sanitize):
             dep = deploy(engine, sanitize=sanitize)
             stats = run(dep, trace)
-            regs = {
-                str(sid): tuple(
-                    tuple(bank.array.dump().tolist())
-                    for bank in sw.pipeline.layout.state_banks()
-                )
-                for sid, sw in dep.switches.items()
-            }
+            regs = dep.register_dumps()
             sig = (
                 stats.packets, stats.delivered, stats.dropped,
                 dict(stats.reports_by_switch), stats.deferred,

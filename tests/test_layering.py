@@ -1,0 +1,103 @@
+"""Layering rules, held by an ``ast`` scan of the source tree.
+
+* Engines use the simulator's public contract (``advance`` / ``finish``
+  / ``epoch`` / ``next_scheduled_ts``): no ``sim._x`` / ``simulator._x``
+  under ``src/repro/engine``.
+* The fabric exchanges windowed answers through ``export_*`` /
+  ``absorb_*``: no ``._results`` / ``._signals`` under
+  ``src/repro/fabric``.
+* A sharded deployment *is* a deployment, not a look-alike: no
+  ``__getattr__`` under ``src/repro/fabric`` and no ``getattr(`` probe
+  of a deployment under ``src/repro/service``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+SIMULATOR_NAMES = {"sim", "simulator"}
+
+
+def trees(package):
+    files = sorted((SRC / package).rglob("*.py"))
+    assert files, f"no sources under {package}"
+    for path in files:
+        yield path.relative_to(SRC), ast.parse(path.read_text())
+
+
+def tail_name(node):
+    """``x`` for a bare name ``x`` or any ``<expr>.x``, else ``None``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def private(attr):
+    return attr.startswith("_") and not attr.startswith("__")
+
+
+def simulator_private(node):
+    return (isinstance(node, ast.Attribute) and private(node.attr)
+            and tail_name(node.value) in SIMULATOR_NAMES)
+
+
+def result_dict(node):
+    return (isinstance(node, ast.Attribute)
+            and node.attr in ("_results", "_signals"))
+
+
+def getattr_proxy(node):
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "__getattr__")
+
+
+def deployment_probe(node):
+    return (isinstance(node, ast.Call) and tail_name(node.func) == "getattr"
+            and bool(node.args) and tail_name(node.args[0]) == "deployment")
+
+
+def violations(package, offends):
+    return [
+        f"{path}:{node.lineno}"
+        for path, tree in trees(package)
+        for node in ast.walk(tree)
+        if offends(node)
+    ]
+
+
+def test_engines_touch_no_simulator_private():
+    assert violations("engine", simulator_private) == []
+
+
+def test_fabric_reads_no_result_or_signal_dicts():
+    assert violations("fabric", result_dict) == []
+
+
+def test_fabric_defines_no_getattr_proxy():
+    assert violations("fabric", getattr_proxy) == []
+
+
+def test_service_never_probes_its_deployment():
+    assert violations("service", deployment_probe) == []
+
+
+@pytest.mark.parametrize("rule, source, offends", [
+    (simulator_private, "sim._now = 1.0", True),
+    (simulator_private, "self.sim._fire_scheduled(ts)", True),
+    (simulator_private, "deployment.simulator._epoch", True),
+    (simulator_private, "sim.advance(ts)", False),
+    (simulator_private, "sim.__class__", False),
+    (simulator_private, "self._scalar.step(sim, packet, stats)", False),
+    (result_dict, "self.local.collector._results", True),
+    (result_dict, "collector.export_results()", False),
+    (getattr_proxy, "class P:\n def __getattr__(self, n): ...", True),
+    (deployment_probe, "getattr(self.deployment, 'fabric_status', None)",
+     True),
+    (deployment_probe, "getattr(record.query, 'description', '')", False),
+])
+def test_each_rule_catches_what_it_should(rule, source, offends):
+    assert any(map(rule, ast.walk(ast.parse(source)))) is offends

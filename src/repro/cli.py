@@ -723,6 +723,7 @@ def cmd_serve(args) -> int:
     import asyncio
     import signal
 
+    from repro.ctrlplane import WalCorruptError
     from repro.service import (
         GeneratorSource,
         NewtonService,
@@ -766,7 +767,13 @@ def cmd_serve(args) -> int:
             resilience=ResilienceConfig(),
         )
         print(f"fabric plane: {args.workers} shard workers", flush=True)
-    service = NewtonService(source, config, deployment=sharded)
+    try:
+        service = NewtonService(source, config, deployment=sharded)
+    except WalCorruptError as exc:
+        if sharded is not None:
+            sharded.close()
+        print(f"serve: {exc}", file=sys.stderr)
+        return 1
     if service.wal_recovery is not None:
         rec = service.wal_recovery
         print(f"wal recovery: {rec['replayed_ops']} ops replayed, "

@@ -559,10 +559,13 @@ class ReportCollector:
     def merged_results(self, sub_qid: str) -> Dict[int, Dict[Key, int]]:
         """Collector answers composed with the analyzer's deferred-CPU
         results: one per-window answer per query (max-merge, the same
-        rule both sides already apply internally)."""
+        rule both sides already apply internally).  Only the deferred
+        share: the analyzer's lossless mirror of every raw report would
+        hand back what loss, backpressure and lateness took away."""
         out = self.results(sub_qid)
         if self.analyzer is not None:
-            for epoch, bucket in self.analyzer.results(sub_qid).items():
+            deferred = self.analyzer.deferred_results(sub_qid)
+            for epoch, bucket in deferred.items():
                 target = out.setdefault(epoch, {})
                 for key, count in bucket.items():
                     if count > target.get(key, 0):

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 Key = Tuple[int, ...]
+#: (sub_qid, epoch) -> {key: count}
+Buckets = Dict[Tuple[str, int], Dict[Key, int]]
 
 
 def first_incomplete_primitive(compiled: CompiledQuery,
@@ -63,8 +65,13 @@ class Analyzer:
         self.window_ms = window_ms
         self._registered: Dict[str, _RegisteredQuery] = {}
         self._sub_to_top: Dict[str, str] = {}
-        #: (sub_qid, epoch) -> {key: count}
-        self._results: Dict[Tuple[str, int], Dict[Key, int]] = defaultdict(dict)
+        #: Every answer seen: from mirrored reports (losslessly) and from
+        #: deferred CPU execution.
+        self._results: Buckets = defaultdict(dict)
+        #: The deferred-execution share of ``_results`` on its own: what
+        #: the collection plane composes its report-derived answers with
+        #: (composing with ``_results`` would undo its loss model).
+        self._deferred_results: Buckets = {}
         self._deferred_states: Dict[str, QueryStreamState] = {}
         self._deferred_epoch = 0
         self.reports: List[Report] = []
@@ -156,9 +163,13 @@ class Analyzer:
         for sub_qid, state in self._deferred_states.items():
             truth = state.finish_window(closing)
             bucket = self._results[(sub_qid, closing)]
+            deferred = self._deferred_results.setdefault(
+                (sub_qid, closing), {}
+            )
             for key in truth.keys:
                 count = truth.counts.get(key, 1)
                 bucket[key] = max(bucket.get(key, 0), count)
+                deferred[key] = max(deferred.get(key, 0), count)
         self._deferred_epoch = closing + 1
 
     # ------------------------------------------------------------------ #
@@ -172,6 +183,15 @@ class Analyzer:
             if qid == sub_qid:
                 out[epoch] = dict(bucket)
         return out
+
+    def deferred_results(self, sub_qid: str) -> Dict[int, Dict[Key, int]]:
+        """The share of :meth:`results` that deferred CPU execution
+        produced — no mirrored report contributes."""
+        return {
+            epoch: dict(bucket)
+            for (qid, epoch), bucket in self._deferred_results.items()
+            if qid == sub_qid
+        }
 
     def epochs(self, qid: str) -> Set[int]:
         reg = self._registered.get(qid)
@@ -220,22 +240,26 @@ class Analyzer:
         stale = [k for k in self._results if k[1] < before_epoch]
         for key in stale:
             del self._results[key]
+            self._deferred_results.pop(key, None)
         self.reports = [r for r in self.reports if r.epoch >= before_epoch]
         return len(stale)
 
-    def export_results(self) -> Dict[Tuple[str, int], Dict[Key, int]]:
-        """Copy of every retained ``(sub_qid, epoch)`` answer bucket."""
-        return {key: dict(b) for key, b in self._results.items()}
+    def export_results(self) -> Tuple[Buckets, Buckets]:
+        """Copy of every retained ``(sub_qid, epoch)`` answer bucket and
+        of the deferred share, as :meth:`absorb_results` takes them."""
+        return ({key: dict(b) for key, b in self._results.items()},
+                {key: dict(b) for key, b in self._deferred_results.items()})
 
-    def absorb_results(
-        self, results: Dict[Tuple[str, int], Dict[Key, int]]
-    ) -> None:
+    def absorb_results(self, exported: Tuple[Buckets, Buckets]) -> None:
         """Take over another replica's exported buckets (the fabric's
         control replica absorbing an owner shard's answers)."""
+        results, deferred = exported
         self._results.update(results)
+        self._deferred_results.update(deferred)
 
     def reset(self) -> None:
         self._results.clear()
+        self._deferred_results.clear()
         self._deferred_states.clear()
         self.reports.clear()
         self.deferred_packets = 0

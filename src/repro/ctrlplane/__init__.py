@@ -29,7 +29,7 @@ from repro.ctrlplane.txn import (
     TxnPlan,
     TxnResult,
 )
-from repro.ctrlplane.wal import WriteAheadLog
+from repro.ctrlplane.wal import WalCorruptError, WriteAheadLog
 
 __all__ = [
     "ChannelFault",
@@ -47,5 +47,6 @@ __all__ = [
     "TxnConfig",
     "TxnPlan",
     "TxnResult",
+    "WalCorruptError",
     "WriteAheadLog",
 ]

@@ -19,8 +19,11 @@ Record format — one JSON object per line, sorted keys::
 Durability discipline: records are written, flushed, and ``fsync``'d
 before :meth:`append` returns — a record is either fully on disk or not
 written at all.  A crash can therefore leave at most one *torn* final
-line; replay stops at the first unparsable line and discards the tail,
-which corresponds to an operation whose caller never saw it acknowledged.
+line; opening the log truncates it, which corresponds to an operation
+whose caller never saw it acknowledged.  Only the final line can be a
+torn write, so an unparsable line with anything after it is corruption of
+acknowledged history: opening or reading the log raises
+:class:`WalCorruptError` and leaves the file untouched.
 
 The log is append-only and single-writer.  Snapshots do not truncate it
 (runs are bounded and records are small); a restart replays ops in
@@ -32,13 +35,27 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.collector.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 
-__all__ = ["WriteAheadLog"]
+__all__ = ["WalCorruptError", "WriteAheadLog"]
 
 _WAL_FILENAME = "wal.jsonl"
+
+
+class WalCorruptError(RuntimeError):
+    """An unparsable WAL line that is not the final one: acknowledged
+    records follow it, so it cannot be the torn write of a crash."""
+
+    def __init__(self, path: str, line_number: int):
+        super().__init__(
+            f"write-ahead log {path} is corrupt at line {line_number} "
+            f"(not a torn tail: records follow it); refusing to start "
+            f"from a shorter history"
+        )
+        self.path = path
+        self.line_number = line_number
 
 
 class WriteAheadLog:
@@ -73,41 +90,43 @@ class WriteAheadLog:
             "Latency of one WAL append (write + flush + fsync)",
         )
         # A torn tail must be truncated *before* appending: new records
-        # written after it would be unreachable (replay stops at the
-        # first unparsable line).
-        self._truncate_torn_tail()
-        self._seq = self._last_seq()
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    def _truncate_torn_tail(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        valid_end = 0
-        with open(self.path, "rb") as fh:
-            for line in fh:
-                if not line.endswith(b"\n"):
-                    break  # torn: crashed mid-write
-                stripped = line.strip()
-                if stripped:
-                    try:
-                        record = json.loads(stripped)
-                    except json.JSONDecodeError:
-                        break
-                    if not isinstance(record, dict) or "kind" not in record:
-                        break
-                valid_end += len(line)
-        if valid_end < os.path.getsize(self.path):
+        # written after it would read as mid-file corruption.
+        valid_end = self._seq = 0
+        for valid_end, record in self._scan():
+            self._seq = max(self._seq, int(record.get("seq", 0)))
+        if os.path.exists(self.path) and \
+                valid_end < os.path.getsize(self.path):
             with open(self.path, "r+b") as fh:
                 fh.truncate(valid_end)
                 fh.flush()
                 os.fsync(fh.fileno())
             self._m_torn.inc()
+        self._fh = open(self.path, "a", encoding="utf-8")
 
-    def _last_seq(self) -> int:
-        seq = 0
-        for record in self._iter_disk(count=False):
-            seq = max(seq, int(record.get("seq", 0)))
-        return seq
+    def _scan(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """``(end offset, record)`` of every durable record, in order.
+
+        Stops at an unparsable or ``kind``-less *final* line — records are
+        appended and fsync'd one at a time, so that is the only line a
+        crash can tear; the same anywhere else raises.
+        """
+        if not os.path.exists(self.path):
+            return
+        end = 0
+        with open(self.path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        record = json.loads(line)
+                    except ValueError:  # bad JSON or bad UTF-8
+                        record = None
+                    if not (line.endswith(b"\n") and isinstance(record, dict)
+                            and "kind" in record):
+                        if fh.read(1):
+                            raise WalCorruptError(self.path, number)
+                        return
+                    yield end + len(line), record
+                end += len(line)
 
     # ------------------------------------------------------------------ #
     # Writing                                                            #
@@ -135,34 +154,11 @@ class WriteAheadLog:
     # Reading                                                            #
     # ------------------------------------------------------------------ #
 
-    def _iter_disk(self, count: bool) -> Iterator[Dict[str, Any]]:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # Torn tail of a crashed writer: the record was never
-                    # acknowledged, so discarding it (and anything after
-                    # it) is correct — stop here.
-                    if count:
-                        self._m_torn.inc()
-                    return
-                if not isinstance(record, dict) or "kind" not in record:
-                    if count:
-                        self._m_torn.inc()
-                    return
-                if count:
-                    self._m_replayed.inc(kind=str(record["kind"]))
-                yield record
-
     def records(self) -> Iterator[Dict[str, Any]]:
         """Iterate the durable records in append order (metered)."""
-        return self._iter_disk(count=True)
+        for _end, record in self._scan():
+            self._m_replayed.inc(kind=str(record["kind"]))
+            yield record
 
     def replay(self) -> List[Dict[str, Any]]:
         """All durable records as a list (convenience over `records`)."""

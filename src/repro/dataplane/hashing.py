@@ -1,11 +1,13 @@
-"""Hash units for the H (hash calculation) module.
+"""The two hashes of the data plane, one job each.
 
-Programmable switches expose a small family of seeded CRC-style hash units
-per stage.  We model them with a deterministic, seed-parameterised 64-bit
-mix (blake2b-based for quality and portability) reduced into a configurable
-output range.  The same family backs the Bloom-filter and Count-Min sketch
-reference implementations so data-plane and software results agree bit for
-bit.
+**The key hash** (:func:`hash_bytes`) backs the H (hash calculation)
+module.  Programmable switches expose a small family of seeded CRC-style
+hash units per stage.  We model them with a deterministic,
+seed-parameterised 64-bit mix (blake2b-based for quality and
+portability) reduced into a configurable output range.  The same family
+backs the Bloom-filter and Count-Min sketch reference implementations so
+data-plane and software results agree bit for bit.  Outside sketch keys
+it has one other user, ``QueryPartitioner._tiebreak``.
 
 The batch path splits the work the way the hardware does.  A K module
 produces one key column; the two or three H modules behind it (the rows of
@@ -17,18 +19,32 @@ seed's memo (:func:`hash_rows`) and gathers by the shared inverse.  Keys
 travel as big-endian ``uint64`` word columns, so the dedupe is an integer
 sort, and the raw bytes are byte-identical to ``GLOBAL_FIELDS.pack``, so
 digests equal :func:`hash_bytes` of the scalar path's key.
+
+**The flow hash** (:func:`flow_hash` / :func:`flow_hash_columns`) answers
+every per-flow *placement* question — which equal-cost path (``Router``),
+which primary shard (``FlowHashPartitioner``): a seeded splitmix64 chain
+over the 5-tuple (:data:`FLOW_FIELDS`), written once for python ints and
+once for ``uint64`` columns, so a whole batch costs a few array operations.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["HashUnit", "HashFamily", "KeyGroup", "hash_bytes", "hash_rows",
-           "pack_key_words"]
+__all__ = ["FLOW_FIELDS", "HashUnit", "HashFamily", "KeyGroup", "flow_hash",
+           "flow_hash_columns", "hash_bytes", "hash_rows", "pack_key_words"]
+
+#: The 5-tuple in flow-hash mixing order (``Packet.five_tuple``'s order).
+FLOW_FIELDS: Tuple[str, ...] = ("sip", "dip", "proto", "sport", "dport")
+
+_MASK64 = (1 << 64) - 1
+_PHI = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 #: Entries one seed's memo may hold when a window rolls; beyond it the memo
 #: is cleared (:meth:`HashFamily.trim_bulk_caches`).  Sized from measured
@@ -50,6 +66,33 @@ def hash_bytes(data: bytes, seed: int) -> int:
         data, digest_size=8, key=seed.to_bytes(8, "big", signed=False)
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+def flow_hash(five_tuple: Iterable[int], seed: int) -> int:
+    """Seeded 64-bit hash of one flow: one splitmix64 finalisation round
+    per value of ``five_tuple`` (the :data:`FLOW_FIELDS`, in order)."""
+    h = seed & _MASK64
+    for value in five_tuple:
+        z = ((h ^ (int(value) & _MASK64)) + _PHI) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        h = z ^ (z >> 31)
+    return h
+
+
+def flow_hash_columns(columns: Mapping[str, np.ndarray], seed: int,
+                      rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`flow_hash` of every row (or of ``rows``) of a batch's
+    ``columns`` as ``uint64``: the same chain in wrapping numpy
+    arithmetic, bit-identical row by row."""
+    h = np.asarray(seed & _MASK64, dtype=np.uint64)     # broadcasts below
+    for name in FLOW_FIELDS:
+        column = columns[name] if rows is None else columns[name][rows]
+        z = (h ^ column.astype(np.uint64)) + np.uint64(_PHI)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        h = z ^ (z >> np.uint64(31))
+    return h
 
 
 def pack_key_words(columns: Sequence[np.ndarray],
@@ -181,7 +224,7 @@ class HashFamily:
         if index < 0:
             raise ValueError(f"hash family index must be >= 0, got {index}")
         # Golden-ratio stride decorrelates consecutive indices.
-        seed = (self.base_seed + index * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        seed = (self.base_seed + index * _PHI) & _MASK64
         return HashUnit(seed=seed, range_size=range_size)
 
     def bulk_cache(self, seed: int) -> Dict[bytes, int]:

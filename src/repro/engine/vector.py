@@ -18,7 +18,9 @@ deduplicates it once into a :class:`~repro.dataplane.hashing.KeyGroup`
 that every H behind it shares, and each H resolves only the distinct
 keys through its seed's cross-window memo
 (:func:`~repro.dataplane.hashing.hash_rows`; one blake2b per never-seen
-key) — the two hot loops of the scalar path.
+key) — the two hot loops of the scalar path.  Rows are forwarded per
+path group; among equal-cost paths the router picks, one flow-hash
+column per host pair (:meth:`Router.path_choices`).
 
 Batches whose rule state the compiler cannot express (multi-slice CQE
 queries, negative S constants) fall back to the scalar reference engine
@@ -40,7 +42,6 @@ from typing import (
 
 import numpy as np
 
-from repro.dataplane.hashing import hash_bytes
 from repro.engine.base import ExecutionEngine
 from repro.engine.program import (
     SwitchPrograms,
@@ -64,15 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["VectorizedEngine"]
 
-#: Fields of the ECMP flow key, in ``Packet.five_tuple`` order.
-_FIVE_TUPLE = ("sip", "dip", "proto", "sport", "dport")
-
-#: Most flows memoised per (src, dst, seed, fanout) ECMP group; a full
-#: group is cleared before the next insert.  Sized like
-#: ``hashing._BULK_CACHE_LIMIT``, so a long-running service on a
-#: multipath topology stays bounded.
-_ECMP_MEMO_LIMIT = 1 << 17
-
 
 class VectorizedEngine(ExecutionEngine):
     """Columnar batched execution with scalar fallback."""
@@ -87,13 +79,6 @@ class VectorizedEngine(ExecutionEngine):
         #: switch id -> ((rule_epoch, mutation_seq), compiled programs)
         self._programs: Dict[Hashable,
                              Tuple[Tuple[int, int], SwitchPrograms]] = {}
-        #: (src switch, dst switch, seed, fanout) -> {flow bytes: path
-        #: index}.  ECMP choices are pure functions of the flow key, so
-        #: they are memoised across batches (and windows) — the string
-        #: hash below otherwise dominates routing on high-fanout
-        #: topologies.  No group ever holds more than
-        #: ``_ECMP_MEMO_LIMIT`` flows (:meth:`_path_groups` clears it).
-        self._ecmp_choices: Dict[Tuple, Dict[bytes, int]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -297,27 +282,7 @@ class VectorizedEngine(ExecutionEngine):
             if len(paths) == 1 or not router.ecmp:
                 yield paths[0], rows
                 continue
-            flows = np.stack(
-                [batch.columns[f][rows] for f in _FIVE_TUPLE], axis=1
-            )
-            uniq, inverse = np.unique(flows, axis=0, return_inverse=True)
-            choice = np.empty(len(uniq), dtype=np.int64)
-            cache = self._ecmp_choices.setdefault(
-                (src_switch, dst_switch, router.seed, len(paths)), {}
-            )
-            for k, flow_row in enumerate(uniq):
-                key = flow_row.tobytes()
-                picked = cache.get(key)
-                if picked is None:
-                    flow = ",".join(str(int(v)) for v in flow_row).encode()
-                    picked = hash_bytes(flow, router.seed) % len(paths)
-                    if len(cache) >= _ECMP_MEMO_LIMIT:
-                        # A pure function of the flow key: clearing
-                        # costs re-hashing, never a different choice.
-                        cache.clear()
-                    cache[key] = picked
-                choice[k] = picked
-            per_row = choice[inverse]
+            per_row = router.path_choices(batch.columns, rows, len(paths))
             for pi in range(len(paths)):
                 sel = rows[per_row == pi]
                 if len(sel):

@@ -11,17 +11,20 @@ Two orthogonal assignments make sharded execution exactly-once:
   deferred work therefore exist on exactly one shard.
 
 * :class:`FlowHashPartitioner` — every packet has exactly one *primary*
-  shard, chosen by a seeded 64-bit mix of its 5-tuple.  All replicas
+  shard: the data plane's flow hash
+  (:func:`repro.dataplane.hashing.flow_hash`) of its 5-tuple, modulo the
+  shard count.  The router picks ECMP paths with the same function under
+  a different seed, so path and primacy are independent.  All replicas
   forward every packet (their owned queries need the full stream), but
   only the primary shard counts the per-packet statistics (packets /
   delivered / dropped / payload bytes), so the merged
   :class:`~repro.network.simulator.SimulationStats` sums are exact.
 
 Both are pure functions of their seeds: the scalar (`shard_of_packet`)
-and vectorized (`shard_column`) paths of the flow partitioner are
-bit-identical, and the query partitioner is deterministic per
-(seed, install order) — a worker replaying the same op stream reaches
-the same ownership map as the parent that computed it.
+and vectorized (`shard_column`) paths of the flow partitioner are the
+flow hash's two bit-identical forms, and the query partitioner is
+deterministic per (seed, install order) — a worker replaying the same
+op stream reaches the same ownership map as the parent that computed it.
 """
 
 from __future__ import annotations
@@ -32,35 +35,20 @@ import numpy as np
 
 from repro.core.packet import Packet
 from repro.core.query import QueryLike, flatten
-from repro.dataplane.hashing import hash_bytes
+from repro.dataplane.hashing import flow_hash, flow_hash_columns, hash_bytes
 from repro.traffic.columnar import ColumnarTrace
 
 __all__ = ["FlowHashPartitioner", "QueryPartitioner", "ShardContext",
            "owned_sub_qids"]
 
 _MASK = (1 << 64) - 1
-_PHI = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-#: 5-tuple fields feeding the flow hash, in mixing order.
-_FLOW_FIELDS: Tuple[str, ...] = ("sip", "dip", "proto", "sport", "dport")
-
-
-def _mix64(z: int) -> int:
-    """One splitmix64 finalisation round (python-int path)."""
-    z = (z + _PHI) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
 
 
 class FlowHashPartitioner:
     """Seeded 5-tuple → shard assignment, identical scalar and columnar.
 
-    The mix chains one splitmix64 finalisation per field, so flows (not
-    packets) map to shards: every packet of a flow lands on the same
-    primary shard, and the assignment is a pure function of
+    Flows (not packets) map to shards: every packet of a flow lands on
+    the same primary shard, and the assignment is a pure function of
     ``(seed, shards)`` — stable across processes and runs.
     """
 
@@ -74,27 +62,15 @@ class FlowHashPartitioner:
 
     def shard_of_packet(self, packet: Packet) -> int:
         """Primary shard of one packet (the scalar engine's path)."""
-        h = self.seed
-        for fname in _FLOW_FIELDS:
-            h = _mix64(h ^ (int(getattr(packet, fname)) & _MASK))
-        return h % self.shards
+        return flow_hash(packet.five_tuple, self.seed) % self.shards
 
     def shard_column(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         """Primary shard per row (the vectorized engine's path).
 
-        Bit-identical to :meth:`shard_of_packet` row by row: the same
-        splitmix64 chain evaluated in uint64 numpy arithmetic.
+        Bit-identical to :meth:`shard_of_packet` row by row.
         """
-        n = len(columns[_FLOW_FIELDS[0]])
-        h = np.full(n, self.seed, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for fname in _FLOW_FIELDS:
-                z = h ^ columns[fname].astype(np.uint64)
-                z = z + np.uint64(_PHI)
-                z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-                z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-                h = z ^ (z >> np.uint64(31))
-            return (h % np.uint64(self.shards)).astype(np.int64)
+        hashed = flow_hash_columns(columns, self.seed)
+        return (hashed % np.uint64(self.shards)).astype(np.int64)
 
 
 class ShardContext:

@@ -1,19 +1,22 @@
 """Routing with failures.
 
-Shortest-path routing over the live topology with deterministic ECMP
-tie-breaking by flow hash.  Link failures (and restorations) invalidate
-the path cache, so traffic reroutes exactly like the Figure 9 scenario —
-the event Newton's resilient placement is designed to survive.
+Shortest-path routing over the live topology with deterministic ECMP:
+``flow_hash(5-tuple, seed) % fanout``, per packet (:meth:`Router.path_for`)
+or per batch column (:meth:`Router.path_choices`), so every engine agrees.
+Link failures (and restorations) invalidate the path cache, so traffic
+reroutes exactly like the Figure 9 scenario — the event Newton's resilient
+placement is designed to survive.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core.packet import Packet
-from repro.dataplane.hashing import hash_bytes
+from repro.dataplane.hashing import flow_hash, flow_hash_columns
 
 __all__ = ["Router", "RoutingError"]
 
@@ -91,7 +94,7 @@ class Router:
         return paths
 
     def path_for(self, packet: Packet) -> List[SwitchId]:
-        """Forwarding path for one packet (ECMP picks by five-tuple hash)."""
+        """Forwarding path for one packet (ECMP picks by flow hash)."""
         if packet.src_host is None or packet.dst_host is None:
             raise RoutingError(
                 "packet carries no src/dst host; set Packet.src_host/dst_host"
@@ -101,8 +104,13 @@ class Router:
         paths = self.switch_paths(src, dst)
         if len(paths) == 1 or not self.ecmp:
             return paths[0]
-        flow = ",".join(str(v) for v in packet.five_tuple).encode()
-        return paths[hash_bytes(flow, self.seed) % len(paths)]
+        return paths[flow_hash(packet.five_tuple, self.seed) % len(paths)]
+
+    def path_choices(self, columns: Mapping[str, np.ndarray],
+                     rows: np.ndarray, fanout: int) -> np.ndarray:
+        """:meth:`path_for`'s ECMP pick for ``rows`` of a batch's
+        ``columns``: each row's index into ``fanout`` equal-cost paths."""
+        return flow_hash_columns(columns, self.seed, rows) % np.uint64(fanout)
 
     def hop_count(self, src_host, dst_host) -> int:
         """Switch hops between two hosts along the selected route."""

@@ -7,17 +7,11 @@ realistic protocol/port mixes, and injectable anomalies matching each of
 the nine queries — with explicit seeds so every experiment is
 reproducible.
 
-Each generator family comes in two shapes:
-
-* the classic list-returning function (``background_traffic``,
-  ``syn_flood``, ...), which builds a :class:`Trace` — kept for every
-  existing call site, bit-identical to the historical output;
-* a lazy ``*_stream`` variant yielding :class:`Packet` objects in
-  timestamp order.  Attack streams draw their per-packet randomness at
-  yield time, so memory stays O(1) in trace length; the background mix is
-  synthesised as numpy columns first (:func:`background_columnar`, the
-  form the vectorized execution engine consumes directly) and packets are
-  materialised one at a time from the columns.
+Every generator returns a :class:`Trace` (``background_traffic``,
+``syn_flood``, ...).  The background mix is synthesised as numpy columns
+first, and the ``*_columnar`` functions return that form directly — the
+one the vectorized engine consumes; ``..._columnar(...).iter_packets()``
+is the lazy packet stream, materialising one :class:`Packet` at a time.
 
 Address plan: benign clients live in 10.1.0.0/16, servers in 10.2.0.0/16,
 attackers in 172.16.0.0/16, scan victims in 10.3.0.0/16.
@@ -25,7 +19,7 @@ attackers in 172.16.0.0/16, scan victims in 10.3.0.0/16.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,29 +30,18 @@ from repro.traffic.traces import Trace
 __all__ = [
     "caida_like",
     "caida_like_columnar",
-    "caida_like_stream",
     "mawi_like",
     "mawi_like_columnar",
-    "mawi_like_stream",
     "background_traffic",
     "background_columnar",
-    "background_stream",
     "syn_flood",
-    "syn_flood_stream",
     "port_scan",
-    "port_scan_stream",
     "udp_flood",
-    "udp_flood_stream",
     "ssh_brute_force",
-    "ssh_brute_force_stream",
     "slowloris",
-    "slowloris_stream",
     "superspreader",
-    "superspreader_stream",
     "dns_orphan_responses",
-    "dns_orphan_responses_stream",
     "syn_scan_noise",
-    "syn_scan_noise_stream",
     "assign_hosts",
 ]
 
@@ -213,31 +196,6 @@ def background_columnar(
     return ColumnarTrace(columns, all_ts[order], name=name)
 
 
-def background_stream(
-    n_packets: int,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    n_clients: int = 2000,
-    n_servers: int = 200,
-    zipf_a: float = 1.25,
-    udp_fraction: float = 0.15,
-    dns_fraction: float = 0.05,
-    start_s: float = 0.0,
-    name: str = "background",
-) -> Iterator[Packet]:
-    """Lazily yield the benign background mix in timestamp order.
-
-    The flow schedule is synthesised up front as numpy columns (a few
-    dozen bytes per packet); :class:`Packet` objects — the expensive
-    part — are materialised one at a time as the stream is consumed.
-    """
-    return background_columnar(
-        n_packets, duration_s=duration_s, seed=seed, n_clients=n_clients,
-        n_servers=n_servers, zipf_a=zipf_a, udp_fraction=udp_fraction,
-        dns_fraction=dns_fraction, start_s=start_s, name=name,
-    ).iter_packets()
-
-
 def background_traffic(
     n_packets: int,
     duration_s: float = 1.0,
@@ -273,16 +231,6 @@ def caida_like(n_packets: int = 50_000, duration_s: float = 1.0,
     )
 
 
-def caida_like_stream(n_packets: int = 50_000, duration_s: float = 1.0,
-                      seed: int = 11,
-                      start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`caida_like`."""
-    return background_stream(
-        n_packets=n_packets, duration_s=duration_s, seed=seed,
-        start_s=start_s, name="caida-like", **_CAIDA_PROFILE,
-    )
-
-
 def caida_like_columnar(n_packets: int = 50_000, duration_s: float = 1.0,
                         seed: int = 11,
                         start_s: float = 0.0) -> ColumnarTrace:
@@ -302,16 +250,6 @@ def mawi_like(n_packets: int = 50_000, duration_s: float = 1.0,
     )
 
 
-def mawi_like_stream(n_packets: int = 50_000, duration_s: float = 1.0,
-                     seed: int = 13,
-                     start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`mawi_like`."""
-    return background_stream(
-        n_packets=n_packets, duration_s=duration_s, seed=seed,
-        start_s=start_s, name="mawi-like", **_MAWI_PROFILE,
-    )
-
-
 def mawi_like_columnar(n_packets: int = 50_000, duration_s: float = 1.0,
                        seed: int = 13,
                        start_s: float = 0.0) -> ColumnarTrace:
@@ -326,133 +264,79 @@ def mawi_like_columnar(n_packets: int = 50_000, duration_s: float = 1.0,
 # Attack generators (one per detection query)                                 #
 # --------------------------------------------------------------------------- #
 #
-# The streams draw per-packet randomness (ephemeral ports, DNS answer
-# counts) at yield time, in the same order the historical list builders
-# did — so collecting a stream reproduces the list bit for bit, while an
-# uncollected stream holds no packet storage at all.
-
-
-def syn_flood_stream(victim_index: int = 1, n_sources: int = 120,
-                     n_packets: int = 3000, duration_s: float = 1.0,
-                     seed: int = 21,
-                     start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`syn_flood`."""
-    rng = np.random.default_rng(seed)
-    victim = _VICTIM_BASE + victim_index
-    times = _spread(rng, n_packets, duration_s, start_s)
-    sources = _ATTACKER_BASE + rng.integers(0, n_sources, size=n_packets)
-    for i in range(n_packets):
-        yield Packet(sip=int(sources[i]), dip=victim, proto=int(Proto.TCP),
-                     sport=int(rng.integers(1024, 65535)), dport=80,
-                     tcp_flags=int(TcpFlags.SYN), len=64, ts=float(times[i]))
+# Per-packet randomness (ephemeral ports, DNS answer counts) is drawn as
+# each packet is built, in packet order: the draw order is part of the
+# seeded output.
 
 
 def syn_flood(victim_index: int = 1, n_sources: int = 120,
               n_packets: int = 3000, duration_s: float = 1.0,
               seed: int = 21, start_s: float = 0.0) -> Trace:
     """Q1/Q6: many half-open SYNs towards one victim, few ACKs back."""
-    return Trace(list(syn_flood_stream(
-        victim_index, n_sources, n_packets, duration_s, seed, start_s,
-    )), name="syn-flood", assume_sorted=True)
-
-
-def port_scan_stream(scanner_index: int = 1, victim_index: int = 7,
-                     n_ports: int = 400, duration_s: float = 1.0,
-                     seed: int = 23,
-                     start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`port_scan`."""
     rng = np.random.default_rng(seed)
-    scanner = _ATTACKER_BASE + 0x1000 + scanner_index
     victim = _VICTIM_BASE + victim_index
-    times = _spread(rng, n_ports, duration_s, start_s)
-    ports = rng.permutation(np.arange(1, 1 + max(n_ports, 1)))[:n_ports]
-    for i in range(n_ports):
-        yield Packet(sip=scanner, dip=victim, proto=int(Proto.TCP),
-                     sport=int(rng.integers(1024, 65535)),
-                     dport=int(ports[i]),
-                     tcp_flags=int(TcpFlags.SYN), len=64, ts=float(times[i]))
+    times = _spread(rng, n_packets, duration_s, start_s)
+    sources = _ATTACKER_BASE + rng.integers(0, n_sources, size=n_packets)
+    return Trace([
+        Packet(sip=int(sources[i]), dip=victim, proto=int(Proto.TCP),
+               sport=int(rng.integers(1024, 65535)), dport=80,
+               tcp_flags=int(TcpFlags.SYN), len=64, ts=float(times[i]))
+        for i in range(n_packets)
+    ], name="syn-flood", assume_sorted=True)
 
 
 def port_scan(scanner_index: int = 1, victim_index: int = 7,
               n_ports: int = 400, duration_s: float = 1.0,
               seed: int = 23, start_s: float = 0.0) -> Trace:
     """Q4: one source probing many destination ports."""
-    return Trace(list(port_scan_stream(
-        scanner_index, victim_index, n_ports, duration_s, seed, start_s,
-    )), name="port-scan", assume_sorted=True)
-
-
-def udp_flood_stream(victim_index: int = 3, n_sources: int = 300,
-                     n_packets: int = 3000, duration_s: float = 1.0,
-                     seed: int = 29,
-                     start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`udp_flood`."""
     rng = np.random.default_rng(seed)
+    scanner = _ATTACKER_BASE + 0x1000 + scanner_index
     victim = _VICTIM_BASE + victim_index
-    times = _spread(rng, n_packets, duration_s, start_s)
-    sources = _ATTACKER_BASE + 0x2000 + rng.integers(0, n_sources,
-                                                     size=n_packets)
-    for i in range(n_packets):
-        yield Packet(sip=int(sources[i]), dip=victim, proto=int(Proto.UDP),
-                     sport=int(rng.integers(1024, 65535)), dport=53,
-                     len=512, ts=float(times[i]))
+    times = _spread(rng, n_ports, duration_s, start_s)
+    ports = rng.permutation(np.arange(1, 1 + max(n_ports, 1)))[:n_ports]
+    return Trace([
+        Packet(sip=scanner, dip=victim, proto=int(Proto.TCP),
+               sport=int(rng.integers(1024, 65535)),
+               dport=int(ports[i]),
+               tcp_flags=int(TcpFlags.SYN), len=64, ts=float(times[i]))
+        for i in range(n_ports)
+    ], name="port-scan", assume_sorted=True)
 
 
 def udp_flood(victim_index: int = 3, n_sources: int = 300,
               n_packets: int = 3000, duration_s: float = 1.0,
               seed: int = 29, start_s: float = 0.0) -> Trace:
     """Q5: UDP DDoS — many sources hammering one destination."""
-    return Trace(list(udp_flood_stream(
-        victim_index, n_sources, n_packets, duration_s, seed, start_s,
-    )), name="udp-flood", assume_sorted=True)
-
-
-def ssh_brute_force_stream(victim_index: int = 5, n_attempts: int = 300,
-                           n_sources: int = 60, duration_s: float = 1.0,
-                           seed: int = 31,
-                           start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`ssh_brute_force`."""
     rng = np.random.default_rng(seed)
     victim = _VICTIM_BASE + victim_index
-    times = _spread(rng, n_attempts, duration_s, start_s)
-    sources = _ATTACKER_BASE + 0x3000 + rng.integers(0, n_sources,
-                                                     size=n_attempts)
-    for i in range(n_attempts):
-        yield Packet(sip=int(sources[i]), dip=victim, proto=int(Proto.TCP),
-                     sport=int(rng.integers(1024, 65535)), dport=22,
-                     tcp_flags=int(TcpFlags.PSH) | int(TcpFlags.ACK),
-                     len=112,  # the fixed-size login attempt signature
-                     ts=float(times[i]))
+    times = _spread(rng, n_packets, duration_s, start_s)
+    sources = _ATTACKER_BASE + 0x2000 + rng.integers(0, n_sources,
+                                                     size=n_packets)
+    return Trace([
+        Packet(sip=int(sources[i]), dip=victim, proto=int(Proto.UDP),
+               sport=int(rng.integers(1024, 65535)), dport=53,
+               len=512, ts=float(times[i]))
+        for i in range(n_packets)
+    ], name="udp-flood", assume_sorted=True)
 
 
 def ssh_brute_force(victim_index: int = 5, n_attempts: int = 300,
                     n_sources: int = 60, duration_s: float = 1.0,
                     seed: int = 31, start_s: float = 0.0) -> Trace:
     """Q2: repeated fixed-size SSH login attempts against one server."""
-    return Trace(list(ssh_brute_force_stream(
-        victim_index, n_attempts, n_sources, duration_s, seed, start_s,
-    )), name="ssh-brute", assume_sorted=True)
-
-
-def slowloris_stream(victim_index: int = 9, n_connections: int = 150,
-                     packets_per_connection: int = 5,
-                     duration_s: float = 1.0, seed: int = 37,
-                     start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`slowloris`."""
     rng = np.random.default_rng(seed)
     victim = _VICTIM_BASE + victim_index
-    attacker = _ATTACKER_BASE + 0x4000
-    total = n_connections * packets_per_connection
-    times = _spread(rng, total, duration_s, start_s)
-    for i in range(total):
-        conn = i % n_connections
-        sport = 10_000 + conn  # one ephemeral port per held-open connection
-        first = i < n_connections
-        yield Packet(sip=attacker, dip=victim, proto=int(Proto.TCP),
-                     sport=sport, dport=80,
-                     tcp_flags=int(TcpFlags.SYN if first else TcpFlags.ACK),
-                     len=64 if first else 70,
-                     ts=float(times[i]))
+    times = _spread(rng, n_attempts, duration_s, start_s)
+    sources = _ATTACKER_BASE + 0x3000 + rng.integers(0, n_sources,
+                                                     size=n_attempts)
+    return Trace([
+        Packet(sip=int(sources[i]), dip=victim, proto=int(Proto.TCP),
+               sport=int(rng.integers(1024, 65535)), dport=22,
+               tcp_flags=int(TcpFlags.PSH) | int(TcpFlags.ACK),
+               len=112,  # the fixed-size login attempt signature
+               ts=float(times[i]))
+        for i in range(n_attempts)
+    ], name="ssh-brute", assume_sorted=True)
 
 
 def slowloris(victim_index: int = 9, n_connections: int = 150,
@@ -464,51 +348,39 @@ def slowloris(victim_index: int = 9, n_connections: int = 150,
     the victim accumulates many connections and noticeable total bytes but
     a pathologically small bytes-per-connection ratio.
     """
-    return Trace(list(slowloris_stream(
-        victim_index, n_connections, packets_per_connection, duration_s,
-        seed, start_s,
-    )), name="slowloris", assume_sorted=True)
-
-
-def superspreader_stream(source_index: int = 2, n_destinations: int = 500,
-                         duration_s: float = 1.0, seed: int = 41,
-                         start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`superspreader`."""
     rng = np.random.default_rng(seed)
-    source = _ATTACKER_BASE + 0x5000 + source_index
-    times = _spread(rng, n_destinations, duration_s, start_s)
-    dests = _VICTIM_BASE + 0x100 + rng.permutation(n_destinations)
-    for i in range(n_destinations):
-        yield Packet(sip=source, dip=int(dests[i]), proto=int(Proto.TCP),
-                     sport=int(rng.integers(1024, 65535)), dport=80,
-                     tcp_flags=int(TcpFlags.SYN), len=64, ts=float(times[i]))
+    victim = _VICTIM_BASE + victim_index
+    attacker = _ATTACKER_BASE + 0x4000
+    total = n_connections * packets_per_connection
+    times = _spread(rng, total, duration_s, start_s)
+    packets = []
+    for i in range(total):
+        conn = i % n_connections
+        sport = 10_000 + conn  # one ephemeral port per held-open connection
+        first = i < n_connections
+        packets.append(Packet(
+            sip=attacker, dip=victim, proto=int(Proto.TCP),
+            sport=sport, dport=80,
+            tcp_flags=int(TcpFlags.SYN if first else TcpFlags.ACK),
+            len=64 if first else 70,
+            ts=float(times[i])))
+    return Trace(packets, name="slowloris", assume_sorted=True)
 
 
 def superspreader(source_index: int = 2, n_destinations: int = 500,
                   duration_s: float = 1.0, seed: int = 41,
                   start_s: float = 0.0) -> Trace:
     """Q3: one source contacting very many distinct destinations."""
-    return Trace(list(superspreader_stream(
-        source_index, n_destinations, duration_s, seed, start_s,
-    )), name="superspreader", assume_sorted=True)
-
-
-def dns_orphan_responses_stream(n_victims: int = 4,
-                                answers_per_victim: int = 12,
-                                duration_s: float = 1.0, seed: int = 43,
-                                start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`dns_orphan_responses`."""
     rng = np.random.default_rng(seed)
-    n_resolvers = max(4, answers_per_victim)
-    total = n_victims * answers_per_victim
-    times = _spread(rng, total, duration_s, start_s)
-    for i in range(total):
-        victim = _VICTIM_BASE + 0x800 + (i % n_victims)
-        resolver = _SERVER_BASE + 0x90 + (i // n_victims) % n_resolvers
-        yield Packet(sip=int(resolver), dip=victim, proto=int(Proto.UDP),
-                     sport=53, dport=int(rng.integers(1024, 65535)),
-                     len=300, dns_ancount=int(rng.integers(1, 6)),
-                     ts=float(times[i]))
+    source = _ATTACKER_BASE + 0x5000 + source_index
+    times = _spread(rng, n_destinations, duration_s, start_s)
+    dests = _VICTIM_BASE + 0x100 + rng.permutation(n_destinations)
+    return Trace([
+        Packet(sip=source, dip=int(dests[i]), proto=int(Proto.TCP),
+               sport=int(rng.integers(1024, 65535)), dport=80,
+               tcp_flags=int(TcpFlags.SYN), len=64, ts=float(times[i]))
+        for i in range(n_destinations)
+    ], name="superspreader", assume_sorted=True)
 
 
 def dns_orphan_responses(n_victims: int = 4, answers_per_victim: int = 12,
@@ -519,25 +391,20 @@ def dns_orphan_responses(n_victims: int = 4, answers_per_victim: int = 12,
     The classic reflection/C2 beacon pattern: resolvers answer queries the
     victim (or spoofer) sent, and no TCP follow-up ever appears.
     """
-    return Trace(list(dns_orphan_responses_stream(
-        n_victims, answers_per_victim, duration_s, seed, start_s,
-    )), name="dns-orphans", assume_sorted=True)
-
-
-def syn_scan_noise_stream(n_packets: int = 5000, n_destinations: int = 4000,
-                          n_sources: int = 2000, duration_s: float = 1.0,
-                          seed: int = 47,
-                          start_s: float = 0.0) -> Iterator[Packet]:
-    """Lazy packet stream of :func:`syn_scan_noise`."""
     rng = np.random.default_rng(seed)
-    times = _spread(rng, n_packets, duration_s, start_s)
-    sips = _CLIENT_BASE + 0x8000 + rng.integers(0, n_sources, size=n_packets)
-    dips = _SERVER_BASE + 0x8000 + rng.integers(0, n_destinations,
-                                                size=n_packets)
-    for i in range(n_packets):
-        yield Packet(sip=int(sips[i]), dip=int(dips[i]), proto=int(Proto.TCP),
-                     sport=int(rng.integers(1024, 65535)), dport=80,
-                     tcp_flags=int(TcpFlags.SYN), len=64, ts=float(times[i]))
+    n_resolvers = max(4, answers_per_victim)
+    total = n_victims * answers_per_victim
+    times = _spread(rng, total, duration_s, start_s)
+    packets = []
+    for i in range(total):
+        victim = _VICTIM_BASE + 0x800 + (i % n_victims)
+        resolver = _SERVER_BASE + 0x90 + (i // n_victims) % n_resolvers
+        packets.append(Packet(
+            sip=int(resolver), dip=victim, proto=int(Proto.UDP),
+            sport=53, dport=int(rng.integers(1024, 65535)),
+            len=300, dns_ancount=int(rng.integers(1, 6)),
+            ts=float(times[i])))
+    return Trace(packets, name="dns-orphans", assume_sorted=True)
 
 
 def syn_scan_noise(n_packets: int = 5000, n_destinations: int = 4000,
@@ -549,9 +416,17 @@ def syn_scan_noise(n_packets: int = 5000, n_destinations: int = 4000,
     loads Q1's Count-Min rows and makes register size matter — the
     pressure the Figure 14 accuracy sweep needs.
     """
-    return Trace(list(syn_scan_noise_stream(
-        n_packets, n_destinations, n_sources, duration_s, seed, start_s,
-    )), name="syn-noise", assume_sorted=True)
+    rng = np.random.default_rng(seed)
+    times = _spread(rng, n_packets, duration_s, start_s)
+    sips = _CLIENT_BASE + 0x8000 + rng.integers(0, n_sources, size=n_packets)
+    dips = _SERVER_BASE + 0x8000 + rng.integers(0, n_destinations,
+                                                size=n_packets)
+    return Trace([
+        Packet(sip=int(sips[i]), dip=int(dips[i]), proto=int(Proto.TCP),
+               sport=int(rng.integers(1024, 65535)), dport=80,
+               tcp_flags=int(TcpFlags.SYN), len=64, ts=float(times[i]))
+        for i in range(n_packets)
+    ], name="syn-noise", assume_sorted=True)
 
 
 def assign_hosts(trace: Trace, host_pairs: Sequence[Tuple[object, object]],

@@ -152,6 +152,23 @@ class TestLossTolerance:
         )
         assert reconciled.total > 0
 
+    def test_merged_answer_does_not_undo_the_loss(self):
+        """A fully data-plane query has no deferred share, so the merged
+        answer is the collector's own — never the analyzer's lossless
+        mirror of the reports the shim destroyed."""
+        config = CollectorConfig(faults=FaultConfig(loss=0.6, seed=3))
+        dep, stats = run(3, collector_config=config, num_stages=3,
+                         stages_per_switch=3)
+        collector = dep.collector
+        assert stats.deferred == 0
+        assert collector.lost > 0
+        assert collector.merged_results(QID) == collector.results(QID)
+        mirrored = dep.analyzer.results(QID)
+        assert all(len(mirrored[epoch]) == len(DIPS)
+                   for epoch in range(WINDOWS))
+        assert any(len(collector.results(QID).get(epoch, {})) < len(DIPS)
+                   for epoch in range(WINDOWS))
+
     def test_invariant_holds_under_loss(self):
         config = CollectorConfig(
             faults=FaultConfig(loss=self.LOSS, duplication=0.05,

@@ -123,6 +123,32 @@ class TestDeferred:
         analyzer.advance_window(0)
         assert analyzer.results("a.q").get(0, {}) == {}
 
+    def test_deferred_share_is_kept_apart_from_reports(self):
+        """``results`` mirrors everything; ``deferred_results`` holds only
+        what CPU execution produced — through prune and export/absorb."""
+        analyzer = Analyzer()
+        register(analyzer, q(threshold=2))
+        for epoch in (0, 1):
+            analyzer.on_report(report_for("a.q", dip=7, count=4, epoch=epoch))
+            for i in range(3):
+                analyzer.defer(
+                    "a.q", Packet(sip=i, dip=9, proto=6, tcp_flags=2), 0
+                )
+            analyzer.advance_window(epoch)
+        assert analyzer.results("a.q")[1] == {(7,): 4, (9,): 3}
+        assert analyzer.deferred_results("a.q") == {
+            0: {(9,): 3}, 1: {(9,): 3},
+        }
+        replica = Analyzer()
+        replica.absorb_results(analyzer.export_results())
+        assert replica.results("a.q") == analyzer.results("a.q")
+        assert replica.deferred_results("a.q") == \
+            analyzer.deferred_results("a.q")
+        analyzer.prune(1)
+        assert analyzer.deferred_results("a.q") == {1: {(9,): 3}}
+        analyzer.reset()
+        assert analyzer.deferred_results("a.q") == {}
+
     def test_message_count_includes_deferrals(self):
         analyzer = Analyzer()
         register(analyzer, q())

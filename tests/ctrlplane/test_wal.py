@@ -9,7 +9,7 @@ import pytest
 from repro.collector.metrics import MetricsRegistry
 from repro.core.compiler import QueryParams
 from repro.core.query import Query
-from repro.ctrlplane import WriteAheadLog
+from repro.ctrlplane import WalCorruptError, WriteAheadLog
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
 
@@ -100,18 +100,73 @@ class TestTornTail:
         assert [r["kind"] for r in records] == ["op", "txn", "snapshot"]
         assert [r["seq"] for r in records] == [1, 2, 3]
 
-    def test_garbage_line_stops_replay(self, tmp_path):
+    def test_unparsable_final_line_is_a_torn_tail(self, tmp_path):
+        """Newline-terminated garbage is still only a tail when nothing
+        follows it: truncated and counted like a partial record."""
         wal = WriteAheadLog(str(tmp_path))
         wal.append("op", {"n": 1})
         wal.close()
-        with open(wal.path, "a", encoding="utf-8") as fh:
-            fh.write("not json at all\n")
-            fh.write(json.dumps({"kind": "op", "seq": 3,
-                                 "payload": {"n": 3}}) + "\n")
-        # The unreachable-after-garbage tail is discarded wholesale.
+        with open(wal.path, "rb") as fh:
+            intact = fh.read()
+        with open(wal.path, "ab") as fh:
+            fh.write(b"not json at all\n")
         wal2 = WriteAheadLog(str(tmp_path))
         assert [r["payload"] for r in wal2.replay()] == [{"n": 1}]
+        assert wal2._m_torn.total == 1
         wal2.close()
+        with open(wal.path, "rb") as fh:
+            assert fh.read() == intact
+
+    def test_corrupt_middle_line_raises_and_truncates_nothing(self, tmp_path):
+        """Acknowledged records follow the bad line, so it cannot be a
+        torn write: refuse to open (or read) rather than fsync the loss
+        of everything behind it."""
+        damages = [
+            b"not json at all\n",
+            b'{"seq": 2, "payload": {}}\n',          # no "kind"
+            b'{"kind": "op", "seq": 2, "payl\xff\n',  # a flipped byte
+        ]
+        for index, damaged in enumerate(damages):
+            directory = str(tmp_path / str(index))
+            wal = WriteAheadLog(directory)
+            wal.append("op", {"n": 1})
+            with open(wal.path, "ab") as fh:
+                fh.write(damaged)
+                fh.write(json.dumps({"kind": "op", "seq": 3,
+                                     "payload": {"n": 3}}).encode() + b"\n")
+            with open(wal.path, "rb") as fh:
+                before = fh.read()
+            with pytest.raises(WalCorruptError) as reading:
+                wal.replay()
+            wal.close()
+            with pytest.raises(WalCorruptError) as opening:
+                WriteAheadLog(directory)
+            for caught in (reading, opening):
+                assert caught.value.path == wal.path
+                assert caught.value.line_number == 2
+                assert "line 2" in str(caught.value)
+            with open(wal.path, "rb") as fh:
+                assert fh.read() == before
+
+    def test_serve_refuses_a_corrupt_wal(self, tmp_path, capsys):
+        """``serve --wal`` prints the error and exits non-zero instead of
+        starting from the two ops before the damage."""
+        from repro.cli import main
+
+        with WriteAheadLog(str(tmp_path)) as wal:
+            for name in ("Q1", "Q6", "Q4"):
+                wal.append("op", {"op": "install", "spec": {"query": name}})
+        with open(wal.path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"kind"', b'"k\xffnd"')
+        with open(wal.path, "wb") as fh:
+            fh.writelines(lines)
+        code = main(["serve", "--port", "0", "--max-windows", "1",
+                     "--wal", str(tmp_path)])
+        assert code == 1
+        assert "corrupt at line 2" in capsys.readouterr().err
+        with open(wal.path, "rb") as fh:
+            assert fh.read() == b"".join(lines)
 
     def test_empty_directory_replays_nothing(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))

@@ -1,8 +1,20 @@
-"""Hash family unit tests."""
+"""Hash family and flow hash unit tests."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dataplane.hashing import HashFamily, HashUnit, hash_bytes
+from repro.core.packet import Packet
+from repro.dataplane.hashing import (
+    FLOW_FIELDS,
+    HashFamily,
+    HashUnit,
+    flow_hash,
+    flow_hash_columns,
+    hash_bytes,
+)
+from repro.fabric import FlowHashPartitioner
 
 
 class TestHashBytes:
@@ -67,3 +79,85 @@ class TestHashFamily:
 
     def test_hashable(self):
         assert len({HashFamily(1), HashFamily(1), HashFamily(2)}) == 2
+
+
+def field_values(bound):
+    return st.one_of(st.sampled_from([0, 65535, (1 << 32) - 1]),
+                     st.integers(0, bound))
+
+
+five_tuples = st.tuples(field_values((1 << 32) - 1),
+                        field_values((1 << 32) - 1), field_values(255),
+                        field_values(65535), field_values(65535))
+
+
+class TestFlowHash:
+    def test_field_order_is_the_packet_five_tuple(self):
+        packet = Packet(sip=1, dip=2, proto=6, sport=3, dport=4)
+        assert packet.five_tuple == tuple(
+            getattr(packet, name) for name in FLOW_FIELDS
+        )
+
+    @given(flows=st.lists(five_tuples, min_size=1, max_size=40),
+           seed=st.one_of(st.sampled_from([0, 0xF1F0, (1 << 64) - 1]),
+                          st.integers(0, (1 << 64) - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_python_int_and_column_forms_agree(self, flows, seed):
+        """``flow_hash`` (python ints) and ``flow_hash_columns`` (wrapping
+        ``uint64`` numpy) are one function, row by row and on any subset
+        of rows."""
+        columns = {
+            name: np.array([flow[i] for flow in flows], dtype=np.int64)
+            for i, name in enumerate(FLOW_FIELDS)
+        }
+        hashed = flow_hash_columns(columns, seed)
+        assert hashed.dtype == np.uint64
+        assert hashed.tolist() == [flow_hash(flow, seed) for flow in flows]
+        rows = np.arange(len(flows) - 1, -1, -2)
+        assert (flow_hash_columns(columns, seed, rows) == hashed[rows]).all()
+
+    def test_every_field_and_the_seed_matter(self):
+        base = (0x0A000001, 0x0A000002, 6, 1234, 80)
+        variants = {base} | {
+            base[:i] + (base[i] + 1,) + base[i + 1:] for i in range(5)
+        }
+        assert len({flow_hash(flow, 0) for flow in variants}) == 6
+        assert flow_hash(base, 0) != flow_hash(base, 1)
+        swapped = (base[1], base[0]) + base[2:]
+        assert flow_hash(base, 0) != flow_hash(swapped, 0)
+
+    #: Shard (of 7) of each flow below per partitioner seed, recorded at
+    #: the commit before the flow hash moved into ``dataplane/hashing``:
+    #: shard primacy must never move, or a fleet restarted across the
+    #: change would double-count packets.
+    GOLDEN_FLOWS = [
+        (0, 0, 0, 0, 0),
+        ((1 << 32) - 1, (1 << 32) - 1, 255, 65535, 65535),
+        (0x0A000001, 0x0A000002, 6, 1234, 80),
+        (0x0A000002, 0x0A000001, 6, 80, 1234),
+        (0xC0A80101, 0x08080808, 17, 53124, 53),
+        (1, 2, 6, 3, 4),
+        ((1 << 32) - 1, 0, 6, 0, 65535),
+        (0xAC100A0B, 0xAC100A0C, 1, 0, 0),
+    ]
+    GOLDEN_SHARDS = {
+        0: [1, 3, 2, 2, 0, 6, 3, 1],
+        1: [5, 6, 5, 1, 4, 0, 1, 3],
+        0xF1F0: [6, 0, 1, 1, 1, 1, 3, 2],
+        (1 << 64) - 1: [3, 4, 0, 1, 3, 6, 0, 5],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SHARDS))
+    def test_shard_primacy_has_not_moved(self, seed):
+        part = FlowHashPartitioner(seed, 7)
+        packets = [
+            Packet(sip=sip, dip=dip, proto=proto, sport=sport, dport=dport)
+            for sip, dip, proto, sport, dport in self.GOLDEN_FLOWS
+        ]
+        expected = self.GOLDEN_SHARDS[seed]
+        assert [part.shard_of_packet(p) for p in packets] == expected
+        columns = {
+            name: np.array([getattr(p, name) for p in packets])
+            for name in FLOW_FIELDS
+        }
+        assert part.shard_column(columns).tolist() == expected

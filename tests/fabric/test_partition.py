@@ -1,6 +1,8 @@
 """Partitioner properties: determinism, exactly-one-shard coverage, and
 scalar/columnar bit-identity of the flow hash."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from repro.fabric import (
     FlowHashPartitioner,
     QueryPartitioner,
     ShardContext,
+    ShardedDeployment,
     owned_sub_qids,
 )
+from repro.network.routing import Router
+from repro.network.topology import fat_tree
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.generators import caida_like
 
@@ -85,6 +90,29 @@ class TestFlowHashPartitioner:
         batch = columnar(trace(3, n=4000))
         counts = np.bincount(part.shard_column(batch.columns), minlength=4)
         assert (counts > 0).all()
+
+    def test_independent_of_the_ecmp_choice(self):
+        """Path choice and shard primacy share one flow hash but not a
+        seed: at the defaults every (path, shard) cell is populated, and
+        about evenly — no shard sees only one spine's traffic."""
+        router = Router(fat_tree(4))
+        flow_seed = inspect.signature(
+            ShardedDeployment.__init__).parameters["flow_seed"].default
+        assert flow_seed != router.seed
+        part = FlowHashPartitioner(flow_seed, 4)
+        rng = np.random.default_rng(3)
+        n = 20_000
+        columns = {
+            "sip": rng.integers(0, 1 << 32, n),
+            "dip": rng.integers(0, 1 << 32, n),
+            "proto": rng.choice([6, 17], n),
+            "sport": rng.integers(0, 1 << 16, n),
+            "dport": rng.integers(0, 1 << 16, n),
+        }
+        cells = np.zeros((4, 4), dtype=np.int64)
+        np.add.at(cells, (router.path_choices(columns, np.arange(n), 4),
+                          part.shard_column(columns)), 1)
+        assert (abs(cells - n / 16) <= 0.15 * n / 16).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):

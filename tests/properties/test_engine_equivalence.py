@@ -11,7 +11,8 @@ rule-epoch flip that must land on a sub-batch edge), reboot drop
 windows, multi-slice CQE installs (which the vectorized engine must
 hand back to the scalar path wholesale), and the K -> H hand-off (one key
 group shared by every hash op of a K across an R ``stop``, and a hash
-memo cleared between windows), and the bounded ECMP choice memo.
+memo cleared between windows), and ECMP over a multipath fabric with
+all-new flows every window.
 """
 
 from dataclasses import replace
@@ -23,7 +24,6 @@ from repro.core.library import build_query
 from repro.core.query import Query
 from repro.dataplane import hashing
 from repro.engine import VectorizedEngine
-from repro.engine import vector as vector_module
 from repro.experiments.common import evaluation_thresholds
 from repro.fabric.merge import record_reports
 from repro.network.deployment import build_deployment
@@ -186,6 +186,38 @@ class TestEquivalence:
         assert vector_regs == scalar_regs
         assert scalar_stats.sp_bytes > 0  # the install really is sliced
 
+    def test_ecmp_all_new_flows_every_window(self):
+        """Six windows of never-seen flows over a 2-spine Clos: both
+        engines pick each flow's spine with the router's one flow hash,
+        window after window, with nothing remembered in between."""
+        pairs = [("hlf0n0", "hlf1n0"), ("hlf1n0", "hlf0n0")]
+
+        def observe(engine):
+            topo = leaf_spine(2, 2)
+            deployment = build_deployment(topo, array_size=1 << 13,
+                                          engine=engine)
+            for name in ("Q1", "Q4"):
+                deployment.controller.install_query(
+                    build_query(name, thresholds()), PARAMS, topology=topo
+                )
+            recorded = record_reports(deployment.switches)
+            out = []
+            for index in range(6):
+                trace = assign_hosts(merge_traces([
+                    caida_like(400, duration_s=0.1, seed=70 + index,
+                               start_s=index * 0.1),
+                    syn_flood(n_packets=120, duration_s=0.1,
+                              seed=90 + index, start_s=index * 0.1),
+                ]), pairs)
+                stats = deployment.simulator.run(trace)
+                out.append((signature(stats, recorded),
+                            deployment.register_dumps()))
+            return out
+
+        vector = observe("vector")
+        assert vector == observe("scalar")
+        assert vector[-1][0][-1]  # reports were emitted
+
 
 class TestKeyGroupHandOff:
     def test_stop_between_hash_ops_of_one_key(self):
@@ -239,61 +271,3 @@ class TestKeyGroupHandOff:
         # Each window brings far more new keys than the limit, so every
         # roll found overgrown memos and left them empty.
         assert sizes and max(sizes) <= limit
-
-
-class TestEcmpMemoBound:
-    """The vector engine's ECMP choice memo is bounded, invisibly."""
-
-    PAIRS = [("hlf0n0", "hlf1n0"), ("hlf1n0", "hlf0n0")]
-
-    def observe(self, engine, windows=6, clear_between=False):
-        """Per-window traces of all-new flows over a 2-spine Clos."""
-        topo = leaf_spine(2, 2)
-        deployment = build_deployment(topo, array_size=1 << 13,
-                                      engine=engine)
-        for name in ("Q1", "Q4"):
-            deployment.controller.install_query(
-                build_query(name, thresholds()), PARAMS, topology=topo
-            )
-        recorded = record_reports(deployment.switches)
-        out = []
-        for index in range(windows):
-            trace = assign_hosts(merge_traces([
-                caida_like(400, duration_s=0.1, seed=70 + index,
-                           start_s=index * 0.1),
-                syn_flood(n_packets=120, duration_s=0.1, seed=90 + index,
-                          start_s=index * 0.1),
-            ]), self.PAIRS)
-            stats = deployment.simulator.run(trace)
-            out.append((signature(stats, recorded),
-                        deployment.register_dumps()))
-            if clear_between:
-                for memo in deployment.simulator.engine._ecmp_choices.values():
-                    memo.clear()
-        return out, deployment.simulator.engine
-
-    def test_memo_stays_under_the_limit(self, monkeypatch):
-        limit = 48
-        monkeypatch.setattr(vector_module, "_ECMP_MEMO_LIMIT", limit)
-        sizes = []
-        path_groups = VectorizedEngine._path_groups
-
-        def watched(engine, *args, **kwargs):
-            yield from path_groups(engine, *args, **kwargs)
-            sizes.extend(len(m) for m in engine._ecmp_choices.values())
-
-        monkeypatch.setattr(VectorizedEngine, "_path_groups", watched)
-        bounded, _ = self.observe("vector")
-        # Every window brings several times ``limit`` new flows a group.
-        assert len(sizes) >= 12 and 0 < max(sizes) <= limit
-        monkeypatch.undo()
-        unbounded, engine = self.observe("vector")
-        assert max(len(m) for m in engine._ecmp_choices.values()) > 4 * limit
-        assert bounded == unbounded == self.observe("scalar")[0]
-        assert bounded[-1][0][-1]  # reports were emitted
-
-    def test_forced_clear_between_windows_changes_nothing(self):
-        kept, _ = self.observe("vector")
-        cleared, engine = self.observe("vector", clear_between=True)
-        assert cleared == kept
-        assert not any(engine._ecmp_choices.values())

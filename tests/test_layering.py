@@ -9,6 +9,10 @@
 * A sharded deployment *is* a deployment, not a look-alike: no
   ``__getattr__`` under ``src/repro/fabric`` and no ``getattr(`` probe
   of a deployment under ``src/repro/service``.
+* Two hashes, two jobs, one module: only ``dataplane/hashing.py``
+  imports ``hashlib``, and flow decisions go through the flow hash — no
+  ``hash_bytes`` (the sketch-key hash) under ``src/repro/engine`` or
+  ``src/repro/network``.
 """
 
 import ast
@@ -60,6 +64,21 @@ def deployment_probe(node):
             and bool(node.args) and tail_name(node.args[0]) == "deployment")
 
 
+def hashlib_import(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "hashlib"
+                   for alias in node.names)
+    return (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "hashlib")
+
+
+def key_hash(node):
+    """``hash_bytes`` imported (under any alias) or referenced."""
+    if isinstance(node, ast.alias):
+        return node.name == "hash_bytes"
+    return tail_name(node) == "hash_bytes"
+
+
 def violations(package, offends):
     return [
         f"{path}:{node.lineno}"
@@ -85,6 +104,17 @@ def test_service_never_probes_its_deployment():
     assert violations("service", deployment_probe) == []
 
 
+def test_only_the_hashing_module_imports_hashlib():
+    assert {
+        where.split(":")[0] for where in violations("", hashlib_import)
+    } == {"dataplane/hashing.py"}
+
+
+@pytest.mark.parametrize("package", ["engine", "network"])
+def test_flow_decisions_never_use_the_key_hash(package):
+    assert violations(package, key_hash) == []
+
+
 @pytest.mark.parametrize("rule, source, offends", [
     (simulator_private, "sim._now = 1.0", True),
     (simulator_private, "self.sim._fire_scheduled(ts)", True),
@@ -98,6 +128,14 @@ def test_service_never_probes_its_deployment():
     (deployment_probe, "getattr(self.deployment, 'fabric_status', None)",
      True),
     (deployment_probe, "getattr(record.query, 'description', '')", False),
+    (hashlib_import, "import hashlib", True),
+    (hashlib_import, "from hashlib import blake2b", True),
+    (hashlib_import, "import hashlib.blake2b as b", True),
+    (hashlib_import, "from repro.dataplane.hashing import flow_hash", False),
+    (key_hash, "from repro.dataplane.hashing import hash_bytes", True),
+    (key_hash, "from repro.dataplane.hashing import hash_bytes as hb", True),
+    (key_hash, "hashing.hash_bytes(flow, seed)", True),
+    (key_hash, "flow_hash(packet.five_tuple, self.seed)", False),
 ])
 def test_each_rule_catches_what_it_should(rule, source, offends):
     assert any(map(rule, ast.walk(ast.parse(source)))) is offends

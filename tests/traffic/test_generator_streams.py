@@ -1,66 +1,8 @@
-"""Streaming generators match their list-returning wrappers exactly.
-
-The wrappers are now thin views over the lazy/columnar producers, so a
-stream consumed incrementally must yield the same packets, in the same
-order, with the same field values as the eager list form.
-"""
-
-import inspect
-import types
+"""Columnar generator forms: input validation and profile names."""
 
 import pytest
 
 from repro.traffic import generators as gen
-
-
-def as_tuple(p):
-    return (p.sip, p.dip, p.proto, p.sport, p.dport, p.tcp_flags, p.len,
-            p.ttl, p.dns_ancount, p.ts)
-
-
-CASES = [
-    ("background", lambda: gen.background_traffic(4000, seed=7),
-     lambda: gen.background_stream(4000, seed=7)),
-    ("caida", lambda: gen.caida_like(3000, seed=2),
-     lambda: gen.caida_like_stream(3000, seed=2)),
-    ("mawi", lambda: gen.mawi_like(3000, seed=5),
-     lambda: gen.mawi_like_stream(3000, seed=5)),
-    ("syn_flood", lambda: gen.syn_flood(seed=4),
-     lambda: gen.syn_flood_stream(seed=4)),
-    ("port_scan", lambda: gen.port_scan(seed=4),
-     lambda: gen.port_scan_stream(seed=4)),
-    ("udp_flood", lambda: gen.udp_flood(seed=4),
-     lambda: gen.udp_flood_stream(seed=4)),
-    ("ssh_brute_force", lambda: gen.ssh_brute_force(seed=4),
-     lambda: gen.ssh_brute_force_stream(seed=4)),
-    ("slowloris", lambda: gen.slowloris(seed=4),
-     lambda: gen.slowloris_stream(seed=4)),
-    ("superspreader", lambda: gen.superspreader(seed=4),
-     lambda: gen.superspreader_stream(seed=4)),
-    ("dns_orphan", lambda: gen.dns_orphan_responses(seed=4),
-     lambda: gen.dns_orphan_responses_stream(seed=4)),
-    ("syn_scan_noise", lambda: gen.syn_scan_noise(1500, seed=4),
-     lambda: gen.syn_scan_noise_stream(1500, seed=4)),
-]
-
-
-@pytest.mark.parametrize("name,eager,stream",
-                         CASES, ids=[c[0] for c in CASES])
-def test_stream_matches_list_wrapper(name, eager, stream):
-    trace = eager()
-    streamed = [as_tuple(p) for p in stream()]
-    assert streamed == [as_tuple(p) for p in trace]
-
-
-def test_attack_streams_are_lazy_generators():
-    for name in ("syn_flood_stream", "port_scan_stream",
-                 "udp_flood_stream", "slowloris_stream",
-                 "dns_orphan_responses_stream", "syn_scan_noise_stream"):
-        fn = getattr(gen, name)
-        assert inspect.isgeneratorfunction(fn), name
-        stream = fn()
-        assert isinstance(stream, types.GeneratorType)
-        stream.close()
 
 
 def test_background_columnar_rejects_empty():

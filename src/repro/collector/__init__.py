@@ -17,12 +17,7 @@ See :mod:`repro.collector.collector` for the orchestrating class and
 """
 
 from repro.collector.collector import CollectorConfig, ReportCollector
-from repro.collector.executor import (
-    PerReportExecutor,
-    apply_tail,
-    merge_records,
-    run_batch,
-)
+from repro.collector.executor import apply_tail, merge_records
 from repro.collector.faults import FaultConfig, FaultInjector
 from repro.collector.metrics import (
     Counter,
@@ -52,7 +47,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PerReportExecutor",
     "QueryRegistration",
     "QuerySignals",
     "QueueStats",
@@ -62,5 +56,4 @@ __all__ = [
     "apply_tail",
     "merge_records",
     "merge_window_signals",
-    "run_batch",
 ]

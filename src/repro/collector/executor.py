@@ -17,15 +17,9 @@ per-window answer:
    fields, ``Map`` re-projects, ``Distinct`` dedups, ``Reduce``
    re-aggregates, ``ResultFilter`` thresholds.
 
-Two execution strategies share identical semantics (property-tested):
-
-* :func:`run_batch` — one pass over the window's records with hoisted
-  locals, then the tail once over the merged map: O(records) merge +
-  O(keys) tail.  This is the production path.
-* :class:`PerReportExecutor` — the naive streaming consumer: every record
-  is processed individually (named-field view, per-record filter
-  evaluation, per-record upsert).  Kept as the benchmark baseline;
-  ``benchmarks/bench_collector.py`` measures the batch speedup.
+The collector's window close calls :func:`merge_records` (one pass over
+the window's records with hoisted locals) and then :func:`apply_tail`
+once over the merged map: O(records) merge + O(keys) tail.
 """
 
 from __future__ import annotations
@@ -33,30 +27,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.ast import Distinct, Filter, Map, Reduce, ResultFilter
-from repro.collector.records import QueryRegistration, ReportRecord
+from repro.collector.records import ReportRecord
 
-__all__ = [
-    "run_batch",
-    "merge_records",
-    "PerReportExecutor",
-    "apply_tail",
-    "ExecOutcome",
-]
+__all__ = ["merge_records", "apply_tail"]
 
 Key = Tuple[int, ...]
-
-
-class ExecOutcome:
-    """One window execution's answer plus its accounting."""
-
-    __slots__ = ("results", "processed", "duplicates", "filtered")
-
-    def __init__(self, results: Dict[Key, int], processed: int,
-                 duplicates: int, filtered: int):
-        self.results = results
-        self.processed = processed
-        self.duplicates = duplicates
-        self.filtered = filtered
 
 
 def apply_tail(
@@ -147,10 +122,6 @@ def _project(
     return names, out
 
 
-# --------------------------------------------------------------------- #
-# Batched execution (production path)                                   #
-# --------------------------------------------------------------------- #
-
 def merge_records(
     records: Iterable[ReportRecord],
     merged: Dict[Key, int],
@@ -175,75 +146,3 @@ def merge_records(
         if current is None or count > current:
             merged[key] = count
     return processed, duplicates
-
-
-def run_batch(records: Iterable[ReportRecord],
-              registration: QueryRegistration) -> ExecOutcome:
-    """Process one window's records in a single merged pass."""
-    merged: Dict[Key, int] = {}
-    seen: Set[Tuple[object, int]] = set()
-    processed, duplicates = merge_records(records, merged, seen)
-    before = len(merged)
-    results = apply_tail(registration.tail, registration.key_fields, merged)
-    filtered = before - len(results) if registration.tail else 0
-    return ExecOutcome(
-        results=results,
-        processed=processed,
-        duplicates=duplicates,
-        filtered=max(filtered, 0),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Per-report execution (benchmark baseline)                             #
-# --------------------------------------------------------------------- #
-
-class PerReportExecutor:
-    """Naive streaming consumer: one full decode-evaluate-upsert cycle per
-    report.  Semantically identical to :func:`run_batch` (tested), kept to
-    quantify what batching buys on the hot ingest path."""
-
-    def __init__(self, registration: QueryRegistration):
-        self.registration = registration
-        self._merged: Dict[Key, int] = {}
-        self._seen: Set[Tuple[object, int]] = set()
-        self._duplicates = 0
-        self._processed = 0
-
-    def observe(self, record: ReportRecord) -> None:
-        """Consume one report the way a per-message pipeline would."""
-        registration = self.registration
-        self._processed += 1
-        token = (record.switch_id, record.seq)
-        if token in self._seen:
-            self._duplicates += 1
-            return
-        self._seen.add(token)
-        # Named-field view of the record, rebuilt per message — this is
-        # exactly the overhead the batch path amortises away.
-        view = record.key_map(registration)
-        key = tuple(view[name] for name in registration.key_fields)
-        count = record.count if record.count is not None else 1
-        current = self._merged.get(key)
-        if current is None or count > current:
-            self._merged[key] = count
-
-    def finish(self) -> ExecOutcome:
-        """Close the window: run the tail, return the answer, reset."""
-        registration = self.registration
-        before = len(self._merged)
-        results = apply_tail(
-            registration.tail, registration.key_fields, self._merged
-        )
-        filtered = before - len(results) if registration.tail else 0
-        outcome = ExecOutcome(
-            results=results,
-            processed=self._processed,
-            duplicates=self._duplicates,
-            filtered=max(filtered, 0),
-        )
-        self._merged = {}
-        self._seen = set()
-        self._duplicates = 0
-        self._processed = 0
-        return outcome

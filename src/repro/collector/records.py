@@ -12,7 +12,7 @@ touches raw payload dictionaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.rules import Report
 
@@ -84,7 +84,3 @@ class ReportRecord:
     def delayed(self, windows: int) -> "ReportRecord":
         """Copy arriving ``windows`` later (fault shim)."""
         return replace(self, arrival_epoch=self.arrival_epoch + windows)
-
-    def key_map(self, registration: "QueryRegistration") -> Dict[str, int]:
-        """Field-name → value view of the key (register readout probes)."""
-        return dict(zip(registration.key_fields, self.key))

@@ -3,164 +3,36 @@
 The paper leaves "scheduling concurrent queries to optimally utilize data
 plane resources" as an open question (§7).  This module provides the
 controller-side answer this reproduction ships: before touching a switch,
-predict whether a compiled query fits the *remaining* resources — module
-table rules per (stage, module type), register budget per stage's state
-bank, and ``newton_init`` capacity — and, when a batch of queries is
-register-bound, degrade sketch sizes gracefully instead of rejecting.
+predict whether a compiled query fits the *remaining* resources and, when
+a batch of queries is register-bound, degrade sketch sizes gracefully
+instead of rejecting.
 
-The predictions are exact with respect to the simulator (and would be
-with respect to hardware driver errors): an ``admit`` that passes never
-fails at install time, which the tests pin.
+"Fits" is not decided here: the planner snapshots the switch with
+:meth:`~repro.verify.program.PipelineModel.of_switch`, tallies each
+compiled sub-query with :func:`~repro.verify.program.demand` and asks
+:meth:`~repro.verify.program.PipelineModel.fit` — the same model, tally
+and inequalities as the controller's install gate and the transaction
+manager's staging gate, so a ``check`` that passes is an install that
+commits (``tests/verify/fleet/test_occupancy_model.py`` pins it).  What
+lives here is the search: which sizes to try, and when to degrade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.compiler import (
-    CompiledQuery,
-    Optimizations,
-    QueryParams,
-    compile_query,
-)
+from repro.core.compiler import Optimizations, QueryParams, compile_query
 from repro.core.query import QueryLike, flatten
-from repro.core.rules import SConfig
-from repro.dataplane.module_types import ModuleType
-from repro.dataplane.modules import StateBankModule
 from repro.dataplane.switch import Switch
+from repro.verify.program import (
+    PipelineModel,
+    Violation,
+    demand,
+    rules_of_compiled,
+)
 
-__all__ = [
-    "ResourceSnapshot",
-    "QueryDemand",
-    "AdmissionError",
-    "AdmissionPlanner",
-    "PlanResult",
-    "demand_of",
-]
-
-
-class AdmissionError(RuntimeError):
-    """A query cannot fit the switch's remaining resources."""
-
-    def __init__(self, qid: str, violations: List[str]):
-        self.qid = qid
-        self.violations = violations
-        super().__init__(
-            f"query {qid!r} does not fit: " + "; ".join(violations)
-        )
-
-
-@dataclass
-class ResourceSnapshot:
-    """Free resources of one switch at a point in time."""
-
-    init_free: int
-    #: (stage, module type) -> free rule slots in that module's table.
-    table_free: Dict[Tuple[int, ModuleType], int]
-    #: stage -> free registers in that stage's state-bank array.
-    register_free: Dict[int, int]
-
-    @staticmethod
-    def of(switch: Switch) -> "ResourceSnapshot":
-        pipeline = switch.pipeline
-        table_free: Dict[Tuple[int, ModuleType], int] = {}
-        register_free: Dict[int, int] = {}
-        for stage in range(pipeline.layout.num_stages):
-            for mtype, module in pipeline.layout.stage_slots(stage).items():
-                table_free[(stage, mtype)] = module.rules.free
-                if isinstance(module, StateBankModule):
-                    register_free[stage] = module.array.free_registers()
-        return ResourceSnapshot(
-            init_free=pipeline.newton_init.free,
-            table_free=table_free,
-            register_free=register_free,
-        )
-
-    def copy(self) -> "ResourceSnapshot":
-        return ResourceSnapshot(
-            init_free=self.init_free,
-            table_free=dict(self.table_free),
-            register_free=dict(self.register_free),
-        )
-
-
-@dataclass(frozen=True)
-class QueryDemand:
-    """Resources one compiled query will consume on a switch."""
-
-    qid: str
-    init_entries: int
-    #: (stage, module type) -> rules.
-    rules: Tuple[Tuple[Tuple[int, ModuleType], int], ...]
-    #: stage -> registers leased.
-    registers: Tuple[Tuple[int, int], ...]
-    stages: int
-
-
-def demand_of(compiled: CompiledQuery) -> QueryDemand:
-    """Exact per-stage resource demand of a compiled query."""
-    rules: Dict[Tuple[int, ModuleType], int] = {}
-    registers: Dict[int, int] = {}
-    for spec in compiled.specs:
-        key = (spec.stage, spec.module_type)
-        rules[key] = rules.get(key, 0) + 1
-        config = spec.config
-        if (spec.module_type is ModuleType.STATE_BANK
-                and isinstance(config, SConfig)
-                and not config.passthrough):
-            registers[spec.stage] = (
-                registers.get(spec.stage, 0) + config.slice_size
-            )
-    return QueryDemand(
-        qid=compiled.qid,
-        init_entries=len(compiled.init_entries),
-        rules=tuple(
-            sorted(rules.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
-        ),
-        registers=tuple(sorted(registers.items())),
-        stages=compiled.num_stages,
-    )
-
-
-def _violations(snapshot: ResourceSnapshot, demand: QueryDemand,
-                num_stages: int) -> List[str]:
-    out: List[str] = []
-    if demand.stages > num_stages:
-        out.append(
-            f"needs {demand.stages} stages, pipeline has {num_stages}"
-        )
-        return out  # stage overflow dominates; no point listing the rest
-    if demand.init_entries > snapshot.init_free:
-        out.append(
-            f"newton_init full ({snapshot.init_free} slots left, "
-            f"needs {demand.init_entries})"
-        )
-    for (stage, mtype), need in demand.rules:
-        free = snapshot.table_free.get((stage, mtype), 0)
-        if need > free:
-            out.append(
-                f"{mtype.symbol} table at stage {stage} full "
-                f"({free} rules left, needs {need})"
-            )
-    for stage, need in demand.registers:
-        free = snapshot.register_free.get(stage, 0)
-        if need > free:
-            out.append(
-                f"registers at stage {stage} exhausted "
-                f"({free} left, needs {need})"
-            )
-    return out
-
-
-def _charge(snapshot: ResourceSnapshot, demand: QueryDemand) -> None:
-    snapshot.init_free -= demand.init_entries
-    for key, need in demand.rules:
-        snapshot.table_free[key] = snapshot.table_free.get(key, 0) - need
-    for stage, need in demand.registers:
-        snapshot.register_free[stage] = (
-            snapshot.register_free.get(stage, 0) - need
-        )
+__all__ = ["AdmissionPlanner", "PlanResult"]
 
 
 @dataclass
@@ -179,7 +51,8 @@ class PlanResult:
     """Outcome of planning a batch of queries onto one switch."""
 
     admissions: List[Admission]
-    snapshot: ResourceSnapshot
+    #: The switch's occupancy with every admitted query charged to it.
+    snapshot: PipelineModel
 
     @property
     def admitted(self) -> List[str]:
@@ -199,27 +72,33 @@ class AdmissionPlanner:
 
     def __init__(self, switch: Switch,
                  opts: Optimizations = Optimizations.all(),
-                 min_registers: int = 64):
+                 min_registers: int = 64) -> None:
         self.switch = switch
         self.opts = opts
         self.min_registers = min_registers
 
     # -- single query ---------------------------------------------------- #
 
-    def check(self, query: QueryLike,
-              params: QueryParams = QueryParams()) -> List[str]:
-        """Violations the query would hit right now ([] means it fits)."""
-        snapshot = ResourceSnapshot.of(self.switch)
-        num_stages = self.switch.pipeline.layout.num_stages
+    def _charge(self, occupancy: PipelineModel, query: QueryLike,
+                params: QueryParams) -> List[Violation]:
+        """Stack the query's sub-queries onto ``occupancy``; returns what
+        did not fit on the way."""
         family = self.switch.pipeline.hash_family
-        violations: List[str] = []
+        found: List[Violation] = []
         for sub in flatten(query):
             compiled = compile_query(sub, params, self.opts,
                                      hash_family=family)
-            demand = demand_of(compiled)
-            violations.extend(_violations(snapshot, demand, num_stages))
-            _charge(snapshot, demand)  # sub-queries stack on one switch
-        return violations
+            need = demand(rules_of_compiled([compiled]),
+                          len(compiled.init_entries))
+            found.extend(occupancy.fit(need))
+            occupancy.charge(need)
+        return found
+
+    def check(self, query: QueryLike,
+              params: QueryParams = QueryParams()) -> List[str]:
+        """Violations the query would hit right now ([] means it fits)."""
+        occupancy = PipelineModel.of_switch(self.switch)
+        return [str(v) for v in self._charge(occupancy, query, params)]
 
     def best_fit(self, query: QueryLike, params: QueryParams,
                  ceiling: int) -> Optional[QueryParams]:
@@ -255,25 +134,19 @@ class AdmissionPlanner:
         — trading accuracy for admission, never failing on memory alone.
         Stage- or table-bound queries are rejected outright.
         """
-        snapshot = ResourceSnapshot.of(self.switch)
-        num_stages = self.switch.pipeline.layout.num_stages
-        family = self.switch.pipeline.hash_family
+        snapshot = PipelineModel.of_switch(self.switch)
         admissions: List[Admission] = []
 
         for query, params in requests:
             attempt = params
             degraded = False
             while True:
-                trial = snapshot.copy()
-                violations: List[str] = []
-                for sub in flatten(query):
-                    compiled = compile_query(sub, attempt, self.opts,
-                                             hash_family=family)
-                    demand = demand_of(compiled)
-                    violations.extend(
-                        _violations(trial, demand, num_stages)
-                    )
-                    _charge(trial, demand)
+                trial = replace(
+                    snapshot,
+                    rules_used=dict(snapshot.rules_used),
+                    registers_used=dict(snapshot.registers_used),
+                )
+                violations = self._charge(trial, query, attempt)
                 if not violations:
                     snapshot = trial
                     admissions.append(
@@ -282,7 +155,7 @@ class AdmissionPlanner:
                     )
                     break
                 register_bound = all(
-                    "registers" in v for v in violations
+                    v.kind == "registers" for v in violations
                 )
                 smallest = min(attempt.reduce_registers,
                                attempt.distinct_registers)
@@ -297,7 +170,7 @@ class AdmissionPlanner:
                     continue
                 admissions.append(
                     Admission(qid=query.qid, admitted=False,
-                              violations=violations)
+                              violations=[str(v) for v in violations])
                 )
                 break
         return PlanResult(admissions=admissions, snapshot=snapshot)

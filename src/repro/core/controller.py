@@ -21,6 +21,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -402,12 +403,13 @@ class NewtonController:
 
         Artifact passes over the candidate sub-queries (with already
         installed queries as cross-query context), then resource
-        admission per target switch at its real occupancy — which, for
-        an update, still includes the outgoing version: make-before-break
-        genuinely needs both banks resident until GC.  ``exclude_qid``
+        admission per target switch at its real occupancy (the snapshots
+        the transaction manager hands the gate) — which, for an update,
+        still includes the outgoing version: make-before-break genuinely
+        needs both banks resident until GC.  ``exclude_qid``
         drops the query's own old version from the cross-query context.
         """
-        def gate() -> None:
+        def gate(occupancy: Mapping[object, PipelineModel]) -> None:
             context = [
                 comp
                 for owner, record in self.installed.items()
@@ -419,12 +421,9 @@ class NewtonController:
                 config=verifier_config,
             ).diagnostics)
             for sid, entries in by_switch.items():
-                model = PipelineModel.of_switch(
-                    self.switches[sid], label=f"switch {sid}"
-                )
                 report.extend(verify_slices(
                     [slices[sub_qid][index] for sub_qid, index in entries],
-                    model, switch=sid, config=verifier_config,
+                    occupancy[sid], switch=sid, config=verifier_config,
                 ).diagnostics)
             if not report.ok:
                 raise VerificationError(report)

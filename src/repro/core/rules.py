@@ -136,6 +136,10 @@ class SConfig:
             raise ValueError(f"unknown operand source: {self.operand_source}")
         if self.operand_source == OperandSource.FIELD and not self.operand_field:
             raise ValueError("FIELD operand source requires operand_field")
+        if self.operand_const < 0:
+            # Registers are unsigned, and the batch ALU's grouped scans
+            # (RegisterArray.execute_many) rely on it.
+            raise ValueError("operand_const must be non-negative")
         if self.slice_size <= 0 and not self.passthrough:
             raise ValueError("slice_size must be positive for stateful rules")
 

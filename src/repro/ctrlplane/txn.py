@@ -3,8 +3,8 @@
 Every query operation (install / remove / update) is one **transaction**
 across the switches the query is sliced onto:
 
-1. **Verify** — the static verifier runs as the pre-commit gate; a
-   failing artifact aborts before any switch is touched.
+1. **Verify** — the caller's gate, then the NV601 staging gate, on one
+   occupancy snapshot per target switch; failing aborts before any write.
 2. **Prepare** — new rules are staged into each participant's *shadow*
    epoch bank (resident, invisible) and outgoing rules are marked to
    retire at the flip.  Every prepare message is idempotent, so losses
@@ -33,7 +33,7 @@ fully at the old epoch or fully at the new one, never in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.collector.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.core.rules import QuerySlice
@@ -41,6 +41,9 @@ from repro.ctrlplane.channel import ChannelFault
 from repro.ctrlplane.journal import JournalEntry, TransactionJournal
 from repro.dataplane.switch import Switch
 from repro.runtime.channel import FLIP_OVERHEAD_S, ControlChannel
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.verify.program import PipelineModel
 
 __all__ = [
     "TxnConfig",
@@ -88,8 +91,9 @@ class TxnPlan:
     op: str                     # install | remove | update
     qid: str
     ops: Dict[object, SwitchOps]
-    #: Pre-commit gate; raising aborts before any switch is touched.
-    verify: Optional[Callable[[], None]] = None
+    #: Pre-commit gate, handed the occupancy snapshot of every switch the
+    #: plan stages on; raising aborts before any switch is touched.
+    verify: Optional[Callable[[Dict[object, PipelineModel]], None]] = None
 
 
 @dataclass
@@ -153,11 +157,6 @@ class TransactionManager:
         self.epoch = max(
             (s.rule_epoch for s in switches.values()), default=0
         )
-        #: Gate every transaction on the fleet analyzer's NV6xx staging
-        #: pass: statically prove the double-occupancy window fits each
-        #: target switch before 2PC touches the data plane.  Disable to
-        #: fall back to failing (and rolling back) at the allocator.
-        self.epoch_gate = True
         #: Optional durable write-ahead log (see
         #: :class:`~repro.ctrlplane.wal.WriteAheadLog`): when attached,
         #: every committed transaction appends a ``txn`` record before
@@ -335,10 +334,22 @@ class TransactionManager:
         prior = self.epoch
         target = prior + 1
 
+        # One occupancy snapshot per switch this transaction stages on,
+        # shared by both gates below.
+        from repro.verify import PipelineModel, VerificationError
+        from repro.verify.fleet import check_staging_plan
+
+        staging = {
+            sid: ops.stage for sid, ops in plan.ops.items() if ops.stage
+        }
+        occupancy = {
+            sid: PipelineModel.of_switch(self.switches[sid]) for sid in staging
+        }
+
         # Phase 0: static verification — abort before touching anything.
         if plan.verify is not None:
             try:
-                plan.verify()
+                plan.verify(occupancy)
             except Exception as exc:
                 self._finish(plan, txn_id, target, "aborted",
                              error=f"verification: {exc}")
@@ -347,22 +358,12 @@ class TransactionManager:
         # Phase 0b: the fleet analyzer's NV6xx staging gate — prove the
         # make-before-break double-occupancy window fits every target
         # switch, or abort with the prior epoch fully intact.
-        if self.epoch_gate:
-            from repro.verify import VerificationError
-            from repro.verify.fleet import check_staging_plan
-
-            staging = {
-                sid: ops.stage for sid, ops in plan.ops.items() if ops.stage
-            }
-            if staging:
-                report = check_staging_plan(
-                    self.switches, staging, target_epoch=target
-                )
-                if not report.ok:
-                    exc = VerificationError(report)
-                    self._finish(plan, txn_id, target, "aborted",
-                                 error=f"epoch gate: {exc}")
-                    raise exc
+        report = check_staging_plan(self.switches, staging, target, occupancy)
+        if not report.ok:
+            exc = VerificationError(report)
+            self._finish(plan, txn_id, target, "aborted",
+                         error=f"epoch gate: {exc}")
+            raise exc
 
         self.channel.begin_transaction(txn_id)
         delays: Dict[object, float] = {}

@@ -19,10 +19,9 @@ slice-0 versions are flattened into tensor-friendly programs:
 * R ternary matches become ``(lo, hi)`` range arrays evaluated per entry.
 
 Programs the compiler cannot express with batch semantics (multi-slice
-CQE queries, negative S constants, S executed before any H) mark the
-bundle unsupported; the engine then falls back to the scalar reference
-path for the affected batch, so coverage gaps cost speed, never
-correctness.
+CQE queries, S executed before any H) mark the bundle unsupported; the
+engine then falls back to the scalar reference path for the affected
+batch, so coverage gaps cost speed, never correctness.
 
 One structural fact makes batching sound: the only divergence between
 packets inside one program is the per-packet ``stopped`` flag, and a
@@ -218,11 +217,6 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
             if not has_hash[spec.set_id]:
                 # The scalar path raises at execution time; fall back so
                 # the error surfaces identically.
-                return None
-            if (sconfig.operand_source == OperandSource.CONST
-                    and sconfig.operand_const < 0):
-                # Negative operands break the non-negativity precondition
-                # of RegisterArray.execute_many's grouped scans.
                 return None
             module = pipeline.layout.module_at(
                 local_stage, ModuleType.STATE_BANK

@@ -23,7 +23,7 @@ path group; among equal-cost paths the router picks, one flow-hash
 column per host pair (:meth:`Router.path_choices`).
 
 Batches whose rule state the compiler cannot express (multi-slice CQE
-queries, negative S constants) fall back to the scalar reference engine
+queries) fall back to the scalar reference engine
 packet by packet, trading speed, never correctness.
 """
 

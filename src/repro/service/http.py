@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from typing import Dict, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.service import NewtonService, ServiceError
 
 __all__ = ["Response", "ServiceHTTP", "dispatch"]
+
+logger = logging.getLogger("repro.service")
 
 
 class Response(NamedTuple):
@@ -58,7 +61,8 @@ class Response(NamedTuple):
 _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    422: "Unprocessable Entity", 503: "Service Unavailable",
+    422: "Unprocessable Entity", 500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 _MAX_BODY = 1 << 20
@@ -200,18 +204,30 @@ class ServiceHTTP:
         except (ConnectionResetError, BrokenPipeError):
             pass
         except ValueError as exc:
-            try:
-                self._write_response(
-                    writer, Response.json(400, {"error": str(exc)})
-                )
-                await writer.drain()
-            except OSError:  # pragma: no cover - peer already gone
-                pass
+            await self._last_words(
+                writer, Response.json(400, {"error": str(exc)})
+            )
+        except Exception:
+            # A handler bug must not cost the client its answer (or the
+            # loop an unretrieved task exception): log it, say 500.
+            logger.exception("request handler failed")
+            await self._last_words(
+                writer, Response.json(500, {"error": "internal error"})
+            )
         finally:
             try:
                 writer.close()
             except OSError:  # pragma: no cover
                 pass
+
+    async def _last_words(self, writer: asyncio.StreamWriter,
+                          response: Response) -> None:
+        """Answer a request that failed; the peer may already be gone."""
+        try:
+            self._write_response(writer, response)
+            await writer.drain()
+        except OSError:  # pragma: no cover - peer already gone
+            pass
 
     async def _read_request(
         self, reader: asyncio.StreamReader,

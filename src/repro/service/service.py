@@ -101,13 +101,17 @@ def query_from_spec(spec: Dict[str, Any]) -> QueryLike:
         raise ServiceError(400, {"error": "query spec must be an object"})
     if "query" in spec:
         name = spec["query"]
-        if name not in QUERY_DESCRIPTIONS:
+        if not isinstance(name, str) or name not in QUERY_DESCRIPTIONS:
             raise ServiceError(400, {
                 "error": f"unknown library query {name!r}",
                 "choices": sorted(QUERY_DESCRIPTIONS),
             })
         thresholds = evaluation_thresholds()
         overrides = spec.get("thresholds") or {}
+        if not isinstance(overrides, dict):
+            raise ServiceError(400, {
+                "error": "'thresholds' must be an object",
+            })
         if overrides:
             known = {f.name for f in dataclasses.fields(thresholds)}
             unknown = set(overrides) - known
@@ -115,9 +119,14 @@ def query_from_spec(spec: Dict[str, Any]) -> QueryLike:
                 raise ServiceError(400, {
                     "error": f"unknown thresholds: {sorted(unknown)}",
                 })
-            thresholds = dataclasses.replace(
-                thresholds, **{k: int(v) for k, v in overrides.items()}
-            )
+            try:
+                thresholds = dataclasses.replace(
+                    thresholds, **{k: int(v) for k, v in overrides.items()}
+                )
+            except (TypeError, ValueError) as exc:
+                raise ServiceError(
+                    400, {"error": f"bad thresholds: {exc}"}
+                ) from exc
         try:
             return build_query(name, thresholds)
         except ValueError as exc:

@@ -20,7 +20,7 @@ print machine-readable reports under: ``0`` clean, ``1`` warnings only,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery
 from repro.core.rules import QuerySlice
@@ -84,12 +84,15 @@ def analyze_deployment(
 
     for switch in switches.values():
         view = SwitchView.of_switch(switch)
+        occupancy = PipelineModel.of_switch(switch)
         report.extend(config.filter(
             check_fleet_occupancy(view, config.policy)
         ))
         report.extend(config.filter(check_hash_unit_sharing(view)))
         report.extend(config.filter(check_dispatch_starvation(view)))
-        report.extend(config.filter(check_prospective_staging(view)))
+        report.extend(config.filter(
+            check_prospective_staging(view, occupancy)
+        ))
         report.extend(config.filter(check_staged_bank_layout(view)))
         report.extend(config.filter(
             check_epoch_hygiene(view, committed_epoch)
@@ -112,22 +115,27 @@ def analyze_deployment(
 def check_staging_plan(
     switches: Mapping[object, object],
     plan: Mapping[object, Sequence[QuerySlice]],
-    target_epoch: Optional[int] = None,
+    target_epoch: int,
+    occupancy: Optional[Mapping[object, PipelineModel]] = None,
 ) -> VerificationReport:
     """Statically prove a transaction's staging windows fit (NV6xx).
 
     ``plan`` maps switch id to the query slices the transaction intends
-    to stage there.  Every finding is an ERROR: the transaction would
-    fail mid-prepare and roll back, so the gate refuses it up front.
+    to stage there; ``occupancy`` holds the snapshots the caller already
+    took of those switches (the transaction manager's — one per switch
+    per transaction), any other is taken here.  Every finding is an
+    ERROR: the transaction would fail mid-prepare and roll back, so the
+    gate refuses it up front.
     """
     report = VerificationReport()
+    occupancy = occupancy or {}
     for sid, slices in plan.items():
         if not slices:
             continue
-        switch = switches[sid]
-        view = SwitchView.of_switch(switch)
+        model = occupancy.get(sid) or PipelineModel.of_switch(switches[sid])
         report.extend(
-            check_staging_plan_view(view, list(slices), target_epoch)
+            check_staging_plan_view(switches[sid], model, slices,
+                                    target_epoch)
         )
     return report
 

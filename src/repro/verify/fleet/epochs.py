@@ -14,7 +14,10 @@ global stages, not the concrete residue on one switch.
   mid-flight and roll back); :func:`check_prospective_staging` asks,
   for every active bank, whether a make-before-break re-stage of that
   bank would fit beside today's residents (WARNING — the deployment is
-  one routine update away from a staging failure).
+  one routine update away from a staging failure).  Both judge a
+  :class:`~repro.verify.program.PipelineModel` of the switch with its
+  :meth:`~repro.verify.program.PipelineModel.fit`; neither tallies
+  occupancy itself.
 * **NV602** — a staged bank violates Figure-4 layout (module ordering /
   same-stage dependency rules) while co-resident with the live epoch:
   the dependency pass re-run over the staged residue.
@@ -26,16 +29,19 @@ global stages, not the concrete residue on one switch.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery, Optimizations, QueryParams
-from repro.core.rules import ModuleRuleSpec, QuerySlice, SConfig
-from repro.dataplane.module_types import ModuleType
+from repro.core.rules import ModuleRuleSpec, QuerySlice
 from repro.verify.dependencies import check_dependencies
 from repro.verify.diagnostics import Diagnostic, Location, Severity
 from repro.verify.fleet.model import ACTIVE, RETIRED, STAGED, SwitchView
-from repro.verify.program import PipelineModel
+from repro.verify.program import (
+    PipelineModel,
+    Violation,
+    demand,
+    rules_of_slices,
+)
 from repro.verify.resources import check_resources
 
 __all__ = [
@@ -95,35 +101,20 @@ def check_staged_bank_layout(view: SwitchView) -> List[Diagnostic]:
     return out
 
 
-def _occupancy_model(view: SwitchView, label: str) -> PipelineModel:
-    """A :class:`PipelineModel` pre-seeded with all-resident occupancy."""
-    rules_used: Dict[Tuple[int, ModuleType], int] = dict(
-        view.resident_rule_counts()
-    )
-    registers_used: Dict[int, int] = dict(view.resident_register_demand())
-    return PipelineModel(
-        num_stages=view.num_stages,
-        table_capacity=view.table_capacity,
-        array_size=view.array_size,
-        rules_used=rules_used,
-        registers_used=registers_used,
-        label=label,
-    )
-
-
-def check_prospective_staging(view: SwitchView) -> List[Diagnostic]:
+def check_prospective_staging(view: SwitchView,
+                              model: PipelineModel) -> List[Diagnostic]:
     """NV601 (warning form): can every active bank still be re-staged?
 
     Simulates the double-occupancy window of a routine make-before-break
-    update of each active bank — its own rules staged *on top of* every
-    resident bank — and flags the banks that no longer fit.
+    update of each active bank — its own rules staged *on top of*
+    everything resident (``model``: the switch's occupancy) — and flags
+    the banks that no longer fit.
     """
     out: List[Diagnostic] = []
-    model = _occupancy_model(view, label=f"switch {view.switch_id}")
     for bank in view.banks_with_status(ACTIVE):
         if not bank.rules:
             continue
-        for found in check_resources(list(bank.rules), model,
+        for found in check_resources(bank.rules, model,
                                      switch=view.switch_id):
             out.append(Diagnostic(
                 severity=Severity.WARNING,
@@ -137,14 +128,14 @@ def check_prospective_staging(view: SwitchView) -> List[Diagnostic]:
                                   stage=found.location.stage,
                                   switch=view.switch_id),
             ))
-        if bank.init_count > view.dispatch_free:
+        for short in model.fit(demand((), bank.init_count)):
             out.append(Diagnostic(
                 severity=Severity.WARNING,
                 code="NV601",
                 message=(
                     f"a make-before-break update of query {bank.qid!r} "
-                    f"needs {bank.init_count} staged newton_init "
-                    f"entries but only {view.dispatch_free} TCAM rows "
+                    f"needs {short.need} staged newton_init "
+                    f"entries but only {short.free} TCAM rows "
                     f"are free"
                 ),
                 location=Location(qid=bank.qid, switch=view.switch_id),
@@ -152,110 +143,77 @@ def check_prospective_staging(view: SwitchView) -> List[Diagnostic]:
     return out
 
 
+def _does_not_fit(short: Violation, model: PipelineModel, qids: str) -> str:
+    """NV601 error-form wording of one shortfall of the staging window."""
+    if short.kind == "registers":
+        return (
+            f"stage {short.stage} has {short.free} free registers but the "
+            f"staged bank(s) [{qids}] lease {short.need} — the "
+            f"double-occupancy make-before-break window over-subscribes "
+            f"the state bank"
+        )
+    if short.kind == "rules":
+        # One physical module instance per slot multiplexes at most
+        # ``table_capacity`` rules; the staged rows must fit beside the
+        # resident ones for the duration of the double-occupancy window.
+        assert short.module_type is not None
+        return (
+            f"stage {short.stage} {short.module_type.symbol} table holds "
+            f"{model.table_capacity - short.free} resident rules and the "
+            f"staged bank adds {short.need}, exceeding the "
+            f"{model.table_capacity}-row instance during double occupancy"
+        )
+    if short.kind == "init":
+        return (
+            f"newton_init has {short.free} free TCAM rows but the staged "
+            f"bank(s) add {short.need} dispatch entries"
+        )
+    return (
+        f"the staged bank(s) [{qids}] address {short.need} stages but "
+        f"the pipeline has {short.free}"
+    )
+
+
 def check_staging_plan_view(
-    view: SwitchView,
+    switch: object,
+    model: PipelineModel,
     slices: Sequence[QuerySlice],
-    target_epoch: Optional[int] = None,
+    target_epoch: int,
 ) -> List[Diagnostic]:
-    """NV601 (error form) + NV602 for one concrete staging plan.
+    """NV601 (error form) + NV602 for one switch's share of a staging plan.
 
     Proves the transaction's staged slices fit this switch's *free*
-    capacity — registers per stage array, rows per (stage, module) table,
-    and ``newton_init`` TCAM rows — before the 2PC prepare phase touches
-    the data plane.  Slices already staged at ``target_epoch`` (idempotent
-    retries) are skipped.
+    capacity (``model``: its occupancy right now) — registers per stage
+    array, rows per (stage, module) table, and ``newton_init`` TCAM rows
+    — before the 2PC prepare phase touches the data plane.  Slices
+    already staged at ``target_epoch`` (idempotent retries) are skipped.
     """
-    out: List[Diagnostic] = []
-    staged_at_target = {
-        (bank.qid, bank.slice_index)
-        for bank in view.banks_with_status(STAGED)
-        if target_epoch is None or bank.epoch_from == target_epoch
-    }
+    pipeline = getattr(switch, "pipeline", switch)
+    sid = pipeline.switch_id
     # Dedup by (qid, slice_index): the data plane stages each slice at
     # most once per epoch (``has_staged`` idempotency), so a plan that
     # lists a slice twice — a retried or planner-composed operation —
     # must not double-count its register/rule demand here and veto a
     # staging window that in fact fits.
-    fresh: List[QuerySlice] = []
-    seen: Set[Tuple[str, int]] = set(staged_at_target)
+    fresh: Dict[Tuple[str, int], QuerySlice] = {}
     for qs in slices:
-        if (qs.qid, qs.slice_index) in seen:
-            continue
-        seen.add((qs.qid, qs.slice_index))
-        fresh.append(qs)
-    if not fresh:
-        return out
+        if not pipeline.has_staged(qs.qid, qs.slice_index, target_epoch):
+            fresh.setdefault((qs.qid, qs.slice_index), qs)
 
-    resident_registers = view.resident_register_demand()
-    resident_rules = view.resident_rule_counts()
-
-    register_demand: Dict[int, int] = defaultdict(int)
-    rule_demand: Dict[Tuple[int, ModuleType], int] = defaultdict(int)
-    init_demand = 0
-    owners: Dict[int, Set[str]] = defaultdict(set)
-    for qs in fresh:
-        init_demand += len(qs.init_entries)
-        for spec in qs.specs:
-            local_stage = spec.stage - qs.stage_base
-            rule_demand[(local_stage, spec.module_type)] += 1
-            config = spec.config
-            if (spec.module_type is ModuleType.STATE_BANK
-                    and isinstance(config, SConfig)
-                    and not config.passthrough):
-                register_demand[local_stage] += config.slice_size
-                owners[local_stage].add(qs.qid)
-
-    for stage in sorted(register_demand):
-        free = view.array_size - resident_registers.get(stage, 0)
-        if register_demand[stage] > free:
-            qids = ", ".join(sorted(owners[stage]))
-            out.append(Diagnostic(
-                severity=Severity.ERROR,
-                code="NV601",
-                message=(
-                    f"staging window does not fit: stage {stage} has "
-                    f"{free} free registers but the staged bank(s) "
-                    f"[{qids}] lease {register_demand[stage]} — the "
-                    f"double-occupancy make-before-break window "
-                    f"over-subscribes the state bank"
-                ),
-                location=Location(stage=stage, switch=view.switch_id),
-            ))
-
-    for (stage, mtype), count in sorted(
-        rule_demand.items(), key=lambda kv: (kv[0][0], kv[0][1].symbol)
-    ):
-        # One physical module instance per slot multiplexes at most
-        # ``table_capacity`` rules; the staged rows must fit beside the
-        # resident ones for the duration of the double-occupancy window.
-        resident = resident_rules.get((stage, mtype), 0)
-        if resident + count > view.table_capacity:
-            out.append(Diagnostic(
-                severity=Severity.ERROR,
-                code="NV601",
-                message=(
-                    f"staging window does not fit: stage {stage} "
-                    f"{mtype.symbol} table holds {resident} resident "
-                    f"rules and the staged bank adds {count}, exceeding "
-                    f"the {view.table_capacity}-row instance during "
-                    f"double occupancy"
-                ),
-                location=Location(stage=stage, switch=view.switch_id),
-            ))
-
-    if init_demand > view.dispatch_free:
-        out.append(Diagnostic(
+    need = demand(rules_of_slices(fresh.values()),
+                  sum(len(qs.init_entries) for qs in fresh.values()))
+    qids = ", ".join(sorted({qs.qid for qs in fresh.values()}))
+    out = [
+        Diagnostic(
             severity=Severity.ERROR,
             code="NV601",
-            message=(
-                f"staging window does not fit: newton_init has "
-                f"{view.dispatch_free} free TCAM rows but the staged "
-                f"bank(s) add {init_demand} dispatch entries"
-            ),
-            location=Location(switch=view.switch_id),
-        ))
-
-    for qs in fresh:
+            message=("staging window does not fit: "
+                     + _does_not_fit(short, model, qids)),
+            location=Location(stage=short.stage, switch=sid),
+        )
+        for short in model.fit(need)
+    ]
+    for qs in fresh.values():
         pseudo = _pseudo_compiled(qs.qid, qs.specs, stage_base=0)
         for found in check_dependencies(pseudo):
             out.append(Diagnostic(
@@ -266,7 +224,7 @@ def check_staging_plan_view(
                     f"layout: {found.message}"
                 ),
                 location=Location(qid=qs.qid, step=found.location.step,
-                                  switch=view.switch_id),
+                                  switch=sid),
             ))
     return out
 

@@ -9,6 +9,11 @@ insertion-order arbitration state.  Whole-deployment passes (NV4xx
 interference, NV6xx epoch safety) run over these views, never over the
 live switch objects, so analysis cannot mutate the data plane.
 
+A view answers *whose* rules are where; *how much* is in use is
+:meth:`repro.verify.program.PipelineModel.of_switch`, read from the
+switch's counters — the transaction path needs only that, and never
+builds a view.
+
 Bank status is classified against the switch's committed rule epoch:
 
 * ``staged``  — ``epoch_from`` is in the future (serves no packet yet),
@@ -18,11 +23,10 @@ Bank status is classified against the switch's committed rule epoch:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from repro.core.rules import HashMode, HConfig, NewtonInitEntry, SConfig
+from repro.core.rules import HashMode, HConfig
 from repro.dataplane.module_types import ModuleType
 from repro.verify.program import RuleView
 
@@ -72,17 +76,6 @@ class BankView:
         """Whether the bank can still serve (or come to serve) packets."""
         return self.status != RETIRED
 
-    def register_demand(self) -> Dict[int, int]:
-        """Registers leased per local stage by this bank's stateful rules."""
-        demand: Dict[int, int] = defaultdict(int)
-        for view in self.rules:
-            config = view.spec.config
-            if (view.module_type is ModuleType.STATE_BANK
-                    and isinstance(config, SConfig)
-                    and not config.passthrough):
-                demand[view.stage] += config.slice_size
-        return dict(demand)
-
     def hash_signatures(self) -> Tuple[Tuple[int, int], ...]:
         """``(seed_index, range_size)`` of every HASH-mode H rule.
 
@@ -122,9 +115,6 @@ class SwitchView:
     """Immutable snapshot of one switch's resident state."""
 
     switch_id: object
-    num_stages: int
-    table_capacity: int
-    array_size: int
     rule_epoch: int
     banks: Tuple[BankView, ...]
     dispatch: Tuple[DispatchView, ...]
@@ -133,7 +123,6 @@ class SwitchView:
     def of_switch(switch: object) -> "SwitchView":
         """Snapshot a simulated switch (or a bare pipeline)."""
         pipeline = getattr(switch, "pipeline", switch)
-        layout = pipeline.layout
         rule_epoch = int(pipeline.rule_epoch)
 
         banks: List[BankView] = []
@@ -168,9 +157,6 @@ class SwitchView:
 
         return SwitchView(
             switch_id=pipeline.switch_id,
-            num_stages=int(layout.num_stages),
-            table_capacity=int(layout.table_capacity),
-            array_size=int(layout.array_size),
             rule_epoch=rule_epoch,
             banks=tuple(banks),
             dispatch=dispatch,
@@ -186,26 +172,6 @@ class SwitchView:
             d for d in self.dispatch
             if d.qid == qid and (not resident_only or d.status != RETIRED)
         )
-
-    def resident_register_demand(self) -> Dict[int, int]:
-        """Registers leased per stage across *every* resident bank."""
-        demand: Dict[int, int] = defaultdict(int)
-        for bank in self.banks:
-            for stage, registers in bank.register_demand().items():
-                demand[stage] += registers
-        return dict(demand)
-
-    def resident_rule_counts(self) -> Dict[Tuple[int, ModuleType], int]:
-        """Module rules resident per (stage, module type) slot."""
-        counts: Dict[Tuple[int, ModuleType], int] = defaultdict(int)
-        for bank in self.banks:
-            for view in bank.rules:
-                counts[(view.stage, view.module_type)] += 1
-        return dict(counts)
-
-    @property
-    def dispatch_free(self) -> int:
-        return self.table_capacity - len(self.dispatch)
 
 
 @dataclass(frozen=True)

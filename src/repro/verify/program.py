@@ -6,20 +6,32 @@ The analyzer never talks to a switch: it works over compiled artifacts
 :class:`PipelineModel` describing the pipeline the rules are bound for —
 stage count, table capacity, register-array size, and any resources already
 in use.  Models are cheap value objects: lint builds a default Tofino-shaped
-one, the controller snapshots the actual target switch.
+one, a transaction snapshots each target switch once.
+
+This module also owns the one answer to "do these rules fit beside what
+is resident?": :func:`demand` tallies what a rule set costs,
+:meth:`PipelineModel.of_switch` reads what a live switch has in use, and
+:meth:`PipelineModel.fit` compares the two.  NV201/NV203, both NV601
+forms and the admission planner are all phrased over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.compiler import CompiledQuery
-from repro.core.rules import ModuleRuleSpec, NewtonInitEntry, QuerySlice
+from repro.core.rules import (
+    ModuleRuleSpec,
+    NewtonInitEntry,
+    QuerySlice,
+    SConfig,
+)
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.resources import TOFINO_STAGES
 
-__all__ = ["PipelineModel", "RuleView", "rules_of_compiled", "rules_of_slices"]
+__all__ = ["Demand", "PipelineModel", "RuleView", "Violation", "demand",
+           "rules_of_compiled", "rules_of_slices"]
 
 #: Mirrors :data:`repro.dataplane.tables.DEFAULT_TABLE_CAPACITY` without
 #: pulling the table implementation into the analyzer.
@@ -46,31 +58,108 @@ class RuleView:
         )
 
 
+#: One physical table: ``(local stage, module type)``.
+Slot = Tuple[int, ModuleType]
+
+
+@dataclass
+class Demand:
+    """What a rule set asks of one pipeline (see :func:`demand`)."""
+
+    #: slot -> module rules to insert into that slot's table.
+    rules: Dict[Slot, int] = field(default_factory=dict)
+    #: stage -> registers to lease from the stage's state-bank array.
+    registers: Dict[int, int] = field(default_factory=dict)
+    #: ``newton_init`` dispatch rows.
+    init_entries: int = 0
+    #: Pipeline depth the rules address (highest stage + 1).
+    stages: int = 0
+
+
+def demand(rules: Iterable[RuleView], init_entries: int = 0) -> Demand:
+    """Tally placed rules (and a dispatch-row count) into a :class:`Demand`.
+
+    The only place that knows what a rule costs: one table row each, plus
+    ``slice_size`` registers for a stateful (non-passthrough) S rule.
+    """
+    out = Demand(init_entries=init_entries)
+    for view in rules:
+        slot = (view.stage, view.module_type)
+        out.rules[slot] = out.rules.get(slot, 0) + 1
+        out.stages = max(out.stages, view.stage + 1)
+        config = view.spec.config
+        if (view.module_type is ModuleType.STATE_BANK
+                and isinstance(config, SConfig)
+                and not config.passthrough):
+            out.registers[view.stage] = (
+                out.registers.get(view.stage, 0) + config.slice_size
+            )
+    return out
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One capacity a :class:`Demand` exceeds on a :class:`PipelineModel`.
+
+    ``kind`` is ``"stages"``, ``"registers"`` (``stage`` set), ``"rules"``
+    (``stage`` and ``module_type`` set) or ``"init"``; ``need`` is what
+    the demand asks for and ``free`` what the pipeline has left (for
+    ``"stages"``: the pipeline depth).
+    """
+
+    kind: str
+    need: int
+    free: int
+    stage: Optional[int] = None
+    module_type: Optional[ModuleType] = None
+
+    def __str__(self) -> str:
+        if self.kind == "stages":
+            return f"needs {self.need} stages, pipeline has {self.free}"
+        if self.kind == "registers":
+            return (f"registers at stage {self.stage} exhausted "
+                    f"({self.free} left, needs {self.need})")
+        if self.kind == "rules":
+            assert self.module_type is not None
+            return (f"{self.module_type.symbol} table at stage {self.stage} "
+                    f"full ({self.free} rules left, needs {self.need})")
+        return (f"newton_init full ({self.free} slots left, "
+                f"needs {self.need})")
+
+
 @dataclass
 class PipelineModel:
-    """Capacities (and current usage) of one target pipeline.
+    """Capacities and current occupancy of one target pipeline.
 
-    ``rules_used`` and ``registers_used`` describe rules already resident —
-    zero for a lint run, the live occupancy for an install-time check — so
-    admission verdicts account for every co-installed query.
+    ``rules_used``, ``registers_used`` and ``init_used`` describe what is
+    already resident — zero for a lint run, the live occupancy for an
+    install-time check — so every verdict accounts for every co-installed
+    query.  :meth:`fit` is the one answer to "does this demand fit beside
+    what is resident?"; admission, the controller gate and the staging
+    gate all ask it.
     """
 
     num_stages: int = TOFINO_STAGES
     table_capacity: int = _DEFAULT_TABLE_CAPACITY
     array_size: int = _DEFAULT_ARRAY_SIZE
-    #: (stage, module type) -> module rules already installed.
-    rules_used: Dict[Tuple[int, ModuleType], int] = field(default_factory=dict)
+    #: slot -> module rules already installed.
+    rules_used: Dict[Slot, int] = field(default_factory=dict)
     #: stage -> registers already leased from the stage's state bank.
     registers_used: Dict[int, int] = field(default_factory=dict)
+    #: ``newton_init`` rows already in use.
+    init_used: int = 0
     label: str = "pipeline"
 
     @staticmethod
-    def of_switch(switch: object, label: str = "switch") -> "PipelineModel":
-        """Snapshot a simulated switch's layout and current occupancy."""
+    def of_switch(switch: object) -> "PipelineModel":
+        """Snapshot a simulated switch (or bare pipeline) from its physical
+        counters: table lengths and register leases, every resident bank
+        — active, staged and retired — included."""
         from repro.dataplane.modules import StateBankModule
 
-        layout = switch.pipeline.layout  # type: ignore[attr-defined]
-        rules_used: Dict[Tuple[int, ModuleType], int] = {}
+        pipeline = getattr(switch, "pipeline", switch)
+        layout = pipeline.layout
+        rules_used: Dict[Slot, int] = {}
         registers_used: Dict[int, int] = {}
         for stage in range(layout.num_stages):
             for mtype, module in layout.stage_slots(stage).items():
@@ -86,8 +175,44 @@ class PipelineModel:
             array_size=layout.array_size,
             rules_used=rules_used,
             registers_used=registers_used,
-            label=label,
+            init_used=len(pipeline.newton_init),
+            label=f"switch {pipeline.switch_id}",
         )
+
+    def fit(self, need: Demand) -> List[Violation]:
+        """Every capacity ``need`` exceeds beside what is resident.
+
+        Empty means it fits: registers per stage array, rows per slot
+        table, ``newton_init`` rows and pipeline depth, in that order.
+        """
+        out: List[Violation] = []
+        for stage in sorted(need.registers):
+            free = self.array_size - self.registers_used.get(stage, 0)
+            if need.registers[stage] > free:
+                out.append(Violation("registers", need.registers[stage],
+                                     free, stage))
+        for stage, mtype in sorted(need.rules,
+                                   key=lambda slot: (slot[0], slot[1].symbol)):
+            free = self.table_capacity - self.rules_used.get((stage, mtype), 0)
+            if need.rules[(stage, mtype)] > free:
+                out.append(Violation("rules", need.rules[(stage, mtype)],
+                                     free, stage, mtype))
+        free = self.table_capacity - self.init_used
+        if need.init_entries > free:
+            out.append(Violation("init", need.init_entries, free))
+        if need.stages > self.num_stages:
+            out.append(Violation("stages", need.stages, self.num_stages))
+        return out
+
+    def charge(self, need: Demand) -> None:
+        """Count ``need`` as resident (the next demand stacks on it)."""
+        for slot, count in need.rules.items():
+            self.rules_used[slot] = self.rules_used.get(slot, 0) + count
+        for stage, count in need.registers.items():
+            self.registers_used[stage] = (
+                self.registers_used.get(stage, 0) + count
+            )
+        self.init_used += need.init_entries
 
 
 def rules_of_compiled(compiled: Iterable[CompiledQuery]) -> List[RuleView]:

@@ -16,16 +16,20 @@ columns) start to overflow:
   installable only by slicing across switches (CQE, §5.1), so a warning.
 * **NV203** — per-stage register over-subscription: stateful S rules
   lease more registers than the stage's state-bank array holds.
+
+The tally of what the rules cost and the register inequality are the
+shared :func:`~repro.verify.program.demand` and
+:meth:`~repro.verify.program.PipelineModel.fit`; what is particular to
+this pass is NV201's instance/category arithmetic and the wording.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from collections import Counter
+from typing import Iterable, List, Sequence
 
 from repro.core.compiler import CompiledQuery
-from repro.core.rules import SConfig
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.resources import (
     MODULE_COSTS,
@@ -33,7 +37,7 @@ from repro.dataplane.resources import (
     STAGE_CAPACITY,
 )
 from repro.verify.diagnostics import Diagnostic, Location, Severity
-from repro.verify.program import PipelineModel, RuleView
+from repro.verify.program import PipelineModel, RuleView, demand
 
 __all__ = ["check_resources", "check_stage_budget"]
 
@@ -72,20 +76,9 @@ def check_resources(
     candidate and installed queries are admitted jointly.
     """
     out: List[Diagnostic] = []
-    rule_counts: Dict[Tuple[int, ModuleType], int] = defaultdict(int)
-    register_demand: Dict[int, int] = defaultdict(int)
-    for key, used in model.rules_used.items():
-        rule_counts[key] += used
-    for stage, used in model.registers_used.items():
-        register_demand[stage] += used
-
-    for view in rules:
-        rule_counts[(view.stage, view.module_type)] += 1
-        config = view.spec.config
-        if (view.module_type is ModuleType.STATE_BANK
-                and isinstance(config, SConfig)
-                and not config.passthrough):
-            register_demand[view.stage] += config.slice_size
+    need = demand(rules)
+    rule_counts = Counter(model.rules_used)
+    rule_counts.update(need.rules)
 
     # NV201: instances demanded per slot -> per-category stage usage.
     stages = sorted({stage for stage, _ in rule_counts})
@@ -127,18 +120,19 @@ def check_resources(
             ))
 
     # NV203: register leases per stage vs the state-bank array.
-    for stage in sorted(register_demand):
-        demand = register_demand[stage]
-        if demand > model.array_size:
-            out.append(Diagnostic(
-                severity=Severity.ERROR,
-                code="NV203",
-                message=(
-                    f"stage {stage} register over-subscription on "
-                    f"{model.label}: stateful rules lease {demand} "
-                    f"registers, the state-bank array holds "
-                    f"{model.array_size}"
-                ),
-                location=Location(stage=stage, switch=switch),
-            ))
+    for short in model.fit(need):
+        if short.kind != "registers":
+            continue
+        out.append(Diagnostic(
+            severity=Severity.ERROR,
+            code="NV203",
+            message=(
+                f"stage {short.stage} register over-subscription on "
+                f"{model.label}: stateful rules lease "
+                f"{model.array_size - short.free + short.need} "
+                f"registers, the state-bank array holds "
+                f"{model.array_size}"
+            ),
+            location=Location(stage=short.stage, switch=switch),
+        ))
     return out

@@ -1,13 +1,7 @@
-"""Windowed stream-executor tests: tail semantics and batch/per-report
-equivalence."""
+"""Windowed stream-executor tests: merge, duplicate and tail semantics."""
 
-from repro.collector.executor import (
-    PerReportExecutor,
-    apply_tail,
-    merge_records,
-    run_batch,
-)
-from repro.collector.records import QueryRegistration, ReportRecord
+from repro.collector.executor import apply_tail, merge_records
+from repro.collector.records import ReportRecord
 from repro.core.ast import (
     CmpOp,
     Distinct,
@@ -18,13 +12,6 @@ from repro.core.ast import (
     Reduce,
     ResultFilter,
 )
-
-
-def registration(key_fields=("sip", "dip"), tail=()):
-    return QueryRegistration(
-        qid="q", top_qid="Q", key_fields=tuple(key_fields), result_set=1,
-        cpu_start=0, num_primitives=len(tail), tail=tuple(tail),
-    )
 
 
 def record(key, count=1, seq=None, switch="s0", epoch=0):
@@ -115,43 +102,45 @@ class TestApplyTail:
         assert apply_tail((), ("dip",), merged) == merged
 
 
-class TestBatchVsPerReport:
-    def test_identical_semantics(self):
+class TestMergeThenTail:
+    def test_window_answer_matches_reference(self):
         tail = [
             Reduce((KeyExpr("dip"),)),
             ResultFilter(op=CmpOp.GE, threshold=5),
         ]
-        reg = registration(key_fields=("sip", "dip"), tail=tail)
         records = [
             record((i % 7, 9), count=(i % 4) + 1, switch=f"s{i % 3}", seq=i)
             for i in range(300)
         ]
-        records += records[:50]  # genuine duplicates
-        batch = run_batch(records, reg)
-        naive = PerReportExecutor(reg)
+        # Reference, the slow way: max per (sip, dip), summed per dip.
+        per_flow = {}
         for r in records:
-            naive.observe(r)
-        stream = naive.finish()
-        assert batch.results == stream.results
-        assert batch.processed == stream.processed == len(records)
-        assert batch.duplicates == stream.duplicates == 50
+            per_flow[r.key] = max(per_flow.get(r.key, 0), r.count)
+        total = sum(per_flow.values())
+        records += records[:50]  # genuine duplicates
+        merged, seen = {}, set()
+        processed, duplicates = merge_records(records, merged, seen)
+        assert merged == per_flow
+        assert (processed, duplicates) == (len(records), 50)
+        assert apply_tail(tail, ("sip", "dip"), merged) == {(9,): total}
 
-    def test_per_report_resets_between_windows(self):
-        reg = registration(key_fields=("dip",))
-        naive = PerReportExecutor(reg)
-        naive.observe(record((9,), count=3, seq=1))
-        first = naive.finish()
-        second = naive.finish()
-        assert first.results == {(9,): 3}
-        assert second.results == {}
-        assert second.processed == 0
+    def test_duplicates_collapse_across_drains_of_one_window(self):
+        # The collector drains a window's queue more than once (late
+        # records inside the watermark) into the same merged/seen pair.
+        merged, seen = {}, set()
+        first = record((9,), count=3, seq=1)
+        assert merge_records([first], merged, seen) == (1, 0)
+        late = [first, record((9,), count=5, seq=2)]
+        assert merge_records(late, merged, seen) == (2, 1)
+        assert merged == {(9,): 5}
 
-    def test_outcome_accounting(self):
+    def test_tail_filters_the_merged_window(self):
         tail = [ResultFilter(op=CmpOp.GE, threshold=10)]
-        reg = registration(key_fields=("dip",), tail=tail)
-        outcome = run_batch(
+        merged, seen = {}, set()
+        merge_records(
             [record((9,), count=3, seq=1), record((8,), count=12, seq=2)],
-            reg,
+            merged, seen,
         )
-        assert outcome.results == {(8,): 12}
-        assert outcome.filtered == 1
+        results = apply_tail(tail, ("dip",), merged)
+        assert results == {(8,): 12}
+        assert len(merged) - len(results) == 1

@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.core.admission import (
-    AdmissionPlanner,
-    ResourceSnapshot,
-    demand_of,
-)
+from repro.core.admission import AdmissionPlanner
 from repro.core.compiler import QueryParams, compile_query
 from repro.core.library import QueryThresholds, build_query
 from repro.core.query import Query
 from repro.dataplane.module_types import ModuleType
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
+from repro.verify.program import PipelineModel, demand, rules_of_compiled
 
 
 def q(qid, threshold=10):
@@ -29,40 +26,40 @@ SMALL = QueryParams(cm_depth=2, bf_hashes=2,
                     reduce_registers=256, distinct_registers=256)
 
 
+def demand_of(compiled):
+    return demand(rules_of_compiled([compiled]), len(compiled.init_entries))
+
+
 class TestDemand:
     def test_demand_counts_rules_and_registers(self):
         compiled = compile_query(q("ad.q"), SMALL)
-        demand = demand_of(compiled)
-        assert demand.init_entries == 1
-        assert sum(n for _, n in demand.rules) == compiled.num_modules
-        assert sum(n for _, n in demand.registers) == 2 * 256
-        assert demand.stages == compiled.num_stages
+        need = demand_of(compiled)
+        assert need.init_entries == 1
+        assert sum(need.rules.values()) == compiled.num_modules
+        assert sum(need.registers.values()) == 2 * 256
+        assert need.stages == compiled.num_stages
 
     def test_passthrough_s_needs_no_registers(self):
-        query = Query("ad.f").map("dip").reduce("dip").where(ge=2)
-        query.primitives.insert(0, build_query("Q3").primitives[0])
         compiled = compile_query(Query("ad.m").map("dip"), SMALL)
-        assert demand_of(compiled).registers == ()
+        assert demand_of(compiled).registers == {}
 
 
 class TestSnapshot:
     def test_fresh_switch_fully_free(self):
         deployment = build_deployment(linear(1), table_capacity=256,
                                       array_size=4096)
-        snapshot = ResourceSnapshot.of(deployment.switch("s0"))
-        assert snapshot.init_free == 256
-        assert all(v == 256 for v in snapshot.table_free.values())
-        assert all(v == 4096 for v in snapshot.register_free.values())
+        model = PipelineModel.of_switch(deployment.switch("s0"))
+        assert model.table_capacity - model.init_used == 256
+        assert (model.table_capacity, model.rules_used) == (256, {})
+        assert (model.array_size, model.registers_used) == (4096, {})
 
     def test_snapshot_reflects_installs(self):
         deployment = build_deployment(linear(1), array_size=4096)
         deployment.controller.install_query(q("ad.q"), SMALL, path=["s0"])
-        snapshot = ResourceSnapshot.of(deployment.switch("s0"))
-        assert snapshot.init_free == 255
-        used_tables = sum(
-            1 for v in snapshot.table_free.values() if v < 256
-        )
-        assert used_tables == compile_query(q("ad.q"), SMALL).num_modules
+        model = PipelineModel.of_switch(deployment.switch("s0"))
+        assert model.table_capacity - model.init_used == 255
+        assert (len(model.rules_used)
+                == compile_query(q("ad.q"), SMALL).num_modules)
 
 
 class TestCheck:

@@ -67,6 +67,24 @@ class TestQueryCrud:
         assert response.status == 400
         assert "bad JSON" in decode(response)["error"]
 
+    @pytest.mark.parametrize("path", ["/queries", "/plan"])
+    @pytest.mark.parametrize("body", [
+        {"query": ["Q1"]},
+        {"query": {}},
+        {"query": "Q1", "thresholds": {"syn_flood": "x"}},
+    ])
+    def test_malformed_query_spec_400(self, tmp_path, path, body):
+        service = NewtonService(
+            GeneratorSource(pps=1000, seed=2),
+            ServiceConfig(switches=2, wal_dir=str(tmp_path)),
+        )
+        response = call(service, "POST", path,
+                        body=json.dumps(body).encode())
+        assert response.status == 400, decode(response)
+        assert service.tick() is not None  # still ticking
+        assert decode(call(service, "GET", "/queries"))["queries"] == {}
+        assert [r for r in service.wal.replay() if r["kind"] == "op"] == []
+
     def test_duplicate_install_409(self, service):
         call(service, "POST", "/queries", body=install_body())
         assert call(

@@ -110,3 +110,17 @@ def test_live_bad_query_is_400_not_a_crash(server):
         server.client.install({"query": "Q99"})
     assert exc.value.status == 400
     assert server.client.health()["status"] == "ok"
+
+
+def test_live_handler_bug_is_500_not_a_dropped_connection(server,
+                                                          monkeypatch):
+    def broken():
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(server.service, "coverage", broken)
+    with pytest.raises(ServiceAPIError) as exc:
+        server.client.coverage()
+    assert exc.value.status == 500
+    assert exc.value.payload == {"error": "internal error"}
+    monkeypatch.undo()
+    assert server.client.health()["status"] == "ok"

@@ -13,6 +13,11 @@
   imports ``hashlib``, and flow decisions go through the flow hash — no
   ``hash_bytes`` (the sketch-key hash) under ``src/repro/engine`` or
   ``src/repro/network``.
+* One occupancy model: outside ``dataplane/`` only
+  ``PipelineModel.of_switch`` (``verify/program.py``) reads a switch's
+  ``free_registers()`` / ``stage_slots()``, and the op path
+  (``src/repro/ctrlplane``, ``src/repro/core``) never imports the
+  bank-walking ``SwitchView``.
 """
 
 import ast
@@ -79,6 +84,35 @@ def key_hash(node):
     return tail_name(node) == "hash_bytes"
 
 
+def occupancy_read(node):
+    return (isinstance(node, ast.Call)
+            and tail_name(node.func) in ("free_registers", "stage_slots"))
+
+
+def bank_walk(node):
+    """``SwitchView`` imported (under any alias) or referenced."""
+    if isinstance(node, ast.alias):
+        return node.name == "SwitchView"
+    return tail_name(node) == "SwitchView"
+
+
+def owners(tree, offends):
+    """Innermost enclosing function (``<module>`` if none) of each
+    offending node."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if offends(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
 def violations(package, offends):
     return [
         f"{path}:{node.lineno}"
@@ -115,6 +149,32 @@ def test_flow_decisions_never_use_the_key_hash(package):
     assert violations(package, key_hash) == []
 
 
+def test_one_function_reads_occupancy_off_a_switch():
+    readers = {
+        f"{path}:{owner}"
+        for path, tree in trees("")
+        if path.parts[0] != "dataplane"
+        for owner in owners(tree, occupancy_read)
+    }
+    assert readers == {"verify/program.py:of_switch"}
+
+
+@pytest.mark.parametrize("package", ["ctrlplane", "core"])
+def test_op_path_never_imports_the_bank_walk(package):
+    assert violations(package, bank_walk) == []
+
+
+def test_owners_names_the_innermost_function():
+    tree = ast.parse(
+        "layout.stage_slots(0)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return array.free_registers()\n"
+        "    return inner\n"
+    )
+    assert owners(tree, occupancy_read) == ["<module>", "inner"]
+
+
 @pytest.mark.parametrize("rule, source, offends", [
     (simulator_private, "sim._now = 1.0", True),
     (simulator_private, "self.sim._fire_scheduled(ts)", True),
@@ -136,6 +196,14 @@ def test_flow_decisions_never_use_the_key_hash(package):
     (key_hash, "from repro.dataplane.hashing import hash_bytes as hb", True),
     (key_hash, "hashing.hash_bytes(flow, seed)", True),
     (key_hash, "flow_hash(packet.five_tuple, self.seed)", False),
+    (occupancy_read, "module.array.free_registers()", True),
+    (occupancy_read, "pipeline.layout.stage_slots(stage).items()", True),
+    (occupancy_read, "PipelineModel.of_switch(switch)", False),
+    (occupancy_read, "array.free_registers", False),
+    (bank_walk, "from repro.verify.fleet.model import SwitchView", True),
+    (bank_walk, "from repro.verify.fleet import SwitchView as SV", True),
+    (bank_walk, "fleet.SwitchView.of_switch(switch)", True),
+    (bank_walk, "from repro.verify.fleet import check_staging_plan", False),
 ])
 def test_each_rule_catches_what_it_should(rule, source, offends):
     assert any(map(rule, ast.walk(ast.parse(source)))) is offends

@@ -7,7 +7,7 @@ from repro.core.query import Query
 from repro.dataplane.registers import AllocationError
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
-from repro.verify import VerificationError
+from repro.verify import VerificationError, VerificationReport
 
 
 def syn_query(qid="ctl.q", threshold=10):
@@ -45,11 +45,13 @@ class TestInstallGate:
         assert "NV601" in exc.value.report.codes()
         assert dep.switch("s0").rule_count == 0
 
-    def test_epoch_gate_off_dies_at_the_allocator(self):
-        # With both gates off the install reaches the data plane and dies
-        # on the allocator instead (and is rolled back there).
+    def test_epoch_gate_off_dies_at_the_allocator(self, monkeypatch):
+        # With both gates out of the way (the product has no switch for
+        # the second one) the install reaches the data plane and dies on
+        # the allocator instead (and is rolled back there).
         dep = build_deployment(linear(1), array_size=64)
-        dep.controller.txn.epoch_gate = False
+        monkeypatch.setattr("repro.verify.fleet.check_staging_plan",
+                            lambda *args: VerificationReport())
         with pytest.raises(AllocationError):
             dep.controller.install_query(syn_query(), QueryParams(),
                                          path=["s0"], verify=False)

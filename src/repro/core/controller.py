@@ -621,7 +621,9 @@ class NewtonController:
 
         Reads each row's full register slice over the control channel —
         summed across the switches hosting it, exactly like
-        :meth:`estimate_count` — and returns the nonzero-cell fraction of
+        :meth:`estimate_count`, except that a bank no packet has written
+        since its reset (``RegisterArray.dirty`` false) is known to be
+        zeros and is not read — and returns the nonzero-cell fraction of
         the *most loaded* row, in [0, 1].  Saturation here is the leading
         indicator of collision-driven over-counting (the NV701 budget in
         live form), so the dynamic planner reads it at every window close
@@ -653,6 +655,7 @@ class NewtonController:
         for row in rows:
             slice_index = row.stage // stages_per_switch
             local_stage = row.stage - slice_index * stages_per_switch
+            length = 0
             summed = None
             for sid, entries in record.by_switch.items():
                 if (sub_qid, slice_index) not in entries:
@@ -671,10 +674,20 @@ class NewtonController:
                 )
                 if storage_key is None:
                     continue
+                alloc = module.array.allocation(storage_key)
+                if alloc is None:
+                    continue
+                length = alloc.size
+                if not module.array.dirty:
+                    # No packet reached this switch's bank since its
+                    # reset: the slice is zeros and adds nothing, but the
+                    # row is installed — its load is 0.0, not None.
+                    continue
                 cells = module.array.read_slice(storage_key)
                 summed = cells if summed is None else summed + cells
-            if summed is None or len(summed) == 0:
+            if not length:
                 continue  # row deferred beyond the installed path
-            load = float((summed != 0).sum()) / float(len(summed))
+            nonzero = 0 if summed is None else int((summed != 0).sum())
+            load = float(nonzero) / float(length)
             worst = load if worst is None else max(worst, load)
         return worst

@@ -10,8 +10,9 @@ every 100 ms, paper §6).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -197,81 +198,92 @@ class RegisterArray:
             self._dirty = True
         return old_value, new_value
 
-    def execute_many(self, owner: Tuple, indices: np.ndarray,
-                     op: StatefulOp,
-                     operands: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def execute_many(
+        self, owner: Tuple, indices: np.ndarray, op: StatefulOp,
+        operands: Union[int, np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Batch of :meth:`execute` calls with sequential semantics.
 
-        ``indices`` are hash results in packet order; ``operands`` must be
-        non-negative (register values and packet fields always are), which
-        is what lets saturation-at-``REGISTER_MAX`` commute with the
-        grouped scans below.  Returns ``(old_values, new_values)`` per
-        call, bit-identical to executing the loop one packet at a time,
-        and stores each touched register's final value.
+        ``indices`` are hash results in packet order; ``operands`` is one
+        value per call, or a plain ``int`` when the rule's operand is a
+        constant, and must be non-negative (register values and packet
+        fields always are), which is what lets saturation-at-
+        ``REGISTER_MAX`` commute with the grouped scans below.  Returns
+        ``(old_values, new_values)`` per call, bit-identical to executing
+        the loop one packet at a time, and stores each touched register's
+        final value.
+
+        The per-packet values are the *running* ones — the third hit on a
+        cell sees the first two, and an R threshold fires on the packet
+        that reaches it — so a per-distinct-cell total (``bincount``) is
+        not enough: rows are grouped by cell, in packet order inside each
+        group, and scanned.  The grouping is linear in the batch
+        (:func:`_stable_order`), not a comparison sort.
         """
         alloc = self._allocations.get(owner)
         if alloc is None:
             raise AllocationError(f"owner {owner!r} holds no allocation")
-        cells = alloc.offset + (indices % alloc.size)
-        return self._execute_cells(cells, op, operands)
-
-    def _execute_cells(self, cells: np.ndarray, op: StatefulOp,
-                       operands: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        n = len(cells)
+        relative = indices % alloc.size
+        if op is StatefulOp.READ:
+            values = self._cells[alloc.offset + relative]
+            return values, values.copy()
+        n = len(indices)
         old = np.empty(n, dtype=np.int64)
         new = np.empty(n, dtype=np.int64)
         if n == 0:
             return old, new
-        # Stable sort groups same-cell hits while preserving packet order
-        # inside each group — the order the sequential ALU would see.
-        order = np.argsort(cells, kind="stable")
-        c = cells[order]
-        v = operands[order].astype(np.int64, copy=False)
+        order = _stable_order(relative, alloc.size)
+        c = alloc.offset + relative[order]
         base = self._cells[c]
         starts = np.empty(n, dtype=bool)
         starts[0] = True
         starts[1:] = c[1:] != c[:-1]
+        constant = not isinstance(operands, np.ndarray)
+        v = (operands if constant
+             else operands[order].astype(np.int64, copy=False))
+        # ``excl``: what the earlier hits of the same cell in this batch
+        # contributed before each row.  A constant needs no scan: it is
+        # the row's rank in its group times the constant for ADD, and —
+        # OR and MAX being idempotent — "identity at group starts, the
+        # constant everywhere else" for those.
+        if op is StatefulOp.ADD:
+            position = np.arange(n)
+            start_idx = np.maximum.accumulate(np.where(starts, position, 0))
+            if constant:
+                excl = (position - start_idx) * v
+            else:
+                before = np.cumsum(v) - v
+                excl = before - before[start_idx]
+            # Exact: with non-negative operands the sequential
+            # saturate-per-step equals the clipped prefix sum.
+            out_old = np.minimum(base + excl, REGISTER_MAX)
+            out_new = np.minimum(out_old + v, REGISTER_MAX)
+        elif op is StatefulOp.OR or op is StatefulOp.MAX:
+            excl = (np.where(starts, 0, v) if constant
+                    else _segmented_exclusive_scan(v, c, starts, op))
+            if op is StatefulOp.OR:
+                out_old = (base | excl) & REGISTER_MAX
+                out_new = (out_old | v) & REGISTER_MAX
+            else:
+                out_old = np.minimum(np.maximum(base, excl), REGISTER_MAX)
+                out_new = np.minimum(np.maximum(out_old, v), REGISTER_MAX)
+        else:  # pragma: no cover - enum is closed
+            raise ValueError(f"unsupported stateful ALU: {op}")
         ends = np.empty(n, dtype=bool)
         ends[:-1] = starts[1:]
         ends[-1] = True
-        if op is StatefulOp.READ:
-            out_old = base
-            out_new = base
-        elif op is StatefulOp.ADD:
-            self._dirty = True
-            # Exact: with non-negative operands the sequential
-            # saturate-per-step equals the clipped prefix sum.
-            cum = np.cumsum(v)
-            excl_global = cum - v
-            start_idx = np.maximum.accumulate(
-                np.where(starts, np.arange(n), 0)
-            )
-            excl = excl_global - excl_global[start_idx]
-            out_old = np.minimum(base + excl, REGISTER_MAX)
-            out_new = np.minimum(base + excl + v, REGISTER_MAX)
-            self._cells[c[ends]] = out_new[ends]
-        elif op is StatefulOp.OR or op is StatefulOp.MAX:
-            self._dirty = True
-            excl = _segmented_exclusive_scan(v, c, starts, op)
-            if op is StatefulOp.OR:
-                out_old = (base | excl) & REGISTER_MAX
-                out_new = (base | excl | v) & REGISTER_MAX
-            else:
-                out_old = np.minimum(np.maximum(base, excl), REGISTER_MAX)
-                out_new = np.minimum(
-                    np.maximum(out_old, v), REGISTER_MAX
-                )
-            self._cells[c[ends]] = out_new[ends]
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unsupported stateful ALU: {op}")
+        self._cells[c[ends]] = out_new[ends]
+        self._dirty = True
         old[order] = out_old
         new[order] = out_new
         return old, new
 
     @property
-    def cells(self) -> np.ndarray:
-        """The live register file (engine-internal bulk access)."""
-        return self._cells
+    def dirty(self) -> bool:
+        """Whether any register may be non-zero: ``False`` means no
+        packet or fault has written the array since its last
+        :meth:`reset_all`, so every slice of it reads as zeros."""
+        return self._dirty
 
     def dump(self) -> np.ndarray:
         """Copy of the whole register file (for differential testing)."""
@@ -297,7 +309,7 @@ class RegisterArray:
         self._cells[:] = 0
         self._dirty = False
 
-    def corrupt(self, fraction: float, rng) -> int:
+    def corrupt(self, fraction: float, rng: random.Random) -> int:
         """Overwrite a seeded ``fraction`` of each allocation's cells
         with random values (fault injection); returns cells corrupted.
 
@@ -324,20 +336,36 @@ class RegisterArray:
         return 1.0 - self.free_registers() / self.size
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable ascending order of integer ``keys`` in ``[0, bound)``.
+
+    Grouping same-cell hits needs equal keys adjacent *and* packet order
+    kept inside each group — the order the sequential ALU sees them in —
+    so the order must be stable, but it need not compare: ``bound`` is
+    the size of the installed slice, and numpy's stable sort of a 16-bit
+    column is an LSD radix sort, O(n).  One pass covers a slice of up to
+    2^16 registers, two passes (low half, then the high half of the
+    permuted rows) up to 2^32; only beyond that does the comparison sort
+    remain.
+    """
+    if bound > 1 << 32:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound > 1 << 16:
+        high = (keys[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order
+
+
 def _segmented_exclusive_scan(values: np.ndarray, groups: np.ndarray,
                               starts: np.ndarray,
                               op: StatefulOp) -> np.ndarray:
     """Exclusive OR/MAX scan within contiguous equal-``groups`` runs.
 
     The identity (0) is correct for both ops here because registers and
-    operands are non-negative.  Constant operands (the overwhelmingly
-    common ``+1`` / ``|1`` rules) short-circuit: OR and MAX are
-    idempotent, so the exclusive scan is just "identity at group starts,
-    the constant everywhere else".
+    operands are non-negative.
     """
     n = len(values)
-    if n and bool(np.all(values == values[0])):
-        return np.where(starts, np.int64(0), values)
     # Shift by one within each group, then Hillis-Steele inclusive scan.
     # OR/MAX are idempotent, so overlapping windows are harmless.
     shifted = np.zeros(n, dtype=np.int64)

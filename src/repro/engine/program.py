@@ -100,7 +100,9 @@ class _SOp:
     array: Optional[RegisterArray] = None
     storage_key: Optional[Tuple] = None
     op: object = None
-    operand_const: Optional[int] = None
+    #: The operand when ``operand_field`` is None; reaches the ALU as a
+    #: plain int, never as a filled column.
+    operand_const: int = 0
     operand_field: Optional[str] = None
     output_old: bool = False
 
@@ -223,7 +225,7 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
             )
             assert module is not None
             operand_field = None
-            operand_const: Optional[int] = None
+            operand_const = 0
             if sconfig.operand_source == OperandSource.CONST:
                 operand_const = sconfig.operand_const
             else:
@@ -231,8 +233,8 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
                 if name in GLOBAL_FIELDS:
                     operand_field = name
                     needed.add(name)
-                else:
-                    operand_const = 0  # fields.get(name, 0)
+                # An unknown field reads as the constant 0, like the
+                # scalar path's ``fields.get(name, 0)``.
             ops.append(_SOp(
                 set_id=spec.set_id,
                 passthrough=False,
@@ -383,13 +385,10 @@ def execute_program(
                             ),
                             switch=switch_id, qid=program.qid, count=bad,
                         )
-            if op.operand_field is not None:
-                operands = cols[op.operand_field][idx]
-            else:
-                operands = np.full(len(idx), op.operand_const,
-                                   dtype=np.int64)
             old, new = op.array.execute_many(
-                op.storage_key, st.hash[idx], op.op, operands
+                op.storage_key, st.hash[idx], op.op,
+                (op.operand_const if op.operand_field is None
+                 else cols[op.operand_field][idx]),
             )
             fresh = (np.zeros(k, dtype=np.int64) if st.state is None
                      else st.state.copy())

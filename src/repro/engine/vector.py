@@ -12,7 +12,8 @@ Inside a sub-batch nothing external can happen, so the per-switch rule
 state is frozen and the compiled rule programs (:mod:`repro.engine.
 program`) run each installed query over whole packet columns at once.
 State-bank updates go through :meth:`RegisterArray.execute_many`, whose
-grouped scans are bit-identical to the sequential ALU.  Hashing follows
+grouped scans (rows radix-grouped by register, linear in the batch) are
+bit-identical to the sequential ALU.  Hashing follows
 the sketch shape: each K packs its key column into ``uint64`` words and
 deduplicates it once into a :class:`~repro.dataplane.hashing.KeyGroup`
 that every H behind it shares, and each H resolves only the distinct
@@ -87,8 +88,10 @@ class VectorizedEngine(ExecutionEngine):
         window_s = sim.window_s
         for chunk in iter_column_chunks(packets, self.batch_size):
             ts = chunk.ts
-            # Same truncation as WindowClock.epoch_of (ts >= 0 in traces;
-            # a negative ts would fail the sorted check either way).
+            # Same truncation toward zero as ``sim.advance``'s
+            # ``int(ts / window_s)``: a ts in (-window, 0) belongs to
+            # window 0 for both engines, anything earlier is an epoch
+            # regression for both.
             epoch_col = (ts / window_s).astype(np.int64)
             n = len(chunk)
             pos = 0

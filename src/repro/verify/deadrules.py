@@ -23,7 +23,7 @@ fix is a query rewrite rather than a rejected install.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery
 from repro.core.fields import GLOBAL_FIELDS
@@ -31,6 +31,7 @@ from repro.core.rules import (
     HashMode,
     HConfig,
     MatchSource,
+    ModuleRuleSpec,
     OperandSource,
     RConfig,
     SConfig,
@@ -46,7 +47,8 @@ Interval = Tuple[int, int]
 _FULL: Interval = (0, REGISTER_MAX)
 
 
-def _hash_interval(spec_index: int, specs, set_id: int) -> Interval:
+def _hash_interval(spec_index: int, specs: Sequence[ModuleRuleSpec],
+                   set_id: int) -> Interval:
     """Feasible hash-result interval feeding the S rule at ``spec_index``."""
     for prior in reversed(specs[:spec_index]):
         if (prior.module_type is ModuleType.HASH_CALCULATION
@@ -59,7 +61,8 @@ def _hash_interval(spec_index: int, specs, set_id: int) -> Interval:
     return _FULL
 
 
-def _state_interval(spec_index: int, specs) -> Interval:
+def _state_interval(spec_index: int,
+                    specs: Sequence[ModuleRuleSpec]) -> Interval:
     """Feasible state-result interval after the S rule at ``spec_index``."""
     spec = specs[spec_index]
     config = spec.config

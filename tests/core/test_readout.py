@@ -1,13 +1,16 @@
 """Register readout tests: exact window aggregates via the control plane."""
 
+import random
+
 import pytest
 
 from repro.core.compiler import QueryParams, compile_query
 from repro.core.packet import Packet
 from repro.core.query import Query
 from repro.core.readout import reduce_probe_rows
+from repro.dataplane.module_types import ModuleType
 from repro.network.deployment import build_deployment
-from repro.network.topology import linear
+from repro.network.topology import fat_tree, linear
 
 PARAMS = QueryParams(cm_depth=3, reduce_registers=1 << 12,
                      distinct_registers=1 << 12)
@@ -115,3 +118,97 @@ class TestEstimateCount:
         assert reported == 10  # clipped at the crossing
         exact = deployment.controller.estimate_count("ro.q", {"dip": 9})
         assert exact == 25
+
+
+def _read_everything_occupancy(controller, sub_qid):
+    """``sketch_occupancy`` as it was before it skipped clean banks:
+    copy and sum the slice of every hosting switch, touched or not."""
+    record = controller.installed[controller._sub_owner[sub_qid]]
+    slices = record.slices[sub_qid]
+    rows = reduce_probe_rows(record.compiled[sub_qid])
+    if not slices or not rows:
+        return None
+    stages_per_switch = slices[0].num_stages
+    worst = None
+    for row in rows:
+        slice_index, local_stage = divmod(row.stage, stages_per_switch)
+        summed = None
+        for sid, entries in record.by_switch.items():
+            if (sub_qid, slice_index) not in entries:
+                continue
+            pipeline = controller.switches[sid].pipeline
+            module = pipeline.layout.module_at(local_stage,
+                                               ModuleType.STATE_BANK)
+            key = pipeline.state_storage_key(sub_qid, slice_index,
+                                             row.state_key)
+            if module is None or key is None:
+                continue
+            cells = module.array.read_slice(key)
+            summed = cells if summed is None else summed + cells
+        if summed is None:
+            continue
+        load = float((summed != 0).sum()) / float(len(summed))
+        worst = load if worst is None else max(worst, load)
+    return worst
+
+
+class TestSketchOccupancy:
+    """The window-close readout skips banks no packet wrote
+    (``RegisterArray.dirty``); every value it returns must equal the
+    read-everything readout, ``0.0`` for an idle installed row included
+    (``None`` would make the collector drop the sub-query)."""
+
+    PAIRS = (("hp0e0n0", "hp2e0n0"), ("hp1e0n0", "hp3e0n0"),
+             ("hp0e1n0", "hp3e1n0"))
+
+    def test_equals_the_full_readout_after_every_window(self):
+        rng = random.Random(2024)
+        deployment = build_deployment(fat_tree(4), array_size=1 << 13,
+                                      engine="vector")
+        controller = deployment.controller
+        subs = ["ro.syn", "ro.udp", "ro.map"]
+        controller.install_query(q("ro.syn"), PARAMS,
+                                 topology=deployment.topology)
+        # Installed everywhere, matched by no packet below: idle rows.
+        controller.install_query(
+            Query("ro.udp").filter(proto=17).map("dip").reduce("dip")
+            .where(ge=3), PARAMS, topology=deployment.topology)
+        # No data-plane reduce: None on both sides.
+        controller.install_query(Query("ro.map").map("dip"), PARAMS,
+                                 topology=deployment.topology)
+        hosting = {
+            sid for sid, entries in
+            controller.installed["ro.syn"].by_switch.items() if entries
+        }
+        assert len(hosting) > 1
+        seen_dirty = set()
+        sim = deployment.simulator
+        for window in range(12):
+            # Window 0 is idle; then one pair, then a seeded mix.
+            senders = ((), self.PAIRS[:1])[window] if window < 2 else (
+                rng.sample(self.PAIRS, rng.randint(0, len(self.PAIRS))))
+            packets = sorted((
+                Packet(sip=rng.randrange(1, 50), dip=rng.randrange(1, 9),
+                       proto=6, tcp_flags=2,
+                       ts=(window + rng.random()) * sim.window_s,
+                       src_host=src, dst_host=dst)
+                for src, dst in senders for _ in range(rng.randint(1, 40))
+            ), key=lambda packet: packet.ts)
+            sim.run(packets)
+            dirty = sum(
+                any(bank.array.dirty for bank in
+                    controller.switches[sid].pipeline.layout.state_banks())
+                for sid in hosting
+            )
+            seen_dirty.add(min(dirty, 2))
+            for sub in subs:
+                got = controller.sketch_occupancy(sub)
+                assert got == _read_everything_occupancy(controller, sub), (
+                    window, sub)
+            assert controller.sketch_occupancy("ro.map") is None
+            assert controller.sketch_occupancy("ro.udp") == 0.0
+            if not packets:
+                assert controller.sketch_occupancy("ro.syn") == 0.0
+            sim.roll_window()
+        # Idle, single-switch and multi-switch windows all occurred.
+        assert seen_dirty == {0, 1, 2}

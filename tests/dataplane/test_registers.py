@@ -108,6 +108,24 @@ class TestWindows:
         array.reset_all()
         assert array.read_slice(("q", 0)).sum() == 0
 
+    def test_dirty_follows_writes_and_the_window_reset(self):
+        """``dirty`` false promises an all-zero file (the window-close
+        readout skips such banks): reads leave it, any write sets it,
+        only ``reset_all`` clears it, and callers cannot."""
+        array = RegisterArray(8)
+        array.allocate(("q", 0), 4)
+        assert not array.dirty
+        array.execute(("q", 0), 0, StatefulOp.READ, 0)
+        assert not array.dirty
+        array.execute(("q", 0), 0, StatefulOp.OR, 1)
+        assert array.dirty
+        array.reset_slice(("q", 0))
+        assert array.dirty            # zeroed, but not known clean
+        array.reset_all()
+        assert not array.dirty and not array.dump().any()
+        with pytest.raises(AttributeError):
+            array.dirty = True
+
     def test_occupancy(self):
         array = RegisterArray(100)
         assert array.occupancy() == 0.0

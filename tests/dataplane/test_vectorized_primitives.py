@@ -21,7 +21,7 @@ from repro.dataplane.hashing import (
     hash_rows,
     pack_key_words,
 )
-from repro.dataplane.registers import RegisterArray
+from repro.dataplane.registers import RegisterArray, _stable_order
 
 
 def key_group(rows: np.ndarray) -> KeyGroup:
@@ -144,6 +144,18 @@ class TestPackedKeyGroups:
         ]
         assert set(cache) == set(expected)
 
+    def test_swapped_words_stay_apart(self):
+        """``(a, b)`` and ``(b, a)`` are two keys, however the dedupe
+        brings equal keys together; duplicates of each still merge."""
+        a, b = 0x0123456789ABCDEF, 0xFEDCBA9876543210
+        words = np.array([[a, b, a, b, a, a],
+                          [b, a, b, a, a, b]], dtype=np.uint64)
+        keys = KeyGroup(words, 16)
+        expected = [int(hi).to_bytes(8, "big") + int(lo).to_bytes(8, "big")
+                    for hi, lo in words.T]
+        assert [keys.raw[i] for i in keys.inverse] == expected
+        assert sorted(keys.raw) == sorted(set(expected))
+
 
 class TestMemoBound:
     def test_trim_clears_only_overgrown_memos(self, monkeypatch):
@@ -213,3 +225,92 @@ class TestExecuteMany:
         assert [int(v) for v in old] == [e[0] for e in expected]
         assert [int(v) for v in new] == [e[1] for e in expected]
         assert int(batched.dump().max()) <= REGISTER_MAX
+
+
+#: (array size, slice offset, slice size): the slice bound picks the
+#: grouping — one 16-bit pass up to 2^16 registers, two above, and the
+#: offset (beyond 2^16 in two layouts) must never enter the sort key.
+_LAYOUTS = [
+    (16, 0, 8), (16, 5, 8), (4096, 100, 2048), (4096, 0, 4096),
+    (1 << 16, 0, 1 << 16), ((1 << 16) + 1, 0, (1 << 16) + 1),
+    (1 << 20, (1 << 16) + 5, 3000), (1 << 20, 70_000, (1 << 16) + 7),
+    (1 << 20, 0, 1 << 20),
+]
+_OPERAND_VALUES = st.one_of(
+    st.integers(0, 9),
+    st.sampled_from([REGISTER_MAX // 3, REGISTER_MAX - 1, REGISTER_MAX]),
+)
+
+
+@st.composite
+def _alu_batches(draw):
+    """Two consecutive batches (the second meets non-zero registers) of
+    mostly colliding indices, some far outside the slice."""
+    size, offset, slice_size = draw(st.sampled_from(_LAYOUTS))
+    edge = min(slice_size - 1, 7)
+    hot = draw(st.lists(st.one_of(
+        st.integers(0, slice_size - 1), st.integers(0, edge),
+        st.integers(slice_size - 1 - edge, slice_size - 1),
+    ), min_size=1, max_size=4))
+    # Cells that differ only above bit 16: one 16-bit pass cannot tell
+    # them apart, the second must.
+    hot += [cell ^ (1 << 16) for cell in hot
+            if cell ^ (1 << 16) < slice_size]
+    index = st.one_of(
+        st.sampled_from(hot), st.sampled_from(hot),     # >= 50 % collide
+        st.integers(0, slice_size - 1),
+        st.integers(-(1 << 40), 1 << 62),               # DIRECT-mode hashes
+    )
+    batches = []
+    for _ in range(2):
+        indices = draw(st.lists(index, min_size=1, max_size=60))
+        operands = draw(st.one_of(
+            _OPERAND_VALUES,                            # a constant rule
+            st.lists(_OPERAND_VALUES, min_size=len(indices),
+                     max_size=len(indices)),            # a field column
+        ))
+        batches.append((draw(st.sampled_from(list(StatefulOp))),
+                        indices, operands))
+    return size, offset, slice_size, batches
+
+
+class TestGrouping:
+    """Linear-time grouping: every ordering the slice size can select
+    against the one-at-a-time ALU."""
+
+    @given(_alu_batches())
+    @settings(max_examples=120, deadline=None)
+    def test_every_order_matches_the_sequential_alu(self, case):
+        size, offset, slice_size, batches = case
+        owner, reference, batched = ("q", 0), RegisterArray(size), \
+            RegisterArray(size)
+        for array in (reference, batched):
+            if offset:
+                array.allocate(("filler",), offset)
+            assert array.allocate(owner, slice_size).offset == offset
+        for op, indices, operands in batches:
+            column = (operands if isinstance(operands, list)
+                      else [operands] * len(indices))
+            expected = [reference.execute(owner, i, op, v)
+                        for i, v in zip(indices, column)]
+            old, new = batched.execute_many(
+                owner, np.array(indices, dtype=np.int64), op,
+                (np.array(operands, dtype=np.int64)
+                 if isinstance(operands, list) else operands),
+            )
+            assert old.tolist() == [e[0] for e in expected]
+            assert new.tolist() == [e[1] for e in expected]
+            assert np.array_equal(reference.dump(), batched.dump())
+            assert batched.dirty == reference.dirty
+
+    @pytest.mark.parametrize("bound", [
+        1, 2048, 1 << 16, (1 << 16) + 1, 1 << 20, 1 << 32, (1 << 32) + 1,
+    ])
+    def test_order_is_the_stable_argsort(self, bound):
+        rng = np.random.default_rng(bound & 0xFFFF)
+        pool = rng.integers(0, bound, size=40)
+        pool[:2] = (0, bound - 1)
+        keys = pool[rng.integers(0, len(pool), size=3000)]
+        assert np.array_equal(_stable_order(keys, bound),
+                              np.argsort(keys, kind="stable"))
+        assert len(_stable_order(keys[:0], bound)) == 0

@@ -11,10 +11,14 @@ rule-epoch flip that must land on a sub-batch edge), reboot drop
 windows, multi-slice CQE installs (which the vectorized engine must
 hand back to the scalar path wholesale), and the K -> H hand-off (one key
 group shared by every hash op of a K across an R ``stop``, and a hash
-memo cleared between windows), and ECMP over a multipath fabric with
-all-new flows every window.
+memo cleared between windows), ECMP over a multipath fabric with
+all-new flows every window, and the timestamp edges the scalar loop
+tolerates or rejects (unsorted or negative inside a window, a callback
+due between two out-of-order packets, an epoch regression mid-chunk).
 """
 
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -27,6 +31,7 @@ from repro.engine import VectorizedEngine
 from repro.experiments.common import evaluation_thresholds
 from repro.fabric.merge import record_reports
 from repro.network.deployment import build_deployment
+from repro.network.simulator import SimulationStats
 from repro.network.topology import leaf_spine, linear
 from repro.traffic.generators import (
     assign_hosts,
@@ -67,8 +72,9 @@ def signature(stats, recorded):
     )
 
 
-def run_engine(engine, trace, queries=("Q1", "Q4"), switches=3,
-               schedule=None, **deploy_kw):
+def deploy(engine, queries=("Q1", "Q4"), switches=3, **deploy_kw):
+    """A fresh ``linear(switches)`` deployment with ``queries`` installed
+    on the whole path, and its recorded report stream."""
     deployment = build_deployment(
         linear(switches), array_size=1 << 13, engine=engine, **deploy_kw
     )
@@ -77,11 +83,32 @@ def run_engine(engine, trace, queries=("Q1", "Q4"), switches=3,
         deployment.controller.install_query(
             build_query(name, thresholds()), PARAMS, path=path
         )
-    recorded = record_reports(deployment.switches)
+    return deployment, record_reports(deployment.switches)
+
+
+def run_engine(engine, trace, schedule=None, **deploy_kw):
+    deployment, recorded = deploy(engine, **deploy_kw)
     if schedule is not None:
         schedule(deployment)
     stats = deployment.simulator.run(trace)
     return signature(stats, recorded), deployment.register_dumps(), stats
+
+
+def q1_update_at(due, fired):
+    """A ``schedule`` hook: ``update_query`` of Q1 (a new threshold, so
+    the rule bank flips epoch) through ``at(due)``; each firing appends
+    to ``fired``."""
+    def schedule(deployment):
+        def flip():
+            deployment.controller.update_query(
+                build_query(
+                    "Q1", replace(evaluation_thresholds(), new_tcp_conns=8),
+                ),
+                PARAMS, path=["s0", "s1", "s2"],
+            )
+            fired.append(True)
+        deployment.simulator.at(due, flip)
+    return schedule
 
 
 def assert_equivalent(trace, vector_engine="vector", **kw):
@@ -130,20 +157,8 @@ class TestEquivalence:
         bank flips epoch between two packets, and both engines must put
         the flip at exactly the same point in the stream."""
         fired = []
-
-        def schedule(deployment):
-            def flip():
-                deployment.controller.update_query(
-                    build_query(
-                        "Q1",
-                        replace(evaluation_thresholds(), new_tcp_conns=8),
-                    ),
-                    PARAMS, path=["s0", "s1", "s2"],
-                )
-                fired.append(True)
-            deployment.simulator.at(0.23, flip)
-
-        stats = assert_equivalent(workload(), schedule=schedule)
+        stats = assert_equivalent(workload(),
+                                  schedule=q1_update_at(0.23, fired))
         assert len(fired) == 2  # once per engine
         assert stats.reports_total > 0
 
@@ -271,3 +286,86 @@ class TestKeyGroupHandOff:
         # Each window brings far more new keys than the limit, so every
         # roll found overgrown memos and left them empty.
         assert sizes and max(sizes) <= limit
+
+
+WINDOW_S = 0.1
+
+
+def shuffled_within_windows(trace, seed):
+    """``trace``'s packets, timestamps kept, in a seeded random order
+    inside each window (windows themselves stay in order)."""
+    rng = random.Random(seed)
+    out = []
+    for _epoch, group in itertools.groupby(
+            trace, key=lambda packet: int(packet.ts / WINDOW_S)):
+        packets = list(group)
+        rng.shuffle(packets)
+        out.extend(packets)
+    return out
+
+
+class TestTimestampEdges:
+    """``VectorizedEngine._split_at`` claims to accept exactly the traces
+    the scalar loop accepts — and, for the one it rejects, to have run
+    the same packets first."""
+
+    @pytest.mark.parametrize("engine", ["vector", 97])
+    def test_unsorted_within_windows(self, engine):
+        if engine != "vector":      # sub-batches straddle every window
+            engine = VectorizedEngine(batch_size=engine)
+        trace = shuffled_within_windows(workload(3000), seed=5)
+        assert any(a.ts > b.ts for a, b in zip(trace, trace[1:]))
+        stats = assert_equivalent(trace, vector_engine=engine)
+        assert stats.reports_total > 0 and stats.epochs > 1
+
+    def test_negative_timestamps(self):
+        """``int(ts / window)`` truncates toward zero, so (-window, 0)
+        is part of window 0 for both engines."""
+        trace = shuffled_within_windows(workload(3000), seed=6)
+        flipped = 0
+        for index, packet in enumerate(trace):
+            if packet.ts < WINDOW_S and index % 3 == 0:
+                trace[index] = replace(packet, ts=-packet.ts)
+                flipped += 1
+        assert flipped > 10
+        stats = assert_equivalent(trace)
+        assert stats.reports_total > 0 and stats.epochs > 1
+
+    def test_callback_due_between_out_of_order_packets(self):
+        """An ``update_query`` due at 0.23 fires before the first packet
+        *in stream order* stamped at or after 0.23; packets behind it
+        stamped earlier already run under the new rules."""
+        due = 0.23
+        trace = shuffled_within_windows(workload(3000), seed=7)
+        first = next(i for i, p in enumerate(trace) if p.ts >= due)
+        assert any(int(p.ts / WINDOW_S) == 2 and p.ts < due
+                   for p in trace[first + 1:])
+        fired = []
+        stats = assert_equivalent(trace, schedule=q1_update_at(due, fired))
+        assert len(fired) == 2 and stats.reports_total > 0
+
+    @pytest.mark.parametrize("regressed_ts", [0.05, -0.15])
+    def test_epoch_regression_mid_chunk_raises_after_same_prefix(
+            self, regressed_ts):
+        """A packet stamped in an earlier window (or before window 0) in
+        the middle of a chunk: both engines raise the same error having
+        executed exactly the packets before it."""
+        trace = list(workload(3000))
+        at = next(i for i, p in enumerate(trace) if p.ts >= 0.25)
+        trace.insert(at, replace(trace[0], ts=regressed_ts))
+
+        def run(engine):
+            deployment, recorded = deploy(engine)
+            sim = deployment.simulator
+            stats = SimulationStats()
+            with pytest.raises(ValueError) as error:
+                sim.engine.run(sim, trace, stats)
+            return (str(error.value), signature(stats, recorded),
+                    deployment.register_dumps(), stats)
+
+        scalar = run("scalar")
+        assert run("vector")[:3] == scalar[:3]
+        stats = scalar[3]
+        assert stats.packets == at and stats.reports_total > 0
+        # The window in progress never closed: its registers are live.
+        assert any(any(dump) for dump in scalar[2].values())

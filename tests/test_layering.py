@@ -18,6 +18,11 @@
   ``free_registers()`` / ``stage_slots()``, and the op path
   (``src/repro/ctrlplane``, ``src/repro/core``) never imports the
   bank-walking ``SwitchView``.
+* CI's ``mypy --strict`` step cannot run where mypy is not installed, so
+  its first demand is held here: every function in the strict-listed
+  sources annotates every parameter and its return (as mypy reads
+  ``disallow_untyped_defs`` / ``disallow_incomplete_defs``), and the
+  list below is the list the CI step names.
 """
 
 import ast
@@ -25,12 +30,18 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 SIMULATOR_NAMES = {"sim", "simulator"}
+#: What CI's ``mypy --strict`` step checks, relative to ``src/repro``.
+STRICT = ["verify", "engine", "core/ops.py", "core/admission.py",
+          "dataplane/hashing.py", "dataplane/registers.py"]
 
 
 def trees(package):
-    files = sorted((SRC / package).rglob("*.py"))
+    """Parsed sources of a package directory (or of one module)."""
+    root = SRC / package
+    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
     assert files, f"no sources under {package}"
     for path in files:
         yield path.relative_to(SRC), ast.parse(path.read_text())
@@ -94,6 +105,24 @@ def bank_walk(node):
     if isinstance(node, ast.alias):
         return node.name == "SwitchView"
     return tail_name(node) == "SwitchView"
+
+
+def unannotated(node):
+    """A ``def`` that ``mypy --strict`` calls untyped or incompletely
+    typed: a parameter without an annotation (``self`` / ``cls`` aside)
+    or no return annotation — which ``__init__`` alone may omit, and
+    only when it annotates at least one parameter."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    spec = node.args
+    params = [
+        arg for arg in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs,
+                        spec.vararg, spec.kwarg)
+        if arg is not None and arg.arg not in ("self", "cls")
+    ]
+    if any(arg.annotation is None for arg in params):
+        return True
+    return node.returns is None and not (node.name == "__init__" and params)
 
 
 def owners(tree, offends):
@@ -164,6 +193,22 @@ def test_op_path_never_imports_the_bank_walk(package):
     assert violations(package, bank_walk) == []
 
 
+@pytest.mark.parametrize("target", STRICT)
+def test_strict_listed_sources_annotate_every_signature(target):
+    assert violations(target, unannotated) == []
+
+
+def test_strict_list_is_the_one_ci_names():
+    step = next(
+        line for line in
+        (ROOT / ".github" / "workflows" / "ci.yml").read_text().splitlines()
+        if "run: mypy --strict" in line
+    )
+    assert step.split("--strict")[1].split() == [
+        f"src/repro/{target}" for target in STRICT
+    ]
+
+
 def test_owners_names_the_innermost_function():
     tree = ast.parse(
         "layout.stage_slots(0)\n"
@@ -204,6 +249,16 @@ def test_owners_names_the_innermost_function():
     (bank_walk, "from repro.verify.fleet import SwitchView as SV", True),
     (bank_walk, "fleet.SwitchView.of_switch(switch)", True),
     (bank_walk, "from repro.verify.fleet import check_staging_plan", False),
+    (unannotated, "def f(x): ...", True),
+    (unannotated, "def f(x: int): ...", True),
+    (unannotated, "def f(x: int, *rest, **kw: str) -> None: ...", True),
+    (unannotated, "def f(x: int, *, key) -> None: ...", True),
+    (unannotated, "async def f(x: int) -> int: ...", False),
+    (unannotated, "class C:\n def m(self, x: int) -> None: ...", False),
+    (unannotated, "class C:\n def __init__(self, x: int): ...", False),
+    (unannotated, "class C:\n def __init__(self): ...", True),
+    (unannotated, "def outer() -> None:\n def inner(): ...", True),
+    (unannotated, "key = lambda packet: packet.ts", False),
 ])
 def test_each_rule_catches_what_it_should(rule, source, offends):
     assert any(map(rule, ast.walk(ast.parse(source)))) is offends

@@ -80,6 +80,8 @@ class _Installed:
     init_rules: Tuple[TernaryRule, ...]
     #: First rule epoch this version serves.
     epoch_from: int
+    #: Rule key -> storage key of its first entry in ``placed``.
+    storage_keys: Dict[Tuple[str, int], StorageKey]
     #: Exclusive end of service (None = open); set by ``retire_query``.
     epoch_until: Optional[int] = None
 
@@ -210,12 +212,16 @@ class NewtonPipeline:
             for rule in init_rules:
                 self.newton_init.remove(rule, epoch_from=epoch_from)
             raise
+        storage_keys: Dict[Tuple[str, int], StorageKey] = {}
+        for _, spec, storage_key in placed:
+            storage_keys.setdefault(spec.key, storage_key)
         return _Installed(
             query_slice=query_slice,
             placed=tuple(placed),
             init_rules=tuple(init_rules),
             epoch_from=epoch_from,
             epoch_until=epoch_until,
+            storage_keys=storage_keys,
         )
 
     def _unplace(self, installed: _Installed) -> int:
@@ -442,10 +448,7 @@ class NewtonPipeline:
         installed = self._version_at(qid, slice_index, epoch)
         if installed is None:
             return None
-        for _, spec, storage_key in installed.placed:
-            if spec.key == rule_key:
-                return storage_key
-        return None
+        return installed.storage_keys.get(rule_key)
 
     @property
     def rule_count(self) -> int:

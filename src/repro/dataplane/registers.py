@@ -46,6 +46,12 @@ class RegisterArray:
     installation, so first-fit is faithful enough while keeping fragmentation
     observable (which CQE exploits: an array too fragmented for one query
     can still serve smaller slices — paper §5.1).
+
+    Invariant: every register outside a live allocation is zero.
+    :meth:`execute` / :meth:`execute_many` write only ``offset + index %
+    size`` of the owner's slice, :meth:`corrupt` walks the allocations,
+    and :meth:`release` zeroes the slice it frees — which is what lets
+    :meth:`reset_all` clear the leased extents instead of the whole array.
     """
 
     def __init__(self, size: int):
@@ -304,9 +310,12 @@ class RegisterArray:
         self._cells[alloc.offset:alloc.end] = 0
 
     def reset_all(self) -> None:
+        """Zero every register (window rollover): only the leased extents
+        are swept, the rest is zero by the class invariant."""
         if not self._dirty:
             return
-        self._cells[:] = 0
+        for alloc in self._allocations.values():
+            self._cells[alloc.offset:alloc.end] = 0
         self._dirty = False
 
     def corrupt(self, fraction: float, rng: random.Random) -> int:

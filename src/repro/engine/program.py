@@ -1,7 +1,9 @@
 """Compiled rule programs for the vectorized engine.
 
-Per switch and per ``(rule_epoch, mutation_seq)``, the installed
-slice-0 versions are flattened into tensor-friendly programs:
+Each installed slice-0 version is flattened once into a tensor-friendly
+program (recompiled only when that version is replaced); a switch's
+bundle — its dispatch entries plus the programs of the versions serving
+now — is rebuilt per rule state ``(rule_epoch, mutation_seq)``:
 
 * ``newton_init`` dispatch becomes masked equality tests over the packet
   columns, priority order preserved as the entry index;
@@ -34,8 +36,9 @@ conditionally) need per-packet arrays.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,6 +126,12 @@ class RuleProgram:
     qid: str
     epoch_from: int
     ops: Tuple[object, ...]
+    #: One tuple per op, ``ops`` minus each S op's ``array`` and
+    #: ``storage_key``.  Programs of one query with equal shapes — the
+    #: same rules on different switches — differ only in which
+    #: :class:`RegisterArray` each S op mutates, so one
+    #: :func:`execute_program` run over their packets serves them all.
+    shape: Tuple[Tuple, ...]
     #: Packet columns the ops read (K plans, H direct, S field operands).
     fields_needed: frozenset = frozenset()
 
@@ -136,6 +145,8 @@ class SwitchPrograms:
     #: index doubles as the dispatch rank.
     entries: Tuple[Tuple[str, Tuple[Tuple[str, int, int], ...]], ...]
     programs: Dict[str, RuleProgram] = field(default_factory=dict)
+    #: qid -> the installed version ``programs[qid]`` was compiled from.
+    versions: Dict[str, "_Installed"] = field(default_factory=dict)
     supported: bool = True
 
 
@@ -144,8 +155,19 @@ class SwitchPrograms:
 # --------------------------------------------------------------------- #
 
 
-def compile_switch_programs(pipeline: NewtonPipeline) -> SwitchPrograms:
-    """Flatten ``pipeline``'s active bank into batch-executable programs."""
+def compile_switch_programs(
+    pipeline: NewtonPipeline, previous: Optional[SwitchPrograms] = None,
+) -> SwitchPrograms:
+    """Flatten ``pipeline``'s active bank into batch-executable programs.
+
+    A program is a pure function of the pipeline and the installed
+    version it was compiled from (its ``placed`` rules and ``epoch_from``,
+    the layout's arrays, the hash family), so a version still serving is
+    not compiled again: its program is taken from ``previous``, this
+    pipeline's last bundle.  ``previous`` keeps those versions alive, so
+    the identity test cannot meet a recycled object — after a ``wipe`` and
+    re-stage every version is a new object and nothing stale is reused.
+    """
     at_epoch = pipeline.rule_epoch
     supported = True
     for _qid, _idx, installed in pipeline.resident_versions():
@@ -159,22 +181,29 @@ def compile_switch_programs(pipeline: NewtonPipeline) -> SwitchPrograms:
         if entry.valid_at(at_epoch)
     )
     programs: Dict[str, RuleProgram] = {}
+    versions: Dict[str, _Installed] = {}
     for qid in dict.fromkeys(action for action, _ in entries):
         installed = pipeline.version_for(qid, 0, at_epoch)
         if installed is None:
             continue
-        program = _compile_program(pipeline, qid, installed)
+        if previous is not None and previous.versions.get(qid) is installed:
+            program = previous.programs[qid]
+        else:
+            program = _compile_program(pipeline, qid, installed)
         if program is None:
             supported = False
             continue
         programs[qid] = program
+        versions[qid] = installed
     return SwitchPrograms(entries=entries, programs=programs,
-                          supported=supported)
+                          versions=versions, supported=supported)
 
 
 def _compile_program(pipeline: NewtonPipeline, qid: str,
                      installed: _Installed) -> Optional[RuleProgram]:
     ops: List[object] = []
+    #: One tuple per op: everything but an S op's register binding.
+    shape: List[Tuple] = []
     needed: set = set()
     has_hash = [False, False]
     for local_stage, spec, storage_key in installed.placed:
@@ -193,6 +222,7 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
                 plan=tuple(plan),
                 key_width=sum(bw for _, _, bw in plan),
             ))
+            shape.append(("K", spec.set_id, tuple(plan)))
         elif spec.module_type is ModuleType.HASH_CALCULATION:
             hconfig: HConfig = spec.config
             if hconfig.mode == HashMode.DIRECT:
@@ -200,21 +230,25 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
                 known = name in GLOBAL_FIELDS
                 if known:
                     needed.add(name)
+                direct_field = name if known else None
                 ops.append(_HOp(set_id=spec.set_id, direct=True,
-                                direct_field=name if known else None))
+                                direct_field=direct_field))
+                shape.append(("H", spec.set_id, direct_field))
             else:
                 unit = pipeline.hash_family.unit(
                     hconfig.seed_index, hconfig.range_size
                 )
-                ops.append(_HOp(
-                    set_id=spec.set_id, unit=unit,
-                    cache=pipeline.hash_family.bulk_cache(unit.seed),
-                ))
+                cache = pipeline.hash_family.bulk_cache(unit.seed)
+                ops.append(_HOp(set_id=spec.set_id, unit=unit, cache=cache))
+                # The memo stands for the family: equal units of two
+                # families hash alike but fill different memos.
+                shape.append(("H", spec.set_id, unit, id(cache)))
             has_hash[spec.set_id] = True
         elif spec.module_type is ModuleType.STATE_BANK:
             sconfig: SConfig = spec.config
             if sconfig.passthrough:
                 ops.append(_SOp(set_id=spec.set_id, passthrough=True))
+                shape.append(("S", spec.set_id))
                 continue
             if not has_hash[spec.set_id]:
                 # The scalar path raises at execution time; fall back so
@@ -245,23 +279,29 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
                 operand_field=operand_field,
                 output_old=sconfig.output_old,
             ))
+            shape.append(("S", spec.set_id, sconfig.op, operand_const,
+                          operand_field, sconfig.output_old))
         elif spec.module_type is ModuleType.RESULT_PROCESS:
             rconfig: RConfig = spec.config
+            entries = tuple(
+                (entry.lo, entry.hi, entry.action)
+                for entry in rconfig.entries
+            )
             ops.append(_ROp(
                 set_id=spec.set_id,
                 source=rconfig.source,
-                entries=tuple(
-                    (entry.lo, entry.hi, entry.action)
-                    for entry in rconfig.entries
-                ),
+                entries=entries,
                 default=rconfig.default,
             ))
+            shape.append(("R", spec.set_id, rconfig.source, entries,
+                          rconfig.default))
         else:  # pragma: no cover - module set is closed
             return None
     return RuleProgram(
         qid=qid,
         epoch_from=installed.epoch_from,
         ops=tuple(ops),
+        shape=tuple(shape),
         fields_needed=frozenset(needed),
     )
 
@@ -295,35 +335,47 @@ class _SetState:
 
 
 def execute_program(
-    program: RuleProgram,
+    programs: Sequence[RuleProgram],
+    bounds: Sequence[int],
     cols: Dict[str, np.ndarray],
     ts: np.ndarray,
-    window_epoch: int,
-    switch_id: object,
+    window_epochs: Sequence[int],
+    switch_ids: Sequence[object],
     sink_reports: List[Tuple[int, Report]],
     sanitizer: Optional["Sanitizer"] = None,
     hash_trace: Optional[List[Tuple[Tuple[int, int], np.ndarray,
                                     KeyGroup]]] = None,
 ) -> None:
-    """Run one compiled program over ``k`` packets (in packet order).
+    """Run one query's equal-shape programs over their packets at once.
 
-    ``cols`` holds the packet columns (only ``program.fields_needed`` is
-    read), ``ts`` the timestamps.  Emitted reports are appended to
-    ``sink_reports`` as ``(row, report)`` in exactly the order the scalar
-    loop would emit them for each packet.
+    ``programs`` are the compiled programs of one query on the switches
+    ``switch_ids`` (all of one :attr:`RuleProgram.shape`); member ``j``
+    owns rows ``bounds[j]:bounds[j + 1]`` of ``cols`` (only
+    ``fields_needed`` is read) and ``ts``, in packet order.  K, the key
+    group, H, R and the result fold run once over all rows; only an S op
+    runs per member, on that member's register array, so every switch's
+    registers see exactly its own packets, in order.  Emitted reports are
+    appended to ``sink_reports`` as ``(row, report)``, carrying the switch
+    id and window epoch of the member the row belongs to, in exactly the
+    order the scalar loop would emit them for each packet.
 
     ``sanitizer`` enables observe-only invariant checks; ``hash_trace``
     (a list) additionally collects ``((seed, range), local rows, key
     group)`` per hash op so the caller can run the cross-program
     collision check over a whole batch.
+
+    An exception in here (a missing allocation — a programming error,
+    never input-driven) leaves the registers of earlier ops and earlier
+    members mutated: the partial state is query-major across switches.
     """
+    lead = programs[0]
     k = len(ts)
     act = np.ones(k, dtype=bool)
     global_val = np.zeros(k, dtype=np.int64)
     global_has = np.zeros(k, dtype=bool)
     sets = (_SetState(k), _SetState(k))
 
-    for op in program.ops:
+    for position, op in enumerate(lead.ops):
         if not act.any():
             break
         st = sets[op.set_id]
@@ -369,35 +421,46 @@ def execute_program(
                 st.state_has = st.hash_has
                 continue
             idx = np.flatnonzero(act)
-            assert st.hash is not None and op.array is not None
-            if sanitizer is not None:
-                alloc = op.array.allocation(op.storage_key)
-                if alloc is not None and len(idx):
-                    h = st.hash[idx]
-                    bad = int(((h < 0) | (h >= alloc.size)).sum())
-                    if bad:
-                        sanitizer.record(
-                            "register-oob",
-                            (
-                                f"S index outside the {alloc.size}-"
-                                f"register slice; the array wraps it by "
-                                f"modulo"
-                            ),
-                            switch=switch_id, qid=program.qid, count=bad,
-                        )
-            old, new = op.array.execute_many(
-                op.storage_key, st.hash[idx], op.op,
-                (op.operand_const if op.operand_field is None
-                 else cols[op.operand_field][idx]),
-            )
+            assert st.hash is not None
             fresh = (np.zeros(k, dtype=np.int64) if st.state is None
                      else st.state.copy())
-            fresh[idx] = old if op.output_old else new
+            # The state is per switch: each member's active rows go
+            # through its own register array (a member with none left is
+            # skipped — its switch would have stopped at this op).
+            cuts = np.searchsorted(idx, bounds).tolist()
+            for j, program in enumerate(programs):
+                part = idx[cuts[j]:cuts[j + 1]]
+                if len(part) == 0:
+                    continue
+                member_op = program.ops[position]
+                assert member_op.array is not None
+                h = st.hash[part]
+                if sanitizer is not None:
+                    alloc = member_op.array.allocation(member_op.storage_key)
+                    if alloc is not None:
+                        bad = int(((h < 0) | (h >= alloc.size)).sum())
+                        if bad:
+                            sanitizer.record(
+                                "register-oob",
+                                (
+                                    f"S index outside the {alloc.size}-"
+                                    f"register slice; the array wraps it "
+                                    f"by modulo"
+                                ),
+                                switch=switch_ids[j], qid=lead.qid,
+                                count=bad,
+                            )
+                old, new = member_op.array.execute_many(
+                    member_op.storage_key, h, op.op,
+                    (op.operand_const if op.operand_field is None
+                     else cols[op.operand_field][part]),
+                )
+                fresh[part] = old if op.output_old else new
             st.state = fresh
             st.state_has = True
         else:  # _ROp
-            _execute_r(op, st, act, global_val, global_has,
-                       sets, ts, window_epoch, switch_id, program.qid,
+            _execute_r(op, st, act, global_val, global_has, sets, ts,
+                       bounds, window_epochs, switch_ids, lead.qid,
                        sink_reports)
 
 
@@ -409,8 +472,9 @@ def _execute_r(
     global_has: np.ndarray,
     sets: Tuple[_SetState, _SetState],
     ts: np.ndarray,
-    window_epoch: int,
-    switch_id: object,
+    bounds: Sequence[int],
+    window_epochs: Sequence[int],
+    switch_ids: Sequence[object],
     qid: str,
     sink_reports: List[Tuple[int, Report]],
 ) -> None:
@@ -436,8 +500,8 @@ def _execute_r(
         action = op.default if j == -1 else op.entries[j][2]
         _fold(action.result_op, rows, st, global_val, global_has)
         if action.report:
-            _emit_rows(rows, qid, sets, global_val, global_has,
-                       ts, window_epoch, switch_id, sink_reports)
+            _emit_rows(rows, qid, sets, global_val, global_has, ts,
+                       bounds, window_epochs, switch_ids, sink_reports)
         if action.stop:
             stop_rows |= rows
     if stop_rows.any():
@@ -482,9 +546,11 @@ def _fold(result_op: ResultOp, rows: np.ndarray, st: _SetState,
 def _emit_rows(rows: np.ndarray, qid: str,
                sets: Tuple[_SetState, _SetState],
                global_val: np.ndarray, global_has: np.ndarray,
-               ts: np.ndarray, window_epoch: int, switch_id: object,
+               ts: np.ndarray, bounds: Sequence[int],
+               window_epochs: Sequence[int], switch_ids: Sequence[object],
                sink_reports: List[Tuple[int, Report]]) -> None:
-    for i in np.flatnonzero(rows):
+    for i in np.flatnonzero(rows).tolist():
+        member = bisect_right(bounds, i) - 1
         payload: Dict[str, object] = {
             "global_result": int(global_val[i]) if global_has[i] else None
         }
@@ -501,10 +567,10 @@ def _emit_rows(rows: np.ndarray, qid: str,
                 int(st.state[i]) if st.state_has and st.state is not None
                 else None
             )
-        sink_reports.append((int(i), Report(
+        sink_reports.append((i, Report(
             qid=qid,
-            switch_id=switch_id,
+            switch_id=switch_ids[member],
             ts=float(ts[i]),
-            epoch=window_epoch,
+            epoch=window_epochs[member],
             payload=payload,
         )))

@@ -11,6 +11,11 @@ effects can interleave with the data plane:
 Inside a sub-batch nothing external can happen, so the per-switch rule
 state is frozen and the compiled rule programs (:mod:`repro.engine.
 program`) run each installed query over whole packet columns at once.
+``newton_init`` dispatch is per ingress switch; execution is per query:
+the programs one query compiled to on different switches are the same
+ops over different register arrays whenever the switches hold the same
+version of it, so they run once over the switches' packets together and
+only the state bank is visited switch by switch.
 State-bank updates go through :meth:`RegisterArray.execute_many`, whose
 grouped scans (rows radix-grouped by register, linear in the batch) are
 bit-identical to the sequential ALU.  Hashing follows
@@ -30,6 +35,7 @@ packet by packet, trading speed, never correctness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -131,7 +137,8 @@ class VectorizedEngine(ExecutionEngine):
         return pos + int(hits[0])
 
     # ------------------------------------------------------------------ #
-    # Rule-program compilation (cached per rule state)                   #
+    # Rule-program compilation (bundle cached per rule state, programs   #
+    # per installed version)                                             #
     # ------------------------------------------------------------------ #
 
     def _programs_for(self, sim: "NetworkSimulator",
@@ -141,11 +148,15 @@ class VectorizedEngine(ExecutionEngine):
         cached = self._programs.get(sid)
         if cached is not None and cached[0] == key:
             return cached[1]
-        bundle = compile_switch_programs(pipeline)
+        bundle = compile_switch_programs(
+            pipeline, None if cached is None else cached[1]
+        )
         self._programs[sid] = (key, bundle)
         return bundle
 
     def _supported(self, sim: "NetworkSimulator") -> bool:
+        for sid in self._programs.keys() - sim.switches.keys():
+            del self._programs[sid]
         for sid, switch in sim.switches.items():
             if not switch.newton_enabled:
                 continue
@@ -211,13 +222,10 @@ class VectorizedEngine(ExecutionEngine):
                     break
             else:
                 stats.delivered += int(alive.sum())
-        # Ingress pipeline execution, grouped per switch: packets from
-        # different path groups can collide on the same register cells,
-        # so each switch must see its packets in global (row) order.
+        # Ingress pipeline execution: dispatch per switch, one program
+        # run per query and shape over every switch's rows.
         pending: List[Tuple[int, int, Hashable, "Report"]] = []
-        for sid in sorted(ingress_rows, key=str):
-            rows = np.sort(np.concatenate(ingress_rows[sid]))
-            self._run_ingress(sim, sid, batch, rows, stats, pending)
+        self._run_ingress(sim, batch, ingress_rows, stats, pending)
         self._emit_reports(sim, stats, pending)
 
     def _collect_ingress(self, sim: "NetworkSimulator", batch: ColumnarTrace,
@@ -291,83 +299,101 @@ class VectorizedEngine(ExecutionEngine):
                 if len(sel):
                     yield paths[pi], sel
 
-    def _run_ingress(self, sim: "NetworkSimulator", sid: Hashable,
-                     batch: ColumnarTrace, rows: np.ndarray,
+    def _run_ingress(self, sim: "NetworkSimulator", batch: ColumnarTrace,
+                     ingress_rows: Dict[Hashable, List[np.ndarray]],
                      stats: "SimulationStats",
                      pending: List[Tuple[int, int, Hashable, "Report"]]) -> None:
-        if len(rows) == 0:
-            return
-        pipeline = sim.switches[sid].pipeline
-        bundle = self._programs_for(sim, sid)
-        if not bundle.entries:
-            return
-        cols = {
-            name: batch.columns[name][rows] for name in batch.columns
-        }
-        m = len(rows)
-        # Dispatch: per qid, the first (highest-priority) matching entry
-        # index — mirrors lookup_all + the ``seen`` qid dedupe.  The index
-        # is also the cross-query report ordering rank.
-        big = np.int64(len(bundle.entries))
-        ranks: Dict[str, np.ndarray] = {}
-        owned_queries = pipeline.query_filter
-        for position, (qid, match) in enumerate(bundle.entries):
-            # Shard execution filter: non-owned queries never dispatch
-            # here (``enumerate`` keeps the owned entries' ranks — and
-            # therefore the cross-query report order — unchanged).
-            if owned_queries is not None and qid not in owned_queries:
-                continue
-            matched = np.ones(m, dtype=bool)
-            for name, value, mask in match:
-                matched &= (cols[name] & mask) == (value & mask)
-            if not matched.any():
-                continue
-            entry_rank = np.where(matched, np.int64(position), big)
-            rank = ranks.get(qid)
-            if rank is None:
-                ranks[qid] = entry_rank
-            else:
-                np.minimum(rank, entry_rank, out=rank)
-        window_epoch = pipeline.epoch
+        """Dispatch every ingress switch's rows, then run each query once.
+
+        Packets from different path groups can collide on the same
+        register cells, so each switch must see its packets in global
+        (row) order: a switch's rows are sorted before dispatch, and a
+        run concatenates its members whole, one switch after the other.
+        """
+        # Switches whose newton_init tables (and shard filters) are equal
+        # share one evaluation of the match masks.
+        tables: Dict[Hashable, List[Tuple]] = {}
+        for sid in sorted(ingress_rows, key=str):
+            rows = np.sort(np.concatenate(ingress_rows[sid]))
+            bundle = self._programs_for(sim, sid)
+            if len(rows) and bundle.entries:
+                tables.setdefault(
+                    (bundle.entries, sim.switches[sid].pipeline.query_filter),
+                    [],
+                ).append((sid, bundle, rows))
+        # qid -> runs; a run is the (switch id, program, global rows,
+        # dispatch ranks) of every switch holding a program of one shape.
+        runs: Dict[str, List[List[Tuple]]] = {}
+        for (entries, owned_queries), hosts in tables.items():
+            big = np.int64(len(entries))
+            ranks = _dispatch_ranks(
+                entries, owned_queries, batch.columns,
+                np.concatenate([rows for _sid, _bundle, rows in hosts]),
+            )
+            start = 0
+            for sid, bundle, rows in hosts:
+                for qid, rank in ranks.items():
+                    program = bundle.programs.get(qid)
+                    if program is None:
+                        continue
+                    rank = rank[start:start + len(rows)]
+                    sel = np.flatnonzero(rank < big)
+                    if len(sel) == 0:
+                        continue
+                    stats.initiated_by_query[qid] += len(sel)
+                    member = (sid, program, rows[sel], rank[sel])
+                    # A scan, not a dict: a query has one or two shapes,
+                    # and comparing them is cheaper than hashing one.
+                    for members in runs.setdefault(qid, []):
+                        if members[0][1].shape == program.shape:
+                            members.append(member)
+                            break
+                    else:
+                        runs[qid].append([member])
+                start += len(rows)
         sanitizer = sim.sanitizer
-        # hash unit -> qid -> {(global row, key bytes)} it hashed.
-        hashed: Dict[Tuple[int, int], Dict[str, set]] = {}
-        for qid, rank in ranks.items():
-            program = bundle.programs.get(qid)
-            if program is None:
-                continue
-            sel = np.flatnonzero(rank < big)
-            if len(sel) == 0:
-                continue
-            stats.initiated_by_query[qid] += len(sel)
-            program_cols = {
-                name: cols[name][sel] for name in program.fields_needed
-            }
-            reports: List[Tuple[int, "Report"]] = []
-            hash_trace: Optional[List] = (
-                [] if sanitizer is not None else None
-            )
-            execute_program(
-                program, program_cols, batch.ts[rows[sel]],
-                window_epoch, pipeline.switch_id, reports,
-                sanitizer=sanitizer, hash_trace=hash_trace,
-            )
-            if hash_trace:
-                global_rows = rows[sel]
-                for unit_key, local_idx, group in hash_trace:
-                    hashed.setdefault(unit_key, {}).setdefault(
-                        qid, set()
-                    ).update(zip(
-                        global_rows[local_idx].tolist(),
-                        map(group.raw.__getitem__, group.inverse.tolist()),
+        # switch id -> hash unit -> qid -> {(global row, key bytes)} hashed.
+        hashed: Dict[Hashable, Dict[Tuple[int, int], Dict[str, set]]] = {}
+        for qid, of_query in runs.items():
+            for members in of_query:
+                sids, programs, row_parts, rank_parts = zip(*members)
+                pipelines = [sim.switches[sid].pipeline for sid in sids]
+                bounds = [0]
+                for part in row_parts:
+                    bounds.append(bounds[-1] + len(part))
+                rows = np.concatenate(row_parts)
+                rank = np.concatenate(rank_parts)
+                reports: List[Tuple[int, "Report"]] = []
+                hash_trace: Optional[List] = (
+                    [] if sanitizer is not None else None
+                )
+                execute_program(
+                    programs, bounds,
+                    {name: batch.columns[name][rows]
+                     for name in programs[0].fields_needed},
+                    batch.ts[rows],
+                    [pipeline.epoch for pipeline in pipelines],
+                    [pipeline.switch_id for pipeline in pipelines],
+                    reports, sanitizer=sanitizer, hash_trace=hash_trace,
+                )
+                for unit_key, local_idx, group in hash_trace or ():
+                    touched = rows[local_idx].tolist()
+                    keys = [group.raw[i] for i in group.inverse.tolist()]
+                    cuts = np.searchsorted(local_idx, bounds).tolist()
+                    for sid, lo, hi in zip(sids, cuts, cuts[1:]):
+                        if lo < hi:
+                            hashed.setdefault(sid, {}).setdefault(
+                                unit_key, {}
+                            ).setdefault(qid, set()).update(
+                                zip(touched[lo:hi], keys[lo:hi])
+                            )
+                for local, report in reports:
+                    pending.append((
+                        int(rows[local]), int(rank[local]),
+                        sids[bisect_right(bounds, local) - 1], report,
                     ))
-            for local, report in reports:
-                pending.append((
-                    int(rows[sel[local]]), int(rank[sel[local]]),
-                    sid, report,
-                ))
-        if hashed:
-            _check_hash_collisions(sanitizer, sid, hashed)
+        for sid in sorted(hashed, key=str):
+            _check_hash_collisions(sanitizer, sid, hashed[sid])
 
     def _emit_reports(self, sim: "NetworkSimulator",
                       stats: "SimulationStats",
@@ -396,6 +422,42 @@ class VectorizedEngine(ExecutionEngine):
                 for _row, _rank, _sid, report in pending[i:j]:
                     sim.collector.ingest(report)
             i = j
+
+
+def _dispatch_ranks(
+    entries: Sequence[Tuple[str, Tuple[Tuple[str, int, int], ...]]],
+    owned_queries: Optional[frozenset],
+    columns: Dict[str, np.ndarray], rows: np.ndarray,
+) -> Dict[str, np.ndarray]:
+    """``newton_init`` over ``rows`` of ``columns``: per matching qid, the
+    index of each row's first (highest-priority) matching entry, or
+    ``len(entries)`` for none — mirrors ``lookup_all`` + the ``seen`` qid
+    dedupe.  The index is also the cross-query report ordering rank.
+    """
+    big = np.int64(len(entries))
+    cols: Dict[str, np.ndarray] = {}
+    ranks: Dict[str, np.ndarray] = {}
+    for position, (qid, match) in enumerate(entries):
+        # Shard execution filter: non-owned queries never dispatch
+        # here (``enumerate`` keeps the owned entries' ranks — and
+        # therefore the cross-query report order — unchanged).
+        if owned_queries is not None and qid not in owned_queries:
+            continue
+        matched = np.ones(len(rows), dtype=bool)
+        for name, value, mask in match:
+            column = cols.get(name)
+            if column is None:
+                column = cols[name] = columns[name][rows]
+            matched &= (column & mask) == (value & mask)
+        if not matched.any():
+            continue
+        entry_rank = np.where(matched, np.int64(position), big)
+        rank = ranks.get(qid)
+        if rank is None:
+            ranks[qid] = entry_rank
+        else:
+            np.minimum(rank, entry_rank, out=rank)
+    return ranks
 
 
 def _forwarding_mask(switch: "Switch", ts: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Property-based tests for the data-plane substrate."""
 
+import random
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataplane.alu import StatefulOp
 from repro.dataplane.phv import PhvContext
-from repro.dataplane.registers import RegisterArray
+from repro.dataplane.registers import AllocationError, RegisterArray
 from repro.dataplane.tables import TernaryRule, TernaryTable
 from repro.network.snapshot import (
     SNAPSHOT_VALUE_MAX,
@@ -134,3 +137,63 @@ class TestRegisterArrayProperties:
         cells = array.read_slice(("q", 0))
         for index, expected in truth.items():
             assert cells[index] == expected
+
+
+class FullSweepArray(RegisterArray):
+    """The reference window reset: zero every register of the array."""
+
+    def reset_all(self):
+        self._cells[:] = 0
+        self._dirty = False
+
+
+#: One step of a register array's life: (kind, owner slot, a, b).
+array_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["allocate", "execute", "execute_many", "corrupt",
+                         "release", "reset_all"]),
+        st.integers(0, 4), st.integers(0, 2**20), st.integers(1, 40),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+class TestLeasedExtentReset:
+    @given(array_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_reset_all_equals_the_full_sweep(self, steps):
+        """``reset_all`` clears only the leased extents; after any life
+        of the array it must leave what the full sweep leaves, and no
+        register outside a live allocation may ever be non-zero."""
+        lean, full = RegisterArray(96), FullSweepArray(96)
+        ops = (StatefulOp.ADD, StatefulOp.OR, StatefulOp.MAX)
+        for kind, slot, a, b in steps:
+            owner = ("q", slot)
+            for array in (lean, full):
+                held = array.allocation(owner) is not None
+                if kind == "allocate":
+                    if not held and array.free_registers() >= b:
+                        try:
+                            array.allocate(owner, b)
+                        except AllocationError:  # fragmented, on both
+                            pass
+                elif kind == "execute" and held:
+                    array.execute(owner, a, ops[a % 3], b)
+                elif kind == "execute_many" and held:
+                    indices = (np.arange(b, dtype=np.int64) * 7 + a) % 50
+                    array.execute_many(owner, indices, ops[a % 3],
+                                       b if a % 2 else indices + 1)
+                elif kind == "corrupt":
+                    array.corrupt((b % 5) / 4, random.Random(a))
+                elif kind == "release" and held:
+                    array.release(owner)
+                elif kind == "reset_all":
+                    array.reset_all()
+            assert np.array_equal(lean.dump(), full.dump())
+            assert lean.dirty == full.dirty
+            leased = np.zeros(lean.size, dtype=bool)
+            for alloc in lean.allocations():
+                leased[alloc.offset:alloc.end] = True
+            assert not lean.dump()[~leased].any()
+        lean.reset_all()
+        assert not lean.dump().any()

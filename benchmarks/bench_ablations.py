@@ -1,98 +1,48 @@
 """Ablation benchmarks — what each Newton design choice buys.
 
 Not paper figures: these isolate the compact layout, the resilient
-placement, the sketch shape, and the (future-work) admission planner.
+placement, the sketch shape, and the (future-work) admission planner
+(the registry's ``ablations`` artefact, what ``newton-repro experiment
+ablations`` prints), plus §7's state fragmentation under rerouting.
 """
 
-from repro.experiments.ablations import (
-    ablate_admission,
-    ablate_layout,
-    ablate_placement,
-    ablate_sketch_shape,
-)
-from repro.experiments.common import format_table
+from repro.experiments import EXPERIMENTS
+
+ABLATIONS = EXPERIMENTS["ablations"]
 
 
-def test_ablation_layout(benchmark, show):
-    result = benchmark(ablate_layout)
-    show(
-        "Ablation: module layout (12-stage pipeline)\n"
-        f"  compact layout fits {len(result.compact_fit)}/9 queries "
-        f"({', '.join(result.compact_fit)})\n"
-        f"  naive layout fits {len(result.naive_fit)}/9 queries "
-        f"({', '.join(result.naive_fit) or 'none'})\n"
-        f"  reachable register arrays: compact "
-        f"{result.compact_state_banks}, naive {result.naive_state_banks} "
-        f"(the paper's '25% of registers at most' claim)"
+def test_ablations(benchmark, show):
+    layout, placement, shape, admission = benchmark.pedantic(
+        ABLATIONS.run, rounds=1, iterations=1
     )
-    assert len(result.compact_fit) >= 8
-    assert len(result.naive_fit) == 0
-    assert result.naive_state_banks * 4 == result.compact_state_banks
+    show(f"{ABLATIONS.title}\n"
+         f"{ABLATIONS.render(layout, placement, shape, admission)}")
 
+    assert len(layout.compact_fit) >= 8
+    assert len(layout.naive_fit) == 0
+    # The paper's '25% of registers at most' claim.
+    assert layout.naive_state_banks * 4 == layout.compact_state_banks
 
-def test_ablation_placement(benchmark, show):
-    result = benchmark.pedantic(ablate_placement, rounds=1, iterations=1)
-    show(
-        "Ablation: resilient vs oracle placement "
-        f"({result.topology}, {result.num_slices} slices)\n"
-        + format_table(
-            ["strategy", "entries", "survives reroutes?"],
-            [
-                ["oracle (current paths only)", result.oracle_entries, "no"],
-                ["Algorithm 2 (DFS, all paths)", result.resilient_entries,
-                 "yes"],
-                ["layered relaxation", result.layered_entries, "yes"],
-            ],
-        )
-        + f"\nresilience overhead: {result.resilience_overhead:.2f}x "
-        f"entries; engine runtime: dfs {result.dfs_seconds * 1e3:.0f} ms, "
-        f"layered {result.layered_seconds * 1e3:.1f} ms"
-    )
     # Resilience costs extra entries, but bounded (rule multiplexing)...
-    assert result.resilient_entries >= result.oracle_entries
-    assert result.resilience_overhead < 3.0
+    assert placement.resilient_entries >= placement.oracle_entries
+    assert placement.resilience_overhead < 3.0
     # ...and the layered engine over-approximates DFS, never the reverse.
-    assert result.layered_entries >= result.resilient_entries
-    assert result.layered_seconds < result.dfs_seconds
+    assert placement.layered_entries >= placement.resilient_entries
+    assert placement.layered_seconds < placement.dfs_seconds
 
-
-def test_ablation_sketch_shape(benchmark, show):
-    points = benchmark.pedantic(ablate_sketch_shape, rounds=1, iterations=1)
-    show(
-        "Ablation: fixed register budget split into depth x width (Q1)\n"
-        + format_table(
-            ["depth", "width", "recall", "FPR"],
-            [[p.depth, p.width, f"{p.recall:.3f}", f"{p.fpr:.4f}"]
-             for p in points],
-        )
-        + "\nAt a fixed total budget, width beats depth under "
-        "crossing-based reporting — which is why CQE's pooling (extra "
-        "rows at constant width, Figure 14) is the right memory axis."
-    )
-    by_depth = {p.depth: p for p in points}
-    # Wide-shallow dominates deep-narrow at equal total budget.
+    # At a fixed total budget, width beats depth under crossing-based
+    # reporting — which is why CQE's pooling (extra rows at constant
+    # width, Figure 14) is the right memory axis.
+    by_depth = {p.depth: p for p in shape}
     assert by_depth[1].recall >= by_depth[6].recall
     assert by_depth[1].fpr <= by_depth[6].fpr
 
-
-def test_ablation_admission(benchmark, show):
-    rows = benchmark.pedantic(ablate_admission, rounds=1, iterations=1)
-    show(
-        "Ablation: concurrent-query admission (16 requested; "
-        "256-register sketches)\n"
-        + format_table(
-            ["registers/array", "strict admits", "with degradation",
-             "degraded queries"],
-            [[r.array_size, r.strict_admitted, r.degraded_admitted,
-              r.degraded_queries] for r in rows],
-        )
-    )
-    for row in rows:
+    for row in admission:
         assert row.degraded_admitted >= row.strict_admitted
     # Capacity grows with memory; degradation helps most when starved.
-    admits = [r.strict_admitted for r in rows]
+    admits = [r.strict_admitted for r in admission]
     assert admits == sorted(admits)
-    assert rows[0].degraded_admitted > rows[0].strict_admitted
+    assert admission[0].degraded_admitted > admission[0].strict_admitted
 
 
 def test_ablation_state_fragmentation(benchmark, show):

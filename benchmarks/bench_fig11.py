@@ -1,14 +1,13 @@
 """Figure 11 — query install/removal delay (100 repetitions per query)."""
 
-from repro.experiments.exp_fig11 import figure11, render_figure11
+from repro.experiments import EXPERIMENTS
+
+FIG11 = EXPERIMENTS["fig11"]
 
 
 def test_fig11_operation_delay(benchmark, show):
-    rows = benchmark.pedantic(
-        lambda: figure11(repetitions=100), rounds=1, iterations=1
-    )
-    show("Figure 11: query operation delay over 100 repetitions\n"
-         + render_figure11(rows))
+    (rows,) = benchmark.pedantic(FIG11.run, rounds=1, iterations=1)
+    show(f"{FIG11.title}\n{FIG11.render(rows)}")
     for row in rows:
         summary = row.summary()
         assert summary["install_p99"] < 20.0, row.query

@@ -1,15 +1,13 @@
 """Figure 12 — monitoring overhead across six systems on two traces."""
 
-from repro.experiments.exp_fig12 import figure12, render_figure12
+from repro.experiments import EXPERIMENTS
+
+FIG12 = EXPERIMENTS["fig12"]
 
 
 def test_fig12_monitoring_overhead(benchmark, show):
-    cells = benchmark.pedantic(
-        lambda: figure12(n_packets=20_000, duration_s=0.5),
-        rounds=1, iterations=1,
-    )
-    show("Figure 12: monitoring messages / raw packets\n"
-         + render_figure12(cells))
+    (cells,) = benchmark.pedantic(FIG12.run, rounds=1, iterations=1)
+    show(f"{FIG12.title}\n{FIG12.render(cells)}")
     ratios = {}
     for cell in cells:
         ratios.setdefault(cell.system, []).append(cell.ratio)

@@ -1,16 +1,13 @@
 """Figure 13 — network-wide monitoring overhead of Q1 vs path length."""
 
-from repro.experiments.exp_fig13 import figure13, render_figure13
+from repro.experiments import EXPERIMENTS
+
+FIG13 = EXPERIMENTS["fig13"]
 
 
 def test_fig13_hop_count_scaling(benchmark, show):
-    series = benchmark.pedantic(
-        lambda: figure13(hop_counts=(1, 2, 3, 4), n_packets=12_000,
-                         duration_s=0.4),
-        rounds=1, iterations=1,
-    )
-    show("Figure 13: monitoring messages vs forwarding path length\n"
-         + render_figure13(series))
+    (series,) = benchmark.pedantic(FIG13.run, rounds=1, iterations=1)
+    show(f"{FIG13.title}\n{FIG13.render(series)}")
     by_name = {s.system: s.messages for s in series}
     newton = by_name["Newton"]
     # Newton is hop-count agnostic (reports exactly once per query)...

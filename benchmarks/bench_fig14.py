@@ -1,19 +1,24 @@
-"""Figure 14 — Q1 accuracy and FPR vs register budget, Sonata vs Newton_k."""
+"""Figure 14 — Q1 accuracy and FPR vs register budget, Sonata vs Newton_k.
 
-from repro.experiments.exp_fig14 import figure14, render_figure14
+The one benchmark that widens a registry argument: it floods five
+victims where ``EXPERIMENTS["fig14"]`` (and so ``newton-repro experiment
+fig14``) floods three.  At three, the Newton_2-vs-Sonata accuracy margin
+in the starved regime is 0.0006 — inside the noise of two seeded
+workloads — and the strict inequality below does not hold.
+"""
 
+from repro.experiments import EXPERIMENTS
+from repro.experiments.exp_fig14 import figure14
+
+FIG14 = EXPERIMENTS["fig14"]
 STARVED = (256, 512)  # the memory-constrained end of the paper's sweep
 
 
 def test_fig14_accuracy_and_errors(benchmark, show):
     points = benchmark.pedantic(
-        lambda: figure14(register_sizes=(256, 512, 1024, 2048, 4096),
-                         n_packets=12_000, duration_s=0.3, n_victims=5),
-        rounds=1, iterations=1,
+        lambda: figure14(n_victims=5), rounds=1, iterations=1,
     )
-    show("Figure 14: accuracy / FPR vs registers per array "
-         "(averaged over 2 seeded workloads)\n"
-         + render_figure14(points))
+    show(f"{FIG14.title} (5 victims)\n{FIG14.render(points)}")
     by_key = {(p.system, p.registers): p for p in points}
 
     def starved_accuracy(system):

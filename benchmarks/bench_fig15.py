@@ -1,20 +1,13 @@
 """Figure 15 — query compilation evaluation (+ Sonata comparison)."""
 
-from repro.experiments.exp_fig15 import (
-    figure15,
-    figure15_sonata,
-    render_figure15,
-)
+from repro.experiments import EXPERIMENTS
 
-
-def run():
-    return figure15(), figure15_sonata()
+FIG15 = EXPERIMENTS["fig15"]
 
 
 def test_fig15_compilation(benchmark, show):
-    rows, sonata = benchmark(run)
-    show("Figure 15: primitives / modules / stages per optimisation level\n"
-         + render_figure15(rows, sonata))
+    rows, sonata = benchmark(FIG15.run)
+    show(f"{FIG15.title}\n{FIG15.render(rows, sonata)}")
     for row in rows:
         # Optimisations never hurt, and Opt.3 compresses stages hardest.
         assert row.levels["+Opt.3"][1] <= row.levels["+Opt.2"][1]

@@ -1,15 +1,13 @@
 """Figure 16 — resource multiplexing over concurrent Q4 queries."""
 
-from repro.experiments.exp_fig16 import figure16, render_figure16
+from repro.experiments import EXPERIMENTS
+
+FIG16 = EXPERIMENTS["fig16"]
 
 
 def test_fig16_concurrent_queries(benchmark, show):
-    points = benchmark.pedantic(
-        lambda: figure16(counts=(1, 10, 25, 50, 100)),
-        rounds=1, iterations=1,
-    )
-    show("Figure 16: concurrent Q4 queries (real installs for P-Newton)\n"
-         + render_figure16(points))
+    (points,) = benchmark.pedantic(FIG16.run, rounds=1, iterations=1)
+    show(f"{FIG16.title}\n{FIG16.render(points)}")
     first, last = points[0], points[-1]
     # Sonata and S-Newton grow linearly with the query count...
     assert last.sonata_stages == 100 * first.sonata_stages

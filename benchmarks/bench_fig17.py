@@ -1,23 +1,16 @@
 """Figure 17 — network-wide query placement of Q4."""
 
-from repro.experiments.exp_fig17 import (
-    compile_q4,
-    figure17a,
-    figure17b,
-    render_figure17,
-)
+from repro.experiments import EXPERIMENTS
+from repro.experiments.exp_fig17 import compile_q4
 
-
-def run():
-    return (
-        figure17a(stage_budgets=(10, 5, 4, 3, 2)),
-        figure17b(arities=(4, 8, 16, 24, 32), stages_per_switch=4),
-    )
+FIG17 = EXPERIMENTS["fig17"]
 
 
 def test_fig17_placement(benchmark, show):
-    points_a, points_b = benchmark.pedantic(run, rounds=1, iterations=1)
-    show(render_figure17(points_a, points_b))
+    points_a, points_b = benchmark.pedantic(
+        FIG17.run, rounds=1, iterations=1
+    )
+    show(f"{FIG17.title}\n{FIG17.render(points_a, points_b)}")
 
     # The compiled Q4 matches the paper's setup: 10 stages, 19 module rules.
     compiled = compile_q4()

@@ -47,19 +47,12 @@ from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.compiler import QueryParams
-from repro.core.library import build_query
+from repro.core.library import evaluation_query, evaluation_thresholds
 from repro.core.packet import Proto, TcpFlags
-from repro.experiments.common import evaluation_thresholds
-from repro.network.deployment import build_deployment
-from repro.network.topology import linear
-from repro.planner import DynamicPlanner, PlannerConfig
-from repro.traffic.generators import (
-    assign_hosts,
-    caida_like,
-    syn_flood,
-    syn_scan_noise,
-)
-from repro.traffic.traces import Trace, merge_traces
+from repro.fleet import build_fleet, fleet_trace
+from repro.planner import DynamicPlanner, PlannerConfig, run_windows
+from repro.traffic.generators import caida_like, syn_flood, syn_scan_noise
+from repro.traffic.traces import Trace
 
 WINDOW_S = 0.1
 FULL_WINDOWS = 10
@@ -101,7 +94,7 @@ def window_trace(index: int, seed: int = SEED) -> Trace:
             n_packets=8000, duration_s=WINDOW_S, seed=seed + 80 + index,
             start_s=start,
         ))
-    return assign_hosts(merge_traces(parts), [("h_src0", "h_dst0")])
+    return fleet_trace(*parts)
 
 
 def ground_truth(traces: List[Trace],
@@ -144,7 +137,7 @@ def f1(detected: Set, truth: Set) -> float:
 def run_plan(deployment, traces: List[Trace],
              dynamic: bool) -> dict:
     """Run the windows; with ``dynamic``, step the planner per window."""
-    query = build_query("Q1", evaluation_thresholds())
+    query = evaluation_query("Q1")
     planner = None
     if dynamic:
         planner = DynamicPlanner(deployment, PLANNER_CONFIG)
@@ -153,30 +146,21 @@ def run_plan(deployment, traces: List[Trace],
         deployment.controller.install_query(
             query, STATIC_PARAMS, path=PATH
         )
-    detections: Dict[int, Set] = {}
-    steps: List[tuple] = []
-    mixed = initiated = 0
-    for index, trace in enumerate(traces):
-        stats = deployment.simulator.run(trace)
-        mixed += stats.mixed_rule_epoch_packets
-        initiated += stats.initiated_by_query["Q1"]
-        closed = deployment.simulator.roll_window()
-        window = deployment.collector.merged_results("Q1").get(closed, {})
-        detections[index] = set(window)
-        if planner is not None:
-            execution = planner.step()
-            if execution is not None:
-                steps.extend(
-                    (index, s.op.kind, s.trigger, s.status,
-                     None if s.op.params is None
-                     else s.op.params.reduce_registers)
-                    for s in execution.steps
-                )
+    run = run_windows(deployment, traces, planner)
+    answers = deployment.collector.merged_results("Q1")
     return {
-        "detections": detections,
-        "steps": steps,
-        "mixed_epoch": mixed,
-        "gap": matching_packets(traces) - initiated,
+        "detections": {
+            index: set(answers.get(closed, {}))
+            for index, closed in enumerate(run["closed"])
+        },
+        "steps": [
+            (s["epoch"], s["kind"], s["trigger"], s["status"],
+             None if s["params"] is None
+             else s["params"]["reduce_registers"])
+            for s in run["steps"]
+        ],
+        "mixed_epoch": run["mixed_epoch"],
+        "gap": matching_packets(traces) - run["initiated"].get("Q1", 0),
         "final_registers": (
             None if planner is None
             else planner.plans["Q1"].params.reduce_registers
@@ -191,22 +175,11 @@ def accuracy_series(detections: Dict[int, Set],
 
 def nv701_on_static(expected_flows: int) -> List[dict]:
     """The analyzer's verdict on the static sizing at shifted scale."""
-    from repro.verify import FleetConfig, analyze_deployment
+    from repro.verify import FleetConfig, analyze_fleet
 
-    dep = build_deployment(linear(SWITCHES), array_size=ARRAY_SIZE)
-    dep.controller.install_query(
-        build_query("Q1", evaluation_thresholds()), STATIC_PARAMS,
-        path=PATH,
-    )
-    compiled = {
-        sub_qid: comp
-        for record in dep.controller.installed.values()
-        for sub_qid, comp in record.compiled.items()
-    }
-    report = analyze_deployment(
-        dep.switches, compiled=compiled,
-        committed_epoch=dep.controller.txn.epoch,
-        config=FleetConfig(expected_flows=expected_flows),
+    report = analyze_fleet(
+        build_fleet(SWITCHES, ["Q1"], STATIC_PARAMS, array_size=ARRAY_SIZE),
+        FleetConfig(expected_flows=expected_flows),
     )
     return [d.as_dict() for d in report.sorted()
             if d.as_dict()["code"].startswith("NV70")]
@@ -222,21 +195,16 @@ def measure(windows: int, workers: int) -> dict:
     })
 
     static = run_plan(
-        build_deployment(linear(SWITCHES), array_size=ARRAY_SIZE),
-        traces, dynamic=False,
+        build_fleet(SWITCHES, array_size=ARRAY_SIZE), traces, dynamic=False,
     )
     dynamic = run_plan(
-        build_deployment(linear(SWITCHES), array_size=ARRAY_SIZE),
-        traces, dynamic=True,
+        build_fleet(SWITCHES, array_size=ARRAY_SIZE), traces, dynamic=True,
     )
     fabric = None
     if workers > 1:
-        from repro.fabric import ShardedDeployment
-
-        with ShardedDeployment(
-            linear(SWITCHES), workers=workers, array_size=ARRAY_SIZE,
-        ) as sd:
-            fabric = run_plan(sd, traces, dynamic=True)
+        with build_fleet(SWITCHES, workers=workers,
+                         array_size=ARRAY_SIZE) as sharded:
+            fabric = run_plan(sharded, traces, dynamic=True)
 
     static_f1 = accuracy_series(static["detections"], truth)
     dynamic_f1 = accuracy_series(dynamic["detections"], truth)

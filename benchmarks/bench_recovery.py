@@ -30,12 +30,10 @@ import random
 import statistics
 import sys
 
-from repro import build_deployment, linear
 from repro.core.compiler import QueryParams
-from repro.core.library import build_query
-from repro.experiments.common import evaluation_thresholds
-from repro.resilience import FaultPlan, crash
-from repro.traffic.generators import assign_hosts, syn_flood
+from repro.fleet import build_fleet, fleet_trace
+from repro.resilience import standard_crash
+from repro.traffic.generators import syn_flood
 
 N_PACKETS = 20_000
 QUICK_PACKETS = 3_000
@@ -57,21 +55,15 @@ PARAMS = QueryParams(cm_depth=2, reduce_registers=1024)
 def _run(engine: str, n_packets: int, crash_at: float = CRASH_AT_S,
          down_for: float = DOWN_FOR_S, seed: int = 11) -> dict:
     """One crashed-and-recovered run; returns measurements + state."""
-    plan = FaultPlan(
-        events=(crash("s0", crash_at, down_for=down_for),), seed=seed,
+    deployment = build_fleet(
+        N_SWITCHES, ["Q1"], PARAMS, array_size=1 << 13, engine=engine,
+        faults=standard_crash(seed, crash_at, down_for),
     )
-    deployment = build_deployment(
-        linear(N_SWITCHES), array_size=1 << 13, engine=engine, faults=plan,
-    )
-    path = [f"s{i}" for i in range(N_SWITCHES)]
-    query = build_query("Q1", evaluation_thresholds())
-    deployment.controller.install_query(query, PARAMS, path=path)
-    trace = assign_hosts(
-        syn_flood(n_packets=n_packets, duration_s=DURATION_S, seed=seed),
-        [("h_src0", "h_dst0")],
-    )
-    stats = deployment.simulator.run(trace)
+    stats = deployment.simulator.run(fleet_trace(
+        syn_flood(n_packets=n_packets, duration_s=DURATION_S, seed=seed)
+    ))
     recovery = deployment.recovery
+    report = recovery.report()
     record = deployment.controller.installed.get("Q1")
     hosted = record is not None and all(
         deployment.switches[sid].pipeline.hosts_slice(sub_qid, index)
@@ -80,16 +72,10 @@ def _run(engine: str, n_packets: int, crash_at: float = CRASH_AT_S,
     )
     return {
         "engine": engine,
-        "incidents": [
-            {"switch": str(r.switch_id), "action": r.action,
-             "detect_latency_s": r.detect_latency_s,
-             "reinstall_delay_s": r.reinstall_delay_s,
-             "windows_impaired": r.windows_impaired}
-            for r in recovery.records
-        ],
-        "coverage": recovery.coverage.summary(),
+        "incidents": report["incidents"],
+        "coverage": report["summary"]["coverage"],
         "gap_epochs": list(recovery.coverage.gap_epochs("Q1")),
-        "degraded": sorted(recovery.coverage.degraded()),
+        "degraded": report["summary"]["degraded"],
         "hosted": hosted,
         # Recovered-state fingerprint for cross-engine bit-identity.
         "state": {

@@ -1,12 +1,13 @@
 """Table 3 — hardware resources consumed by Newton."""
 
-from repro.experiments.exp_table3 import render_table3, table3
+from repro.experiments import EXPERIMENTS
+
+TABLE3 = EXPERIMENTS["table3"]
 
 
 def test_table3_resource_usage(benchmark, show):
-    rows = benchmark(table3)
-    show("Table 3: resources normalised by switch.p4 usage\n"
-         + render_table3(rows))
+    (rows,) = benchmark(TABLE3.run)
+    show(f"{TABLE3.title}\n{TABLE3.render(rows)}")
     # Pin the headline per-stage values against the published table.
     by_key = {(r.category, r.metric): r.values for r in rows}
     compact = by_key[("Per-stage", "Compact Module Layout")]

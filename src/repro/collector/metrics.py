@@ -2,9 +2,10 @@
 
 Lightweight, dependency-free metric primitives for the collector: monotone
 counters, gauges, and fixed-bucket histograms, each optionally labelled
-(per query, per switch).  The registry renders to a stable text exposition
-(``render``) and to a JSON-serialisable snapshot (``snapshot``) for the
-``newton-repro collect-stats`` subcommand and the operator console.
+(per query, per switch).  The registry renders to one text exposition
+(``render_prometheus`` — what ``collect-stats``, ``txn-stats``, ``metrics``
+and the service's ``/metrics`` print) and to a JSON-serialisable snapshot
+(``snapshot``, per-bin histogram counts).
 
 Design points:
 
@@ -360,144 +361,71 @@ class MetricsRegistry:
             }
         return out
 
-    def samples(self) -> Iterator[Sample]:
-        """Every series as ``(name, labels, value)`` in a stable order.
-
-        Names sort alphabetically and label sets sort within a name, so
-        iterating twice over an unchanged registry yields the identical
-        sequence — the contract both the Prometheus renderer and the
-        service's ``/metrics`` endpoint rely on.  Histogram buckets are
-        *cumulative* (each ``le`` bound counts every observation at or
-        below it), matching Prometheus semantics rather than the
-        per-bin counts :meth:`snapshot` exposes.
-        """
-        for name in sorted(self._counters):
-            series = self._counters[name].series()
-            for pairs in sorted(series):
-                yield Sample(name, pairs, float(series[pairs]))
-        for name in sorted(self._gauges):
-            series = self._gauges[name].series()
-            for pairs in sorted(series):
-                yield Sample(name, pairs, float(series[pairs]))
+    def _families(self) -> Iterator[Tuple[str, str, str, List[Sample]]]:
+        """The one walk behind both text expositions: every metric as
+        ``(name, type, help, samples)``, names sorted within a type and
+        label sets within a name.  Histogram buckets are *cumulative*
+        (each ``le`` bound counts every observation at or below it) —
+        Prometheus semantics, not the per-bin counts of
+        :meth:`snapshot`."""
+        for kind, metrics in (("counter", self._counters),
+                              ("gauge", self._gauges)):
+            for name in sorted(metrics):
+                series = metrics[name].series()
+                yield name, kind, metrics[name].help, [
+                    Sample(name, pairs, float(series[pairs]))
+                    for pairs in sorted(series)
+                ]
         for name in sorted(self._histograms):
             histogram = self._histograms[name]
             hseries = histogram.series()
             bounds = [f"{b:g}" for b in histogram.buckets] + ["+Inf"]
+            family: List[Sample] = []
             for pairs in sorted(hseries):
                 entry = hseries[pairs]
                 running = 0
                 for bound, count in zip(bounds, entry.counts):
                     running += count
-                    yield Sample(
+                    family.append(Sample(
                         f"{name}_bucket", pairs + (("le", bound),),
                         float(running),
-                    )
-                yield Sample(f"{name}_count", pairs, float(entry.total))
-                yield Sample(f"{name}_sum", pairs, float(entry.sum))
+                    ))
+                family.append(
+                    Sample(f"{name}_count", pairs, float(entry.total))
+                )
+                family.append(Sample(f"{name}_sum", pairs, float(entry.sum)))
+            yield name, "histogram", histogram.help, family
+
+    def samples(self) -> Iterator[Sample]:
+        """Every series as ``(name, labels, value)`` in a stable order:
+        iterating twice over an unchanged registry yields the identical
+        sequence (the order of :meth:`render_prometheus`, headers
+        aside)."""
+        for _name, _kind, _help, family in self._families():
+            yield from family
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4).
-
-        Differs from :meth:`render` (the operator-console view) in the
-        ways a real scraper cares about: histogram buckets are cumulative,
-        every metric carries ``# HELP``/``# TYPE`` headers, label values
-        escape backslashes/quotes/newlines, and the body ends with a
-        trailing newline as the format requires.
-        """
-        lines: List[str] = []
-
-        def esc_help(text: str) -> str:
+        """Prometheus text exposition format (version 0.0.4): the
+        :meth:`samples` under ``# HELP``/``# TYPE`` headers, help text
+        and label values escaped (backslashes, quotes, newlines),
+        integral values printed as integers, and the trailing newline
+        the format requires."""
+        def esc(text: str) -> str:
             return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-        def esc_label(value: str) -> str:
-            return (value.replace("\\", "\\\\").replace('"', '\\"')
-                    .replace("\n", "\\n"))
 
         def fmt(value: float) -> str:
             if value == int(value) and abs(value) < 1e15:
                 return str(int(value))
             return repr(value)
 
-        def labelstr(pairs: LabelPairs) -> str:
-            if not pairs:
-                return ""
-            inner = ",".join(f'{k}="{esc_label(v)}"' for k, v in pairs)
-            return "{" + inner + "}"
-
-        def header(name: str, kind: str, help_text: str) -> None:
-            if help_text:
-                lines.append(f"# HELP {name} {esc_help(help_text)}")
-            lines.append(f"# TYPE {name} {kind}")
-
-        for name in sorted(self._counters):
-            counter = self._counters[name]
-            header(name, "counter", counter.help)
-            series = counter.series()
-            for pairs in sorted(series):
-                lines.append(f"{name}{labelstr(pairs)} {fmt(series[pairs])}")
-        for name in sorted(self._gauges):
-            gauge = self._gauges[name]
-            header(name, "gauge", gauge.help)
-            series = gauge.series()
-            for pairs in sorted(series):
-                lines.append(f"{name}{labelstr(pairs)} {fmt(series[pairs])}")
-        for name in sorted(self._histograms):
-            histogram = self._histograms[name]
-            header(name, "histogram", histogram.help)
-            hseries = histogram.series()
-            bounds = [f"{b:g}" for b in histogram.buckets] + ["+Inf"]
-            for pairs in sorted(hseries):
-                entry = hseries[pairs]
-                running = 0
-                for bound, count in zip(bounds, entry.counts):
-                    running += count
-                    label = labelstr(pairs + (("le", bound),))
-                    lines.append(f"{name}_bucket{label} {running}")
-                lines.append(
-                    f"{name}_count{labelstr(pairs)} {entry.total}"
-                )
-                lines.append(
-                    f"{name}_sum{labelstr(pairs)} {fmt(entry.sum)}"
-                )
-        return "\n".join(lines) + "\n"
-
-    def render(self) -> str:
-        """Stable text exposition (sorted names, sorted label sets)."""
         lines: List[str] = []
-        for name in sorted(self._counters):
-            counter = self._counters[name]
-            if counter.help:
-                lines.append(f"# HELP {name} {counter.help}")
-            lines.append(f"# TYPE {name} counter")
-            for pairs in sorted(counter.series()):
-                lines.append(
-                    f"{name}{_render_labels(pairs)} "
-                    f"{counter.series()[pairs]}"
-                )
-        for name in sorted(self._gauges):
-            gauge = self._gauges[name]
-            if gauge.help:
-                lines.append(f"# HELP {name} {gauge.help}")
-            lines.append(f"# TYPE {name} gauge")
-            for pairs in sorted(gauge.series()):
-                lines.append(
-                    f"{name}{_render_labels(pairs)} {gauge.series()[pairs]}"
-                )
-        for name in sorted(self._histograms):
-            histogram = self._histograms[name]
-            if histogram.help:
-                lines.append(f"# HELP {name} {histogram.help}")
-            lines.append(f"# TYPE {name} histogram")
-            for pairs in sorted(histogram.series()):
-                series = histogram.series()[pairs]
-                bounds = [f"{b:g}" for b in histogram.buckets] + ["+Inf"]
-                for bound, count in zip(bounds, series.counts):
-                    label = _render_labels(pairs + (("le", bound),))
-                    lines.append(f"{name}_bucket{label} {count}")
-                lines.append(
-                    f"{name}_count{_render_labels(pairs)} {series.total}"
-                )
-                lines.append(
-                    f"{name}_sum{_render_labels(pairs)} {series.sum:g}"
-                )
-        return "\n".join(lines)
+        for name, kind, help_text, family in self._families():
+            if help_text:
+                lines.append(f"# HELP {name} {esc(help_text)}")
+            lines.append(f"# TYPE {name} {kind}")
+            for sample in family:
+                labels = _render_labels(tuple(
+                    (k, esc(v).replace('"', '\\"')) for k, v in sample.labels
+                ))
+                lines.append(f"{sample.name}{labels} {fmt(sample.value)}")
+        return "\n".join(lines) + "\n"

@@ -18,7 +18,8 @@ from repro.core.ast import CmpOp, FieldPredicate
 from repro.core.packet import Proto, TcpFlags
 from repro.core.query import CompositeQuery, Query, QueryLike
 
-__all__ = ["QueryThresholds", "build_query", "all_queries", "QUERY_NAMES",
+__all__ = ["QueryThresholds", "evaluation_thresholds", "build_query",
+           "evaluation_query", "all_queries", "QUERY_NAMES",
            "QUERY_DESCRIPTIONS"]
 
 QUERY_DESCRIPTIONS = {
@@ -375,6 +376,33 @@ _BUILDERS = {
 }
 
 
+def evaluation_thresholds() -> QueryThresholds:
+    """Thresholds calibrated to the synthetic workload scale.
+
+    Validated for clipped-report join consistency: the experiments consume
+    data-plane reports only, so these must satisfy
+    :meth:`QueryThresholds.validate`.
+    """
+    thresholds = QueryThresholds(
+        new_tcp_conns=40,
+        ssh_brute=15,
+        superspreader=40,
+        port_scan=30,
+        udp_ddos=40,
+        syn_flood=5,
+        syn_flood_sub=25,
+        completed_conns=8,
+        slowloris_conns=50,
+        slowloris_bytes=25_000,
+        slowloris_ratio=600,
+        dns_tcp=3,
+        dns_sub=3,
+        dns_tcp_conns=8,
+    )
+    thresholds.validate()
+    return thresholds
+
+
 def build_query(name: str,
                 thresholds: QueryThresholds = QueryThresholds()) -> QueryLike:
     """Instantiate one of Q1–Q9 with the given thresholds."""
@@ -389,8 +417,14 @@ def build_query(name: str,
     return query
 
 
+def evaluation_query(name: str) -> QueryLike:
+    """Library query ``name`` at the :func:`evaluation_thresholds`."""
+    return build_query(name, evaluation_thresholds())
+
+
 def all_queries(
     thresholds: QueryThresholds = QueryThresholds(),
 ) -> Dict[str, QueryLike]:
     """All nine evaluation queries, keyed by name."""
     return {name: build_query(name, thresholds) for name in QUERY_NAMES}
+

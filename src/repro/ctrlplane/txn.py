@@ -483,6 +483,17 @@ class TransactionManager:
     def _staged_total(self) -> int:
         return sum(s.staged_rule_count for s in self.switches.values())
 
+    def residue(self) -> Dict[str, object]:
+        """What a quiescent control plane must not hold: rules still in
+        a shadow bank or awaiting GC (both 0), and the rule epochs the
+        switches are on (one, once every commit reached every switch)."""
+        switches = list(self.switches.values())
+        return {
+            "rule_epochs": sorted({s.rule_epoch for s in switches}),
+            "staged_residue": sum(s.staged_rule_count for s in switches),
+            "retired_residue": sum(s.retired_rule_count for s in switches),
+        }
+
     def _finish(self, plan: TxnPlan, txn_id: int, target: int, state: str,
                 delay_s: float = 0.0, gc_delay_s: float = 0.0,
                 rules_staged: int = 0, rules_removed: int = 0,
@@ -504,3 +515,4 @@ class TransactionManager:
                 "epoch": target, "rules_staged": rules_staged,
                 "rules_removed": rules_removed,
             })
+

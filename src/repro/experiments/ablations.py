@@ -34,7 +34,11 @@ from repro.core.groundtruth import evaluate_trace
 from repro.core.library import QueryThresholds, build_query
 from repro.core.placement import place_slices
 from repro.core.query import Query
-from repro.experiments.common import evaluation_queries, query_footprint
+from repro.experiments.common import (
+    evaluation_queries,
+    format_table,
+    query_footprint,
+)
 from repro.network.deployment import build_deployment
 from repro.network.topology import Topology, fat_tree, linear
 from repro.traffic.generators import assign_hosts, syn_flood, syn_scan_noise
@@ -51,6 +55,7 @@ __all__ = [
     "ablate_admission",
     "FragmentationAblation",
     "ablate_state_fragmentation",
+    "render_ablations",
 ]
 
 # --------------------------------------------------------------------------- #
@@ -374,3 +379,33 @@ def ablate_state_fragmentation(threshold: int = 20,
         reported_after_flip=reported_after_flip,
         readout_after_flip=readout,
     )
+
+
+def render_ablations(layout: LayoutAblation, placement: PlacementAblation,
+                     shape: List[SketchShapePoint],
+                     admission: List[AdmissionAblation]) -> str:
+    return "\n".join([
+        "Layout ablation:",
+        f"  compact fits {len(layout.compact_fit)}/9 queries in "
+        f"{layout.pipeline_stages} stages; naive fits "
+        f"{len(layout.naive_fit)}/9",
+        "",
+        "Placement ablation:",
+        f"  oracle {placement.oracle_entries} entries vs resilient "
+        f"{placement.resilient_entries} "
+        f"({placement.resilience_overhead:.2f}x)",
+        "",
+        "Sketch-shape ablation (fixed budget):",
+        format_table(
+            ["depth", "width", "recall", "FPR"],
+            [[p.depth, p.width, f"{p.recall:.3f}", f"{p.fpr:.4f}"]
+             for p in shape],
+        ),
+        "",
+        "Admission ablation:",
+        format_table(
+            ["array", "strict", "degraded"],
+            [[a.array_size, a.strict_admitted, a.degraded_admitted]
+             for a in admission],
+        ),
+    ])

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.compiler import Optimizations, QueryParams, compile_query
-from repro.core.library import QueryThresholds, all_queries
+from repro.core.library import all_queries, evaluation_thresholds
 from repro.core.query import CompositeQuery, QueryLike, flatten
 from repro.traffic.generators import (
     caida_like,
@@ -55,33 +55,6 @@ def query_footprint(
     if overlapping or not multiplex:
         return modules, sum(stages)
     return modules, max(stages)
-
-
-def evaluation_thresholds() -> QueryThresholds:
-    """Thresholds calibrated to the synthetic workload scale.
-
-    Validated for clipped-report join consistency: the experiments consume
-    data-plane reports only, so these must satisfy
-    :meth:`QueryThresholds.validate`.
-    """
-    thresholds = QueryThresholds(
-        new_tcp_conns=40,
-        ssh_brute=15,
-        superspreader=40,
-        port_scan=30,
-        udp_ddos=40,
-        syn_flood=5,
-        syn_flood_sub=25,
-        completed_conns=8,
-        slowloris_conns=50,
-        slowloris_bytes=25_000,
-        slowloris_ratio=600,
-        dns_tcp=3,
-        dns_sub=3,
-        dns_tcp_conns=8,
-    )
-    thresholds.validate()
-    return thresholds
 
 
 def evaluation_queries() -> Dict[str, QueryLike]:

@@ -823,9 +823,3 @@ class ShardedDeployment(Deployment):
         self._closed = True
         for backend in self._backends:
             backend.shutdown()
-
-    def __enter__(self) -> "ShardedDeployment":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

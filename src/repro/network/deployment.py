@@ -69,7 +69,7 @@ class Deployment:
 
     # What drivers (service, planner, benchmarks) need beyond the
     # components.  The sharded fabric deployment overrides ``prune``,
-    # ``register_arrays`` and ``fabric_status``.
+    # ``register_arrays``, ``fabric_status`` and ``close``.
 
     def prune(self, before_epoch: int) -> None:
         """Discard windowed answers for epochs ``< before_epoch``."""
@@ -96,6 +96,16 @@ class Deployment:
     def fabric_status(self) -> Dict[str, Any]:
         """JSON-safe execution-backend status (``/healthz``)."""
         return {"workers": 1, "backend": "single-process"}
+
+    def close(self) -> None:
+        """Release what the deployment owns beyond memory (the sharded
+        one's worker processes; nothing here)."""
+
+    def __enter__(self) -> "Deployment":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def build_deployment(

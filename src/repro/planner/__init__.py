@@ -27,7 +27,11 @@ replays every step's op on each shard worker unchanged.
 from repro.planner.driver import PlanDriver, PlanError
 from repro.planner.ladder import RefinementLadder
 from repro.planner.plan import PlanExecution, PlanStep, QueryPlan
-from repro.planner.planner import DynamicPlanner, PlannerConfig
+from repro.planner.planner import (
+    DynamicPlanner,
+    PlannerConfig,
+    run_windows,
+)
 
 __all__ = [
     "DynamicPlanner",
@@ -38,4 +42,5 @@ __all__ = [
     "PlannerConfig",
     "QueryPlan",
     "RefinementLadder",
+    "run_windows",
 ]

@@ -28,7 +28,7 @@ feed) are notified per executed round.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.collector.signals import QuerySignals, WindowSignals
 from repro.core.admission import AdmissionPlanner
@@ -40,7 +40,7 @@ from repro.planner.driver import PlanDriver, PlanError
 from repro.planner.ladder import RefinementLadder
 from repro.planner.plan import PlanExecution, PlanStep, QueryPlan
 
-__all__ = ["DynamicPlanner", "PlannerConfig"]
+__all__ = ["DynamicPlanner", "PlannerConfig", "run_windows"]
 
 
 @dataclass(frozen=True)
@@ -446,3 +446,31 @@ class DynamicPlanner:
                 "skew_ratio": self.config.skew_ratio,
             },
         }
+
+
+def run_windows(deployment, traces: Iterable[Any],
+                planner: Optional[DynamicPlanner] = None) -> Dict[str, Any]:
+    """Feed ``deployment`` one trace per window, closing each and — with
+    a ``planner`` — re-planning on the signals that window left.
+
+    Returns the closed window epochs in order (index = position in
+    ``traces``), every executed plan step (:meth:`PlanStep.to_dict`, its
+    ``epoch`` the window that triggered it), and the run's totals of
+    mixed-rule-epoch packets (must be 0: no packet saw half a re-plan)
+    and packets initiated per query.
+    """
+    closed: List[int] = []
+    steps: List[Dict[str, Any]] = []
+    initiated: Dict[str, int] = {}
+    mixed = 0
+    for trace in traces:
+        stats = deployment.simulator.run(trace)
+        mixed += stats.mixed_rule_epoch_packets
+        for qid, count in stats.initiated_by_query.items():
+            initiated[qid] = initiated.get(qid, 0) + count
+        closed.append(deployment.simulator.roll_window())
+        execution = planner.step() if planner is not None else None
+        if execution is not None:
+            steps.extend(step.to_dict() for step in execution.steps)
+    return {"closed": closed, "steps": steps, "mixed_epoch": mixed,
+            "initiated": initiated}

@@ -35,6 +35,7 @@ from repro.resilience.faults import (
     crash,
     reboot,
     report_faults,
+    standard_crash,
 )
 from repro.resilience.health import (
     DetectorConfig,
@@ -69,6 +70,7 @@ __all__ = [
     "crash",
     "reboot",
     "report_faults",
+    "standard_crash",
 ]
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "corrupt_registers",
     "control_faults",
     "report_faults",
+    "standard_crash",
 ]
 
 _KINDS = ("crash", "reboot", "corrupt", "control", "reports")
@@ -220,9 +221,20 @@ class FaultPlan:
         for raw in data.get("events", []):  # type: ignore[union-attr]
             if "kind" not in raw:
                 raise ValueError(f"fault event missing 'kind': {raw!r}")
-            events.append(FaultEvent(**raw))
+            try:
+                events.append(FaultEvent(**raw))
+            except TypeError as exc:  # a field FaultEvent does not have
+                raise ValueError(f"bad fault event {raw!r}: {exc}") from exc
         return cls(events=tuple(events), seed=int(data.get("seed", 0)))
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
+
+
+def standard_crash(seed: int, at: float = 0.2,
+                   down_for: Optional[float] = 0.15) -> FaultPlan:
+    """The standard crash scenario: the ingress switch ``s0`` fails
+    ``at`` seconds into the trace and restarts empty ``down_for`` later
+    (``None``: stays down)."""
+    return FaultPlan(events=(crash("s0", at, down_for=down_for),), seed=seed)

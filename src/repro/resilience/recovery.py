@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.collector.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.core.placement import PlacementError
@@ -316,6 +316,38 @@ class RecoveryManager:
             self._attempts.pop(sid, None)
 
     # ------------------------------------------------------------------ #
+
+    def report(self) -> Dict[str, Any]:
+        """What a run under faults did, JSON-ready: final health per
+        switch, every detector transition, every recovery incident, the
+        :meth:`summary`, and the coverage gaps left behind — the body of
+        ``newton-repro chaos --json`` and what the recovery benchmark
+        grades."""
+        return {
+            "health": {
+                str(sid): health.state
+                for sid, health in self.detector.health_map().items()
+            },
+            "transitions": [
+                {"switch": str(t.switch_id), "from": t.old, "to": t.new,
+                 "epoch": t.epoch, "at_s": t.at_s}
+                for t in self.detector.transitions
+            ],
+            "incidents": [
+                {"switch": str(r.switch_id), "action": r.action,
+                 "queries": list(r.qids),
+                 "detect_latency_s": r.detect_latency_s,
+                 "reinstall_delay_s": r.reinstall_delay_s,
+                 "windows_impaired": r.windows_impaired}
+                for r in self.records
+            ],
+            "summary": self.summary(),
+            "gaps": [
+                {"qid": g.qid, "epoch": g.epoch, "reason": g.reason,
+                 "switch": None if g.switch is None else str(g.switch)}
+                for g in self.coverage.gaps()
+            ],
+        }
 
     def summary(self) -> Dict[str, object]:
         """Digest for the CLI / benchmarks."""

@@ -13,7 +13,12 @@ HTTP API (``newton-repro serve``).
 from repro.service.client import ServiceAPIError, ServiceClient
 from repro.service.feed import Subscription, SubscriptionManager
 from repro.service.http import ServiceHTTP, dispatch
-from repro.service.service import NewtonService, ServiceConfig, ServiceError
+from repro.service.service import (
+    NewtonService,
+    ServiceConfig,
+    ServiceError,
+    service_fleet,
+)
 from repro.service.sources import (
     GeneratorSource,
     PushSource,
@@ -37,4 +42,5 @@ __all__ = [
     "SubscriptionManager",
     "TraceSource",
     "dispatch",
+    "service_fleet",
 ]

@@ -35,13 +35,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.compiler import QueryParams
-from repro.core.library import QUERY_DESCRIPTIONS, build_query
+from repro.core.library import (
+    QUERY_DESCRIPTIONS,
+    build_query,
+    evaluation_thresholds,
+)
 from repro.core.query import Query, QueryLike, flatten
 from repro.ctrlplane import TransactionAborted
 from repro.ctrlplane.wal import WriteAheadLog
-from repro.experiments.common import evaluation_thresholds
-from repro.network.deployment import Deployment, build_deployment
-from repro.network.topology import linear
+from repro.fleet import build_fleet
+from repro.network.deployment import Deployment
 from repro.planner import (
     DynamicPlanner,
     PlanError,
@@ -54,11 +57,11 @@ from repro.service.sources import TraceSource
 from repro.verify import (
     FleetConfig,
     VerificationError,
-    analyze_deployment,
+    analyze_fleet,
     exit_code,
 )
 
-__all__ = ["NewtonService", "ServiceConfig", "ServiceError",
+__all__ = ["NewtonService", "ServiceConfig", "ServiceError", "service_fleet",
            "query_from_spec", "params_from_spec", "ladder_from_spec"]
 
 
@@ -274,6 +277,24 @@ class ServiceConfig:
     wal_snapshot_every: int = 16
 
 
+def service_fleet(config: ServiceConfig, workers: int = 1) -> Deployment:
+    """The deployment a service with this config drives: a bare
+    ``linear(config.switches)`` fleet with the resilience plane up,
+    sharded across ``workers`` processes when more than one (a service
+    publishes window answers, so shards keep no report stream)."""
+    return build_fleet(
+        config.switches,
+        workers=workers,
+        num_stages=config.num_stages,
+        table_capacity=config.table_capacity,
+        array_size=config.array_size,
+        window_ms=config.window_ms,
+        engine=config.engine,
+        resilience=ResilienceConfig(),
+        **({"record_reports": False} if workers > 1 else {}),
+    )
+
+
 class NewtonService:
     """A deployment run as a long-lived, query-serving system."""
 
@@ -285,17 +306,8 @@ class NewtonService:
     ):
         self.config = config or ServiceConfig()
         self.source = source
-        self.deployment = deployment or build_deployment(
-            linear(self.config.switches),
-            num_stages=self.config.num_stages,
-            table_capacity=self.config.table_capacity,
-            array_size=self.config.array_size,
-            window_ms=self.config.window_ms,
-            engine=self.config.engine,
-            resilience=ResilienceConfig(),
-        )
-        self.path = [f"s{i}" for i in
-                     range(len(self.deployment.switches))]
+        self.deployment = deployment or service_fleet(self.config)
+        self.path = list(self.deployment.switches)
         self.registry = self.deployment.collector.metrics
         self.feed = SubscriptionManager(
             registry=self.registry,
@@ -363,23 +375,12 @@ class NewtonService:
         back out and reject the operation."""
         if not self.config.fleet_admission:
             return []
-        controller = self.deployment.controller
-        compiled = {
-            sub_qid: comp
-            for record in controller.installed.values()
-            for sub_qid, comp in record.compiled.items()
-        }
-        report = analyze_deployment(
-            self.deployment.switches,
-            compiled=compiled,
-            committed_epoch=controller.txn.epoch,
-            config=FleetConfig(
-                expected_flows=self.config.expected_flows or None,
-            ),
-        )
+        report = analyze_fleet(self.deployment, FleetConfig(
+            expected_flows=self.config.expected_flows or None,
+        ))
         if exit_code(report) >= 2:
             try:
-                controller.remove_query(qid)
+                self.deployment.controller.remove_query(qid)
             except (KeyError, TransactionAborted):
                 pass
             self._c_ops.inc(op=op, outcome="rejected-fleet")
@@ -902,15 +903,10 @@ class NewtonService:
         return summary
 
     def _shutdown_summary(self) -> Dict[str, Any]:
-        switches = self.deployment.switches
-        staged = sum(s.staged_rule_count for s in switches.values())
-        retired = sum(s.retired_rule_count for s in switches.values())
-        epochs = sorted({s.rule_epoch for s in switches.values()})
+        txn = self.deployment.controller.txn
         return {
-            "committed_epoch": self.deployment.controller.txn.epoch,
-            "rule_epochs": epochs,
-            "staged_residue": staged,
-            "retired_residue": retired,
+            "committed_epoch": txn.epoch,
+            **txn.residue(),
             "windows": int(self._c_windows.total),
             "packets": self.total_packets,
             "mixed_epoch_packets": self.total_mixed_epoch_packets,

@@ -25,6 +25,7 @@ All codes are documented in ``docs/static-analysis.md``.
 from repro.verify.fleet import (
     FleetConfig,
     analyze_deployment,
+    analyze_fleet,
     check_staging_plan,
     exit_code,
 )
@@ -52,6 +53,7 @@ from repro.verify.verifier import (
 __all__ = [
     "FleetConfig",
     "analyze_deployment",
+    "analyze_fleet",
     "check_staging_plan",
     "exit_code",
     "Diagnostic",

@@ -23,6 +23,7 @@ from repro.verify.fleet.accuracy import DEFAULT_CM_LOAD, check_accuracy_budget
 from repro.verify.fleet.analyzer import (
     FleetConfig,
     analyze_deployment,
+    analyze_fleet,
     check_staging_plan,
     exit_code,
 )
@@ -47,6 +48,7 @@ from repro.verify.fleet.model import (
 __all__ = [
     "FleetConfig",
     "analyze_deployment",
+    "analyze_fleet",
     "check_staging_plan",
     "exit_code",
     "DEFAULT_CM_LOAD",

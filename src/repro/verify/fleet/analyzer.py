@@ -5,7 +5,8 @@ every switch into a :class:`~repro.verify.fleet.model.SwitchView`, runs
 the NV4xx interference, NV6xx epoch-safety and NV7xx accuracy passes,
 and (when the compiled artifacts are supplied) re-runs the per-query
 verifier over the *joint* installed set so cross-query findings the
-install-time gate scoped per-candidate resurface fleet-wide.
+install-time gate scoped per-candidate resurface fleet-wide;
+:func:`analyze_fleet` takes all three inputs off a live deployment.
 
 :func:`check_staging_plan` is the transactional entry point — the
 :class:`~repro.ctrlplane.txn.TransactionManager` calls it between
@@ -20,7 +21,15 @@ print machine-readable reports under: ``0`` clean, ``1`` warnings only,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.compiler import CompiledQuery
 from repro.core.rules import QuerySlice
@@ -42,8 +51,11 @@ from repro.verify.program import PipelineModel
 from repro.verify.sketch import DEFAULT_MAX_FPR
 from repro.verify.verifier import VerifierConfig, verify_queries
 
-__all__ = ["FleetConfig", "analyze_deployment", "check_staging_plan",
-           "exit_code"]
+if TYPE_CHECKING:
+    from repro.network.deployment import Deployment
+
+__all__ = ["FleetConfig", "analyze_deployment", "analyze_fleet",
+           "check_staging_plan", "exit_code"]
 
 
 @dataclass(frozen=True)
@@ -110,6 +122,23 @@ def analyze_deployment(
                 max_fpr=config.max_fpr,
             )))
     return report
+
+
+def analyze_fleet(deployment: Deployment,
+                  config: Optional[FleetConfig] = None) -> VerificationReport:
+    """:func:`analyze_deployment` of a live deployment: its switches,
+    everything its controller has installed, at its committed epoch."""
+    controller = deployment.controller
+    return analyze_deployment(
+        deployment.switches,
+        compiled={
+            sub_qid: compiled
+            for record in controller.installed.values()
+            for sub_qid, compiled in record.compiled.items()
+        },
+        committed_epoch=controller.txn.epoch,
+        config=config,
+    )
 
 
 def check_staging_plan(

@@ -91,11 +91,11 @@ class TestRegistry:
         registry.counter("b_total", "bees").inc(qid="Q1")
         registry.gauge("a_depth").set(4, switch="s0")
         registry.histogram("lat", (1, 2)).observe(1.5)
-        text = registry.render()
+        text = registry.render_prometheus()
         assert 'b_total{qid="Q1"} 1' in text
         assert 'a_depth{switch="s0"} 4' in text
         assert "lat_count 1" in text
-        assert registry.render() == text  # deterministic
+        assert registry.render_prometheus() == text  # deterministic
 
     def test_snapshot_is_json_serialisable(self):
         import json

@@ -74,11 +74,13 @@ class TestPrometheusRendering:
         assert 'lat_seconds_bucket{le="+Inf"} 5' in lines
         assert "lat_seconds_count 5" in lines
 
-    def test_cumulative_buckets_differ_from_console_render(self):
+    def test_cumulative_buckets_differ_from_the_per_bin_snapshot(self):
         registry = populated_registry()
-        # The operator console (render) shows per-bin counts; the scrape
-        # endpoint (render_prometheus) must show running totals.
-        assert 'lat_seconds_bucket{le="1"} 1' in registry.render()
+        # The JSON snapshot keeps per-bin counts; the text exposition
+        # must show running totals.
+        family = registry.snapshot()["lat_seconds"]
+        bins = dict(zip(family["buckets"], family["series"]["_"]["counts"]))
+        assert bins[1.0] == 1
         assert 'lat_seconds_bucket{le="1"} 4' in registry.render_prometheus()
 
     def test_label_values_escaped(self):

@@ -14,11 +14,14 @@ group shared by every hash op of a K across an R ``stop``, and a hash
 memo cleared between windows), ECMP over a multipath fabric with
 all-new flows every window, and the timestamp edges the scalar loop
 tolerates or rejects (unsorted or negative inside a window, a callback
-due between two out-of-order packets, an epoch regression mid-chunk).
+due between two out-of-order packets, an epoch regression mid-chunk).  One case holds the reason the second
+engine exists: on the same trace it is at least ``SPEEDUP_FLOOR`` times
+faster.
 """
 
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -44,6 +47,9 @@ from repro.traffic.traces import merge_traces
 
 PARAMS = QueryParams(cm_depth=2, reduce_registers=2048,
                      distinct_registers=2048)
+#: Vector over scalar on :func:`workload`, in CPU time (measured ~16x):
+#: the smoke floor ``benchmarks/bench_throughput.py`` held until PR 23.
+SPEEDUP_FLOOR = 4.0
 
 
 def thresholds():
@@ -127,6 +133,25 @@ class TestEquivalence:
         stats = assert_equivalent(workload())
         assert stats.reports_total > 0  # the comparison is not vacuous
         assert stats.epochs > 1
+
+    def test_vector_engine_keeps_its_speedup_floor(self):
+        trace = workload()
+
+        def cpu_seconds(engine, runs):
+            # Process CPU time, best of ``runs``: neighbours on a shared
+            # machine stretch wall time, not this.
+            best = float("inf")
+            for _ in range(runs):
+                deployment, _ = deploy(engine)
+                start = time.process_time()
+                deployment.simulator.run(trace)
+                best = min(best, time.process_time() - start)
+            return best
+
+        speedup = cpu_seconds("scalar", 1) / cpu_seconds("vector", 3)
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"vectorized engine only {speedup:.2f}x faster"
+        )
 
     @pytest.mark.parametrize("seed", [1, 2, 9])
     def test_seed_sweep_mawi(self, seed):

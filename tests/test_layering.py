@@ -18,6 +18,16 @@
   ``free_registers()`` / ``stage_slots()``, and the op path
   (``src/repro/ctrlplane``, ``src/repro/core``) never imports the
   bank-walking ``SwitchView``.
+* The CLI is a shell: only ``cli.py`` and ``experiments/`` import
+  ``repro.experiments`` (the service asks ``core/library.py`` for the
+  evaluation thresholds); ``cli.py`` constructs no deployment
+  (``build_deployment`` / ``ShardedDeployment`` / ``assign_hosts`` come
+  through ``repro/fleet.py``), defines no ``_run_*`` wrapper, and —
+  ``build_parser`` aside — no function over 40 lines.
+* One experiment registry: each key of
+  ``repro.experiments.EXPERIMENTS`` is read by exactly one
+  ``benchmarks/bench_*.py``, and no benchmark imports a
+  ``render_figure*`` of its own.
 * CI's ``mypy --strict`` step cannot run where mypy is not installed, so
   its first demand is held here: every function in the strict-listed
   sources annotates every parameter and its return (as mypy reads
@@ -26,9 +36,12 @@
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from repro.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -105,6 +118,45 @@ def bank_walk(node):
     if isinstance(node, ast.alias):
         return node.name == "SwitchView"
     return tail_name(node) == "SwitchView"
+
+
+def experiments_import(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("repro.experiments")
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("repro.experiments") or (
+            node.module == "repro"
+            and any(alias.name == "experiments" for alias in node.names)
+        )
+    return False
+
+
+def deployment_construction(node):
+    return (isinstance(node, ast.Call) and tail_name(node.func) in
+            ("build_deployment", "ShardedDeployment", "assign_hosts"))
+
+
+def experiment_wrapper(node):
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_run_"))
+
+
+def long_function(node):
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name != "build_parser"
+            and node.end_lineno - node.lineno + 1 > 40)
+
+
+def own_figure_renderer(node):
+    """A ``render_figure*`` name imported from anywhere."""
+    return (isinstance(node, ast.alias)
+            and node.name.split(".")[-1].startswith("render_figure"))
+
+
+def registry_keys_read(source):
+    """The ``EXPERIMENTS["<key>"]`` subscripts in a benchmark's source."""
+    return re.findall(r"""EXPERIMENTS\[["'](\w+)["']\]""", source)
 
 
 def unannotated(node):
@@ -193,6 +245,35 @@ def test_op_path_never_imports_the_bank_walk(package):
     assert violations(package, bank_walk) == []
 
 
+def test_only_the_cli_and_the_experiments_import_the_experiments():
+    assert [
+        f"{path}:{node.lineno}"
+        for path, tree in trees("")
+        if path.parts[0] not in ("cli.py", "experiments")
+        for node in ast.walk(tree) if experiments_import(node)
+    ] == []
+
+
+@pytest.mark.parametrize("rule", [
+    deployment_construction, experiment_wrapper, long_function,
+])
+def test_the_cli_is_a_shell(rule):
+    assert violations("cli.py", rule) == []
+
+
+def test_each_experiment_is_read_by_exactly_one_benchmark():
+    readers = {}
+    for path in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        source = path.read_text()
+        assert not any(map(own_figure_renderer,
+                           ast.walk(ast.parse(source)))), path.name
+        for key in set(registry_keys_read(source)):
+            readers.setdefault(key, []).append(path.name)
+    assert set(readers) == set(EXPERIMENTS)
+    assert {key: names for key, names in readers.items()
+            if len(names) != 1} == {}
+
+
 @pytest.mark.parametrize("target", STRICT)
 def test_strict_listed_sources_annotate_every_signature(target):
     assert violations(target, unannotated) == []
@@ -249,6 +330,26 @@ def test_owners_names_the_innermost_function():
     (bank_walk, "from repro.verify.fleet import SwitchView as SV", True),
     (bank_walk, "fleet.SwitchView.of_switch(switch)", True),
     (bank_walk, "from repro.verify.fleet import check_staging_plan", False),
+    (experiments_import, "from repro.experiments.common import workload",
+     True),
+    (experiments_import, "import repro.experiments", True),
+    (experiments_import, "from repro import experiments", True),
+    (experiments_import, "from repro.experiments import EXPERIMENTS", True),
+    (experiments_import, "from repro.core.library import build_query", False),
+    (deployment_construction, "dep = build_deployment(linear(3))", True),
+    (deployment_construction, "fabric.ShardedDeployment(topo, workers=2)",
+     True),
+    (deployment_construction, "assign_hosts(trace, pairs)", True),
+    (deployment_construction, "fleet.build_fleet(3, ['Q1'])", False),
+    (deployment_construction, "from repro import build_deployment", False),
+    (experiment_wrapper, "def _run_fig7(): ...", True),
+    (experiment_wrapper, "def cmd_experiment(args): ...", False),
+    (long_function, "def f():\n" + " pass\n" * 40, True),
+    (long_function, "def f():\n" + " pass\n" * 39, False),
+    (long_function, "def build_parser():\n" + " pass\n" * 200, False),
+    (own_figure_renderer,
+     "from repro.experiments.exp_fig7 import figure7, render_figure7", True),
+    (own_figure_renderer, "from repro.experiments import EXPERIMENTS", False),
     (unannotated, "def f(x): ...", True),
     (unannotated, "def f(x: int): ...", True),
     (unannotated, "def f(x: int, *rest, **kw: str) -> None: ...", True),
@@ -262,3 +363,10 @@ def test_owners_names_the_innermost_function():
 ])
 def test_each_rule_catches_what_it_should(rule, source, offends):
     assert any(map(rule, ast.walk(ast.parse(source)))) is offends
+
+
+def test_registry_keys_are_found_under_either_quote():
+    assert registry_keys_read(
+        "A = EXPERIMENTS['fig7']\nB = EXPERIMENTS[\"table3\"].run()\n"
+        "C = EXPERIMENTS[name]\n"
+    ) == ["fig7", "table3"]

@@ -80,8 +80,12 @@ class TestLintTargets:
             main(["lint", str(path)])
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(SystemExit):
+        # SystemExit(str): the message goes to stderr, the status is 1.
+        with pytest.raises(SystemExit) as exit_info:
             main(["lint", "Q99"])
+        assert str(exit_info.value.code).startswith(
+            "lint: 'Q99' is neither a library query"
+        )
 
     def test_no_targets_rejected(self):
         with pytest.raises(SystemExit):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.ast import (
@@ -161,6 +162,11 @@ class _LoweredPrimitive:
     absorbed: bool = False
 
 
+#: What decides a HASH rule's sketch index: ``(seed_index, range_size,
+#: key masks)``.
+HashSignature = Tuple[int, int, Tuple[Tuple[str, int], ...]]
+
+
 @dataclass(frozen=True)
 class CompiledQuery:
     """Result of compiling one query for the data plane."""
@@ -193,6 +199,40 @@ class CompiledQuery:
                 if isinstance(config, SConfig) and not config.passthrough:
                     total += config.slice_size
         return total
+
+    @cached_property
+    def hash_signatures(self) -> Tuple[Tuple[int, HashSignature], ...]:
+        """``(step, (seed, range, key masks))`` of every HASH-mode H rule.
+
+        The key masks come from the most recent K rule of the same
+        metadata set, mirroring the dataplane's read path.  Two queries
+        with a signature in common index their sketches identically
+        (NV304).  Derived once per artefact: a resident query is probed
+        by every later install and update.
+        """
+        signatures = []
+        specs = sorted(self.specs, key=lambda s: s.step)
+        for index, spec in enumerate(specs):
+            if spec.module_type is not ModuleType.HASH_CALCULATION:
+                continue
+            config = spec.config
+            if not isinstance(config, HConfig) or config.mode != HashMode.HASH:
+                continue
+            for prior in reversed(specs[:index]):
+                if (prior.module_type is ModuleType.KEY_SELECTION
+                        and prior.set_id == spec.set_id
+                        and isinstance(prior.config, KConfig)):
+                    signatures.append((spec.step, (
+                        config.seed_index, config.range_size,
+                        prior.config.masks,
+                    )))
+                    break
+        return tuple(signatures)
+
+    @cached_property
+    def signature_steps(self) -> Dict[HashSignature, int]:
+        """:attr:`hash_signatures` as a probe: signature -> (last) step."""
+        return {sig: step for step, sig in self.hash_signatures}
 
 
 # --------------------------------------------------------------------------- #

@@ -43,13 +43,15 @@ from repro.ctrlplane import SwitchOps, TransactionManager, TxnPlan
 from repro.dataplane.switch import Switch
 from repro.runtime.channel import ControlChannel
 from repro.verify import (
+    Demand,
     Diagnostic,
     PipelineModel,
     VerificationError,
     VerificationReport,
     VerifierConfig,
+    demand_of_slices,
+    verify_demand,
     verify_queries,
-    verify_slices,
 )
 
 __all__ = ["NewtonController", "InstallResult", "InstalledQuery"]
@@ -420,10 +422,19 @@ class NewtonController:
                 list(compiled.values()), context=context,
                 config=verifier_config,
             ).diagnostics)
+            # One tally per distinct slice set: redundant placement
+            # stages the same slices on many switches, and only the fit
+            # against each switch's occupancy differs.
+            needs: Dict[Tuple[Tuple[str, int], ...], Demand] = {}
             for sid, entries in by_switch.items():
-                report.extend(verify_slices(
-                    [slices[sub_qid][index] for sub_qid, index in entries],
-                    occupancy[sid], switch=sid, config=verifier_config,
+                hosted = tuple(entries)
+                if hosted not in needs:
+                    needs[hosted] = demand_of_slices(
+                        slices[sub_qid][index] for sub_qid, index in hosted
+                    )
+                report.extend(verify_demand(
+                    needs[hosted], occupancy[sid], switch=sid,
+                    config=verifier_config,
                 ).diagnostics)
             if not report.ok:
                 raise VerificationError(report)

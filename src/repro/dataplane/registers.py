@@ -11,6 +11,7 @@ every 100 ms, paper §6).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -60,6 +61,12 @@ class RegisterArray:
         self.size = size
         self._cells = np.zeros(size, dtype=np.int64)
         self._allocations: Dict[Tuple, Allocation] = {}
+        #: Registers under lease (the sum of the allocations' sizes).
+        self._leased = 0
+        #: The maximal free runs ``(start, end)``, in offset order: what
+        #: an allocation searches, so finding room costs the array's
+        #: fragmentation, not its tenants.
+        self._free: List[Tuple[int, int]] = [(0, size)]
         #: Whether any cell may be non-zero.  Every mutating path sets
         #: it; :meth:`reset_all` clears it and skips the zeroing sweep
         #: for untouched arrays — on window rollover only the banks that
@@ -102,6 +109,14 @@ class RegisterArray:
             )
         alloc = Allocation(owner=owner, offset=offset, size=size)
         self._allocations[owner] = alloc
+        self._leased += size
+        # Carve the slice out of the free run that holds it.
+        index = bisect_right(self._free, (offset, self.size)) - 1
+        start, end = self._free[index]
+        self._free[index:index + 1] = [
+            (lo, hi) for lo, hi in ((start, offset), (alloc.end, end))
+            if lo < hi
+        ]
         return alloc
 
     def release(self, owner: Tuple) -> None:
@@ -109,7 +124,18 @@ class RegisterArray:
         alloc = self._allocations.pop(owner, None)
         if alloc is None:
             raise AllocationError(f"owner {owner!r} holds no allocation")
+        self._leased -= alloc.size
         self._cells[alloc.offset:alloc.end] = 0
+        # Hand the slice back, merged with the free runs it touches.
+        start, end = alloc.offset, alloc.end
+        index = stop = bisect_right(self._free, (start, self.size))
+        if stop < len(self._free) and self._free[stop][0] == end:
+            end = self._free[stop][1]
+            stop += 1
+        if index and self._free[index - 1][1] == start:
+            index -= 1
+            start = self._free[index][0]
+        self._free[index:stop] = [(start, end)]
 
     def allocation(self, owner: Tuple) -> Optional[Allocation]:
         return self._allocations.get(owner)
@@ -118,20 +144,12 @@ class RegisterArray:
         return tuple(self._allocations.values())
 
     def free_registers(self) -> int:
-        used = sum(a.size for a in self._allocations.values())
-        return self.size - used
+        return self.size - self._leased
 
     def _find_gap(self, size: int) -> Optional[int]:
-        taken = sorted(
-            (a.offset, a.end) for a in self._allocations.values()
-        )
-        cursor = 0
-        for start, end in taken:
-            if start - cursor >= size:
-                return cursor
-            cursor = max(cursor, end)
-        if self.size - cursor >= size:
-            return cursor
+        for start, end in self._free:
+            if end - start >= size:
+                return start
         return None
 
     def _find_anchor(self, size: int,
@@ -144,39 +162,47 @@ class RegisterArray:
         contiguous free block remaining once the vacating slices have
         been released; ties break to the lowest offset, so the policy is
         deterministic and degrades to first fit when scores are equal.
+
+        The post-GC free runs are the free gaps and the vacating slices
+        coalesced where they touch; a gap lies inside exactly one run, so
+        a candidate's score is the larger of the two pieces it splits
+        that run into and the largest run on either side — a prefix /
+        suffix maximum over the runs, whatever else the array leases.
         """
-        taken = sorted(
-            (a.offset, a.end) for a in self._allocations.values()
-        )
-        gaps: List[Tuple[int, int]] = []
-        cursor = 0
-        for start, end in taken:
-            if start - cursor >= size:
-                gaps.append((cursor, start))
-            cursor = max(cursor, end)
-        if self.size - cursor >= size:
-            gaps.append((cursor, self.size))
+        doomed = {(a.offset, a.end) for a in vacating}
+        runs: List[List[int]] = []
+        gaps: List[Tuple[int, int, int]] = []   # (start, end, run index)
+        for start, end, free in sorted(
+            [(lo, hi, True) for lo, hi in self._free]
+            + [(lo, hi, False) for lo, hi in doomed]
+        ):
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = end
+            else:
+                runs.append([start, end])
+            if free and end - start >= size:
+                gaps.append((start, end, len(runs) - 1))
         if not gaps:
             return None
-        doomed = {(a.offset, a.end) for a in vacating}
-        surviving = [iv for iv in (
-            (a.offset, a.end) for a in self._allocations.values()
-        ) if iv not in doomed]
-        best: Optional[Tuple[Tuple[int, int], int]] = None
-        for gap_start, gap_end in gaps:
-            for cand in {gap_start, gap_end - size}:
-                occupied = sorted(surviving + [(cand, cand + size)])
-                largest = 0
-                edge = 0
-                for start, end in occupied:
-                    largest = max(largest, start - edge)
-                    edge = max(edge, end)
-                largest = max(largest, self.size - edge)
-                score = (largest, -cand)
-                if best is None or score > best[0]:
-                    best = (score, cand)
+        # Largest run strictly before / strictly after each run.
+        before = [0] * len(runs)
+        after = [0] * len(runs)
+        for k in range(1, len(runs)):
+            lo, hi = runs[k - 1]
+            before[k] = max(before[k - 1], hi - lo)
+        for k in range(len(runs) - 2, -1, -1):
+            lo, hi = runs[k + 1]
+            after[k] = max(after[k + 1], hi - lo)
+        best: Optional[Tuple[int, int]] = None   # (largest, -anchor)
+        for gap_start, gap_end, k in gaps:
+            lo, hi = runs[k]
+            around = max(before[k], after[k])
+            for cand in (gap_start, gap_end - size):
+                score = (max(around, cand - lo, hi - cand - size), -cand)
+                if best is None or score > best:
+                    best = score
         assert best is not None
-        return best[1]
+        return -best[1]
 
     # ------------------------------------------------------------------ #
     # Stateful execution                                                 #

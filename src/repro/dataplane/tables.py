@@ -176,13 +176,13 @@ class TernaryTable(Generic[ActionT]):
         )
         self._entries.sort(key=lambda e: (-e.rule.priority, e.seq))
 
-    def _find(self, rule: TernaryRule[ActionT],
-              epoch_from: Optional[int]) -> TernaryEntry[ActionT]:
-        for entry in self._entries:
+    def _index(self, rule: TernaryRule[ActionT],
+               epoch_from: Optional[int]) -> int:
+        for index, entry in enumerate(self._entries):
             if entry.rule == rule and (
                 epoch_from is None or entry.epoch_from == epoch_from
             ):
-                return entry
+                return index
         raise KeyError(f"table {self.name}: rule not present")
 
     def remove(self, rule: TernaryRule[ActionT], *,
@@ -192,7 +192,7 @@ class TernaryTable(Generic[ActionT]):
         Identical rules can be resident under different epoch tags during
         a make-before-break update; ``epoch_from`` selects the version.
         """
-        self._entries.remove(self._find(rule, epoch_from))
+        del self._entries[self._index(rule, epoch_from)]
 
     def retire(self, rule: TernaryRule[ActionT], until: int, *,
                epoch_from: Optional[int] = None) -> bool:
@@ -201,7 +201,7 @@ class TernaryTable(Generic[ActionT]):
         Returns True if the mark was newly placed (idempotent retries of
         a retire message re-mark without effect).
         """
-        entry = self._find(rule, epoch_from)
+        entry = self._entries[self._index(rule, epoch_from)]
         already = entry.epoch_until == until
         entry.epoch_until = until
         return not already

@@ -23,6 +23,11 @@ from repro.experiments.ablations import (
     ablate_sketch_shape,
     render_ablations,
 )
+from repro.experiments.exp_control_scaling import (
+    control_scaling,
+    render_control_scaling,
+    service_scaling,
+)
 from repro.experiments.exp_fig7 import figure7, render_figure7
 from repro.experiments.exp_fig10 import figure10a, figure10b, render_figure10
 from repro.experiments.exp_fig11 import figure11, render_figure11
@@ -87,4 +92,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "design-choice ablations (beyond paper)", render_ablations,
         (ablate_layout, ablate_placement, ablate_sketch_shape,
          ablate_admission)),
+    "control-scaling": Experiment(
+        "control-op scaling: update_query vs resident queries (beyond "
+        "paper)", render_control_scaling,
+        (control_scaling, service_scaling)),
 }

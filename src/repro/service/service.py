@@ -9,8 +9,9 @@ One service owns one deployment and drives it continuously:
   per-query answers to the report feed;
 * **query CRUD** (install / update / remove) rides the existing 2PC
   control plane unchanged and is admission-gated by the static verifier
-  (install-time gate) plus the fleet analyzer (post-commit whole-
-  deployment check, rolled back on errors) — rejections surface the NV
+  (install-time gate) plus the fleet analyzer (a post-commit audit of
+  what the operation touched; on errors a new query is removed and an
+  updated one put back as it was) — rejections surface the NV
   diagnostics, they never leave rules behind;
 * everything runs on **one asyncio event loop**: CRUD handlers and
   window ticks interleave only between loop steps, so overlapping HTTP
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.compiler import QueryParams
+from repro.core.controller import InstalledQuery
 from repro.core.library import (
     QUERY_DESCRIPTIONS,
     build_query,
@@ -57,7 +59,7 @@ from repro.service.sources import TraceSource
 from repro.verify import (
     FleetConfig,
     VerificationError,
-    analyze_fleet,
+    analyze_op,
     exit_code,
 )
 
@@ -370,17 +372,30 @@ class NewtonService:
             # control handler ran mid-2PC.
             raise ServiceError(503, {"error": "operation in flight"})
 
-    def _fleet_gate(self, qid: str, op: str) -> List[Dict[str, object]]:
-        """Post-commit whole-deployment analysis; errors roll ``qid``
-        back out and reject the operation."""
+    def _fleet_gate(
+        self, qid: str, op: str,
+        previous: Optional[InstalledQuery] = None,
+    ) -> List[Dict[str, object]]:
+        """Post-commit audit of what the operation on ``qid`` touched
+        (:func:`~repro.verify.fleet.analyze_op`); errors reject the
+        operation and put back what was there before it — ``previous``,
+        the record an update replaced, or nothing for an install."""
         if not self.config.fleet_admission:
             return []
-        report = analyze_fleet(self.deployment, FleetConfig(
+        report = analyze_op(self.deployment, qid, FleetConfig(
             expected_flows=self.config.expected_flows or None,
         ))
         if exit_code(report) >= 2:
+            controller = self.deployment.controller
             try:
-                self.deployment.controller.remove_query(qid)
+                if previous is None:
+                    controller.remove_query(qid)
+                else:
+                    # Admitted once already: restored, not re-litigated.
+                    controller.update_query(
+                        previous.query, previous.params, previous.opts,
+                        verify=False, **previous.deploy,
+                    )
             except (KeyError, TransactionAborted):
                 pass
             self._c_ops.inc(op=op, outcome="rejected-fleet")
@@ -476,10 +491,10 @@ class NewtonService:
         params = params_from_spec(spec, self.config.params)
 
         def run() -> Dict[str, Any]:
-            result = self.deployment.controller.update_query(
-                query, params, path=self.path
-            )
-            fleet = self._fleet_gate(qid, "update")
+            controller = self.deployment.controller
+            previous = controller.installed.get(qid)
+            result = controller.update_query(query, params, path=self.path)
+            fleet = self._fleet_gate(qid, "update", previous)
             return self._op_payload(result, fleet)
 
         payload = self._run_op("update", qid, run)

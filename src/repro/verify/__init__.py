@@ -26,6 +26,7 @@ from repro.verify.fleet import (
     FleetConfig,
     analyze_deployment,
     analyze_fleet,
+    analyze_op,
     check_staging_plan,
     exit_code,
 )
@@ -37,8 +38,10 @@ from repro.verify.diagnostics import (
     VerificationReport,
 )
 from repro.verify.program import (
+    Demand,
     PipelineModel,
     RuleView,
+    demand_of_slices,
     init_entries_of,
     rules_of_compiled,
     rules_of_slices,
@@ -46,14 +49,15 @@ from repro.verify.program import (
 from repro.verify.verifier import (
     VerifierConfig,
     require_ok,
+    verify_demand,
     verify_queries,
-    verify_slices,
 )
 
 __all__ = [
     "FleetConfig",
     "analyze_deployment",
     "analyze_fleet",
+    "analyze_op",
     "check_staging_plan",
     "exit_code",
     "Diagnostic",
@@ -61,13 +65,15 @@ __all__ = [
     "Severity",
     "VerificationError",
     "VerificationReport",
+    "Demand",
     "PipelineModel",
     "RuleView",
     "VerifierConfig",
+    "demand_of_slices",
     "init_entries_of",
     "require_ok",
     "rules_of_compiled",
     "rules_of_slices",
+    "verify_demand",
     "verify_queries",
-    "verify_slices",
 ]

@@ -15,8 +15,10 @@ jointly:
   at a declared expected flow cardinality.
 
 Entry points: :func:`analyze_deployment` (the ``newton-repro analyze``
-backend), :func:`check_staging_plan` (the transaction manager's epoch
-gate), and :func:`exit_code` (the CLI's 0/1/2 contract).
+backend), :func:`analyze_op` (the same passes narrowed to what one
+operation touched: the service's post-commit gate),
+:func:`check_staging_plan` (the transaction manager's epoch gate), and
+:func:`exit_code` (the CLI's 0/1/2 contract).
 """
 
 from repro.verify.fleet.accuracy import DEFAULT_CM_LOAD, check_accuracy_budget
@@ -24,6 +26,7 @@ from repro.verify.fleet.analyzer import (
     FleetConfig,
     analyze_deployment,
     analyze_fleet,
+    analyze_op,
     check_staging_plan,
     exit_code,
 )
@@ -49,6 +52,7 @@ __all__ = [
     "FleetConfig",
     "analyze_deployment",
     "analyze_fleet",
+    "analyze_op",
     "check_staging_plan",
     "exit_code",
     "DEFAULT_CM_LOAD",

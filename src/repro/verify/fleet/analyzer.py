@@ -6,7 +6,10 @@ the NV4xx interference, NV6xx epoch-safety and NV7xx accuracy passes,
 and (when the compiled artifacts are supplied) re-runs the per-query
 verifier over the *joint* installed set so cross-query findings the
 install-time gate scoped per-candidate resurface fleet-wide;
-:func:`analyze_fleet` takes all three inputs off a live deployment.
+:func:`analyze_fleet` takes all three inputs off a live deployment, and
+:func:`analyze_op` narrows the same passes to what one committed
+operation touched — the per-operation gate, held equal to the whole walk
+by the test suite.
 
 :func:`check_staging_plan` is the transactional entry point — the
 :class:`~repro.ctrlplane.txn.TransactionManager` calls it between
@@ -23,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
+    Dict,
     Iterable,
     List,
     Mapping,
@@ -36,10 +41,12 @@ from repro.core.rules import QuerySlice
 from repro.verify.diagnostics import Diagnostic, VerificationReport
 from repro.verify.fleet.accuracy import DEFAULT_CM_LOAD, check_accuracy_budget
 from repro.verify.fleet.epochs import (
+    StagingNeed,
     check_epoch_hygiene,
     check_prospective_staging,
     check_staged_bank_layout,
     check_staging_plan_view,
+    fresh_slices,
 )
 from repro.verify.fleet.interference import (
     check_dispatch_starvation,
@@ -55,7 +62,7 @@ if TYPE_CHECKING:
     from repro.network.deployment import Deployment
 
 __all__ = ["FleetConfig", "analyze_deployment", "analyze_fleet",
-           "check_staging_plan", "exit_code"]
+           "analyze_op", "check_staging_plan", "exit_code"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,7 @@ def analyze_deployment(
     compiled: Optional[Mapping[str, CompiledQuery]] = None,
     committed_epoch: Optional[int] = None,
     config: Optional[FleetConfig] = None,
+    anchors: Optional[AbstractSet[str]] = None,
 ) -> VerificationReport:
     """Run every fleet pass over a live (or snapshotted) deployment.
 
@@ -90,6 +98,13 @@ def analyze_deployment(
     NV7xx accuracy passes and the joint per-query re-verification);
     ``committed_epoch`` is the control plane's committed transaction
     epoch, used for NV603 skew detection.
+
+    ``anchors`` (sub-query ids) narrows the report to the findings
+    located at those sub-queries, plus the switch-wide ones of the
+    switches given: the anchored banks and dispatch rows against
+    everything resident beside them, and the anchored artifacts verified
+    with the rest of ``compiled`` as context — what one operation on
+    those sub-queries can have changed (:func:`analyze_op`).
     """
     config = config or FleetConfig()
     report = VerificationReport()
@@ -100,19 +115,29 @@ def analyze_deployment(
         report.extend(config.filter(
             check_fleet_occupancy(view, config.policy)
         ))
-        report.extend(config.filter(check_hash_unit_sharing(view)))
-        report.extend(config.filter(check_dispatch_starvation(view)))
+        report.extend(config.filter(check_hash_unit_sharing(view, anchors)))
         report.extend(config.filter(
-            check_prospective_staging(view, occupancy)
+            check_dispatch_starvation(view, anchors)
         ))
-        report.extend(config.filter(check_staged_bank_layout(view)))
         report.extend(config.filter(
-            check_epoch_hygiene(view, committed_epoch)
+            check_prospective_staging(view, occupancy, anchors)
+        ))
+        report.extend(config.filter(check_staged_bank_layout(view, anchors)))
+        report.extend(config.filter(
+            check_epoch_hygiene(view, committed_epoch, anchors)
         ))
 
     if compiled:
-        artifacts = list(compiled.values())
-        joint = verify_queries(artifacts, config=config.verifier)
+        artifacts = [
+            comp for sub_qid, comp in compiled.items()
+            if anchors is None or sub_qid in anchors
+        ]
+        context = [
+            comp for sub_qid, comp in compiled.items()
+            if anchors is not None and sub_qid not in anchors
+        ]
+        joint = verify_queries(artifacts, context=context,
+                               config=config.verifier)
         report.extend(config.filter(joint.diagnostics))
         if config.expected_flows is not None:
             report.extend(config.filter(check_accuracy_budget(
@@ -124,6 +149,15 @@ def analyze_deployment(
     return report
 
 
+def _installed_artifacts(deployment: Deployment) -> Dict[str, CompiledQuery]:
+    """Every installed sub-query's artifact, in installation order."""
+    return {
+        sub_qid: compiled
+        for record in deployment.controller.installed.values()
+        for sub_qid, compiled in record.compiled.items()
+    }
+
+
 def analyze_fleet(deployment: Deployment,
                   config: Optional[FleetConfig] = None) -> VerificationReport:
     """:func:`analyze_deployment` of a live deployment: its switches,
@@ -131,13 +165,32 @@ def analyze_fleet(deployment: Deployment,
     controller = deployment.controller
     return analyze_deployment(
         deployment.switches,
-        compiled={
-            sub_qid: compiled
-            for record in controller.installed.values()
-            for sub_qid, compiled in record.compiled.items()
-        },
+        compiled=_installed_artifacts(deployment),
         committed_epoch=controller.txn.epoch,
         config=config,
+    )
+
+
+def analyze_op(deployment: Deployment, qid: str,
+               config: Optional[FleetConfig] = None) -> VerificationReport:
+    """The share of :func:`analyze_fleet` one committed operation on the
+    installed query ``qid`` can have changed: the switches that host it,
+    findings located at its sub-queries.
+
+    The whole walk rejects a fleet whose every earlier operation passed
+    this audit exactly when this audit rejects the latest one — errors
+    are located at the query that carries them — so it is what a
+    per-operation gate runs; ``newton-repro analyze`` keeps the walk.
+    """
+    controller = deployment.controller
+    record = controller.installed[qid]
+    return analyze_deployment(
+        {sid: switch for sid, switch in deployment.switches.items()
+         if sid in record.by_switch},
+        compiled=_installed_artifacts(deployment),
+        committed_epoch=controller.txn.epoch,
+        config=config,
+        anchors=frozenset(record.compiled),
     )
 
 
@@ -158,14 +211,19 @@ def check_staging_plan(
     """
     report = VerificationReport()
     occupancy = occupancy or {}
+    # One transaction stages one version of a slice, so within a plan
+    # (qid, slice_index) names it: switches asked for the same fresh
+    # slices share one demand tally and one layout pass.
+    needs: Dict[Tuple[Tuple[str, int], ...], StagingNeed] = {}
     for sid, slices in plan.items():
         if not slices:
             continue
         model = occupancy.get(sid) or PipelineModel.of_switch(switches[sid])
-        report.extend(
-            check_staging_plan_view(switches[sid], model, slices,
-                                    target_epoch)
-        )
+        fresh = fresh_slices(switches[sid], slices, target_epoch)
+        named = tuple((qs.qid, qs.slice_index) for qs in fresh)
+        if named not in needs:
+            needs[named] = StagingNeed.of(fresh)
+        report.extend(check_staging_plan_view(sid, model, needs[named]))
     return report
 
 

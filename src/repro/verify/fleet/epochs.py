@@ -29,22 +29,32 @@ global stages, not the concrete residue on one switch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery, Optimizations, QueryParams
 from repro.core.rules import ModuleRuleSpec, QuerySlice
 from repro.verify.dependencies import check_dependencies
 from repro.verify.diagnostics import Diagnostic, Location, Severity
-from repro.verify.fleet.model import ACTIVE, RETIRED, STAGED, SwitchView
+from repro.verify.fleet.model import (
+    ACTIVE,
+    RETIRED,
+    STAGED,
+    BankView,
+    SwitchView,
+)
 from repro.verify.program import (
+    Demand,
     PipelineModel,
     Violation,
     demand,
-    rules_of_slices,
+    demand_of_slices,
 )
 from repro.verify.resources import check_resources
 
 __all__ = [
+    "StagingNeed",
+    "fresh_slices",
     "check_staging_plan_view",
     "check_prospective_staging",
     "check_staged_bank_layout",
@@ -78,10 +88,20 @@ def _pseudo_compiled(qid: str, specs: Sequence[ModuleRuleSpec],
     )
 
 
-def check_staged_bank_layout(view: SwitchView) -> List[Diagnostic]:
+def _anchored(banks: Sequence[BankView],
+              anchors: Optional[AbstractSet[str]]) -> Sequence[BankView]:
+    """``banks``, or those of the ``anchors`` sub-queries when given."""
+    if anchors is None:
+        return banks
+    return [bank for bank in banks if bank.qid in anchors]
+
+
+def check_staged_bank_layout(
+    view: SwitchView, anchors: Optional[AbstractSet[str]] = None,
+) -> List[Diagnostic]:
     """NV602: Figure-4 dependency re-check over every staged bank."""
     out: List[Diagnostic] = []
-    for bank in view.banks_with_status(STAGED):
+    for bank in _anchored(view.banks_with_status(STAGED), anchors):
         specs = tuple(rule.spec for rule in bank.rules)
         if not specs:
             continue
@@ -101,8 +121,10 @@ def check_staged_bank_layout(view: SwitchView) -> List[Diagnostic]:
     return out
 
 
-def check_prospective_staging(view: SwitchView,
-                              model: PipelineModel) -> List[Diagnostic]:
+def check_prospective_staging(
+    view: SwitchView, model: PipelineModel,
+    anchors: Optional[AbstractSet[str]] = None,
+) -> List[Diagnostic]:
     """NV601 (warning form): can every active bank still be re-staged?
 
     Simulates the double-occupancy window of a routine make-before-break
@@ -111,7 +133,7 @@ def check_prospective_staging(view: SwitchView,
     the banks that no longer fit.
     """
     out: List[Diagnostic] = []
-    for bank in view.banks_with_status(ACTIVE):
+    for bank in _anchored(view.banks_with_status(ACTIVE), anchors):
         if not bank.rules:
             continue
         for found in check_resources(bank.rules, model,
@@ -174,65 +196,99 @@ def _does_not_fit(short: Violation, model: PipelineModel, qids: str) -> str:
     )
 
 
-def check_staging_plan_view(
-    switch: object,
-    model: PipelineModel,
-    slices: Sequence[QuerySlice],
-    target_epoch: int,
-) -> List[Diagnostic]:
-    """NV601 (error form) + NV602 for one switch's share of a staging plan.
+@dataclass(frozen=True)
+class StagingNeed:
+    """What one set of not-yet-staged slices asks of *any* switch.
 
-    Proves the transaction's staged slices fit this switch's *free*
-    capacity (``model``: its occupancy right now) — registers per stage
-    array, rows per (stage, module) table, and ``newton_init`` TCAM rows
-    — before the 2PC prepare phase touches the data plane.  Slices
-    already staged at ``target_epoch`` (idempotent retries) are skipped.
+    A property of the slices alone — their :class:`Demand` and their
+    Figure-4 layout findings — so a transaction that stages the same
+    slices on many switches (redundant placement) derives it once and
+    only :meth:`~repro.verify.program.PipelineModel.fit` runs per switch.
+    """
+
+    demand: Demand
+    #: Comma-joined owners, as the NV601 wording names them.
+    qids: str
+    #: NV602 findings: ``(qid, slice index, step, dependency message)``.
+    layout: Tuple[Tuple[str, int, Optional[int], str], ...]
+
+    @staticmethod
+    def of(slices: Sequence[QuerySlice]) -> "StagingNeed":
+        return StagingNeed(
+            demand=demand_of_slices(slices),
+            qids=", ".join(sorted({qs.qid for qs in slices})),
+            layout=tuple(
+                (qs.qid, qs.slice_index, found.location.step, found.message)
+                for qs in slices
+                for found in check_dependencies(
+                    _pseudo_compiled(qs.qid, qs.specs, stage_base=0)
+                )
+            ),
+        )
+
+
+def fresh_slices(switch: object, slices: Sequence[QuerySlice],
+                 target_epoch: int) -> Tuple[QuerySlice, ...]:
+    """The slices of a plan this switch has not yet staged at
+    ``target_epoch`` (idempotent retries are skipped), one per
+    ``(qid, slice_index)``.
+
+    The data plane stages each slice at most once per epoch
+    (``has_staged`` idempotency), so a plan that lists a slice twice — a
+    retried or planner-composed operation — must not double-count its
+    register/rule demand and veto a staging window that in fact fits.
     """
     pipeline = getattr(switch, "pipeline", switch)
-    sid = pipeline.switch_id
-    # Dedup by (qid, slice_index): the data plane stages each slice at
-    # most once per epoch (``has_staged`` idempotency), so a plan that
-    # lists a slice twice — a retried or planner-composed operation —
-    # must not double-count its register/rule demand here and veto a
-    # staging window that in fact fits.
     fresh: Dict[Tuple[str, int], QuerySlice] = {}
     for qs in slices:
         if not pipeline.has_staged(qs.qid, qs.slice_index, target_epoch):
             fresh.setdefault((qs.qid, qs.slice_index), qs)
+    return tuple(fresh.values())
 
-    need = demand(rules_of_slices(fresh.values()),
-                  sum(len(qs.init_entries) for qs in fresh.values()))
-    qids = ", ".join(sorted({qs.qid for qs in fresh.values()}))
+
+def check_staging_plan_view(
+    sid: object,
+    model: PipelineModel,
+    need: StagingNeed,
+) -> List[Diagnostic]:
+    """NV601 (error form) + NV602 for one switch's share of a staging plan.
+
+    Proves the transaction's staged slices (``need``: what the switch's
+    :func:`fresh_slices` ask for) fit switch ``sid``'s *free* capacity
+    (``model``: its occupancy right now) — registers per stage array,
+    rows per (stage, module) table, and ``newton_init`` TCAM rows —
+    before the 2PC prepare phase touches the data plane.
+    """
     out = [
         Diagnostic(
             severity=Severity.ERROR,
             code="NV601",
             message=("staging window does not fit: "
-                     + _does_not_fit(short, model, qids)),
+                     + _does_not_fit(short, model, need.qids)),
             location=Location(stage=short.stage, switch=sid),
         )
-        for short in model.fit(need)
+        for short in model.fit(need.demand)
     ]
-    for qs in fresh.values():
-        pseudo = _pseudo_compiled(qs.qid, qs.specs, stage_base=0)
-        for found in check_dependencies(pseudo):
-            out.append(Diagnostic(
-                severity=Severity.ERROR,
-                code="NV602",
-                message=(
-                    f"staged slice {qs.slice_index} violates module "
-                    f"layout: {found.message}"
-                ),
-                location=Location(qid=qs.qid, step=found.location.step,
-                                  switch=sid),
-            ))
+    for qid, slice_index, step, message in need.layout:
+        out.append(Diagnostic(
+            severity=Severity.ERROR,
+            code="NV602",
+            message=(
+                f"staged slice {slice_index} violates module "
+                f"layout: {message}"
+            ),
+            location=Location(qid=qid, step=step, switch=sid),
+        ))
     return out
 
 
 def check_epoch_hygiene(
-    view: SwitchView, committed_epoch: Optional[int] = None
+    view: SwitchView, committed_epoch: Optional[int] = None,
+    anchors: Optional[AbstractSet[str]] = None,
 ) -> List[Diagnostic]:
-    """NV603: stranded staged banks, un-collected residue, epoch skew."""
+    """NV603: stranded staged banks, un-collected residue, epoch skew
+    (the switch-wide findings always; with ``anchors``, the per-bank
+    ones of those sub-queries only)."""
     out: List[Diagnostic] = []
 
     if committed_epoch is not None and view.rule_epoch != committed_epoch:
@@ -263,7 +319,7 @@ def check_epoch_hygiene(
             location=Location(switch=view.switch_id),
         ))
     if committed_epoch is not None:
-        for bank in view.banks_with_status(STAGED):
+        for bank in _anchored(view.banks_with_status(STAGED), anchors):
             if bank.epoch_from <= committed_epoch:
                 out.append(Diagnostic(
                     severity=Severity.WARNING,

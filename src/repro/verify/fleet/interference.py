@@ -27,10 +27,10 @@ one switch:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.verify.diagnostics import Diagnostic, Location, Severity
-from repro.verify.fleet.model import RETIRED, SwitchView
+from repro.verify.fleet.model import RETIRED, DispatchView, SwitchView
 from repro.verify.program import PipelineModel, RuleView
 from repro.verify.resources import check_resources
 from repro.verify.shadowing import ternary_contains, ternary_intersects
@@ -65,30 +65,46 @@ def check_fleet_occupancy(
     return out
 
 
-def _overlapping_dispatch(view: SwitchView, a: str, b: str) -> bool:
-    for ea in view.dispatch_of(a):
-        for eb in view.dispatch_of(b):
-            if ternary_intersects(ea.match, eb.match):
-                return True
-    return False
+def check_hash_unit_sharing(
+    view: SwitchView, anchors: Optional[AbstractSet[str]] = None,
+) -> List[Diagnostic]:
+    """NV402: co-resident banks of different queries share a HashUnit.
 
-
-def check_hash_unit_sharing(view: SwitchView) -> List[Diagnostic]:
-    """NV402: co-resident banks of different queries share a HashUnit."""
+    With ``anchors`` (sub-query ids), only the findings located at one
+    of them — the same ones, in the same order, the whole walk reports
+    there: pairs with no anchored end are never visited, pairs whose
+    earlier bank is not anchored still mark their fingerprint seen.
+    """
     out: List[Diagnostic] = []
     banks = [b for b in view.banks if b.resident]
+    sigs = [set(b.hash_signatures()) for b in banks]
+    dispatch: Dict[str, List[DispatchView]] = {}
+    for entry in view.dispatch:
+        if entry.status != RETIRED:
+            dispatch.setdefault(entry.qid, []).append(entry)
+    scoped = [] if anchors is None else [
+        j for j, b in enumerate(banks) if b.qid in anchors
+    ]
     seen: Set[Tuple[str, str, int, int, object]] = set()
     for i, a in enumerate(banks):
-        sigs_a = set(a.hash_signatures())
-        if not sigs_a:
+        if not sigs[i]:
             continue
-        for b in banks[i + 1:]:
+        anchored = anchors is None or a.qid in anchors
+        later = range(i + 1, len(banks)) if anchored else (
+            j for j in scoped if j > i
+        )
+        for j in later:
+            b = banks[j]
             if a.qid == b.qid:
                 continue
-            shared = sigs_a.intersection(b.hash_signatures())
+            shared = sigs[i] & sigs[j]
             if not shared:
                 continue
-            if not _overlapping_dispatch(view, a.qid, b.qid):
+            if not any(
+                ternary_intersects(ea.match, eb.match)
+                for ea in dispatch.get(a.qid, ())
+                for eb in dispatch.get(b.qid, ())
+            ):
                 continue
             for seed_index, range_size in sorted(shared):
                 fingerprint = (
@@ -98,6 +114,8 @@ def check_hash_unit_sharing(view: SwitchView) -> List[Diagnostic]:
                 if fingerprint in seen:
                     continue
                 seen.add(fingerprint)
+                if not anchored:
+                    continue
                 out.append(Diagnostic(
                     severity=Severity.WARNING,
                     code="NV402",
@@ -115,11 +133,16 @@ def check_hash_unit_sharing(view: SwitchView) -> List[Diagnostic]:
     return out
 
 
-def check_dispatch_starvation(view: SwitchView) -> List[Diagnostic]:
-    """NV403: contained dispatch entries starved on single-winner TCAM."""
+def check_dispatch_starvation(
+    view: SwitchView, anchors: Optional[AbstractSet[str]] = None,
+) -> List[Diagnostic]:
+    """NV403: contained dispatch entries starved on single-winner TCAM
+    (with ``anchors``: the entries of those sub-queries only)."""
     out: List[Diagnostic] = []
     live = [d for d in view.dispatch if d.status != RETIRED]
     for inner in live:
+        if anchors is not None and inner.qid not in anchors:
+            continue
         for outer in live:
             if outer is inner or outer.qid == inner.qid:
                 continue

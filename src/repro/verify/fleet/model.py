@@ -24,9 +24,10 @@ Bank status is classified against the switch's committed rule epoch:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.rules import HashMode, HConfig
+from repro.core.rules import HashMode, HConfig, ModuleRuleSpec
 from repro.dataplane.module_types import ModuleType
 from repro.verify.program import RuleView
 
@@ -66,10 +67,22 @@ class BankView:
     epoch_from: int
     epoch_until: Optional[int]
     status: BankStatus
-    #: Placed module rules at *local* (physical) stages on this switch.
-    rules: Tuple[RuleView, ...]
+    #: ``(local stage, rule, storage key)`` per placed module rule — the
+    #: pipeline's own immutable record of the bank, held by reference.
+    placed: Tuple[Tuple[int, ModuleRuleSpec, object], ...]
     #: ``newton_init`` entries this bank owns on this switch.
     init_count: int
+
+    @cached_property
+    def rules(self) -> Tuple[RuleView, ...]:
+        """Placed module rules at *local* (physical) stages on this
+        switch — built when a pass first asks, so snapshotting a switch
+        to audit one bank does not pay for every bank's rules."""
+        return tuple(
+            RuleView(qid=spec.qid, stage=local_stage,
+                     module_type=spec.module_type, spec=spec)
+            for local_stage, spec, _key in self.placed
+        )
 
     @property
     def resident(self) -> bool:
@@ -83,9 +96,9 @@ class BankView:
         :class:`~repro.dataplane.hashing.HashUnit` on this switch.
         """
         out: List[Tuple[int, int]] = []
-        for view in self.rules:
-            config = view.spec.config
-            if (view.module_type is ModuleType.HASH_CALCULATION
+        for _stage, spec, _key in self.placed:
+            config = spec.config
+            if (spec.module_type is ModuleType.HASH_CALCULATION
                     and isinstance(config, HConfig)
                     and config.mode == HashMode.HASH):
                 out.append((config.seed_index, config.range_size))
@@ -127,11 +140,6 @@ class SwitchView:
 
         banks: List[BankView] = []
         for qid, slice_index, installed in pipeline.resident_versions():
-            rules = tuple(
-                RuleView(qid=spec.qid, stage=local_stage,
-                         module_type=spec.module_type, spec=spec)
-                for local_stage, spec, _key in installed.placed
-            )
             banks.append(BankView(
                 qid=str(qid),
                 slice_index=int(slice_index),
@@ -139,7 +147,7 @@ class SwitchView:
                 epoch_until=installed.epoch_until,
                 status=_classify(installed.epoch_from,
                                  installed.epoch_until, rule_epoch),
-                rules=rules,
+                placed=installed.placed,
                 init_count=len(installed.init_rules),
             ))
 
@@ -165,13 +173,6 @@ class SwitchView:
     def banks_with_status(self, *statuses: BankStatus) -> Tuple[BankView, ...]:
         wanted = set(statuses)
         return tuple(b for b in self.banks if b.status in wanted)
-
-    def dispatch_of(self, qid: str,
-                    resident_only: bool = True) -> Tuple[DispatchView, ...]:
-        return tuple(
-            d for d in self.dispatch
-            if d.qid == qid and (not resident_only or d.status != RETIRED)
-        )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ forms and the admission planner are all phrased over them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.compiler import CompiledQuery
@@ -31,7 +32,7 @@ from repro.dataplane.module_types import ModuleType
 from repro.dataplane.resources import TOFINO_STAGES
 
 __all__ = ["Demand", "PipelineModel", "RuleView", "Violation", "demand",
-           "rules_of_compiled", "rules_of_slices"]
+           "demand_of_slices", "rules_of_compiled", "rules_of_slices"]
 
 #: Mirrors :data:`repro.dataplane.tables.DEFAULT_TABLE_CAPACITY` without
 #: pulling the table implementation into the analyzer.
@@ -74,6 +75,32 @@ class Demand:
     init_entries: int = 0
     #: Pipeline depth the rules address (highest stage + 1).
     stages: int = 0
+
+    # The two orders the fit checks walk the tally in.  Like the tally
+    # they belong to the rule set, not to a pipeline: derived once per
+    # demand and reused for every switch it is judged against.
+
+    @cached_property
+    def slots(self) -> Tuple[Tuple[Slot, int], ...]:
+        """``(slot, rules demanded)``, by stage then module symbol."""
+        return tuple(sorted(
+            self.rules.items(),
+            key=lambda item: (item[0][0], item[0][1].symbol),
+        ))
+
+    @cached_property
+    def stage_tally(self) -> Tuple[Tuple[int, Tuple[Tuple[Slot, int], ...]],
+                                   ...]:
+        """Per stage the demand touches, *every* module type's slot with
+        the rules demanded there (0 where none): what NV201's per-stage
+        instance arithmetic adds the resident rules to."""
+        return tuple(
+            (stage, tuple(
+                ((stage, mtype), self.rules.get((stage, mtype), 0))
+                for mtype in ModuleType
+            ))
+            for stage in sorted({stage for stage, _ in self.rules})
+        )
 
 
 def demand(rules: Iterable[RuleView], init_entries: int = 0) -> Demand:
@@ -191,12 +218,10 @@ class PipelineModel:
             if need.registers[stage] > free:
                 out.append(Violation("registers", need.registers[stage],
                                      free, stage))
-        for stage, mtype in sorted(need.rules,
-                                   key=lambda slot: (slot[0], slot[1].symbol)):
-            free = self.table_capacity - self.rules_used.get((stage, mtype), 0)
-            if need.rules[(stage, mtype)] > free:
-                out.append(Violation("rules", need.rules[(stage, mtype)],
-                                     free, stage, mtype))
+        for slot, count in need.slots:
+            free = self.table_capacity - self.rules_used.get(slot, 0)
+            if count > free:
+                out.append(Violation("rules", count, free, *slot))
         free = self.table_capacity - self.init_used
         if need.init_entries > free:
             out.append(Violation("init", need.init_entries, free))
@@ -231,6 +256,14 @@ def rules_of_slices(slices: Iterable[QuerySlice]) -> List[RuleView]:
         for query_slice in slices
         for spec in query_slice.specs
     ]
+
+
+def demand_of_slices(slices: Iterable[QuerySlice]) -> Demand:
+    """What staging ``slices`` asks of any switch: their rules at local
+    stages plus their dispatch rows."""
+    slices = list(slices)
+    return demand(rules_of_slices(slices),
+                  sum(len(qs.init_entries) for qs in slices))
 
 
 def init_entries_of(

@@ -26,20 +26,27 @@ this pass is NV201's instance/category arithmetic and the wording.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, List, Sequence
 
 from repro.core.compiler import CompiledQuery
-from repro.dataplane.module_types import ModuleType
 from repro.dataplane.resources import (
     MODULE_COSTS,
     RESOURCE_CATEGORIES,
     STAGE_CAPACITY,
 )
 from repro.verify.diagnostics import Diagnostic, Location, Severity
-from repro.verify.program import PipelineModel, RuleView, demand
+from repro.verify.program import Demand, PipelineModel, RuleView, demand
 
-__all__ = ["check_resources", "check_stage_budget"]
+__all__ = ["check_demand", "check_resources", "check_stage_budget"]
+
+#: ``MODULE_COSTS`` / ``STAGE_CAPACITY`` as rows in category order.
+_COSTS = {
+    mtype: tuple(getattr(cost, category) for category in RESOURCE_CATEGORIES)
+    for mtype, cost in MODULE_COSTS.items()
+}
+_CAPACITY = tuple(
+    getattr(STAGE_CAPACITY, category) for category in RESOURCE_CATEGORIES
+)
 
 
 def check_stage_budget(
@@ -75,33 +82,45 @@ def check_resources(
     ``rules_used``/``registers_used`` describe what is already resident so
     candidate and installed queries are admitted jointly.
     """
-    out: List[Diagnostic] = []
-    need = demand(rules)
-    rule_counts = Counter(model.rules_used)
-    rule_counts.update(need.rules)
+    return check_demand(demand(rules), model, switch=switch)
 
-    # NV201: instances demanded per slot -> per-category stage usage.
-    stages = sorted({stage for stage, _ in rule_counts})
-    for stage in stages:
-        usage = {category: 0.0 for category in RESOURCE_CATEGORIES}
+
+def check_demand(
+    need: Demand,
+    model: PipelineModel,
+    switch: object = None,
+) -> List[Diagnostic]:
+    """:func:`check_resources` of an already tallied rule set.
+
+    The tally is a property of the rules, not of the pipeline: a slice
+    staged on eight switches is demanded once and judged eight times.
+    """
+    out: List[Diagnostic] = []
+
+    # NV201: instances demanded per slot -> per-category stage usage,
+    # over the stages the demand touches (a stage it leaves alone holds
+    # at most one instance per module type, which always fits).
+    for stage, tally in need.stage_tally:
+        usage = [0.0] * len(RESOURCE_CATEGORIES)
         demanded: List[str] = []
-        for mtype in ModuleType:
-            count = rule_counts.get((stage, mtype), 0)
+        for slot, count in tally:
+            count += model.rules_used.get(slot, 0)
             if not count:
                 continue
+            mtype = slot[1]
             instances = math.ceil(count / model.table_capacity)
-            cost = MODULE_COSTS[mtype]
-            for category in RESOURCE_CATEGORIES:
-                usage[category] += instances * getattr(cost, category)
+            for index, cost in enumerate(_COSTS[mtype]):
+                usage[index] += instances * cost
             if instances > 1:
                 demanded.append(
                     f"{count} {mtype.symbol} rules need {instances} "
                     f"instances ({model.table_capacity} rules each)"
                 )
         over = {
-            category: (usage[category], getattr(STAGE_CAPACITY, category))
-            for category in RESOURCE_CATEGORIES
-            if usage[category] > getattr(STAGE_CAPACITY, category)
+            category: (used, cap)
+            for category, used, cap in zip(RESOURCE_CATEGORIES, usage,
+                                           _CAPACITY)
+            if used > cap
         }
         if over:
             breakdown = ", ".join(

@@ -53,7 +53,12 @@ def ternary_contains(outer: _Match, inner: _Match) -> bool:
     field, ``outer`` only constrains bits ``inner`` also constrains and
     agrees with it on those bits.
     """
-    inner_values, inner_masks = _mask_maps(inner)
+    return _contains(outer, *_mask_maps(inner))
+
+
+def _contains(outer: _Match, inner_values: Dict[str, int],
+              inner_masks: Dict[str, int]) -> bool:
+    """:func:`ternary_contains` with the inner entry's maps in hand."""
     for name, value, mask in outer:
         inner_mask = inner_masks.get(name, 0)
         if mask & ~inner_mask:
@@ -75,14 +80,23 @@ def ternary_intersects(a: _Match, b: _Match) -> bool:
 
 def check_init_shadowing(
     entries: Sequence[NewtonInitEntry],
+    context: Sequence[NewtonInitEntry] = (),
 ) -> List[Diagnostic]:
-    """NV001/NV002 over a co-installed set of dispatch entries."""
+    """NV001/NV002 findings anchored to ``entries``.
+
+    Each entry is judged against every other entry and all of
+    ``context`` (the dispatch rows of already-accepted queries, which
+    are never reported on themselves): the walk is entries × (entries +
+    context), not the square of everything co-installed.
+    """
     out: List[Diagnostic] = []
+    others = (*entries, *context)
     for i, entry in enumerate(entries):
-        for j, other in enumerate(entries):
+        entry_maps = _mask_maps(entry.match)
+        for j, other in enumerate(others):
             if i == j:
                 continue
-            if not ternary_contains(other.match, entry.match):
+            if not _contains(other.match, *entry_maps):
                 continue
             if other.qid == entry.qid:
                 # Same query: dispatch de-duplicates per qid, so any other

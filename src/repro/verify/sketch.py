@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery
-from repro.core.rules import HashMode, HConfig, KConfig, SConfig
+from repro.core.rules import SConfig
 from repro.dataplane.alu import StatefulOp
 from repro.dataplane.module_types import ModuleType
 from repro.verify.diagnostics import Diagnostic, Location, Severity
@@ -135,45 +135,33 @@ def check_sketch_params(
     return out
 
 
-def _hash_signatures(
-    comp: CompiledQuery,
-) -> List[Tuple[int, Tuple[int, int, Tuple[Tuple[str, int], ...]]]]:
-    """(step, (seed, range, key masks)) of every HASH-mode H rule.
-
-    The key masks come from the most recent K rule of the same metadata
-    set, mirroring the dataplane's read path.
-    """
-    signatures = []
-    specs = sorted(comp.specs, key=lambda s: s.step)
-    for index, spec in enumerate(specs):
-        if spec.module_type is not ModuleType.HASH_CALCULATION:
-            continue
-        config = spec.config
-        if not isinstance(config, HConfig) or config.mode != HashMode.HASH:
-            continue
-        masks: Optional[Tuple[Tuple[str, int], ...]] = None
-        for prior in reversed(specs[:index]):
-            if (prior.module_type is ModuleType.KEY_SELECTION
-                    and prior.set_id == spec.set_id
-                    and isinstance(prior.config, KConfig)):
-                masks = prior.config.masks
-                break
-        if masks is None:
-            continue
-        signatures.append(
-            (spec.step, (config.seed_index, config.range_size, masks))
-        )
-    return signatures
-
-
 def check_hash_seed_collisions(
-    compiled: Sequence[CompiledQuery],
+    candidates: Sequence[CompiledQuery],
+    context: Sequence[CompiledQuery] = (),
 ) -> List[Diagnostic]:
-    """NV304 across a co-verified set of queries."""
+    """NV304 findings anchored to ``candidates``.
+
+    A candidate is compared with every candidate after it and with all
+    of ``context`` (already-accepted queries, never reported on
+    themselves): no context × context pair is visited, so the pass costs
+    what the candidates touch, not what is resident.  The cheap probe —
+    a signature in common, read off each artefact's cached
+    :attr:`~repro.core.compiler.CompiledQuery.hash_signatures` — runs
+    before the dispatch-overlap test it gates.
+    """
     out: List[Diagnostic] = []
-    for i, a in enumerate(compiled):
-        for b in compiled[i + 1:]:
+    for i, a in enumerate(candidates):
+        if not a.hash_signatures:
+            continue
+        for b in (*candidates[i + 1:], *context):
             if a.qid == b.qid:
+                continue
+            b_sigs = b.signature_steps
+            shared = [
+                (step, sig) for step, sig in a.hash_signatures
+                if sig in b_sigs
+            ]
+            if not shared:
                 continue
             overlap = any(
                 ternary_intersects(ea.match, eb.match)
@@ -181,11 +169,7 @@ def check_hash_seed_collisions(
             )
             if not overlap:
                 continue
-            b_sigs = {sig: step for step, sig in _hash_signatures(b)}
-            for step, sig in _hash_signatures(a):
-                other_step = b_sigs.get(sig)
-                if other_step is None:
-                    continue
+            for step, sig in shared:
                 seed, range_size, masks = sig
                 keys = ",".join(name for name, _ in masks)
                 out.append(Diagnostic(
@@ -193,7 +177,7 @@ def check_hash_seed_collisions(
                     code="NV304",
                     message=(
                         f"hash rule (step {step}) and query {b.qid!r} "
-                        f"(step {other_step}) use the same seed {seed} "
+                        f"(step {b_sigs[sig]}) use the same seed {seed} "
                         f"over the same keys [{keys}] and range "
                         f"{range_size} while their dispatch entries "
                         f"overlap; their sketch errors are correlated — "

@@ -3,8 +3,8 @@
 :func:`verify_queries` analyses compiled artifacts *before* any rule
 reaches a switch — the controller runs it by default on install, ``repro
 lint`` runs it from the command line, and the compiler can run the
-dependency pass as a post-condition self-check.  :func:`verify_slices`
-re-runs the resource admission pass against one concrete switch once the
+dependency pass as a post-condition self-check.  :func:`verify_demand`
+runs the resource admission pass against one concrete switch once the
 controller has partitioned a query (so occupancy and per-switch layouts
 are respected).
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery
-from repro.core.rules import QuerySlice
 from repro.verify.deadrules import check_dead_rules
 from repro.verify.dependencies import check_dependencies
 from repro.verify.diagnostics import (
@@ -29,12 +28,16 @@ from repro.verify.diagnostics import (
     VerificationReport,
 )
 from repro.verify.program import (
+    Demand,
     PipelineModel,
     init_entries_of,
     rules_of_compiled,
-    rules_of_slices,
 )
-from repro.verify.resources import check_resources, check_stage_budget
+from repro.verify.resources import (
+    check_demand,
+    check_resources,
+    check_stage_budget,
+)
 from repro.verify.shadowing import (
     check_init_shadowing,
     check_r_entry_shadowing,
@@ -48,7 +51,8 @@ from repro.verify.sketch import (
     check_sketch_params,
 )
 
-__all__ = ["VerifierConfig", "verify_queries", "verify_slices", "require_ok"]
+__all__ = ["VerifierConfig", "verify_queries", "verify_demand",
+           "require_ok"]
 
 
 @dataclass(frozen=True)
@@ -75,18 +79,16 @@ def verify_queries(
     """Run every static pass over ``candidates``.
 
     ``context`` holds already-accepted queries: cross-query passes (init
-    shadowing, hash-seed collisions) see candidates and context together,
-    but only findings anchored to a candidate are reported — pre-existing
-    context findings are not re-litigated.  Pass a :class:`PipelineModel`
-    to also run resource admission at global stages (what lint does); the
-    controller instead calls :func:`verify_slices` per target switch.
+    shadowing, hash-seed collisions) judge each candidate against the
+    other candidates and the context, and report only findings anchored
+    to a candidate — pre-existing context findings are not re-litigated,
+    so context × context pairs are never visited.  Pass a
+    :class:`PipelineModel` to also run resource admission at global
+    stages (what lint does); the controller instead admits the slices
+    per target switch (:func:`verify_demand`).
     """
     config = config or VerifierConfig()
     report = VerificationReport()
-    everything = list(candidates) + [
-        c for c in context
-        if c.qid not in {cand.qid for cand in candidates}
-    ]
 
     # Per-query artifact passes: candidates only.
     for comp in candidates:
@@ -101,20 +103,21 @@ def verify_queries(
         max_fpr=config.max_fpr,
     )))
 
-    # Cross-query passes: joint view, candidate-anchored findings only.
+    # Cross-query passes: each candidate against the candidates after it
+    # and the context — never context against context.
     candidate_qids = {comp.qid for comp in candidates}
-    joint: List[Diagnostic] = []
-    joint.extend(check_init_shadowing(init_entries_of(everything)))
-    joint.extend(check_hash_seed_collisions(everything))
+    context = [c for c in context if c.qid not in candidate_qids]
+    report.extend(config.filter(check_init_shadowing(
+        init_entries_of(candidates), init_entries_of(context)
+    )))
     report.extend(config.filter(
-        d for d in joint
-        if d.location.qid is None or d.location.qid in candidate_qids
+        check_hash_seed_collisions(candidates, context)
     ))
 
     # Resource admission at global stages.  Each candidate is admitted
     # standalone: whether several candidates *co-reside* on one pipeline
     # is a placement decision, checked per target switch at install time
-    # by :func:`verify_slices`.
+    # by :func:`verify_demand`.
     if model is not None:
         report.extend(config.filter(check_stage_budget(candidates, model)))
         for comp in candidates:
@@ -124,22 +127,24 @@ def verify_queries(
     return report
 
 
-def verify_slices(
-    slices: Sequence[QuerySlice],
+def verify_demand(
+    need: Demand,
     model: PipelineModel,
     switch: object = None,
     config: Optional[VerifierConfig] = None,
 ) -> VerificationReport:
     """Resource admission of candidate slices against one concrete switch.
 
-    ``model`` should be :meth:`PipelineModel.of_switch` of the target so
-    already-resident rules and leased registers count toward capacity.
+    ``need`` is :func:`~repro.verify.program.demand_of_slices` of the
+    slices bound for the switch — a property of the slices, so the
+    controller tallies each distinct slice set once, however many
+    switches host it.  ``model`` should be
+    :meth:`PipelineModel.of_switch` of the target so already-resident
+    rules and leased registers count toward capacity.
     """
     config = config or VerifierConfig()
     report = VerificationReport()
-    report.extend(config.filter(
-        check_resources(rules_of_slices(slices), model, switch=switch)
-    ))
+    report.extend(config.filter(check_demand(need, model, switch=switch)))
     return report
 
 

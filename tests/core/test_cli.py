@@ -11,9 +11,9 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_experiment_names_registered(self):
-        expected = {"table3", "ablations"} | {f"fig{i}" for i in
-                                              (7, 10, 11, 12, 13, 14, 15,
-                                               16, 17)}
+        expected = {"table3", "ablations", "control-scaling"} | {
+            f"fig{i}" for i in (7, 10, 11, 12, 13, 14, 15, 16, 17)
+        }
         assert set(EXPERIMENTS) == expected
 
     def test_unknown_experiment_rejected(self):

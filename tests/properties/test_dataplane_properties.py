@@ -197,3 +197,96 @@ class TestLeasedExtentReset:
             assert not lean.dump()[~leased].any()
         lean.reset_all()
         assert not lean.dump().any()
+
+
+def gaps_by_sorting(array, size):
+    """Free gaps that hold ``size``, found the way the allocator found
+    them before it kept a free list: sort every allocation, walk."""
+    gaps = []
+    cursor = 0
+    for start, end in sorted((a.offset, a.end) for a in array.allocations()):
+        if start - cursor >= size:
+            gaps.append((cursor, start))
+        cursor = max(cursor, end)
+    if array.size - cursor >= size:
+        gaps.append((cursor, array.size))
+    return gaps
+
+
+def resort_per_candidate_anchor(array, size, vacating):
+    """The anchor policy as it was first written — every candidate
+    re-sorts every allocation — kept as the oracle: largest post-GC free
+    run, ties to the lowest offset."""
+    gaps = gaps_by_sorting(array, size)
+    if not gaps:
+        return None
+    doomed = {(a.offset, a.end) for a in vacating}
+    surviving = [(a.offset, a.end) for a in array.allocations()
+                 if (a.offset, a.end) not in doomed]
+    best = None
+    for gap_start, gap_end in gaps:
+        for cand in {gap_start, gap_end - size}:
+            occupied = sorted(surviving + [(cand, cand + size)])
+            largest = 0
+            edge = 0
+            for start, end in occupied:
+                largest = max(largest, start - edge)
+                edge = max(edge, end)
+            largest = max(largest, array.size - edge)
+            score = (largest, -cand)
+            if best is None or score > best[0]:
+                best = (score, cand)
+    return best[1]
+
+
+#: (kind, owner slot, size, vacating owner slots).
+lease_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["allocate", "allocate", "vacating", "vacating",
+                         "release"]),
+        st.integers(0, 9), st.integers(1, 24),
+        st.lists(st.integers(0, 9), max_size=3),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+class TestAnchorPolicy:
+    @given(lease_steps)
+    @settings(max_examples=300, deadline=None)
+    def test_the_free_list_picks_the_offsets_the_sorts_picked(self, steps):
+        """Allocate / allocate-with-vacating / release, in any order:
+        every make-before-break anchor equals the reference's (the
+        lowest-offset tie-break included), every plain lease is first
+        fit, and ``free_registers()`` is the array less the sum of its
+        leases at every step."""
+        array = RegisterArray(128)
+        for kind, slot, size, vacate in steps:
+            owner = ("q", slot)
+            held = array.allocation(owner) is not None
+            if kind == "release":
+                if held:
+                    array.release(owner)
+            elif not held:
+                vacating = [
+                    array.allocation(("q", v)) for v in vacate
+                    if kind == "vacating"
+                    and array.allocation(("q", v)) is not None
+                ]
+                if vacating:
+                    expected = resort_per_candidate_anchor(
+                        array, size, vacating)
+                else:
+                    first = gaps_by_sorting(array, size)[:1]
+                    expected = first[0][0] if first else None
+                try:
+                    got = array.allocate(
+                        owner, size, vacating=[a.owner for a in vacating]
+                    )
+                except AllocationError:
+                    assert expected is None
+                else:
+                    assert got.offset == expected
+            assert array.free_registers() == array.size - sum(
+                a.size for a in array.allocations()
+            )

@@ -13,7 +13,11 @@ mid-run as real 2PC transactions.  Invariants per seed:
 * **no lost queries** — after every run the control plane holds exactly
   the queries the planner believes it manages;
 * **atomicity** — zero mixed-rule-epoch packets in every run, no staged
-  or retired residue left behind by any planner transaction.
+  or retired residue left behind by any planner transaction;
+* **scoped audit == whole walk** — after every install and update of the
+  vector run, the per-operation fleet audit reports what the whole-fleet
+  walk reports at that operation, and rejects iff it does
+  (``tests/verify/fleet/oracle.py``).
 """
 
 import random
@@ -34,6 +38,7 @@ from repro.traffic.generators import (
     syn_scan_noise,
 )
 from repro.traffic.traces import merge_traces
+from tests.verify.fleet.oracle import AuditOracle
 
 N_SEEDS = 200
 WINDOW_S = 0.1
@@ -114,7 +119,7 @@ def run_managed(dep, traces, use_ladder):
 
 class TestPlannerDifferentialSweep:
     def test_200_seeded_schedules(self):
-        replanned = 0
+        replanned = audits = 0
         for seed in range(N_SEEDS):
             traces, use_ladder = make_schedule(seed)
             label = f"seed {seed}"
@@ -123,11 +128,12 @@ class TestPlannerDifferentialSweep:
                                  array_size=1 << 13),
                 traces, use_ladder,
             )
-            vector = run_managed(
-                build_deployment(linear(2), engine="vector",
-                                 array_size=1 << 13),
-                traces, use_ladder,
-            )
+            audited = build_deployment(linear(2), engine="vector",
+                                       array_size=1 << 13)
+            oracle = AuditOracle(audited)
+            audited.controller.listeners.append(oracle)
+            vector = run_managed(audited, traces, use_ladder)
+            audits += oracle.checked
             with ShardedDeployment(
                 linear(2), workers=2, inline=True, engine="vector",
                 array_size=1 << 13,
@@ -159,3 +165,5 @@ class TestPlannerDifferentialSweep:
         assert replanned >= N_SEEDS // 2, (
             f"only {replanned}/{N_SEEDS} seeds exercised a re-plan"
         )
+        # ... and every planner op of the vector run was audited twice.
+        assert audits > N_SEEDS

@@ -17,6 +17,7 @@ from repro.network.deployment import build_deployment
 from repro.network.topology import linear
 from repro.service import GeneratorSource, NewtonService, ServiceConfig
 from repro.service.http import dispatch
+from tests.verify.fleet.oracle import AuditOracle
 
 N_SEEDS = 200
 N_SWITCHES = 2
@@ -36,6 +37,9 @@ def make_service(seed):
     deployment = build_deployment(
         linear(N_SWITCHES), array_size=1 << 13, engine="vector",
     )
+    # Every committed install/update: the gate's scoped audit against
+    # the whole-fleet walk (tests/verify/fleet/oracle.py).
+    deployment.controller.listeners.append(AuditOracle(deployment))
     return NewtonService(
         GeneratorSource(pps=400, seed=seed),
         ServiceConfig(switches=N_SWITCHES),

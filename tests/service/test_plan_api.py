@@ -99,6 +99,28 @@ class TestPlanEndpoints:
         assert call(service, "POST", "/plan",
                     body=plan_body()).status == 409
 
+    def test_refused_plan_leaves_nothing_installed_or_managed(self):
+        # 1,500 declared flows make a 1024-wide sketch an NV703 error:
+        # the plan is refused after its bootstrap install committed, so
+        # both the rules and the planner's claim on the qid must go.
+        service = NewtonService(
+            GeneratorSource(pps=2000, seed=11),
+            ServiceConfig(switches=2, expected_flows=1500),
+        )
+        narrow = plan_body(params={"reduce_registers": 1024})
+        response = call(service, "POST", "/plan", body=narrow)
+        assert response.status == 422
+        assert "NV703" in {
+            d["code"] for d in decode(response)["diagnostics"]
+        }
+        assert decode(call(service, "GET", "/queries"))["queries"] == {}
+        assert decode(call(service, "GET", "/plan"))["managed"] == 0
+        assert service.deployment.controller.rule_count() == 0
+        # Released for real: the same qid can be planned acceptably.
+        wide = plan_body(params={"reduce_registers": 4096})
+        assert call(service, "POST", "/plan", body=wide).status == 201
+        assert decode(call(service, "GET", "/plan"))["managed"] == 1
+
     def test_bad_ladder_field_400(self, service):
         response = call(service, "POST", "/plan", body=plan_body(
             ladder={"field": "nonesuch"},

@@ -138,6 +138,37 @@ class TestCrud:
         assert service.registry.counter("service_ops_total").value(
             op="install", outcome="rejected-fleet") == 1
 
+    def test_refused_update_leaves_the_previous_definition_serving(self):
+        # 1,500 declared flows: a 2048-wide sketch passes (NV701 warns),
+        # a 1024-wide one is under-provisioned (NV703) and the update is
+        # refused — which must put the 2048-wide query back, not remove it.
+        service = make_service(expected_flows=1500)
+        wide = {"query": "Q1", "params": {"reduce_registers": 2048}}
+        service.install(wide)
+        controller = service.deployment.controller
+        rules_before = controller.rule_count()
+        with pytest.raises(ServiceError) as exc:
+            service.update("Q1", {"query": "Q1",
+                                  "params": {"reduce_registers": 1024}})
+        assert exc.value.status == 422
+        assert {d["code"] for d in exc.value.payload["diagnostics"]
+                if d["severity"] == "error"} == {"NV703"}
+        assert list(controller.installed) == ["Q1"]
+        assert controller.installed["Q1"].params.reduce_registers == 2048
+        assert controller.rule_count() == rules_before
+        assert controller.txn.residue()["staged_residue"] == 0
+        assert controller.txn.residue()["retired_residue"] == 0
+        assert service.registry.counter("service_ops_total").value(
+            op="update", outcome="rejected-fleet") == 1
+        # Still serving: the next window is monitored, on one epoch.
+        event = service.tick()
+        assert "Q1" in event["queries"]
+        assert event["mixed_epoch_packets"] == 0
+        # And still operable: an acceptable update goes through.
+        service.update("Q1", {"query": "Q1",
+                              "params": {"reduce_registers": 4096}})
+        assert controller.installed["Q1"].params.reduce_registers == 4096
+
     def test_ops_refused_while_stopping(self):
         service = make_service()
         service.request_stop()

@@ -13,8 +13,15 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro.ctrlplane import WriteAheadLog
-from repro.service import GeneratorSource, NewtonService, ServiceConfig
+from repro.service import (
+    GeneratorSource,
+    NewtonService,
+    ServiceConfig,
+    ServiceError,
+)
 
 
 def make_service(wal_dir, **overrides):
@@ -23,6 +30,14 @@ def make_service(wal_dir, **overrides):
         ServiceConfig(switches=2, wal_dir=str(wal_dir),
                       wal_snapshot_every=4, **overrides),
     )
+
+
+def installed_state(service):
+    """qid -> (params, compiled artefacts) of everything installed."""
+    return {
+        qid: (record.params, record.compiled)
+        for qid, record in service.deployment.controller.installed.items()
+    }
 
 
 class TestCrashResume:
@@ -102,6 +117,41 @@ class TestCrashResume:
         summary = third.drain()
         assert summary["staged_residue"] == 0
         assert len(summary["rule_epochs"]) == 1
+
+    def test_restart_after_a_refused_update_equals_the_live_state(
+            self, tmp_path):
+        # The gate refuses an under-provisioned update (NV703 at 1,500
+        # declared flows) after its transaction committed; what keeps
+        # running must be what the log replays to — the refused op is
+        # not in the log, so the restored definition has to be live.
+        first = make_service(tmp_path, expected_flows=1500)
+        first.install({"query": "Q1", "params": {"reduce_registers": 2048}})
+        first.install({"query": "Q4"})
+        for spec in ({"query": "Q1", "params": {"reduce_registers": 1024}},
+                     {"query": "Q4", "params": {"reduce_registers": 512}}):
+            try:
+                first.update(spec["query"], spec)
+            except ServiceError as exc:
+                assert exc.status == 422
+            else:
+                raise AssertionError("the gate accepted a narrow sketch")
+        with pytest.raises(ServiceError):
+            first.plan_manage({"query": "Q5",
+                               "params": {"reduce_registers": 1024}})
+        first.tick()
+        live = installed_state(first)
+        assert sorted(live) == ["Q1", "Q4"]
+        assert live["Q1"][0].reduce_registers == 2048
+        first.wal.close()  # crash
+
+        second = make_service(tmp_path, expected_flows=1500)
+        assert second.wal_recovery["replayed_ops"] == 2
+        assert second.wal_recovery["skipped_ops"] == []
+        assert installed_state(second) == live
+        assert second.queries() == first.queries()
+        assert (second.deployment.controller.txn.epoch
+                == first.deployment.controller.txn.epoch)
+        second.drain()
 
     def test_unreplayable_ops_are_skipped_not_fatal(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))

@@ -18,6 +18,11 @@
   ``free_registers()`` / ``stage_slots()``, and the op path
   (``src/repro/ctrlplane``, ``src/repro/core``) never imports the
   bank-walking ``SwitchView``.
+* An operation is audited for what it touched: the whole-fleet walk
+  (``analyze_deployment`` / ``analyze_fleet``) is the CLI's and the test
+  oracle's — nothing under ``src/repro/core``, ``src/repro/ctrlplane``
+  or ``src/repro/service`` names it (the service gate runs
+  ``analyze_op``).
 * The CLI is a shell: only ``cli.py`` and ``experiments/`` import
   ``repro.experiments`` (the service asks ``core/library.py`` for the
   evaluation thresholds); ``cli.py`` constructs no deployment
@@ -120,6 +125,15 @@ def bank_walk(node):
     return tail_name(node) == "SwitchView"
 
 
+def whole_fleet_walk(node):
+    """``analyze_deployment`` / ``analyze_fleet`` imported (under any
+    alias) or referenced."""
+    walks = ("analyze_deployment", "analyze_fleet")
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[-1] in walks
+    return tail_name(node) in walks
+
+
 def experiments_import(node):
     if isinstance(node, ast.Import):
         return any(alias.name.startswith("repro.experiments")
@@ -156,7 +170,7 @@ def own_figure_renderer(node):
 
 def registry_keys_read(source):
     """The ``EXPERIMENTS["<key>"]`` subscripts in a benchmark's source."""
-    return re.findall(r"""EXPERIMENTS\[["'](\w+)["']\]""", source)
+    return re.findall(r"""EXPERIMENTS\[["']([\w-]+)["']\]""", source)
 
 
 def unannotated(node):
@@ -245,6 +259,11 @@ def test_op_path_never_imports_the_bank_walk(package):
     assert violations(package, bank_walk) == []
 
 
+@pytest.mark.parametrize("package", ["core", "ctrlplane", "service"])
+def test_op_path_never_walks_the_whole_fleet(package):
+    assert violations(package, whole_fleet_walk) == []
+
+
 def test_only_the_cli_and_the_experiments_import_the_experiments():
     assert [
         f"{path}:{node.lineno}"
@@ -330,6 +349,14 @@ def test_owners_names_the_innermost_function():
     (bank_walk, "from repro.verify.fleet import SwitchView as SV", True),
     (bank_walk, "fleet.SwitchView.of_switch(switch)", True),
     (bank_walk, "from repro.verify.fleet import check_staging_plan", False),
+    (whole_fleet_walk, "from repro.verify import analyze_fleet", True),
+    (whole_fleet_walk, "from repro.verify.fleet import analyze_fleet as af",
+     True),
+    (whole_fleet_walk, "report = fleet.analyze_deployment(switches)", True),
+    (whole_fleet_walk, "gate = analyze_fleet", True),
+    (whole_fleet_walk, "from repro.verify import analyze_op, exit_code",
+     False),
+    (whole_fleet_walk, "analyze_op(self.deployment, qid, config)", False),
     (experiments_import, "from repro.experiments.common import workload",
      True),
     (experiments_import, "import repro.experiments", True),
@@ -368,5 +395,5 @@ def test_each_rule_catches_what_it_should(rule, source, offends):
 def test_registry_keys_are_found_under_either_quote():
     assert registry_keys_read(
         "A = EXPERIMENTS['fig7']\nB = EXPERIMENTS[\"table3\"].run()\n"
-        "C = EXPERIMENTS[name]\n"
-    ) == ["fig7", "table3"]
+        "C = EXPERIMENTS[name]\nD = EXPERIMENTS['control-scaling']\n"
+    ) == ["fig7", "table3", "control-scaling"]

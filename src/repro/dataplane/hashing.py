@@ -35,8 +35,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["FLOW_FIELDS", "HashUnit", "HashFamily", "KeyGroup", "flow_hash",
-           "flow_hash_columns", "hash_bytes", "hash_rows", "pack_key_words"]
+__all__ = ["FLOW_FIELDS", "HashMemo", "HashUnit", "HashFamily", "KeyGroup",
+           "flow_hash", "flow_hash_columns", "hash_bytes", "hash_rows",
+           "pack_key_words"]
 
 #: The 5-tuple in flow-hash mixing order (``Packet.five_tuple``'s order).
 FLOW_FIELDS: Tuple[str, ...] = ("sip", "dip", "proto", "sport", "dport")
@@ -46,14 +47,12 @@ _PHI = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-#: Entries one seed's memo may hold when a window rolls; beyond it the memo
-#: is cleared (:meth:`HashFamily.trim_bulk_caches`).  Sized from measured
-#: working sets: a trace whose key population recurs stays fully memoised
-#: (the benchmark's elephants run ends near 20k entries a seed, the
-#: 17-query fleet near 85k), while a trace of all-new keys (mice: ~2.3k
-#: new entries a seed a window) is held to ~100 B x limit x seeds of memo
+#: Entries a hash memo may hold per hit it served in a window before the
+#: roll clears it as mostly keys nobody asks for any more.  The benchmark
+#: workloads' warm memos stay under 6 (their hits are counted per batch),
+#: while a warm core plus a steady trickle of new keys grows past it
 #: instead of growing for the life of the process.
-_BULK_CACHE_LIMIT = 1 << 17
+_ENTRIES_PER_HIT = 16
 
 
 def hash_bytes(data: bytes, seed: int) -> int:
@@ -153,8 +152,46 @@ class KeyGroup:
                     for end in range(stride, len(buffer) + 1, stride)]
 
 
+class HashMemo(Dict[bytes, int]):
+    """One seed's ``key bytes -> hash`` memo, with what it earned.
+
+    ``hits`` / ``misses`` count the distinct keys :func:`hash_rows` found
+    in it or had to digest since the last window roll; ``carried`` is how
+    many entries it held when that window began.
+    """
+
+    __slots__ = ("hits", "misses", "carried")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hits = 0
+        self.misses = 0
+        self.carried = 0
+
+    def roll(self) -> None:
+        """Close a window: clear the memo if it carried entries into a
+        window that used it and either served fewer hits than misses in
+        it or holds over ``_ENTRIES_PER_HIT`` entries per hit, then start
+        counting the next one.
+
+        A memo emptied at the previous roll carried nothing, so cold
+        traffic clears it at most every other roll — never forever,
+        which is what clearing on misses alone would do after a pass
+        boundary.  The second test bounds a warm memo by what it serves:
+        new keys trickling in beside a warm core cannot grow it for the
+        life of the process.  A second call in the same roll sees no
+        hits and no misses and changes nothing.
+        """
+        if self.carried and (self.hits or self.misses) and (
+                self.hits < self.misses
+                or len(self) > _ENTRIES_PER_HIT * self.hits):
+            self.clear()
+        self.hits = self.misses = 0
+        self.carried = len(self)
+
+
 def hash_rows(keys: KeyGroup, seed: int,
-              cache: Optional[Dict[bytes, int]] = None) -> np.ndarray:
+              cache: Optional[HashMemo] = None) -> np.ndarray:
     """:func:`hash_bytes` of every distinct key of ``keys`` (``uint64``).
 
     One digest per entry of ``keys.raw``; ``digests[keys.inverse]`` is the
@@ -162,12 +199,14 @@ def hash_rows(keys: KeyGroup, seed: int,
     runs only for keys ``cache`` — the seed's ``key bytes -> hash`` memo
     (see :meth:`HashFamily.bulk_cache`) — has never seen, which is what
     makes the vectorized engine's hashing cost scale with new flows
-    instead of packets.  Every memo insert happens here.
+    instead of packets.  Every memo insert happens here, and the memo is
+    told how many keys it served and missed.
     """
     if cache is None:
-        cache = {}
+        cache = HashMemo()
     blake2b = hashlib.blake2b
     seed_key = seed.to_bytes(8, "big", signed=False)
+    before = len(cache)
     digests = []
     for raw in keys.raw:
         digest = cache.get(raw)
@@ -176,6 +215,9 @@ def hash_rows(keys: KeyGroup, seed: int,
                 blake2b(raw, digest_size=8, key=seed_key).digest(), "big"
             )
         digests.append(digest)
+    misses = len(cache) - before
+    cache.misses += misses
+    cache.hits += len(digests) - misses
     return np.array(digests, dtype=np.uint64)
 
 
@@ -199,7 +241,7 @@ class HashUnit:
         return hash_bytes(key, self.seed) % self.range_size
 
     def many(self, keys: KeyGroup,
-             cache: Optional[Dict[bytes, int]] = None) -> np.ndarray:
+             cache: Optional[HashMemo] = None) -> np.ndarray:
         """Vectorized ``__call__`` over every row of ``keys`` (int64
         indices): reduce the distinct digests, then gather."""
         hashed = hash_rows(keys, self.seed, cache)
@@ -217,7 +259,7 @@ class HashFamily:
 
     def __init__(self, base_seed: int = 0x5EED):
         self.base_seed = base_seed
-        self._bulk_caches: Dict[int, Dict[bytes, int]] = {}
+        self._bulk_caches: Dict[int, HashMemo] = {}
 
     def unit(self, index: int, range_size: int) -> HashUnit:
         """The ``index``-th unit of the family with the given output range."""
@@ -227,26 +269,28 @@ class HashFamily:
         seed = (self.base_seed + index * _PHI) & _MASK64
         return HashUnit(seed=seed, range_size=range_size)
 
-    def bulk_cache(self, seed: int) -> Dict[bytes, int]:
+    def bulk_cache(self, seed: int) -> HashMemo:
         """Per-seed ``key bytes -> hash`` memo for :func:`hash_rows`.
 
         Shared by every vectorized hash op using that seed; the contents
         are a pure function of the seed, so sharing (or clearing) never
         changes results.
         """
-        return self._bulk_caches.setdefault(seed, {})
+        memo = self._bulk_caches.get(seed)
+        if memo is None:
+            memo = self._bulk_caches[seed] = HashMemo()
+        return memo
 
     def trim_bulk_caches(self) -> None:
-        """Clear every memo that outgrew ``_BULK_CACHE_LIMIT``.
+        """Keep each memo only while it earns its hits (:meth:`HashMemo.
+        roll`).
 
-        Called at each window roll: that is where a long-running
-        deployment's memos grow (whether or not rules ever change), and a
-        clear there costs at most one window of re-hashing.  Cleared in
+        Called at each window roll, once per switch sharing the family;
+        only the first call of a roll can clear anything.  Cleared in
         place — compiled programs hold references to the dicts.
         """
-        for cache in self._bulk_caches.values():
-            if len(cache) > _BULK_CACHE_LIMIT:
-                cache.clear()
+        for memo in self._bulk_caches.values():
+            memo.roll()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HashFamily) and other.base_seed == self.base_seed

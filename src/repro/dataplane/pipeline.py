@@ -595,8 +595,8 @@ class NewtonPipeline:
     # ------------------------------------------------------------------ #
 
     def advance_window(self) -> None:
-        """Roll the 100 ms window: reset registers, bump the epoch, hold
-        the hash memos to their bound."""
+        """Roll the 100 ms window: reset registers, bump the epoch, keep
+        each hash memo only while it earns its hits."""
         self.epoch += 1
         for bank in self.layout.state_banks():
             assert isinstance(bank, StateBankModule)

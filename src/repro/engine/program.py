@@ -1,9 +1,11 @@
 """Compiled rule programs for the vectorized engine.
 
-Each installed slice-0 version is flattened once into a tensor-friendly
-program (recompiled only when that version is replaced); a switch's
-bundle — its dispatch entries plus the programs of the versions serving
-now — is rebuilt per rule state ``(rule_epoch, mutation_seq)``:
+Each resident version of a slice — slice 0 and the downstream slices of
+a cross-switch (CQE) query, active, staged or retired alike — is
+flattened once into a tensor-friendly program (recompiled only when that
+version is replaced); a switch's bundle — its dispatch entries, the
+slice-0 programs serving now, and every resident version's program — is
+rebuilt per rule state ``(rule_epoch, mutation_seq)``:
 
 * ``newton_init`` dispatch becomes masked equality tests over the packet
   columns, priority order preserved as the entry index;
@@ -20,17 +22,19 @@ now — is rebuilt per rule state ``(rule_epoch, mutation_seq)``:
   resolves the distinct keys through its seed's memo and gathers;
 * R ternary matches become ``(lo, hi)`` range arrays evaluated per entry.
 
-Programs the compiler cannot express with batch semantics (multi-slice
-CQE queries, S executed before any H) mark the bundle unsupported; the
-engine then falls back to the scalar reference path for the affected
-batch, so coverage gaps cost speed, never correctness.
+A program runs over a :class:`RowContext` — the columnar ``PhvContext``:
+fresh at the ingress switch, carried from the previous hop's slice for a
+downstream one, exactly the state the scalar path hands to the next hop
+in memory.  Every module sequence compiles; an S op whose set has no hash
+yet raises the scalar path's error when rows reach it.
 
 One structural fact makes batching sound: the only divergence between
 packets inside one program is the per-packet ``stopped`` flag, and a
 stopped packet never executes another op.  Every packet still active at
-op *i* has therefore executed exactly ops ``0..i-1``, so whether a set's
-hash/state/fields exist is a *static* property of the program position —
-only their values (and the global result, which R actions set
+op *i* has therefore executed exactly ops ``0..i-1`` (after the slices
+its context carries), so whether a set's hash/state/fields exist is a
+*static* property of the carried layout and the program position — only
+their values (and the global result, which R actions set
 conditionally) need per-packet arrays.
 """
 
@@ -54,7 +58,12 @@ from repro.core.rules import (
     SConfig,
 )
 from repro.dataplane.alu import REGISTER_MAX, ResultOp
-from repro.dataplane.hashing import HashUnit, KeyGroup, pack_key_words
+from repro.dataplane.hashing import (
+    HashMemo,
+    HashUnit,
+    KeyGroup,
+    pack_key_words,
+)
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.pipeline import NewtonPipeline
 from repro.dataplane.registers import RegisterArray
@@ -64,9 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.runtime.sanitizer import Sanitizer
 
 __all__ = [
+    "RowContext",
     "SwitchPrograms",
     "RuleProgram",
     "compile_switch_programs",
+    "concat_contexts",
     "execute_program",
 ]
 
@@ -93,13 +104,15 @@ class _HOp:
     direct_field: Optional[str] = None
     direct: bool = False
     unit: Optional[HashUnit] = None
-    cache: Optional[Dict[bytes, int]] = None
+    cache: Optional[HashMemo] = None
 
 
 @dataclass
 class _SOp:
     set_id: int
     passthrough: bool
+    #: The rule's step (named by the S-before-H error).
+    step: int = 0
     array: Optional[RegisterArray] = None
     storage_key: Optional[Tuple] = None
     op: object = None
@@ -134,6 +147,13 @@ class RuleProgram:
     shape: Tuple[Tuple, ...]
     #: Packet columns the ops read (K plans, H direct, S field operands).
     fields_needed: frozenset = frozenset()
+    #: Which slice of the query this is, of how many (CQE, paper §5.1).
+    slice_index: int = 0
+    total_slices: int = 1
+
+
+#: A resident version: (qid, slice index, first rule epoch it serves).
+VersionKey = Tuple[str, int, int]
 
 
 @dataclass
@@ -144,10 +164,14 @@ class SwitchPrograms:
     #: (= descending priority, insertion order breaking ties); the entry
     #: index doubles as the dispatch rank.
     entries: Tuple[Tuple[str, Tuple[Tuple[str, int, int], ...]], ...]
+    #: qid -> the slice-0 program dispatch starts at the compiled epoch.
     programs: Dict[str, RuleProgram] = field(default_factory=dict)
-    #: qid -> the installed version ``programs[qid]`` was compiled from.
-    versions: Dict[str, "_Installed"] = field(default_factory=dict)
-    supported: bool = True
+    #: Every resident version's program — active, staged and retired
+    #: alike, since a packet runs the downstream slices of the rule epoch
+    #: its ingress switch stamped.
+    slices: Dict[VersionKey, RuleProgram] = field(default_factory=dict)
+    #: The installed version each of ``slices`` was compiled from.
+    versions: Dict[VersionKey, "_Installed"] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------- #
@@ -169,43 +193,35 @@ def compile_switch_programs(
     re-stage every version is a new object and nothing stale is reused.
     """
     at_epoch = pipeline.rule_epoch
-    supported = True
-    for _qid, _idx, installed in pipeline.resident_versions():
-        if installed.query_slice.total_slices > 1:
-            # Multi-slice (CQE) queries continue on downstream hops via
-            # the SP header — out of the batch compiler's scope.
-            supported = False
+    slices: Dict[VersionKey, RuleProgram] = {}
+    versions: Dict[VersionKey, _Installed] = {}
+    for qid, index, installed in pipeline.resident_versions():
+        key = (qid, index, installed.epoch_from)
+        if previous is not None and previous.versions.get(key) is installed:
+            slices[key] = previous.slices[key]
+        else:
+            slices[key] = _compile_program(pipeline, qid, installed)
+        versions[key] = installed
     entries = tuple(
         (entry.rule.action, entry.rule.match)
         for entry in pipeline.newton_init.entries()
         if entry.valid_at(at_epoch)
     )
     programs: Dict[str, RuleProgram] = {}
-    versions: Dict[str, _Installed] = {}
     for qid in dict.fromkeys(action for action, _ in entries):
         installed = pipeline.version_for(qid, 0, at_epoch)
-        if installed is None:
-            continue
-        if previous is not None and previous.versions.get(qid) is installed:
-            program = previous.programs[qid]
-        else:
-            program = _compile_program(pipeline, qid, installed)
-        if program is None:
-            supported = False
-            continue
-        programs[qid] = program
-        versions[qid] = installed
+        if installed is not None:
+            programs[qid] = slices[(qid, 0, installed.epoch_from)]
     return SwitchPrograms(entries=entries, programs=programs,
-                          versions=versions, supported=supported)
+                          slices=slices, versions=versions)
 
 
 def _compile_program(pipeline: NewtonPipeline, qid: str,
-                     installed: _Installed) -> Optional[RuleProgram]:
+                     installed: _Installed) -> RuleProgram:
     ops: List[object] = []
     #: One tuple per op: everything but an S op's register binding.
     shape: List[Tuple] = []
     needed: set = set()
-    has_hash = [False, False]
     for local_stage, spec, storage_key in installed.placed:
         if spec.module_type is ModuleType.KEY_SELECTION:
             config: KConfig = spec.config
@@ -243,17 +259,12 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
                 # The memo stands for the family: equal units of two
                 # families hash alike but fill different memos.
                 shape.append(("H", spec.set_id, unit, id(cache)))
-            has_hash[spec.set_id] = True
         elif spec.module_type is ModuleType.STATE_BANK:
             sconfig: SConfig = spec.config
             if sconfig.passthrough:
                 ops.append(_SOp(set_id=spec.set_id, passthrough=True))
                 shape.append(("S", spec.set_id))
                 continue
-            if not has_hash[spec.set_id]:
-                # The scalar path raises at execution time; fall back so
-                # the error surfaces identically.
-                return None
             module = pipeline.layout.module_at(
                 local_stage, ModuleType.STATE_BANK
             )
@@ -272,6 +283,7 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
             ops.append(_SOp(
                 set_id=spec.set_id,
                 passthrough=False,
+                step=spec.step,
                 array=module.array,
                 storage_key=storage_key,
                 op=sconfig.op,
@@ -279,8 +291,8 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
                 operand_field=operand_field,
                 output_old=sconfig.output_old,
             ))
-            shape.append(("S", spec.set_id, sconfig.op, operand_const,
-                          operand_field, sconfig.output_old))
+            shape.append(("S", spec.set_id, spec.step, sconfig.op,
+                          operand_const, operand_field, sconfig.output_old))
         elif spec.module_type is ModuleType.RESULT_PROCESS:
             rconfig: RConfig = spec.config
             entries = tuple(
@@ -296,13 +308,16 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
             shape.append(("R", spec.set_id, rconfig.source, entries,
                           rconfig.default))
         else:  # pragma: no cover - module set is closed
-            return None
+            raise ValueError(f"unknown module type {spec.module_type}")
+    query_slice = installed.query_slice
     return RuleProgram(
         qid=qid,
         epoch_from=installed.epoch_from,
         ops=tuple(ops),
         shape=tuple(shape),
         fields_needed=frozenset(needed),
+        slice_index=query_slice.slice_index,
+        total_slices=query_slice.total_slices,
     )
 
 
@@ -333,6 +348,93 @@ class _SetState:
         self.state: Optional[np.ndarray] = None     # int64
         self.state_has = False
 
+    def take(self, idx: np.ndarray) -> "_SetState":
+        """The set of rows ``idx`` (the key group is left behind)."""
+        out = _SetState(0)
+        out.words = self.words[:, idx]
+        out.key_width = self.key_width
+        if self.fields is not None:
+            out.fields = [(name, column[idx]) for name, column in self.fields]
+        if self.hash is not None:
+            out.hash = self.hash[idx]
+        out.hash_has = self.hash_has
+        if self.state is not None:
+            out.state = self.state[idx]
+        out.state_has = self.state_has
+        return out
+
+    def layout(self) -> Tuple:
+        """What exists on this set, whatever the values."""
+        return (self.key_width, len(self.words),
+                None if self.fields is None
+                else tuple(name for name, _ in self.fields),
+                self.hash is not None, self.hash_has,
+                self.state is not None, self.state_has)
+
+
+@dataclass(eq=False)
+class RowContext:
+    """A query's in-flight execution state over a batch of rows: the
+    columnar :class:`~repro.dataplane.phv.PhvContext`.
+
+    It is what the SP header carries from one hop's slice to the next —
+    whether each row is still active, the global result and its
+    has-flag, and both metadata sets (operation keys, hash, state) — so
+    the next hop's program continues exactly where the last one stopped.
+    """
+
+    act: np.ndarray
+    global_val: np.ndarray
+    global_has: np.ndarray
+    sets: Tuple[_SetState, _SetState]
+
+    @classmethod
+    def fresh(cls, k: int) -> "RowContext":
+        """``k`` rows entering their first slice."""
+        return cls(np.ones(k, dtype=bool), np.zeros(k, dtype=np.int64),
+                   np.zeros(k, dtype=bool), (_SetState(k), _SetState(k)))
+
+    def take(self, idx: np.ndarray) -> "RowContext":
+        """The context of rows ``idx``, as carried to another hop: every
+        array is gathered afresh and each set's key group is dropped, so
+        nothing derived from the old row order follows the rows."""
+        return RowContext(self.act[idx], self.global_val[idx],
+                          self.global_has[idx],
+                          (self.sets[0].take(idx), self.sets[1].take(idx)))
+
+    def layout(self) -> Tuple:
+        """Equal for two contexts exactly when :func:`concat_contexts`
+        can join them."""
+        return (self.sets[0].layout(), self.sets[1].layout())
+
+
+def concat_contexts(parts: Sequence[RowContext]) -> RowContext:
+    """One context over the rows of ``parts`` (of one layout), in order."""
+    if len(parts) == 1:
+        return parts[0]
+    joined = []
+    for set_id, lead in enumerate(parts[0].sets):
+        st = _SetState(0)
+        members = [part.sets[set_id] for part in parts]
+        st.words = np.concatenate([m.words for m in members], axis=1)
+        st.key_width = lead.key_width
+        if lead.fields is not None:
+            st.fields = [
+                (name, np.concatenate([m.fields[i][1] for m in members]))
+                for i, (name, _) in enumerate(lead.fields)
+            ]
+        if lead.hash is not None:
+            st.hash = np.concatenate([m.hash for m in members])
+        st.hash_has = lead.hash_has
+        if lead.state is not None:
+            st.state = np.concatenate([m.state for m in members])
+        st.state_has = lead.state_has
+        joined.append(st)
+    return RowContext(np.concatenate([part.act for part in parts]),
+                      np.concatenate([part.global_val for part in parts]),
+                      np.concatenate([part.global_has for part in parts]),
+                      (joined[0], joined[1]))
+
 
 def execute_program(
     programs: Sequence[RuleProgram],
@@ -345,7 +447,8 @@ def execute_program(
     sanitizer: Optional["Sanitizer"] = None,
     hash_trace: Optional[List[Tuple[Tuple[int, int], np.ndarray,
                                     KeyGroup]]] = None,
-) -> None:
+    context: Optional[RowContext] = None,
+) -> RowContext:
     """Run one query's equal-shape programs over their packets at once.
 
     ``programs`` are the compiled programs of one query on the switches
@@ -359,6 +462,12 @@ def execute_program(
     id and window epoch of the member the row belongs to, in exactly the
     order the scalar loop would emit them for each packet.
 
+    ``context`` is the rows' in-flight state from the slice an upstream
+    hop ran (:meth:`RowContext.take`, aligned with ``ts``); without one
+    every row starts fresh, as at the ingress switch.  The state after
+    the last op is returned — the rows that are still active are the
+    ones whose next slice runs downstream.
+
     ``sanitizer`` enables observe-only invariant checks; ``hash_trace``
     (a list) additionally collects ``((seed, range), local rows, key
     group)`` per hash op so the caller can run the cross-program
@@ -370,10 +479,11 @@ def execute_program(
     """
     lead = programs[0]
     k = len(ts)
-    act = np.ones(k, dtype=bool)
-    global_val = np.zeros(k, dtype=np.int64)
-    global_has = np.zeros(k, dtype=bool)
-    sets = (_SetState(k), _SetState(k))
+    ctx = RowContext.fresh(k) if context is None else context
+    act = ctx.act
+    global_val = ctx.global_val
+    global_has = ctx.global_has
+    sets = ctx.sets
 
     for position, op in enumerate(lead.ops):
         if not act.any():
@@ -420,6 +530,13 @@ def execute_program(
                 st.state = st.hash
                 st.state_has = st.hash_has
                 continue
+            if not st.hash_has:
+                # The scalar path's error, from the carried flag: an H
+                # that ran on an upstream hop counts.
+                raise RuntimeError(
+                    f"S module executed before H produced a hash result "
+                    f"(query {lead.qid} step {op.step})"
+                )
             idx = np.flatnonzero(act)
             assert st.hash is not None
             fresh = (np.zeros(k, dtype=np.int64) if st.state is None
@@ -462,6 +579,7 @@ def execute_program(
             _execute_r(op, st, act, global_val, global_has, sets, ts,
                        bounds, window_epochs, switch_ids, lead.qid,
                        sink_reports)
+    return ctx
 
 
 def _execute_r(
@@ -538,7 +656,7 @@ def _fold(result_op: ResultOp, rows: np.ndarray, st: _SetState,
         elif result_op is ResultOp.MAX:
             out = np.maximum(g, s)
         else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unsupported result ALU: {result_op}")
+            raise ValueError(f"unknown result ALU: {result_op}")
         global_val[both] = out
     global_has[rows] = True
 

@@ -5,8 +5,7 @@ This is the original simulator inner loop, extracted verbatim: one
 and :meth:`NetworkSimulator.advance` (scheduled callbacks, window sync)
 before every packet.  It is
 the semantic ground truth the vectorized engine is differentially tested
-against, and the fallback path for programs the vectorized compiler does
-not support (multi-slice CQE queries).
+against; the vectorized engine never calls it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class ScalarEngine(ExecutionEngine):
 
     def step(self, sim: "NetworkSimulator", packet: Packet,
              stats: "SimulationStats") -> None:
-        """Execute exactly one packet (also the vector engine's fallback)."""
+        """Execute exactly one packet."""
         sim.advance(packet.ts)
         # Under the fabric plane every shard replica executes every
         # packet (each filtered to its owned queries), but only the

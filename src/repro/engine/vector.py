@@ -28,35 +28,52 @@ key) — the two hot loops of the scalar path.  Rows are forwarded per
 path group; among equal-cost paths the router picks, one flow-hash
 column per host pair (:meth:`Router.path_choices`).
 
-Batches whose rule state the compiler cannot express (multi-slice CQE
-queries) fall back to the scalar reference engine
-packet by packet, trading speed, never correctness.
+Cross-switch (CQE) queries stay on the batch path: the SP header rides
+as columns.  A slice-0 run returns its rows' :class:`~repro.engine.
+program.RowContext` (active flag, global result, both metadata sets);
+the rows of a sliced query still active carry it, with the rule epoch
+their ingress switch stamped, to the next slice — run at the first hop
+of the row's path whose switch holds that slice's version for the
+stamped epoch (a hop holding none, a legacy switch included, leaves the
+cursor where it is), one program run per query and shape there too.
+Entries are stripped where they complete or stop; SP bytes are 12 per
+entry per link it rode, and whatever is still in flight at the egress
+of a delivered packet is deferred to the analyzer, per packet in
+dispatch order — the accounting of the scalar forwarding loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
     Hashable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
 
 from repro.engine.base import ExecutionEngine
 from repro.engine.program import (
+    RowContext,
+    RuleProgram,
     SwitchPrograms,
     compile_switch_programs,
+    concat_contexts,
     execute_program,
 )
-from repro.engine.scalar import ScalarEngine
 from repro.network.routing import RoutingError
+from repro.network.snapshot import SP_HEADER_BYTES
 from repro.traffic.columnar import (
     DEFAULT_CHUNK_SIZE,
     ColumnarTrace,
@@ -74,7 +91,7 @@ __all__ = ["VectorizedEngine"]
 
 
 class VectorizedEngine(ExecutionEngine):
-    """Columnar batched execution with scalar fallback."""
+    """Columnar batched execution of every installed query, sliced or not."""
 
     name = "vector"
 
@@ -82,7 +99,6 @@ class VectorizedEngine(ExecutionEngine):
         if batch_size <= 0:
             raise ValueError(f"batch size must be positive, got {batch_size}")
         self.batch_size = batch_size
-        self._scalar = ScalarEngine()
         #: switch id -> ((rule_epoch, mutation_seq), compiled programs)
         self._programs: Dict[Hashable,
                              Tuple[Tuple[int, int], SwitchPrograms]] = {}
@@ -91,6 +107,9 @@ class VectorizedEngine(ExecutionEngine):
 
     def run(self, sim: "NetworkSimulator", packets: "PacketSource",
             stats: "SimulationStats") -> "SimulationStats":
+        # Forget the bundles of switches that left the simulator.
+        for sid in self._programs.keys() - sim.switches.keys():
+            del self._programs[sid]
         window_s = sim.window_s
         for chunk in iter_column_chunks(packets, self.batch_size):
             ts = chunk.ts
@@ -104,15 +123,10 @@ class VectorizedEngine(ExecutionEngine):
             while pos < n:
                 sim.advance(float(ts[pos]))
                 end = self._split_at(sim, ts, epoch_col, pos)
-                sub = chunk.slice(pos, end)
-                if self._supported(sim):
-                    self._run_batch(sim, sub, stats)
-                    # Nothing is due and no window ends inside a
-                    # sub-batch: this only moves trace time to its end.
-                    sim.advance(float(ts[end - 1]))
-                else:
-                    for i in range(len(sub)):
-                        self._scalar.step(sim, sub.packet_at(i), stats)
+                self._run_batch(sim, chunk.slice(pos, end), stats)
+                # Nothing is due and no window ends inside a sub-batch:
+                # this only moves trace time to its end.
+                sim.advance(float(ts[end - 1]))
                 pos = end
         return sim.finish(stats)
 
@@ -154,16 +168,6 @@ class VectorizedEngine(ExecutionEngine):
         self._programs[sid] = (key, bundle)
         return bundle
 
-    def _supported(self, sim: "NetworkSimulator") -> bool:
-        for sid in self._programs.keys() - sim.switches.keys():
-            del self._programs[sid]
-        for sid, switch in sim.switches.items():
-            if not switch.newton_enabled:
-                continue
-            if not self._programs_for(sim, sid).supported:
-                return False
-        return True
-
     # ------------------------------------------------------------------ #
     # Batched forwarding                                                 #
     # ------------------------------------------------------------------ #
@@ -173,107 +177,64 @@ class VectorizedEngine(ExecutionEngine):
         n = len(batch)
         # Fabric-plane primary mask: rows whose per-packet stats this
         # shard owns (``None`` outside sharded runs = own every row).
-        # Execution covers every row, but all per-hop accounting
-        # (drops / delivery / payload bytes) is primary-only, and every
-        # program here is single-slice and ingress-executed (that is
-        # what ``_supported`` guarantees), so non-primary rows never
-        # need the path walk at all — only their ingress switch.  The
-        # ECMP machinery therefore runs on this shard's ~1/W primary
-        # slice, which is what makes sharded routing cost scale.
+        # Every row is walked — a shard runs the downstream slices of
+        # the rows it is not primary for, since its owned queries'
+        # state is keyed by flow, not by primary shard — but drops,
+        # delivery and payload bytes are counted for primary rows only.
         primary: Optional[np.ndarray] = (
             None if sim.shard is None else sim.shard.owned_mask(batch)
         )
         stats.packets += n if primary is None else int(primary.sum())
         len_col = batch.columns["len"]
         ts = batch.ts
+        routes = _Routes(n)
         ingress_rows: Dict[Hashable, List[np.ndarray]] = {}
-        if primary is None:
-            walk = None
-        else:
-            walk = np.flatnonzero(primary)
-            self._collect_ingress(
-                sim, batch, np.flatnonzero(~primary), ingress_rows
-            )
         # Hop-by-hop forwarding per path group: reboot drops and the
         # delivered/payload accounting only depend on the path and the
-        # timestamps, never on pipeline state (all programs here are
-        # single-slice, so downstream hops carry an empty SP header and
-        # contribute zero sp_bytes — exactly like the scalar loop).
-        for path, rows in self._path_groups(sim, batch, walk):
+        # timestamps, never on pipeline state.
+        for path, rows in self._path_groups(sim, batch):
+            own = None if primary is None else primary[rows]
+            reach = np.full(len(rows), len(path), dtype=np.int64)
             alive = np.ones(len(rows), dtype=bool)
             for hop, sid in enumerate(path):
                 switch = sim.switches[sid]
                 if switch.has_outage:
                     forwarding = _forwarding_mask(switch, ts[rows])
                     blocked = alive & ~forwarding
-                    dropped = int(blocked.sum())
+                    reach[blocked] = hop
+                    dropped = _count(blocked, own)
                     if dropped:
                         # Sharded: per-switch drop counters hold this
                         # shard's primary rows only (they sum to the
                         # single-process counts across the fabric).
                         switch.dropped_packets += dropped
                         stats.dropped += dropped
-                        alive &= forwarding
+                    alive &= forwarding
                 if hop == 0 and switch.newton_enabled:
                     ingress_rows.setdefault(sid, []).append(rows[alive])
                 if hop + 1 < len(path):
-                    stats.payload_bytes += int(len_col[rows[alive]].sum())
+                    paid = alive if own is None else alive & own
+                    stats.payload_bytes += int(len_col[rows[paid]].sum())
                 if not alive.any():
                     break
             else:
-                stats.delivered += int(alive.sum())
-        # Ingress pipeline execution: dispatch per switch, one program
-        # run per query and shape over every switch's rows.
-        pending: List[Tuple[int, int, Hashable, "Report"]] = []
-        self._run_ingress(sim, batch, ingress_rows, stats, pending)
+                stats.delivered += _count(alive, own)
+            routes.groups.append((path, rows, reach))
+        # Pipeline execution: dispatch per ingress switch, one program
+        # run per query and shape over every switch's rows, then the
+        # in-flight slices hop by hop.
+        pending: List[Tuple[int, int, int, Hashable, "Report"]] = []
+        parked = self._run_ingress(sim, batch, ingress_rows, routes, stats,
+                                   pending)
         self._emit_reports(sim, stats, pending)
-
-    def _collect_ingress(self, sim: "NetworkSimulator", batch: ColumnarTrace,
-                         rows: np.ndarray,
-                         ingress_rows: Dict[Hashable, List[np.ndarray]]) -> None:
-        """Route ``rows`` to their ingress switch only (no path walk).
-
-        Sharded runs use this for non-primary rows: their pipelines must
-        still execute at the ingress edge (owned-query state is keyed by
-        flow, not by primary shard), but all downstream accounting
-        belongs to the primary shard, so the full forwarding walk — and
-        with it the ECMP machinery — is skipped.
-        """
-        if len(rows) == 0:
-            return
-        src = batch.src_host_ids
-        if len(batch.host_table) == 0 or int(src[rows].min()) < 0:
-            raise RoutingError(
-                "packet carries no src/dst host; set Packet.src_host/dst_host"
-            )
-        ts = batch.ts
-        hosts, inverse = np.unique(src[rows], return_inverse=True)
-        for hi in range(len(hosts)):
-            sel = rows[inverse == hi]
-            sid = sim.topology.attachment(batch.host_table[int(hosts[hi])])
-            switch = sim.switches[sid]
-            if switch.has_outage:
-                sel = sel[_forwarding_mask(switch, ts[sel])]
-            if switch.newton_enabled and len(sel):
-                ingress_rows.setdefault(sid, []).append(sel)
+        self._egress(sim, batch, routes, parked, stats)
 
     def _path_groups(
         self, sim: "NetworkSimulator", batch: ColumnarTrace,
-        subset: Optional[np.ndarray] = None,
     ) -> Iterator[Tuple[Sequence[Hashable], np.ndarray]]:
-        """Yield ``(path, ascending row indices)`` per forwarding path.
-
-        ``subset`` restricts the walk to those batch rows (sharded runs
-        route only their primary slice); yielded indices are always
-        batch-global.
-        """
+        """Yield ``(path, ascending row indices)`` per forwarding path."""
         src = batch.src_host_ids
         dst = batch.dst_host_ids
-        if subset is not None:
-            if len(subset) == 0:
-                return
-            src = src[subset]
-            dst = dst[subset]
         if len(batch.host_table) == 0 or int(min(src.min(), dst.min())) < 0:
             raise RoutingError(
                 "packet carries no src/dst host; set Packet.src_host/dst_host"
@@ -283,10 +244,9 @@ class VectorizedEngine(ExecutionEngine):
         pair_values, pair_inverse = np.unique(pair, return_inverse=True)
         router = sim.router
         for gi in range(len(pair_values)):
-            local = np.flatnonzero(pair_inverse == gi)
-            rows = local if subset is None else subset[local]
-            src_host = batch.host_table[int(src[local[0]])]
-            dst_host = batch.host_table[int(dst[local[0]])]
+            rows = np.flatnonzero(pair_inverse == gi)
+            src_host = batch.host_table[int(src[rows[0]])]
+            dst_host = batch.host_table[int(dst[rows[0]])]
             src_switch = sim.topology.attachment(src_host)
             dst_switch = sim.topology.attachment(dst_host)
             paths = router.switch_paths(src_switch, dst_switch)
@@ -301,9 +261,12 @@ class VectorizedEngine(ExecutionEngine):
 
     def _run_ingress(self, sim: "NetworkSimulator", batch: ColumnarTrace,
                      ingress_rows: Dict[Hashable, List[np.ndarray]],
-                     stats: "SimulationStats",
-                     pending: List[Tuple[int, int, Hashable, "Report"]]) -> None:
-        """Dispatch every ingress switch's rows, then run each query once.
+                     routes: "_Routes", stats: "SimulationStats",
+                     pending: List[Tuple[int, int, int, Hashable, "Report"]],
+                     ) -> List["_Parked"]:
+        """Dispatch every ingress switch's rows, run each query once, then
+        continue the sliced queries downstream; returns the SP entries
+        still in flight at the end of their paths.
 
         Packets from different path groups can collide on the same
         register cells, so each switch must see its packets in global
@@ -341,87 +304,404 @@ class VectorizedEngine(ExecutionEngine):
                     if len(sel) == 0:
                         continue
                     stats.initiated_by_query[qid] += len(sel)
-                    member = (sid, program, rows[sel], rank[sel])
-                    # A scan, not a dict: a query has one or two shapes,
-                    # and comparing them is cheaper than hashing one.
-                    for members in runs.setdefault(qid, []):
-                        if members[0][1].shape == program.shape:
-                            members.append(member)
-                            break
-                    else:
-                        runs[qid].append([member])
+                    _join(runs.setdefault(qid, []),
+                          (sid, program, rows[sel], rank[sel]))
                 start += len(rows)
-        sanitizer = sim.sanitizer
         # switch id -> hash unit -> qid -> {(global row, key bytes)} hashed.
         hashed: Dict[Hashable, Dict[Tuple[int, int], Dict[str, set]]] = {}
+        # qid -> SP entries leaving the ingress switch.
+        flights: Dict[str, List[_Flight]] = {}
         for qid, of_query in runs.items():
             for members in of_query:
                 sids, programs, row_parts, rank_parts = zip(*members)
-                pipelines = [sim.switches[sid].pipeline for sid in sids]
-                bounds = [0]
-                for part in row_parts:
-                    bounds.append(bounds[-1] + len(part))
                 rows = np.concatenate(row_parts)
                 rank = np.concatenate(rank_parts)
-                reports: List[Tuple[int, "Report"]] = []
-                hash_trace: Optional[List] = (
-                    [] if sanitizer is not None else None
-                )
-                execute_program(
-                    programs, bounds,
-                    {name: batch.columns[name][rows]
-                     for name in programs[0].fields_needed},
-                    batch.ts[rows],
-                    [pipeline.epoch for pipeline in pipelines],
-                    [pipeline.switch_id for pipeline in pipelines],
-                    reports, sanitizer=sanitizer, hash_trace=hash_trace,
-                )
-                for unit_key, local_idx, group in hash_trace or ():
-                    touched = rows[local_idx].tolist()
-                    keys = [group.raw[i] for i in group.inverse.tolist()]
-                    cuts = np.searchsorted(local_idx, bounds).tolist()
-                    for sid, lo, hi in zip(sids, cuts, cuts[1:]):
-                        if lo < hi:
-                            hashed.setdefault(sid, {}).setdefault(
-                                unit_key, {}
-                            ).setdefault(qid, set()).update(
-                                zip(touched[lo:hi], keys[lo:hi])
-                            )
-                for local, report in reports:
-                    pending.append((
-                        int(rows[local]), int(rank[local]),
-                        sids[bisect_right(bounds, local) - 1], report,
+                ctx = self._execute(sim, batch, members, rows, rank, 0,
+                                    pending, hashed)
+                if all(program.total_slices == 1 for program in programs):
+                    continue
+                totals = _per_member(
+                    [program.total_slices for program in programs],
+                    row_parts)
+                carry = np.flatnonzero(ctx.act & (totals > 1))
+                if len(carry):
+                    flights.setdefault(qid, []).append(_Flight(
+                        rows[carry], rank[carry],
+                        np.zeros(len(carry), dtype=np.int64),
+                        _per_member(
+                            [sim.switches[sid].rule_epoch for sid in sids],
+                            row_parts)[carry],
+                        _per_member([p.epoch_from for p in programs],
+                                    row_parts)[carry],
+                        totals[carry], ctx.take(carry),
                     ))
+        parked: List[_Parked] = []
+        for qid, flight in flights.items():
+            cursor = 1
+            while flight:
+                flight = self._run_slice(sim, batch, routes, qid, cursor,
+                                         flight, stats, pending, hashed,
+                                         parked)
+                cursor += 1
         for sid in sorted(hashed, key=str):
-            _check_hash_collisions(sanitizer, sid, hashed[sid])
+            _check_hash_collisions(sim.sanitizer, sid, hashed[sid])
+        return parked
 
-    def _emit_reports(self, sim: "NetworkSimulator",
-                      stats: "SimulationStats",
-                      pending: List[Tuple[int, int, Hashable, "Report"]]) -> None:
+    def _run_slice(self, sim: "NetworkSimulator", batch: ColumnarTrace,
+                   routes: "_Routes", qid: str, cursor: int,
+                   flight: List["_Flight"], stats: "SimulationStats",
+                   pending: List[Tuple[int, int, int, Hashable, "Report"]],
+                   hashed: Dict[Hashable, Dict[Tuple[int, int],
+                                               Dict[str, set]]],
+                   parked: List["_Parked"]) -> List["_Flight"]:
+        """Run slice ``cursor`` of ``qid`` for every row that carries it.
+
+        Each row runs it at the first hop past the last one it ran a
+        slice at whose switch holds the version of the rule epoch its
+        ingress switch stamped; a hop holding none leaves the cursor
+        where it is, as :meth:`NewtonPipeline.process` does.  A row with
+        no such hop before its path ends (or it is dropped) keeps the
+        entry to the end — it is parked.  Every register array sees its
+        rows in row order: a slice's version is executed at this cursor
+        only.  Returns the entries still in flight after it.
+        """
+        # Rows whose contexts are laid out alike sit side by side, and
+        # each layout's rows share one context.
+        flight = sorted(flight, key=lambda part: repr(part.ctx.layout()))
+        rows, rank, hop, stamp, first, total = (
+            np.concatenate(column) for column in zip(*(
+                (part.rows, part.rank, part.hop, part.stamp, part.first,
+                 part.total) for part in flight)))
+        contexts: List[RowContext] = []
+        starts: List[int] = []
+        layout_parts: List[np.ndarray] = []
+        for _layout, group in groupby(flight, lambda part: part.ctx.layout()):
+            parts = list(group)
+            size = sum(len(part.rows) for part in parts)
+            starts.append(sum(len(part) for part in layout_parts))
+            layout_parts.append(np.full(size, len(contexts)))
+            contexts.append(concat_contexts([part.ctx for part in parts]))
+        layout_of = np.concatenate(layout_parts)
+        members, member, at_hop = self._next_hops(
+            sim, routes, qid, cursor, rows, stamp, hop)
+        idle = np.flatnonzero(member < 0)
+        if len(idle):
+            # The entry rides every remaining link of the path walked.
+            _path_id, reach, length = routes.per_row()
+            reach = reach[rows[idle]]
+            length = length[rows[idle]]
+            stats.sp_bytes += SP_HEADER_BYTES * int(
+                np.minimum(reach, length - 1).sum())
+            parked.append(_Parked(rows[idle], rank[idle], qid, cursor,
+                                  reach == length))
+        # Segments of one layout in row order: one segment unless two
+        # upstream definitions meet here.
+        going = np.flatnonzero(member >= 0)
+        going = going[np.argsort(rows[going], kind="stable")]
+        cuts = np.flatnonzero(np.diff(layout_of[going])) + 1
+        onward: List[_Flight] = []
+        for segment in np.split(going, cuts):
+            if len(segment) == 0:
+                continue
+            lid = int(layout_of[segment[0]])
+            runs: List[List[Tuple]] = []
+            for index in np.unique(member[segment]).tolist():
+                sel = segment[member[segment] == index]   # row order
+                sid, program = members[index]
+                _join(runs, (sid, program, rows[sel], rank[sel], sel))
+            for run in runs:
+                local = np.concatenate([m[4] for m in run])
+                ctx = self._execute(
+                    sim, batch, [m[:4] for m in run], rows[local],
+                    rank[local], at_hop[local], pending, hashed,
+                    contexts[lid].take(local - starts[lid]),
+                )
+                ran = _per_member([m[1].epoch_from for m in run],
+                                  [m[2] for m in run])
+                routes.mark_mixed(rows[local[ran != first[local]]])
+                done = ~ctx.act | (cursor + 1 >= total[local])
+                # An entry is stripped at the hop that completes it.
+                stats.sp_bytes += SP_HEADER_BYTES * int(
+                    at_hop[local[done]].sum())
+                keep = np.flatnonzero(~done)
+                if len(keep):
+                    kept = local[keep]
+                    onward.append(_Flight(
+                        rows[kept], rank[kept], at_hop[kept], stamp[kept],
+                        first[kept], total[kept], ctx.take(keep),
+                    ))
+        return onward
+
+    def _next_hops(
+        self, sim: "NetworkSimulator", routes: "_Routes", qid: str,
+        cursor: int, rows: np.ndarray, stamp: np.ndarray, hop: np.ndarray,
+    ) -> Tuple[List[Tuple[Hashable, RuleProgram]], np.ndarray, np.ndarray]:
+        """Where each of ``rows`` runs slice ``cursor`` of ``qid``: the
+        ``(switch id, program)`` members, each row's member index (-1
+        for none) and hop.  Rows of one path, stamp and last hop go
+        together; the hop is the first past the last whose switch holds
+        the version, if the row was not dropped before it."""
+        members: List[Tuple[Hashable, RuleProgram]] = []
+        member = np.full(len(rows), -1, dtype=np.int64)
+        at_hop = np.zeros(len(rows), dtype=np.int64)
+        path_id, reach, _length = routes.per_row()
+        reach = reach[rows]
+        found: Dict[Tuple[Hashable, int], Optional[int]] = {}
+        combos, inverse = np.unique(
+            np.stack([path_id[rows], stamp, hop]), axis=1,
+            return_inverse=True,
+        )
+        inverse = inverse.reshape(-1)
+        for ci in range(combos.shape[1]):
+            group, epoch, last = (int(v) for v in combos[:, ci])
+            path = routes.groups[group][0]
+            for h in range(last + 1, len(path)):
+                sid = path[h]
+                if (sid, epoch) not in found:
+                    found[(sid, epoch)] = self._member(
+                        sim, sid, qid, cursor, epoch, members)
+                index = found[(sid, epoch)]
+                if index is not None:
+                    sel = np.flatnonzero((inverse == ci) & (reach > h))
+                    member[sel] = index
+                    at_hop[sel] = h
+                    break
+        return members, member, at_hop
+
+    def _member(self, sim: "NetworkSimulator", sid: Hashable, qid: str,
+                cursor: int, epoch: int,
+                members: List[Tuple[Hashable, RuleProgram]]
+                ) -> Optional[int]:
+        """Index into ``members`` of the program switch ``sid`` runs for
+        slice ``cursor`` of ``qid`` under rule epoch ``epoch`` (appended
+        on first sight), or ``None`` when it holds no such version.
+        Stamps one version is valid at share its member: a version's
+        register arrays must see all their rows in row order."""
+        switch = sim.switches[sid]
+        if not switch.newton_enabled:
+            return None
+        installed = switch.pipeline.version_for(qid, cursor, epoch)
+        if installed is None:
+            return None
+        program = self._programs_for(sim, sid).slices[
+            (qid, cursor, installed.epoch_from)]
+        for index, (other_sid, other) in enumerate(members):
+            if other_sid == sid and other is program:
+                return index
+        members.append((sid, program))
+        return len(members) - 1
+
+    def _execute(self, sim: "NetworkSimulator", batch: ColumnarTrace,
+                 members: Sequence[Tuple], rows: np.ndarray,
+                 rank: np.ndarray, hop: Union[int, np.ndarray],
+                 pending: List[Tuple[int, int, int, Hashable, "Report"]],
+                 hashed: Dict[Hashable, Dict[Tuple[int, int],
+                                             Dict[str, set]]],
+                 context: Optional[RowContext] = None) -> RowContext:
+        """One :func:`execute_program` over ``members`` — ``(switch id,
+        program, rows, ranks)`` of one shape, whose rows concatenate to
+        ``rows`` — at ``hop`` (one for every row, or one each); queues
+        its reports and notes its hashes."""
+        sids, programs, row_parts, _ranks = zip(*members)
+        qid = programs[0].qid
+        pipelines = [sim.switches[sid].pipeline for sid in sids]
+        bounds = [0]
+        for part in row_parts:
+            bounds.append(bounds[-1] + len(part))
+        sanitizer = sim.sanitizer
+        reports: List[Tuple[int, "Report"]] = []
+        hash_trace: Optional[List] = [] if sanitizer is not None else None
+        ctx = execute_program(
+            programs, bounds,
+            {name: batch.columns[name][rows]
+             for name in programs[0].fields_needed},
+            batch.ts[rows],
+            [pipeline.epoch for pipeline in pipelines],
+            [pipeline.switch_id for pipeline in pipelines],
+            reports, sanitizer=sanitizer, hash_trace=hash_trace,
+            context=context,
+        )
+        for unit_key, local_idx, group in hash_trace or ():
+            touched = rows[local_idx].tolist()
+            keys = [group.raw[i] for i in group.inverse.tolist()]
+            cuts = np.searchsorted(local_idx, bounds).tolist()
+            for sid, lo, hi in zip(sids, cuts, cuts[1:]):
+                if lo < hi:
+                    hashed.setdefault(sid, {}).setdefault(
+                        unit_key, {}
+                    ).setdefault(qid, set()).update(
+                        zip(touched[lo:hi], keys[lo:hi])
+                    )
+        for local, report in reports:
+            pending.append((
+                int(rows[local]),
+                hop if isinstance(hop, int) else int(hop[local]),
+                int(rank[local]),
+                sids[bisect_right(bounds, local) - 1], report,
+            ))
+        return ctx
+
+    def _emit_reports(
+        self, sim: "NetworkSimulator", stats: "SimulationStats",
+        pending: List[Tuple[int, int, int, Hashable, "Report"]],
+    ) -> None:
         """Deliver reports in the order the scalar loop would have.
 
-        Sorted by (packet row, dispatch rank); the sort is stable, so
-        multiple reports of one program keep their emission order.  Per
-        packet, all analyzer sinks fire before the collector ingests —
-        same relative order as ``process()`` + the forwarding loop.
+        Sorted by (packet row, hop, dispatch rank); the sort is stable,
+        so multiple reports of one program keep their emission order.
+        Per packet and hop, all analyzer sinks fire before the collector
+        ingests — same relative order as ``process()`` + the forwarding
+        loop.
         """
-        pending.sort(key=lambda item: (item[0], item[1]))
+        pending.sort(key=itemgetter(0, 1, 2))
         i = 0
         total = len(pending)
         while i < total:
             j = i
-            row = pending[i][0]
-            while j < total and pending[j][0] == row:
+            row, hop = pending[i][0], pending[i][1]
+            while (j < total and pending[j][0] == row
+                   and pending[j][1] == hop):
                 j += 1
-            for _row, _rank, sid, report in pending[i:j]:
+            for _row, _hop, _rank, sid, report in pending[i:j]:
                 sink = sim.switches[sid].pipeline.report_sink
                 if sink is not None:
                     sink(report)
                 stats.reports_by_switch[sid] += 1
             if sim.collector is not None:
-                for _row, _rank, _sid, report in pending[i:j]:
+                for _row, _hop, _rank, _sid, report in pending[i:j]:
                     sim.collector.ingest(report)
             i = j
+
+    def _egress(self, sim: "NetworkSimulator", batch: ColumnarTrace,
+                routes: "_Routes", parked: List["_Parked"],
+                stats: "SimulationStats") -> None:
+        """``newton_fin`` for every delivered packet: count the ones that
+        ran one query under two rule epochs, and hand each unfinished SP
+        entry to the analyzer — per packet, in dispatch order."""
+        if routes.mixed is not None:
+            path_id, reach, length = routes.per_row()
+            mixed = np.flatnonzero(routes.mixed & (reach == length))
+            stats.mixed_rule_epoch_packets += len(mixed)
+            sanitizer = sim.sanitizer
+            for row in mixed.tolist() if sanitizer is not None else ():
+                sanitizer.record(
+                    "mixed-epoch",
+                    (
+                        f"packet at ts={float(batch.ts[row]):.6f} executed "
+                        f"under different rule-bank epochs along its path "
+                        f"{list(routes.groups[path_id[row]][0])}"
+                    ),
+                )
+        entries = sorted(
+            (row, rank, entry.qid, entry.cursor)
+            for entry in parked
+            for row, rank in zip(entry.rows[entry.delivered].tolist(),
+                                 entry.rank[entry.delivered].tolist())
+        )
+        if sim.analyzer is None or sim.controller is None:
+            stats.deferred += len(entries)
+            return
+        starts: Dict[Tuple[str, int], Optional[int]] = {}
+        for row, _rank, qid, cursor in entries:
+            if (qid, cursor) not in starts:
+                try:
+                    starts[(qid, cursor)] = sim.controller.cpu_start_for(
+                        qid, cursor)
+                except KeyError:
+                    # The query was removed mid-window while this entry
+                    # was still in flight: drop it, never crash the run.
+                    starts[(qid, cursor)] = None
+            start = starts[(qid, cursor)]
+            if start is None:
+                stats.stale_deferred += 1
+                continue
+            stats.deferred += 1
+            sim.analyzer.defer(qid, batch.packet_at(row), start)
+
+
+@dataclass(eq=False)
+class _Routes:
+    """Where the rows of a batch went, per path group: the path, its rows
+    and the hop each was dropped at (the path's length if delivered) —
+    gathered into per-row columns only when a sliced query needs them —
+    and whether a row ran one query under two rule epochs."""
+
+    size: int
+    groups: List[Tuple[Sequence[Hashable], np.ndarray, np.ndarray]] = field(
+        default_factory=list)
+    #: Set on the first row a slice ran under another epoch.
+    mixed: Optional[np.ndarray] = None
+    _columns: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, init=False)
+
+    def per_row(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(group index, reach, path length) of every row."""
+        if self._columns is None:
+            group = np.zeros(self.size, dtype=np.int64)
+            reach = np.zeros(self.size, dtype=np.int64)
+            length = np.zeros(self.size, dtype=np.int64)
+            for index, (path, rows, hops) in enumerate(self.groups):
+                group[rows] = index
+                reach[rows] = hops
+                length[rows] = len(path)
+            self._columns = (group, reach, length)
+        return self._columns
+
+    def mark_mixed(self, rows: np.ndarray) -> None:
+        if len(rows):
+            if self.mixed is None:
+                self.mixed = np.zeros(self.size, dtype=bool)
+            self.mixed[rows] = True
+
+
+class _Flight(NamedTuple):
+    """SP entries of one query on some rows, with what they carry — all
+    aligned with ``rows``."""
+
+    rows: np.ndarray
+    rank: np.ndarray
+    #: The hop that ran the last slice.
+    hop: np.ndarray
+    #: The rule epoch the ingress switch stamped.
+    stamp: np.ndarray
+    #: The ``epoch_from`` of the first slice's version.
+    first: np.ndarray
+    #: The query's slice count.
+    total: np.ndarray
+    ctx: RowContext
+
+
+class _Parked(NamedTuple):
+    """SP entries of ``qid`` that no hop advanced past ``cursor``."""
+
+    rows: np.ndarray
+    rank: np.ndarray
+    qid: str
+    cursor: int
+    delivered: np.ndarray
+
+
+def _count(mask: np.ndarray, own: Optional[np.ndarray]) -> int:
+    """Rows of ``mask`` this shard counts (all of them unsharded)."""
+    return int(mask.sum() if own is None else (mask & own).sum())
+
+
+def _join(runs: List[List[Tuple]], member: Tuple) -> None:
+    """Add ``member`` (switch id, program, ...) to the run of its
+    program's shape.  A scan, not a dict: a query has one or two shapes,
+    and comparing them is cheaper than hashing one."""
+    for members in runs:
+        if members[0][1].shape == member[1].shape:
+            members.append(member)
+            return
+    runs.append([member])
+
+
+def _per_member(values: Sequence[int],
+                parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``values[j]`` for every row of member ``j``, members concatenated."""
+    return np.repeat(np.asarray(values, dtype=np.int64),
+                     [len(part) for part in parts])
 
 
 def _dispatch_ranks(

@@ -4,11 +4,11 @@ Two orthogonal assignments make sharded execution exactly-once:
 
 * :class:`QueryPartitioner` — every installed query (all of its
   sub-queries together) is *owned* by exactly one shard.  Each shard
-  replica installs every query (placement, epochs, and the vectorized
-  engine's fallback decisions stay identical to single-process
-  execution) but only *executes* its owned queries, via the pipelines'
-  ``query_filter``; a query's registers, reports, snapshot entries, and
-  deferred work therefore exist on exactly one shard.
+  replica installs every query (placement and epochs stay identical to
+  single-process execution) but only *executes* its owned queries, via
+  the pipelines' ``query_filter``; a query's registers, reports,
+  snapshot entries, and deferred work therefore exist on exactly one
+  shard.
 
 * :class:`FlowHashPartitioner` — every packet has exactly one *primary*
   shard: the data plane's flow hash

@@ -22,7 +22,7 @@ blob, owner, ts)``: ``blob`` is a pickled
 controller just committed — replayed verbatim through
 :func:`~repro.core.ops.apply_op` (at trace time ``ts`` when one is
 given), so every replica's control-plane decisions (placement, rule
-epochs, CQE slicing, vector-fallback) are identical to the parent's by
+epochs, CQE slicing) are identical to the parent's by
 determinism of the controller.  The fabric-only kinds (``adopt``,
 ``adopt_flows``, ``arm_faults``) move ownership or arm faults and never
 touch a controller.

@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fields import GLOBAL_FIELDS
-from repro.dataplane import hashing
 from repro.dataplane.alu import REGISTER_MAX, StatefulOp
 from repro.dataplane.hashing import (
+    _ENTRIES_PER_HIT,
     HashFamily,
+    HashMemo,
     KeyGroup,
     hash_bytes,
     hash_rows,
@@ -51,7 +52,7 @@ class TestHashRows:
         assert [int(v) for v in out] == [hash_bytes(rows[0].tobytes(), 1)]
 
     def test_cache_is_filled_and_reused(self):
-        cache = {}
+        cache = HashMemo()
         keys = key_group(np.arange(12, dtype=np.uint8).reshape(3, 4))
         first = hash_rows(keys, 5, cache)
         assert len(cache) == 3
@@ -59,6 +60,7 @@ class TestHashRows:
         second = hash_rows(keys, 5, cache)
         assert cache == cache_before
         assert np.array_equal(first, second)
+        assert (cache.misses, cache.hits) == (3, 3)
 
     def test_one_group_serves_every_seed(self):
         """The H ops behind one K differ only in seed: the group is
@@ -77,7 +79,7 @@ class TestHashRows:
 
     def test_empty_batch(self):
         keys = key_group(np.empty((0, 4), dtype=np.uint8))
-        cache = {}
+        cache = HashMemo()
         assert hash_rows(keys, 2, cache).shape == (0,)
         assert cache == {}
 
@@ -137,7 +139,7 @@ class TestPackedKeyGroups:
         keys = KeyGroup(words, width)
         assert [keys.raw[i] for i in keys.inverse] == expected
         assert len(keys.raw) == len(set(expected))
-        cache = {}
+        cache = HashMemo()
         digests = hash_rows(keys, seed, cache)[keys.inverse]
         assert [int(d) for d in digests] == [
             hash_bytes(key, seed) for key in expected
@@ -157,18 +159,100 @@ class TestPackedKeyGroups:
         assert sorted(keys.raw) == sorted(set(expected))
 
 
-class TestMemoBound:
-    def test_trim_clears_only_overgrown_memos(self, monkeypatch):
-        monkeypatch.setattr(hashing, "_BULK_CACHE_LIMIT", 4)
-        family = HashFamily()
-        small = family.bulk_cache(1)
-        big = family.bulk_cache(2)
-        small.update({bytes([i]): i for i in range(4)})
-        big.update({bytes([i]): i for i in range(5)})
+def keys_of(values) -> KeyGroup:
+    """The group of one-word keys ``values``."""
+    return KeyGroup(np.array([list(values)], dtype=np.uint64), 8)
+
+
+class TestMemoRule:
+    """A memo is cleared at a window roll only if it carried entries into
+    the closing window and, in it, served fewer hits than misses or held
+    over ``_ENTRIES_PER_HIT`` entries per hit."""
+
+    @staticmethod
+    def window(family, values, seed=1):
+        """One window of traffic hashing ``values`` under ``seed``, then
+        the roll; returns the memo and its digests."""
+        memo = family.bulk_cache(seed)
+        digests = hash_rows(keys_of(values), seed, memo)
         family.trim_bulk_caches()
-        assert len(small) == 4
+        return memo, digests
+
+    def test_cold_traffic_clears_at_most_every_other_roll(self):
+        family = HashFamily()
+        sizes = []
+        for index in range(6):
+            memo, _ = self.window(family, range(100 * index, 100 * index + 90))
+            sizes.append(len(memo))
+        # Nothing carried into the first window; every later window is
+        # all misses, and a memo emptied at one roll survives the next.
+        assert sizes == [90, 0, 90, 0, 90, 0]
+
+    def test_a_warm_memo_is_never_cleared(self):
+        family = HashFamily()
+        for index in range(8):
+            # Mostly repeats, a few new keys every window.
+            memo, _ = self.window(family, list(range(60)) +
+                                  list(range(1000 + 10 * index,
+                                             1010 + 10 * index)))
+        assert len(memo) == 60 + 8 * 10
+
+    def test_a_warm_core_beside_endless_new_keys_stays_bounded(self):
+        """Sixty keys hit every window while ten never-seen ones join
+        it: the memo is cleared whenever it holds more than
+        ``_ENTRIES_PER_HIT`` entries per hit, then rebuilds its core."""
+        family = HashFamily()
+        sizes = []
+        for index in range(300):
+            memo, _ = self.window(family, list(range(60)) +
+                                  list(range(1000 + 10 * index,
+                                             1010 + 10 * index)))
+            sizes.append(len(memo))
+        assert max(sizes) <= _ENTRIES_PER_HIT * 60
+        assert sizes.count(0) >= 3
+        assert sizes[sizes.index(0) + 1] == 70       # the core is back
+
+    def test_a_key_rotation_clears_once_then_rebuilds(self):
+        family = HashFamily()
+        for _ in range(3):
+            memo, _ = self.window(family, range(50))
+        assert len(memo) == 50
+        memo, _ = self.window(family, range(500, 550))    # rotated
+        assert len(memo) == 0
+        for _ in range(3):
+            memo, _ = self.window(family, range(500, 550))
+        assert len(memo) == 50 and memo.hits == memo.misses == 0
+
+    def test_digests_are_unchanged_after_any_clear(self):
+        family = HashFamily()
+        keys = range(40)
+        first = hash_rows(keys_of(keys), 7)
+        for index in range(5):
+            self.window(family, range(1000 * index, 1000 * index + 80),
+                        seed=7)
+            _, digests = self.window(family, keys, seed=7)
+            assert np.array_equal(digests, first)
+
+    def test_only_the_first_call_of_a_roll_decides(self):
+        """Every switch of a deployment rolls the shared family; the
+        later calls of the same roll change nothing."""
+        family = HashFamily()
+        memo = family.bulk_cache(2)
+        hash_rows(keys_of(range(30)), 2, memo)
+        family.trim_bulk_caches()
+        hash_rows(keys_of(range(30)), 2, memo)
+        for _ in range(3):                  # warm: kept by every call
+            family.trim_bulk_caches()
+            assert len(memo) == 30
+        hash_rows(keys_of(range(100, 160)), 2, memo)
+        assert (memo.carried, memo.hits, memo.misses) == (30, 0, 60)
+        family.trim_bulk_caches()
+        assert len(memo) == 0
+        family.trim_bulk_caches()
+        family.trim_bulk_caches()
+        assert len(memo) == 0 and memo.carried == 0
         # Cleared in place: compiled programs hold the dict itself.
-        assert big == {} and family.bulk_cache(2) is big
+        assert family.bulk_cache(2) is memo
 
 
 class TestHashUnitMany:

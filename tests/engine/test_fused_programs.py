@@ -332,10 +332,11 @@ class TestProgramReuse:
         sim = deployment.simulator
         sim.run(workload(seed=2, n_packets=60, duration_s=0.05))
         engine = sim.engine
-        assert set(engine._programs) == set(sim.switches)
-        gone = sim.switches.pop("p3e1")
+        assert set(INGRESS) <= set(engine._programs) <= set(sim.switches)
+        gone = sim.switches.pop("p2e1")
         try:
-            engine._supported(sim)
-            assert set(engine._programs) == set(sim.switches)
+            sim.run([])
+            assert "p2e1" not in engine._programs
+            assert set(engine._programs) <= set(sim.switches)
         finally:
-            sim.switches["p3e1"] = gone
+            sim.switches["p2e1"] = gone

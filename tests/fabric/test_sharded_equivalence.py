@@ -157,6 +157,25 @@ class TestShardedEquivalence:
         assert reports_seen > 100  # the sweep is not vacuous
 
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_sliced_queries_seed_sweep(self, engine):
+        """Q1 cut into three slices and Q4 into five across the
+        three-switch path: every shard runs the downstream slices of the
+        packets it owns queries of, primary or not, and the merged SP
+        bytes and deferrals equal the single-process run's."""
+        kw = dict(LINEAR_KW, install_kw={"path": ["s0", "s1", "s2"],
+                                         "stages_per_switch": 2})
+        sp_bytes = deferred = 0
+        for seed in range(6):
+            trace = workload(seed)
+            base = run_baseline(trace, engine, ("Q1", "Q4"), **kw)
+            shard = run_sharded(trace, engine, ("Q1", "Q4"),
+                                workers=2 + seed % 2, **kw)
+            assert_identical(base, shard)
+            deferred += base["stats"][4]
+            sp_bytes += base["stats"][6]
+        assert sp_bytes > 0 and deferred > 0
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
     def test_multiprocess_backend(self, engine):
         """The real worker-process pool (pipe + bounded handoff queue)
         merges bit-identically to single-process execution."""

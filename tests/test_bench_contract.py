@@ -7,7 +7,8 @@ bench/`` checks that in full but is not tier-1, so a rename under
 This keeps the contract in tier-1: every name still resolves, everything
 is put back, and the vector engine still reaches ``execute_program`` /
 ``compile_switch_programs`` through its module globals (a ``from``-import
-into a local or a default argument would run untraced).
+into a local or a default argument would run untraced) — on the sliced
+(CQE) workload too, where no packet may reach ``ScalarEngine.step``.
 """
 
 import os
@@ -72,3 +73,23 @@ def test_a_traced_window_sees_the_engine_call_its_kernels():
                if span is not None and span[0] == "engine.program"}
     assert parents == {"engine.dispatch"}
     assert tracer.counts["dataplane.alu_rows"] > 0
+
+
+def test_a_traced_cqe_window_stays_on_the_batch_path():
+    """Q1 sliced across the path: its downstream slices run inside the
+    dispatch span, and no packet reaches the scalar engine."""
+    workload = WORKLOADS["eval9-linear-cqe"]
+    cycle = workload.make_cycle(5, per_window=60)
+    with tracing.installed() as tracer:
+        driver = harness._Driver(workload, harness._deploy(workload),
+                                 cycle, tracer)
+        driver.step(trace=True)
+    assert driver.result.failures == {}
+    assert tracer.total("engine.scalar")[2] == 0
+    assert tracer.total("dataplane.pipeline")[2] == 0
+    programs = [span for span in tracer.spans
+                if span is not None and span[0] == "engine.program"]
+    assert programs
+    assert {tracer.spans[span[4]][0] for span in programs} == {
+        "engine.dispatch"}
+    assert tracer.counts["core.sp_bytes"] > 0

@@ -3,6 +3,9 @@
 * Engines use the simulator's public contract (``advance`` / ``finish``
   / ``epoch`` / ``next_scheduled_ts``): no ``sim._x`` / ``simulator._x``
   under ``src/repro/engine``.
+* The vector engine runs every query itself: ``engine/vector.py``
+  imports nothing of ``engine.scalar`` and calls no ``.step(``, so no
+  per-packet fallback can come back.
 * The fabric exchanges windowed answers through ``export_*`` /
   ``absorb_*``: no ``._results`` / ``._signals`` under
   ``src/repro/fabric``.
@@ -81,6 +84,20 @@ def private(attr):
 def simulator_private(node):
     return (isinstance(node, ast.Attribute) and private(node.attr)
             and tail_name(node.value) in SIMULATOR_NAMES)
+
+
+def scalar_fallback(node):
+    """``engine.scalar`` / ``ScalarEngine`` imported, or a ``.step(``
+    call."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.endswith("engine.scalar")
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return (module.endswith("engine.scalar") or module == "scalar"
+                or any(alias.name in ("scalar", "ScalarEngine")
+                       for alias in node.names))
+    return isinstance(node, ast.Call) and tail_name(node.func) == "step"
 
 
 def result_dict(node):
@@ -221,6 +238,10 @@ def test_engines_touch_no_simulator_private():
     assert violations("engine", simulator_private) == []
 
 
+def test_the_vector_engine_has_no_scalar_fallback():
+    assert violations("engine/vector.py", scalar_fallback) == []
+
+
 def test_fabric_reads_no_result_or_signal_dicts():
     assert violations("fabric", result_dict) == []
 
@@ -327,6 +348,15 @@ def test_owners_names_the_innermost_function():
     (simulator_private, "sim.advance(ts)", False),
     (simulator_private, "sim.__class__", False),
     (simulator_private, "self._scalar.step(sim, packet, stats)", False),
+    (scalar_fallback, "from repro.engine.scalar import ScalarEngine", True),
+    (scalar_fallback, "import repro.engine.scalar as scalar", True),
+    (scalar_fallback, "from repro.engine import ScalarEngine as S", True),
+    (scalar_fallback, "from .scalar import ScalarEngine", True),
+    (scalar_fallback, "from repro.engine import scalar", True),
+    (scalar_fallback, "self._scalar.step(sim, packet, stats)", True),
+    (scalar_fallback, "from repro.engine.program import execute_program",
+     False),
+    (scalar_fallback, "self.engine.run(sim, packets, stats)", False),
     (result_dict, "self.local.collector._results", True),
     (result_dict, "collector.export_results()", False),
     (getattr_proxy, "class P:\n def __getattr__(self, n): ...", True),

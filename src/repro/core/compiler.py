@@ -31,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.ast import (
     CmpOp,
@@ -63,6 +63,9 @@ from repro.core.rules import (
 from repro.dataplane.alu import ResultOp, StatefulOp
 from repro.dataplane.hashing import HashFamily
 from repro.dataplane.module_types import ModuleType
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.readout import ProbeRow
 
 __all__ = [
     "QueryParams",
@@ -233,6 +236,14 @@ class CompiledQuery:
     def signature_steps(self) -> Dict[HashSignature, int]:
         """:attr:`hash_signatures` as a probe: signature -> (last) step."""
         return {sig: step for step, sig in self.hash_signatures}
+
+    @cached_property
+    def probe_rows(self) -> Tuple[ProbeRow, ...]:
+        """:func:`~repro.core.readout.reduce_probe_rows` of this artefact,
+        derived once: the register readout asks at every window close."""
+        from repro.core.readout import reduce_probe_rows
+
+        return tuple(reduce_probe_rows(self))
 
 
 # --------------------------------------------------------------------------- #

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -40,6 +41,7 @@ from repro.core.placement import PlacementError, PlacementResult, place_slices
 from repro.core.query import QueryLike, flatten
 from repro.core.rules import QuerySlice
 from repro.ctrlplane import SwitchOps, TransactionManager, TxnPlan
+from repro.dataplane.registers import RegisterArray
 from repro.dataplane.switch import Switch
 from repro.runtime.channel import ControlChannel
 from repro.verify import (
@@ -53,6 +55,10 @@ from repro.verify import (
     verify_demand,
     verify_queries,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.dataplane.pipeline import NewtonPipeline
+    from repro.dataplane.registers import Allocation
 
 __all__ = ["NewtonController", "InstallResult", "InstalledQuery"]
 
@@ -578,7 +584,7 @@ class NewtonController:
         This is the register readout that lets the analyzer replace a
         crossing report's clipped count with the true aggregate.
         """
-        from repro.core.readout import probe_index, reduce_probe_rows
+        from repro.core.readout import probe_index
         from repro.dataplane.module_types import ModuleType
         from repro.dataplane.modules import StateBankModule
 
@@ -591,7 +597,7 @@ class NewtonController:
         if not slices:
             return None
         stages_per_switch = slices[0].num_stages
-        rows = reduce_probe_rows(compiled)
+        rows = compiled.probe_rows
         if not rows:
             return None
 
@@ -632,73 +638,84 @@ class NewtonController:
 
         Reads each row's full register slice over the control channel —
         summed across the switches hosting it, exactly like
-        :meth:`estimate_count`, except that a bank no packet has written
-        since its reset (``RegisterArray.dirty`` false) is known to be
-        zeros and is not read — and returns the nonzero-cell fraction of
+        :meth:`estimate_count` — and returns the nonzero-cell fraction of
         the *most loaded* row, in [0, 1].  Saturation here is the leading
         indicator of collision-driven over-counting (the NV701 budget in
         live form), so the dynamic planner reads it at every window close
         while the closing window's registers are still live.
+
+        Only the banks written since their reset are resolved and read: a
+        bank no packet has reached (``RegisterArray.dirty`` false) is
+        zeros and adds nothing.  A row whose banks are all clean is still
+        resolved once, to tell an installed row (load 0.0, not ``None``)
+        from one deferred beyond the installed path.
 
         Returns ``None`` when the query has no data-plane reduce, every
         row is deferred beyond the installed path, or — under the fabric
         plane — this replica does not own the sub-query (its registers
         are zeros by the dispatch filter, not by traffic).
         """
-        from repro.core.readout import reduce_probe_rows
-        from repro.dataplane.module_types import ModuleType
         from repro.dataplane.modules import StateBankModule
 
         owner = self._sub_owner.get(sub_qid)
         if owner is None:
             raise KeyError(f"sub-query {sub_qid!r} is not installed")
         record = self.installed[owner]
-        compiled = record.compiled[sub_qid]
         slices = record.slices[sub_qid]
-        if not slices:
+        rows = record.compiled[sub_qid].probe_rows
+        if not slices or not rows:
             return None
         stages_per_switch = slices[0].num_stages
-        rows = reduce_probe_rows(compiled)
-        if not rows:
-            return None
 
+        #: slice index -> the pipelines hosting it.
+        hosts: Dict[int, List[NewtonPipeline]] = {}
         worst: Optional[float] = None
         for row in rows:
-            slice_index = row.stage // stages_per_switch
-            local_stage = row.stage - slice_index * stages_per_switch
-            length = 0
-            summed = None
-            for sid, entries in record.by_switch.items():
-                if (sub_qid, slice_index) not in entries:
-                    continue
-                switch = self.switches[sid]
-                query_filter = switch.pipeline.query_filter
-                if query_filter is not None and sub_qid not in query_filter:
+            slice_index, local_stage = divmod(row.stage, stages_per_switch)
+            pipelines = hosts.get(slice_index)
+            if pipelines is None:
+                pipelines = hosts[slice_index] = [
+                    self.switches[sid].pipeline
+                    for sid, entries in record.by_switch.items()
+                    if (sub_qid, slice_index) in entries
+                ]
+                if any(pipeline.query_filter is not None
+                       and sub_qid not in pipeline.query_filter
+                       for pipeline in pipelines):
                     return None  # not owned by this replica
-                module = switch.pipeline.layout.module_at(
-                    local_stage, ModuleType.STATE_BANK
-                )
-                if not isinstance(module, StateBankModule):
+            length = 0
+            written = []
+            for pipeline in pipelines:
+                bank = pipeline.layout.bank_at[local_stage]
+                if not isinstance(bank, StateBankModule) or not bank.array.dirty:
                     continue
-                storage_key = switch.pipeline.state_storage_key(
-                    sub_qid, slice_index, row.state_key
-                )
-                if storage_key is None:
-                    continue
-                alloc = module.array.allocation(storage_key)
-                if alloc is None:
-                    continue
-                length = alloc.size
-                if not module.array.dirty:
-                    # No packet reached this switch's bank since its
-                    # reset: the slice is zeros and adds nothing, but the
-                    # row is installed — its load is 0.0, not None.
-                    continue
-                cells = module.array.read_slice(storage_key)
-                summed = cells if summed is None else summed + cells
+                alloc = _row_slice(pipeline, bank.array, sub_qid,
+                                   slice_index, row.state_key)
+                if alloc is not None:
+                    length = alloc.size
+                    written.append((bank.array, alloc))
+            # No written bank holds the row: it is installed (load 0.0)
+            # if a clean one does.
+            for pipeline in pipelines if not length else ():
+                bank = pipeline.layout.bank_at[local_stage]
+                alloc = (_row_slice(pipeline, bank.array, sub_qid,
+                                    slice_index, row.state_key)
+                         if isinstance(bank, StateBankModule) else None)
+                if alloc is not None:
+                    length = alloc.size
+                    break
             if not length:
                 continue  # row deferred beyond the installed path
-            nonzero = 0 if summed is None else int((summed != 0).sum())
+            nonzero = RegisterArray.nonzero_in_sum(written)
             load = float(nonzero) / float(length)
             worst = load if worst is None else max(worst, load)
         return worst
+
+
+def _row_slice(pipeline: NewtonPipeline, array: RegisterArray, sub_qid: str,
+               slice_index: int, state_key: Tuple[str, int],
+               ) -> Optional[Allocation]:
+    """The slice of ``array`` the active version of ``sub_qid``'s slice
+    ``slice_index`` leases for the rule ``state_key``, if any."""
+    storage_key = pipeline.state_storage_key(sub_qid, slice_index, state_key)
+    return None if storage_key is None else array.allocation(storage_key)

@@ -18,7 +18,11 @@ column, whatever its seed, only resolves the distinct keys through its
 seed's memo (:func:`hash_rows`) and gathers by the shared inverse.  Keys
 travel as big-endian ``uint64`` word columns, so the dedupe is an integer
 sort, and the raw bytes are byte-identical to ``GLOBAL_FIELDS.pack``, so
-digests equal :func:`hash_bytes` of the scalar path's key.
+digests equal :func:`hash_bytes` of the scalar path's key.  The memo
+answers the keys it has seen in one C-level pass and keeps each digest
+as its 8 big-endian bytes; a key it has not seen costs one ``copy()`` of
+a blake2b keyed with the seed once per call, and the distinct-key
+column is one ``frombuffer`` of the joined digests.
 
 **The flow hash** (:func:`flow_hash` / :func:`flow_hash_columns`) answers
 every per-flow *placement* question — which equal-cost path (``Router``),
@@ -152,8 +156,8 @@ class KeyGroup:
                     for end in range(stride, len(buffer) + 1, stride)]
 
 
-class HashMemo(Dict[bytes, int]):
-    """One seed's ``key bytes -> hash`` memo, with what it earned.
+class HashMemo(Dict[bytes, bytes]):
+    """One seed's ``key bytes -> 8-byte digest`` memo, with what it earned.
 
     ``hits`` / ``misses`` count the distinct keys :func:`hash_rows` found
     in it or had to digest since the last window roll; ``carried`` is how
@@ -195,30 +199,33 @@ def hash_rows(keys: KeyGroup, seed: int,
     """:func:`hash_bytes` of every distinct key of ``keys`` (``uint64``).
 
     One digest per entry of ``keys.raw``; ``digests[keys.inverse]`` is the
-    per-row column.  The digest stays a per-key keyed blake2b call, but it
-    runs only for keys ``cache`` — the seed's ``key bytes -> hash`` memo
-    (see :meth:`HashFamily.bulk_cache`) — has never seen, which is what
-    makes the vectorized engine's hashing cost scale with new flows
-    instead of packets.  Every memo insert happens here, and the memo is
-    told how many keys it served and missed.
+    per-row column.  ``cache`` — the seed's ``key bytes -> digest`` memo
+    (see :meth:`HashFamily.bulk_cache`) — answers every key it has seen
+    in one C-level ``map``, which is what makes the vectorized engine's
+    hashing cost scale with new flows instead of packets.  A key it has
+    never seen costs one ``copy()`` of a blake2b already keyed with the
+    seed (the same digest as a fresh keyed call, at half the price).  The
+    memo keeps the 8 big-endian digest bytes, so the column is one
+    ``frombuffer`` of their concatenation.  Every memo insert happens
+    here, and the memo is told how many keys it served and missed.
     """
     if cache is None:
         cache = HashMemo()
-    blake2b = hashlib.blake2b
-    seed_key = seed.to_bytes(8, "big", signed=False)
-    before = len(cache)
-    digests = []
-    for raw in keys.raw:
-        digest = cache.get(raw)
-        if digest is None:
-            digest = cache[raw] = int.from_bytes(
-                blake2b(raw, digest_size=8, key=seed_key).digest(), "big"
-            )
-        digests.append(digest)
-    misses = len(cache) - before
-    cache.misses += misses
-    cache.hits += len(digests) - misses
-    return np.array(digests, dtype=np.uint64)
+    raws = keys.raw
+    digests = list(map(cache.get, raws))
+    # ``raws`` are distinct, so each miss is one new entry.
+    missing = [i for i, digest in enumerate(digests) if digest is None]
+    if missing:
+        keyed = hashlib.blake2b(
+            digest_size=8, key=seed.to_bytes(8, "big", signed=False)
+        ).copy
+        for i in missing:
+            hasher = keyed()
+            hasher.update(raws[i])
+            digests[i] = cache[raws[i]] = hasher.digest()
+    cache.misses += len(missing)
+    cache.hits += len(digests) - len(missing)
+    return np.frombuffer(b"".join(digests), dtype=">u8")
 
 
 @dataclass(frozen=True)
@@ -270,7 +277,7 @@ class HashFamily:
         return HashUnit(seed=seed, range_size=range_size)
 
     def bulk_cache(self, seed: int) -> HashMemo:
-        """Per-seed ``key bytes -> hash`` memo for :func:`hash_rows`.
+        """Per-seed ``key bytes -> digest`` memo for :func:`hash_rows`.
 
         Shared by every vectorized hash op using that seed; the contents
         are a pure function of the seed, so sharing (or clearing) never

@@ -18,6 +18,7 @@ verifies each stage's modules fit :data:`~repro.dataplane.resources.STAGE_CAPACI
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dataplane.module_types import MODULE_ORDER, ModuleType
@@ -137,11 +138,14 @@ class ModuleLayout:
         return [m for slots in self._stages for m in slots.values()]
 
     def state_banks(self) -> List[ModuleInstance]:
-        return [
-            slots[ModuleType.STATE_BANK]
-            for slots in self._stages
-            if ModuleType.STATE_BANK in slots
-        ]
+        return [bank for bank in self.bank_at if bank is not None]
+
+    @cached_property
+    def bank_at(self) -> Tuple[Optional[ModuleInstance], ...]:
+        """Each stage's S module (``None`` where the layout has none),
+        indexed by stage: the modules never change after the build, and
+        the register readout looks banks up at every window close."""
+        return tuple(slots.get(ModuleType.STATE_BANK) for slots in self._stages)
 
     def stage_usage(self, stage: int) -> ResourceVector:
         """Resource usage of one stage's resident modules."""

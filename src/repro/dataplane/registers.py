@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,6 +233,7 @@ class RegisterArray:
     def execute_many(
         self, owner: Tuple, indices: np.ndarray, op: StatefulOp,
         operands: Union[int, np.ndarray],
+        then: Sequence[Tuple[int, RegisterArray, Tuple]] = (),
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batch of :meth:`execute` calls with sequential semantics.
 
@@ -245,28 +246,68 @@ class RegisterArray:
         the loop one packet at a time, and stores each touched register's
         final value.
 
+        ``then`` fuses more slices into the call — one fused run of the
+        vector engine is one call, whatever its number of switches: each
+        ``(start, array, owner)`` hands the rows from ``start`` (up to the
+        next entry's start) to ``owner``'s slice of ``array``, and the rows
+        before the first start are ``owner``'s of this array.  Each
+        ``(array, owner)`` is named once; the result equals one call per
+        member in that order, and each array keeps its own storage.
+
         The per-packet values are the *running* ones — the third hit on a
         cell sees the first two, and an R threshold fires on the packet
         that reaches it — so a per-distinct-cell total (``bincount``) is
         not enough: rows are grouped by cell, in packet order inside each
-        group, and scanned.  The grouping is linear in the batch
-        (:func:`_stable_order`), not a comparison sort.
+        group, and scanned.  The cells of all members are numbered in one
+        space — member ``j``'s slice from the sum of the sizes before it —
+        so the grouping is one linear pass over the whole batch
+        (:func:`_stable_order` with the summed bound), not a comparison
+        sort, and each member's rows come out of it at the positions they
+        went in at, in cell order: one contiguous run to gather from and
+        scatter to.
         """
-        alloc = self._allocations.get(owner)
-        if alloc is None:
-            raise AllocationError(f"owner {owner!r} holds no allocation")
-        relative = indices % alloc.size
-        if op is StatefulOp.READ:
-            values = self._cells[alloc.offset + relative]
-            return values, values.copy()
         n = len(indices)
+        #: Each member's array, allocation and the number of its first
+        #: cell, and the row each member starts at.
+        members: List[Tuple[RegisterArray, Allocation, int]] = []
+        bounds: List[int] = []
+        bound = 0
+        for start, array, key in [(0, self, owner), *then]:
+            alloc = array._allocations.get(key)
+            if alloc is None:
+                raise AllocationError(f"owner {key!r} holds no allocation")
+            members.append((array, alloc, bound))
+            bounds.append(start)
+            bound += alloc.size
+        bounds.append(n)
+        counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        cells = indices % _per_row([alloc.size for _a, alloc, _f in members],
+                                   counts)
+        if len(members) > 1:
+            cells += np.repeat([first for _a, _alloc, first in members],
+                               counts)
+        # Cell number + shift = the cell's place in its member's array,
+        # row by row in input order and in cell order alike.
+        shift = _per_row([alloc.offset - first
+                          for _array, alloc, first in members], counts)
+        if op is StatefulOp.READ:
+            address = cells + shift
+            values = np.empty(n, dtype=np.int64)
+            for (array, _alloc, _first), lo, hi in zip(members, bounds,
+                                                       bounds[1:]):
+                values[lo:hi] = array._cells[address[lo:hi]]
+            return values, values.copy()
         old = np.empty(n, dtype=np.int64)
         new = np.empty(n, dtype=np.int64)
         if n == 0:
             return old, new
-        order = _stable_order(relative, alloc.size)
-        c = alloc.offset + relative[order]
-        base = self._cells[c]
+        order = _stable_order(cells, bound)
+        c = cells[order]
+        address = c + shift
+        gathered = [array._cells[address[lo:hi]]
+                    for (array, _alloc, _first), lo, hi
+                    in zip(members, bounds, bounds[1:])]
+        base = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)
         starts = np.empty(n, dtype=bool)
         starts[0] = True
         starts[1:] = c[1:] != c[:-1]
@@ -301,11 +342,16 @@ class RegisterArray:
                 out_new = np.minimum(np.maximum(out_old, v), REGISTER_MAX)
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unsupported stateful ALU: {op}")
+        # Each touched cell keeps its last hit's value.
         ends = np.empty(n, dtype=bool)
         ends[:-1] = starts[1:]
         ends[-1] = True
-        self._cells[c[ends]] = out_new[ends]
-        self._dirty = True
+        for (array, _alloc, _first), lo, hi in zip(members, bounds,
+                                                   bounds[1:]):
+            if lo < hi:
+                last = ends[lo:hi]
+                array._cells[address[lo:hi][last]] = out_new[lo:hi][last]
+                array._dirty = True
         old[order] = out_old
         new[order] = out_new
         return old, new
@@ -327,6 +373,22 @@ class RegisterArray:
         if alloc is None:
             raise AllocationError(f"owner {owner!r} holds no allocation")
         return self._cells[alloc.offset:alloc.end].copy()
+
+    @staticmethod
+    def nonzero_in_sum(slices: Sequence[Tuple[RegisterArray, Allocation]],
+                       ) -> int:
+        """Cells non-zero in the sum of equal-size slices — one sketch
+        row spread across switches, each ``(array, its allocation)`` —
+        counted in place: what summing their :meth:`read_slice` copies
+        would count."""
+        views = [array._cells[alloc.offset:alloc.end]
+                 for array, alloc in slices]
+        if not views:
+            return 0
+        total = views[0] if len(views) == 1 else views[0] + views[1]
+        for view in views[2:]:
+            total += view
+        return int(np.count_nonzero(total))
 
     def reset_slice(self, owner: Tuple) -> None:
         """Zero ``owner``'s registers (window rollover)."""
@@ -390,6 +452,17 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
         high = (keys[order] >> 16).astype(np.uint16)
         order = order[np.argsort(high, kind="stable")]
     return order
+
+
+def _per_row(values: List[int], counts: List[int]) -> Union[int, np.ndarray]:
+    """``values[j]`` for each of the ``counts[j]`` rows of run ``j``, runs
+    in order — a plain int when every run has the same value, which numpy
+    broadcasts for free."""
+    first = values[0]
+    for value in values:
+        if value != first:
+            return np.repeat(values, counts)
+    return first
 
 
 def _segmented_exclusive_scan(values: np.ndarray, groups: np.ndarray,

@@ -19,7 +19,11 @@ rebuilt per rule state ``(rule_epoch, mutation_seq)``:
   :class:`~repro.dataplane.hashing.KeyGroup` — the distinct keys of the
   still-active rows and the row -> key inverse — built at the first H and
   rebuilt only after an R ``stop`` actually removed rows; each H then
-  resolves the distinct keys through its seed's memo and gathers;
+  resolves the distinct keys through its seed's memo of 8-byte digests
+  and gathers;
+* an S op of a fused run is one :meth:`RegisterArray.execute_many` call
+  over every member's active rows, each member's on its own switch's
+  register array (the ``then`` members of the call);
 * R ternary matches become ``(lo, hi)`` range arrays evaluated per entry.
 
 A program runs over a :class:`RowContext` — the columnar ``PhvContext``:
@@ -455,12 +459,15 @@ def execute_program(
     ``switch_ids`` (all of one :attr:`RuleProgram.shape`); member ``j``
     owns rows ``bounds[j]:bounds[j + 1]`` of ``cols`` (only
     ``fields_needed`` is read) and ``ts``, in packet order.  K, the key
-    group, H, R and the result fold run once over all rows; only an S op
-    runs per member, on that member's register array, so every switch's
-    registers see exactly its own packets, in order.  Emitted reports are
-    appended to ``sink_reports`` as ``(row, report)``, carrying the switch
-    id and window epoch of the member the row belongs to, in exactly the
-    order the scalar loop would emit them for each packet.
+    group, H, R and the result fold run once over all rows, and so does
+    each S op: one :meth:`RegisterArray.execute_many` over every
+    member's active rows, each member's on its own register array, so
+    every switch's registers see exactly its own packets, in order (the
+    sanitizer's ``register-oob`` check still runs member by member).
+    Emitted reports are appended to ``sink_reports`` as ``(row,
+    report)``, carrying the switch id and window epoch of the member the
+    row belongs to, in exactly the order the scalar loop would emit them
+    for each packet.
 
     ``context`` is the rows' in-flight state from the slice an upstream
     hop ran (:meth:`RowContext.take`, aligned with ``ts``); without one
@@ -541,38 +548,33 @@ def execute_program(
             assert st.hash is not None
             fresh = (np.zeros(k, dtype=np.int64) if st.state is None
                      else st.state.copy())
-            # The state is per switch: each member's active rows go
-            # through its own register array (a member with none left is
-            # skipped — its switch would have stopped at this op).
+            # The state is per switch, the scan is not: one call runs
+            # every member's active rows, each member's through its own
+            # register array (a member with none left adds nothing — its
+            # switch would have stopped at this op).
+            h = st.hash[idx]
             cuts = np.searchsorted(idx, bounds).tolist()
+            banks = []
             for j, program in enumerate(programs):
-                part = idx[cuts[j]:cuts[j + 1]]
-                if len(part) == 0:
+                if cuts[j] == cuts[j + 1]:
                     continue
                 member_op = program.ops[position]
                 assert member_op.array is not None
-                h = st.hash[part]
+                banks.append((cuts[j], member_op.array,
+                              member_op.storage_key))
                 if sanitizer is not None:
-                    alloc = member_op.array.allocation(member_op.storage_key)
-                    if alloc is not None:
-                        bad = int(((h < 0) | (h >= alloc.size)).sum())
-                        if bad:
-                            sanitizer.record(
-                                "register-oob",
-                                (
-                                    f"S index outside the {alloc.size}-"
-                                    f"register slice; the array wraps it "
-                                    f"by modulo"
-                                ),
-                                switch=switch_ids[j], qid=lead.qid,
-                                count=bad,
-                            )
-                old, new = member_op.array.execute_many(
-                    member_op.storage_key, h, op.op,
-                    (op.operand_const if op.operand_field is None
-                     else cols[op.operand_field][part]),
-                )
-                fresh[part] = old if op.output_old else new
+                    _check_oob(sanitizer, member_op,
+                               h[cuts[j]:cuts[j + 1]], switch_ids[j],
+                               lead.qid)
+            # ``act`` has rows, so the first bank's start is row 0.
+            _start, array, storage_key = banks[0]
+            old, new = array.execute_many(
+                storage_key, h, op.op,
+                (op.operand_const if op.operand_field is None
+                 else cols[op.operand_field][idx]),
+                banks[1:],
+            )
+            fresh[idx] = old if op.output_old else new
             st.state = fresh
             st.state_has = True
         else:  # _ROp
@@ -580,6 +582,24 @@ def execute_program(
                        bounds, window_epochs, switch_ids, lead.qid,
                        sink_reports)
     return ctx
+
+
+def _check_oob(sanitizer: "Sanitizer", op: _SOp, h: np.ndarray,
+               switch_id: object, qid: str) -> None:
+    """Record one member's S indices outside its slice (the array wraps
+    them by modulo, so only the sanitizer sees them)."""
+    assert op.array is not None
+    alloc = op.array.allocation(op.storage_key)
+    if alloc is None:
+        return
+    bad = int(((h < 0) | (h >= alloc.size)).sum())
+    if bad:
+        sanitizer.record(
+            "register-oob",
+            f"S index outside the {alloc.size}-register slice; the array "
+            f"wraps it by modulo",
+            switch=switch_id, qid=qid, count=bad,
+        )
 
 
 def _execute_r(

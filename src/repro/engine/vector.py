@@ -14,16 +14,18 @@ program`) run each installed query over whole packet columns at once.
 ``newton_init`` dispatch is per ingress switch; execution is per query:
 the programs one query compiled to on different switches are the same
 ops over different register arrays whenever the switches hold the same
-version of it, so they run once over the switches' packets together and
-only the state bank is visited switch by switch.
-State-bank updates go through :meth:`RegisterArray.execute_many`, whose
-grouped scans (rows radix-grouped by register, linear in the batch) are
-bit-identical to the sequential ALU.  Hashing follows
-the sketch shape: each K packs its key column into ``uint64`` words and
-deduplicates it once into a :class:`~repro.dataplane.hashing.KeyGroup`
-that every H behind it shares, and each H resolves only the distinct
-keys through its seed's cross-window memo
-(:func:`~repro.dataplane.hashing.hash_rows`; one blake2b per never-seen
+version of it, so they run once over the switches' packets together —
+the state bank included: each S op is one
+:meth:`RegisterArray.execute_many` call over every member's rows, its
+cells numbered across the members' slices so one radix order and one
+scan serve them all, gathered from and scattered to each switch's own
+array, bit-identical to the sequential ALU switch by switch.  Hashing
+follows the sketch shape: each K packs its key column into ``uint64``
+words and deduplicates it once into a
+:class:`~repro.dataplane.hashing.KeyGroup` that every H behind it
+shares, and each H resolves only the distinct keys through its seed's
+cross-window memo (:func:`~repro.dataplane.hashing.hash_rows`: one
+C-level lookup pass, one copy of a seed-keyed blake2b per never-seen
 key) — the two hot loops of the scalar path.  Rows are forwarded per
 path group; among equal-cost paths the router picks, one flow-hash
 column per host pair (:meth:`Router.path_choices`).

@@ -152,6 +152,129 @@ def _read_everything_occupancy(controller, sub_qid):
     return worst
 
 
+def _walk_every_bank(controller, sub_qid):
+    """``sketch_occupancy`` as the walk it replaced: every (probe row x
+    hosting switch) resolves its module, storage key and allocation
+    before the bank's ``dirty`` flag is tested; a written bank's slice
+    is copied and summed."""
+    record = controller.installed[controller._sub_owner[sub_qid]]
+    slices = record.slices[sub_qid]
+    rows = reduce_probe_rows(record.compiled[sub_qid])
+    if not slices or not rows:
+        return None
+    stages_per_switch = slices[0].num_stages
+    worst = None
+    for row in rows:
+        slice_index, local_stage = divmod(row.stage, stages_per_switch)
+        length = 0
+        summed = None
+        for sid, entries in record.by_switch.items():
+            if (sub_qid, slice_index) not in entries:
+                continue
+            pipeline = controller.switches[sid].pipeline
+            query_filter = pipeline.query_filter
+            if query_filter is not None and sub_qid not in query_filter:
+                return None
+            module = pipeline.layout.module_at(local_stage,
+                                               ModuleType.STATE_BANK)
+            if module is None:
+                continue
+            key = pipeline.state_storage_key(sub_qid, slice_index,
+                                             row.state_key)
+            if key is None or module.array.allocation(key) is None:
+                continue
+            length = module.array.allocation(key).size
+            if not module.array.dirty:
+                continue
+            cells = module.array.read_slice(key)
+            summed = cells if summed is None else summed + cells
+        if not length:
+            continue
+        nonzero = 0 if summed is None else int((summed != 0).sum())
+        load = float(nonzero) / float(length)
+        worst = load if worst is None else max(worst, load)
+    return worst
+
+
+class TestOccupancyUnderChurn:
+    """Window close reads only the banks written since their reset; the
+    planner's occupancy signals must not notice, through updates that
+    re-place and resize a sketch between and inside windows."""
+
+    PAIRS = (("hp0e0n0", "hp2e0n0"), ("hp1e0n0", "hp3e0n0"),
+             ("hp0e1n0", "hp3e1n0"), ("hp2e1n0", "hp1e1n0"))
+
+    def test_signals_equal_the_full_walk_window_after_window(self,
+                                                             monkeypatch):
+        rng = random.Random(77)
+        deployment = build_deployment(fat_tree(4), array_size=1 << 16,
+                                      engine="vector")
+        controller = deployment.controller
+        topology = deployment.topology
+        controller.install_query(q("ro.syn"), PARAMS, topology=topology)
+        controller.install_query(
+            Query("ro.udp").filter(proto=17).map("dip").reduce("dip")
+            .where(ge=3), PARAMS, topology=topology)
+        controller.install_query(
+            Query("ro.bytes").map("sip").reduce("sip", func="sum")
+            .where(ge=5000), PARAMS, topology=topology)
+        controller.install_query(Query("ro.map").map("dip"), PARAMS,
+                                 topology=topology)
+        variants = (
+            (q("ro.syn", threshold=50), PARAMS),
+            (q("ro.syn", threshold=100), QueryParams(
+                cm_depth=3, reduce_registers=1 << 11,
+                distinct_registers=1 << 11)),
+        )
+        answers = []
+        probe = controller.sketch_occupancy
+
+        def checked(sub_qid):
+            got = probe(sub_qid)
+            answers.append((sub_qid, got))
+            assert got == _walk_every_bank(controller, sub_qid), sub_qid
+            return got
+
+        monkeypatch.setattr(controller, "sketch_occupancy", checked)
+        sim = deployment.simulator
+        updates = 0
+        loaded = set()
+        for window in range(16):
+            if window % 3 == 1:
+                updates += 1
+                query, params = variants[updates % 2]
+                if window % 2:
+                    controller.update_query(query, params,
+                                            topology=topology)
+                else:   # lands inside the window's traffic
+                    sim.at((window + 0.5) * sim.window_s,
+                           lambda query=query, params=params:
+                           controller.update_query(query, params,
+                                                   topology=topology))
+            senders = rng.sample(self.PAIRS, rng.randint(0, 3))
+            packets = sorted((
+                Packet(sip=rng.randrange(1, 80), dip=rng.randrange(1, 12),
+                       proto=rng.choice((6, 6, 17)), tcp_flags=2,
+                       len=rng.randrange(60, 1500),
+                       ts=(window + rng.random()) * sim.window_s,
+                       src_host=src, dst_host=dst)
+                for src, dst in senders for _ in range(rng.randint(1, 60))
+            ), key=lambda packet: packet.ts)
+            answers.clear()
+            sim.run(packets)            # ends by closing the window
+            closed = sim.roll_window()
+            signals = deployment.collector.window_signals(closed)
+            got = {entry.sub_qid: entry.occupancy
+                   for entry in signals.queries}
+            assert got == {sub: value for sub, value in answers
+                           if sub in got}
+            if not packets:
+                assert got["ro.syn"] == got["ro.udp"] == 0.0
+            loaded.update(sub for sub, value in got.items() if value)
+        assert updates >= 5
+        assert loaded == {"ro.syn", "ro.udp", "ro.bytes"}
+
+
 class TestSketchOccupancy:
     """The window-close readout skips banks no packet wrote
     (``RegisterArray.dirty``); every value it returns must equal the

@@ -6,6 +6,8 @@ over word-packed key groups and the register ALU's grouped-scan batch
 execution.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -157,6 +159,84 @@ class TestPackedKeyGroups:
                     for hi, lo in words.T]
         assert [keys.raw[i] for i in keys.inverse] == expected
         assert sorted(keys.raw) == sorted(set(expected))
+
+
+def loop_hash_rows(keys: KeyGroup, seed: int, cache: HashMemo) -> np.ndarray:
+    """``hash_rows`` as a plain loop: a fresh keyed blake2b per key the
+    memo lacks, digests kept as ints — the reference the byte-digest
+    memo must answer exactly like, call for call."""
+    seed_key = seed.to_bytes(8, "big", signed=False)
+    before = len(cache)
+    digests = []
+    for raw in keys.raw:
+        digest = cache.get(raw)
+        if digest is None:
+            digest = cache[raw] = int.from_bytes(hashlib.blake2b(
+                raw, digest_size=8, key=seed_key).digest(), "big")
+        digests.append(digest)
+    misses = len(cache) - before
+    cache.misses += misses
+    cache.hits += len(digests) - misses
+    return np.array(digests, dtype=np.uint64)
+
+
+@st.composite
+def key_batches(draw):
+    """A key width of 0-19 bytes and a few batches of keys of that width
+    drawn from one small pool, so later batches meet earlier keys."""
+    width = draw(st.integers(0, 19))
+    pool = draw(st.lists(st.binary(min_size=width, max_size=width),
+                         min_size=1, max_size=12, unique=True))
+    batches = draw(st.lists(
+        st.lists(st.sampled_from(pool), max_size=30), min_size=1,
+        max_size=4,
+    ))
+    return width, pool, batches
+
+
+def group_of(keys, width: int) -> KeyGroup:
+    """The :class:`KeyGroup` of ``width``-byte ``keys``, one per row."""
+    matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
+        len(keys), width)
+    return key_group(matrix) if width else KeyGroup(
+        pack_key_words([], [], len(keys)), 0)
+
+
+class TestDigestIdentity:
+    @given(key_batches(), st.one_of(st.sampled_from([0, 2**64 - 1]),
+                                    st.integers(0, 2**64 - 1)),
+           st.integers(0, 12), st.lists(st.booleans(), max_size=4))
+    @example((3, [b"abc", b"xyz"], [[b"abc", b"xyz", b"abc"]]), 0, 1, [])
+    @example((19, [bytes(19), bytes(range(19))], [[bytes(19)]]),
+             2**64 - 1, 0, [True])
+    @example((0, [b""], [[b"", b""], []]), 7, 1, [False, True])
+    @settings(max_examples=150, deadline=None)
+    def test_byte_digests_answer_like_the_int_loop(self, case, seed, warm,
+                                                   rolls):
+        """Digests equal ``hash_bytes``; a memo pre-filled with part of
+        the keys counts the same hits and misses and holds the same keys
+        as the loop's, through window rolls, call after call."""
+        width, pool, batches = case
+        memo, reference = HashMemo(), HashMemo()
+        prefill = group_of(pool[:warm], width)
+        hash_rows(prefill, seed, memo)
+        loop_hash_rows(prefill, seed, reference)
+        for index, batch in enumerate(batches):
+            keys = group_of(batch, width)
+            out = hash_rows(keys, seed, memo)
+            assert out.tolist() == loop_hash_rows(keys, seed,
+                                                  reference).tolist()
+            assert out[keys.inverse].tolist() == [
+                hash_bytes(key, seed) for key in batch
+            ]
+            assert (memo.hits, memo.misses) == (reference.hits,
+                                                reference.misses)
+            assert len(memo) == len(reference) and set(memo) == set(reference)
+            assert all(digest == reference[key].to_bytes(8, "big")
+                       for key, digest in memo.items())
+            if index < len(rolls) and rolls[index]:
+                memo.roll()
+                reference.roll()
 
 
 def keys_of(values) -> KeyGroup:

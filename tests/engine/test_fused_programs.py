@@ -11,6 +11,9 @@ call with the per-member calls it replaces, and pin the rule by which
 compiled programs survive a rule-state change.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,11 +22,14 @@ from repro.core.compiler import QueryParams, compile_query, slice_compiled
 from repro.core.library import QueryThresholds, all_queries
 from repro.core.packet import Proto, TcpFlags
 from repro.core.query import Query
+from repro.core.rules import HashMode, HConfig
 from repro.dataplane.module_types import ModuleType
+from repro.dataplane.registers import RegisterArray
 from repro.engine.program import compile_switch_programs, execute_program
 from repro.fabric.merge import record_reports
 from repro.network.deployment import build_deployment
 from repro.network.topology import fat_tree
+from repro.runtime.sanitizer import Sanitizer
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.generators import (
     assign_hosts,
@@ -217,6 +223,82 @@ class TestMixedShapes:
         owned = deployment.switches["p2e1"].pipeline.query_filter
         on_filtered = {qid for qid, sids in runs if "p2e1" in sids}
         assert on_filtered and on_filtered <= owned
+
+
+def direct_into_stateful(qid, field="sport"):
+    """A deployment mutation: ``qid``'s first HASH-mode H rule becomes a
+    DIRECT read of ``field`` on every switch.  Source ports overrun the
+    512-register slice, so its S op indexes outside the slice — what the
+    sanitizer's ``register-oob`` check exists for."""
+    def mutate(deployment):
+        for switch in deployment.switches.values():
+            pipeline = switch.pipeline
+            for versions in pipeline._slices.values():
+                for i, installed in enumerate(versions):
+                    if installed.query_slice.qid != qid:
+                        continue
+                    placed, doctored = [], False
+                    for stage, spec, key in installed.placed:
+                        if (not doctored and spec.module_type
+                                is ModuleType.HASH_CALCULATION
+                                and spec.config.mode == HashMode.HASH):
+                            spec = replace(spec, config=HConfig(
+                                mode=HashMode.DIRECT, direct_field=field,
+                                range_size=spec.config.range_size,
+                            ))
+                            doctored = True
+                        placed.append((stage, spec, key))
+                    versions[i] = replace(installed, placed=tuple(placed))
+            pipeline.mutation_seq += 1
+    return mutate
+
+
+class TestFusedStateBank:
+    """The S op of a fused run is one ``execute_many`` call over every
+    member's rows; the sanitizer still sees each member's rows alone."""
+
+    def test_register_oob_is_counted_per_member(self, monkeypatch,
+                                                program_runs):
+        oob = Counter()
+        record = Sanitizer.record
+
+        def counting(self, check, message, **where):
+            if check == "register-oob":
+                oob[where["switch"], where["qid"]] += where.get("count", 1)
+            record(self, check, message, **where)
+
+        monkeypatch.setattr(Sanitizer, "record", counting)
+        trace = workload(seed=17)
+        doctor = direct_into_stateful("A7.srcbytes")
+        vector = observe("vector", trace, mutate=doctor, sanitize=True)
+        by_member = dict(oob)
+        oob.clear()
+        scalar = observe("scalar", trace, mutate=doctor, sanitize=True)
+        assert vector == scalar
+        assert by_member == dict(oob)
+        assert {qid for _sid, qid in by_member} == {"A7.srcbytes"}
+        assert len(by_member) == len(INGRESS)
+        assert any(qid == "A7.srcbytes" and len(sids) == len(INGRESS)
+                   for qid, sids in program_runs)
+
+    def test_one_alu_call_per_run_and_state_bank(self, monkeypatch,
+                                                 program_runs):
+        """Each S op of a run is one ``execute_many``, however many
+        switches the run spans, and the fleet stays bit-identical."""
+        calls = []
+        inner = RegisterArray.execute_many
+
+        def spy(self, owner, indices, op, operands, then=()):
+            calls.append(1 + len(then))
+            return inner(self, owner, indices, op, operands, then)
+
+        monkeypatch.setattr(RegisterArray, "execute_many", spy)
+        trace = workload(seed=23)
+        vector = observe("vector", trace, sanitize=True)
+        monkeypatch.setattr(RegisterArray, "execute_many", inner)
+        assert vector == observe("scalar", trace, sanitize=True)
+        assert max(calls) == len(INGRESS)
+        assert sum(calls) > 2 * len(calls)
 
 
 def columns_of(trace):

@@ -3,10 +3,11 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataplane.alu import StatefulOp
+from repro.dataplane.alu import REGISTER_MAX, StatefulOp
 from repro.dataplane.phv import PhvContext
 from repro.dataplane.registers import AllocationError, RegisterArray
 from repro.dataplane.tables import TernaryRule, TernaryTable
@@ -197,6 +198,102 @@ class TestLeasedExtentReset:
             assert not lean.dump()[~leased].any()
         lean.reset_all()
         assert not lean.dump().any()
+
+
+#: Slice sizes of the fused-scan runs: two of the large ones together
+#: bound the cell numbering above 2^16 (the two-pass radix order), and
+#: 70,000 does alone.
+_FUSED_SLICES = (1, 7, 64, 2048, 40_000, 70_000)
+
+
+@st.composite
+def fused_runs(draw):
+    """Members ``(array slot, owner slot)`` of one fused run — up to
+    three arrays, two owners each, two members possibly on one array —
+    their slice sizes, and two consecutive batches of per-member rows
+    (some members empty), each with an op and a constant or a field
+    operand."""
+    members = draw(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 1)),
+        min_size=1, max_size=5, unique=True,
+    ))
+    sizes = {slot: draw(st.sampled_from(_FUSED_SLICES)) for slot in members}
+    index = st.one_of(
+        st.integers(0, 5), st.integers(0, 5),            # heavy collisions
+        st.integers(0, 70_000),
+        st.integers(-(1 << 40), 1 << 62),                # DIRECT-mode hashes
+    )
+    operand = st.one_of(st.integers(0, 9), st.sampled_from(
+        [REGISTER_MAX // 3, REGISTER_MAX - 1, REGISTER_MAX]))
+    batches = []
+    for _ in range(2):
+        rows = [draw(st.lists(index, max_size=25)) for _ in members]
+        total = sum(len(part) for part in rows)
+        operands = draw(st.one_of(
+            operand,                                     # a constant rule
+            st.lists(operand, min_size=total, max_size=total),
+        ))
+        batches.append((draw(st.sampled_from(list(StatefulOp))), rows,
+                        operands))
+    return members, sizes, batches
+
+
+def fused_world(sizes):
+    """Three arrays holding the slices ``sizes`` after a filler lease."""
+    arrays = []
+    for slot in range(3):
+        owned = [(owner, size) for (array, owner), size in sizes.items()
+                 if array == slot]
+        array = RegisterArray(3 + sum(size for _, size in owned))
+        array.allocate(("filler",), 3)
+        for owner, size in owned:
+            array.allocate(("q", owner), size)
+        arrays.append(array)
+    return arrays
+
+
+class TestFusedScan:
+    @given(fused_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_one_fused_call_equals_the_per_member_loop(self, case):
+        """``execute_many`` over every member of a run at once — cells
+        numbered across the members' slices, one order, one scan — is
+        one call per member in member order, row for row and cell for
+        cell, whatever the slice sizes, op or operand."""
+        members, sizes, batches = case
+        looped, fused = fused_world(sizes), fused_world(sizes)
+        for op, rows, operands in batches:
+            starts = np.cumsum([0] + [len(part) for part in rows]).tolist()
+            column = (np.array(operands, dtype=np.int64)
+                      if isinstance(operands, list) else operands)
+            expected_old, expected_new = [], []
+            for (slot, owner), part, lo, hi in zip(members, rows, starts,
+                                                   starts[1:]):
+                old, new = looped[slot].execute_many(
+                    ("q", owner), np.array(part, dtype=np.int64), op,
+                    column if isinstance(operands, int) else column[lo:hi],
+                )
+                expected_old += old.tolist()
+                expected_new += new.tolist()
+            (slot, owner), *rest = members
+            old, new = fused[slot].execute_many(
+                ("q", owner),
+                np.array(sum(rows, []), dtype=np.int64), op, column,
+                [(start, fused[s], ("q", o))
+                 for (s, o), start in zip(rest, starts[1:])],
+            )
+            assert old.tolist() == expected_old
+            assert new.tolist() == expected_new
+            for a, b in zip(looped, fused):
+                assert np.array_equal(a.dump(), b.dump())
+                assert a.dirty == b.dirty
+
+    def test_a_missing_allocation_is_refused(self):
+        array, other = RegisterArray(16), RegisterArray(16)
+        array.allocate(("q", 0), 8)
+        with pytest.raises(AllocationError):
+            array.execute_many(("q", 0), np.arange(4), StatefulOp.ADD, 1,
+                               [(2, other, ("q", 1))])
 
 
 def gaps_by_sorting(array, size):

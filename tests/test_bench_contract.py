@@ -14,13 +14,18 @@ into a local or a default argument would run untraced) — on the sliced
 import os
 import sys
 import types
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
+import repro.engine.vector as vector_module  # noqa: E402
 from bench import harness, tracing  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
+from repro.dataplane.hashing import HashMemo  # noqa: E402
+from repro.dataplane.registers import RegisterArray  # noqa: E402
+from repro.engine.program import _SOp  # noqa: E402
 
 
 def _entry_points():
@@ -93,3 +98,68 @@ def test_a_traced_cqe_window_stays_on_the_batch_path():
     assert {tracer.spans[span[4]][0] for span in programs} == {
         "engine.dispatch"}
     assert tracer.counts["core.sp_bytes"] > 0
+
+
+def test_a_traced_churn_window_counts_what_the_kernels_did(monkeypatch):
+    """On the fused fleet: ``dataplane.alu_rows`` is every row that
+    reached a stateful S op (the scalar engine's per-packet S calls on
+    the same window), each S op of a fused run is one ``dataplane.alu``
+    span whatever its number of switches, and the memos grew by exactly
+    the misses they counted inside ``dataplane.hash``."""
+    workload = WORKLOADS["fleet17-fattree-churn"]
+    cycle = workload.make_cycle(5, per_window=120)
+
+    scalar_calls = []
+    execute = RegisterArray.execute
+
+    def counting_execute(array, *args):
+        scalar_calls.append(1)
+        return execute(array, *args)
+
+    monkeypatch.setattr(RegisterArray, "execute", counting_execute)
+    scalar = workload.build(engine="scalar")
+    workload.install(scalar)
+    harness._Driver(workload, scalar, cycle).step()
+    monkeypatch.setattr(RegisterArray, "execute", execute)
+
+    runs = []
+    inner = vector_module.execute_program
+
+    def spy(programs, *args, **kwargs):
+        stateful = sum(isinstance(op, _SOp) and not op.passthrough
+                       for op in programs[0].ops)
+        runs.append((len(programs), stateful))
+        return inner(programs, *args, **kwargs)
+
+    monkeypatch.setattr(vector_module, "execute_program", spy)
+    counted = []
+    roll = HashMemo.roll
+
+    def counting_roll(memo):
+        counted.append(memo.misses)
+        roll(memo)
+
+    monkeypatch.setattr(HashMemo, "roll", counting_roll)
+    with tracing.installed() as tracer:
+        driver = harness._Driver(workload, harness._deploy(workload),
+                                 cycle, tracer)
+        driver.step(trace=True)
+    assert driver.result.failures == {}
+
+    assert tracer.counts["dataplane.alu_rows"] == len(scalar_calls) > 0
+    spans = tracer.spans
+    programs = [i for i, span in enumerate(spans)
+                if span is not None and span[0] == "engine.program"]
+    under = Counter(span[4] for span in spans
+                    if span is not None and span[0] == "dataplane.alu")
+    assert len(programs) == len(runs)
+    assert set(under) <= set(programs)
+    for index, (members, stateful) in zip(programs, runs):
+        assert under[index] <= stateful
+    assert any(members > 1 and under[index] == stateful > 0
+               for index, (members, stateful) in zip(programs, runs))
+    assert sum(under.values()) < sum(m * s for m, s in runs)
+    # The first window carries nothing into its roll, so no memo is
+    # cleared: they hold exactly what the window missed.
+    grown = tracer.counts["dataplane.hash_miss"]
+    assert grown == sum(counted) == sum(tracer.memo_sizes.values()) > 0

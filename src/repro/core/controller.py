@@ -219,9 +219,19 @@ class NewtonController:
         (subqueries, compiled, slices, by_switch, placements) = (
             self._plan_deployment(query, params, opts, **spec)
         )
+        # One demand tally per distinct slice set, handed to both the
+        # verification gate and the transaction's staging gate:
+        # redundant placement stages the same slices on many switches,
+        # and only the fit against each switch's occupancy differs.
+        demands = {
+            hosted: demand_of_slices(
+                slices[sub_qid][index] for sub_qid, index in hosted
+            )
+            for hosted in dict.fromkeys(map(tuple, by_switch.values()))
+        }
         report = VerificationReport()
         gate = (
-            self._verification_gate(compiled, slices, by_switch, report,
+            self._verification_gate(compiled, demands, by_switch, report,
                                     verifier_config,
                                     exclude_qid=query.qid)
             if verify else None
@@ -238,7 +248,8 @@ class NewtonController:
                 stage=ops[sid].stage if sid in ops else (),
                 retire=tuple(sorted({q for q, _ in entries})),
             )
-        plan = TxnPlan(op=kind, qid=query.qid, ops=ops, verify=gate)
+        plan = TxnPlan(op=kind, qid=query.qid, ops=ops, verify=gate,
+                       demands=demands)
         result = self.txn.execute(plan)  # raises => old version intact
         self._commit(op, InstalledQuery(
             query=query, compiled=compiled, slices=slices,
@@ -401,7 +412,7 @@ class NewtonController:
     def _verification_gate(
         self,
         compiled: Dict[str, CompiledQuery],
-        slices: Dict[str, List[QuerySlice]],
+        demands: Mapping[Tuple[Tuple[str, int], ...], Demand],
         by_switch: Dict[object, List[Tuple[str, int]]],
         report: VerificationReport,
         verifier_config: Optional[VerifierConfig],
@@ -414,8 +425,10 @@ class NewtonController:
         admission per target switch at its real occupancy (the snapshots
         the transaction manager hands the gate) — which, for an update,
         still includes the outgoing version: make-before-break genuinely
-        needs both banks resident until GC.  ``exclude_qid``
-        drops the query's own old version from the cross-query context.
+        needs both banks resident until GC.  ``demands`` holds the tally
+        of each switch's slice set, keyed by its ``by_switch`` entries.
+        ``exclude_qid`` drops the query's own old version from the
+        cross-query context.
         """
         def gate(occupancy: Mapping[object, PipelineModel]) -> None:
             context = [
@@ -428,18 +441,9 @@ class NewtonController:
                 list(compiled.values()), context=context,
                 config=verifier_config,
             ).diagnostics)
-            # One tally per distinct slice set: redundant placement
-            # stages the same slices on many switches, and only the fit
-            # against each switch's occupancy differs.
-            needs: Dict[Tuple[Tuple[str, int], ...], Demand] = {}
             for sid, entries in by_switch.items():
-                hosted = tuple(entries)
-                if hosted not in needs:
-                    needs[hosted] = demand_of_slices(
-                        slices[sub_qid][index] for sub_qid, index in hosted
-                    )
                 report.extend(verify_demand(
-                    needs[hosted], occupancy[sid], switch=sid,
+                    demands[tuple(entries)], occupancy[sid], switch=sid,
                     config=verifier_config,
                 ).diagnostics)
             if not report.ok:

@@ -32,8 +32,16 @@ fully at the old epoch or fully at the new one, never in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, TypeVar
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.collector.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.core.rules import QuerySlice
@@ -43,7 +51,7 @@ from repro.dataplane.switch import Switch
 from repro.runtime.channel import FLIP_OVERHEAD_S, ControlChannel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.verify.program import PipelineModel
+    from repro.verify.program import Demand, PipelineModel
 
 __all__ = [
     "TxnConfig",
@@ -94,6 +102,13 @@ class TxnPlan:
     #: Pre-commit gate, handed the occupancy snapshot of every switch the
     #: plan stages on; raising aborts before any switch is touched.
     verify: Optional[Callable[[Dict[object, PipelineModel]], None]] = None
+    #: Demand tally of each slice set the plan stages, keyed by its
+    #: ``(qid, slice_index)`` names: derived once by whoever built the
+    #: plan, read by ``verify`` and by the staging gate (which tallies any
+    #: set missing here itself).
+    demands: Mapping[Tuple[Tuple[str, int], ...], Demand] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
@@ -358,7 +373,8 @@ class TransactionManager:
         # Phase 0b: the fleet analyzer's NV6xx staging gate — prove the
         # make-before-break double-occupancy window fits every target
         # switch, or abort with the prior epoch fully intact.
-        report = check_staging_plan(self.switches, staging, target, occupancy)
+        report = check_staging_plan(self.switches, staging, target,
+                                    occupancy, plan.demands)
         if not report.ok:
             exc = VerificationError(report)
             self._finish(plan, txn_id, target, "aborted",

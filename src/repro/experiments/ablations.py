@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.admission import AdmissionPlanner
 from repro.core.compiler import (
     Optimizations,
@@ -40,6 +38,7 @@ from repro.experiments.common import (
     query_footprint,
 )
 from repro.network.deployment import build_deployment
+from repro.network.routing import Router
 from repro.network.topology import Topology, fat_tree, linear
 from repro.traffic.generators import assign_hosts, syn_flood, syn_scan_noise
 from repro.traffic.traces import Trace, merge_traces
@@ -132,14 +131,14 @@ def _oracle_entries(topology: Topology, edges, num_slices: int,
     This is what a path-aware controller would install — minimal, but any
     reroute silently breaks monitoring until rules are moved.
     """
-    graph = topology.graph
+    router = Router(topology)
     placement: Dict[object, set] = {}
     targets = topology.edge_switches
     for root in edges:
         for target in targets:
             if target == root:
                 continue
-            path = nx.shortest_path(graph, root, target)
+            path = router.switch_paths(root, target)[0]
             for depth, switch in enumerate(path[:num_slices]):
                 placement.setdefault(switch, set()).add(depth)
     return sum(
@@ -316,12 +315,11 @@ class FragmentationAblation:
 
 def _diamond() -> Topology:
     """Two-path diamond: ingress, two parallel middles, egress."""
-    graph = nx.Graph()
-    graph.add_edges_from([
-        ("in", "mid0"), ("in", "mid1"),
-        ("mid0", "out"), ("mid1", "out"),
-    ])
-    return Topology(graph, {"h_in": "in", "h_out": "out"}, name="diamond")
+    return Topology(
+        ["in", "mid0", "mid1", "out"],
+        [("in", "mid0"), ("in", "mid1"), ("mid0", "out"), ("mid1", "out")],
+        {"h_in": "in", "h_out": "out"}, name="diamond",
+    )
 
 
 def ablate_state_fragmentation(threshold: int = 20,

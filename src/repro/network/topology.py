@@ -11,53 +11,75 @@ Three families, matching the paper's evaluation:
 * ``isp_backbone`` — an approximation of the top-tier North-America ISP
   backbone the paper cites (AT&T's published OC-768 IP/MPLS map): 25 cities
   and the long-haul links between them.
+
+A topology is one adjacency dict in creation order: switches in the order
+given, each switch's neighbours in the order its links were given.  That
+order is what Algorithm 2's DFS placement walks, so it is part of the
+answer, not an accident of storage.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 __all__ = ["Topology", "fat_tree", "isp_backbone", "leaf_spine", "linear",
            "CALIFORNIA_SITES"]
 
 SwitchId = Hashable
 HostId = Hashable
+Link = Tuple[SwitchId, SwitchId]
 
 
 class Topology:
-    """A switch graph plus host attachment points."""
+    """A switch graph plus host attachment points.
 
-    def __init__(self, graph: nx.Graph, hosts: Dict[HostId, SwitchId],
-                 name: str = "topology"):
+    ``links`` are undirected; each must join two distinct, known switches
+    and appear once.
+    """
+
+    def __init__(self, switches: Iterable[SwitchId], links: Iterable[Link],
+                 hosts: Dict[HostId, SwitchId], name: str = "topology"):
+        adjacency: Dict[SwitchId, Dict[SwitchId, None]] = {
+            switch: {} for switch in switches
+        }
+        self.links: Tuple[Link, ...] = tuple(links)
+        for a, b in self.links:
+            for end in (a, b):
+                if end not in adjacency:
+                    raise ValueError(
+                        f"link ({a!r}, {b!r}) names unknown switch {end!r}"
+                    )
+            if a == b or b in adjacency[a]:
+                raise ValueError(f"link ({a!r}, {b!r}) is a loop or repeat")
+            adjacency[a][b] = None
+            adjacency[b][a] = None
         for host, switch in hosts.items():
-            if switch not in graph:
+            if switch not in adjacency:
                 raise ValueError(
                     f"host {host!r} attaches to unknown switch {switch!r}"
                 )
-        self.graph = graph
+        self._adjacency = adjacency
         self.hosts = dict(hosts)
         self.name = name
 
     # -- structure ------------------------------------------------------ #
 
     def switches(self) -> List[SwitchId]:
-        return list(self.graph.nodes)
+        return list(self._adjacency)
 
     @property
     def num_switches(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._adjacency)
 
     @property
     def num_links(self) -> int:
-        return self.graph.number_of_edges()
+        return len(self.links)
 
     def neighbors(self, switch: SwitchId) -> List[SwitchId]:
-        return list(self.graph.neighbors(switch))
+        return list(self._adjacency[switch])
 
     def neighbor_map(self) -> Dict[SwitchId, List[SwitchId]]:
-        return {s: self.neighbors(s) for s in self.switches()}
+        return {s: list(nbrs) for s, nbrs in self._adjacency.items()}
 
     @property
     def edge_switches(self) -> List[SwitchId]:
@@ -86,16 +108,13 @@ def linear(num_switches: int, hosts_per_end: int = 1) -> Topology:
     """A chain of switches with hosts on both end switches (Figure 8)."""
     if num_switches < 1:
         raise ValueError("need at least one switch")
-    graph = nx.Graph()
     names = [f"s{i}" for i in range(num_switches)]
-    graph.add_nodes_from(names)
-    for a, b in zip(names, names[1:]):
-        graph.add_edge(a, b)
     hosts: Dict[HostId, SwitchId] = {}
     for i in range(hosts_per_end):
         hosts[f"h_src{i}"] = names[0]
         hosts[f"h_dst{i}"] = names[-1]
-    return Topology(graph, hosts, name=f"linear-{num_switches}")
+    return Topology(names, zip(names, names[1:]), hosts,
+                    name=f"linear-{num_switches}")
 
 
 def fat_tree(k: int, hosts_per_edge: int = 1) -> Topology:
@@ -103,25 +122,21 @@ def fat_tree(k: int, hosts_per_edge: int = 1) -> Topology:
     if k < 2 or k % 2:
         raise ValueError("fat-tree arity must be an even integer >= 2")
     half = k // 2
-    graph = nx.Graph()
     cores = [f"c{i}" for i in range(half * half)]
-    graph.add_nodes_from(cores)
+    switches: List[SwitchId] = list(cores)
+    links: List[Link] = []
     hosts: Dict[HostId, SwitchId] = {}
     for pod in range(k):
         aggs = [f"p{pod}a{j}" for j in range(half)]
         edges = [f"p{pod}e{j}" for j in range(half)]
-        graph.add_nodes_from(aggs)
-        graph.add_nodes_from(edges)
-        for edge in edges:
-            for agg in aggs:
-                graph.add_edge(edge, agg)
-        for j, agg in enumerate(aggs):
-            for i in range(half):
-                graph.add_edge(agg, cores[j * half + i])
+        switches += aggs + edges
+        links += [(edge, agg) for edge in edges for agg in aggs]
+        links += [(agg, cores[j * half + i])
+                  for j, agg in enumerate(aggs) for i in range(half)]
         for j, edge in enumerate(edges):
             for h in range(hosts_per_edge):
                 hosts[f"hp{pod}e{j}n{h}"] = edge
-    return Topology(graph, hosts, name=f"fat-tree-{k}")
+    return Topology(switches, links, hosts, name=f"fat-tree-{k}")
 
 
 def leaf_spine(spines: int, leaves: int,
@@ -138,19 +153,17 @@ def leaf_spine(spines: int, leaves: int,
         raise ValueError("need at least one spine and one leaf")
     if hosts_per_leaf < 1:
         raise ValueError("need at least one host per leaf")
-    graph = nx.Graph()
     spine_names = [f"sp{i}" for i in range(spines)]
     leaf_names = [f"lf{j}" for j in range(leaves)]
-    graph.add_nodes_from(spine_names)
-    graph.add_nodes_from(leaf_names)
-    for leaf in leaf_names:
-        for spine in spine_names:
-            graph.add_edge(leaf, spine)
     hosts: Dict[HostId, SwitchId] = {}
     for j, leaf in enumerate(leaf_names):
         for h in range(hosts_per_leaf):
             hosts[f"hlf{j}n{h}"] = leaf
-    return Topology(graph, hosts, name=f"leaf-spine-{spines}x{leaves}")
+    return Topology(
+        spine_names + leaf_names,
+        [(leaf, spine) for leaf in leaf_names for spine in spine_names],
+        hosts, name=f"leaf-spine-{spines}x{leaves}",
+    )
 
 
 #: Approximation of AT&T's published OC-768 IP/MPLS backbone map: 25 cities
@@ -208,10 +221,9 @@ CALIFORNIA_SITES = ("San Francisco", "San Jose", "Sacramento",
 
 def isp_backbone(hosts_per_city: int = 1) -> Topology:
     """The AT&T-like North-America backbone (25 cities)."""
-    graph = nx.Graph()
-    graph.add_edges_from(_ISP_LINKS)
+    cities = list(dict.fromkeys(city for link in _ISP_LINKS for city in link))
     hosts: Dict[HostId, SwitchId] = {}
-    for city in sorted(graph.nodes):
+    for city in sorted(cities):
         for i in range(hosts_per_city):
             hosts[f"h_{city.replace(' ', '_')}_{i}"] = city
-    return Topology(graph, hosts, name="isp-backbone")
+    return Topology(cities, _ISP_LINKS, hosts, name="isp-backbone")

@@ -297,6 +297,19 @@ def service_fleet(config: ServiceConfig, workers: int = 1) -> Deployment:
     )
 
 
+def _placement(deployment: Deployment) -> Dict[str, Any]:
+    """Where a service places every query: along ``path=`` when the
+    topology is the chain of the deployment's switches in order (what
+    :func:`service_fleet` builds), else by Algorithm 2 over
+    ``topology=`` — on a fat-tree, say, the first switch in creation
+    order is a core no packet enters through."""
+    switches = list(deployment.switches)
+    chain = {frozenset(pair) for pair in zip(switches, switches[1:])}
+    if {frozenset(link) for link in deployment.topology.links} == chain:
+        return {"path": switches}
+    return {"topology": deployment.topology}
+
+
 class NewtonService:
     """A deployment run as a long-lived, query-serving system."""
 
@@ -309,7 +322,8 @@ class NewtonService:
         self.config = config or ServiceConfig()
         self.source = source
         self.deployment = deployment or service_fleet(self.config)
-        self.path = list(self.deployment.switches)
+        #: The placement kwargs of every install, update and plan.
+        self.placement = _placement(self.deployment)
         self.registry = self.deployment.collector.metrics
         self.feed = SubscriptionManager(
             registry=self.registry,
@@ -464,7 +478,7 @@ class NewtonService:
 
         def run() -> Dict[str, Any]:
             result = self.deployment.controller.install_query(
-                query, params, path=self.path
+                query, params, **self.placement
             )
             fleet = self._fleet_gate(query.qid, "install")
             return self._op_payload(result, fleet)
@@ -493,7 +507,8 @@ class NewtonService:
         def run() -> Dict[str, Any]:
             controller = self.deployment.controller
             previous = controller.installed.get(qid)
-            result = controller.update_query(query, params, path=self.path)
+            result = controller.update_query(query, params,
+                                             **self.placement)
             fleet = self._fleet_gate(qid, "update", previous)
             return self._op_payload(result, fleet)
 
@@ -538,7 +553,7 @@ class NewtonService:
 
         def run() -> Dict[str, Any]:
             step = self.planner.manage(
-                query, params, ladder=ladder, path=self.path
+                query, params, ladder=ladder, **self.placement
             )
             try:
                 fleet = self._fleet_gate(query.qid, "plan")

@@ -54,7 +54,7 @@ from repro.verify.fleet.interference import (
     check_hash_unit_sharing,
 )
 from repro.verify.fleet.model import SwitchView
-from repro.verify.program import PipelineModel
+from repro.verify.program import Demand, PipelineModel
 from repro.verify.sketch import DEFAULT_MAX_FPR
 from repro.verify.verifier import VerifierConfig, verify_queries
 
@@ -199,18 +199,22 @@ def check_staging_plan(
     plan: Mapping[object, Sequence[QuerySlice]],
     target_epoch: int,
     occupancy: Optional[Mapping[object, PipelineModel]] = None,
+    demands: Optional[Mapping[Tuple[Tuple[str, int], ...], Demand]] = None,
 ) -> VerificationReport:
     """Statically prove a transaction's staging windows fit (NV6xx).
 
     ``plan`` maps switch id to the query slices the transaction intends
     to stage there; ``occupancy`` holds the snapshots the caller already
     took of those switches (the transaction manager's — one per switch
-    per transaction), any other is taken here.  Every finding is an
+    per transaction), any other is taken here.  ``demands`` holds the
+    tallies the caller already derived, keyed by ``(qid, slice_index)``
+    names; any other slice set is tallied here.  Every finding is an
     ERROR: the transaction would fail mid-prepare and roll back, so the
     gate refuses it up front.
     """
     report = VerificationReport()
     occupancy = occupancy or {}
+    demands = demands or {}
     # One transaction stages one version of a slice, so within a plan
     # (qid, slice_index) names it: switches asked for the same fresh
     # slices share one demand tally and one layout pass.
@@ -222,7 +226,7 @@ def check_staging_plan(
         fresh = fresh_slices(switches[sid], slices, target_epoch)
         named = tuple((qs.qid, qs.slice_index) for qs in fresh)
         if named not in needs:
-            needs[named] = StagingNeed.of(fresh)
+            needs[named] = StagingNeed.of(fresh, demands.get(named))
         report.extend(check_staging_plan_view(sid, model, needs[named]))
     return report
 

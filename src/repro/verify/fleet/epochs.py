@@ -213,9 +213,12 @@ class StagingNeed:
     layout: Tuple[Tuple[str, int, Optional[int], str], ...]
 
     @staticmethod
-    def of(slices: Sequence[QuerySlice]) -> "StagingNeed":
+    def of(slices: Sequence[QuerySlice],
+           tally: Optional[Demand] = None) -> "StagingNeed":
+        """``tally``, when given, is ``demand_of_slices(slices)`` as the
+        caller already derived it."""
         return StagingNeed(
-            demand=demand_of_slices(slices),
+            demand=demand_of_slices(slices) if tally is None else tally,
             qids=", ".join(sorted({qs.qid for qs in slices})),
             layout=tuple(
                 (qs.qid, qs.slice_index, found.location.step, found.message)

@@ -41,7 +41,7 @@ def install_queries(service):
     for name in ("Q1", "Q4"):
         service.deployment.controller.install_query(
             build_query(name, th), service.config.params,
-            path=service.path,
+            **service.placement,
         )
 
 

@@ -9,14 +9,18 @@ from repro.core.library import all_queries
 from repro.experiments.common import evaluation_thresholds
 from repro.core.query import flatten
 from repro.network.deployment import build_deployment
-from repro.network.topology import linear
+from repro.network.topology import fat_tree, linear
 from repro.service import (
     GeneratorSource,
     NewtonService,
     ReplaySource,
     ServiceConfig,
 )
-from repro.service.service import ServiceError, query_from_spec
+from repro.service.service import (
+    ServiceError,
+    params_from_spec,
+    query_from_spec,
+)
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.generators import assign_hosts, caida_like, syn_flood
 from repro.traffic.traces import merge_traces
@@ -290,3 +294,64 @@ class TestWindowEventKeys:
                    for sub in event["queries"]["Q6"]["results"].values()
                    for key in sub]
         assert results and all(key.isdigit() for key in results)
+
+
+class TestPlacementFollowsTheTopology:
+    """Off a chain, the service places by Algorithm 2 (``topology=``):
+    its window answers equal a deployment's whose query was installed
+    with ``topology=`` directly — not ``path=`` over the switches in
+    creation order, which on a fat-tree parks every slice on a core
+    switch no packet enters through."""
+
+    SPEC = {
+        "qid": "ft.tcp",
+        "pipeline": [
+            {"op": "filter", "eq": {"proto": 6}},
+            {"op": "map", "keys": ["dip"]},
+            {"op": "reduce", "keys": ["dip"]},
+            {"op": "where", "ge": 3},
+        ],
+    }
+
+    @staticmethod
+    def fat_tree_service():
+        config = ServiceConfig(window_ms=100, engine="vector")
+        deployment = build_deployment(
+            fat_tree(4), num_stages=config.num_stages,
+            table_capacity=config.table_capacity,
+            array_size=config.array_size, window_ms=config.window_ms,
+            engine=config.engine,
+        )
+        source = GeneratorSource(pps=5000, seed=4, max_windows=4,
+                                 hosts=("hp0e0n0", "hp3e1n0"))
+        return NewtonService(source, config, deployment=deployment)
+
+    def test_window_answers_equal_a_topology_install(self):
+        service, reference = (self.fat_tree_service(),
+                              self.fat_tree_service())
+        assert set(service.placement) == {"topology"}
+        controller = reference.deployment.controller
+        topology = reference.deployment.topology
+
+        def reference_op(op, spec):
+            op(query_from_spec(spec),
+               params_from_spec(spec, reference.config.params),
+               topology=topology)
+
+        service.install(self.SPEC)
+        reference_op(controller.install_query, self.SPEC)
+        events = [service.tick(), service.tick()]
+        expected = [reference.tick(), reference.tick()]
+        updated = dict(self.SPEC, pipeline=[
+            *self.SPEC["pipeline"][:-1], {"op": "where", "ge": 5},
+        ])
+        service.update("ft.tcp", updated)
+        reference_op(controller.update_query, updated)
+        events += [service.tick(), service.tick()]
+        expected += [reference.tick(), reference.tick()]
+        assert events == expected
+        assert all(e["queries"]["ft.tcp"]["results"] for e in events)
+
+    def test_a_chain_still_places_along_the_path(self):
+        service = make_service()
+        assert service.placement == {"path": ["s0", "s1"]}

@@ -36,6 +36,11 @@
   ``repro.experiments.EXPERIMENTS`` is read by exactly one
   ``benchmarks/bench_*.py``, and no benchmark imports a
   ``render_figure*`` of its own.
+* numpy is the only third-party module the package imports, at module
+  or function level: every other import under ``src/repro`` is the
+  package itself or a standard-library module named in ``STDLIB``
+  (``sys.stdlib_module_names`` needs Python 3.10; the project targets
+  3.9).  networkx and the rest of the ``test`` extra are test oracles.
 * CI's ``mypy --strict`` step cannot run where mypy is not installed, so
   its first demand is held here: every function in the strict-listed
   sources annotates every parameter and its return (as mypy reads
@@ -56,7 +61,18 @@ SRC = ROOT / "src" / "repro"
 SIMULATOR_NAMES = {"sim", "simulator"}
 #: What CI's ``mypy --strict`` step checks, relative to ``src/repro``.
 STRICT = ["verify", "engine", "core/ops.py", "core/admission.py",
-          "dataplane/hashing.py", "dataplane/registers.py"]
+          "dataplane/hashing.py", "dataplane/registers.py",
+          "network/topology.py", "network/routing.py"]
+#: The package's runtime dependencies, beside itself.
+RUNTIME = {"repro", "numpy"}
+#: Standard-library modules the package imports; a new one is added here.
+STDLIB = {
+    "__future__", "abc", "argparse", "asyncio", "bisect", "collections",
+    "dataclasses", "enum", "functools", "hashlib", "heapq", "http",
+    "itertools", "json", "logging", "math", "multiprocessing", "operator",
+    "os", "pathlib", "pickle", "queue", "random", "runpy", "signal",
+    "statistics", "sys", "threading", "time", "typing", "urllib",
+}
 
 
 def trees(package):
@@ -190,6 +206,18 @@ def registry_keys_read(source):
     return re.findall(r"""EXPERIMENTS\[["']([\w-]+)["']\]""", source)
 
 
+def third_party_import(node):
+    """An absolute import of a module that is neither the package, numpy
+    nor on the standard-library allowlist."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] not in RUNTIME | STDLIB for name in names)
+
+
 def unannotated(node):
     """A ``def`` that ``mypy --strict`` calls untyped or incompletely
     typed: a parameter without an annotation (``self`` / ``cls`` aside)
@@ -314,6 +342,10 @@ def test_each_experiment_is_read_by_exactly_one_benchmark():
             if len(names) != 1} == {}
 
 
+def test_numpy_is_the_only_third_party_import():
+    assert violations("", third_party_import) == []
+
+
 @pytest.mark.parametrize("target", STRICT)
 def test_strict_listed_sources_annotate_every_signature(target):
     assert violations(target, unannotated) == []
@@ -407,6 +439,14 @@ def test_owners_names_the_innermost_function():
     (own_figure_renderer,
      "from repro.experiments.exp_fig7 import figure7, render_figure7", True),
     (own_figure_renderer, "from repro.experiments import EXPERIMENTS", False),
+    (third_party_import, "import networkx as nx", True),
+    (third_party_import, "from networkx import Graph", True),
+    (third_party_import, "def f():\n import scipy.stats as st", True),
+    (third_party_import, "import os, networkx", True),
+    (third_party_import, "import numpy as np", False),
+    (third_party_import, "from collections import deque", False),
+    (third_party_import, "from repro.network import routing", False),
+    (third_party_import, "from . import topology", False),
     (unannotated, "def f(x): ...", True),
     (unannotated, "def f(x: int): ...", True),
     (unannotated, "def f(x: int, *rest, **kw: str) -> None: ...", True),

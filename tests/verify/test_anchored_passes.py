@@ -13,7 +13,7 @@ Two count tests — calls, not clocks — hold the cost model: adding
 queries that share no hash signature with the one being updated adds no
 ``ternary_intersects`` call and no signature derivation to its update,
 and a slice set staged on many switches is tallied (``demand``) once per
-gate, not once per switch.
+operation, not once per switch.
 """
 
 from dataclasses import replace
@@ -364,6 +364,6 @@ class TestAnUpdateCostsWhatItTouches:
         record = deployment.controller.installed["t.dstbytes"]
         hosted = {tuple(entries) for entries in record.by_switch.values()}
         assert len(record.by_switch) >= 8, "placement is not redundant"
-        # The controller's gate and the staging gate, once each per
-        # distinct slice set — not once per switch.
-        assert tallies == 2 * len(hosted)
+        # Once per distinct slice set, shared by the controller's gate
+        # and the staging gate — not once per switch, nor per gate.
+        assert tallies == len(hosted)

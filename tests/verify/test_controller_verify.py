@@ -122,3 +122,63 @@ class TestUpdateGate:
         assert "NV203" in exc.value.report.codes()
         assert dep.switch("s0").rule_count == resident_rules
         assert "ctl.q" in dep.controller.installed
+
+
+class TestOneDemandTallyPerOp:
+    """Both gates of an operation — the controller's verification gate
+    and the transaction's staging gate — read one ``Demand`` tally per
+    distinct slice set, derived once per operation."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        from repro.core import controller as core_controller
+        from repro.verify import program
+        from repro.verify.fleet import epochs
+
+        tallied = []
+
+        def demand_of_slices(slices):
+            slices = list(slices)
+            tallied.append(tuple((qs.qid, qs.slice_index) for qs in slices))
+            return program.demand_of_slices(slices)
+
+        for module in (core_controller, epochs):
+            monkeypatch.setattr(module, "demand_of_slices", demand_of_slices)
+        return tallied
+
+    def test_install_update_remove_on_the_17_query_fleet(self, monkeypatch):
+        from repro.experiments.exp_control_scaling import (
+            PARAMS,
+            resident_specs,
+        )
+        from repro.network.topology import fat_tree
+        from repro.service.service import query_from_spec
+
+        dep = build_deployment(fat_tree(4), num_stages=12,
+                               table_capacity=512, array_size=1 << 16)
+        controller = dep.controller
+        where = {"topology": dep.topology}
+        *resident, extra = resident_specs(18)
+        for spec in resident:
+            controller.install_query(query_from_spec(spec), PARAMS, **where)
+        assert len(controller.installed) == 17
+        tallied = self.spy(monkeypatch)
+
+        def slice_sets(qid):
+            by_switch = controller.installed[qid].by_switch
+            return sorted({tuple(entries) for entries in by_switch.values()})
+
+        query = query_from_spec(extra)
+        controller.install_query(query, PARAMS, **where)
+        assert sorted(tallied) == slice_sets(query.qid)
+        assert len(controller.installed[query.qid].by_switch) > len(tallied)
+
+        tallied.clear()
+        controller.update_query(query_from_spec(resident[0]), PARAMS,
+                                **where)
+        qid = query_from_spec(resident[0]).qid
+        assert sorted(tallied) == slice_sets(qid)
+
+        tallied.clear()
+        controller.remove_query(query.qid)
+        assert tallied == []

@@ -175,11 +175,11 @@ def accuracy_series(detections: Dict[int, Set],
 
 def nv701_on_static(expected_flows: int) -> List[dict]:
     """The analyzer's verdict on the static sizing at shifted scale."""
-    from repro.verify import FleetConfig, analyze_fleet
+    from repro.verify import FleetConfig, VerifierConfig, analyze_fleet
 
     report = analyze_fleet(
         build_fleet(SWITCHES, ["Q1"], STATIC_PARAMS, array_size=ARRAY_SIZE),
-        FleetConfig(expected_flows=expected_flows),
+        FleetConfig(verifier=VerifierConfig(expected_flows=expected_flows)),
     )
     return [d.as_dict() for d in report.sorted()
             if d.as_dict()["code"].startswith("NV70")]

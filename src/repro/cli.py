@@ -200,10 +200,11 @@ def cmd_analyze(args) -> int:
         except Exception as exc:  # gate rejection, resource exhaustion
             print(f"analyze: skipped {name}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
-    suppress = tuple(args.suppress)
     report = verify.analyze_fleet(dep, verify.FleetConfig(
-        expected_flows=args.expected_flows or None, suppress=suppress,
-        verifier=verify.VerifierConfig(suppress=suppress),
+        verifier=verify.VerifierConfig(
+            expected_flows=args.expected_flows or None,
+            suppress=tuple(args.suppress),
+        ),
     ))
     if args.format == "json":
         print(report.to_json())

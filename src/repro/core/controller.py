@@ -164,8 +164,9 @@ class NewtonController:
         the first target switch's pipeline depth) and
         ``placement_method``.
 
-        Unless ``verify=False``, the compiled artifacts are statically
-        verified before any rule is sent: error diagnostics raise
+        Unless ``verify`` is false, the compiled artifacts are statically
+        verified (under ``verifier_config``, e.g. its declared
+        ``expected_flows``) before any rule is sent: error diagnostics raise
         :class:`~repro.verify.VerificationError` (the network is left
         untouched), warnings are surfaced on the returned
         :attr:`InstallResult.diagnostics`.

@@ -5,11 +5,12 @@ It takes a decided list of :class:`~repro.planner.plan.PlanStep` and
 executes them sequentially, each step's :class:`~repro.core.ops.
 ControlOp` through :func:`~repro.core.ops.apply_op` — exactly one
 verified make-before-break transaction, routed through
-:class:`~repro.ctrlplane.TransactionManager` and its static-verifier +
-fleet-analyzer gate.  A failed step rolls back inside the control plane
-— the running version keeps serving — and the driver stops, marking the
-remaining steps ``skipped``: later steps may depend on resources an
-earlier step was meant to free.
+:class:`~repro.ctrlplane.TransactionManager` and its pre-commit
+verification gate.  A failed step rolls back inside the control plane
+— the running version keeps serving — keeps its exception in
+``meta["cause"]``, and the driver stops, marking the remaining steps
+``skipped``: later steps may depend on resources an earlier step was
+meant to free.
 
 The controller is always a real
 :class:`~repro.core.controller.NewtonController`; on a sharded
@@ -60,6 +61,7 @@ class PlanDriver:
             except Exception as exc:
                 step.status = "failed"
                 step.error = f"{type(exc).__name__}: {exc}"
+                step.meta["cause"] = exc
                 if stop_on_failure:
                     failed_at = index
             else:

@@ -48,7 +48,8 @@ class PlanStep:
     rules_staged: int = 0
     rules_removed: int = 0
     #: Planner-internal bookkeeping applied on commit (child prefix,
-    #: ladder rung, …); never serialized.
+    #: ladder rung, …) and a failed step's exception (``cause``); never
+    #: serialized.
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:

@@ -27,8 +27,9 @@ feed) are notified per executed round.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.collector.signals import QuerySignals, WindowSignals
 from repro.core.admission import AdmissionPlanner
@@ -64,8 +65,6 @@ class PlannerConfig:
     child_idle_windows: int = 3
     #: Report-skew (max/mean) rebalance trigger; 0 disables rebalancing.
     skew_ratio: float = 0.0
-    #: Journal length kept for the service plane.
-    history_limit: int = 256
 
 
 class DynamicPlanner:
@@ -77,7 +76,8 @@ class DynamicPlanner:
         registry = deployment.collector.metrics
         self.driver = PlanDriver(deployment.controller, registry=registry)
         self.plans: Dict[str, QueryPlan] = {}
-        self.history: List[PlanStep] = []
+        #: The step journal ``GET /plan`` shows: the latest 50 steps.
+        self.history: Deque[PlanStep] = deque(maxlen=50)
         self.last_epoch: Optional[int] = None
         self._seq = 0
         self._listeners: List[Callable[[PlanExecution], None]] = []
@@ -99,8 +99,10 @@ class DynamicPlanner:
         With a ladder, the installed variant is the query at rung 0; the
         finer granularities arrive later as refinement children.  The
         install itself is a journaled bootstrap :class:`PlanStep`; a
-        verification or admission failure raises :class:`PlanError` and
-        leaves nothing installed.
+        verification or admission failure raises :class:`PlanError` from
+        the step's exception and leaves nothing installed.  ``deploy``
+        (placement plus any ``verifier_config``) is kept for every later
+        step on the query, so they are held to the same admission.
         """
         if query.qid in self.plans:
             raise ValueError(f"query {query.qid!r} is already managed")
@@ -119,7 +121,7 @@ class DynamicPlanner:
         if step.status != "committed":
             raise PlanError(
                 f"bootstrap install of {query.qid!r} failed: {step.error}"
-            )
+            ) from step.meta.get("cause")
         self.plans[query.qid] = QueryPlan(
             qid=query.qid, query=variant, params=params,
             deploy=dict(deploy), ladder=ladder,
@@ -173,7 +175,6 @@ class DynamicPlanner:
         for step in steps:
             self._apply(step, signals.epoch)
         self.history.extend(steps)
-        del self.history[:-self.config.history_limit]
         self._g_managed.set(len(self.plans))
         for listener in self._listeners:
             listener(execution)
@@ -433,7 +434,7 @@ class DynamicPlanner:
             "queries": [
                 self.plans[qid].to_dict() for qid in sorted(self.plans)
             ],
-            "history": [s.to_dict() for s in self.history[-50:]],
+            "history": [s.to_dict() for s in self.history],
             "config": {
                 "occupancy_high": self.config.occupancy_high,
                 "occupancy_low": self.config.occupancy_low,

@@ -6,9 +6,6 @@ per-transaction setup cost plus a per-rule cost with small jitter,
 calibrated so the nine evaluation queries install in the 5–20 ms band the
 paper reports (Figure 11) — e.g. Q1's ~9 rules land near 5 ms.
 
-The same channel also times Sonata's post-reboot rule restores, whose
-per-entry cost is the linear term of Figure 10(b).
-
 Operations are drawn from a fixed vocabulary (:data:`KNOWN_OPERATIONS`)
 covering the transactional control plane's two-phase protocol:
 
@@ -19,22 +16,18 @@ covering the transactional control plane's two-phase protocol:
 * ``abort``   — discarding a shadow bank without flipping,
 * ``remove``  — the physical garbage-collection deletes after a flip.
 
-``transact`` and ``total_delay`` reject unknown operation names so typos
-(``"instal"``) fail loudly instead of silently timing — or summing —
-nothing.
+``transact`` rejects unknown operation names so typos (``"instal"``)
+fail loudly instead of silently timing nothing.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple, TypeVar
+from typing import Callable, Optional, Tuple, TypeVar
 
 import numpy as np
 
 __all__ = [
     "ControlChannel",
-    "RuleTransaction",
     "KNOWN_OPERATIONS",
     "FLIP_OVERHEAD_S",
 ]
@@ -53,15 +46,6 @@ FLIP_OVERHEAD_S = 0.0003
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class RuleTransaction:
-    """One timed batch of rule operations."""
-
-    operation: str       # member of KNOWN_OPERATIONS
-    rules: int
-    delay_s: float
-
-
 class ControlChannel:
     """Timed rule-operation channel to one or more switches."""
 
@@ -71,22 +55,13 @@ class ControlChannel:
         batch_overhead_s: float = 0.0015,
         jitter_s: float = 0.0002,
         seed: int = 7,
-        max_log: int = 10_000,
     ):
         if per_rule_s < 0 or batch_overhead_s < 0 or jitter_s < 0:
             raise ValueError("channel timing parameters must be non-negative")
-        if max_log <= 0:
-            raise ValueError("max_log must be positive")
         self.per_rule_s = per_rule_s
         self.batch_overhead_s = batch_overhead_s
         self.jitter_s = jitter_s
         self._rng = np.random.default_rng(seed)
-        #: Transaction history, capped at ``max_log`` entries so long runs
-        #: cannot grow controller memory without bound; evictions (oldest
-        #: first) are counted, never silent.
-        self.max_log = max_log
-        self.log: Deque[RuleTransaction] = deque(maxlen=max_log)
-        self.dropped_log_entries = 0
 
     def _jitter(self) -> float:
         if self.jitter_s == 0:
@@ -109,19 +84,7 @@ class ControlChannel:
         if rules < 0:
             raise ValueError("rule count must be non-negative")
         overhead = self.batch_overhead_s if overhead_s is None else overhead_s
-        delay = overhead + self.per_rule_s * rules + self._jitter()
-        if len(self.log) == self.max_log:
-            self.dropped_log_entries += 1  # deque evicts the oldest entry
-        self.log.append(
-            RuleTransaction(operation=operation, rules=rules, delay_s=delay)
-        )
-        return delay
-
-    def install_delay(self, rules: int) -> float:
-        return self.transact("install", rules)
-
-    def remove_delay(self, rules: int) -> float:
-        return self.transact("remove", rules)
+        return overhead + self.per_rule_s * rules + self._jitter()
 
     # -- transactional delivery ----------------------------------------- #
 
@@ -151,14 +114,3 @@ class ControlChannel:
         del switch, reliable  # the fault-free channel ignores both
         result = apply() if apply is not None else None
         return result, self.transact(operation, rules, overhead_s=overhead_s)
-
-    def total_delay(self, operation: Optional[str] = None) -> float:
-        if operation is not None and operation not in KNOWN_OPERATIONS:
-            raise ValueError(
-                f"unknown channel operation {operation!r}; expected one of "
-                f"{sorted(KNOWN_OPERATIONS)}"
-            )
-        return sum(
-            t.delay_s for t in self.log
-            if operation is None or t.operation == operation
-        )

@@ -20,9 +20,9 @@ Endpoints::
     POST   /plan               hand a query to the dynamic planner
     GET    /metrics            Prometheus text exposition
 
-Admission errors (static verifier, fleet analyzer) come back as 4xx
-with the NV diagnostics in the JSON body; aborted 2PC transactions as
-503 — the deployment is unchanged in both cases.
+Admission errors (the static verifier, which refuses before commit) come
+back as 4xx with the NV diagnostics in the JSON body; aborted 2PC
+transactions as 503 — the deployment is unchanged in both cases.
 """
 
 from __future__ import annotations

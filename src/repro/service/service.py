@@ -8,11 +8,12 @@ One service owns one deployment and drives it continuously:
   (:meth:`NetworkSimulator.roll_window`), and publishes the window's
   per-query answers to the report feed;
 * **query CRUD** (install / update / remove) rides the existing 2PC
-  control plane unchanged and is admission-gated by the static verifier
-  (install-time gate) plus the fleet analyzer (a post-commit audit of
-  what the operation touched; on errors a new query is removed and an
-  updated one put back as it was) — rejections surface the NV
-  diagnostics, they never leave rules behind;
+  control plane unchanged and is admitted once, before commit, by the
+  static verifier at the service's declared flow population (NV7xx
+  included) — a refusal aborts in phase 0 of its own transaction, so it
+  surfaces the NV diagnostics and never moves a rule; the fleet
+  analyzer then audits what a committed operation touched, read-only,
+  for its warnings;
 * everything runs on **one asyncio event loop**: CRUD handlers and
   window ticks interleave only between loop steps, so overlapping HTTP
   requests serialize through the (single-threaded) transaction manager
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.compiler import QueryParams
-from repro.core.controller import InstalledQuery
 from repro.core.library import (
     QUERY_DESCRIPTIONS,
     build_query,
@@ -59,8 +59,8 @@ from repro.service.sources import TraceSource
 from repro.verify import (
     FleetConfig,
     VerificationError,
+    VerifierConfig,
     analyze_op,
-    exit_code,
 )
 
 __all__ = ["NewtonService", "ServiceConfig", "ServiceError", "service_fleet",
@@ -259,12 +259,14 @@ class ServiceConfig:
     max_queue: int = 64
     #: Window events kept for ``GET /reports``.
     history_windows: int = 256
-    #: Run the fleet analyzer as a post-commit admission gate.
+    #: Audit each committed op with the fleet analyzer (read-only: its
+    #: findings fill ``fleet_diagnostics``; admission is the verifier's).
     fleet_admission: bool = True
-    #: Declared flow cardinality for the NV7xx accuracy budget; 0 keeps
-    #: the budget out of admission (the default service sketches are
-    #: deliberately small, so a declared population would reject every
-    #: install the way ``newton-repro analyze`` flags them).
+    #: Declared flow cardinality, handed to the static verifier with
+    #: every install, update and plan: a sketch too narrow for it (NV703)
+    #: is refused before commit.  0 declares none (the default service
+    #: sketches are deliberately small, so a declared population would
+    #: refuse every install the way ``newton-repro analyze`` flags them).
     expected_flows: int = 0
     params: QueryParams = field(default_factory=lambda: QueryParams(
         cm_depth=2, reduce_registers=2048, distinct_registers=2048,
@@ -275,7 +277,7 @@ class ServiceConfig:
     #: keeps the control plane in-memory only.
     wal_dir: Optional[str] = None
     #: Windows between WAL state snapshots (window epoch, cumulative
-    #: counters, register digest) — the restart fast-forward target.
+    #: counters) — the restart fast-forward target.
     wal_snapshot_every: int = 16
 
 
@@ -324,6 +326,11 @@ class NewtonService:
         self.deployment = deployment or service_fleet(self.config)
         #: The placement kwargs of every install, update and plan.
         self.placement = _placement(self.deployment)
+        #: The one admission decision: every install, update and plan is
+        #: verified against the declared flow population before commit.
+        self.verifier = VerifierConfig(
+            expected_flows=self.config.expected_flows or None
+        )
         self.registry = self.deployment.collector.metrics
         self.feed = SubscriptionManager(
             registry=self.registry,
@@ -386,40 +393,25 @@ class NewtonService:
             # control handler ran mid-2PC.
             raise ServiceError(503, {"error": "operation in flight"})
 
-    def _fleet_gate(
-        self, qid: str, op: str,
-        previous: Optional[InstalledQuery] = None,
-    ) -> List[Dict[str, object]]:
-        """Post-commit audit of what the operation on ``qid`` touched
-        (:func:`~repro.verify.fleet.analyze_op`); errors reject the
-        operation and put back what was there before it — ``previous``,
-        the record an update replaced, or nothing for an install."""
+    def _fleet_audit(self, qid: str) -> List[Dict[str, object]]:
+        """Read-only audit of what the committed operation on ``qid``
+        touched (:func:`~repro.verify.fleet.analyze_op`): its findings,
+        for ``fleet_diagnostics``.  Admission was decided before commit."""
         if not self.config.fleet_admission:
             return []
-        report = analyze_op(self.deployment, qid, FleetConfig(
-            expected_flows=self.config.expected_flows or None,
-        ))
-        if exit_code(report) >= 2:
-            controller = self.deployment.controller
-            try:
-                if previous is None:
-                    controller.remove_query(qid)
-                else:
-                    # Admitted once already: restored, not re-litigated.
-                    controller.update_query(
-                        previous.query, previous.params, previous.opts,
-                        verify=False, **previous.deploy,
-                    )
-            except (KeyError, TransactionAborted):
-                pass
-            self._c_ops.inc(op=op, outcome="rejected-fleet")
-            raise ServiceError(422, {
-                "error": "fleet analysis rejected the deployment",
-                "op": op,
-                "qid": qid,
-                "diagnostics": [d.as_dict() for d in report.sorted()],
-            })
+        report = analyze_op(self.deployment, qid,
+                            FleetConfig(verifier=self.verifier))
         return [d.as_dict() for d in report.sorted()]
+
+    def _refused(self, op: str, qid: str,
+                 exc: VerificationError) -> ServiceError:
+        self._c_ops.inc(op=op, outcome="rejected-verify")
+        return ServiceError(422, {
+            "error": "static verification failed",
+            "op": op,
+            "qid": qid,
+            "diagnostics": [d.as_dict() for d in exc.report.sorted()],
+        })
 
     def _run_op(self, op: str, qid: str, fn) -> Dict[str, Any]:
         self._guard_ops()
@@ -427,15 +419,7 @@ class NewtonService:
         try:
             result = fn()
         except VerificationError as exc:
-            self._c_ops.inc(op=op, outcome="rejected-verify")
-            raise ServiceError(422, {
-                "error": "static verification failed",
-                "op": op,
-                "qid": qid,
-                "diagnostics": [
-                    d.as_dict() for d in exc.report.sorted()
-                ],
-            }) from exc
+            raise self._refused(op, qid, exc) from exc
         except TransactionAborted as exc:
             self._c_ops.inc(op=op, outcome="aborted")
             raise ServiceError(503, {
@@ -451,6 +435,8 @@ class NewtonService:
                 "qid": qid,
             }) from exc
         except PlanError as exc:
+            if isinstance(exc.__cause__, VerificationError):
+                raise self._refused(op, qid, exc.__cause__) from exc
             self._c_ops.inc(op=op, outcome="rejected-plan")
             raise ServiceError(422, {
                 "error": str(exc), "op": op, "qid": qid,
@@ -478,10 +464,10 @@ class NewtonService:
 
         def run() -> Dict[str, Any]:
             result = self.deployment.controller.install_query(
-                query, params, **self.placement
+                query, params, verifier_config=self.verifier,
+                **self.placement
             )
-            fleet = self._fleet_gate(query.qid, "install")
-            return self._op_payload(result, fleet)
+            return self._op_payload(result, self._fleet_audit(query.qid))
 
         payload = self._run_op("install", query.qid, run)
         self._wal_op({"op": "install", "spec": spec})
@@ -505,12 +491,11 @@ class NewtonService:
         params = params_from_spec(spec, self.config.params)
 
         def run() -> Dict[str, Any]:
-            controller = self.deployment.controller
-            previous = controller.installed.get(qid)
-            result = controller.update_query(query, params,
-                                             **self.placement)
-            fleet = self._fleet_gate(qid, "update", previous)
-            return self._op_payload(result, fleet)
+            result = self.deployment.controller.update_query(
+                query, params, verifier_config=self.verifier,
+                **self.placement
+            )
+            return self._op_payload(result, self._fleet_audit(qid))
 
         payload = self._run_op("update", qid, run)
         self._wal_op({"op": "update", "qid": qid, "spec": spec})
@@ -553,19 +538,14 @@ class NewtonService:
 
         def run() -> Dict[str, Any]:
             step = self.planner.manage(
-                query, params, ladder=ladder, **self.placement
+                query, params, ladder=ladder,
+                verifier_config=self.verifier, **self.placement
             )
-            try:
-                fleet = self._fleet_gate(query.qid, "plan")
-            except ServiceError:
-                # The gate already removed the rules; forget the plan.
-                self.planner.release(query.qid)
-                raise
             return {
                 "step": step.to_dict(),
                 "plan": self.planner.plans[query.qid].to_dict(),
                 "committed_epoch": self.deployment.controller.txn.epoch,
-                "fleet_diagnostics": fleet,
+                "fleet_diagnostics": self._fleet_audit(query.qid),
             }
 
         payload = self._run_op("plan", query.qid, run)
@@ -606,16 +586,6 @@ class NewtonService:
         if self.wal is not None and not self._recovering:
             self.wal.append("op", payload)
 
-    def _register_digest(self) -> Dict[str, List[int]]:
-        """Compact per-switch register fingerprint for snapshots: the
-        sum of each state bank (cheap, and windows reset registers at
-        every close — full dumps would mostly snapshot zeros)."""
-        dumps = self.deployment.register_dumps()
-        return {
-            sid: [sum(bank) for bank in banks]
-            for sid, banks in sorted(dumps.items())
-        }
-
     def _wal_snapshot(self, closed: int) -> None:
         if self.wal is None:
             return
@@ -628,7 +598,6 @@ class NewtonService:
             "windows": int(self._c_windows.total),
             "packets": self.total_packets,
             "mixed_epoch_packets": self.total_mixed_epoch_packets,
-            "register_digest": self._register_digest(),
         })
 
     def _recover_from_wal(self) -> Dict[str, Any]:
@@ -925,7 +894,6 @@ class NewtonService:
                 "windows": summary["windows"],
                 "packets": summary["packets"],
                 "mixed_epoch_packets": summary["mixed_epoch_packets"],
-                "register_digest": self._register_digest(),
             })
             self.wal.close()
         self.feed.publish({"type": "shutdown", **summary})

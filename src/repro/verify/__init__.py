@@ -4,20 +4,21 @@ programs.
 Newton pushes query compilation into table rules for pre-loaded modules;
 this package analyses those rules *before* the controller touches a
 switch, so ill-formed programs are rejected with structured diagnostics
-instead of corrupting monitoring silently at runtime.  Five passes:
+instead of corrupting monitoring silently at runtime.  Six passes:
 
 1. ternary shadowing/overlap (``NV0xx``, :mod:`repro.verify.shadowing`),
 2. container-dependency and layout soundness (``NV1xx``,
    :mod:`repro.verify.dependencies`) — the machine-checked Figure 4,
 3. resource admission (``NV2xx``, :mod:`repro.verify.resources`),
 4. sketch-parameter sanity (``NV3xx``, :mod:`repro.verify.sketch`),
-5. dead-rule elimination hints (``NV5xx``, :mod:`repro.verify.deadrules`).
+5. dead-rule elimination hints (``NV5xx``, :mod:`repro.verify.deadrules`),
+6. accuracy budgeting at a declared workload (``NV7xx``,
+   :mod:`repro.verify.accuracy`).
 
 :mod:`repro.verify.fleet` extends the per-query passes to the whole
-deployment: cross-query interference (``NV4xx``), epoch-transition
-safety (``NV6xx``) and accuracy budgeting (``NV7xx``) over every
-resident rule bank — the backend of ``newton-repro analyze`` and the
-transaction manager's staging gate.
+deployment: cross-query interference (``NV4xx``) and epoch-transition
+safety (``NV6xx``) over every resident rule bank — the backend of
+``newton-repro analyze`` and the transaction manager's staging gate.
 
 All codes are documented in ``docs/static-analysis.md``.
 """

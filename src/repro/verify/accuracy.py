@@ -2,8 +2,11 @@
 
 NV301–NV303 judge a sketch's geometry in the abstract (error *factors*,
 failure probabilities).  Given an operator-declared expected flow
-cardinality ``N`` for the deployment, the fleet pass turns those factors
-into concrete budget verdicts:
+cardinality ``N`` for the deployment
+(:attr:`~repro.verify.verifier.VerifierConfig.expected_flows`), this
+artifact pass turns those factors into concrete budget verdicts — run by
+:func:`~repro.verify.verifier.verify_queries` over its candidates, so an
+install gate refuses an under-provisioned sketch before any rule moves:
 
 * **NV701** — Count-Min load ``N / width`` exceeds the configured bound:
   the average counter aggregates several flows, so threshold comparisons
@@ -15,8 +18,8 @@ into concrete budget verdicts:
   *cannot* give per-flow estimates at the declared cardinality by
   pigeonhole — an under-provisioned sketch, reported as an error.
 
-All three recover sketch geometry from the placed rules exactly as the
-per-query pass does; they stay silent when no expected cardinality is
+All three recover sketch geometry from the compiled rules exactly as the
+NV3xx pass does; they stay silent when no expected cardinality is
 declared.
 """
 

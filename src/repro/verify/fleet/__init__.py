@@ -11,17 +11,17 @@ jointly:
   starvation),
 * :mod:`~repro.verify.fleet.epochs` — NV601–NV603, epoch-transition
   safety (2PC staging windows, staged-bank layout, epoch hygiene),
-* :mod:`~repro.verify.fleet.accuracy` — NV701–NV703, accuracy budgets
-  at a declared expected flow cardinality.
+
+plus the per-query verifier re-run over the joint installed set (NV7xx
+accuracy budgets included, at a declared expected flow cardinality).
 
 Entry points: :func:`analyze_deployment` (the ``newton-repro analyze``
 backend), :func:`analyze_op` (the same passes narrowed to what one
-operation touched: the service's post-commit gate),
+operation touched: the service's read-only post-commit audit),
 :func:`check_staging_plan` (the transaction manager's epoch gate), and
 :func:`exit_code` (the CLI's 0/1/2 contract).
 """
 
-from repro.verify.fleet.accuracy import DEFAULT_CM_LOAD, check_accuracy_budget
 from repro.verify.fleet.analyzer import (
     FleetConfig,
     analyze_deployment,
@@ -55,8 +55,6 @@ __all__ = [
     "analyze_op",
     "check_staging_plan",
     "exit_code",
-    "DEFAULT_CM_LOAD",
-    "check_accuracy_budget",
     "check_epoch_hygiene",
     "check_prospective_staging",
     "check_staged_bank_layout",

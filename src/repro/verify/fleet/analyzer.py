@@ -2,14 +2,14 @@
 
 :func:`analyze_deployment` is the static entry point — it snapshots
 every switch into a :class:`~repro.verify.fleet.model.SwitchView`, runs
-the NV4xx interference, NV6xx epoch-safety and NV7xx accuracy passes,
-and (when the compiled artifacts are supplied) re-runs the per-query
-verifier over the *joint* installed set so cross-query findings the
-install-time gate scoped per-candidate resurface fleet-wide;
-:func:`analyze_fleet` takes all three inputs off a live deployment, and
-:func:`analyze_op` narrows the same passes to what one committed
-operation touched — the per-operation gate, held equal to the whole walk
-by the test suite.
+the NV4xx interference and NV6xx epoch-safety passes, and (when the
+compiled artifacts are supplied) re-runs the per-query verifier — NV7xx
+accuracy included, at a declared workload — over the *joint* installed
+set so cross-query findings the install-time gate scoped per-candidate
+resurface fleet-wide; :func:`analyze_fleet` takes all three inputs off a
+live deployment, and :func:`analyze_op` narrows the same passes to what
+one committed operation touched — the per-operation audit, held equal to
+the whole walk by the test suite.
 
 :func:`check_staging_plan` is the transactional entry point — the
 :class:`~repro.ctrlplane.txn.TransactionManager` calls it between
@@ -28,8 +28,6 @@ from typing import (
     TYPE_CHECKING,
     AbstractSet,
     Dict,
-    Iterable,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -38,8 +36,7 @@ from typing import (
 
 from repro.core.compiler import CompiledQuery
 from repro.core.rules import QuerySlice
-from repro.verify.diagnostics import Diagnostic, VerificationReport
-from repro.verify.fleet.accuracy import DEFAULT_CM_LOAD, check_accuracy_budget
+from repro.verify.diagnostics import VerificationReport
 from repro.verify.fleet.epochs import (
     StagingNeed,
     check_epoch_hygiene,
@@ -55,7 +52,6 @@ from repro.verify.fleet.interference import (
 )
 from repro.verify.fleet.model import SwitchView
 from repro.verify.program import Demand, PipelineModel
-from repro.verify.sketch import DEFAULT_MAX_FPR
 from repro.verify.verifier import VerifierConfig, verify_queries
 
 if TYPE_CHECKING:
@@ -67,21 +63,13 @@ __all__ = ["FleetConfig", "analyze_deployment", "analyze_fleet",
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Workload declaration, policy envelope, and per-code suppression."""
+    """Policy envelope, plus the verifier configuration the joint re-run
+    uses — its declared workload (NV7xx) and its suppressed codes, which
+    filter every fleet pass too."""
 
-    #: Declared expected flow cardinality; ``None`` skips NV7xx.
-    expected_flows: Optional[int] = None
-    cm_load: float = DEFAULT_CM_LOAD
-    max_fpr: float = DEFAULT_MAX_FPR
-    #: Diagnostic codes to drop from reports (e.g. ``("NV402",)``).
-    suppress: Tuple[str, ...] = ()
     #: Optional budget envelope for NV401 occupancy auditing.
     policy: Optional[PipelineModel] = None
-    #: Configuration for the embedded per-query verifier re-run.
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
-
-    def filter(self, found: Iterable[Diagnostic]) -> List[Diagnostic]:
-        return [d for d in found if d.code not in self.suppress]
 
 
 def analyze_deployment(
@@ -95,7 +83,7 @@ def analyze_deployment(
 
     ``switches`` maps switch id to switch (or bare pipeline); ``compiled``
     optionally maps sub-query id to its compiled artifact (enabling the
-    NV7xx accuracy passes and the joint per-query re-verification);
+    joint per-query re-verification, NV7xx included);
     ``committed_epoch`` is the control plane's committed transaction
     epoch, used for NV603 skew detection.
 
@@ -107,23 +95,20 @@ def analyze_deployment(
     those sub-queries can have changed (:func:`analyze_op`).
     """
     config = config or FleetConfig()
+    keep = config.verifier.filter
     report = VerificationReport()
 
     for switch in switches.values():
         view = SwitchView.of_switch(switch)
         occupancy = PipelineModel.of_switch(switch)
-        report.extend(config.filter(
-            check_fleet_occupancy(view, config.policy)
-        ))
-        report.extend(config.filter(check_hash_unit_sharing(view, anchors)))
-        report.extend(config.filter(
-            check_dispatch_starvation(view, anchors)
-        ))
-        report.extend(config.filter(
+        report.extend(keep(check_fleet_occupancy(view, config.policy)))
+        report.extend(keep(check_hash_unit_sharing(view, anchors)))
+        report.extend(keep(check_dispatch_starvation(view, anchors)))
+        report.extend(keep(
             check_prospective_staging(view, occupancy, anchors)
         ))
-        report.extend(config.filter(check_staged_bank_layout(view, anchors)))
-        report.extend(config.filter(
+        report.extend(keep(check_staged_bank_layout(view, anchors)))
+        report.extend(keep(
             check_epoch_hygiene(view, committed_epoch, anchors)
         ))
 
@@ -136,16 +121,8 @@ def analyze_deployment(
             comp for sub_qid, comp in compiled.items()
             if anchors is not None and sub_qid not in anchors
         ]
-        joint = verify_queries(artifacts, context=context,
-                               config=config.verifier)
-        report.extend(config.filter(joint.diagnostics))
-        if config.expected_flows is not None:
-            report.extend(config.filter(check_accuracy_budget(
-                artifacts,
-                expected_flows=config.expected_flows,
-                cm_load=config.cm_load,
-                max_fpr=config.max_fpr,
-            )))
+        report.extend(verify_queries(artifacts, context=context,
+                                     config=config.verifier).diagnostics)
     return report
 
 
@@ -180,7 +157,7 @@ def analyze_op(deployment: Deployment, qid: str,
     The whole walk rejects a fleet whose every earlier operation passed
     this audit exactly when this audit rejects the latest one — errors
     are located at the query that carries them — so it is what a
-    per-operation gate runs; ``newton-repro analyze`` keeps the walk.
+    per-operation audit runs; ``newton-repro analyze`` keeps the walk.
     """
     controller = deployment.controller
     record = controller.installed[qid]

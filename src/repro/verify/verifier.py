@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery
+from repro.verify.accuracy import DEFAULT_CM_LOAD, check_accuracy_budget
 from repro.verify.deadrules import check_dead_rules
 from repro.verify.dependencies import check_dependencies
 from repro.verify.diagnostics import (
@@ -57,12 +58,16 @@ __all__ = ["VerifierConfig", "verify_queries", "verify_demand",
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Tunable thresholds and per-code suppression."""
+    """Tunable thresholds, declared workload, per-code suppression."""
 
     max_epsilon: float = DEFAULT_MAX_EPSILON
     max_delta: float = DEFAULT_MAX_DELTA
     bloom_load: float = DEFAULT_BLOOM_LOAD
     max_fpr: float = DEFAULT_MAX_FPR
+    #: Declared expected flow cardinality; ``None`` skips NV7xx.
+    expected_flows: Optional[int] = None
+    #: Acceptable Count-Min load (flows per counter) for NV701.
+    cm_load: float = DEFAULT_CM_LOAD
     #: Diagnostic codes to drop from reports (e.g. ("NV302",)).
     suppress: Tuple[str, ...] = field(default=())
 
@@ -85,7 +90,9 @@ def verify_queries(
     so context × context pairs are never visited.  Pass a
     :class:`PipelineModel` to also run resource admission at global
     stages (what lint does); the controller instead admits the slices
-    per target switch (:func:`verify_demand`).
+    per target switch (:func:`verify_demand`).  With
+    ``config.expected_flows`` declared, the NV7xx accuracy budget runs
+    last, over the candidates.
     """
     config = config or VerifierConfig()
     report = VerificationReport()
@@ -124,6 +131,15 @@ def verify_queries(
             report.extend(config.filter(check_resources(
                 rules_of_compiled([comp]), model
             )))
+
+    # Accuracy budget at the declared workload (NV7xx): candidates only.
+    if config.expected_flows is not None:
+        report.extend(config.filter(check_accuracy_budget(
+            candidates,
+            expected_flows=config.expected_flows,
+            cm_load=config.cm_load,
+            max_fpr=config.max_fpr,
+        )))
     return report
 
 

@@ -9,6 +9,7 @@ from repro.core.packet import Packet
 from repro.core.query import Query
 from repro.network.deployment import build_deployment
 from repro.network.topology import fat_tree, linear
+from repro.runtime.channel import ControlChannel
 
 PARAMS = QueryParams(cm_depth=2, bf_hashes=2,
                      reduce_registers=128, distinct_registers=128)
@@ -181,8 +182,13 @@ class TestTiming:
         assert big.delay_s > small.delay_s
 
     def test_channel_log_records_operations(self):
-        dep = build_deployment(linear(1))
+        class Recording(ControlChannel):
+            def transact(self, operation, rules, overhead_s=None):
+                ops.append(operation)
+                return super().transact(operation, rules, overhead_s)
+
+        ops = []
+        dep = build_deployment(linear(1), channel=Recording())
         dep.controller.install_query(q(), PARAMS, path=["s0"])
         dep.controller.remove_query("ctl.q")
-        ops = [t.operation for t in dep.controller.channel.log]
         assert "install" in ops and "remove" in ops

@@ -50,6 +50,18 @@ class _CommitFailingChannel(FaultyControlChannel):
                             overhead_s=overhead_s, reliable=reliable)
 
 
+class _RecordingChannel(ControlChannel):
+    """Records the operation of every message a transaction sends."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def transact(self, operation, rules, overhead_s=None):
+        self.sent.append(operation)
+        return super().transact(operation, rules, overhead_s=overhead_s)
+
+
 class TestCommitPath:
     def test_install_flips_every_switch_to_one_epoch(self):
         dep = deploy()
@@ -85,11 +97,11 @@ class TestCommitPath:
             assert switch.retired_rule_count == 0
 
     def test_channel_log_vocabulary(self):
-        dep = deploy()
+        channel = _RecordingChannel()
+        dep = deploy(channel)
         dep.controller.install_query(q(), PARAMS, path=["s0"])
         dep.controller.remove_query("txn.q")
-        ops = {t.operation for t in dep.controller.channel.log}
-        assert {"install", "commit", "retire", "remove"} <= ops
+        assert {"install", "commit", "retire", "remove"} <= set(channel.sent)
 
     def test_update_is_one_transaction(self):
         dep = deploy()

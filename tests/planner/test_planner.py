@@ -31,6 +31,7 @@ from repro.planner import (
 )
 from repro.traffic.generators import assign_hosts, caida_like, syn_flood
 from repro.traffic.traces import merge_traces
+from repro.verify import VerificationError, VerifierConfig
 
 PARAMS = QueryParams(cm_depth=2, reduce_registers=256)
 
@@ -305,13 +306,42 @@ class TestDynamicPlannerLifecycle:
         dep = build_deployment(linear(1), array_size=1 << 12)
         planner = DynamicPlanner(dep)
         query = build_query("Q1", evaluation_thresholds())
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError) as exc:
             planner.manage(
                 query, replace(PARAMS, reduce_registers=1 << 20),
                 path=["s0"],
             )
+        # The cause is kept: the verifier's report, not just its text.
+        assert isinstance(exc.value.__cause__, VerificationError)
         assert not planner.plans
         assert "Q1" not in dep.controller.installed
+
+    def test_later_steps_are_held_to_the_bootstrap_admission(self):
+        dep = build_deployment(linear(1), array_size=1 << 13)
+        planner = DynamicPlanner(dep)
+        declared = VerifierConfig(expected_flows=1500)
+        planner.manage(heavy_hitter(), replace(PARAMS, reduce_registers=2048),
+                       verifier_config=declared, path=["s0"])
+        planner.plans["hh"].resizes = 1  # as if grown once: may shrink
+        idle = QuerySignals(sub_qid="hh", top_qid="hh", key_fields=("dip",),
+                            occupancy=0.0, reported_keys=0)
+        execution = planner.step(WindowSignals(epoch=1, queries=(idle,)))
+        [shrink] = execution.steps
+        # 2048 -> 1024 registers is under-provisioned at 1,500 flows.
+        assert shrink.trigger == "shrink" and shrink.status == "failed"
+        assert shrink.meta["cause"].report.by_code("NV703")
+        assert dep.controller.installed["hh"].params.reduce_registers == 2048
+
+    def test_history_keeps_the_latest_fifty_steps(self):
+        dep = build_deployment(linear(1), array_size=1 << 13)
+        planner = DynamicPlanner(dep)
+        for _ in range(300):
+            planner.manage(heavy_hitter(), PARAMS, path=["s0"])
+            planner.release("hh", remove=True)
+        assert len(planner.history) == 50
+        # GET /plan shows the same 50: the newest, oldest first.
+        assert [s["seq"] for s in planner.state()["history"]] == list(
+            range(551, 601))
 
     def test_release_with_remove_clears_subtree(self):
         dep, planner = self._managed(PlannerConfig(

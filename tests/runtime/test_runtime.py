@@ -37,37 +37,30 @@ class TestClock:
 class TestChannel:
     def test_delay_linear_in_rules(self):
         channel = ControlChannel(jitter_s=0.0)
-        d10 = channel.install_delay(10)
-        d20 = channel.install_delay(20)
+        d10 = channel.transact("install", 10)
+        d20 = channel.transact("install", 20)
         assert d20 - d10 == pytest.approx(10 * channel.per_rule_s)
 
     def test_batch_overhead_applies_once(self):
         channel = ControlChannel(jitter_s=0.0)
-        assert channel.install_delay(0) == pytest.approx(
+        assert channel.transact("install", 0) == pytest.approx(
             channel.batch_overhead_s
         )
 
     def test_jitter_is_seeded(self):
         a = ControlChannel(seed=1)
         b = ControlChannel(seed=1)
-        assert a.install_delay(5) == b.install_delay(5)
-
-    def test_log_and_totals(self):
-        channel = ControlChannel(jitter_s=0.0)
-        channel.install_delay(4)
-        channel.remove_delay(4)
-        assert len(channel.log) == 2
-        assert channel.total_delay("install") < channel.total_delay()
+        assert a.transact("install", 5) == b.transact("install", 5)
 
     def test_q1_scale_lands_in_paper_band(self):
         """~9 rules must install in single-digit milliseconds (Figure 11)."""
         channel = ControlChannel(seed=3)
-        delay_ms = channel.install_delay(9) * 1e3
+        delay_ms = channel.transact("install", 9) * 1e3
         assert 3.0 < delay_ms < 10.0
 
     def test_negative_rules_rejected(self):
         with pytest.raises(ValueError):
-            ControlChannel().install_delay(-1)
+            ControlChannel().transact("install", -1)
 
     def test_negative_timing_rejected(self):
         with pytest.raises(ValueError):
@@ -75,48 +68,20 @@ class TestChannel:
 
     def test_transact_rejects_unknown_operation(self):
         """Regression: transact() used to accept any string, silently
-        fragmenting the log vocabulary (e.g. "instal" typos)."""
+        timing operations outside the control-plane vocabulary."""
         channel = ControlChannel(jitter_s=0.0)
         with pytest.raises(ValueError, match="unknown channel operation"):
             channel.transact("reinstall", 3)
 
     def test_total_delay_rejects_unknown_operation_filter(self):
+        """A misspelt operation name ("instal") is refused by every entry
+        point that takes one, while known operations still time."""
         channel = ControlChannel(jitter_s=0.0)
-        channel.install_delay(3)
         with pytest.raises(ValueError, match="unknown channel operation"):
-            channel.total_delay("instal")
-        # No filter still means "everything".
-        assert channel.total_delay() > 0
-
-
-class TestChannelLogCap:
-    def test_log_is_capped_with_accounted_evictions(self):
-        channel = ControlChannel(jitter_s=0.0, max_log=3)
-        for rules in range(5):
-            channel.install_delay(rules)
-        assert len(channel.log) == 3
-        assert channel.dropped_log_entries == 2
-        # The newest transactions survive (oldest-first eviction).
-        assert [t.rules for t in channel.log] == [2, 3, 4]
-
-    def test_totals_reflect_surviving_entries_only(self):
-        channel = ControlChannel(jitter_s=0.0, max_log=2)
-        channel.install_delay(1)
-        channel.install_delay(2)
-        channel.install_delay(3)
-        assert channel.total_delay() == pytest.approx(
-            2 * channel.batch_overhead_s + 5 * channel.per_rule_s
-        )
-
-    def test_default_cap_unobtrusive(self):
-        channel = ControlChannel(jitter_s=0.0)
-        channel.install_delay(1)
-        assert channel.dropped_log_entries == 0
-        assert len(channel.log) == 1
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            ControlChannel(max_log=0)
+            channel.transact("instal", 3)
+        with pytest.raises(ValueError, match="unknown channel operation"):
+            channel.send("instal", 3)
+        assert channel.transact("install", 3) > 0
 
 
 class TestWindowClock:

@@ -15,6 +15,7 @@ import pytest
 from repro.service import GeneratorSource, NewtonService, ServiceConfig
 from repro.service.http import dispatch
 from repro.service.service import ladder_from_spec, ServiceError
+from tests.service.refusal import error_codes, refused_before_commit
 
 
 @pytest.fixture
@@ -101,13 +102,16 @@ class TestPlanEndpoints:
 
     def test_refused_plan_leaves_nothing_installed_or_managed(self):
         # 1,500 declared flows make a 1024-wide sketch an NV703 error:
-        # the plan is refused after its bootstrap install committed, so
-        # both the rules and the planner's claim on the qid must go.
+        # the bootstrap install is refused before commit, and the 422
+        # carries the verifier's diagnostics through the PlanError.
         service = NewtonService(
             GeneratorSource(pps=2000, seed=11),
             ServiceConfig(switches=2, expected_flows=1500),
         )
         narrow = plan_body(params={"reduce_registers": 1024})
+        with refused_before_commit(service) as exc:
+            service.plan_manage(json.loads(narrow))
+        assert "NV703" in error_codes(exc.value)
         response = call(service, "POST", "/plan", body=narrow)
         assert response.status == 422
         assert "NV703" in {

@@ -24,6 +24,7 @@ from repro.service.service import (
 from repro.traffic.columnar import ColumnarTrace
 from repro.traffic.generators import assign_hosts, caida_like, syn_flood
 from repro.traffic.traces import merge_traces
+from tests.service.refusal import error_codes, refused_before_commit
 
 PPS = 2000
 
@@ -129,41 +130,35 @@ class TestCrud:
                    for s in service.deployment.switches.values())
 
     def test_fleet_accuracy_gate_rolls_the_install_back(self):
-        # Declaring a flow population far beyond the sketch width turns
-        # the fleet analyzer's accuracy budget into an admission error;
-        # the freshly committed query must be rolled back out.
+        # Declaring a flow population far beyond the sketch width makes
+        # the verifier's accuracy budget an admission error: the install
+        # aborts in phase 0 of its own transaction, before any rule moves.
         service = make_service(expected_flows=1_000_000)
-        with pytest.raises(ServiceError) as exc:
+        with refused_before_commit(service) as exc:
             service.install({"query": "Q1"})
-        assert exc.value.status == 422
-        assert any(d["code"].startswith("NV7")
-                   for d in exc.value.payload["diagnostics"])
+        assert "NV703" in error_codes(exc.value)
         assert "Q1" not in service.deployment.controller.installed
         assert service.registry.counter("service_ops_total").value(
-            op="install", outcome="rejected-fleet") == 1
+            op="install", outcome="rejected-verify") == 1
 
     def test_refused_update_leaves_the_previous_definition_serving(self):
         # 1,500 declared flows: a 2048-wide sketch passes (NV701 warns),
         # a 1024-wide one is under-provisioned (NV703) and the update is
-        # refused — which must put the 2048-wide query back, not remove it.
+        # refused before commit — the 2048-wide version never stops.
         service = make_service(expected_flows=1500)
         wide = {"query": "Q1", "params": {"reduce_registers": 2048}}
-        service.install(wide)
+        admitted = service.install(wide)
+        # The read-only audit still reports the op's fleet warnings.
+        assert "NV701" in {d["code"] for d in admitted["fleet_diagnostics"]}
         controller = service.deployment.controller
-        rules_before = controller.rule_count()
-        with pytest.raises(ServiceError) as exc:
+        with refused_before_commit(service) as exc:
             service.update("Q1", {"query": "Q1",
                                   "params": {"reduce_registers": 1024}})
-        assert exc.value.status == 422
-        assert {d["code"] for d in exc.value.payload["diagnostics"]
-                if d["severity"] == "error"} == {"NV703"}
+        assert error_codes(exc.value) == {"NV703"}
         assert list(controller.installed) == ["Q1"]
         assert controller.installed["Q1"].params.reduce_registers == 2048
-        assert controller.rule_count() == rules_before
-        assert controller.txn.residue()["staged_residue"] == 0
-        assert controller.txn.residue()["retired_residue"] == 0
         assert service.registry.counter("service_ops_total").value(
-            op="update", outcome="rejected-fleet") == 1
+            op="update", outcome="rejected-verify") == 1
         # Still serving: the next window is monitored, on one epoch.
         event = service.tick()
         assert "Q1" in event["queries"]

@@ -121,9 +121,9 @@ class TestCrashResume:
     def test_restart_after_a_refused_update_equals_the_live_state(
             self, tmp_path):
         # The gate refuses an under-provisioned update (NV703 at 1,500
-        # declared flows) after its transaction committed; what keeps
+        # declared flows) before its transaction commits; what keeps
         # running must be what the log replays to — the refused op is
-        # not in the log, so the restored definition has to be live.
+        # not in the log, so the previous definition has to be live.
         first = make_service(tmp_path, expected_flows=1500)
         first.install({"query": "Q1", "params": {"reduce_registers": 2048}})
         first.install({"query": "Q4"})
@@ -171,6 +171,31 @@ class TestCrashResume:
         ]
         assert service.health()["queries"] == ["Q1"]
         service.drain()
+
+    def test_snapshots_of_the_old_format_replay_the_same(self, tmp_path):
+        # Snapshots once carried a per-switch register digest; recovery
+        # never read it, so a log that still has one replays unchanged.
+        snapshot = {"window_epoch": 4, "committed_epoch": 1, "windows": 4,
+                    "packets": 400, "mixed_epoch_packets": 0}
+        recovered = []
+        for name, extra in (("new", {}), ("old", {"register_digest": {
+                "s0": [0, 0], "s1": [0, 0]}})):
+            with WriteAheadLog(str(tmp_path / name)) as wal:
+                wal.append("op", {"op": "install", "spec": {"query": "Q1"}})
+                wal.append("txn", {"txn_id": 0, "op": "install",
+                                   "qid": "Q1", "epoch": 1})
+                wal.append("snapshot", {**snapshot, **extra})
+            service = make_service(tmp_path / name)
+            recovery = dict(service.wal_recovery)
+            del recovery["recovery_s"]
+            health = service.health()
+            recovered.append((recovery, installed_state(service),
+                              {k: health[k] for k in (
+                                  "window_epoch", "windows", "packets",
+                                  "queries")}))
+            service.drain()
+        assert recovered[0] == recovered[1]
+        assert recovered[0][0]["window_epoch"] == 4
 
     def test_recovery_does_not_publish_feed_events(self, tmp_path):
         first = make_service(tmp_path)

@@ -24,8 +24,10 @@
 * An operation is audited for what it touched: the whole-fleet walk
   (``analyze_deployment`` / ``analyze_fleet``) is the CLI's and the test
   oracle's — nothing under ``src/repro/core``, ``src/repro/ctrlplane``
-  or ``src/repro/service`` names it (the service gate runs
+  or ``src/repro/service`` names it (the service's audit runs
   ``analyze_op``).
+* One admission decision, before commit: no module under ``src/repro``
+  passes ``verify=False`` (the controller's gate is never skipped).
 * The CLI is a shell: only ``cli.py`` and ``experiments/`` import
   ``repro.experiments`` (the service asks ``core/library.py`` for the
   evaluation thresholds); ``cli.py`` constructs no deployment
@@ -165,6 +167,15 @@ def whole_fleet_walk(node):
     if isinstance(node, ast.alias):
         return node.name.split(".")[-1] in walks
     return tail_name(node) in walks
+
+
+def unverified_call(node):
+    """A call passing ``verify=False``."""
+    return isinstance(node, ast.Call) and any(
+        kw.arg == "verify" and isinstance(kw.value, ast.Constant)
+        and kw.value.value is False
+        for kw in node.keywords
+    )
 
 
 def experiments_import(node):
@@ -313,6 +324,10 @@ def test_op_path_never_walks_the_whole_fleet(package):
     assert violations(package, whole_fleet_walk) == []
 
 
+def test_nothing_skips_the_admission_gate():
+    assert violations("", unverified_call) == []
+
+
 def test_only_the_cli_and_the_experiments_import_the_experiments():
     assert [
         f"{path}:{node.lineno}"
@@ -419,6 +434,11 @@ def test_owners_names_the_innermost_function():
     (whole_fleet_walk, "from repro.verify import analyze_op, exit_code",
      False),
     (whole_fleet_walk, "analyze_op(self.deployment, qid, config)", False),
+    (unverified_call, "controller.update_query(q, p, verify=False)", True),
+    (unverified_call, "install_query(q, verify=False, path=['s0'])", True),
+    (unverified_call, "install_query(q, verify=True, path=['s0'])", False),
+    (unverified_call, "call['verify'] = False", False),
+    (unverified_call, "install_query(q, verifier_config=config)", False),
     (experiments_import, "from repro.experiments.common import workload",
      True),
     (experiments_import, "import repro.experiments", True),

@@ -11,8 +11,8 @@ everything (what ``newton-repro analyze`` runs):
   collide with"), reports at the op's sub-queries and switches exactly
   what the audit reports, in the same order;
 * **scoped rejects iff full rejects**, whenever the fleet was free of
-  errors before the op — which a gate that undoes rejected ops keeps
-  true.
+  errors before the op — which a gate that refuses ops before they
+  commit keeps true.
 """
 
 from repro.verify.fleet import (

@@ -20,7 +20,7 @@ from repro.verify.fleet import (
     check_staging_plan,
     exit_code,
 )
-from repro.verify.fleet.accuracy import check_accuracy_budget
+from repro.verify.accuracy import check_accuracy_budget
 from repro.verify.fleet.epochs import (
     check_epoch_hygiene,
     check_staged_bank_layout,
@@ -31,6 +31,7 @@ from repro.verify.fleet.interference import (
 )
 from repro.verify.fleet.model import STAGED, SwitchView
 from repro.verify.program import PipelineModel
+from repro.verify.verifier import VerifierConfig
 
 PARAMS = QueryParams(cm_depth=2, reduce_registers=2048,
                      distinct_registers=2048)
@@ -70,12 +71,12 @@ def compiled_of(dep):
     }
 
 
-def analyze(dep, **cfg):
+def analyze(dep, **verifier):
     return analyze_deployment(
         dep.switches,
         compiled=compiled_of(dep),
         committed_epoch=dep.controller.txn.epoch,
-        config=FleetConfig(**cfg) if cfg else None,
+        config=FleetConfig(verifier=VerifierConfig(**verifier)),
     )
 
 

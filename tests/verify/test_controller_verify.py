@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.core.compiler import QueryParams
+from repro.core.compiler import Optimizations, QueryParams, compile_query
 from repro.core.query import Query
 from repro.dataplane.registers import AllocationError
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
-from repro.verify import VerificationError, VerificationReport
+from repro.verify import (
+    VerificationError,
+    VerificationReport,
+    VerifierConfig,
+    verify_queries,
+)
 
 
 def syn_query(qid="ctl.q", threshold=10):
@@ -122,6 +127,33 @@ class TestUpdateGate:
         assert "NV203" in exc.value.report.codes()
         assert dep.switch("s0").rule_count == resident_rules
         assert "ctl.q" in dep.controller.installed
+
+
+class TestAccuracyBudgetGate:
+    """A declared flow population puts the NV7xx budget in the install
+    gate: an under-provisioned sketch aborts in phase 0, before staging."""
+
+    def test_under_provisioned_install_aborts_before_staging(self):
+        dep = build_deployment(linear(1), array_size=1 << 13)
+        txn = dep.controller.txn
+        with pytest.raises(VerificationError) as exc:
+            dep.controller.install_query(
+                syn_query(), SMALL, path=["s0"],
+                verifier_config=VerifierConfig(expected_flows=1500),
+            )
+        assert exc.value.report.by_code("NV703")
+        assert txn.epoch == 0 and dep.controller.rule_count() == 0
+        assert [e.state for e in txn.journal.entries()] == ["aborted"]
+
+    def test_budget_findings_come_last_and_only_when_declared(self):
+        comps = [compile_query(syn_query(), SMALL, Optimizations.all())]
+        assert not verify_queries(comps).by_code("NV703")
+        report = verify_queries(
+            comps, config=VerifierConfig(expected_flows=1500))
+        assert report.diagnostics[-1].code == "NV703"
+        quiet = verify_queries(comps, config=VerifierConfig(
+            expected_flows=1500, suppress=("NV703",)))
+        assert not quiet.by_code("NV703")
 
 
 class TestOneDemandTallyPerOp:

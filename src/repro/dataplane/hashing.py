@@ -22,7 +22,13 @@ digests equal :func:`hash_bytes` of the scalar path's key.  The memo
 answers the keys it has seen in one C-level pass and keeps each digest
 as its 8 big-endian bytes; a key it has not seen costs one ``copy()`` of
 a blake2b keyed with the seed once per call, and the distinct-key
-column is one ``frombuffer`` of the joined digests.
+column is one ``frombuffer`` of the joined digests.  The vector engine
+goes one step further and serves the H ops of several program runs at
+once: a round stacks the equal-width key columns of every run that needs
+a group into one :class:`KeyGroup` of *parts*, and :func:`hash_parts`
+digests each distinct key once for every part that asks under one seed
+and memo — telling the memo the hits and misses one call per part would
+have — before each op reduces into its range and gathers its part.
 
 **The flow hash** (:func:`flow_hash` / :func:`flow_hash_columns`) answers
 every per-flow *placement* question — which equal-cost path (``Router``),
@@ -40,8 +46,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["FLOW_FIELDS", "HashMemo", "HashUnit", "HashFamily", "KeyGroup",
-           "flow_hash", "flow_hash_columns", "hash_bytes", "hash_rows",
-           "pack_key_words"]
+           "flow_hash", "flow_hash_columns", "hash_bytes", "hash_parts",
+           "hash_rows", "pack_key_words"]
 
 #: The 5-tuple in flow-hash mixing order (``Packet.five_tuple``'s order).
 FLOW_FIELDS: Tuple[str, ...] = ("sip", "dip", "proto", "sport", "dport")
@@ -131,29 +137,57 @@ class KeyGroup:
     ``GLOBAL_FIELDS.pack`` layout — and ``inverse``, the index into ``raw``
     of every row, so any number of hash ops over the same column share
     one sort.
+
+    The column may stack several *parts* — the equal-width key columns of
+    several program runs side by side, ``parts`` giving their row counts
+    in order.  Equal keys of two parts are then one distinct key,
+    :meth:`part` is a part's slice of ``inverse``, and ``present[key,
+    part]`` tells which parts hold which key (``None`` for one part).
     """
 
-    __slots__ = ("raw", "inverse")
+    __slots__ = ("raw", "inverse", "bounds", "present")
 
-    def __init__(self, words: np.ndarray, width: int):
+    def __init__(self, words: np.ndarray, width: int,
+                 parts: Sequence[int] = ()):
         nwords, n = words.shape
+        self.raw: List[bytes]
         if nwords == 0:
             # No field selected: every row carries the empty key.
             self.inverse = np.zeros(n, dtype=np.intp)
-            self.raw: List[bytes] = [b""] * min(n, 1)
-            return
-        order = (np.argsort(words[0]) if nwords == 1
-                 else np.lexsort(words[::-1]))
-        ordered = words[:, order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        self.inverse = np.empty(n, dtype=np.intp)
-        self.inverse[order] = np.cumsum(first) - 1
-        distinct = ordered[:, first].T
-        stride = 8 * nwords
-        buffer = distinct.astype(">u8").tobytes()
-        self.raw = [buffer[end - width:end]
-                    for end in range(stride, len(buffer) + 1, stride)]
+            self.raw = [b""] * min(n, 1)
+        else:
+            order = (np.argsort(words[0]) if nwords == 1
+                     else np.lexsort(words[::-1]))
+            ordered = words[:, order]
+            first = np.ones(n, dtype=bool)
+            first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+            self.inverse = np.empty(n, dtype=np.intp)
+            self.inverse[order] = np.cumsum(first) - 1
+            distinct = ordered[:, first].T
+            stride = 8 * nwords
+            buffer = distinct.astype(">u8").tobytes()
+            self.raw = [buffer[end - width:end]
+                        for end in range(stride, len(buffer) + 1, stride)]
+        #: Where each part's rows start, and where the last one ends.
+        self.bounds: List[int] = [0, n]
+        self.present: Optional[np.ndarray] = None
+        if len(parts) > 1:
+            self.bounds = [0, *np.cumsum(parts).tolist()]
+            self.present = np.zeros((len(self.raw), len(parts)), dtype=bool)
+            self.present[self.inverse,
+                         np.repeat(np.arange(len(parts)), parts)] = True
+
+    def part(self, index: int) -> np.ndarray:
+        """``inverse`` over the rows of part ``index``."""
+        return self.inverse[self.bounds[index]:self.bounds[index + 1]]
+
+    def pick(self, ids: np.ndarray) -> "KeyGroup":
+        """The group of the distinct keys ``ids`` alone, one row each."""
+        picked = KeyGroup(np.empty((0, 0), dtype=np.uint64), 0)
+        picked.raw = [self.raw[i] for i in ids.tolist()]
+        picked.inverse = np.arange(len(ids))
+        picked.bounds = [0, len(ids)]
+        return picked
 
 
 class HashMemo(Dict[bytes, bytes]):
@@ -228,6 +262,33 @@ def hash_rows(keys: KeyGroup, seed: int,
     return np.frombuffer(b"".join(digests), dtype=">u8")
 
 
+def hash_parts(keys: KeyGroup, parts: Sequence[int], seed: int,
+               cache: HashMemo) -> np.ndarray:
+    """:func:`hash_rows` for the rows of ``parts`` of ``keys``: a digest
+    per distinct key of the group (``uint64``), hashed once however many
+    of ``parts`` hold it, and 0 for a key none of them holds.
+
+    ``cache`` is told what one :func:`hash_rows` call per part, over that
+    part's distinct keys, would have told it, in any order: a key no call
+    had seen is missed once either way, so only the hits differ — by the
+    keys the parts share, which the per-part calls count once per part.
+    :meth:`HashMemo.roll` therefore decides on the same counts.
+    """
+    if keys.present is None:
+        return hash_rows(keys, seed, cache)
+    held = keys.present[:, parts]
+    used = held.any(axis=1)
+    distinct = int(np.count_nonzero(used))
+    if distinct == len(keys.raw):
+        digests = hash_rows(keys, seed, cache)
+    else:
+        ids = np.flatnonzero(used)
+        digests = np.zeros(len(keys.raw), dtype=np.uint64)
+        digests[ids] = hash_rows(keys.pick(ids), seed, cache)
+    cache.hits += int(np.count_nonzero(held)) - distinct
+    return digests
+
+
 @dataclass(frozen=True)
 class HashUnit:
     """One configured hash engine: a seed plus an output range.
@@ -246,14 +307,6 @@ class HashUnit:
 
     def __call__(self, key: bytes) -> int:
         return hash_bytes(key, self.seed) % self.range_size
-
-    def many(self, keys: KeyGroup,
-             cache: Optional[HashMemo] = None) -> np.ndarray:
-        """Vectorized ``__call__`` over every row of ``keys`` (int64
-        indices): reduce the distinct digests, then gather."""
-        hashed = hash_rows(keys, self.seed, cache)
-        reduced = (hashed % np.uint64(self.range_size)).astype(np.int64)
-        return reduced[keys.inverse]
 
 
 class HashFamily:

@@ -233,7 +233,8 @@ class RegisterArray:
     def execute_many(
         self, owner: Tuple, indices: np.ndarray, op: StatefulOp,
         operands: Union[int, np.ndarray],
-        then: Sequence[Tuple[int, RegisterArray, Tuple]] = (),
+        then: Sequence[Union[Tuple[int, RegisterArray, Tuple],
+                             Tuple[int, RegisterArray, Tuple, int]]] = (),
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batch of :meth:`execute` calls with sequential semantics.
 
@@ -246,13 +247,21 @@ class RegisterArray:
         the loop one packet at a time, and stores each touched register's
         final value.
 
-        ``then`` fuses more slices into the call — one fused run of the
-        vector engine is one call, whatever its number of switches: each
-        ``(start, array, owner)`` hands the rows from ``start`` (up to the
-        next entry's start) to ``owner``'s slice of ``array``, and the rows
-        before the first start are ``owner``'s of this array.  Each
-        ``(array, owner)`` is named once; the result equals one call per
-        member in that order, and each array keeps its own storage.
+        ``then`` fuses more slices into the call — the S calls of one ALU
+        op in a round of the vector engine are one call, whatever their
+        number of runs and switches: each ``(start, array, owner)`` hands
+        the rows from ``start`` (up to the next entry's start) to
+        ``owner``'s slice of ``array``, and the rows before the first
+        start are ``owner``'s of this array.  When ``operands`` is an
+        ``int``, an entry may carry a fourth item, its member's own
+        constant (an entry without one uses ``operands``): a cell group
+        never spans two members, so a constant per member is still one
+        value per group and takes no scan.  Each ``(array, owner)`` may
+        be named once — a second name would be scanned apart from the
+        first and only one of their last values stored, losing updates —
+        so naming one twice raises ``ValueError``.  The result equals one
+        call per member in that order, and each array keeps its own
+        storage.
 
         The per-packet values are the *running* ones — the third hit on a
         cell sees the first two, and an R threshold fires on the packet
@@ -271,14 +280,21 @@ class RegisterArray:
         #: cell, and the row each member starts at.
         members: List[Tuple[RegisterArray, Allocation, int]] = []
         bounds: List[int] = []
+        #: Each member's constant operand, when ``operands`` is one.
+        constants: List[int] = []
         bound = 0
-        for start, array, key in [(0, self, owner), *then]:
+        for start, array, key, *constant in [(0, self, owner), *then]:
             alloc = array._allocations.get(key)
             if alloc is None:
                 raise AllocationError(f"owner {key!r} holds no allocation")
             members.append((array, alloc, bound))
             bounds.append(start)
             bound += alloc.size
+            if not isinstance(operands, np.ndarray):
+                constants.append(constant[0] if constant else operands)
+        if len(members) > 1 and len(members) != len(
+                {(id(array), alloc.owner) for array, alloc, _f in members}):
+            raise ValueError("execute_many names one (array, owner) twice")
         bounds.append(n)
         counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         cells = indices % _per_row([alloc.size for _a, alloc, _f in members],
@@ -312,8 +328,14 @@ class RegisterArray:
         starts[0] = True
         starts[1:] = c[1:] != c[:-1]
         constant = not isinstance(operands, np.ndarray)
-        v = (operands if constant
-             else operands[order].astype(np.int64, copy=False))
+        if constant:
+            # One value per cell group, whether it is one for all the
+            # members or one per member.
+            v = _per_row(constants, counts)
+            if isinstance(v, np.ndarray):
+                v = v[order]
+        else:
+            v = operands[order].astype(np.int64, copy=False)
         # ``excl``: what the earlier hits of the same cell in this batch
         # contributed before each row.  A constant needs no scan: it is
         # the row's rank in its group times the constant for ADD, and —

@@ -21,9 +21,8 @@ rebuilt per rule state ``(rule_epoch, mutation_seq)``:
   rebuilt only after an R ``stop`` actually removed rows; each H then
   resolves the distinct keys through its seed's memo of 8-byte digests
   and gathers;
-* an S op of a fused run is one :meth:`RegisterArray.execute_many` call
-  over every member's active rows, each member's on its own switch's
-  register array (the ``then`` members of the call);
+* an S op of a fused run covers every member's active rows, each
+  member's on its own switch's register array;
 * R ternary matches become ``(lo, hi)`` range arrays evaluated per entry.
 
 A program runs over a :class:`RowContext` — the columnar ``PhvContext``:
@@ -31,6 +30,16 @@ fresh at the ingress switch, carried from the previous hop's slice for a
 downstream one, exactly the state the scalar path hands to the next hop
 in memory.  Every module sequence compiles; an S op whose set has no hash
 yet raises the scalar path's error when rows reach it.
+
+The runs of a stack advance in lockstep (:func:`execute_program`): a run
+is a generator over its ops that stops at each stateful S op and each
+seeded H op with the kernel call it needs, and each *round* serves the
+calls of every live run together — one
+:meth:`RegisterArray.execute_many` per ALU op, one key group per key
+byte width and one :func:`~repro.dataplane.hashing.hash_parts` per
+(group, seed, memo) — so a window's kernel calls follow its rounds, not
+its runs.  K, direct H, passthrough S, R, the fold and report emission
+stay per run, in the run.
 
 One structural fact makes batching sound: the only divergence between
 packets inside one program is the per-packet ``stopped`` flag, and a
@@ -46,7 +55,19 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Generator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    cast,
+)
 
 import numpy as np
 
@@ -66,6 +87,7 @@ from repro.dataplane.hashing import (
     HashMemo,
     HashUnit,
     KeyGroup,
+    hash_parts,
     pack_key_words,
 )
 from repro.dataplane.module_types import ModuleType
@@ -80,6 +102,7 @@ __all__ = [
     "RowContext",
     "SwitchPrograms",
     "RuleProgram",
+    "ProgramRun",
     "compile_switch_programs",
     "concat_contexts",
     "execute_program",
@@ -146,8 +169,8 @@ class RuleProgram:
     #: One tuple per op, ``ops`` minus each S op's ``array`` and
     #: ``storage_key``.  Programs of one query with equal shapes — the
     #: same rules on different switches — differ only in which
-    #: :class:`RegisterArray` each S op mutates, so one
-    #: :func:`execute_program` run over their packets serves them all.
+    #: :class:`RegisterArray` each S op mutates, so one run of
+    #: :func:`execute_program` over their packets serves them all.
     shape: Tuple[Tuple, ...]
     #: Packet columns the ops read (K plans, H direct, S field operands).
     fields_needed: frozenset = frozenset()
@@ -333,18 +356,22 @@ def _compile_program(pipeline: NewtonPipeline, qid: str,
 class _SetState:
     """Columnar mirror of one ``MetadataSet`` across the batch."""
 
-    __slots__ = ("words", "key_width", "group", "group_rows", "fields",
-                 "hash", "hash_has", "state", "state_has")
+    __slots__ = ("words", "key_width", "group", "group_part", "group_rows",
+                 "fields", "hash", "hash_has", "state", "state_has")
 
     def __init__(self, k: int) -> None:
         #: K output: (words, k) uint64 key column; before any K, the
         #: empty key (what the scalar path hashes then).
         self.words = np.empty((0, k), dtype=np.uint64)
         self.key_width = 0
-        #: Distinct keys of ``words[:, group_rows]``, shared by every H on
-        #: this set until K rewrites the column or an R stop shrinks the
-        #: active rows (``group`` is dropped then and rebuilt on demand).
+        #: Distinct keys of ``words[:, group_rows]`` — part
+        #: ``group_part`` of ``group``, which a round builds over the
+        #: equal-width key columns of every run that needs one — shared
+        #: by every H on this set until K rewrites the column or an R
+        #: stop shrinks the active rows (``group`` is dropped then and
+        #: rebuilt on demand).
         self.group: Optional[KeyGroup] = None
+        self.group_part = 0
         self.group_rows: Optional[np.ndarray] = None
         self.fields: Optional[List[Tuple[str, np.ndarray]]] = None
         self.hash: Optional[np.ndarray] = None      # int64
@@ -440,53 +467,129 @@ def concat_contexts(parts: Sequence[RowContext]) -> RowContext:
                       (joined[0], joined[1]))
 
 
-def execute_program(
-    programs: Sequence[RuleProgram],
-    bounds: Sequence[int],
-    cols: Dict[str, np.ndarray],
-    ts: np.ndarray,
-    window_epochs: Sequence[int],
-    switch_ids: Sequence[object],
-    sink_reports: List[Tuple[int, Report]],
-    sanitizer: Optional["Sanitizer"] = None,
-    hash_trace: Optional[List[Tuple[Tuple[int, int], np.ndarray,
-                                    KeyGroup]]] = None,
-    context: Optional[RowContext] = None,
-) -> RowContext:
-    """Run one query's equal-shape programs over their packets at once.
+@dataclass(eq=False)
+class ProgramRun:
+    """One query's equal-shape programs over their packets: what one run
+    of :func:`execute_program` reads, and where its output goes.
 
     ``programs`` are the compiled programs of one query on the switches
     ``switch_ids`` (all of one :attr:`RuleProgram.shape`); member ``j``
     owns rows ``bounds[j]:bounds[j + 1]`` of ``cols`` (only
-    ``fields_needed`` is read) and ``ts``, in packet order.  K, the key
-    group, H, R and the result fold run once over all rows, and so does
-    each S op: one :meth:`RegisterArray.execute_many` over every
-    member's active rows, each member's on its own register array, so
-    every switch's registers see exactly its own packets, in order (the
-    sanitizer's ``register-oob`` check still runs member by member).
-    Emitted reports are appended to ``sink_reports`` as ``(row,
-    report)``, carrying the switch id and window epoch of the member the
-    row belongs to, in exactly the order the scalar loop would emit them
-    for each packet.
-
-    ``context`` is the rows' in-flight state from the slice an upstream
-    hop ran (:meth:`RowContext.take`, aligned with ``ts``); without one
-    every row starts fresh, as at the ingress switch.  The state after
-    the last op is returned — the rows that are still active are the
-    ones whose next slice runs downstream.
-
-    ``sanitizer`` enables observe-only invariant checks; ``hash_trace``
-    (a list) additionally collects ``((seed, range), local rows, key
-    group)`` per hash op so the caller can run the cross-program
-    collision check over a whole batch.
-
-    An exception in here (a missing allocation — a programming error,
-    never input-driven) leaves the registers of earlier ops and earlier
-    members mutated: the partial state is query-major across switches.
+    ``fields_needed`` is read) and ``ts``, in packet order, and stamps
+    its reports with ``window_epochs[j]``.  ``context`` is the rows'
+    in-flight state from the slice an upstream hop ran
+    (:meth:`RowContext.take`, aligned with ``ts``); without one every
+    row starts fresh, as at the ingress switch.
     """
+
+    programs: Sequence[RuleProgram]
+    bounds: Sequence[int]
+    cols: Dict[str, np.ndarray]
+    ts: np.ndarray
+    window_epochs: Sequence[int]
+    switch_ids: Sequence[object]
+    context: Optional[RowContext] = None
+    #: Emitted reports as ``(row, report)``, in exactly the order the
+    #: scalar loop would emit them for each packet.
+    reports: List[Tuple[int, Report]] = field(default_factory=list)
+    #: A list to collect ``((seed, range), local rows, distinct key
+    #: bytes, each row's index into them)`` per hash op in, so the
+    #: caller can run the cross-program collision check over a whole
+    #: batch; ``None`` collects nothing.
+    hash_trace: Optional[List[Tuple[Tuple[int, int], np.ndarray,
+                                    List[bytes], np.ndarray]]] = None
+
+
+class _SCall(NamedTuple):
+    """What a run's stateful S op asks of its round: one ALU call."""
+
+    op: object
+    indices: np.ndarray
+    operands: Union[int, np.ndarray]
+    #: ``(first row, array, owner)`` of every member with rows here.
+    banks: List[Tuple[int, RegisterArray, Tuple]]
+
+
+class _HCall(NamedTuple):
+    """What a run's seeded H op asks of its round: ``unit`` over the
+    group rows of ``st``, which may have no key group yet."""
+
+    st: _SetState
+    unit: HashUnit
+    memo: HashMemo
+
+
+_Call = Union[_SCall, _HCall]
+#: One run, op by op: yields its kernel calls, is sent their answers,
+#: returns its final context.
+_Steps = Generator[_Call, Any, RowContext]
+
+
+def execute_program(runs: Sequence[ProgramRun],
+                    sanitizer: Optional["Sanitizer"] = None,
+                    ) -> List[RowContext]:
+    """Run a stack of program runs in lockstep; return each one's state
+    after its last op.
+
+    Within a run, K, the key group, H, R and the result fold run once
+    over all its rows, and each S op once over every member's active
+    rows, each member's on its own register array, so every switch's
+    registers see exactly its own packets, in order (the sanitizer's
+    ``register-oob`` check still runs member by member).  Reports carry
+    the switch id and window epoch of the member the row belongs to.
+    The rows still active in a returned context are the ones whose next
+    slice runs downstream.
+
+    The runs advance in *rounds*: every live run steps to its next
+    stateful S op or seeded H op, and the round serves those calls
+    together (:func:`_serve`).  The S calls of one ALU op are one
+    :meth:`RegisterArray.execute_many` with every member of every call as
+    a ``then`` entry; the H calls whose set has no key group yet get one
+    :class:`KeyGroup` per key byte width, and each (group, seed, memo)
+    one :func:`hash_parts`.  A round with one call of a kind makes the
+    call a lone run would.  No two runs of a stack share a register cell
+    — owners are distinct across queries, and two runs of one query hold
+    disjoint switches (``execute_many`` refuses an ``(array, owner)``
+    named twice) — and a digest depends only on the key and the seed, so
+    the order of the calls across runs cannot be observed.
+
+    ``sanitizer`` enables observe-only invariant checks.  An exception
+    in here (a missing allocation — a programming error, never
+    input-driven) leaves the registers of the earlier rounds mutated:
+    the partial state is round-major across the stack's runs.
+    """
+    contexts: List[Optional[RowContext]] = [None] * len(runs)
+    live: List[Tuple[int, _Steps]] = [
+        (index, _steps(run, sanitizer)) for index, run in enumerate(runs)
+    ]
+    answers: List[Any] = [None] * len(live)
+    while live:
+        asking: List[Tuple[int, _Steps]] = []
+        calls: List[_Call] = []
+        for (index, steps), answer in zip(live, answers):
+            try:
+                call = steps.send(answer)
+            except StopIteration as done:
+                contexts[index] = done.value
+            else:
+                asking.append((index, steps))
+                calls.append(call)
+        live = asking
+        answers = _serve(calls)
+    return cast(List[RowContext], contexts)
+
+
+def _steps(run: ProgramRun, sanitizer: Optional["Sanitizer"]) -> _Steps:
+    """One run, op by op: yields the kernel call of each stateful S op
+    and each seeded H op and is sent its answer — ``(old, new)`` or the
+    hash of the set's group rows; every other op runs in here."""
+    programs = run.programs
+    bounds = run.bounds
+    cols = run.cols
+    ts = run.ts
     lead = programs[0]
     k = len(ts)
-    ctx = RowContext.fresh(k) if context is None else context
+    ctx = RowContext.fresh(k) if run.context is None else run.context
     act = ctx.act
     global_val = ctx.global_val
     global_has = ctx.global_has
@@ -518,14 +621,13 @@ def execute_program(
             else:
                 if st.group is None:
                     st.group_rows = np.flatnonzero(act)
-                    st.group = KeyGroup(st.words[:, st.group_rows],
-                                        st.key_width)
-                assert op.unit is not None
-                values = op.unit.many(st.group, op.cache)
-                if hash_trace is not None:
-                    hash_trace.append((
-                        (op.unit.seed, op.unit.range_size),
-                        st.group_rows, st.group,
+                assert op.unit is not None and op.cache is not None
+                values = yield _HCall(st, op.unit, op.cache)
+                assert st.group is not None and st.group_rows is not None
+                if run.hash_trace is not None:
+                    run.hash_trace.append((
+                        (op.unit.seed, op.unit.range_size), st.group_rows,
+                        st.group.raw, st.group.part(st.group_part),
                     ))
                 fresh = (np.zeros(k, dtype=np.int64) if st.hash is None
                          else st.hash.copy())
@@ -546,8 +648,6 @@ def execute_program(
                 )
             idx = np.flatnonzero(act)
             assert st.hash is not None
-            fresh = (np.zeros(k, dtype=np.int64) if st.state is None
-                     else st.state.copy())
             # The state is per switch, the scan is not: one call runs
             # every member's active rows, each member's through its own
             # register array (a member with none left adds nothing — its
@@ -564,24 +664,125 @@ def execute_program(
                               member_op.storage_key))
                 if sanitizer is not None:
                     _check_oob(sanitizer, member_op,
-                               h[cuts[j]:cuts[j + 1]], switch_ids[j],
+                               h[cuts[j]:cuts[j + 1]], run.switch_ids[j],
                                lead.qid)
-            # ``act`` has rows, so the first bank's start is row 0.
-            _start, array, storage_key = banks[0]
-            old, new = array.execute_many(
-                storage_key, h, op.op,
+            old, new = yield _SCall(
+                op.op, h,
                 (op.operand_const if op.operand_field is None
                  else cols[op.operand_field][idx]),
-                banks[1:],
+                banks,
             )
+            fresh = (np.zeros(k, dtype=np.int64) if st.state is None
+                     else st.state.copy())
             fresh[idx] = old if op.output_old else new
             st.state = fresh
             st.state_has = True
         else:  # _ROp
             _execute_r(op, st, act, global_val, global_has, sets, ts,
-                       bounds, window_epochs, switch_ids, lead.qid,
-                       sink_reports)
+                       bounds, run.window_epochs, run.switch_ids, lead.qid,
+                       run.reports)
     return ctx
+
+
+def _serve(calls: Sequence[_Call]) -> List[Any]:
+    """One round: the answer to each of ``calls``, in order."""
+    if len(calls) == 1:
+        call = calls[0]
+        return (_alu([call]) if isinstance(call, _SCall)
+                else _hash([call]))
+    answers: List[Any] = [None] * len(calls)
+    by_op: Dict[object, List[Tuple[int, _SCall]]] = {}
+    seeded: List[Tuple[int, _HCall]] = []
+    for i, call in enumerate(calls):
+        if isinstance(call, _SCall):
+            by_op.setdefault(call.op, []).append((i, call))
+        else:
+            seeded.append((i, call))
+    for asked in [*by_op.values(), seeded]:
+        if asked:
+            indices, of_kind = zip(*asked)
+            served = (_alu(of_kind) if isinstance(of_kind[0], _SCall)
+                      else _hash(of_kind))
+            for i, answer in zip(indices, served):
+                answers[i] = answer
+    return answers
+
+
+def _alu(calls: Sequence[_SCall]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """One :meth:`RegisterArray.execute_many` over every member of
+    ``calls`` (of one ALU op); each call's ``(old, new)``."""
+    if len(calls) == 1:
+        call = calls[0]
+        # A run reaches an S op only with rows, so its first bank
+        # starts at row 0.
+        _start, array, owner = call.banks[0]
+        return [array.execute_many(owner, call.indices, call.op,
+                                   call.operands, call.banks[1:])]
+    starts = [0]
+    for call in calls:
+        starts.append(starts[-1] + len(call.indices))
+    # Constants stay constants, one per member: the cells of two members
+    # never meet in one group, so no scan is needed for them.
+    constant = not any(isinstance(call.operands, np.ndarray)
+                       for call in calls)
+    then: List[Tuple] = []
+    for call, offset in zip(calls, starts):
+        extra = (call.operands,) if constant else ()
+        then.extend((offset + start, array, owner, *extra)
+                    for start, array, owner in call.banks)
+    operands = calls[0].operands if constant else np.concatenate([
+        call.operands if isinstance(call.operands, np.ndarray)
+        else np.full(len(call.indices), call.operands, dtype=np.int64)
+        for call in calls
+    ])
+    _start, array, owner, *_constant = then[0]
+    old, new = array.execute_many(
+        owner, np.concatenate([call.indices for call in calls]),
+        calls[0].op, operands, then[1:],
+    )
+    return [(old[lo:hi], new[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+
+
+def _hash(calls: Sequence[_HCall]) -> List[np.ndarray]:
+    """Each call's hash of its set's group rows (``int64``).
+
+    The sets without a key group get one per key byte width, over their
+    rows' words side by side: equal widths are equal word counts, and a
+    digest depends only on the key bytes and the seed.  Each (group,
+    seed, memo) is one :func:`hash_parts`, reduced into each range once,
+    on the distinct keys, then gathered call by call.
+    """
+    unbuilt: Dict[int, List[_SetState]] = {}
+    for call in calls:
+        if call.st.group is None:
+            unbuilt.setdefault(call.st.key_width, []).append(call.st)
+    for width, states in unbuilt.items():
+        words = [st.words[:, st.group_rows] for st in states]
+        group = KeyGroup(
+            words[0] if len(words) == 1 else np.concatenate(words, axis=1),
+            width, [column.shape[1] for column in words],
+        )
+        for part, st in enumerate(states):
+            st.group = group
+            st.group_part = part
+    asks: Dict[Tuple[int, int, int], List[int]] = {}
+    for i, call in enumerate(calls):
+        asks.setdefault((id(call.st.group), call.unit.seed, id(call.memo)),
+                        []).append(i)
+    answers: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(calls)
+    for members in asks.values():
+        lead = calls[members[0]]
+        group = cast(KeyGroup, lead.st.group)
+        digests = hash_parts(group, [calls[i].st.group_part for i in members],
+                             lead.unit.seed, lead.memo)
+        reduced: Dict[int, np.ndarray] = {}
+        for i in members:
+            call = calls[i]
+            size = call.unit.range_size
+            if size not in reduced:
+                reduced[size] = (digests % np.uint64(size)).astype(np.int64)
+            answers[i] = reduced[size][group.part(call.st.group_part)]
+    return answers
 
 
 def _check_oob(sanitizer: "Sanitizer", op: _SOp, h: np.ndarray,

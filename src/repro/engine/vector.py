@@ -14,21 +14,28 @@ program`) run each installed query over whole packet columns at once.
 ``newton_init`` dispatch is per ingress switch; execution is per query:
 the programs one query compiled to on different switches are the same
 ops over different register arrays whenever the switches hold the same
-version of it, so they run once over the switches' packets together —
-the state bank included: each S op is one
-:meth:`RegisterArray.execute_many` call over every member's rows, its
-cells numbered across the members' slices so one radix order and one
-scan serve them all, gathered from and scattered to each switch's own
-array, bit-identical to the sequential ALU switch by switch.  Hashing
-follows the sketch shape: each K packs its key column into ``uint64``
-words and deduplicates it once into a
+version of it, so they make one *run* over the switches' packets
+together.  Hashing follows the sketch shape: each K packs its key column
+into ``uint64`` words and deduplicates it once into a
 :class:`~repro.dataplane.hashing.KeyGroup` that every H behind it
 shares, and each H resolves only the distinct keys through its seed's
 cross-window memo (:func:`~repro.dataplane.hashing.hash_rows`: one
 C-level lookup pass, one copy of a seed-keyed blake2b per never-seen
-key) — the two hot loops of the scalar path.  Rows are forwarded per
-path group; among equal-cost paths the router picks, one flow-hash
-column per host pair (:meth:`Router.path_choices`).
+key) — the two hot loops of the scalar path.
+
+The runs of a sub-batch are not executed one after the other either:
+every run of at most ``_STACK_ROWS`` rows joins the sub-batch's *stack*,
+whose runs :func:`execute_program` advances in lockstep, a round at a
+time.  Each round, the S calls of one ALU op across all runs are one
+:meth:`RegisterArray.execute_many` — cells numbered across every
+member's slice so one radix order and one scan serve them all, gathered
+from and scattered to each switch's own array, bit-identical to the
+sequential ALU switch by switch — and the seeded H calls share one key
+group per key byte width and one digest pass per (group, seed, memo).
+At ingress the stack is every small run of the sub-batch; downstream,
+every small run of one slice cursor's layout segment.  Rows are
+forwarded per path group; among equal-cost paths the router picks, one
+flow-hash column per host pair (:meth:`Router.path_choices`).
 
 Cross-switch (CQE) queries stay on the batch path: the SP header rides
 as columns.  A slice-0 run returns its rows' :class:`~repro.engine.
@@ -37,7 +44,8 @@ the rows of a sliced query still active carry it, with the rule epoch
 their ingress switch stamped, to the next slice — run at the first hop
 of the row's path whose switch holds that slice's version for the
 stamped epoch (a hop holding none, a legacy switch included, leaves the
-cursor where it is), one program run per query and shape there too.
+cursor where it is), one program run per query and shape there too, the
+runs of one layout segment stacked.
 Entries are stripped where they complete or stop; SP bytes are 12 per
 entry per link it rode, and whatever is still in flight at the egress
 of a delivered packet is deferred to the analyzer, per packet in
@@ -67,6 +75,7 @@ import numpy as np
 
 from repro.engine.base import ExecutionEngine
 from repro.engine.program import (
+    ProgramRun,
     RowContext,
     RuleProgram,
     SwitchPrograms,
@@ -90,6 +99,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.traffic.columnar import PacketSource
 
 __all__ = ["VectorizedEngine"]
+
+#: A program run of at most this many rows joins its sub-batch's stack,
+#: whose runs advance in lockstep and share their kernel calls; a longer
+#: run is a stack of its own — its calls are long enough that their fixed
+#: cost is no longer most of them, and stacking it measured slower
+#: (EXPERIMENTS.md "Stacked execution").
+_STACK_ROWS = 4096
 
 
 class VectorizedEngine(ExecutionEngine):
@@ -313,30 +329,27 @@ class VectorizedEngine(ExecutionEngine):
         hashed: Dict[Hashable, Dict[Tuple[int, int], Dict[str, set]]] = {}
         # qid -> SP entries leaving the ingress switch.
         flights: Dict[str, List[_Flight]] = {}
-        for qid, of_query in runs.items():
-            for members in of_query:
-                sids, programs, row_parts, rank_parts = zip(*members)
-                rows = np.concatenate(row_parts)
-                rank = np.concatenate(rank_parts)
-                ctx = self._execute(sim, batch, members, rows, rank, 0,
-                                    pending, hashed)
-                if all(program.total_slices == 1 for program in programs):
-                    continue
-                totals = _per_member(
-                    [program.total_slices for program in programs],
-                    row_parts)
-                carry = np.flatnonzero(ctx.act & (totals > 1))
-                if len(carry):
-                    flights.setdefault(qid, []).append(_Flight(
-                        rows[carry], rank[carry],
-                        np.zeros(len(carry), dtype=np.int64),
-                        _per_member(
-                            [sim.switches[sid].rule_epoch for sid in sids],
-                            row_parts)[carry],
-                        _per_member([p.epoch_from for p in programs],
-                                    row_parts)[carry],
-                        totals[carry], ctx.take(carry),
-                    ))
+        jobs = [_Job(members, 0) for of_query in runs.values()
+                for members in of_query]
+        for job, rows, rank, ctx in self._execute(sim, batch, jobs, pending,
+                                                  hashed):
+            sids, programs, row_parts, _ranks = zip(*job.members)
+            if all(program.total_slices == 1 for program in programs):
+                continue
+            totals = _per_member(
+                [program.total_slices for program in programs], row_parts)
+            carry = np.flatnonzero(ctx.act & (totals > 1))
+            if len(carry):
+                flights.setdefault(programs[0].qid, []).append(_Flight(
+                    rows[carry], rank[carry],
+                    np.zeros(len(carry), dtype=np.int64),
+                    _per_member(
+                        [sim.switches[sid].rule_epoch for sid in sids],
+                        row_parts)[carry],
+                    _per_member([p.epoch_from for p in programs],
+                                row_parts)[carry],
+                    totals[carry], ctx.take(carry),
+                ))
         parked: List[_Parked] = []
         for qid, flight in flights.items():
             cursor = 1
@@ -411,15 +424,18 @@ class VectorizedEngine(ExecutionEngine):
                 sel = segment[member[segment] == index]   # row order
                 sid, program = members[index]
                 _join(runs, (sid, program, rows[sel], rank[sel], sel))
+            jobs = []
             for run in runs:
                 local = np.concatenate([m[4] for m in run])
-                ctx = self._execute(
-                    sim, batch, [m[:4] for m in run], rows[local],
-                    rank[local], at_hop[local], pending, hashed,
-                    contexts[lid].take(local - starts[lid]),
-                )
-                ran = _per_member([m[1].epoch_from for m in run],
-                                  [m[2] for m in run])
+                jobs.append(_Job([m[:4] for m in run], at_hop[local],
+                                 contexts[lid].take(local - starts[lid]),
+                                 local))
+            for job, _rows, _rank, ctx in self._execute(
+                    sim, batch, jobs, pending, hashed):
+                local = job.local
+                assert local is not None
+                ran = _per_member([m[1].epoch_from for m in job.members],
+                                  [m[2] for m in job.members])
                 routes.mark_mixed(rows[local[ran != first[local]]])
                 done = ~ctx.act | (cursor + 1 >= total[local])
                 # An entry is stripped at the hop that completes it.
@@ -494,54 +510,54 @@ class VectorizedEngine(ExecutionEngine):
         return len(members) - 1
 
     def _execute(self, sim: "NetworkSimulator", batch: ColumnarTrace,
-                 members: Sequence[Tuple], rows: np.ndarray,
-                 rank: np.ndarray, hop: Union[int, np.ndarray],
+                 jobs: Sequence["_Job"],
                  pending: List[Tuple[int, int, int, Hashable, "Report"]],
                  hashed: Dict[Hashable, Dict[Tuple[int, int],
                                              Dict[str, set]]],
-                 context: Optional[RowContext] = None) -> RowContext:
-        """One :func:`execute_program` over ``members`` — ``(switch id,
-        program, rows, ranks)`` of one shape, whose rows concatenate to
-        ``rows`` — at ``hop`` (one for every row, or one each); queues
-        its reports and notes its hashes."""
-        sids, programs, row_parts, _ranks = zip(*members)
-        qid = programs[0].qid
+                 ) -> Iterator[Tuple["_Job", np.ndarray, np.ndarray,
+                                     RowContext]]:
+        """Run ``jobs`` through :func:`execute_program` — those of at most
+        ``_STACK_ROWS`` rows as one stack, each longer one alone — queue
+        their reports, note their hashes, and yield each job with its
+        rows, their ranks and its final context."""
+        sizes = [sum(len(member[2]) for member in job.members)
+                 for job in jobs]
+        stack = [job for job, size in zip(jobs, sizes) if size <= _STACK_ROWS]
+        alone = [[job] for job, size in zip(jobs, sizes)
+                 if size > _STACK_ROWS]
+        for part in ([stack] if stack else []) + alone:
+            made = [self._program_run(sim, batch, job) for job in part]
+            contexts = execute_program([run for run, _rows, _rank in made],
+                                       sim.sanitizer)
+            for job, (run, rows, rank), ctx in zip(part, made, contexts):
+                _collect(job, run, rows, rank, pending, hashed)
+                yield job, rows, rank, ctx
+            # Before the next run gathers its columns: one run's arrays
+            # alive at a time, as when every run ran alone.
+            del made, contexts
+
+    def _program_run(self, sim: "NetworkSimulator", batch: ColumnarTrace,
+                     job: "_Job") -> Tuple[ProgramRun, np.ndarray,
+                                           np.ndarray]:
+        """``job`` as a :class:`ProgramRun`, with its rows (the members'
+        concatenated) and their ranks."""
+        sids, programs, row_parts, rank_parts = zip(*job.members)
+        rows = np.concatenate(row_parts)
         pipelines = [sim.switches[sid].pipeline for sid in sids]
         bounds = [0]
         for part in row_parts:
             bounds.append(bounds[-1] + len(part))
-        sanitizer = sim.sanitizer
-        reports: List[Tuple[int, "Report"]] = []
-        hash_trace: Optional[List] = [] if sanitizer is not None else None
-        ctx = execute_program(
+        run = ProgramRun(
             programs, bounds,
             {name: batch.columns[name][rows]
              for name in programs[0].fields_needed},
             batch.ts[rows],
             [pipeline.epoch for pipeline in pipelines],
             [pipeline.switch_id for pipeline in pipelines],
-            reports, sanitizer=sanitizer, hash_trace=hash_trace,
-            context=context,
+            context=job.context,
+            hash_trace=[] if sim.sanitizer is not None else None,
         )
-        for unit_key, local_idx, group in hash_trace or ():
-            touched = rows[local_idx].tolist()
-            keys = [group.raw[i] for i in group.inverse.tolist()]
-            cuts = np.searchsorted(local_idx, bounds).tolist()
-            for sid, lo, hi in zip(sids, cuts, cuts[1:]):
-                if lo < hi:
-                    hashed.setdefault(sid, {}).setdefault(
-                        unit_key, {}
-                    ).setdefault(qid, set()).update(
-                        zip(touched[lo:hi], keys[lo:hi])
-                    )
-        for local, report in reports:
-            pending.append((
-                int(rows[local]),
-                hop if isinstance(hop, int) else int(hop[local]),
-                int(rank[local]),
-                sids[bisect_right(bounds, local) - 1], report,
-            ))
-        return ctx
+        return run, rows, np.concatenate(rank_parts)
 
     def _emit_reports(
         self, sim: "NetworkSimulator", stats: "SimulationStats",
@@ -681,6 +697,50 @@ class _Parked(NamedTuple):
     qid: str
     cursor: int
     delivered: np.ndarray
+
+
+class _Job(NamedTuple):
+    """One program run to make: ``(switch id, program, rows, ranks)``
+    members of one query and shape, the hop it runs at (one for every
+    row, or one each), its rows' in-flight context (``None`` at the
+    ingress switch) and, downstream, where its rows sit in the flight of
+    their slice."""
+
+    members: Sequence[Tuple]
+    hop: Union[int, np.ndarray]
+    context: Optional[RowContext] = None
+    local: Optional[np.ndarray] = None
+
+
+def _collect(job: _Job, run: ProgramRun, rows: np.ndarray,
+             rank: np.ndarray,
+             pending: List[Tuple[int, int, int, Hashable, "Report"]],
+             hashed: Dict[Hashable, Dict[Tuple[int, int], Dict[str, set]]],
+             ) -> None:
+    """Queue the reports of ``job``'s finished ``run`` and note its
+    hashes, per member switch."""
+    sids = [member[0] for member in job.members]
+    qid = run.programs[0].qid
+    bounds = run.bounds
+    for unit_key, local_idx, raw, inverse in run.hash_trace or ():
+        touched = rows[local_idx].tolist()
+        keys = [raw[i] for i in inverse.tolist()]
+        cuts = np.searchsorted(local_idx, bounds).tolist()
+        for sid, lo, hi in zip(sids, cuts, cuts[1:]):
+            if lo < hi:
+                hashed.setdefault(sid, {}).setdefault(
+                    unit_key, {}
+                ).setdefault(qid, set()).update(
+                    zip(touched[lo:hi], keys[lo:hi])
+                )
+    hop = job.hop
+    for local, report in run.reports:
+        pending.append((
+            int(rows[local]),
+            hop if isinstance(hop, int) else int(hop[local]),
+            int(rank[local]),
+            sids[bisect_right(bounds, local) - 1], report,
+        ))
 
 
 def _count(mask: np.ndarray, own: Optional[np.ndarray]) -> int:

@@ -2,8 +2,8 @@
 
 The vectorized engine's correctness rests on two batch primitives being
 bit-identical to the per-packet code paths they replace: seeded hashing
-over word-packed key groups and the register ALU's grouped-scan batch
-execution.
+over word-packed key groups (stacked parts of several runs included)
+and the register ALU's grouped-scan batch execution.
 """
 
 import hashlib
@@ -21,6 +21,7 @@ from repro.dataplane.hashing import (
     HashMemo,
     KeyGroup,
     hash_bytes,
+    hash_parts,
     hash_rows,
     pack_key_words,
 )
@@ -34,6 +35,14 @@ def key_group(rows: np.ndarray) -> KeyGroup:
         [rows[:, j].astype(np.int64) for j in range(width)], [1] * width, n
     )
     return KeyGroup(words, width)
+
+
+def unit_over_rows(unit, keys: KeyGroup, cache=None) -> np.ndarray:
+    """What an H op makes of ``hash_rows``: each distinct digest reduced
+    into ``unit``'s range, then gathered per row (int64 indices)."""
+    digests = hash_rows(keys, unit.seed, cache)
+    return (digests % np.uint64(unit.range_size)).astype(
+        np.int64)[keys.inverse]
 
 
 class TestHashRows:
@@ -73,7 +82,7 @@ class TestHashRows:
         family = HashFamily(0x5EED)
         for index in range(3):
             unit = family.unit(index, range_size=512)
-            out = unit.many(keys, family.bulk_cache(unit.seed))
+            out = unit_over_rows(unit, keys, family.bulk_cache(unit.seed))
             assert [int(v) for v in out] == [
                 unit(row.tobytes()) for row in rows
             ]
@@ -194,12 +203,17 @@ def key_batches(draw):
     return width, pool, batches
 
 
-def group_of(keys, width: int) -> KeyGroup:
-    """The :class:`KeyGroup` of ``width``-byte ``keys``, one per row."""
+def pack_words(keys, width: int) -> np.ndarray:
+    """The :func:`pack_key_words` column of ``width``-byte ``keys``."""
     matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
         len(keys), width)
-    return key_group(matrix) if width else KeyGroup(
-        pack_key_words([], [], len(keys)), 0)
+    return pack_key_words([matrix[:, j].astype(np.int64)
+                           for j in range(width)], [1] * width, len(keys))
+
+
+def group_of(keys, width: int) -> KeyGroup:
+    """The :class:`KeyGroup` of ``width``-byte ``keys``, one per row."""
+    return KeyGroup(pack_words(keys, width), width)
 
 
 class TestDigestIdentity:
@@ -335,15 +349,63 @@ class TestMemoRule:
         assert family.bulk_cache(2) is memo
 
 
-class TestHashUnitMany:
+class TestReducedHashes:
     def test_matches_scalar_call(self):
         unit = HashFamily(0x5EED).unit(2, range_size=1024)
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 256, size=(200, 5)).astype(np.uint8)
-        out = unit.many(key_group(rows))
+        out = unit_over_rows(unit, key_group(rows))
         assert out.dtype == np.int64
         for i in range(len(rows)):
             assert int(out[i]) == unit(rows[i].tobytes())
+
+
+@st.composite
+def stacked_parts(draw):
+    """A key width, two to four parts of keys of that width drawn from
+    one small pool (so parts share keys), the parts one seed asks for,
+    and how much of the pool a memo held before."""
+    width = draw(st.integers(0, 19))
+    pool = draw(st.lists(st.binary(min_size=width, max_size=width),
+                         min_size=1, max_size=10, unique=True))
+    parts = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=20), min_size=2, max_size=4))
+    asked = draw(st.lists(st.integers(0, len(parts) - 1), min_size=1,
+                          unique=True))
+    return width, pool, parts, sorted(asked), draw(st.integers(0, 10))
+
+
+class TestHashParts:
+    @given(stacked_parts(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_counts_like_one_call_per_part(self, case, seed):
+        """Parts stacked into one group and hashed in one pass give each
+        asking part the digests of its keys, and leave the memo with the
+        entries, hits and misses of one ``hash_rows`` per part."""
+        width, pool, parts, asked, warm = case
+        memo, reference = HashMemo(), HashMemo()
+        for cache in (memo, reference):
+            hash_rows(group_of(pool[:warm], width), seed, cache)
+        stacked = group_of(sum(parts, []), width)
+        keys = KeyGroup(pack_words(sum(parts, []), width), width,
+                        [len(part) for part in parts])
+        assert keys.raw == stacked.raw
+        digests = hash_parts(keys, asked, seed, memo)
+        for index in asked:
+            alone = group_of(parts[index], width)
+            expected = hash_rows(alone, seed, reference)[alone.inverse]
+            assert digests[keys.part(index)].tolist() == expected.tolist()
+        assert (memo.hits, memo.misses) == (reference.hits,
+                                            reference.misses)
+        assert memo.keys() == reference.keys()
+
+    def test_one_part_is_the_plain_call(self):
+        keys = KeyGroup(pack_words([b"ab", b"cd", b"ab"], 2), 2, [3])
+        assert keys.present is None
+        memo = HashMemo()
+        digests = hash_parts(keys, [0], 5, memo)
+        assert digests.tolist() == hash_rows(keys, 5).tolist()
+        assert (memo.hits, memo.misses, len(memo)) == (0, 2, 2)
 
 
 def _paired_arrays(size=16, slice_size=8):

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.engine.program as program_module
 import repro.engine.vector as vector_module
 from repro.core.compiler import QueryParams, compile_query, slice_compiled
 from repro.core.library import QueryThresholds, all_queries
@@ -25,7 +26,11 @@ from repro.core.query import Query
 from repro.core.rules import HashMode, HConfig
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.registers import RegisterArray
-from repro.engine.program import compile_switch_programs, execute_program
+from repro.engine.program import (
+    ProgramRun,
+    compile_switch_programs,
+    execute_program,
+)
 from repro.fabric.merge import record_reports
 from repro.network.deployment import build_deployment
 from repro.network.topology import fat_tree
@@ -133,14 +138,15 @@ def observe(engine, trace, mutate=None, **deploy_kw):
 
 @pytest.fixture
 def program_runs(monkeypatch):
-    """``(qid, member switch ids)`` of every ``execute_program`` call."""
+    """``(qid, member switch ids)`` of every run of every stack
+    ``execute_program`` was handed."""
     calls = []
     inner = vector_module.execute_program
 
-    def spy(programs, bounds, cols, ts, epochs, switch_ids, *args, **kw):
-        calls.append((programs[0].qid, tuple(switch_ids)))
-        return inner(programs, bounds, cols, ts, epochs, switch_ids,
-                     *args, **kw)
+    def spy(runs, *args, **kw):
+        calls.extend((run.programs[0].qid, tuple(run.switch_ids))
+                     for run in runs)
+        return inner(runs, *args, **kw)
 
     monkeypatch.setattr(vector_module, "execute_program", spy)
     return calls
@@ -281,24 +287,43 @@ class TestFusedStateBank:
         assert any(qid == "A7.srcbytes" and len(sids) == len(INGRESS)
                    for qid, sids in program_runs)
 
-    def test_one_alu_call_per_run_and_state_bank(self, monkeypatch,
-                                                 program_runs):
-        """Each S op of a run is one ``execute_many``, however many
-        switches the run spans, and the fleet stays bit-identical."""
-        calls = []
+    def test_at_most_one_alu_call_per_round_and_alu_op(self, monkeypatch,
+                                                       program_runs):
+        """A round's S calls of one ALU op are one ``execute_many``,
+        naming every member of every call — however many switches and
+        queries — and the fleet stays bit-identical."""
+        rounds = []
+        serve = program_module._serve
         inner = RegisterArray.execute_many
 
+        def spy_serve(calls):
+            rounds.append((calls, []))
+            return serve(calls)
+
         def spy(self, owner, indices, op, operands, then=()):
-            calls.append(1 + len(then))
+            rounds[-1][1].append((op, 1 + len(then)))
             return inner(self, owner, indices, op, operands, then)
 
+        monkeypatch.setattr(program_module, "_serve", spy_serve)
         monkeypatch.setattr(RegisterArray, "execute_many", spy)
         trace = workload(seed=23)
         vector = observe("vector", trace, sanitize=True)
         monkeypatch.setattr(RegisterArray, "execute_many", inner)
         assert vector == observe("scalar", trace, sanitize=True)
-        assert max(calls) == len(INGRESS)
-        assert sum(calls) > 2 * len(calls)
+        members = []
+        for calls, alu in rounds:
+            stateful = [call for call in calls
+                        if isinstance(call, program_module._SCall)]
+            ops = [op for op, _ in alu]
+            assert len(ops) == len(set(ops))
+            assert set(ops) == {call.op for call in stateful}
+            assert sum(m for _, m in alu) == sum(
+                len(call.banks) for call in stateful)
+            members += [m for _, m in alu]
+        # Calls span switches and, stacked, queries: fewer calls than
+        # runs, where one run alone makes one per S op it reaches.
+        assert max(members) > len(INGRESS)
+        assert len(members) < len(program_runs)
 
 
 def columns_of(trace):
@@ -307,46 +332,51 @@ def columns_of(trace):
 
 
 class TestOneCallOrMany:
-    def test_fused_call_equals_single_member_calls(self):
-        """One ``execute_program`` over k members is the k single-member
-        calls: same reports, same registers, same dirty banks."""
+    def test_stacked_fused_runs_equal_single_member_runs(self):
+        """One ``execute_program`` over a stack of five fused runs, k
+        members each, is the 5k single-member runs one at a time: same
+        reports, same registers, same dirty banks."""
         columns, ts = columns_of(workload(seed=5, n_packets=900))
         rng = np.random.default_rng(5)
         owner = rng.integers(0, len(INGRESS), size=len(ts))
         fused, single = deploy("vector"), deploy("vector")
+        members = [np.flatnonzero(owner == j) for j in range(len(INGRESS))]
+        rows = np.concatenate(members)
+        bounds = np.concatenate(
+            [[0], np.cumsum([len(m) for m in members])]).tolist()
+
+        def programs(deployment, qid):
+            return [
+                compile_switch_programs(
+                    deployment.switches[sid].pipeline).programs[qid]
+                for sid in INGRESS
+            ]
+
+        def cols(selection, program):
+            return {name: columns[name][selection]
+                    for name in program.fields_needed}
+
+        stack = []
+        apart = {}
         for qid in ("Q1", "Q4", "A2.dstbytes", "A5.flows", "A7.srcbytes"):
-            members = [np.flatnonzero(owner == j)
-                       for j in range(len(INGRESS))]
-            rows = np.concatenate(members)
-            bounds = np.concatenate(
-                [[0], np.cumsum([len(m) for m in members])]).tolist()
-
-            def programs(deployment):
-                return [
-                    compile_switch_programs(
-                        deployment.switches[sid].pipeline).programs[qid]
-                    for sid in INGRESS
-                ]
-
-            def cols(selection, program):
-                return {name: columns[name][selection]
-                        for name in program.fields_needed}
-
-            together = []
-            group = programs(fused)
+            group = programs(fused, qid)
             assert len({program.shape for program in group}) == 1
-            execute_program(group, bounds, cols(rows, group[0]), ts[rows],
-                            [7] * len(INGRESS), list(INGRESS), together)
-            apart = []
-            for j, program in enumerate(programs(single)):
-                reports = []
-                execute_program([program], [0, len(members[j])],
-                                cols(members[j], program), ts[members[j]],
-                                [7], [INGRESS[j]], reports)
-                apart.extend((bounds[j] + row, report)
-                             for row, report in reports)
+            stack.append(ProgramRun(group, bounds, cols(rows, group[0]),
+                                    ts[rows], [7] * len(INGRESS),
+                                    list(INGRESS)))
+            apart[qid] = []
+            for j, program in enumerate(programs(single, qid)):
+                run = ProgramRun([program], [0, len(members[j])],
+                                 cols(members[j], program), ts[members[j]],
+                                 [7], [INGRESS[j]])
+                execute_program([run])
+                apart[qid].extend((bounds[j] + row, report)
+                                  for row, report in run.reports)
+        execute_program(stack)
+        for run in stack:
+            together = run.reports
             assert sorted(together, key=lambda item: item[0]) == sorted(
-                apart, key=lambda item: item[0])
+                apart[run.programs[0].qid], key=lambda item: item[0])
             assert together
             assert {report.switch_id for _, report in together} > {"p0e0"}
         assert fused.register_dumps() == single.register_dumps()

@@ -211,8 +211,8 @@ def fused_runs(draw):
     """Members ``(array slot, owner slot)`` of one fused run — up to
     three arrays, two owners each, two members possibly on one array —
     their slice sizes, and two consecutive batches of per-member rows
-    (some members empty), each with an op and a constant or a field
-    operand."""
+    (some members empty), each with an op and a constant, a constant per
+    member (a tuple) or a field operand."""
     members = draw(st.lists(
         st.tuples(st.integers(0, 2), st.integers(0, 1)),
         min_size=1, max_size=5, unique=True,
@@ -231,6 +231,7 @@ def fused_runs(draw):
         total = sum(len(part) for part in rows)
         operands = draw(st.one_of(
             operand,                                     # a constant rule
+            st.tuples(*[operand] * len(members)),        # stacked rules
             st.lists(operand, min_size=total, max_size=total),
         ))
         batches.append((draw(st.sampled_from(list(StatefulOp))), rows,
@@ -259,7 +260,8 @@ class TestFusedScan:
         """``execute_many`` over every member of a run at once — cells
         numbered across the members' slices, one order, one scan — is
         one call per member in member order, row for row and cell for
-        cell, whatever the slice sizes, op or operand."""
+        cell, whatever the slice sizes, op or operand, a constant per
+        member included."""
         members, sizes, batches = case
         looped, fused = fused_world(sizes), fused_world(sizes)
         for op, rows, operands in batches:
@@ -267,20 +269,25 @@ class TestFusedScan:
             column = (np.array(operands, dtype=np.int64)
                       if isinstance(operands, list) else operands)
             expected_old, expected_new = [], []
-            for (slot, owner), part, lo, hi in zip(members, rows, starts,
-                                                   starts[1:]):
+            for j, ((slot, owner), part, lo, hi) in enumerate(zip(
+                    members, rows, starts, starts[1:])):
                 old, new = looped[slot].execute_many(
                     ("q", owner), np.array(part, dtype=np.int64), op,
-                    column if isinstance(operands, int) else column[lo:hi],
+                    column if isinstance(operands, int)
+                    else operands[j] if isinstance(operands, tuple)
+                    else column[lo:hi],
                 )
                 expected_old += old.tolist()
                 expected_new += new.tolist()
             (slot, owner), *rest = members
+            own = ([(c,) for c in operands[1:]]
+                   if isinstance(operands, tuple) else [()] * len(rest))
             old, new = fused[slot].execute_many(
                 ("q", owner),
-                np.array(sum(rows, []), dtype=np.int64), op, column,
-                [(start, fused[s], ("q", o))
-                 for (s, o), start in zip(rest, starts[1:])],
+                np.array(sum(rows, []), dtype=np.int64), op,
+                operands[0] if isinstance(operands, tuple) else column,
+                [(start, fused[s], ("q", o), *extra)
+                 for (s, o), start, extra in zip(rest, starts[1:], own)],
             )
             assert old.tolist() == expected_old
             assert new.tolist() == expected_new
@@ -294,6 +301,21 @@ class TestFusedScan:
         with pytest.raises(AllocationError):
             array.execute_many(("q", 0), np.arange(4), StatefulOp.ADD, 1,
                                [(2, other, ("q", 1))])
+
+    def test_one_slice_named_twice_is_refused(self):
+        """Its two names would be scanned apart and one of their last
+        values lost; owners of the same name on two arrays are two
+        slices."""
+        array, other = RegisterArray(16), RegisterArray(16)
+        for bank in (array, other):
+            bank.allocate(("q", 0), 8)
+        with pytest.raises(ValueError, match="twice"):
+            array.execute_many(("q", 0), np.arange(4), StatefulOp.ADD, 1,
+                               [(1, other, ("q", 0)), (2, array, ("q", 0))])
+        assert not array.dump().any()
+        array.execute_many(("q", 0), np.arange(4), StatefulOp.ADD, 1,
+                           [(2, other, ("q", 0))])
+        assert array.dump().sum() == other.dump().sum() == 2
 
 
 def gaps_by_sorting(array, size):

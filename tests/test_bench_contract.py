@@ -101,11 +101,12 @@ def test_a_traced_cqe_window_stays_on_the_batch_path():
 
 
 def test_a_traced_churn_window_counts_what_the_kernels_did(monkeypatch):
-    """On the fused fleet: ``dataplane.alu_rows`` is every row that
-    reached a stateful S op (the scalar engine's per-packet S calls on
-    the same window), each S op of a fused run is one ``dataplane.alu``
-    span whatever its number of switches, and the memos grew by exactly
-    the misses they counted inside ``dataplane.hash``."""
+    """On the fused, stacked fleet: ``dataplane.alu_rows`` is every row
+    that reached a stateful S op (the scalar engine's per-packet S calls
+    on the same window), a stack makes at most one ``dataplane.alu`` span
+    per S op of its runs — fewer where its runs share a round — and the
+    memos grew by exactly the misses they counted inside
+    ``dataplane.hash``."""
     workload = WORKLOADS["fleet17-fattree-churn"]
     cycle = workload.make_cycle(5, per_window=120)
 
@@ -122,14 +123,13 @@ def test_a_traced_churn_window_counts_what_the_kernels_did(monkeypatch):
     harness._Driver(workload, scalar, cycle).step()
     monkeypatch.setattr(RegisterArray, "execute", execute)
 
-    runs = []
+    stacks = []
     inner = vector_module.execute_program
 
-    def spy(programs, *args, **kwargs):
-        stateful = sum(isinstance(op, _SOp) and not op.passthrough
-                       for op in programs[0].ops)
-        runs.append((len(programs), stateful))
-        return inner(programs, *args, **kwargs)
+    def spy(runs, *args, **kwargs):
+        stacks.append([sum(isinstance(op, _SOp) and not op.passthrough
+                           for op in run.programs[0].ops) for run in runs])
+        return inner(runs, *args, **kwargs)
 
     monkeypatch.setattr(vector_module, "execute_program", spy)
     counted = []
@@ -152,13 +152,12 @@ def test_a_traced_churn_window_counts_what_the_kernels_did(monkeypatch):
                 if span is not None and span[0] == "engine.program"]
     under = Counter(span[4] for span in spans
                     if span is not None and span[0] == "dataplane.alu")
-    assert len(programs) == len(runs)
+    assert len(programs) == len(stacks)
     assert set(under) <= set(programs)
-    for index, (members, stateful) in zip(programs, runs):
-        assert under[index] <= stateful
-    assert any(members > 1 and under[index] == stateful > 0
-               for index, (members, stateful) in zip(programs, runs))
-    assert sum(under.values()) < sum(m * s for m, s in runs)
+    for index, stateful in zip(programs, stacks):
+        assert under[index] <= sum(stateful)
+    assert any(len(stateful) > 1 and 0 < under[index] < sum(stateful)
+               for index, stateful in zip(programs, stacks))
     # The first window carries nothing into its roll, so no memo is
     # cleared: they hold exactly what the window missed.
     grown = tracer.counts["dataplane.hash_miss"]

@@ -453,7 +453,8 @@ def cmd_serve(args) -> int:
     config = svc.ServiceConfig(
         switches=args.switches, window_ms=args.window_ms,
         engine=args.engine, array_size=args.array_size, rate=args.rate,
-        wal_dir=args.wal or None, wal_snapshot_every=args.wal_snapshot_every,
+        wal_dir=args.wal_dir or None,
+        wal_snapshot_every=args.wal_snapshot_every,
     )
     with svc.service_fleet(config, args.workers) as dep:
         if args.workers > 1:
@@ -735,9 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--array-size", type=int, default=1 << 13)
     arg("--rate", type=float, default=1.0,
         help="real-time pacing factor (0 = free-running)")
-    arg("--wal", default="", metavar="DIR", help="durable write-ahead log "
-        "directory: committed transactions and query ops are fsync'd, and a "
-        "restart replays them into the last committed epoch")
+    arg("--wal", default="", metavar="DIR", dest="wal_dir",
+        help="durable write-ahead log directory: each acknowledged query op "
+        "is fsync'd, and a restart replays them into the last committed "
+        "epoch")
     arg("--wal-snapshot-every", type=int, default=16, metavar="N",
         help="windows between WAL state snapshots (the restart fast-forward "
         "target)")

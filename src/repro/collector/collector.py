@@ -65,6 +65,10 @@ __all__ = ["CollectorConfig", "ReportCollector"]
 
 Key = Tuple[int, ...]
 
+#: Closed windows whose :class:`WindowSignals` stay queryable (the
+#: planner reads the most recent few).
+_SIGNALS_HORIZON = 16
+
 
 @dataclass(frozen=True)
 class CollectorConfig:
@@ -82,9 +86,6 @@ class CollectorConfig:
     reconcile_loss_threshold: float = 1.0
     #: Fault shim applied at ingest (identity by default).
     faults: FaultConfig = field(default_factory=FaultConfig)
-    #: Closed windows whose :class:`WindowSignals` stay queryable (the
-    #: planner reads the most recent few; 0 disables signal capture).
-    signals_horizon: int = 16
 
     def __post_init__(self) -> None:
         BackpressurePolicy.validate(self.policy)
@@ -92,8 +93,6 @@ class CollectorConfig:
             raise ValueError("allowed_lateness must be >= 0")
         if not 0.0 <= self.reconcile_loss_threshold <= 1.0:
             raise ValueError("reconcile_loss_threshold outside [0, 1]")
-        if self.signals_horizon < 0:
-            raise ValueError("signals_horizon must be >= 0")
 
 
 @dataclass
@@ -431,8 +430,6 @@ class ReportCollector:
         registers are still live on the switches — the only point where
         the sketch-occupancy readout reflects this window's traffic.
         """
-        if self.config.signals_horizon <= 0:
-            return
         by_switch: Dict[str, int] = {}
         for record in released:
             if record.epoch == epoch:
@@ -474,11 +471,15 @@ class ReportCollector:
             self._g_heavy.set(
                 len(bucket), qid=registration.top_qid, sub=sub_qid
             )
-        self._signals[epoch] = WindowSignals(
+        self._keep_signals(WindowSignals(
             epoch=epoch, queries=tuple(queries),
             reports_by_switch=by_switch,
-        )
-        horizon = epoch - self.config.signals_horizon
+        ))
+
+    def _keep_signals(self, signals: WindowSignals) -> None:
+        """Retain ``signals`` and expire those past the horizon."""
+        self._signals[signals.epoch] = signals
+        horizon = signals.epoch - _SIGNALS_HORIZON
         for stale in [e for e in self._signals if e < horizon]:
             del self._signals[stale]
 
@@ -499,12 +500,7 @@ class ReportCollector:
         :func:`repro.collector.signals.merge_window_signals` and feeds
         the result here so the planner reads one authoritative view.
         """
-        if self.config.signals_horizon <= 0:
-            return
-        self._signals[signals.epoch] = signals
-        horizon = signals.epoch - self.config.signals_horizon
-        for stale in [e for e in self._signals if e < horizon]:
-            del self._signals[stale]
+        self._keep_signals(signals)
 
     def export_signals(self) -> Dict[int, WindowSignals]:
         """Copy of the retained per-epoch signals (a shard's share)."""

@@ -12,10 +12,13 @@ registry's text exposition.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Tuple
 
 __all__ = ["JournalEntry", "TransactionJournal"]
+
+#: Entries a journal keeps before evicting the oldest.
+_MAX_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -54,26 +57,20 @@ class JournalEntry:
         }
 
 
-@dataclass
 class TransactionJournal:
     """Bounded journal of control-plane transactions.
 
-    Old entries are evicted (oldest first) past ``max_entries`` so a
+    Old entries are evicted (oldest first) past ``_MAX_ENTRIES`` so a
     long-lived controller cannot grow without bound; evictions are
     counted, never silent.
     """
 
-    max_entries: int = 1024
-    _entries: Deque[JournalEntry] = field(init=False)
-    evicted: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self.max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self._entries = deque(maxlen=self.max_entries)
+    def __init__(self) -> None:
+        self._entries: Deque[JournalEntry] = deque(maxlen=_MAX_ENTRIES)
+        self.evicted = 0
 
     def append(self, entry: JournalEntry) -> None:
-        if len(self._entries) == self.max_entries:
+        if len(self._entries) == _MAX_ENTRIES:
             self.evicted += 1
         self._entries.append(entry)
 

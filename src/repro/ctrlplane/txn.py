@@ -64,24 +64,27 @@ __all__ = [
 
 T = TypeVar("T")
 
+#: Wait before the first retry; each later one multiplies it by
+#: ``TxnConfig.backoff_factor``.
+_BACKOFF_BASE_S = 0.0005
+
 
 @dataclass(frozen=True)
 class TxnConfig:
     """Retry policy for unreliable control messages."""
 
     max_attempts: int = 4
-    backoff_base_s: float = 0.0005
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1:
+        if self.backoff_factor < 1:
             raise ValueError("invalid backoff parameters")
 
     def backoff_s(self, attempt: int) -> float:
         """Wait before retry number ``attempt`` (1-based)."""
-        return self.backoff_base_s * self.backoff_factor ** (attempt - 1)
+        return _BACKOFF_BASE_S * self.backoff_factor ** (attempt - 1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,11 @@ def _slice_rules(query_slice: QuerySlice) -> int:
 
 
 class TransactionManager:
-    """Routes rule operations through 2PC with epoch-versioned banks."""
+    """Routes rule operations through 2PC with epoch-versioned banks.
+
+    It journals every attempt in memory and writes nothing durable: a
+    commit outlives the process only if the caller records it.
+    """
 
     def __init__(
         self,
@@ -161,22 +168,16 @@ class TransactionManager:
         channel: ControlChannel,
         config: Optional[TxnConfig] = None,
         registry: Optional[MetricsRegistry] = None,
-        journal: Optional[TransactionJournal] = None,
     ):
         self.switches = switches
         self.channel = channel
         self.config = config or TxnConfig()
         self.registry = registry or MetricsRegistry()
-        self.journal = journal or TransactionJournal()
+        self.journal = TransactionJournal()
         #: Last committed rule epoch (the next transaction targets +1).
         self.epoch = max(
             (s.rule_epoch for s in switches.values()), default=0
         )
-        #: Optional durable write-ahead log (see
-        #: :class:`~repro.ctrlplane.wal.WriteAheadLog`): when attached,
-        #: every committed transaction appends a ``txn`` record before
-        #: the result is returned to the caller.
-        self.wal = None
         self._txn_counter = 0
         reg = self.registry
         self._m_txns = reg.counter(
@@ -320,13 +321,14 @@ class TransactionManager:
         return sent
 
     def fast_forward(self, epoch: int) -> int:
-        """Adopt a WAL-recovered committed epoch after a process restart.
+        """Adopt a committed epoch recorded before a process restart.
 
-        A freshly built fleet starts at epoch 0; replaying the WAL's op
-        stream re-runs each install/update/remove as a *new* transaction,
+        A freshly built fleet starts at epoch 0; replaying a log of query
+        ops re-runs each install/update/remove as a *new* transaction,
         which may land on a lower epoch than the crashed incarnation
-        committed (aborted attempts burn epochs without committing).
-        Fast-forwarding to the logged committed epoch — and reliably
+        committed (its commits between ops — planner rounds, switch
+        recoveries — and ops a restart refuses are not re-run).
+        Fast-forwarding to the recorded committed epoch — and reliably
         re-beaconing every lagging switch — guarantees no packet is ever
         stamped with a pre-crash epoch again (no mixed-epoch windows
         across the restart).  Returns the adopted epoch.
@@ -523,12 +525,4 @@ class TransactionManager:
             retries=retries, rolled_back=rolled_back,
             participants=tuple(plan.ops), error=error,
         ))
-        if state == "committed" and self.wal is not None:
-            # Durability point: the commit is on disk before the caller
-            # sees the result — a restart replays into this epoch.
-            self.wal.append("txn", {
-                "txn_id": txn_id, "op": plan.op, "qid": plan.qid,
-                "epoch": target, "rules_staged": rules_staged,
-                "rules_removed": rules_removed,
-            })
 

@@ -2,19 +2,25 @@
 
 The in-memory :class:`~repro.ctrlplane.journal.TransactionJournal` is an
 observability surface; it dies with the process.  The WAL makes the
-control plane's *decisions* durable: every committed 2PC transaction,
-every service-level query operation (the declarative spec a restart
-needs to replay it), and periodic state snapshots append fsync'd
-JSON-line records to ``wal.jsonl`` in the WAL directory.  A service
-started with ``newton-repro serve --wal DIR`` can be SIGKILLed mid-run
-and restarted into the last committed epoch with no lost queries and no
-mixed-epoch packets (see :meth:`NewtonService._recover_from_wal`).
+control plane's *decisions* durable: query operations and state
+snapshots append fsync'd JSON-line records to ``wal.jsonl`` in the WAL
+directory.  A service started with ``newton-repro serve --wal DIR`` can
+be SIGKILLed mid-run and restarted into the last committed epoch with
+no lost queries and no mixed-epoch packets (see
+:meth:`NewtonService._recover_from_wal`).
 
 Record format — one JSON object per line, sorted keys::
 
-    {"kind": "op",       "seq": 3, "payload": {"op": "install", "spec": ...}}
-    {"kind": "txn",      "seq": 4, "payload": {"txn_id": 2, "epoch": 2, ...}}
-    {"kind": "snapshot", "seq": 9, "payload": {"window_epoch": 16, ...}}
+    {"kind": "op",       "seq": 3, "payload": {"op": "install", "spec": ..., "epoch": 2}}
+    {"kind": "snapshot", "seq": 9, "payload": {"window_epoch": 16, "committed_epoch": 4, ...}}
+
+An ``op`` record is the one durable record of an acknowledged query
+operation — the spec a restart replays and the epoch it committed — so
+each costs one fsync.  A ``snapshot`` follows every
+``wal_snapshot_every`` windows, a clean shutdown, and any tick whose
+commits (planner round, switch recovery) moved the committed epoch.
+Logs written before ops carried their epoch also hold one ``txn`` record
+per commit; nothing writes them now, and a restart reads their epoch.
 
 Durability discipline: records are written, flushed, and ``fsync``'d
 before :meth:`append` returns — a record is either fully on disk or not

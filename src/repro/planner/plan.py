@@ -18,7 +18,7 @@ round's steps for journaling and ``plan_changed`` service events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.compiler import QueryParams
@@ -66,14 +66,8 @@ class PlanStep:
             "delay_s": self.delay_s,
             "rules_staged": self.rules_staged,
             "rules_removed": self.rules_removed,
-            "params": (
-                None if params is None else {
-                    "cm_depth": params.cm_depth,
-                    "bf_hashes": params.bf_hashes,
-                    "reduce_registers": params.reduce_registers,
-                    "distinct_registers": params.distinct_registers,
-                }
-            ),
+            # The inverse of the service's ``params_from_spec``.
+            "params": None if params is None else asdict(params),
             "deploy": {
                 k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in self.op.deploy.items()

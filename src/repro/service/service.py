@@ -257,8 +257,6 @@ class ServiceConfig:
     prune_lateness: int = 4
     #: Per-subscriber event queue bound (drop-oldest beyond it).
     max_queue: int = 64
-    #: Window events kept for ``GET /reports``.
-    history_windows: int = 256
     #: Audit each committed op with the fleet analyzer (read-only: its
     #: findings fill ``fleet_diagnostics``; admission is the verifier's).
     fleet_admission: bool = True
@@ -276,8 +274,8 @@ class ServiceConfig:
     #: Durable write-ahead log directory (``serve --wal DIR``); ``None``
     #: keeps the control plane in-memory only.
     wal_dir: Optional[str] = None
-    #: Windows between WAL state snapshots (window epoch, cumulative
-    #: counters) — the restart fast-forward target.
+    #: Windows between WAL state snapshots — the restart fast-forward
+    #: target; a tick whose commits moved the epoch snapshots too.
     wal_snapshot_every: int = 16
 
 
@@ -333,9 +331,7 @@ class NewtonService:
         )
         self.registry = self.deployment.collector.metrics
         self.feed = SubscriptionManager(
-            registry=self.registry,
-            max_queue=self.config.max_queue,
-            history=self.config.history_windows,
+            registry=self.registry, max_queue=self.config.max_queue,
         )
         self.planner = DynamicPlanner(
             self.deployment, self.config.planner
@@ -368,18 +364,19 @@ class NewtonService:
         self.ingest_seconds = 0.0
         self.total_packets = 0
         self.total_mixed_epoch_packets = 0
-        #: Durable control plane (``--wal DIR``): committed transactions
-        #: and query ops are fsync'd before acknowledgement, and an
-        #: existing log is replayed before the first packet.
+        #: Durable control plane (``--wal DIR``): one record per query op
+        #: is fsync'd before acknowledgement, and an existing log is
+        #: replayed before the first packet.
         self.wal: Optional[WriteAheadLog] = None
         self.wal_recovery: Optional[Dict[str, Any]] = None
         self._recovering = False
+        #: The newest committed epoch a WAL record carries.
+        self._logged_epoch = 0
         if self.config.wal_dir:
             self.wal = WriteAheadLog(
                 self.config.wal_dir, registry=self.registry
             )
             self.wal_recovery = self._recover_from_wal()
-            self.deployment.controller.txn.wal = self.wal
 
     # ----------------------------------------------------------------- #
     # Query CRUD (runs on the event loop; synchronous => serialized)     #
@@ -470,12 +467,7 @@ class NewtonService:
             return self._op_payload(result, self._fleet_audit(query.qid))
 
         payload = self._run_op("install", query.qid, run)
-        self._wal_op({"op": "install", "spec": spec})
-        if not self._recovering:
-            self.feed.publish({
-                "type": "query", "op": "install", "qid": query.qid,
-                "epoch": self.deployment.simulator.epoch,
-            })
+        self._acknowledge(query.qid, {"op": "install", "spec": spec})
         return payload
 
     def update(self, qid: str, spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -498,12 +490,7 @@ class NewtonService:
             return self._op_payload(result, self._fleet_audit(qid))
 
         payload = self._run_op("update", qid, run)
-        self._wal_op({"op": "update", "qid": qid, "spec": spec})
-        if not self._recovering:
-            self.feed.publish({
-                "type": "query", "op": "update", "qid": qid,
-                "epoch": self.deployment.simulator.epoch,
-            })
+        self._acknowledge(qid, {"op": "update", "qid": qid, "spec": spec})
         return payload
 
     def remove(self, qid: str) -> Dict[str, Any]:
@@ -512,12 +499,7 @@ class NewtonService:
             return self._op_payload(result, [])
 
         payload = self._run_op("remove", qid, run)
-        self._wal_op({"op": "remove", "qid": qid})
-        if not self._recovering:
-            self.feed.publish({
-                "type": "query", "op": "remove", "qid": qid,
-                "epoch": self.deployment.simulator.epoch,
-            })
+        self._acknowledge(qid, {"op": "remove", "qid": qid})
         return payload
 
     # ----------------------------------------------------------------- #
@@ -551,13 +533,11 @@ class NewtonService:
         payload = self._run_op("plan", query.qid, run)
         # A restart re-manages the plan from rung 0; refinement state is
         # rediscovered from live traffic rather than persisted.
-        self._wal_op({"op": "plan", "spec": spec})
-        if not self._recovering:
-            self.feed.publish({
-                "type": "plan_changed",
-                "epoch": self.deployment.simulator.epoch,
-                "steps": [payload["step"]],
-            })
+        self._acknowledge(query.qid, {"op": "plan", "spec": spec}, {
+            "type": "plan_changed",
+            "epoch": self.deployment.simulator.epoch,
+            "steps": [payload["step"]],
+        })
         return payload
 
     def plan_state(self) -> Dict[str, Any]:
@@ -580,37 +560,77 @@ class NewtonService:
     # Durability (write-ahead log + crash recovery)                      #
     # ----------------------------------------------------------------- #
 
-    def _wal_op(self, payload: Dict[str, Any]) -> None:
-        """Durably record an acknowledged query operation (its JSON spec
-        — the declarative replay unit), except while replaying."""
-        if self.wal is not None and not self._recovering:
-            self.wal.append("op", payload)
+    def _acknowledge(self, qid: str, record: Dict[str, Any],
+                     event: Optional[Dict[str, Any]] = None) -> None:
+        """The tail of an acknowledged query op, skipped while replaying:
+        its one durable WAL record — the JSON spec (the declarative replay
+        unit) and the epoch it committed — then its feed event (a
+        ``query`` event unless ``event`` is given)."""
+        if self._recovering:
+            return
+        if self.wal is not None:
+            epoch = self.deployment.controller.txn.epoch
+            self.wal.append("op", {**record, "epoch": epoch})
+            self._logged_epoch = epoch
+        self.feed.publish(event or {
+            "type": "query", "op": record["op"], "qid": qid,
+            "epoch": self.deployment.simulator.epoch,
+        })
 
     def _wal_snapshot(self, closed: int) -> None:
+        """Snapshot every ``wal_snapshot_every`` windows, and when this
+        tick's commits (planner round, switch recovery) moved the epoch:
+        every commit is on disk before control returns to the loop."""
         if self.wal is None:
             return
         every = max(1, int(self.config.wal_snapshot_every))
-        if (closed + 1) % every:
-            return
+        moved = self.deployment.controller.txn.epoch > self._logged_epoch
+        if moved or (closed + 1) % every == 0:
+            self._append_snapshot()
+
+    def _append_snapshot(self) -> None:
+        epoch = self.deployment.controller.txn.epoch
         self.wal.append("snapshot", {
             "window_epoch": self.deployment.simulator.epoch,
-            "committed_epoch": self.deployment.controller.txn.epoch,
+            "committed_epoch": epoch,
             "windows": int(self._c_windows.total),
             "packets": self.total_packets,
             "mixed_epoch_packets": self.total_mixed_epoch_packets,
         })
+        self._logged_epoch = epoch
+
+    def _replay(self, payload: Dict[str, Any]) -> None:
+        """Re-run one WAL ``op`` record through its HTTP handler; a
+        record no handler can take raises :class:`ServiceError`."""
+        handlers = {
+            "install": (self.install, ("spec",)),
+            "update": (self.update, ("qid", "spec")),
+            "remove": (self.remove, ("qid",)),
+            "plan": (self.plan_manage, ("spec",)),
+        }
+        types = {"qid": str, "spec": dict}
+        op = payload.get("op")
+        handler, keys = handlers.get(str(op), (None, ()))
+        args = [payload.get(key) for key in keys]
+        if handler is None or not all(
+                isinstance(arg, types[key]) for key, arg in zip(keys, args)):
+            raise ServiceError(400, {
+                "error": f"unreplayable WAL op {op!r}: {sorted(payload)}",
+            })
+        handler(*args)
 
     def _recover_from_wal(self) -> Dict[str, Any]:
         """Replay the WAL into a freshly built fleet.
 
-        Three passes over one scan: query *ops* re-run through the
-        normal handlers (same verification, same 2PC — replicas are
-        deterministic, so the rule state converges to what the crashed
-        incarnation committed); the newest *snapshot* fast-forwards the
-        window clock and cumulative counters; the highest committed
-        *txn* epoch fast-forwards the rule-epoch counter and re-beacons
-        every switch, so no post-restart packet can observe a pre-crash
-        epoch (zero mixed-epoch windows across the crash).
+        One scan: each *op* re-runs through its HTTP handler (same
+        verification, same 2PC — replicas are deterministic, so the rule
+        state converges to what the crashed incarnation committed; one
+        no handler can take is skipped, not fatal); the newest *snapshot*
+        fast-forwards the window clock and cumulative counters; the
+        highest committed epoch any record carries (an op's ``epoch``, a
+        snapshot's ``committed_epoch``, an old log's ``txn`` ``epoch``)
+        fast-forwards the rule-epoch counter and re-beacons every switch,
+        so no post-restart packet can observe a pre-crash epoch.
         """
         started = time.perf_counter()
         self._recovering = True
@@ -621,32 +641,22 @@ class NewtonService:
         try:
             for record in self.wal.records():
                 kind = record.get("kind")
-                payload = record.get("payload") or {}
+                payload = record.get("payload")
+                if not isinstance(payload, dict):
+                    payload = {}
                 if kind == "op":
-                    op = payload.get("op")
                     try:
-                        if op == "install":
-                            self.install(payload["spec"])
-                        elif op == "update":
-                            self.update(payload["qid"], payload["spec"])
-                        elif op == "remove":
-                            self.remove(payload["qid"])
-                        elif op == "plan":
-                            self.plan_manage(payload["spec"])
-                        else:
-                            raise ServiceError(400, {
-                                "error": f"unknown WAL op {op!r}",
-                            })
+                        self._replay(payload)
                         replayed_ops += 1
                     except ServiceError as exc:
                         skipped.append({
-                            "seq": record.get("seq"), "op": op,
+                            "seq": record.get("seq"), "op": payload.get("op"),
                             "error": exc.payload.get("error", ""),
                         })
-                elif kind == "txn":
-                    max_epoch = max(max_epoch, int(payload.get("epoch", 0)))
                 elif kind == "snapshot":
                     snapshot = payload
+                key = "committed_epoch" if kind == "snapshot" else "epoch"
+                max_epoch = max(max_epoch, int(payload.get(key, 0)))
         finally:
             self._recovering = False
         sim = self.deployment.simulator
@@ -661,6 +671,7 @@ class NewtonService:
             self.total_mixed_epoch_packets = int(
                 snapshot.get("mixed_epoch_packets", 0)
             )
+        self._logged_epoch = max_epoch
         committed = self.deployment.controller.txn.fast_forward(max_epoch)
         return {
             "replayed_ops": replayed_ops,
@@ -888,13 +899,7 @@ class NewtonService:
         if self.wal is not None:
             # Final snapshot so a clean restart fast-forwards exactly to
             # where this incarnation stopped.
-            self.wal.append("snapshot", {
-                "window_epoch": self.deployment.simulator.epoch,
-                "committed_epoch": summary["committed_epoch"],
-                "windows": summary["windows"],
-                "packets": summary["packets"],
-                "mixed_epoch_packets": summary["mixed_epoch_packets"],
-            })
+            self._append_snapshot()
             self.wal.close()
         self.feed.publish({"type": "shutdown", **summary})
         self.feed.close_all()

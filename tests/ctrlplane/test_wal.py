@@ -1,4 +1,4 @@
-"""Write-ahead log: durability discipline, torn tails, txn integration."""
+"""Write-ahead log: durability discipline, torn tails, fast-forward."""
 
 import json
 import os
@@ -173,36 +173,6 @@ class TestTornTail:
         assert wal.replay() == []
         assert not os.path.exists(wal.path) or \
             os.path.getsize(wal.path) == 0
-        wal.close()
-
-
-class TestTxnIntegration:
-    def test_committed_transactions_append_txn_records(self, tmp_path):
-        dep = build_deployment(linear(3))
-        wal = WriteAheadLog(str(tmp_path))
-        dep.controller.txn.wal = wal
-        dep.controller.install_query(q("wal.q1"), PARAMS,
-                                     path=["s0", "s1", "s2"])
-        dep.controller.remove_query("wal.q1")
-        records = wal.replay()
-        assert [r["kind"] for r in records] == ["txn", "txn"]
-        install, remove = (r["payload"] for r in records)
-        assert install["op"] == "install"
-        assert install["qid"] == "wal.q1"
-        assert install["epoch"] == 1
-        assert install["rules_staged"] > 0
-        assert remove["op"] == "remove"
-        assert remove["epoch"] == 2
-        wal.close()
-
-    def test_aborted_transactions_write_nothing(self, tmp_path):
-        dep = build_deployment(linear(2))
-        wal = WriteAheadLog(str(tmp_path))
-        dep.controller.txn.wal = wal
-        with pytest.raises(Exception):
-            dep.controller.install_query(q("wal.bad"), PARAMS,
-                                         path=["s0", "nope"])
-        assert wal.replay() == []
         wal.close()
 
 

@@ -172,6 +172,31 @@ class TestCrashResume:
         assert service.health()["queries"] == ["Q1"]
         service.drain()
 
+    @pytest.mark.parametrize("payload, op", [
+        ({"op": "install"}, "install"),
+        ({"op": "update", "spec": {"query": "Q1"}}, "update"),
+        ({"op": "remove"}, "remove"),
+        ({"op": "plan", "qid": "Q5"}, "plan"),
+        ({"op": "update", "qid": "Q1", "spec": "Q1"}, "update"),
+        ({"op": ["install"], "spec": {"query": "Q4"}}, ["install"]),
+        (["install", {"query": "Q4"}], None),
+        ("install", None),
+    ])
+    def test_malformed_op_records_are_skipped_not_fatal(self, tmp_path,
+                                                         payload, op):
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append("op", {"op": "install", "spec": {"query": "Q1"}})
+        seq = wal.append("op", payload)
+        wal.close()
+
+        service = make_service(tmp_path)
+        rec = service.wal_recovery
+        assert rec["replayed_ops"] == 1
+        assert [(s["seq"], s["op"]) for s in rec["skipped_ops"]] == [
+            (seq, op)]
+        assert service.health()["queries"] == ["Q1"]
+        service.drain()
+
     def test_snapshots_of_the_old_format_replay_the_same(self, tmp_path):
         # Snapshots once carried a per-switch register digest; recovery
         # never read it, so a log that still has one replays unchanged.

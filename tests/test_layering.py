@@ -28,6 +28,10 @@
   ``analyze_op``).
 * One admission decision, before commit: no module under ``src/repro``
   passes ``verify=False`` (the controller's gate is never skipped).
+* One durable record per control op, written by the service: outside
+  ``ctrlplane/wal.py``, ``ctrlplane/__init__.py`` and ``service/``,
+  nothing names ``WriteAheadLog`` or a ``.wal`` attribute (the
+  transaction manager holds no log hook).
 * The CLI is a shell: only ``cli.py`` and ``experiments/`` import
   ``repro.experiments`` (the service asks ``core/library.py`` for the
   evaluation thresholds); ``cli.py`` constructs no deployment
@@ -176,6 +180,15 @@ def unverified_call(node):
         and kw.value.value is False
         for kw in node.keywords
     )
+
+
+def wal_reference(node):
+    """``WriteAheadLog`` imported (under any alias) or referenced, or a
+    ``.wal`` attribute."""
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[-1] == "WriteAheadLog"
+    return (tail_name(node) == "WriteAheadLog"
+            or isinstance(node, ast.Attribute) and node.attr == "wal")
 
 
 def experiments_import(node):
@@ -328,6 +341,16 @@ def test_nothing_skips_the_admission_gate():
     assert violations("", unverified_call) == []
 
 
+def test_only_the_service_writes_the_wal():
+    owners = {"ctrlplane/wal.py", "ctrlplane/__init__.py"}
+    assert [
+        f"{path}:{node.lineno}"
+        for path, tree in trees("")
+        if path.as_posix() not in owners and path.parts[0] != "service"
+        for node in ast.walk(tree) if wal_reference(node)
+    ] == []
+
+
 def test_only_the_cli_and_the_experiments_import_the_experiments():
     assert [
         f"{path}:{node.lineno}"
@@ -439,6 +462,16 @@ def test_owners_names_the_innermost_function():
     (unverified_call, "install_query(q, verify=True, path=['s0'])", False),
     (unverified_call, "call['verify'] = False", False),
     (unverified_call, "install_query(q, verifier_config=config)", False),
+    (wal_reference, "self.deployment.controller.txn.wal = self.wal", True),
+    (wal_reference, "if self.wal is not None: pass", True),
+    (wal_reference, "from repro.ctrlplane import WriteAheadLog", True),
+    (wal_reference, "from repro.ctrlplane.wal import WriteAheadLog as W",
+     True),
+    (wal_reference, "log = ctrlplane.WriteAheadLog(directory)", True),
+    (wal_reference, "ServiceConfig(wal_dir=args.wal_dir)", False),
+    (wal_reference, "from repro.ctrlplane.wal import WalCorruptError",
+     False),
+    (wal_reference, "wal = None", False),
     (experiments_import, "from repro.experiments.common import workload",
      True),
     (experiments_import, "import repro.experiments", True),

@@ -8,8 +8,8 @@ sees fails here.  Regenerate on purpose with::
 
     PYTHONPATH=src python tests/core/test_cli_golden.py
 
-``metrics`` prints wall-clock histograms; lines of ``*_seconds_*``
-series are masked, everything else in every case is seeded.
+``metrics`` and ``collect-stats`` print wall-clock histograms; lines of
+``*_seconds_*`` series are masked, everything else in every case is seeded.
 ``experiment fig12`` / ``fig14`` (17 s / 30 s) are left to
 ``pytest benchmarks/``.
 """
@@ -38,6 +38,8 @@ CASES = [
     "chaos --packets 4000",
     "chaos --packets 4000 --json --engine vector",
     "txn-stats --json",
+    "collect-stats --query Q6 --loss 0.1 --duplication 0.1 --reorder 0.1"
+    " --delay 0.1",
     "demo",
     "metrics --windows 3",
 ] + [f"experiment {name}" for name in FAST_EXPERIMENTS]
@@ -57,7 +59,7 @@ def run_case(case: str) -> str:
         except SystemExit as exc:
             code = exc.code
     text = stdout.getvalue()
-    if case.startswith("metrics"):
+    if case.startswith(("metrics", "collect-stats")):
         text = _WALL_CLOCK.sub("<wall clock>", text)
     return f"exit={code}\n{text}"
 

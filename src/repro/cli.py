@@ -233,13 +233,13 @@ def cmd_collect_stats(args) -> int:
         queue_capacity=args.capacity, policy=args.policy,
         allowed_lateness=args.lateness,
         reconcile_loss_threshold=args.reconcile_threshold,
-        faults=collector.FaultConfig(
-            loss=args.loss, duplication=args.duplication,
-            reorder=args.reorder, delay=args.delay, seed=args.seed,
-        ),
     )
+    faults = resilience.FaultPlan(events=(resilience.report_faults(
+        loss=args.loss, duplication=args.duplication, reorder=args.reorder,
+        delay=args.delay,
+    ),), seed=args.seed)
     dep = build_fleet(args.switches, [args.query], array_size=1 << 13,
-                      collector_config=config)
+                      collector_config=config, faults=faults)
     stats = dep.simulator.run(
         _flooded_trace(args.packets, args.duration, args.seed)
     )
@@ -289,12 +289,11 @@ def _churn(controller, queries: List[QueryLike], rounds: int,
 def cmd_txn_stats(args) -> int:
     """Drive query churn through the transactional control plane under a
     seeded fault schedule and expose the journal + metric registry."""
-    channel = ctrlplane.FaultyControlChannel(fault_plan=ctrlplane.FaultPlan(
-        loss_rate=args.loss, timeout_rate=args.timeout,
-        reboot_rate=args.reboot, seed=args.seed,
-    ))
+    faults = resilience.FaultPlan(events=(resilience.control_faults(
+        loss=args.loss, timeout=args.timeout, reboot_rate=args.reboot,
+    ),), seed=args.seed)
     dep = build_fleet(
-        args.switches, array_size=1 << 13, channel=channel,
+        args.switches, array_size=1 << 13, faults=faults,
         txn_config=ctrlplane.TxnConfig(max_attempts=args.max_attempts),
     )
     rotation = [evaluation_query(name)
@@ -305,19 +304,19 @@ def cmd_txn_stats(args) -> int:
                          distinct_registers=512)
     aborted = _churn(dep.controller, rotation, args.updates, params,
                      list(dep.switches))
-    txn, faults = dep.controller.txn, channel.faults_injected
+    txn, injected = dep.controller.txn, dep.controller.channel.faults_injected
     if args.json:
         return _print_json({
             "epoch": txn.epoch, "aborted_operations": aborted,
-            "faults_injected": faults, "journal": txn.journal.snapshot(),
+            "faults_injected": injected, "journal": txn.journal.snapshot(),
             "metrics": txn.registry.snapshot(),
         }, default=str)
     residue = txn.residue()
     print(f"ran {len(txn.journal)} transactions over {args.switches} "
           f"switch(es); committed epoch {txn.epoch}, "
           f"{aborted} operation(s) aborted")
-    print(f"faults injected: loss={faults['loss']} "
-          f"timeout={faults['timeout']} reboot={faults['reboot']}")
+    print(f"faults injected: loss={injected['loss']} "
+          f"timeout={injected['timeout']} reboot={injected['reboot']}")
     print(f"residue after churn: staged={residue['staged_residue']} "
           f"retired={residue['retired_residue']} (both must be 0)")
     print("\ntransaction journal:")
@@ -353,7 +352,8 @@ def cmd_chaos(args) -> int:
     plan = (_outside(args, read_plan) if args.fault_plan
             else resilience.standard_crash(args.seed))
     dep = build_fleet(args.switches, [args.query], array_size=1 << 13,
-                      engine=args.engine, faults=plan)
+                      engine=args.engine, faults=plan,
+                      resilience=resilience.ResilienceConfig())
     dep.simulator.run(fleet_trace(
         caida_like(args.packets, duration_s=args.duration, seed=args.seed)
     ))

@@ -18,7 +18,7 @@ See :mod:`repro.collector.collector` for the orchestrating class and
 
 from repro.collector.collector import CollectorConfig, ReportCollector
 from repro.collector.executor import apply_tail, merge_records
-from repro.collector.faults import FaultConfig, FaultInjector
+from repro.collector.faults import FaultInjector
 from repro.collector.metrics import (
     Counter,
     Gauge,
@@ -42,7 +42,6 @@ __all__ = [
     "BoundedReportQueue",
     "CollectorConfig",
     "Counter",
-    "FaultConfig",
     "FaultInjector",
     "Gauge",
     "Histogram",

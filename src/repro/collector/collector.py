@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.collector.executor import apply_tail, merge_records
-from repro.collector.faults import FaultConfig, FaultInjector
+from repro.collector.faults import FaultInjector
 from repro.collector.metrics import (
     BATCH_BUCKETS,
     DEPTH_BUCKETS,
@@ -84,8 +84,6 @@ class CollectorConfig:
     #: Window loss fraction above which the register-readout
     #: reconciliation kicks in (1.0 disables it).
     reconcile_loss_threshold: float = 1.0
-    #: Fault shim applied at ingest (identity by default).
-    faults: FaultConfig = field(default_factory=FaultConfig)
 
     def __post_init__(self) -> None:
         BackpressurePolicy.validate(self.policy)
@@ -110,10 +108,12 @@ class ReportCollector:
         self,
         config: Optional[CollectorConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
+        faults: Optional[FaultInjector] = None,
     ):
         self.config = config or CollectorConfig()
         self.metrics = metrics or MetricsRegistry()
-        self.faults = FaultInjector(self.config.faults)
+        #: Report-path fault shim applied at ingest; ``None``: no faults.
+        self.faults = faults
         self.controller: Optional["NewtonController"] = None
         self.analyzer: Optional["Analyzer"] = None
         self._queues: Dict[object, BoundedReportQueue] = {}
@@ -259,9 +259,12 @@ class ReportCollector:
             return False
         self._seq += 1
         record = ReportRecord.decode(report, registration, seq=self._seq)
-        lost_before = self.faults.lost
-        delivered = self.faults.apply(record)
-        if self.faults.lost > lost_before:
+        faults = self.faults
+        if faults is None:
+            return self._deliver(record)
+        lost_before = faults.lost
+        delivered = faults.apply(record)
+        if faults.lost > lost_before:
             self._window_lost += 1
             self._c_lost.inc(qid=registration.top_qid)
         accepted_any = False
@@ -350,8 +353,9 @@ class ReportCollector:
         processed, one beyond it is dropped late, and nothing stays
         queued.
         """
-        for record in self.faults.flush():
-            self._deliver(record)
+        if self.faults is not None:
+            for record in self.faults.flush():
+                self._deliver(record)
         horizon = self._closed_epoch + self.config.allowed_lateness + 1
         for queue in self._queues.values():
             pending_horizon = queue.max_arrival_epoch()

@@ -14,52 +14,35 @@ tolerance properties:
 * **delay** — the record's arrival slips one or more windows; arrivals
   beyond the executor's lateness watermark are dropped as *late*.
 
-All probabilities are per-record.  ``FaultConfig()`` (all zeros) is the
-identity: every record passes through untouched, in order.
+All probabilities are per-record: the ``reports`` event of a
+:class:`~repro.resilience.FaultPlan`, drawn from a generator seeded
+with the plan's ``seed``.  A zero rate draws nothing, so an all-zero
+event is the identity: every record passes through untouched, in order.
+A collector without a ``reports`` event holds no injector at all.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.collector.records import ReportRecord
 
-__all__ = ["FaultConfig", "FaultInjector"]
+if TYPE_CHECKING:  # pragma: no cover - the plan layer sits above this one
+    from repro.resilience.faults import FaultPlan
 
-
-@dataclass(frozen=True)
-class FaultConfig:
-    """Per-record fault probabilities (all in [0, 1])."""
-
-    loss: float = 0.0
-    duplication: float = 0.0
-    reorder: float = 0.0
-    delay: float = 0.0
-    #: Windows of delay applied when a record is delayed.
-    delay_windows: int = 1
-    seed: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("loss", "duplication", "reorder", "delay"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} probability {p} outside [0, 1]")
-        if self.delay_windows < 1:
-            raise ValueError("delay_windows must be >= 1")
-
-    @property
-    def active(self) -> bool:
-        return any((self.loss, self.duplication, self.reorder, self.delay))
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
-    """Applies a :class:`FaultConfig` to the ingest stream."""
+    """Applies a plan's ``reports`` event to the ingest stream."""
 
-    def __init__(self, config: Optional[FaultConfig] = None):
-        self.config = config or FaultConfig()
-        self._rng = random.Random(self.config.seed)
+    def __init__(self, faults: "FaultPlan"):
+        rates = faults.event("reports")
+        if rates is None:
+            raise ValueError("fault plan has no reports event")
+        self.rates = rates
+        self._rng = random.Random(faults.seed)
         self._held: Optional[ReportRecord] = None
         self.lost = 0
         self.duplicated = 0
@@ -68,21 +51,18 @@ class FaultInjector:
 
     def apply(self, record: ReportRecord) -> List[ReportRecord]:
         """Transform one arriving record into 0..n delivered records."""
-        config = self.config
-        if not config.active:
-            return [record]
-        rng = self._rng
-        if config.loss and rng.random() < config.loss:
+        rates, rng = self.rates, self._rng
+        if rates.loss and rng.random() < rates.loss:
             self.lost += 1
             return []
-        if config.delay and rng.random() < config.delay:
+        if rates.delay and rng.random() < rates.delay:
             self.delayed += 1
-            record = record.delayed(config.delay_windows)
+            record = record.delayed(rates.delay_windows)
         out: List[ReportRecord] = [record]
-        if config.duplication and rng.random() < config.duplication:
+        if rates.duplication and rng.random() < rates.duplication:
             self.duplicated += 1
             out.append(record)
-        if config.reorder:
+        if rates.reorder:
             out = self._reorder(out)
         return out
 
@@ -97,7 +77,7 @@ class FaultInjector:
                 out.append(self._held)
                 self._held = None
                 self.reordered += 1
-            elif self._rng.random() < self.config.reorder:
+            elif self._rng.random() < self.rates.reorder:
                 self._held = record
             else:
                 out.append(record)

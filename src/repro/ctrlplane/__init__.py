@@ -3,7 +3,9 @@
 The controller routes every query operation through this subsystem:
 :class:`TransactionManager` implements two-phase commit across the
 switches a query is sliced onto, :class:`FaultyControlChannel` injects
-seeded loss / timeout / reboot faults for testing it, and
+the seeded loss / timeout / reboot rates of a
+:class:`~repro.resilience.FaultPlan`'s ``control`` event (passed as
+``build_deployment(faults=...)``) for testing it, and
 :class:`TransactionJournal` + the metric registry feed the
 ``newton-repro txn-stats`` subcommand.
 """
@@ -12,15 +14,10 @@ from repro.ctrlplane.channel import (
     ChannelFault,
     ChannelLoss,
     ChannelTimeout,
-    FaultPlan,
     FaultyControlChannel,
     SwitchRebooted,
 )
 from repro.ctrlplane.journal import JournalEntry, TransactionJournal
-
-#: Disambiguating alias: ``repro.resilience.FaultPlan`` is the unified
-#: declarative fault schedule; this one only shapes the control channel.
-ChannelFaultPlan = FaultPlan
 from repro.ctrlplane.txn import (
     SwitchOps,
     TransactionAborted,
@@ -33,11 +30,9 @@ from repro.ctrlplane.wal import WalCorruptError, WriteAheadLog
 
 __all__ = [
     "ChannelFault",
-    "ChannelFaultPlan",
     "ChannelLoss",
     "ChannelTimeout",
     "SwitchRebooted",
-    "FaultPlan",
     "FaultyControlChannel",
     "JournalEntry",
     "TransactionJournal",

@@ -15,10 +15,13 @@ exercised under the failures a real controller sees:
   while committed rules survive and the ASIC keeps forwarding.  The
   transaction manager must re-stage from scratch on that switch.
 
-Fault draws are deterministic per transaction: :meth:`begin_transaction`
-reseeds the fault stream from ``(seed, txn_id)``, so a fault schedule is
-reproducible from the pair alone — the property tests sweep hundreds of
-seeds and every run is replayable.
+The rates are the ``control`` event of a
+:class:`~repro.resilience.FaultPlan` (a plan without one injects
+nothing).  Fault draws are deterministic per transaction:
+:meth:`begin_transaction` reseeds the fault stream from the plan's
+``(seed, txn_id)``, so a fault schedule is reproducible from the pair
+alone — the property tests sweep hundreds of seeds and every run is
+replayable.
 
 Messages sent with ``reliable=True`` bypass the shim entirely.  The
 recovery paths (abort, rollback, garbage collection) use this: modelling
@@ -29,23 +32,28 @@ atomicity instead of merely probable atomicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.runtime.channel import ControlChannel
+
+if TYPE_CHECKING:  # pragma: no cover - the plan layer sits above this one
+    from repro.resilience.faults import FaultPlan
 
 __all__ = [
     "ChannelFault",
     "ChannelLoss",
     "ChannelTimeout",
     "SwitchRebooted",
-    "FaultPlan",
     "FaultyControlChannel",
 ]
 
 T = TypeVar("T")
+
+#: Detection timeout the controller waits before declaring a message
+#: lost / unacknowledged.
+_DETECT_TIMEOUT_S = 0.0025
 
 
 class ChannelFault(RuntimeError):
@@ -82,44 +90,16 @@ class SwitchRebooted(ChannelFault):
     """
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """Per-message fault probabilities for one channel.
-
-    Rates are independent per control message; at most one fault fires
-    per message (draws partition the unit interval), so the three rates
-    must sum to at most 1.
-    """
-
-    loss_rate: float = 0.0
-    timeout_rate: float = 0.0
-    reboot_rate: float = 0.0
-    #: Detection timeout the controller waits before declaring a message
-    #: lost / unacknowledged.
-    detect_timeout_s: float = 0.0025
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("loss_rate", "timeout_rate", "reboot_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        total = self.loss_rate + self.timeout_rate + self.reboot_rate
-        if total > 1.0:
-            raise ValueError(
-                f"fault rates must sum to at most 1, got {total}"
-            )
-        if self.detect_timeout_s < 0:
-            raise ValueError("detect_timeout_s must be non-negative")
-
-
 class FaultyControlChannel(ControlChannel):
     """A :class:`ControlChannel` whose deliveries can fail on purpose."""
 
-    def __init__(self, fault_plan: Optional[FaultPlan] = None, **kwargs):
+    def __init__(self, faults: "FaultPlan", **kwargs):
         super().__init__(**kwargs)
-        self.fault_plan = fault_plan or FaultPlan()
-        self._fault_rng = np.random.default_rng((self.fault_plan.seed, 0))
+        #: Per-message rates: the plan's ``control`` event (``None``:
+        #: every message is delivered).
+        self.control = faults.event("control")
+        self._seed = faults.seed
+        self._fault_rng = np.random.default_rng((self._seed, 0))
         #: Fault kind -> number injected (surfaced by ``txn-stats``).
         self.faults_injected: Dict[str, int] = {
             "loss": 0, "timeout": 0, "reboot": 0,
@@ -131,9 +111,7 @@ class FaultyControlChannel(ControlChannel):
         ``(seed, txn_id)`` fully determines the fault schedule, making
         every transaction's failure pattern reproducible in isolation.
         """
-        self._fault_rng = np.random.default_rng(
-            (self.fault_plan.seed, txn_id)
-        )
+        self._fault_rng = np.random.default_rng((self._seed, txn_id))
 
     def send(
         self,
@@ -144,30 +122,30 @@ class FaultyControlChannel(ControlChannel):
         overhead_s: Optional[float] = None,
         reliable: bool = False,
     ) -> Tuple[Optional[T], float]:
-        if reliable:
+        rates = self.control
+        if reliable or rates is None:
             return super().send(
                 operation, rules, switch=switch, apply=apply,
                 overhead_s=overhead_s, reliable=True,
             )
-        plan = self.fault_plan
         draw = float(self._fault_rng.random())
-        if draw < plan.loss_rate:
+        if draw < rates.loss_rate:
             self.faults_injected["loss"] += 1
             raise ChannelLoss(
                 f"control message {operation!r} lost in flight",
-                delay_s=plan.detect_timeout_s,
+                delay_s=_DETECT_TIMEOUT_S,
             )
-        draw -= plan.loss_rate
-        if draw < plan.reboot_rate:
+        draw -= rates.loss_rate
+        if draw < rates.reboot_rate:
             self.faults_injected["reboot"] += 1
             if switch is not None and hasattr(switch, "abort_staged"):
                 switch.abort_staged()  # shadow state dies with the agent
             raise SwitchRebooted(
                 f"switch rebooted before applying {operation!r}",
-                delay_s=plan.detect_timeout_s,
+                delay_s=_DETECT_TIMEOUT_S,
             )
-        draw -= plan.reboot_rate
-        if draw < plan.timeout_rate:
+        draw -= rates.reboot_rate
+        if draw < rates.timeout_rate:
             # The message lands and is applied; only the ack is lost.
             self.faults_injected["timeout"] += 1
             result, delay = super().send(
@@ -177,7 +155,7 @@ class FaultyControlChannel(ControlChannel):
             del result  # the controller never sees the reply
             raise ChannelTimeout(
                 f"acknowledgement for {operation!r} lost",
-                delay_s=delay + plan.detect_timeout_s,
+                delay_s=delay + _DETECT_TIMEOUT_S,
             )
         return super().send(
             operation, rules, switch=switch, apply=apply,

@@ -33,8 +33,8 @@ payload shape (stats, busy time, recorded reports, windowed answers);
 register dumps and metrics are shipped only when asked for.
 
 **Supervision** (see :mod:`repro.fabric.supervisor`): every RPC and
-chunk-feed to a worker process is bounded by the supervisor config's
-timeouts and raises :class:`WorkerDiedError` instead of hanging on a
+chunk-feed to a worker process is bounded by a per-phase timeout (the
+``_*_TIMEOUT_S`` constants below) and raises :class:`WorkerDiedError` instead of hanging on a
 dead peer.  The deployment then *respawns* the worker and replays the
 fabric op log plus the retained window stream — replicas are
 deterministic, so the replacement converges to bit-identical state — or,
@@ -96,6 +96,15 @@ from repro.traffic.columnar import (
 
 __all__ = ["ShardedDeployment", "WorkerDiedError"]
 
+#: Replica construction can be slow (imports + deployment build).
+_HANDSHAKE_TIMEOUT_S = 120.0
+#: Any command RPC (roll_window, dumps, op fan-out, ...).
+_REQUEST_TIMEOUT_S = 60.0
+#: One chunk hand-off into the bounded queue.
+_FEED_TIMEOUT_S = 60.0
+#: ``finish_stream`` waits for the shard to drain and compute.
+_FINISH_TIMEOUT_S = 300.0
+
 
 # --------------------------------------------------------------------- #
 # Backends                                                              #
@@ -142,7 +151,7 @@ class _ProcBackend:
     Commands ride a duplex pipe; trace chunks ride a bounded queue (the
     handoff path), so a slow shard backpressures the distributor
     instead of buffering the whole trace.  Every queue and pipe
-    operation is bounded by the supervisor config's timeouts: a dead
+    operation is bounded by a per-phase timeout: a dead
     peer raises :class:`WorkerDiedError` within one poll interval, a
     wedged one at the op's deadline — this class never hangs forever.
     """
@@ -165,7 +174,7 @@ class _ProcBackend:
         try:
             # Replica-built handshake; a worker that dies during its own
             # construction is detected here, not at the first command.
-            self._recv(config.handshake_timeout_s, phase="handshake")
+            self._recv(_HANDSHAKE_TIMEOUT_S, phase="handshake")
         except WorkerDiedError:
             self.destroy()
             raise
@@ -247,7 +256,7 @@ class _ProcBackend:
             self.conn.send((kind, arg))
         except (OSError, BrokenPipeError) as exc:
             raise self._died(kind, f"pipe send failed: {exc}") from exc
-        return self._recv(self.config.request_timeout_s, phase=kind)
+        return self._recv(_REQUEST_TIMEOUT_S, phase=kind)
 
     def start_stream(self) -> None:
         try:
@@ -258,12 +267,11 @@ class _ProcBackend:
             ) from exc
 
     def feed(self, chunk: ColumnarTrace) -> None:
-        self._put(chunk, self.config.feed_timeout_s, phase="feed")
+        self._put(chunk, _FEED_TIMEOUT_S, phase="feed")
 
     def finish_stream(self) -> Dict[str, Any]:
-        self._put(None, self.config.feed_timeout_s, phase="finish_stream")
-        return self._recv(self.config.finish_timeout_s,
-                          phase="finish_stream")
+        self._put(None, _FEED_TIMEOUT_S, phase="finish_stream")
+        return self._recv(_FINISH_TIMEOUT_S, phase="finish_stream")
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -286,7 +294,7 @@ class _ProcBackend:
         drains/closes the queue and closes the process handle."""
         try:
             self.conn.send(("shutdown", None))
-            self._recv(self.config.request_timeout_s, phase="shutdown")
+            self._recv(_REQUEST_TIMEOUT_S, phase="shutdown")
         except (WorkerDiedError, RuntimeError, OSError, EOFError,
                 BrokenPipeError):
             pass

@@ -5,9 +5,9 @@ Worker processes die — OOM kills, segfaulting native deps, operator
 the next queue operation.  Supervision splits into two halves:
 
 * **Detection** lives in the backends (:mod:`repro.fabric.sharded`):
-  every RPC and chunk-feed call is bounded by the timeouts configured
-  here and raises a typed :class:`WorkerDiedError` carrying the shard
-  index, instead of blocking forever on a pipe or queue whose peer is
+  every RPC and chunk-feed call is bounded by a fixed timeout and
+  raises a typed :class:`WorkerDiedError` carrying the shard index,
+  instead of blocking forever on a pipe or queue whose peer is
   gone.  A dead process is detected within one poll interval (the
   liveness check runs every ``poll_interval_s``); a live-but-wedged
   worker is declared dead when the op exceeds its total timeout.
@@ -64,16 +64,8 @@ class WorkerDiedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Timeouts and the respawn-vs-degrade policy."""
+    """Liveness polling and the respawn-vs-degrade policy."""
 
-    #: Replica construction can be slow (imports + deployment build).
-    handshake_timeout_s: float = 120.0
-    #: Any command RPC (roll_window, dumps, op fan-out, ...).
-    request_timeout_s: float = 60.0
-    #: One chunk hand-off into the bounded queue.
-    feed_timeout_s: float = 60.0
-    #: ``finish_stream`` waits for the shard to drain and compute.
-    finish_timeout_s: float = 300.0
     #: Liveness-check cadence while waiting: a dead process is detected
     #: within one interval; a hung one only at the full timeout.
     poll_interval_s: float = 0.05

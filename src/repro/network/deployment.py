@@ -9,15 +9,15 @@ focused on the experiment.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from repro.collector import CollectorConfig, ReportCollector
+from repro.collector import CollectorConfig, FaultInjector, ReportCollector
 from repro.core.analyzer import Analyzer
 from repro.core.controller import NewtonController
-from repro.ctrlplane import TransactionManager, TxnConfig
+from repro.ctrlplane import FaultyControlChannel, TransactionManager, TxnConfig
 from repro.dataplane.hashing import HashFamily
 from repro.dataplane.layout import LayoutKind
 from repro.dataplane.switch import Switch
@@ -56,8 +56,9 @@ class Deployment:
     simulator: NetworkSimulator
     collector: ReportCollector
     clock: WindowClock
-    #: Resilience plane; populated when ``faults`` or ``resilience`` is
-    #: passed to :func:`build_deployment`, else ``None``.
+    #: Resilience plane; populated when ``resilience`` is passed to
+    #: :func:`build_deployment` or ``faults`` hits a switch, else
+    #: ``None``.
     detector: Optional[FailureDetector] = None
     recovery: Optional[RecoveryManager] = None
     faults: Optional[FaultPlan] = None
@@ -137,11 +138,10 @@ def build_deployment(
     forwarders.  ``None`` (the default) enables Newton everywhere.
 
     ``collector_config`` tunes the collection plane (backpressure policy,
-    queue capacity, fault injection, loss reconciliation).
+    queue capacity, lateness, loss reconciliation).
 
-    ``channel`` may be a :class:`~repro.ctrlplane.FaultyControlChannel`
-    to exercise the transactional control plane under seeded faults;
-    ``txn_config`` tunes its retry/backoff policy.
+    ``channel`` replaces the default :class:`ControlChannel`;
+    ``txn_config`` tunes the transaction manager's retry policy.
 
     ``engine`` selects the packet-execution engine (``"scalar"`` or
     ``"vector"``; see :mod:`repro.engine`).
@@ -153,24 +153,25 @@ def build_deployment(
     violations accumulate on :attr:`Deployment.sanitizer` only.
 
     ``faults`` takes a declarative :class:`~repro.resilience.FaultPlan`:
-    its report-loss events merge into the collector config, its control
-    events replace ``channel`` with a faulty one (unless an explicit
-    channel was passed), and its timed switch events are armed on the
-    simulator.  Passing ``faults`` or ``resilience`` also stands up the
-    resilience plane (failure detector + recovery manager, subscribed to
-    window closes after the collector and analyzer).
+    its ``reports`` event becomes the collector's
+    :class:`~repro.collector.faults.FaultInjector`, its ``control``
+    event a :class:`~repro.ctrlplane.FaultyControlChannel` (unless an
+    explicit channel was passed), and its timed switch events are armed
+    on the simulator.  A plan that hits a switch, or ``resilience``,
+    also stands up the resilience plane (failure detector + recovery
+    manager, subscribed to window closes after the collector and
+    analyzer); a rates-only plan does not.
     """
     family = HashFamily(hash_seed)
     clock = WindowClock(window_ms=window_ms)
     analyzer = Analyzer(window_ms=window_ms)
+    injector = None
     if faults is not None:
-        report_faults = faults.collector_faults()
-        if report_faults is not None:
-            base = collector_config or CollectorConfig()
-            collector_config = dc_replace(base, faults=report_faults)
-        if channel is None:
-            channel = faults.build_channel()
-    collector = ReportCollector(config=collector_config)
+        if faults.event("reports") is not None:
+            injector = FaultInjector(faults)
+        if channel is None and faults.event("control") is not None:
+            channel = FaultyControlChannel(faults)
+    collector = ReportCollector(config=collector_config, faults=injector)
     collector.analyzer = analyzer
     enabled = (
         set(topology.switches()) if newton_switches is None
@@ -215,7 +216,8 @@ def build_deployment(
         sanitizer=sanitizer,
     )
     detector = recovery = None
-    if faults is not None or resilience is not None:
+    if resilience is not None or (faults is not None
+                                   and faults.hits_switches):
         cfg = resilience or ResilienceConfig()
         # Subscribed after the simulator wires collector + analyzer so a
         # window is collected and graded before recovery reacts to it.

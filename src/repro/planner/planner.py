@@ -11,7 +11,7 @@ decides, per managed query:
   budget).  The new size is clamped to hitless make-before-break
   headroom via :meth:`AdmissionPlanner.best_fit` on every hosting
   switch, so the staged copy always fits next to the running one.
-* **shrink** — occupancy fell below ``occupancy_low``; halve back.
+* **shrink** — occupancy fell below ``_OCCUPANCY_LOW``; halve back.
 * **refine** — heavy keys surfaced and the query has ladder rungs left:
   zoom a child query into each uncovered hot prefix.
 * **coarsen** — a refinement child saw ``child_idle_windows`` windows
@@ -43,6 +43,14 @@ from repro.planner.plan import PlanExecution, PlanStep, QueryPlan
 
 __all__ = ["DynamicPlanner", "PlannerConfig", "run_windows"]
 
+#: Shrink when occupancy falls to/below this (and size > min).
+_OCCUPANCY_LOW = 0.02
+#: Per-step grow ceiling: ``current * _GROW_FACTOR`` (and never above
+#: ``max_registers``); actual size is clamped to hitless headroom.
+_GROW_FACTOR = 4
+#: Refinement children alive per parent at any time.
+_MAX_CHILDREN = 8
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -50,17 +58,10 @@ class PlannerConfig:
 
     #: Grow the reduce sketch when its loaded CM-row fraction reaches this.
     occupancy_high: float = 0.5
-    #: Shrink when occupancy falls to/below this (and size > min).
-    occupancy_low: float = 0.02
-    #: Per-step grow ceiling: ``current * grow_factor`` (and never above
-    #: ``max_registers``); actual size is clamped to hitless headroom.
-    grow_factor: int = 4
     max_registers: int = 4096
     min_registers: int = 128
     #: Windows a query rests after any committed re-plan (anti-thrash).
     cooldown_windows: int = 2
-    #: Refinement children alive per parent at any time.
-    max_children: int = 8
     #: Remove a child after this many consecutive no-result windows.
     child_idle_windows: int = 3
     #: Report-skew (max/mean) rebalance trigger; 0 disables rebalancing.
@@ -240,7 +241,7 @@ class DynamicPlanner:
         except ValueError:
             return []
         steps: List[PlanStep] = []
-        budget = self.config.max_children - len(plan.children)
+        budget = _MAX_CHILDREN - len(plan.children)
         for key, count in sig.heavy_keys:
             if budget <= 0:
                 break
@@ -286,7 +287,7 @@ class DynamicPlanner:
                 ),
                 epoch=epoch,
             )
-        if (sig.occupancy <= cfg.occupancy_low
+        if (sig.occupancy <= _OCCUPANCY_LOW
                 and current > cfg.min_registers and plan.resizes > 0):
             candidate = replace(
                 plan.params,
@@ -296,7 +297,7 @@ class DynamicPlanner:
                 self._update_op(plan, params=candidate), trigger="shrink",
                 reason=(
                     f"occupancy {sig.occupancy:.2f} <= "
-                    f"{cfg.occupancy_low}: reduce registers "
+                    f"{_OCCUPANCY_LOW}: reduce registers "
                     f"{current} -> {candidate.reduce_registers}"
                 ),
                 epoch=epoch,
@@ -310,7 +311,7 @@ class DynamicPlanner:
         if record is None:
             return None
         ceiling = min(cfg.max_registers,
-                      plan.params.reduce_registers * cfg.grow_factor)
+                      plan.params.reduce_registers * _GROW_FACTOR)
         best: Optional[QueryParams] = None
         for sid in record.by_switch:
             admission = AdmissionPlanner(
@@ -437,12 +438,12 @@ class DynamicPlanner:
             "history": [s.to_dict() for s in self.history],
             "config": {
                 "occupancy_high": self.config.occupancy_high,
-                "occupancy_low": self.config.occupancy_low,
-                "grow_factor": self.config.grow_factor,
+                "occupancy_low": _OCCUPANCY_LOW,
+                "grow_factor": _GROW_FACTOR,
                 "max_registers": self.config.max_registers,
                 "min_registers": self.config.min_registers,
                 "cooldown_windows": self.config.cooldown_windows,
-                "max_children": self.config.max_children,
+                "max_children": _MAX_CHILDREN,
                 "child_idle_windows": self.config.child_idle_windows,
                 "skew_ratio": self.config.skew_ratio,
             },

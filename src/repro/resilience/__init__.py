@@ -14,8 +14,8 @@ corrupted register banks.  Four pieces:
   cannot be recovered.
 - :class:`CoverageTracker` — per-query coverage gauges and epoch-stamped
   gap records mergeable with collector results.
-- :class:`FaultPlan` — one seeded declarative fault schedule replacing
-  the three ad-hoc injection shims.
+- :class:`FaultPlan` — one seeded declarative fault schedule, the only
+  way to describe faults (switch events, control and report rates).
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
 """One seeded, declarative fault schedule for the whole deployment.
 
-Before this module, injecting faults meant wiring three ad-hoc shims by
-hand: :class:`repro.collector.faults.FaultConfig` (report loss),
-:class:`repro.ctrlplane.FaultyControlChannel` (control-message loss),
-and manual ``Switch.reboot`` calls.  A :class:`FaultPlan` consolidates
-them — plus the new crash and register-corruption faults — into one
-declarative event list that ``build_deployment(..., faults=plan)`` (or
-the CLI's ``--fault-plan plan.json``) compiles onto the right subsystem:
+A :class:`FaultPlan` is the only way to describe faults: switch crashes,
+planned reboots and register corruption at given trace times, plus the
+per-message control-channel and per-record report-path rates.
+``build_deployment(..., faults=plan)`` (or the CLI's ``--fault-plan
+plan.json``) puts each event on the subsystem it hits:
 
 ===========  ========================================================
 kind          effect
@@ -17,11 +15,15 @@ kind          effect
               state restored, staged banks wiped
 ``corrupt``   seeded register-bank corruption at ``at``
 ``control``   per-message loss/timeout/reboot rates on the control
-              channel (a :class:`FaultyControlChannel`)
+              channel (a :class:`~repro.ctrlplane.FaultyControlChannel`)
 ``reports``   per-record loss/duplication/reorder/delay on the
-              collector's ingest path
+              collector's ingest path (a
+              :class:`~repro.collector.faults.FaultInjector`)
 ===========  ========================================================
 
+A plan holds at most one ``control`` and one ``reports`` event: their
+rates hold for the whole run.  Both shims are seeded with the plan's
+``seed``; they draw from different generators, so one seed serves both.
 Everything is deterministic per ``seed``; timed events fire through
 ``NetworkSimulator.at`` so both execution engines split batches at the
 same instants and stay bit-identical.
@@ -31,12 +33,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Hashable, Optional, Tuple
-
-from repro.collector.faults import FaultConfig
-from repro.ctrlplane import FaultyControlChannel
-from repro.ctrlplane import FaultPlan as ChannelFaultPlan
 
 __all__ = [
     "FaultEvent",
@@ -51,6 +49,10 @@ __all__ = [
 
 _KINDS = ("crash", "reboot", "corrupt", "control", "reports")
 _SWITCH_KINDS = ("crash", "reboot", "corrupt")
+#: Kinds whose one event sets rates for the whole run.
+_RATE_KINDS = ("control", "reports")
+_RATES = ("fraction", "loss_rate", "timeout_rate", "reboot_rate", "loss",
+          "duplication", "reorder", "delay")
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,18 @@ class FaultEvent:
             raise ValueError(f"{self.kind} fault needs a switch")
         if self.at < 0:
             raise ValueError("fault time must be non-negative")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("corruption fraction outside [0, 1]")
+        for name in _RATES:
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        # One draw per control message partitions the unit interval.
+        total = self.loss_rate + self.timeout_rate + self.reboot_rate
+        if total > 1.0:
+            raise ValueError(
+                f"control fault rates must sum to at most 1, got {total}"
+            )
+        if self.delay_windows < 1:
+            raise ValueError("delay_windows must be >= 1")
 
 
 def crash(switch: Hashable, at: float,
@@ -133,40 +145,19 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
+        for kind in _RATE_KINDS:
+            if sum(event.kind == kind for event in self.events) > 1:
+                raise ValueError(f"a fault plan holds at most one {kind} "
+                                 f"event")
 
-    # -- compilation onto the subsystems -------------------------------- #
+    def event(self, kind: str) -> Optional[FaultEvent]:
+        """The plan's one ``control`` or ``reports`` event, if any."""
+        return next((e for e in self.events if e.kind == kind), None)
 
-    def collector_faults(self) -> Optional[FaultConfig]:
-        """Merge ``reports`` events into one collector fault shim."""
-        merged: Optional[FaultConfig] = None
-        for event in self.events:
-            if event.kind != "reports":
-                continue
-            merged = FaultConfig(
-                loss=event.loss, duplication=event.duplication,
-                reorder=event.reorder, delay=event.delay,
-                delay_windows=event.delay_windows,
-                seed=self.seed + 1,
-            )
-        return merged
-
-    def channel_plan(self) -> Optional[ChannelFaultPlan]:
-        for event in self.events:
-            if event.kind != "control":
-                continue
-            return ChannelFaultPlan(
-                loss_rate=event.loss_rate,
-                timeout_rate=event.timeout_rate,
-                reboot_rate=event.reboot_rate,
-                seed=self.seed + 2,
-            )
-        return None
-
-    def build_channel(self) -> Optional[FaultyControlChannel]:
-        plan = self.channel_plan()
-        if plan is None:
-            return None
-        return FaultyControlChannel(fault_plan=plan)
+    @property
+    def hits_switches(self) -> bool:
+        """Whether any event crashes, reboots or corrupts a switch."""
+        return any(event.kind in _SWITCH_KINDS for event in self.events)
 
     def schedule(
         self,
@@ -206,11 +197,15 @@ class FaultPlan:
     # -- (de)serialisation for the CLI ---------------------------------- #
 
     def to_dict(self) -> Dict[str, object]:
+        """Per event: every field off its dataclass default, plus
+        ``kind``, ``at`` and ``fraction``, which written plans have
+        always carried."""
         return {
             "seed": self.seed,
             "events": [
-                {k: v for k, v in asdict(event).items()
-                 if v not in (None, 0, 0.0, 1) or k in ("kind", "at")}
+                {f.name: getattr(event, f.name) for f in fields(event)
+                 if f.name in ("kind", "at", "fraction")
+                 or getattr(event, f.name) != f.default}
                 for event in self.events
             ],
         }

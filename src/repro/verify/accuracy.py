@@ -8,11 +8,11 @@ artifact pass turns those factors into concrete budget verdicts — run by
 :func:`~repro.verify.verifier.verify_queries` over its candidates, so an
 install gate refuses an under-provisioned sketch before any rule moves:
 
-* **NV701** — Count-Min load ``N / width`` exceeds the configured bound:
+* **NV701** — Count-Min load ``N / width`` exceeds ``CM_LOAD``:
   the average counter aggregates several flows, so threshold comparisons
   (``where ge=T``) fire on collision sums, not per-key counts.
 * **NV702** — Bloom false-positive rate at the *declared* load,
-  ``(1 - e^(-N/m'))^k``, exceeds the bound: ``distinct`` wrongly
+  ``(1 - e^(-N/m'))^k``, exceeds ``MAX_FPR``: ``distinct`` wrongly
   suppresses first-seen keys at this workload.
 * **NV703** — a Count-Min row is narrower than ``N`` itself: the sketch
   *cannot* give per-flow estimates at the declared cardinality by
@@ -34,12 +34,12 @@ from repro.core.rules import SConfig
 from repro.dataplane.alu import StatefulOp
 from repro.dataplane.module_types import ModuleType
 from repro.verify.diagnostics import Diagnostic, Location, Severity
-from repro.verify.sketch import DEFAULT_MAX_FPR
+from repro.verify.sketch import MAX_FPR
 
-__all__ = ["check_accuracy_budget", "DEFAULT_CM_LOAD"]
+__all__ = ["check_accuracy_budget", "CM_LOAD"]
 
-#: Default acceptable Count-Min load factor (flows per counter).
-DEFAULT_CM_LOAD = 0.5
+#: Acceptable Count-Min load factor (flows per counter).
+CM_LOAD = 0.5
 
 
 def _sketch_geometries(
@@ -77,8 +77,6 @@ def _sketch_geometries(
 def check_accuracy_budget(
     compiled: Sequence[CompiledQuery],
     expected_flows: int,
-    cm_load: float = DEFAULT_CM_LOAD,
-    max_fpr: float = DEFAULT_MAX_FPR,
 ) -> List[Diagnostic]:
     """NV701–NV703 for every sketch at the declared flow cardinality."""
     out: List[Diagnostic] = []
@@ -89,7 +87,7 @@ def check_accuracy_budget(
             location = Location(qid=comp.qid, step=step)
             if is_bloom:
                 fpr = (1.0 - math.exp(-expected_flows / width)) ** depth
-                if fpr > max_fpr:
+                if fpr > MAX_FPR:
                     out.append(Diagnostic(
                         severity=Severity.WARNING,
                         code="NV702",
@@ -97,7 +95,7 @@ def check_accuracy_budget(
                             f"Bloom filter ({depth} hash(es), {width} "
                             f"bits/row) reaches a false-positive rate of "
                             f"{fpr:.3f} at the declared {expected_flows} "
-                            f"flows (bound {max_fpr:g}); distinct will "
+                            f"flows (bound {MAX_FPR:g}); distinct will "
                             f"suppress first-seen keys at this workload"
                         ),
                         location=location,
@@ -118,13 +116,13 @@ def check_accuracy_budget(
                     ),
                     location=location,
                 ))
-            elif load > cm_load:
+            elif load > CM_LOAD:
                 out.append(Diagnostic(
                     severity=Severity.WARNING,
                     code="NV701",
                     message=(
                         f"Count-Min load {load:.2f} flows/counter "
-                        f"exceeds the budget {cm_load:g} at the declared "
+                        f"exceeds the budget {CM_LOAD:g} at the declared "
                         f"{expected_flows} flows (width {width}, depth "
                         f"{depth}); threshold tests will fire on "
                         f"collision sums"

@@ -10,12 +10,12 @@ noise.  This pass recovers each sketch's geometry from the placed rules
 bounds:
 
 * **NV301** — Count-Min per-row error factor ``epsilon = e / width``
-  exceeds the configured bound: counts are inflated by more than
+  exceeds ``MAX_EPSILON``: counts are inflated by more than
   ``epsilon * N`` in expectation.
 * **NV302** — Count-Min failure probability ``delta = e^-depth`` exceeds
-  the bound: too few rows for the estimate to hold with confidence.
+  ``MAX_DELTA``: too few rows for the estimate to hold with confidence.
 * **NV303** — Bloom filter false-positive rate ``(1 - e^-load)^k``
-  exceeds the bound at the configured load factor: ``distinct`` will
+  exceeds ``MAX_FPR`` at load factor ``BLOOM_LOAD``: ``distinct`` will
   wrongly suppress keys.
 * **NV304** — two *overlapping* queries drive HASH rules with the same
   seed, range, and key masks: their sketch indices collide on every
@@ -39,21 +39,17 @@ from repro.verify.shadowing import ternary_intersects
 
 __all__ = ["check_sketch_params", "check_hash_seed_collisions"]
 
-#: Default accuracy bounds.  Chosen so the paper's defaults (depth 2,
-#: 3 Bloom hashes, 4096-register slices) pass with margin while the
-#: degenerate settings (1 row, tiny slices) are flagged.
-DEFAULT_MAX_EPSILON = 0.05
-DEFAULT_MAX_DELTA = 0.25
-DEFAULT_BLOOM_LOAD = 0.5
-DEFAULT_MAX_FPR = 0.1
+#: Accuracy bounds.  Chosen so the paper's defaults (depth 2, 3 Bloom
+#: hashes, 4096-register slices) pass with margin while the degenerate
+#: settings (1 row, tiny slices) are flagged.
+MAX_EPSILON = 0.05
+MAX_DELTA = 0.25
+BLOOM_LOAD = 0.5
+MAX_FPR = 0.1
 
 
 def check_sketch_params(
     compiled: Sequence[CompiledQuery],
-    max_epsilon: float = DEFAULT_MAX_EPSILON,
-    max_delta: float = DEFAULT_MAX_DELTA,
-    bloom_load: float = DEFAULT_BLOOM_LOAD,
-    max_fpr: float = DEFAULT_MAX_FPR,
 ) -> List[Diagnostic]:
     """NV301–NV303 over every sketch recovered from the placed rules."""
     out: List[Diagnostic] = []
@@ -88,15 +84,15 @@ def check_sketch_params(
             )
             if is_bloom:
                 k = len(rows)
-                fpr = (1.0 - math.exp(-bloom_load)) ** k
-                if fpr > max_fpr:
+                fpr = (1.0 - math.exp(-BLOOM_LOAD)) ** k
+                if fpr > MAX_FPR:
                     out.append(Diagnostic(
                         severity=Severity.WARNING,
                         code="NV303",
                         message=(
                             f"Bloom filter with {k} hash function(s) has a "
                             f"false-positive rate of {fpr:.3f} at load "
-                            f"{bloom_load:g} (bound {max_fpr:g}); distinct "
+                            f"{BLOOM_LOAD:g} (bound {MAX_FPR:g}); distinct "
                             f"will wrongly suppress first-seen keys"
                         ),
                         location=location,
@@ -108,26 +104,26 @@ def check_sketch_params(
             width = min(row.slice_size for row in rows)
             epsilon = math.e / width
             delta = math.exp(-depth)
-            if epsilon > max_epsilon:
+            if epsilon > MAX_EPSILON:
                 out.append(Diagnostic(
                     severity=Severity.WARNING,
                     code="NV301",
                     message=(
                         f"Count-Min width {width} gives error factor "
                         f"epsilon = e/width = {epsilon:.3f} (bound "
-                        f"{max_epsilon:g}); counts overshoot by more than "
-                        f"{max_epsilon:g}*N in expectation"
+                        f"{MAX_EPSILON:g}); counts overshoot by more than "
+                        f"{MAX_EPSILON:g}*N in expectation"
                     ),
                     location=location,
                 ))
-            if delta > max_delta:
+            if delta > MAX_DELTA:
                 out.append(Diagnostic(
                     severity=Severity.WARNING,
                     code="NV302",
                     message=(
                         f"Count-Min depth {depth} gives failure "
                         f"probability delta = e^-depth = {delta:.3f} "
-                        f"(bound {max_delta:g}); add rows for the error "
+                        f"(bound {MAX_DELTA:g}); add rows for the error "
                         f"bound to hold with confidence"
                     ),
                     location=location,

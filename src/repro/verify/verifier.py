@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery
-from repro.verify.accuracy import DEFAULT_CM_LOAD, check_accuracy_budget
+from repro.verify.accuracy import check_accuracy_budget
 from repro.verify.deadrules import check_dead_rules
 from repro.verify.dependencies import check_dependencies
 from repro.verify.diagnostics import (
@@ -44,10 +44,6 @@ from repro.verify.shadowing import (
     check_r_entry_shadowing,
 )
 from repro.verify.sketch import (
-    DEFAULT_BLOOM_LOAD,
-    DEFAULT_MAX_DELTA,
-    DEFAULT_MAX_EPSILON,
-    DEFAULT_MAX_FPR,
     check_hash_seed_collisions,
     check_sketch_params,
 )
@@ -58,16 +54,14 @@ __all__ = ["VerifierConfig", "verify_queries", "verify_demand",
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Tunable thresholds, declared workload, per-code suppression."""
+    """Declared workload and per-code suppression.
 
-    max_epsilon: float = DEFAULT_MAX_EPSILON
-    max_delta: float = DEFAULT_MAX_DELTA
-    bloom_load: float = DEFAULT_BLOOM_LOAD
-    max_fpr: float = DEFAULT_MAX_FPR
+    The accuracy bounds are constants of :mod:`repro.verify.sketch` and
+    :mod:`repro.verify.accuracy`.
+    """
+
     #: Declared expected flow cardinality; ``None`` skips NV7xx.
     expected_flows: Optional[int] = None
-    #: Acceptable Count-Min load (flows per counter) for NV701.
-    cm_load: float = DEFAULT_CM_LOAD
     #: Diagnostic codes to drop from reports (e.g. ("NV302",)).
     suppress: Tuple[str, ...] = field(default=())
 
@@ -102,13 +96,7 @@ def verify_queries(
         report.extend(config.filter(check_dependencies(comp)))
         report.extend(config.filter(check_r_entry_shadowing(comp)))
         report.extend(config.filter(check_dead_rules(comp)))
-    report.extend(config.filter(check_sketch_params(
-        candidates,
-        max_epsilon=config.max_epsilon,
-        max_delta=config.max_delta,
-        bloom_load=config.bloom_load,
-        max_fpr=config.max_fpr,
-    )))
+    report.extend(config.filter(check_sketch_params(candidates)))
 
     # Cross-query passes: each candidate against the candidates after it
     # and the context — never context against context.
@@ -135,10 +123,7 @@ def verify_queries(
     # Accuracy budget at the declared workload (NV7xx): candidates only.
     if config.expected_flows is not None:
         report.extend(config.filter(check_accuracy_budget(
-            candidates,
-            expected_flows=config.expected_flows,
-            cm_load=config.cm_load,
-            max_fpr=config.max_fpr,
+            candidates, expected_flows=config.expected_flows,
         )))
     return report
 

@@ -4,21 +4,28 @@ staleness, and register-readout reconciliation."""
 from repro.collector import (
     BackpressurePolicy,
     CollectorConfig,
-    FaultConfig,
+    FaultInjector,
     QueryRegistration,
     ReportCollector,
 )
 from repro.core.ops import ControlOp
 from repro.core.rules import Report
+from repro.resilience import FaultPlan, report_faults
 
 QID = "q.sub"
 TOP = "q"
 
 
-def make_collector(**overrides):
+def make_collector(faults=None, **overrides):
+    """A collector with one registered query; ``faults`` is a
+    ``report_faults(...)`` event for its shim."""
     defaults = dict(queue_capacity=64, policy=BackpressurePolicy.BLOCK)
     defaults.update(overrides)
-    collector = ReportCollector(config=CollectorConfig(**defaults))
+    collector = ReportCollector(
+        config=CollectorConfig(**defaults),
+        faults=(FaultInjector(FaultPlan(events=(faults,)))
+                if faults is not None else None),
+    )
     collector._registrations[QID] = QueryRegistration(
         qid=QID, top_qid=TOP, key_fields=("dip",), result_set=1,
         cpu_start=2, num_primitives=2, tail=(),
@@ -177,7 +184,7 @@ class TestLateness:
     def test_delayed_record_stays_pending(self):
         collector = make_collector(
             allowed_lateness=2,
-            faults=FaultConfig(delay=1.0, delay_windows=2),
+            faults=report_faults(delay=1.0, delay_windows=2),
         )
         collector.ingest(report(9, epoch=0))
         collector.close_window(0)
@@ -192,7 +199,7 @@ class TestLateness:
 
 class TestFaultTolerance:
     def test_duplicates_collapsed(self):
-        collector = make_collector(faults=FaultConfig(duplication=1.0))
+        collector = make_collector(faults=report_faults(duplication=1.0))
         collector.ingest(report(9, count=3))
         collector.close_window(0)
         assert collector.results(QID)[0] == {(9,): 3}
@@ -203,14 +210,14 @@ class TestFaultTolerance:
         assert_balanced(collector)
 
     def test_loss_is_counted_not_silent(self):
-        collector = make_collector(faults=FaultConfig(loss=1.0))
+        collector = make_collector(faults=report_faults(loss=1.0))
         assert not collector.ingest(report(9))
         assert collector.lost == 1
         assert collector.ingested == 0
         assert_balanced(collector)
 
     def test_flush_delivers_reorder_holdback(self):
-        collector = make_collector(faults=FaultConfig(reorder=1.0))
+        collector = make_collector(faults=report_faults(reorder=1.0))
         collector.ingest(report(9))  # held by the shim
         assert collector.ingested == 0
         collector.flush()

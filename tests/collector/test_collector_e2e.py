@@ -9,12 +9,13 @@ after register-readout reconciliation) under injected report loss.
 
 import pytest
 
-from repro.collector import BackpressurePolicy, CollectorConfig, FaultConfig
+from repro.collector import BackpressurePolicy, CollectorConfig
 from repro.core.compiler import QueryParams
 from repro.core.packet import Packet
 from repro.core.query import Query
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
+from repro.resilience import FaultPlan, report_faults
 from repro.traffic.traces import Trace
 
 PARAMS = QueryParams(cm_depth=2, reduce_registers=1 << 14,
@@ -56,10 +57,10 @@ def trace():
 
 
 def run(n_switches, collector_config=None, num_stages=12,
-        stages_per_switch=None):
+        stages_per_switch=None, faults=None):
     dep = build_deployment(
         linear(n_switches), num_stages=num_stages, array_size=1 << 14,
-        collector_config=collector_config,
+        collector_config=collector_config, faults=faults,
     )
     path = [f"s{i}" for i in range(n_switches)]
     dep.controller.install_query(
@@ -118,12 +119,10 @@ class TestLossTolerance:
     LOSS = 0.05
 
     def test_bounded_recall_and_reconciled_counts(self, baseline):
-        config = CollectorConfig(
-            faults=FaultConfig(loss=self.LOSS, seed=23),
-            reconcile_loss_threshold=0.0,
-        )
+        config = CollectorConfig(reconcile_loss_threshold=0.0)
+        faults = FaultPlan(events=(report_faults(loss=self.LOSS),), seed=23)
         dep, stats = run(3, collector_config=config, num_stages=3,
-                         stages_per_switch=3)
+                         stages_per_switch=3, faults=faults)
         collector = dep.collector
         assert collector.lost > 0  # the shim actually fired
         merged = collector.merged_results(QID)
@@ -156,9 +155,9 @@ class TestLossTolerance:
         """A fully data-plane query has no deferred share, so the merged
         answer is the collector's own — never the analyzer's lossless
         mirror of the reports the shim destroyed."""
-        config = CollectorConfig(faults=FaultConfig(loss=0.6, seed=3))
-        dep, stats = run(3, collector_config=config, num_stages=3,
-                         stages_per_switch=3)
+        faults = FaultPlan(events=(report_faults(loss=0.6),), seed=3)
+        dep, stats = run(3, num_stages=3, stages_per_switch=3,
+                         faults=faults)
         collector = dep.collector
         assert stats.deferred == 0
         assert collector.lost > 0
@@ -170,12 +169,10 @@ class TestLossTolerance:
                    for epoch in range(WINDOWS))
 
     def test_invariant_holds_under_loss(self):
-        config = CollectorConfig(
-            faults=FaultConfig(loss=self.LOSS, duplication=0.05,
-                               reorder=0.05, seed=31),
-        )
-        dep, _ = run(3, collector_config=config, num_stages=3,
-                     stages_per_switch=3)
+        faults = FaultPlan(events=(report_faults(
+            loss=self.LOSS, duplication=0.05, reorder=0.05,
+        ),), seed=31)
+        dep, _ = run(3, num_stages=3, stages_per_switch=3, faults=faults)
         collector = dep.collector
         ingested, accounted = collector.balance()
         assert ingested == accounted

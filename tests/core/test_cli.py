@@ -95,6 +95,8 @@ class TestInputBoundaries:
         ('{"events": [{"kind": "crash"}]}', "crash fault needs a switch"),
         ('{"events": [{"kind": "crash", "switch": "s0", "at": 0.1, '
          '"when": 3}]}', "bad fault event"),
+        ('{"events": [{"kind": "reports", "loss": 1.5}]}',
+         "loss must be in [0, 1], got 1.5"),
     ])
     def test_chaos_fault_plan_malformed(self, capsys, tmp_path, body,
                                         needle):

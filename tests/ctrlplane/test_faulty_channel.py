@@ -5,17 +5,22 @@ import pytest
 from repro.ctrlplane import (
     ChannelLoss,
     ChannelTimeout,
-    FaultPlan,
     FaultyControlChannel,
     SwitchRebooted,
 )
+from repro.resilience import FaultPlan, control_faults
+
+
+def plan_of(seed=0, **rates):
+    """A plan whose one ``control`` event has ``rates``."""
+    return FaultPlan(events=(control_faults(**rates),), seed=seed)
 
 
 class _RecordingChannel(FaultyControlChannel):
     """Records every message the channel put on the wire (timed)."""
 
-    def __init__(self, fault_plan):
-        super().__init__(fault_plan)
+    def __init__(self, faults):
+        super().__init__(faults)
         self.sent = []
 
     def transact(self, operation, rules, overhead_s=None):
@@ -37,22 +42,18 @@ class _StubSwitch:
 class TestFaultPlan:
     def test_rejects_out_of_range_rate(self):
         with pytest.raises(ValueError):
-            FaultPlan(loss_rate=1.5)
+            control_faults(loss=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(timeout_rate=-0.1)
+            control_faults(timeout=-0.1)
 
     def test_rejects_rates_summing_past_one(self):
         with pytest.raises(ValueError):
-            FaultPlan(loss_rate=0.5, timeout_rate=0.4, reboot_rate=0.2)
-
-    def test_rejects_negative_timeout(self):
-        with pytest.raises(ValueError):
-            FaultPlan(detect_timeout_s=-1.0)
+            control_faults(loss=0.5, timeout=0.4, reboot_rate=0.2)
 
 
 class TestFaultSemantics:
     def test_loss_skips_the_switch_side_effect(self):
-        channel = FaultyControlChannel(FaultPlan(loss_rate=1.0, seed=3))
+        channel = FaultyControlChannel(plan_of(seed=3, loss=1.0))
         applied = []
         with pytest.raises(ChannelLoss) as exc:
             channel.send("install", 5, apply=lambda: applied.append(1))
@@ -61,7 +62,7 @@ class TestFaultSemantics:
         assert channel.faults_injected["loss"] == 1
 
     def test_timeout_applies_but_hides_the_ack(self):
-        channel = _RecordingChannel(FaultPlan(timeout_rate=1.0, seed=3))
+        channel = _RecordingChannel(plan_of(seed=3, timeout=1.0))
         applied = []
         with pytest.raises(ChannelTimeout):
             channel.send("install", 5, apply=lambda: applied.append(1))
@@ -70,7 +71,7 @@ class TestFaultSemantics:
         assert channel.sent == ["install"]
 
     def test_reboot_wipes_staged_state(self):
-        channel = FaultyControlChannel(FaultPlan(reboot_rate=1.0, seed=3))
+        channel = FaultyControlChannel(plan_of(seed=3, reboot_rate=1.0))
         switch = _StubSwitch()
         applied = []
         with pytest.raises(SwitchRebooted):
@@ -80,7 +81,7 @@ class TestFaultSemantics:
         assert switch.aborts == 1
 
     def test_reliable_bypasses_all_faults(self):
-        channel = FaultyControlChannel(FaultPlan(loss_rate=1.0, seed=3))
+        channel = FaultyControlChannel(plan_of(seed=3, loss=1.0))
         result, delay = channel.send(
             "install", 5, apply=lambda: "ok", reliable=True
         )
@@ -89,10 +90,12 @@ class TestFaultSemantics:
         assert channel.faults_injected["loss"] == 0
 
     def test_fault_free_plan_always_delivers(self):
-        channel = FaultyControlChannel()
-        for _ in range(50):
-            result, _ = channel.send("install", 1, apply=lambda: "ok")
-            assert result == "ok"
+        # No control event, and one with all-zero rates.
+        for faults in (FaultPlan(), plan_of()):
+            channel = FaultyControlChannel(faults)
+            for _ in range(50):
+                result, _ = channel.send("install", 1, apply=lambda: "ok")
+                assert result == "ok"
 
 
 class TestDeterminism:
@@ -113,23 +116,21 @@ class TestDeterminism:
         return kinds
 
     def test_same_seed_and_txn_replays_identically(self):
-        plan = FaultPlan(loss_rate=0.3, timeout_rate=0.2, reboot_rate=0.1,
-                         seed=42)
+        plan = plan_of(seed=42, loss=0.3, timeout=0.2, reboot_rate=0.1)
         a = self._schedule(FaultyControlChannel(plan), txn_id=7)
         b = self._schedule(FaultyControlChannel(plan), txn_id=7)
         assert a == b
 
     def test_different_txn_ids_draw_different_schedules(self):
-        plan = FaultPlan(loss_rate=0.3, timeout_rate=0.2, reboot_rate=0.1,
-                         seed=42)
+        plan = plan_of(seed=42, loss=0.3, timeout=0.2, reboot_rate=0.1)
         channel = FaultyControlChannel(plan)
         a = self._schedule(channel, txn_id=1)
         b = self._schedule(channel, txn_id=2)
         assert a != b
 
     def test_different_seeds_draw_different_schedules(self):
-        a = self._schedule(FaultyControlChannel(FaultPlan(
-            loss_rate=0.4, seed=1)), txn_id=0)
-        b = self._schedule(FaultyControlChannel(FaultPlan(
-            loss_rate=0.4, seed=2)), txn_id=0)
+        a = self._schedule(FaultyControlChannel(plan_of(seed=1, loss=0.4)),
+                           txn_id=0)
+        b = self._schedule(FaultyControlChannel(plan_of(seed=2, loss=0.4)),
+                           txn_id=0)
         assert a != b

@@ -6,13 +6,13 @@ from repro.core.compiler import QueryParams
 from repro.core.query import Query
 from repro.ctrlplane import (
     ChannelLoss,
-    FaultPlan,
     FaultyControlChannel,
     TransactionAborted,
     TxnConfig,
 )
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
+from repro.resilience import FaultPlan, control_faults
 from repro.runtime.channel import ControlChannel
 from repro.verify import VerificationError
 
@@ -119,11 +119,10 @@ class TestCommitPath:
 
 class TestFaultTolerance:
     def test_commits_under_heavy_faults(self):
-        channel = FaultyControlChannel(FaultPlan(
-            loss_rate=0.25, timeout_rate=0.2, reboot_rate=0.1, seed=5,
-        ))
-        dep = deploy(channel=channel,
-                     txn_config=TxnConfig(max_attempts=25))
+        faults = FaultPlan(events=(control_faults(
+            loss=0.25, timeout=0.2, reboot_rate=0.1,
+        ),), seed=5)
+        dep = deploy(faults=faults, txn_config=TxnConfig(max_attempts=25))
         dep.controller.install_query(q(), PARAMS, path=["s0", "s1", "s2"])
         result = dep.controller.update_query(q(threshold=9), PARAMS,
                                              path=["s0", "s1", "s2"])
@@ -133,8 +132,8 @@ class TestFaultTolerance:
         assert retries.total > 0, "the fault schedule must have bitten"
 
     def test_prepare_exhaustion_aborts_cleanly(self):
-        channel = FaultyControlChannel(FaultPlan(loss_rate=1.0, seed=5))
-        dep = deploy(channel=channel, txn_config=TxnConfig(max_attempts=3))
+        faults = FaultPlan(events=(control_faults(loss=1.0),), seed=5)
+        dep = deploy(faults=faults, txn_config=TxnConfig(max_attempts=3))
         with pytest.raises(TransactionAborted):
             dep.controller.install_query(q(), PARAMS, path=["s0"])
         assert "txn.q" not in dep.controller.installed
@@ -170,12 +169,14 @@ class TestFaultTolerance:
         """Regression (ISSUE 3 satellite): the pre-transactional
         update_query left the query uninstalled when the install leg
         failed after the remove leg succeeded."""
-        channel = FaultyControlChannel(FaultPlan(loss_rate=1.0, seed=5))
-        dep = deploy(channel=channel, txn_config=TxnConfig(max_attempts=2))
-        channel.fault_plan = FaultPlan()  # fault-free install
+        lossy = control_faults(loss=1.0)
+        dep = deploy(faults=FaultPlan(events=(lossy,), seed=5),
+                     txn_config=TxnConfig(max_attempts=2))
+        channel = dep.controller.channel
+        channel.control = None  # fault-free install
         dep.controller.install_query(q(threshold=3), PARAMS, path=["s0"])
         rules_before = dep.switch("s0").rule_count
-        channel.fault_plan = FaultPlan(loss_rate=1.0, seed=5)
+        channel.control = lossy
         with pytest.raises(TransactionAborted):
             dep.controller.update_query(q(threshold=9), PARAMS, path=["s0"])
         assert "txn.q" in dep.controller.installed

@@ -2,7 +2,6 @@
 
 import json
 import os
-from dataclasses import replace
 
 import pytest
 

@@ -14,17 +14,21 @@ from hypothesis import strategies as st
 from repro.collector import (
     BackpressurePolicy,
     CollectorConfig,
-    FaultConfig,
+    FaultInjector,
     QueryRegistration,
     ReportCollector,
 )
 from repro.core.rules import Report
+from repro.resilience import FaultPlan, report_faults
 
 QID = "prop.q"
 
 
-def make_collector(config):
-    collector = ReportCollector(config=config)
+def make_collector(config, faults=None):
+    collector = ReportCollector(
+        config=config,
+        faults=FaultInjector(faults) if faults is not None else None,
+    )
     collector._registrations[QID] = QueryRegistration(
         qid=QID, top_qid=QID, key_fields=("dip",), result_set=1,
         cpu_start=1, num_primitives=1, tail=(),
@@ -51,14 +55,23 @@ arrivals = st.lists(
     max_size=80,
 )
 
-fault_configs = st.builds(
-    FaultConfig,
+seeds = st.integers(min_value=0, max_value=2**16)
+
+
+def report_plans(**rates):
+    """Plans whose one ``reports`` event draws its rates from ``rates``."""
+    return st.builds(
+        FaultPlan, events=st.tuples(st.builds(report_faults, **rates)),
+        seed=seeds,
+    )
+
+
+fault_plans = report_plans(
     loss=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     duplication=st.sampled_from([0.0, 0.2, 1.0]),
     reorder=st.sampled_from([0.0, 0.3, 1.0]),
     delay=st.sampled_from([0.0, 0.25]),
     delay_windows=st.integers(min_value=1, max_value=3),
-    seed=st.integers(min_value=0, max_value=2**16),
 )
 
 policies = st.sampled_from(BackpressurePolicy.ALL)
@@ -76,26 +89,25 @@ def drive(collector, stream):
 
 
 class TestFlowInvariant:
-    @given(stream=arrivals, faults=fault_configs, policy=policies,
+    @given(stream=arrivals, faults=fault_plans, policy=policies,
            capacity=st.integers(min_value=1, max_value=16))
     @settings(max_examples=60, deadline=None)
     def test_counters_balance(self, stream, faults, policy, capacity):
         collector = make_collector(CollectorConfig(
-            queue_capacity=capacity, policy=policy, faults=faults,
-        ))
+            queue_capacity=capacity, policy=policy,
+        ), faults)
         drive(collector, stream)
         ingested, accounted = collector.balance()
         assert ingested == accounted
         # After flush, nothing is left on the wire or in the queues.
         assert collector.pending == 0
 
-    @given(stream=arrivals, faults=fault_configs)
+    @given(stream=arrivals, faults=fault_plans)
     @settings(max_examples=30, deadline=None)
     def test_balance_holds_at_every_window_boundary(self, stream, faults):
         collector = make_collector(CollectorConfig(
             queue_capacity=4, policy=BackpressurePolicy.DROP_OLDEST,
-            faults=faults,
-        ))
+        ), faults)
         epoch = 0
         for dip, count, step in stream:
             for _ in range(step):
@@ -108,11 +120,9 @@ class TestFlowInvariant:
 
 class TestBlockEqualsBaseline:
     @given(stream=arrivals,
-           faults=st.builds(
-               FaultConfig,
+           faults=report_plans(
                duplication=st.sampled_from([0.0, 0.5]),
                reorder=st.sampled_from([0.0, 0.5]),
-               seed=st.integers(min_value=0, max_value=2**16),
            ),
            capacity=st.integers(min_value=1, max_value=4))
     @settings(max_examples=40, deadline=None)
@@ -133,8 +143,8 @@ class TestBlockEqualsBaseline:
         ))
         blocked = make_collector(CollectorConfig(
             queue_capacity=capacity, policy=BackpressurePolicy.BLOCK,
-            faults=faults, allowed_lateness=lateness,
-        ))
+            allowed_lateness=lateness,
+        ), faults)
         drive(baseline, stream)
         drive(blocked, stream)
         assert blocked.results(QID) == baseline.results(QID)

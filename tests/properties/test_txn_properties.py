@@ -11,14 +11,10 @@ import pytest
 
 from repro.core.compiler import QueryParams
 from repro.core.query import Query
-from repro.ctrlplane import (
-    FaultPlan,
-    FaultyControlChannel,
-    TransactionAborted,
-    TxnConfig,
-)
+from repro.ctrlplane import TransactionAborted, TxnConfig
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
+from repro.resilience import FaultPlan, ResilienceConfig, control_faults
 from repro.traffic.generators import assign_hosts, syn_flood
 
 PARAMS = QueryParams(cm_depth=2, bf_hashes=2,
@@ -27,7 +23,7 @@ PARAMS = QueryParams(cm_depth=2, bf_hashes=2,
 #: Aggressive per-message fault rates: with 4 delivery attempts the
 #: per-message abort probability is a few percent, so a 200-seed sweep
 #: exercises commits, retried commits, aborts, AND rollbacks.
-FAULTS = dict(loss_rate=0.25, timeout_rate=0.2, reboot_rate=0.1)
+FAULTS = control_faults(loss=0.25, timeout=0.2, reboot_rate=0.1)
 
 N_SEEDS = 200
 N_SWITCHES = 3
@@ -44,9 +40,8 @@ def q(threshold=3):
 
 
 def deploy(seed):
-    channel = FaultyControlChannel(FaultPlan(seed=seed, **FAULTS))
     return build_deployment(
-        linear(N_SWITCHES), channel=channel,
+        linear(N_SWITCHES), faults=FaultPlan(events=(FAULTS,), seed=seed),
         txn_config=TxnConfig(max_attempts=4),
     )
 
@@ -166,11 +161,9 @@ class TestUpdateDuringRecovery:
 
     @staticmethod
     def recovery_deploy():
-        from repro.resilience import FaultPlan, crash
-
         return build_deployment(
             linear(N_SWITCHES),
-            faults=FaultPlan(),  # stands up detector + recovery
+            resilience=ResilienceConfig(),  # stands up detector + recovery
         )
 
     @staticmethod

@@ -1,10 +1,13 @@
 """Unified declarative FaultPlan: schema, compilation, scheduling."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
-from repro.ctrlplane import ChannelFaultPlan, FaultyControlChannel
+from repro.collector import FaultInjector
+from repro.ctrlplane import FaultyControlChannel
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
 from repro.resilience import (
@@ -40,21 +43,38 @@ class TestSchema:
         plan = FaultPlan(events=[crash("s0", 0.1)])
         assert isinstance(plan.events, tuple)
 
+    @pytest.mark.parametrize("kind, make", [
+        ("control", control_faults),
+        ("reports", report_faults),
+    ])
+    def test_one_rate_event_per_kind(self, kind, make):
+        with pytest.raises(ValueError, match=f"at most one {kind}"):
+            FaultPlan(events=(make(loss=0.1), crash("s0", 0.1),
+                              make(loss=0.2)))
+
 
 class TestRoundTrip:
     def test_json_round_trip(self):
-        plan = FaultPlan(
-            events=(
+        plans = [
+            (
                 crash("s0", 0.2, down_for=0.15),
                 reboot("s1", 0.5, entries=128),
                 corrupt_registers("s2", 0.3, fraction=0.25),
                 control_faults(loss=0.1, timeout=0.05),
                 report_faults(loss=0.02, delay=0.01),
             ),
-            seed=42,
-        )
-        back = FaultPlan.from_json(json.dumps(plan.to_dict()))
-        assert back == plan
+            # Values equal to 0 or 1 that differ from the field default.
+            (
+                crash("s0", 0.2, down_for=0.0),  # back at once, not never
+                corrupt_registers("s2", 0.3, fraction=1.0),
+                control_faults(loss=1.0),
+                report_faults(delay=1.0),
+            ),
+        ]
+        for events in plans:
+            plan = FaultPlan(events=events, seed=42)
+            back = FaultPlan.from_json(json.dumps(plan.to_dict()))
+            assert back == plan
 
     def test_from_dict_requires_kind(self):
         with pytest.raises(ValueError, match="missing 'kind'"):
@@ -66,23 +86,41 @@ class TestCompilation:
         plan = FaultPlan(
             events=(report_faults(loss=0.1, duplication=0.02),), seed=9,
         )
-        cfg = plan.collector_faults()
-        assert cfg is not None and cfg.active
-        assert cfg.loss == 0.1 and cfg.duplication == 0.02
-        assert cfg.seed == 10  # derived from the plan seed
+        shim = build_deployment(linear(1), faults=plan).collector.faults
+        assert isinstance(shim, FaultInjector)
+        assert shim.rates.loss == 0.1 and shim.rates.duplication == 0.02
+        # Seeded with the plan's seed itself.
+        assert shim._rng.getstate() == random.Random(9).getstate()
 
     def test_no_report_events_no_collector_faults(self):
-        assert FaultPlan(events=(crash("s0", 0.1),)).collector_faults() is None
+        plan = FaultPlan(events=(crash("s0", 0.1),))
+        assert build_deployment(linear(1), faults=plan).collector.faults is None
 
     def test_control_events_become_faulty_channel(self):
         plan = FaultPlan(events=(control_faults(loss=0.3),), seed=4)
-        channel = plan.build_channel()
+        channel = build_deployment(linear(1), faults=plan).controller.channel
         assert isinstance(channel, FaultyControlChannel)
-        assert isinstance(plan.channel_plan(), ChannelFaultPlan)
-        assert plan.channel_plan().loss_rate == 0.3
+        assert channel.control.loss_rate == 0.3
+        # Seeded with the plan's seed itself, keyed by transaction.
+        channel.begin_transaction(7)
+        expected = np.random.default_rng((4, 7)).random(5)
+        assert [channel._fault_rng.random() for _ in range(5)] == list(
+            expected
+        )
 
     def test_no_control_events_no_channel(self):
-        assert FaultPlan().build_channel() is None
+        channel = build_deployment(linear(1), faults=FaultPlan()
+                                   ).controller.channel
+        assert not isinstance(channel, FaultyControlChannel)
+
+    def test_rates_only_plan_starts_no_resilience_plane(self):
+        plan = FaultPlan(events=(control_faults(loss=0.1),
+                                 report_faults(loss=0.1)), seed=3)
+        dep = build_deployment(linear(1), faults=plan)
+        assert dep.detector is None and dep.recovery is None
+        assert "resilience_" not in dep.collector.metrics.render_prometheus()
+        switch_plan = FaultPlan(events=plan.events + (crash("s0", 0.1),))
+        assert build_deployment(linear(1), faults=switch_plan).recovery
 
 
 class TestScheduling:

@@ -10,14 +10,9 @@ commit — replay to the same state.
 
 import pytest
 
-from repro.ctrlplane import (
-    FaultPlan as ChannelFaultPlan,
-    FaultyControlChannel,
-    TxnConfig,
-    WriteAheadLog,
-)
+from repro.ctrlplane import TxnConfig, WriteAheadLog
 from repro.fleet import build_fleet
-from repro.resilience import FaultPlan, ResilienceConfig, crash
+from repro.resilience import FaultPlan, ResilienceConfig, control_faults, crash
 from repro.service import (
     GeneratorSource,
     NewtonService,
@@ -37,7 +32,7 @@ def make_service(wal_dir, deployment=None, **overrides):
 
 def fleet(cfg, **build):
     """The deployment :func:`~repro.service.service_fleet` builds, plus
-    ``build`` (faults, a faulty channel, ...)."""
+    ``build`` (a fault plan, a transaction config, ...)."""
     return build_fleet(
         cfg.switches, num_stages=cfg.num_stages,
         table_capacity=cfg.table_capacity, array_size=cfg.array_size,
@@ -109,18 +104,20 @@ class TestOneRecordPerOp:
 
     def test_an_aborted_op_appends_nothing(self, tmp_path):
         cfg = config(tmp_path)
-        channel = FaultyControlChannel(ChannelFaultPlan())
-        deployment = fleet(cfg, channel=channel,
+        lossy = control_faults(loss=1.0)
+        deployment = fleet(cfg, faults=FaultPlan(events=(lossy,), seed=5),
                            txn_config=TxnConfig(max_attempts=2))
+        channel = deployment.controller.channel
+        channel.control = None  # fault-free install
         service = make_service(tmp_path, deployment=deployment)
         service.install({"query": "Q1"})
         before = records(service)
-        channel.fault_plan = ChannelFaultPlan(loss_rate=1.0, seed=5)
+        channel.control = lossy
         with pytest.raises(ServiceError) as exc:
             service.install({"query": "Q4"})
         assert exc.value.status == 503
         assert records(service) == before
-        channel.fault_plan = ChannelFaultPlan()
+        channel.control = None
         service.drain()
 
 

@@ -32,6 +32,10 @@
   ``ctrlplane/wal.py``, ``ctrlplane/__init__.py`` and ``service/``,
   nothing names ``WriteAheadLog`` or a ``.wal`` attribute (the
   transaction manager holds no log hook).
+* One fault vocabulary: no class named ``FaultPlan`` or ``FaultConfig``
+  outside ``resilience/faults.py``, and ``cli.py`` never names a fault
+  shim (``FaultyControlChannel`` / ``FaultInjector``) — it builds a
+  ``resilience.FaultPlan`` and hands it to the deployment.
 * The CLI is a shell: only ``cli.py`` and ``experiments/`` import
   ``repro.experiments`` (the service asks ``core/library.py`` for the
   evaluation thresholds); ``cli.py`` constructs no deployment
@@ -189,6 +193,21 @@ def wal_reference(node):
         return node.name.split(".")[-1] == "WriteAheadLog"
     return (tail_name(node) == "WriteAheadLog"
             or isinstance(node, ast.Attribute) and node.attr == "wal")
+
+
+def fault_vocabulary(node):
+    """A class named ``FaultPlan`` or ``FaultConfig``."""
+    return (isinstance(node, ast.ClassDef)
+            and node.name in ("FaultPlan", "FaultConfig"))
+
+
+def fault_shim(node):
+    """``FaultyControlChannel`` / ``FaultInjector`` imported (under any
+    alias) or referenced."""
+    shims = ("FaultyControlChannel", "FaultInjector")
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[-1] in shims
+    return tail_name(node) in shims
 
 
 def experiments_import(node):
@@ -351,6 +370,16 @@ def test_only_the_service_writes_the_wal():
     ] == []
 
 
+def test_one_fault_vocabulary():
+    assert [
+        f"{path}:{node.lineno}"
+        for path, tree in trees("")
+        if path.as_posix() != "resilience/faults.py"
+        for node in ast.walk(tree) if fault_vocabulary(node)
+    ] == []
+    assert violations("cli.py", fault_shim) == []
+
+
 def test_only_the_cli_and_the_experiments_import_the_experiments():
     assert [
         f"{path}:{node.lineno}"
@@ -472,6 +501,15 @@ def test_owners_names_the_innermost_function():
     (wal_reference, "from repro.ctrlplane.wal import WalCorruptError",
      False),
     (wal_reference, "wal = None", False),
+    (fault_vocabulary, "class FaultPlan:\n    seed: int = 0", True),
+    (fault_vocabulary, "class FaultConfig(Base): ...", True),
+    (fault_vocabulary, "ChannelFaultPlan = FaultPlan", False),
+    (fault_vocabulary, "class FaultEvent: ...", False),
+    (fault_shim, "ctrlplane.FaultyControlChannel(fault_plan=plan)", True),
+    (fault_shim, "from repro.collector import FaultInjector as F", True),
+    (fault_shim, "from repro.ctrlplane import FaultyControlChannel", True),
+    (fault_shim, "resilience.FaultPlan(events=(control_faults(),))", False),
+    (fault_shim, "from repro.collector import CollectorConfig", False),
     (experiments_import, "from repro.experiments.common import workload",
      True),
     (experiments_import, "import repro.experiments", True),

@@ -20,22 +20,18 @@ from repro.core.library import QueryThresholds, build_query
 from repro.core.placement import PlacementError
 from repro.core.query import Query, flatten
 from repro.core.rules import SConfig
-from repro.ctrlplane import (
-    FaultPlan,
-    FaultyControlChannel,
-    TransactionAborted,
-    TxnConfig,
-)
+from repro.ctrlplane import TransactionAborted, TxnConfig
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.switch import Switch
 from repro.network.deployment import build_deployment
 from repro.network.topology import fat_tree, linear
+from repro.resilience import FaultPlan, control_faults
 from repro.verify import VerificationError
 from repro.verify.fleet import check_staging_plan
 from repro.verify.fleet.model import RETIRED, STAGED, SwitchView
 from repro.verify.program import PipelineModel
 
-FAULTS = dict(loss_rate=0.15, timeout_rate=0.1, reboot_rate=0.05)
+FAULTS = control_faults(loss=0.15, timeout=0.1, reboot_rate=0.05)
 SIZES = (128, 256, 512)
 
 
@@ -157,7 +153,7 @@ def test_counters_equal_the_bank_walk_at_every_probe(topology, where, seeds,
         rng = random.Random(seed)
         dep = build_deployment(
             topology(), array_size=2048,
-            channel=FaultyControlChannel(FaultPlan(seed=seed, **FAULTS)),
+            faults=FaultPlan(events=(FAULTS,), seed=seed),
             txn_config=TxnConfig(max_attempts=3),
         )
         churn(dep, rng, where(dep), probe)

@@ -34,8 +34,8 @@ register dumps and metrics are shipped only when asked for.
 
 **Supervision** (see :mod:`repro.fabric.supervisor`): every RPC and
 chunk-feed to a worker process is bounded by a per-phase timeout (the
-``_*_TIMEOUT_S`` constants below) and raises :class:`WorkerDiedError` instead of hanging on a
-dead peer.  The deployment then *respawns* the worker and replays the
+``_*_TIMEOUT_S`` constants below) and raises :class:`WorkerDiedError`
+instead of hanging on a dead peer.  The deployment then *respawns* the worker and replays the
 fabric op log plus the retained window stream — replicas are
 deterministic, so the replacement converges to bit-identical state — or,
 once the shard's respawn budget is spent, *degrades*: the dead shard's
@@ -151,9 +151,9 @@ class _ProcBackend:
     Commands ride a duplex pipe; trace chunks ride a bounded queue (the
     handoff path), so a slow shard backpressures the distributor
     instead of buffering the whole trace.  Every queue and pipe
-    operation is bounded by a per-phase timeout: a dead
-    peer raises :class:`WorkerDiedError` within one poll interval, a
-    wedged one at the op's deadline — this class never hangs forever.
+    operation is bounded by a per-phase timeout: a dead peer raises
+    :class:`WorkerDiedError` within one poll interval, a wedged one at
+    the op's deadline — this class never hangs forever.
     """
 
     def __init__(self, spec: WorkerSpec, ctx, queue_chunks: int,

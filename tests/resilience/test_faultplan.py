@@ -94,7 +94,8 @@ class TestCompilation:
 
     def test_no_report_events_no_collector_faults(self):
         plan = FaultPlan(events=(crash("s0", 0.1),))
-        assert build_deployment(linear(1), faults=plan).collector.faults is None
+        dep = build_deployment(linear(1), faults=plan)
+        assert dep.collector.faults is None
 
     def test_control_events_become_faulty_channel(self):
         plan = FaultPlan(events=(control_faults(loss=0.3),), seed=4)

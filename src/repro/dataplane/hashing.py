@@ -17,18 +17,21 @@ bytes, and the row -> distinct-key inverse — and every hash op on that
 column, whatever its seed, only resolves the distinct keys through its
 seed's memo (:func:`hash_rows`) and gathers by the shared inverse.  Keys
 travel as big-endian ``uint64`` word columns, so the dedupe is an integer
-sort, and the raw bytes are byte-identical to ``GLOBAL_FIELDS.pack``, so
-digests equal :func:`hash_bytes` of the scalar path's key.  The memo
-answers the keys it has seen in one C-level pass and keeps each digest
-as its 8 big-endian bytes; a key it has not seen costs one ``copy()`` of
-a blake2b keyed with the seed once per call, and the distinct-key
-column is one ``frombuffer`` of the joined digests.  The vector engine
-goes one step further and serves the H ops of several program runs at
-once: a round stacks the equal-width key columns of every run that needs
-a group into one :class:`KeyGroup` of *parts*, and :func:`hash_parts`
-digests each distinct key once for every part that asks under one seed
-and memo — telling the memo the hits and misses one call per part would
-have — before each op reduces into its range and gathers its part.
+sort — ``np.unique`` for keys of one word, ``lexsort`` for longer ones,
+both yielding the distinct keys in ascending order — and the raw bytes,
+cut from one byte view of the distinct words, are byte-identical to
+``GLOBAL_FIELDS.pack``, so digests equal :func:`hash_bytes` of the scalar
+path's key.  The memo answers the keys it has seen in one C-level pass
+and keeps each digest as its 8 big-endian bytes; a key it has not seen
+costs one ``copy()`` of a blake2b keyed with the seed once per call, and
+the distinct-key column is one ``frombuffer`` of the joined digests.  The
+vector engine goes one step further and serves the H ops of several
+program runs at once: a round stacks the equal-width key columns of
+every run that needs a group into one :class:`KeyGroup` of *parts*, and
+:func:`hash_parts` digests each distinct key once for every part that
+asks under one seed and memo — telling the memo the hits and misses one
+call per part would have — before each op reduces into its range and
+gathers its part.
 
 **The flow hash** (:func:`flow_hash` / :func:`flow_hash_columns`) answers
 every per-flow *placement* question — which equal-cost path (``Router``),
@@ -136,7 +139,8 @@ class KeyGroup:
     The group holds each distinct key's bytes once — ``raw``, in the
     ``GLOBAL_FIELDS.pack`` layout — and ``inverse``, the index into ``raw``
     of every row, so any number of hash ops over the same column share
-    one sort.
+    one sort.  ``raw`` is in ascending key order, one word or several,
+    which fixes the order a memo is filled in.
 
     The column may stack several *parts* — the equal-width key columns of
     several program runs side by side, ``parts`` giving their row counts
@@ -156,18 +160,22 @@ class KeyGroup:
             self.inverse = np.zeros(n, dtype=np.intp)
             self.raw = [b""] * min(n, 1)
         else:
-            order = (np.argsort(words[0]) if nwords == 1
-                     else np.lexsort(words[::-1]))
-            ordered = words[:, order]
-            first = np.ones(n, dtype=bool)
-            first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-            self.inverse = np.empty(n, dtype=np.intp)
-            self.inverse[order] = np.cumsum(first) - 1
-            distinct = ordered[:, first].T
-            stride = 8 * nwords
-            buffer = distinct.astype(">u8").tobytes()
-            self.raw = [buffer[end - width:end]
-                        for end in range(stride, len(buffer) + 1, stride)]
+            if nwords == 1:
+                distinct, self.inverse = np.unique(words[0],
+                                                   return_inverse=True)
+            else:
+                order = np.lexsort(words[::-1])
+                ordered = words[:, order]
+                first = np.ones(n, dtype=bool)
+                first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+                self.inverse = np.empty(n, dtype=np.intp)
+                self.inverse[order] = np.cumsum(first) - 1
+                distinct = ordered[:, first].T
+            # A key's bytes are the last ``width`` of its big-endian words.
+            octets = np.ascontiguousarray(distinct, dtype=">u8").view(
+                np.uint8).reshape(len(distinct), 8 * nwords)[:, -width:]
+            self.raw = np.ascontiguousarray(octets).view(
+                f"V{width}").ravel().tolist()
         #: Where each part's rows start, and where the last one ends.
         self.bounds: List[int] = [0, n]
         self.present: Optional[np.ndarray] = None

@@ -17,13 +17,20 @@ rebuilt per rule state ``(rule_epoch, mutation_seq)``:
   to 8 bytes, two up to 16, ...), whose bytes equal ``GLOBAL_FIELDS.pack``;
 * the H ops behind one K differ only in seed, so they share one
   :class:`~repro.dataplane.hashing.KeyGroup` — the distinct keys of the
-  still-active rows and the row -> key inverse — built at the first H and
+  live rows and the row -> key inverse — built at the first H and
   rebuilt only after an R ``stop`` actually removed rows; each H then
   resolves the distinct keys through its seed's memo of 8-byte digests
   and gathers;
-* an S op of a fused run covers every member's active rows, each
-  member's on its own switch's register array;
-* R ternary matches become ``(lo, hi)`` range arrays evaluated per entry.
+* an S op of a fused run covers every member's live rows, each member's
+  on its own switch's register array;
+* R ternary matches become ``(lo, hi)`` ranges, assigned to the rows
+  lowest priority first; an R op with no entry or nothing to match sends
+  every live row to its default action.
+
+While every row of a run is live — the median op's case on every bench
+workload — S and H hand whole columns to the kernels and bind the answer
+as it comes back; after an R ``stop`` they gather the live rows and
+scatter the answer into a fresh column.
 
 A program runs over a :class:`RowContext` — the columnar ``PhvContext``:
 fresh at the ingress switch, carried from the previous hop's slice for a
@@ -53,7 +60,6 @@ conditionally) need per-packet arrays.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -364,12 +370,12 @@ class _SetState:
         #: empty key (what the scalar path hashes then).
         self.words = np.empty((0, k), dtype=np.uint64)
         self.key_width = 0
-        #: Distinct keys of ``words[:, group_rows]`` — part
-        #: ``group_part`` of ``group``, which a round builds over the
-        #: equal-width key columns of every run that needs one — shared
-        #: by every H on this set until K rewrites the column or an R
-        #: stop shrinks the active rows (``group`` is dropped then and
-        #: rebuilt on demand).
+        #: Distinct keys of ``words[:, group_rows]`` (of every row when
+        #: ``group_rows`` is ``None``) — part ``group_part`` of
+        #: ``group``, which a round builds over the equal-width key
+        #: columns of every run that needs one — shared by every H on
+        #: this set until K rewrites the column or an R stop shrinks the
+        #: active rows (``group`` is dropped then and rebuilt on demand).
         self.group: Optional[KeyGroup] = None
         self.group_part = 0
         self.group_rows: Optional[np.ndarray] = None
@@ -583,20 +589,15 @@ def _steps(run: ProgramRun, sanitizer: Optional["Sanitizer"]) -> _Steps:
     """One run, op by op: yields the kernel call of each stateful S op
     and each seeded H op and is sent its answer — ``(old, new)`` or the
     hash of the set's group rows; every other op runs in here."""
-    programs = run.programs
-    bounds = run.bounds
-    cols = run.cols
-    ts = run.ts
+    programs, bounds, cols = run.programs, run.bounds, run.cols
     lead = programs[0]
-    k = len(ts)
+    k = len(run.ts)
     ctx = RowContext.fresh(k) if run.context is None else run.context
-    act = ctx.act
-    global_val = ctx.global_val
-    global_has = ctx.global_has
-    sets = ctx.sets
-
+    act, sets = ctx.act, ctx.sets
+    idx = np.flatnonzero(act)
+    dense = len(idx) == k
     for position, op in enumerate(lead.ops):
-        if not act.any():
+        if not len(idx):
             break
         st = sets[op.set_id]
         if isinstance(op, _KOp):
@@ -610,29 +611,28 @@ def _steps(run: ProgramRun, sanitizer: Optional["Sanitizer"]) -> _Steps:
             st.key_width = op.key_width
             st.group = None
         elif isinstance(op, _HOp):
-            # Always bind a fresh array: an S passthrough may have aliased
-            # the previous hash column as the state column, which must
-            # keep its old values (the scalar path copies by scalar).
+            # Always bind a fresh array (a seeded H's answer is one): an S
+            # passthrough may have aliased the previous hash column as the
+            # state column, which must keep its old values (the scalar
+            # path copies by scalar).
             if op.direct:
-                if op.direct_field is None:
-                    st.hash = np.zeros(k, dtype=np.int64)
-                else:
-                    st.hash = cols[op.direct_field].copy()
+                st.hash = (np.zeros(k, dtype=np.int64)
+                           if op.direct_field is None
+                           else cols[op.direct_field].copy())
             else:
                 if st.group is None:
-                    st.group_rows = np.flatnonzero(act)
+                    st.group_rows = None if dense else idx
                 assert op.unit is not None and op.cache is not None
                 values = yield _HCall(st, op.unit, op.cache)
-                assert st.group is not None and st.group_rows is not None
+                assert st.group is not None
                 if run.hash_trace is not None:
                     run.hash_trace.append((
-                        (op.unit.seed, op.unit.range_size), st.group_rows,
+                        (op.unit.seed, op.unit.range_size),
+                        np.arange(k) if st.group_rows is None
+                        else st.group_rows,
                         st.group.raw, st.group.part(st.group_part),
                     ))
-                fresh = (np.zeros(k, dtype=np.int64) if st.hash is None
-                         else st.hash.copy())
-                fresh[st.group_rows] = values
-                st.hash = fresh
+                st.hash = _bind(values, st.group_rows, k)
             st.hash_has = True
         elif isinstance(op, _SOp):
             if op.passthrough:
@@ -646,14 +646,13 @@ def _steps(run: ProgramRun, sanitizer: Optional["Sanitizer"]) -> _Steps:
                     f"S module executed before H produced a hash result "
                     f"(query {lead.qid} step {op.step})"
                 )
-            idx = np.flatnonzero(act)
             assert st.hash is not None
             # The state is per switch, the scan is not: one call runs
-            # every member's active rows, each member's through its own
+            # every member's live rows, each member's through its own
             # register array (a member with none left adds nothing — its
             # switch would have stopped at this op).
-            h = st.hash[idx]
-            cuts = np.searchsorted(idx, bounds).tolist()
+            h = st.hash if dense else st.hash[idx]
+            cuts = bounds if dense else np.searchsorted(idx, bounds).tolist()
             banks = []
             for j, program in enumerate(programs):
                 if cuts[j] == cuts[j + 1]:
@@ -666,22 +665,34 @@ def _steps(run: ProgramRun, sanitizer: Optional["Sanitizer"]) -> _Steps:
                     _check_oob(sanitizer, member_op,
                                h[cuts[j]:cuts[j + 1]], run.switch_ids[j],
                                lead.qid)
-            old, new = yield _SCall(
-                op.op, h,
-                (op.operand_const if op.operand_field is None
-                 else cols[op.operand_field][idx]),
-                banks,
-            )
-            fresh = (np.zeros(k, dtype=np.int64) if st.state is None
-                     else st.state.copy())
-            fresh[idx] = old if op.output_old else new
-            st.state = fresh
+            operands: Union[int, np.ndarray] = op.operand_const
+            if op.operand_field is not None:
+                operands = cols[op.operand_field]
+                if not dense:
+                    operands = operands[idx]
+            old, new = yield _SCall(op.op, h, operands, banks)
+            st.state = _bind(old if op.output_old else new,
+                             None if dense else idx, k)
             st.state_has = True
-        else:  # _ROp
-            _execute_r(op, st, act, global_val, global_has, sets, ts,
-                       bounds, run.window_epochs, run.switch_ids, lead.qid,
-                       run.reports)
+        elif _execute_r(op, st, ctx, run, lead.qid):
+            # An R stop removed rows: the key groups no longer match.
+            idx = np.flatnonzero(act)
+            dense = False
+            for shrunk in sets:
+                shrunk.group = None
     return ctx
+
+
+def _bind(values: np.ndarray, rows: Optional[np.ndarray],
+          k: int) -> np.ndarray:
+    """``values`` as the op's column if it covers every row (``rows`` is
+    ``None``), else scattered to ``rows``: a stopped row never reads its
+    set again, and only live rows are carried downstream."""
+    if rows is None:
+        return values
+    fresh = np.zeros(k, dtype=np.int64)
+    fresh[rows] = values
+    return fresh
 
 
 def _serve(calls: Sequence[_Call]) -> List[Any]:
@@ -757,7 +768,8 @@ def _hash(calls: Sequence[_HCall]) -> List[np.ndarray]:
         if call.st.group is None:
             unbuilt.setdefault(call.st.key_width, []).append(call.st)
     for width, states in unbuilt.items():
-        words = [st.words[:, st.group_rows] for st in states]
+        words = [st.words if st.group_rows is None
+                 else st.words[:, st.group_rows] for st in states]
         group = KeyGroup(
             words[0] if len(words) == 1 else np.concatenate(words, axis=1),
             width, [column.shape[1] for column in words],
@@ -803,50 +815,46 @@ def _check_oob(sanitizer: "Sanitizer", op: _SOp, h: np.ndarray,
         )
 
 
-def _execute_r(
-    op: _ROp,
-    st: _SetState,
-    act: np.ndarray,
-    global_val: np.ndarray,
-    global_has: np.ndarray,
-    sets: Tuple[_SetState, _SetState],
-    ts: np.ndarray,
-    bounds: Sequence[int],
-    window_epochs: Sequence[int],
-    switch_ids: Sequence[object],
-    qid: str,
-    sink_reports: List[Tuple[int, Report]],
-) -> None:
-    k = len(act)
+def _execute_r(op: _ROp, st: _SetState, ctx: RowContext, run: ProgramRun,
+               qid: str) -> bool:
+    """One R op over the live rows of ``ctx``: each row takes its first
+    matching entry's action, or the default; returns whether a ``stop``
+    removed rows."""
+    act = ctx.act
     if op.source == MatchSource.STATE:
-        value = st.state
-        present = act if st.state_has else np.zeros(k, dtype=bool)
+        value = st.state if st.state_has else None
+        present = act
     else:
-        value = global_val
-        present = act & global_has
-    # First matching entry per packet; -1 = default action.
-    chosen = np.full(k, -1, dtype=np.int64)
-    if value is not None:
-        eligible = present
-        for j, (lo, hi, _action) in enumerate(op.entries):
-            match = eligible & (chosen == -1) & (value >= lo) & (value <= hi)
-            chosen[match] = j
-    stop_rows = np.zeros(k, dtype=bool)
-    for j in range(-1, len(op.entries)):
-        rows = act & (chosen == j)
-        if not rows.any():
+        value = ctx.global_val
+        present = act & ctx.global_has
+    actions = [op.default]
+    chosen = None
+    if op.entries and value is not None:
+        actions.extend(action for _lo, _hi, action in op.entries)
+        # Lowest priority first, so a row keeps its first match.
+        chosen = np.full(len(act), -1, dtype=np.intp)
+        for j in range(len(op.entries) - 1, -1, -1):
+            lo, hi, _action = op.entries[j]
+            chosen[present & (value >= lo) & (value <= hi)] = j
+    stopped = False
+    for j, action in enumerate(actions, start=-1):
+        if (action.result_op is ResultOp.NOP and not action.report
+                and not action.stop):
             continue
-        action = op.default if j == -1 else op.entries[j][2]
-        _fold(action.result_op, rows, st, global_val, global_has)
+        if chosen is None:
+            # Nothing to match: every live row takes the default.
+            rows = act
+        else:
+            rows = act & (chosen == j)
+            if not rows.any():
+                continue
+        _fold(action.result_op, rows, st, ctx.global_val, ctx.global_has)
         if action.report:
-            _emit_rows(rows, qid, sets, global_val, global_has, ts,
-                       bounds, window_epochs, switch_ids, sink_reports)
+            _emit_rows(rows, qid, ctx, run)
         if action.stop:
-            stop_rows |= rows
-    if stop_rows.any():
-        act &= ~stop_rows
-        for shrunk in sets:
-            shrunk.group = None
+            act &= ~rows
+            stopped = True
+    return stopped
 
 
 def _fold(result_op: ResultOp, rows: np.ndarray, st: _SetState,
@@ -858,58 +866,53 @@ def _fold(result_op: ResultOp, rows: np.ndarray, st: _SetState,
         return
     assert st.state is not None
     state = st.state
-    if result_op is ResultOp.PASS:
-        global_val[rows] = state[rows]
-        global_has[rows] = True
-        return
-    fresh = rows & ~global_has
-    global_val[fresh] = state[fresh]
-    both = rows & global_has
-    if both.any():
-        g = global_val[both]
-        s = state[both]
+    load = rows
+    if result_op is not ResultOp.PASS:
+        # Rows holding a global result fold the state into it; the rest
+        # load the state, as ``apply_result`` does for a ``None`` global.
+        both = rows & global_has
+        load = rows & ~global_has
         if result_op is ResultOp.ADD:
-            out = np.minimum(g + s, REGISTER_MAX)
+            np.minimum(global_val + state, REGISTER_MAX, out=global_val,
+                       where=both)
         elif result_op is ResultOp.SUB:
-            out = np.maximum(g - s, 0)
+            np.maximum(global_val - state, 0, out=global_val, where=both)
         elif result_op is ResultOp.MIN:
-            out = np.minimum(g, s)
+            np.minimum(global_val, state, out=global_val, where=both)
         elif result_op is ResultOp.MAX:
-            out = np.maximum(g, s)
+            np.maximum(global_val, state, out=global_val, where=both)
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown result ALU: {result_op}")
-        global_val[both] = out
-    global_has[rows] = True
+    np.copyto(global_val, state, where=load)
+    global_has |= load
 
 
-def _emit_rows(rows: np.ndarray, qid: str,
-               sets: Tuple[_SetState, _SetState],
-               global_val: np.ndarray, global_has: np.ndarray,
-               ts: np.ndarray, bounds: Sequence[int],
-               window_epochs: Sequence[int], switch_ids: Sequence[object],
-               sink_reports: List[Tuple[int, Report]]) -> None:
-    for i in np.flatnonzero(rows).tolist():
-        member = bisect_right(bounds, i) - 1
-        payload: Dict[str, object] = {
-            "global_result": int(global_val[i]) if global_has[i] else None
-        }
-        for sid, st in enumerate(sets):
-            payload[f"set{sid}_fields"] = (
-                {name: int(col[i]) for name, col in st.fields}
-                if st.fields is not None else {}
+def _emit_rows(rows: np.ndarray, qid: str, ctx: RowContext,
+               run: ProgramRun) -> None:
+    """A report per row of ``rows``, built from whole-column reads."""
+    at = np.flatnonzero(rows)
+    member = (np.searchsorted(run.bounds, at, side="right") - 1).tolist()
+    payload: Dict[str, List[object]] = {"global_result": [
+        value if has else None for value, has in
+        zip(ctx.global_val[at].tolist(), ctx.global_has[at].tolist())
+    ]}
+    for sid, st in enumerate(ctx.sets):
+        fields = st.fields or []
+        names = [name for name, _column in fields]
+        payload[f"set{sid}_fields"] = [dict(zip(names, key)) for key in zip(
+            *(column[at].tolist() for _name, column in fields),
+        )] if fields else [{} for _row in member]
+        for part, has, column in (("hash", st.hash_has, st.hash),
+                                  ("state", st.state_has, st.state)):
+            payload[f"set{sid}_{part}"] = (
+                column[at].tolist() if has and column is not None
+                else [None] * len(at)
             )
-            payload[f"set{sid}_hash"] = (
-                int(st.hash[i]) if st.hash_has and st.hash is not None
-                else None
-            )
-            payload[f"set{sid}_state"] = (
-                int(st.state[i]) if st.state_has and st.state is not None
-                else None
-            )
-        sink_reports.append((i, Report(
-            qid=qid,
-            switch_id=switch_ids[member],
-            ts=float(ts[i]),
-            epoch=window_epochs[member],
-            payload=payload,
+    names = list(payload)
+    epochs, switch_ids = run.window_epochs, run.switch_ids
+    for i, j, ts, *values in zip(at.tolist(), member,
+                                 run.ts[at].tolist(), *payload.values()):
+        run.reports.append((i, Report(
+            qid=qid, switch_id=switch_ids[j], ts=float(ts),
+            epoch=epochs[j], payload=dict(zip(names, values)),
         )))

@@ -25,17 +25,12 @@ key) — the two hot loops of the scalar path.
 
 The runs of a sub-batch are not executed one after the other either:
 every run of at most ``_STACK_ROWS`` rows joins the sub-batch's *stack*,
-whose runs :func:`execute_program` advances in lockstep, a round at a
-time.  Each round, the S calls of one ALU op across all runs are one
-:meth:`RegisterArray.execute_many` — cells numbered across every
-member's slice so one radix order and one scan serve them all, gathered
-from and scattered to each switch's own array, bit-identical to the
-sequential ALU switch by switch — and the seeded H calls share one key
-group per key byte width and one digest pass per (group, seed, memo).
-At ingress the stack is every small run of the sub-batch; downstream,
-every small run of one slice cursor's layout segment.  Rows are
-forwarded per path group; among equal-cost paths the router picks, one
-flow-hash column per host pair (:meth:`Router.path_choices`).
+whose runs :func:`execute_program` advances in lockstep rounds that
+share their kernel calls (:mod:`repro.engine.program`).  At ingress the
+stack is every small run of the sub-batch; downstream, every small run
+of one slice cursor's layout segment.  Rows are forwarded per path
+group; among equal-cost paths the router picks, one flow-hash column per
+host pair (:meth:`Router.path_choices`).
 
 Cross-switch (CQE) queries stay on the batch path: the SP header rides
 as columns.  A slice-0 run returns its rows' :class:`~repro.engine.

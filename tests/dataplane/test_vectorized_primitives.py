@@ -170,6 +170,68 @@ class TestPackedKeyGroups:
         assert sorted(keys.raw) == sorted(set(expected))
 
 
+def lexsort_reference(words: np.ndarray, width: int, parts):
+    """``(raw, inverse, present)`` of a key column the way multi-word
+    keys are grouped — ``lexsort``, then equal neighbours merged — for
+    any word count: the reference the single-word ``np.unique`` path
+    must equal."""
+    nwords, n = words.shape
+    rows = [tuple(int(w) for w in words[:, i]) for i in range(n)]
+    ordered = [rows[i] for i in np.lexsort(words[::-1]).tolist()]
+    distinct = list(dict.fromkeys(ordered))
+    position = {key: i for i, key in enumerate(distinct)}
+    raw = [b"".join(w.to_bytes(8, "big") for w in key)[8 * nwords - width:]
+           for key in distinct]
+    inverse = [position[key] for key in rows]
+    present = None
+    if len(parts) > 1:
+        present = np.zeros((len(distinct), len(parts)), dtype=bool)
+        start = 0
+        for part, size in enumerate(parts):
+            present[inverse[start:start + size], part] = True
+            start += size
+    return raw, inverse, present
+
+
+class TestSingleWordGroups:
+    """Keys of up to 8 bytes are grouped by ``np.unique``: the distinct
+    keys come out in the same ascending order as the ``lexsort`` path's,
+    so memo insertion order and counts cannot tell the two apart."""
+
+    @pytest.mark.parametrize("values, parts", [
+        ([], ()),
+        ([7], ()),
+        ([7], (1,)),
+        ([5, 5, 5, 5], ()),
+        ([3, 9, 3, 1, 9, 9, 0, 3], (3, 0, 5)),
+        ([2**64 - 1, 0, 2**63, 2**64 - 1, 1], (2, 3)),
+    ])
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_equals_the_lexsort_path(self, values, parts, width):
+        words = np.array([values], dtype=np.uint64) & np.uint64(
+            (1 << 8 * width) - 1)
+        keys = KeyGroup(words, width, parts)
+        raw, inverse, present = lexsort_reference(words, width, parts)
+        assert keys.raw == raw
+        assert keys.inverse.tolist() == inverse
+        assert keys.inverse.dtype == np.intp
+        if present is None:
+            assert keys.present is None
+        else:
+            assert np.array_equal(keys.present, present)
+
+    def test_many_duplicates(self):
+        rng = np.random.default_rng(11)
+        pool = rng.integers(0, 1 << 40, size=40, dtype=np.uint64)
+        words = pool[rng.integers(0, 40, size=5000)][None, :]
+        parts = (1200, 0, 3800)
+        keys = KeyGroup(words, 5, parts)
+        raw, inverse, present = lexsort_reference(words, 5, parts)
+        assert keys.raw == raw and len(raw) == len(set(pool.tolist()))
+        assert keys.inverse.tolist() == inverse
+        assert np.array_equal(keys.present, present)
+
+
 def loop_hash_rows(keys: KeyGroup, seed: int, cache: HashMemo) -> np.ndarray:
     """``hash_rows`` as a plain loop: a fresh keyed blake2b per key the
     memo lacks, digests kept as ints — the reference the byte-digest

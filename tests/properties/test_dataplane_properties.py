@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataplane.alu import REGISTER_MAX, StatefulOp
+from repro.dataplane.hashing import KeyGroup
 from repro.dataplane.phv import PhvContext
 from repro.dataplane.registers import AllocationError, RegisterArray
 from repro.dataplane.tables import TernaryRule, TernaryTable
@@ -57,6 +58,41 @@ class TestSnapshotCodecProperties:
             encode_entry(SnapshotEntry(cursor=0, total_slices=2, ctx=ctx)), 2
         )
         assert decoded.ctx.set(0).state_result == SNAPSHOT_VALUE_MAX
+
+
+@st.composite
+def single_word_columns(draw):
+    """A key width of 1-8 bytes and a column of keys drawn from a small
+    pool (duplicates in every batch), cut into zero to four parts."""
+    width = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.integers(0, (1 << 8 * width) - 1), min_size=1,
+                         max_size=10))
+    parts = draw(st.lists(st.integers(0, 12), max_size=4))
+    values = draw(st.lists(st.sampled_from(pool), min_size=sum(parts),
+                           max_size=sum(parts) if parts else 40))
+    return width, values, parts
+
+
+class TestSingleWordKeyGroupProperties:
+    @given(single_word_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorted_distinct_keys(self, case):
+        """Ascending distinct keys (the ``lexsort`` path's order), each
+        row's index into them, and which parts hold which key."""
+        width, values, parts = case
+        keys = KeyGroup(np.array([values], dtype=np.uint64), width, parts)
+        distinct = sorted(set(values))
+        assert keys.raw == [v.to_bytes(8, "big")[8 - width:]
+                            for v in distinct]
+        assert keys.inverse.tolist() == [distinct.index(v) for v in values]
+        if len(parts) > 1:
+            starts = np.cumsum([0, *parts]).tolist()
+            assert keys.present.tolist() == [
+                [key in values[lo:hi] for lo, hi in zip(starts, starts[1:])]
+                for key in distinct
+            ]
+        else:
+            assert keys.present is None
 
 
 @st.composite

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.program as program_module
 import repro.engine.vector as vector_module
 from repro.core.compiler import QueryParams
 from repro.core.library import QUERY_NAMES, build_query
@@ -98,6 +99,41 @@ def counted():
         yield rolls, alu
 
 
+@contextmanager
+def branches():
+    """Per :func:`execute_program` call, which way each run bound its S
+    and seeded H answers: ``{qid: {"dense", "sparse"}}`` per stack."""
+    stacks, current = [], []
+    steps, bind = program_module._steps, program_module._bind
+    execute = vector_module.execute_program
+
+    def spying_steps(run, sanitizer):
+        inner, answer = steps(run, sanitizer), None
+        while True:
+            current.append(run.programs[0].qid)
+            try:
+                call = inner.send(answer)
+            except StopIteration as done:
+                return done.value
+            finally:
+                current.pop()
+            answer = yield call
+
+    def spying_bind(values, rows, k):
+        stacks[-1][current[-1]].add("dense" if rows is None else "sparse")
+        return bind(values, rows, k)
+
+    def spying_execute(runs, *args, **kwargs):
+        stacks.append({run.programs[0].qid: set() for run in runs})
+        return execute(runs, *args, **kwargs)
+
+    with mock.patch.object(program_module, "_steps", spying_steps), \
+            mock.patch.object(program_module, "_bind", spying_bind), \
+            mock.patch.object(vector_module, "execute_program",
+                              spying_execute):
+        yield stacks
+
+
 def observe(engine, scenario):
     """Everything observable of one run of ``scenario``."""
     switches, queries, sliced, seed = scenario
@@ -157,6 +193,19 @@ class TestStackedExecution:
         assert stacked_rolls == alone_rolls
         assert any(hits for hits, _misses, _len in stacked_rolls)
         assert 2 * len(stacked_alu) < len(alone_alu)
+
+    def test_one_stack_runs_the_dense_and_the_sparse_branch(self):
+        """Q3's distinct step stops the repeats of a key before the H
+        and S of its reduce, which then gather the live rows and scatter
+        their answers; Q1 stops rows only at its last op, so it binds
+        every kernel answer whole.  One stack holds both runs, and the
+        result is bit-identical to scalar."""
+        scenario = (1, ["Q1", "Q3"], None, 7)
+        scalar = observe("scalar", scenario)
+        with branches() as stacks:
+            vector = observe("vector", scenario)
+        assert vector == scalar
+        assert {"Q1": {"dense"}, "Q3": {"dense", "sparse"}} in stacks
 
     def test_a_stack_naming_one_bank_twice_raises(self):
         """Should catch: two runs of one program on one switch would put

@@ -46,6 +46,10 @@
   ``repro.experiments.EXPERIMENTS`` is read by exactly one
   ``benchmarks/bench_*.py``, and no benchmark imports a
   ``render_figure*`` of its own.
+* The batch engine's Python does not grow: ``engine/program.py`` and
+  ``engine/vector.py`` hold at most ``ENGINE_LINE_CAP`` physical lines
+  together (ROADMAP item 4's cap), so a faster op path pays for its
+  lines elsewhere in the two files.
 * numpy is the only third-party module the package imports, at module
   or function level: every other import under ``src/repro`` is the
   package itself or a standard-library module named in ``STDLIB``
@@ -73,6 +77,9 @@ SIMULATOR_NAMES = {"sim", "simulator"}
 STRICT = ["verify", "engine", "core/ops.py", "core/admission.py",
           "dataplane/hashing.py", "dataplane/registers.py",
           "network/topology.py", "network/routing.py"]
+#: Physical lines ``engine/program.py`` + ``engine/vector.py`` may hold.
+ENGINE_LINE_CAP = 1765
+ENGINE_FILES = ("engine/program.py", "engine/vector.py")
 #: The package's runtime dependencies, beside itself.
 RUNTIME = {"repro", "numpy"}
 #: Standard-library modules the package imports; a new one is added here.
@@ -407,6 +414,21 @@ def test_each_experiment_is_read_by_exactly_one_benchmark():
     assert set(readers) == set(EXPERIMENTS)
     assert {key: names for key, names in readers.items()
             if len(names) != 1} == {}
+
+
+def physical_lines(text):
+    """Lines as ``wc -l`` counts them: one per newline character."""
+    return text.count("\n")
+
+
+def test_the_batch_engine_stays_under_its_line_cap():
+    assert sum(physical_lines((SRC / name).read_text())
+               for name in ENGINE_FILES) <= ENGINE_LINE_CAP
+
+
+def test_physical_lines_count_blank_and_comment_lines():
+    assert physical_lines("x = 1\n\n# note\n") == 3
+    assert physical_lines("") == 0
 
 
 def test_numpy_is_the_only_third_party_import():

@@ -197,7 +197,7 @@ def _baseline(topo, trace: ColumnarTrace, queries: Sequence[QueryLike],
     deployment = build_deployment(topo, **_deploy_kwargs())
     for query in queries:
         deployment.controller.install_query(query, PARAMS, topology=topo)
-    recorded = record_reports(deployment.switches)
+    recorded = record_reports(deployment.collector)
     start = time.process_time()
     stats = deployment.simulator.run(trace)
     cpu = time.process_time() - start

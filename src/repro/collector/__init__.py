@@ -5,7 +5,9 @@ The subsystem turns the switches' mirrored monitoring messages into
 first-class runtime objects and processes them end to end::
 
     Switch ──report──▶ ingest ──▶ bounded per-switch queue
-                                      │ (block / drop-newest / drop-oldest)
+                         │            │ (block / drop-newest / drop-oldest)
+       analyzer ◀────────┘            │
+    (decoded, lossless mirror)        │
                   window clock ──▶ windowed stream executor ──▶ results
                                       │
                      register readout reconciliation (loss recovery)

@@ -2,12 +2,12 @@
 
 Sits between the switches' mirror sessions and the query results (paper
 Figure 1's "stream processor" box): every mirrored report is decoded into
-a :class:`~repro.collector.records.ReportRecord` at ingest, queued in a
-bounded per-switch queue (:mod:`repro.collector.queue`), optionally
-mangled by the fault shim (:mod:`repro.collector.faults`), and processed
-in per-window batches by the stream executor
-(:mod:`repro.collector.executor`) when the shared window clock closes an
-epoch.
+a :class:`~repro.collector.records.ReportRecord` at ingest, mirrored to
+the analyzer (its lossless copy), queued in a bounded per-switch queue
+(:mod:`repro.collector.queue`), optionally mangled by the fault shim
+(:mod:`repro.collector.faults`), and processed in per-window batches by
+the stream executor (:mod:`repro.collector.executor`) when the shared
+window clock closes an epoch.
 
 Loss tolerance: when a window's observed report loss exceeds
 ``CollectorConfig.reconcile_loss_threshold``, the collector falls back to
@@ -244,11 +244,21 @@ class ReportCollector:
     def ingest(self, report: Report) -> bool:
         """Offer one mirrored report; returns True iff it was queued.
 
-        Unregistered queries' reports are dropped (accounted as
+        The one report hand-off: the report is decoded once, then
+        mirrored to the analyzer — before the fault shim and
+        backpressure, so the analyzer's copy is lossless — with its
+        record, or with none for an unregistered query.  Unregistered
+        queries' reports are dropped (accounted as
         ``reason="unregistered"``) — the controller removed the query
         while reports were still in flight.
         """
         registration = self._registrations.get(report.qid)
+        record = None
+        if registration is not None:
+            self._seq += 1
+            record = ReportRecord.decode(report, registration, seq=self._seq)
+        if self.analyzer is not None:
+            self.analyzer.on_report(report, record)
         if registration is None:
             # Still counted as ingested so the flow invariant
             # (ingested == processed + dropped + pending) survives a
@@ -257,8 +267,6 @@ class ReportCollector:
             self._c_ingested.inc(switch=report.switch_id, qid=report.qid)
             self._c_dropped.inc(reason="unregistered")
             return False
-        self._seq += 1
-        record = ReportRecord.decode(report, registration, seq=self._seq)
         faults = self.faults
         if faults is None:
             return self._deliver(record)

@@ -1,7 +1,8 @@
 """Software analyzer.
 
-The endpoint of Newton's mirrored monitoring messages (paper Figure 1).
-It indexes data-plane reports per query and window, runs the CPU-side join
+The endpoint of Newton's mirrored monitoring messages (paper Figure 1):
+the collector's ingest hands it every report, decoded once.  It indexes
+them per query and window, runs the CPU-side join
 of composite queries, and executes *deferred* query remainders — the §5.2
 fallback when a query requires more switches than the forwarding path has
 hops.
@@ -10,8 +11,7 @@ hops.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.ast import Distinct, Map, Reduce
 from repro.core.compiler import CompiledQuery
@@ -20,6 +20,10 @@ from repro.core.packet import Packet
 from repro.core.query import CompositeQuery, Query, QueryLike, flatten
 from repro.core.rules import Report
 from repro.dataplane.module_types import ModuleType
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.collector.records import ReportRecord
+    from repro.core.controller import NewtonController
 
 __all__ = [
     "Analyzer",
@@ -47,24 +51,19 @@ def first_incomplete_primitive(compiled: CompiledQuery,
     return min(pending)
 
 
-@dataclass
-class _RegisteredQuery:
-    query: QueryLike
-    #: sub-qid -> compiled form (single-chain queries register themselves).
-    compiled: Dict[str, CompiledQuery]
-    #: sub-qid -> key extraction order for report payloads.
-    key_fields: Dict[str, Tuple[str, ...]]
-    #: sub-qid -> which metadata set carries the result keys.
-    result_set: Dict[str, int]
-
-
 class Analyzer:
-    """Collects reports, joins composites, and runs deferred remainders."""
+    """Keeps the mirrored reports, joins composites, and runs deferred
+    remainders.
+
+    Reports arrive from the collector's ingest, already decoded
+    (:meth:`on_report`); queries resolve through the controller's
+    ``installed`` records — the controller sets :attr:`controller` when
+    it is built with this analyzer.
+    """
 
     def __init__(self, window_ms: int = 100):
         self.window_ms = window_ms
-        self._registered: Dict[str, _RegisteredQuery] = {}
-        self._sub_to_top: Dict[str, str] = {}
+        self.controller: Optional["NewtonController"] = None
         #: Every answer seen: from mirrored reports (losslessly) and from
         #: deferred CPU execution.
         self._results: Buckets = defaultdict(dict)
@@ -72,69 +71,41 @@ class Analyzer:
         #: the collection plane composes its report-derived answers with
         #: (composing with ``_results`` would undo its loss model).
         self._deferred_results: Buckets = {}
-        self._deferred_states: Dict[str, QueryStreamState] = {}
+        #: sub-qid -> (top-level qid, CPU state of its deferred remainder).
+        self._deferred_states: Dict[str, Tuple[str, QueryStreamState]] = {}
         self._deferred_epoch = 0
         self.reports: List[Report] = []
         self.deferred_packets = 0
 
-    # ------------------------------------------------------------------ #
-    # Registration                                                        #
-    # ------------------------------------------------------------------ #
-
-    def register(self, query: QueryLike,
-                 compiled: Dict[str, CompiledQuery]) -> None:
-        """Associate a query (and its compiled sub-queries) for decoding."""
-        top_qid = query.qid
-        key_fields: Dict[str, Tuple[str, ...]] = {}
-        result_set: Dict[str, int] = {}
-        for sub in flatten(query):
-            if sub.qid not in compiled:
-                raise KeyError(f"missing compiled form for {sub.qid!r}")
-            key_fields[sub.qid] = result_key_fields(sub)
-            result_set[sub.qid] = result_set_id(compiled[sub.qid])
-            self._sub_to_top[sub.qid] = top_qid
-        self._registered[top_qid] = _RegisteredQuery(
-            query=query,
-            compiled=dict(compiled),
-            key_fields=key_fields,
-            result_set=result_set,
-        )
-
-    def unregister(self, qid: str) -> None:
-        reg = self._registered.pop(qid, None)
-        if reg is None:
-            return
-        for sub in flatten(reg.query):
-            self._sub_to_top.pop(sub.qid, None)
-            self._deferred_states.pop(sub.qid, None)
-
     def on_commit(self, op, record) -> None:
-        """Controller commit listener: swap ``op.qid``'s registration."""
-        self.unregister(op.qid)
-        if record is not None:
-            self.register(record.query, record.compiled)
+        """Controller commit listener: a query installed, replaced or
+        removed restarts its sub-queries' deferred CPU state."""
+        for sub_qid in [sub for sub, (top, _state)
+                        in self._deferred_states.items() if top == op.qid]:
+            del self._deferred_states[sub_qid]
+
+    def _query(self, qid: str) -> Optional[QueryLike]:
+        """The installed top-level query ``qid`` (None if not installed)."""
+        if self.controller is None:
+            return None
+        record = self.controller.installed.get(qid)
+        return None if record is None else record.query
 
     # ------------------------------------------------------------------ #
     # Report ingestion                                                    #
     # ------------------------------------------------------------------ #
 
-    def on_report(self, report: Report) -> None:
-        """Sink for data-plane mirrored messages."""
+    def on_report(self, report: Report,
+                  record: Optional["ReportRecord"] = None) -> None:
+        """The collector's mirror of one report: kept raw, and counted
+        under its query and window when ``record`` (its decoded form)
+        is given — ``None`` for a query that is not installed."""
         self.reports.append(report)
-        top = self._sub_to_top.get(report.qid)
-        if top is None:
-            return  # unregistered query: keep the raw report only
-        reg = self._registered[top]
-        fields = report.keys_of_set(reg.result_set[report.qid])
-        key = tuple(
-            fields.get(name, 0) for name in reg.key_fields[report.qid]
-        )
-        count = report.global_result
-        bucket = self._results[(report.qid, report.epoch)]
-        if count is None:
-            bucket[key] = max(bucket.get(key, 0), 1)
-        else:
-            bucket[key] = max(bucket.get(key, 0), int(count))
+        if record is None:
+            return
+        bucket = self._results[(record.qid, record.epoch)]
+        count = 1 if record.count is None else record.count
+        bucket[record.key] = max(bucket.get(record.key, 0), count)
 
     # ------------------------------------------------------------------ #
     # Deferred execution (paper §5.2)                                     #
@@ -144,23 +115,24 @@ class Analyzer:
         """Continue ``sub_qid`` on CPU for a packet the path could not
         finish; ``start_at`` is the first primitive still to run."""
         self.deferred_packets += 1
-        state = self._deferred_states.get(sub_qid)
-        if state is None:
-            top = self._sub_to_top.get(sub_qid)
-            if top is None:
+        entry = self._deferred_states.get(sub_qid)
+        if entry is None:
+            installed = self.controller.installed if self.controller else {}
+            found = next((
+                (top_qid, sub)
+                for top_qid, record in installed.items()
+                for sub in flatten(record.query) if sub.qid == sub_qid
+            ), None)
+            if found is None:
                 return
-            reg = self._registered[top]
-            sub = next(
-                q for q in flatten(reg.query) if q.qid == sub_qid
-            )
-            state = QueryStreamState(sub, start_at=start_at)
-            self._deferred_states[sub_qid] = state
-        state.process(packet)
+            entry = (found[0], QueryStreamState(found[1], start_at=start_at))
+            self._deferred_states[sub_qid] = entry
+        entry[1].process(packet)
 
     def advance_window(self, epoch: Optional[int] = None) -> None:
         """Close the current window for deferred CPU execution."""
         closing = self._deferred_epoch if epoch is None else epoch
-        for sub_qid, state in self._deferred_states.items():
+        for sub_qid, (_top, state) in self._deferred_states.items():
             truth = state.finish_window(closing)
             bucket = self._results[(sub_qid, closing)]
             deferred = self._deferred_results.setdefault(
@@ -194,10 +166,10 @@ class Analyzer:
         }
 
     def epochs(self, qid: str) -> Set[int]:
-        reg = self._registered.get(qid)
-        if reg is None:
+        query = self._query(qid)
+        if query is None:
             return set()
-        subs = [q.qid for q in flatten(reg.query)]
+        subs = {q.qid for q in flatten(query)}
         return {
             epoch
             for (sub, epoch) in self._results
@@ -205,22 +177,22 @@ class Analyzer:
         }
 
     def detections(self, qid: str) -> Dict[int, List]:
-        """Final per-epoch detections of a registered query.
+        """Final per-epoch detections of an installed query.
 
         Single-chain queries yield their reported keys; composites run
         their CPU join over the sub-query results.
         """
-        reg = self._registered.get(qid)
-        if reg is None:
-            raise KeyError(f"query {qid!r} is not registered")
+        query = self._query(qid)
+        if query is None:
+            raise KeyError(f"query {qid!r} is not installed")
         out: Dict[int, List] = {}
-        if isinstance(reg.query, CompositeQuery):
+        if isinstance(query, CompositeQuery):
             for epoch in sorted(self.epochs(qid)):
                 window = {
                     sub.qid: self._results.get((sub.qid, epoch), {})
-                    for sub in reg.query.subqueries
+                    for sub in query.subqueries
                 }
-                out[epoch] = reg.query.join(window)
+                out[epoch] = query.join(window)
         else:
             for epoch in sorted(self.epochs(qid)):
                 bucket = self._results.get((qid, epoch), {})

@@ -2,7 +2,8 @@
 
 The centralized control plane: compiles queries to module rules, places
 and installs them (runtime table operations — no reboot, no forwarding
-interruption), and keeps the analyzer's query registry in sync.
+interruption), and keeps the collector's query registry in sync (its
+``installed`` records are the analyzer's).
 
 Two deployment modes:
 
@@ -120,6 +121,7 @@ class NewtonController:
         #: plane: 2PC across the query's switches with epoch-versioned
         #: rule banks (see :mod:`repro.ctrlplane`).
         self.txn = txn or TransactionManager(self.switches, self.channel)
+        #: Resolves queries through :attr:`installed`; fed by the collector.
         self.analyzer = analyzer
         #: Collection plane (repro.collector.ReportCollector); its query
         #: registry lives and dies with install/remove operations, and its
@@ -134,11 +136,11 @@ class NewtonController:
             Callable[[ControlOp, Optional[InstalledQuery]], None]
         ] = []
         if analyzer is not None:
+            analyzer.controller = self
             self.listeners.append(analyzer.on_commit)
         if collector is not None:
             collector.controller = self
-            if analyzer is not None and collector.analyzer is None:
-                collector.analyzer = analyzer
+            collector.analyzer = analyzer
             self.listeners.append(collector.on_commit)
         self.installed: Dict[str, InstalledQuery] = {}
         self._sub_owner: Dict[str, str] = {}

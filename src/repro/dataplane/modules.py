@@ -10,7 +10,7 @@ what makes Newton queries reconfigurable at runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.fields import GLOBAL_FIELDS
 from repro.core.rules import (
@@ -56,7 +56,6 @@ class ExecutionEnv:
     epoch: int
     switch_id: object
     hash_family: HashFamily
-    report_sink: Optional[Callable[[Report], None]] = None
     #: Monitoring messages emitted while executing this packet.
     reports: List[Report] = field(default_factory=list)
     #: Runtime invariant checker (observe-only; ``None`` when disabled).
@@ -74,8 +73,6 @@ class ExecutionEnv:
             payload=ctx.report_payload(),
         )
         self.reports.append(report)
-        if self.report_sink is not None:
-            self.report_sink(report)
 
 
 class ModuleInstance:

@@ -96,7 +96,17 @@ class _Installed:
 
 
 class NewtonPipeline:
-    """One switch's Newton component: dispatch + modules + slices."""
+    """One switch's Newton component: dispatch + modules + slices.
+
+    Reports come back in :attr:`PipelineResult.reports`; the pipeline
+    hands them to nobody (the execution engine gives them to the
+    collector).
+    """
+
+    #: Observer tap the engines call with each report this switch emits,
+    #: right before the collector hand-off.  Nothing in the package sets
+    #: it; ``bench/harness.py`` records the emission order through it.
+    report_sink: Optional[Callable[[Report], None]] = None
 
     def __init__(
         self,
@@ -106,7 +116,6 @@ class NewtonPipeline:
         table_capacity: int = DEFAULT_TABLE_CAPACITY,
         array_size: int = DEFAULT_REGISTER_ARRAY_SIZE,
         hash_family: Optional[HashFamily] = None,
-        report_sink: Optional[Callable[[Report], None]] = None,
     ):
         self.switch_id = switch_id
         self.layout = ModuleLayout(
@@ -121,7 +130,6 @@ class NewtonPipeline:
         #: All switches of a deployment share the hash family so CQE slices
         #: index registers consistently across hops.
         self.hash_family = hash_family or HashFamily()
-        self.report_sink = report_sink
         #: Runtime invariant checker threaded into every packet's
         #: execution env (observe-only; ``None`` when sanitizing is off).
         self.sanitizer = None
@@ -523,7 +531,6 @@ class NewtonPipeline:
             epoch=self.epoch,
             switch_id=self.switch_id,
             hash_family=self.hash_family,
-            report_sink=self.report_sink,
             sanitizer=self.sanitizer,
         )
 

@@ -88,7 +88,6 @@ class Switch:
         table_capacity: int = DEFAULT_TABLE_CAPACITY,
         array_size: int = DEFAULT_REGISTER_ARRAY_SIZE,
         hash_family=None,
-        report_sink=None,
         reboot_base_s: float = DEFAULT_REBOOT_BASE_S,
         entry_restore_s: float = DEFAULT_ENTRY_RESTORE_S,
         newton_enabled: bool = True,
@@ -105,7 +104,6 @@ class Switch:
             table_capacity=table_capacity,
             array_size=array_size,
             hash_family=hash_family,
-            report_sink=report_sink,
         )
         self.reboot_base_s = reboot_base_s
         self.entry_restore_s = entry_restore_s
@@ -122,20 +120,6 @@ class Switch:
         #: O(1) on the hot path no matter how many outages accumulated.
         self._outage_starts: List[float] = []
         self._outage_ends: List[float] = []
-
-    # -- runtime-reconfigurable path (Newton) --------------------------- #
-
-    def install_slice(self, query_slice: QuerySlice) -> int:
-        """Install a slice without any forwarding interruption."""
-        if not self.newton_enabled:
-            raise RuntimeError(
-                f"switch {self.switch_id!r} does not run Newton "
-                f"(partial deployment)"
-            )
-        return self.pipeline.install_slice(query_slice)
-
-    def remove_query(self, qid: str) -> int:
-        return self.pipeline.remove_query(qid)
 
     # -- transactional control plane (epoch-versioned banks) ------------ #
 

@@ -16,18 +16,26 @@ and the component attributes (``switches``, ``router``, ``topology``,
 ``collector``, ``analyzer``, ``controller``, ``sanitizer``, ``shard``,
 ``window_s``).  Nothing underscore-prefixed — ``tests/test_layering.py``
 holds engines to that.
+
+Reports take one path: switch → :func:`hand_off` → ``sim.collector``,
+whose ``ingest`` decodes each report once and mirrors it to
+``sim.analyzer`` (paper Figure 1: the switch mirrors its monitoring
+messages to one software analyzer).  Engines hand reports off in
+emission order — per packet, per hop, per program — and give them to
+nothing else.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Type, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Type, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.rules import Report
     from repro.network.simulator import NetworkSimulator, SimulationStats
     from repro.traffic.columnar import PacketSource
 
-__all__ = ["ExecutionEngine", "ENGINES", "get_engine"]
+__all__ = ["ExecutionEngine", "ENGINES", "get_engine", "hand_off"]
 
 
 class ExecutionEngine(ABC):
@@ -47,6 +55,20 @@ class ExecutionEngine(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def hand_off(sim: "NetworkSimulator", sid: Hashable,
+             reports: Iterable["Report"]) -> None:
+    """Give the reports switch ``sid`` emitted to the collector, in
+    order.  A pipeline's ``report_sink`` tap, when something set one,
+    sees each report just before."""
+    tap = sim.switches[sid].pipeline.report_sink
+    collector = sim.collector
+    for report in reports:
+        if tap is not None:
+            tap(report)
+        if collector is not None:
+            collector.ingest(report)
 
 
 #: Engine registry (name -> class), populated at import time below.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Hashable, Sequence
 
 from repro.core.packet import Packet
-from repro.engine.base import ExecutionEngine
+from repro.engine.base import ExecutionEngine, hand_off
 from repro.network.snapshot import SnapshotHeader
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,9 +68,7 @@ class ScalarEngine(ExecutionEngine):
                 stats.initiated_by_query[qid] += 1
             if result.reports:
                 stats.reports_by_switch[sid] += len(result.reports)
-                if sim.collector is not None:
-                    for report in result.reports:
-                        sim.collector.ingest(report)
+                hand_off(sim, sid, result.reports)
             if hop + 1 < len(path):
                 # The SP header rides the next link (bandwidth accounting).
                 # SP bytes are per owned snapshot entry (they sum exactly

@@ -68,7 +68,7 @@ from typing import (
 
 import numpy as np
 
-from repro.engine.base import ExecutionEngine
+from repro.engine.base import ExecutionEngine, hand_off
 from repro.engine.program import (
     ProgramRun,
     RowContext,
@@ -558,32 +558,16 @@ class VectorizedEngine(ExecutionEngine):
         self, sim: "NetworkSimulator", stats: "SimulationStats",
         pending: List[Tuple[int, int, int, Hashable, "Report"]],
     ) -> None:
-        """Deliver reports in the order the scalar loop would have.
+        """Hand reports off in the order the scalar loop would have.
 
         Sorted by (packet row, hop, dispatch rank); the sort is stable,
         so multiple reports of one program keep their emission order.
-        Per packet and hop, all analyzer sinks fire before the collector
-        ingests — same relative order as ``process()`` + the forwarding
-        loop.
         """
         pending.sort(key=itemgetter(0, 1, 2))
-        i = 0
-        total = len(pending)
-        while i < total:
-            j = i
-            row, hop = pending[i][0], pending[i][1]
-            while (j < total and pending[j][0] == row
-                   and pending[j][1] == hop):
-                j += 1
-            for _row, _hop, _rank, sid, report in pending[i:j]:
-                sink = sim.switches[sid].pipeline.report_sink
-                if sink is not None:
-                    sink(report)
-                stats.reports_by_switch[sid] += 1
-            if sim.collector is not None:
-                for _row, _hop, _rank, _sid, report in pending[i:j]:
-                    sim.collector.ingest(report)
-            i = j
+        for sid, run in groupby(pending, itemgetter(3)):
+            reports = [entry[4] for entry in run]
+            stats.reports_by_switch[sid] += len(reports)
+            hand_off(sim, sid, reports)
 
     def _egress(self, sim: "NetworkSimulator", batch: ColumnarTrace,
                 routes: "_Routes", parked: List["_Parked"],

@@ -15,6 +15,7 @@ from repro.fabric.merge import (
     record_reports,
 )
 from repro.fabric.partition import (
+    FLOW_SEED,
     FlowHashPartitioner,
     QueryPartitioner,
     ShardContext,
@@ -29,6 +30,7 @@ from repro.fabric.supervisor import (
 from repro.fabric.worker import ShardRuntime, WorkerSpec
 
 __all__ = [
+    "FLOW_SEED",
     "FlowHashPartitioner",
     "QueryPartitioner",
     "ShardContext",

@@ -11,11 +11,13 @@ union:
   asserted equal instead of summed.
 
 * **Report streams** — each query's reports are emitted entirely by its
-  owner shard, in the same order as single-process execution.  The only
-  cross-shard freedom is the *interleaving between different queries'*
-  reports, so both sides of any comparison are put in the canonical
-  order ``(epoch, ts, qid, switch, payload)`` — a deterministic total
-  order under which the merged stream is bit-identical to baseline.
+  owner shard, in the same order as single-process execution, and
+  :func:`record_reports` takes them where every report passes: the
+  collector's ingest.  The only cross-shard freedom is the
+  *interleaving between different queries'* reports, so both sides of
+  any comparison are put in the canonical order ``(epoch, ts, qid,
+  switch, payload)`` — a deterministic total order under which the
+  merged stream is bit-identical to baseline.
 
 * **Register dumps** — query placement slices each state-bank array
   into per-sub-query ranges, and only a query's owner writes its
@@ -36,13 +38,13 @@ union:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.collector.collector import ReportCollector
 from repro.collector.metrics import MetricsRegistry
 from repro.core.rules import Report
-from repro.dataplane.switch import Switch
 from repro.network.simulator import SimulationStats
 
 __all__ = [
@@ -61,24 +63,22 @@ ReportSig = Tuple[str, str, float, int, Tuple]
 RegisterArrays = Dict[str, Tuple[np.ndarray, ...]]
 
 
-def record_reports(switches: Dict[Hashable, Switch]) -> List[ReportSig]:
-    """Wrap every switch's report sink so each emitted report is also
-    appended, as a :data:`ReportSig`, to the returned list — the stream
-    both sides of an identity check feed to :func:`canonical_reports`."""
+def record_reports(collector: ReportCollector) -> List[ReportSig]:
+    """Record each report handed to ``collector`` — the one report path,
+    so every report a switch emits — as a :data:`ReportSig` appended to
+    the returned list: the stream both sides of an identity check feed
+    to :func:`canonical_reports`."""
     recorded: List[ReportSig] = []
+    ingest = collector.ingest
 
-    def wrap(sid, inner):
-        def sink(report: Report) -> None:
-            recorded.append((
-                str(sid), report.qid, float(report.ts), int(report.epoch),
-                tuple(sorted(report.payload.items())),
-            ))
-            if inner is not None:
-                inner(report)
-        return sink
+    def recording(report: Report) -> bool:
+        recorded.append((
+            str(report.switch_id), report.qid, float(report.ts),
+            int(report.epoch), tuple(sorted(report.payload.items())),
+        ))
+        return ingest(report)
 
-    for sid, switch in switches.items():
-        switch.pipeline.report_sink = wrap(sid, switch.pipeline.report_sink)
+    collector.ingest = recording  # type: ignore[method-assign]
     return recorded
 
 

@@ -38,10 +38,14 @@ from repro.core.query import QueryLike, flatten
 from repro.dataplane.hashing import flow_hash, flow_hash_columns, hash_bytes
 from repro.traffic.columnar import ColumnarTrace
 
-__all__ = ["FlowHashPartitioner", "QueryPartitioner", "ShardContext",
-           "owned_sub_qids"]
+__all__ = ["FLOW_SEED", "FlowHashPartitioner", "QueryPartitioner",
+           "ShardContext", "owned_sub_qids"]
 
 _MASK = (1 << 64) - 1
+
+#: Seed of the fabric's packet-primacy flow hash — not the router's
+#: (0), so path choice and primacy are independent.
+FLOW_SEED = 0xF1F0
 
 
 class FlowHashPartitioner:

@@ -30,7 +30,10 @@ report streams interleave canonically, register dumps sum elementwise,
 metrics registries sum per label set — all bit-identical to
 single-process execution on fault-free runs.  A stream returns one
 payload shape (stats, busy time, recorded reports, windowed answers);
-register dumps and metrics are shipped only when asked for.
+register dumps and metrics are shipped only when asked for.  The
+recorded reports are the stream's: every report the shard's collector
+was handed (:func:`~repro.fabric.merge.record_reports` wraps that one
+hand-off), merged canonically into :attr:`ShardedDeployment.reports`.
 
 **Supervision** (see :mod:`repro.fabric.supervisor`): every RPC and
 chunk-feed to a worker process is bounded by a per-phase timeout (the
@@ -104,6 +107,10 @@ _REQUEST_TIMEOUT_S = 60.0
 _FEED_TIMEOUT_S = 60.0
 #: ``finish_stream`` waits for the shard to drain and compute.
 _FINISH_TIMEOUT_S = 300.0
+#: Seed of the query-ownership assignment.
+_ASSIGN_SEED = 0xA55
+#: Worker processes fork where the platform can (cheap start-up).
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 # --------------------------------------------------------------------- #
@@ -392,12 +399,8 @@ class ShardedDeployment(Deployment):
         *,
         workers: int = 2,
         inline: bool = False,
-        flow_seed: int = 0xF1F0,
-        assign_seed: int = 0xA55,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         queue_chunks: int = 4,
-        start_method: Optional[str] = None,
-        record_reports: bool = True,
         supervisor: Optional[SupervisorConfig] = None,
         **deploy_kwargs: Any,
     ):
@@ -420,7 +423,7 @@ class ShardedDeployment(Deployment):
         self.workers = workers
         self.inline = inline
         self.chunk_size = chunk_size
-        self.qpart = QueryPartitioner(workers, seed=assign_seed)
+        self.qpart = QueryPartitioner(workers, seed=_ASSIGN_SEED)
         self.supervisor = WorkerSupervisor(
             workers, supervisor, self.collector.metrics
         )
@@ -446,20 +449,12 @@ class ShardedDeployment(Deployment):
                 topology=topology,
                 index=i,
                 shards=workers,
-                flow_seed=flow_seed,
                 deploy=dict(deploy_kwargs),
-                record_reports=record_reports,
             )
             for i in range(workers)
         ]
         self._queue_chunks = queue_chunks
-        if inline:
-            self._ctx = None
-        else:
-            method = start_method or (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-            self._ctx = mp.get_context(method)
+        self._ctx = None if inline else mp.get_context(_START_METHOD)
         self._backends: List[Any] = [
             self._spawn_backend(s) for s in self._specs
         ]

@@ -43,6 +43,7 @@ from repro.network.simulator import SimulationStats
 from repro.network.topology import Topology
 from repro.resilience import FaultPlan
 from repro.fabric.partition import (
+    FLOW_SEED,
     FlowHashPartitioner,
     ShardContext,
     owned_sub_qids,
@@ -59,12 +60,8 @@ class WorkerSpec:
     topology: Topology
     index: int
     shards: int
-    flow_seed: int
     #: Keyword arguments for :func:`build_deployment`.
     deploy: Dict[str, Any] = field(default_factory=dict)
-    #: Record every emitted report (batch/verification runs); service
-    #: ticks leave it off so memory stays bounded by the window.
-    record_reports: bool = True
 
 
 class ShardRuntime:
@@ -75,13 +72,14 @@ class ShardRuntime:
         self.deployment: Deployment = build_deployment(
             spec.topology, **spec.deploy
         )
-        self.flow = FlowHashPartitioner(spec.flow_seed, spec.shards)
+        self.flow = FlowHashPartitioner(FLOW_SEED, spec.shards)
         self.deployment.simulator.shard = ShardContext(self.flow, spec.index)
         self._owned: Set[str] = set()
         self._owned_tops: Dict[str, Tuple[str, ...]] = {}
-        self.recorded: List[ReportSig] = (
-            record_reports(self.deployment.switches)
-            if spec.record_reports else []
+        #: Every report of the current stream (cleared per stream, so a
+        #: service tick holds one window's worth).
+        self.recorded: List[ReportSig] = record_reports(
+            self.deployment.collector
         )
         self.busy_s = 0.0
         self._refresh_filter()

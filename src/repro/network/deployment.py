@@ -1,9 +1,9 @@
 """One-call construction of a full Newton deployment.
 
 Gathers the pieces every experiment needs — switches on a topology, a
-shared hash family, the analyzer wired as report sink, a controller, the
-collection plane, and a simulator — so examples and benchmarks stay
-focused on the experiment.
+shared hash family, a controller, the collection plane (which mirrors
+every report to the analyzer), and a simulator — so examples and
+benchmarks stay focused on the experiment.
 """
 
 from __future__ import annotations
@@ -172,7 +172,6 @@ def build_deployment(
         if channel is None and faults.event("control") is not None:
             channel = FaultyControlChannel(faults)
     collector = ReportCollector(config=collector_config, faults=injector)
-    collector.analyzer = analyzer
     enabled = (
         set(topology.switches()) if newton_switches is None
         else set(newton_switches)
@@ -185,7 +184,6 @@ def build_deployment(
             table_capacity=table_capacity,
             array_size=array_size,
             hash_family=family,
-            report_sink=analyzer.on_report,
             newton_enabled=sid in enabled,
         )
         for sid in topology.switches()

@@ -282,8 +282,7 @@ class ServiceConfig:
 def service_fleet(config: ServiceConfig, workers: int = 1) -> Deployment:
     """The deployment a service with this config drives: a bare
     ``linear(config.switches)`` fleet with the resilience plane up,
-    sharded across ``workers`` processes when more than one (a service
-    publishes window answers, so shards keep no report stream)."""
+    sharded across ``workers`` processes when more than one."""
     return build_fleet(
         config.switches,
         workers=workers,
@@ -293,7 +292,6 @@ def service_fleet(config: ServiceConfig, workers: int = 1) -> Deployment:
         window_ms=config.window_ms,
         engine=config.engine,
         resilience=ResilienceConfig(),
-        **({"record_reports": False} if workers > 1 else {}),
     )
 
 

@@ -1,4 +1,10 @@
-"""Analyzer tests: report decoding, joins, deferred execution."""
+"""Analyzer tests: report decoding, joins, deferred execution.
+
+Reports reach the analyzer the one way they can — the collector's
+ingest decodes them and mirrors them over — and queries resolve through
+the controller's installed records, so these tests drive a real
+one-switch deployment.
+"""
 
 import pytest
 
@@ -6,8 +12,10 @@ from repro.core.analyzer import Analyzer, first_incomplete_primitive
 from repro.core.compiler import QueryParams, compile_query
 from repro.core.library import QueryThresholds, build_query
 from repro.core.packet import Packet, Proto, TcpFlags
-from repro.core.query import Query, flatten
+from repro.core.query import Query
 from repro.core.rules import Report
+from repro.network.deployment import build_deployment
+from repro.network.topology import linear
 
 PARAMS = QueryParams(cm_depth=2, reduce_registers=128,
                      distinct_registers=128)
@@ -36,64 +44,59 @@ def report_for(qid, dip, count, epoch=0, set_id=0):
                   payload=payload)
 
 
-def register(analyzer, query):
-    compiled = {
-        sub.qid: compile_query(sub, PARAMS) for sub in flatten(query)
-    }
-    analyzer.register(query, compiled)
-    return compiled
+def deployed(*queries):
+    """A one-switch deployment with ``queries`` installed."""
+    dep = build_deployment(linear(1))
+    for query in queries:
+        dep.controller.install_query(query, PARAMS, path=["s0"])
+    return dep
 
 
 class TestReportDecoding:
     def test_results_keyed_by_epoch_and_key(self):
-        analyzer = Analyzer()
-        query = q()
-        register(analyzer, query)
-        analyzer.on_report(report_for("a.q", dip=9, count=3))
-        analyzer.on_report(report_for("a.q", dip=8, count=3, epoch=1))
-        assert analyzer.results("a.q") == {0: {(9,): 3}, 1: {(8,): 3}}
+        dep = deployed(q())
+        dep.collector.ingest(report_for("a.q", dip=9, count=3))
+        dep.collector.ingest(report_for("a.q", dip=8, count=3, epoch=1))
+        assert dep.analyzer.results("a.q") == {0: {(9,): 3}, 1: {(8,): 3}}
 
     def test_duplicate_reports_keep_max(self):
-        analyzer = Analyzer()
-        register(analyzer, q())
-        analyzer.on_report(report_for("a.q", dip=9, count=3))
-        analyzer.on_report(report_for("a.q", dip=9, count=7))
-        assert analyzer.results("a.q")[0] == {(9,): 7}
+        dep = deployed(q())
+        dep.collector.ingest(report_for("a.q", dip=9, count=3))
+        dep.collector.ingest(report_for("a.q", dip=9, count=7))
+        assert dep.analyzer.results("a.q")[0] == {(9,): 7}
 
     def test_unregistered_reports_kept_raw(self):
-        analyzer = Analyzer()
-        analyzer.on_report(report_for("ghost", dip=1, count=1))
-        assert len(analyzer.reports) == 1
-        assert analyzer.results("ghost") == {}
+        dep = deployed()
+        dep.collector.ingest(report_for("ghost", dip=1, count=1))
+        assert len(dep.analyzer.reports) == 1
+        assert dep.analyzer.results("ghost") == {}
 
     def test_detections_single_chain(self):
-        analyzer = Analyzer()
-        register(analyzer, q())
-        analyzer.on_report(report_for("a.q", dip=9, count=3))
-        assert analyzer.detections("a.q") == {0: [(9,)]}
+        dep = deployed(q())
+        dep.collector.ingest(report_for("a.q", dip=9, count=3))
+        assert dep.analyzer.detections("a.q") == {0: [(9,)]}
 
     def test_detections_unknown_query(self):
         with pytest.raises(KeyError):
             Analyzer().detections("nope")
 
     def test_unregister(self):
-        analyzer = Analyzer()
-        register(analyzer, q())
-        analyzer.unregister("a.q")
+        """A removed query is unknown to ``detections``: the analyzer
+        reads the controller's installed records, no copy of its own."""
+        dep = deployed(q())
+        dep.controller.remove_query("a.q")
         with pytest.raises(KeyError):
-            analyzer.detections("a.q")
+            dep.analyzer.detections("a.q")
 
 
 class TestCompositeJoin:
     def test_q7_detection_from_reports(self):
         th = QueryThresholds(completed_conns=2)
-        q7 = build_query("Q7", th)
-        analyzer = Analyzer()
-        register(analyzer, q7)
-        analyzer.on_report(report_for("Q7.syn", dip=5, count=2))
-        analyzer.on_report(report_for("Q7.fin", dip=5, count=2))
-        analyzer.on_report(report_for("Q7.syn", dip=6, count=2))
-        assert analyzer.detections("Q7") == {0: [5]}
+        dep = deployed(build_query("Q7", th))
+        dep.collector.ingest(report_for("Q7.syn", dip=5, count=2))
+        dep.collector.ingest(report_for("Q7.fin", dip=5, count=2))
+        dep.collector.ingest(report_for("Q7.syn", dip=6, count=2))
+        assert dep.analyzer.detections("Q7") == {0: [5]}
 
 
 class TestDeferred:
@@ -105,9 +108,7 @@ class TestDeferred:
         ) == 4
 
     def test_deferred_execution_produces_results(self):
-        analyzer = Analyzer()
-        query = q(threshold=2)
-        register(analyzer, query)
+        analyzer = deployed(q(threshold=2)).analyzer
         # Defer from primitive 0: the analyzer runs the whole chain.
         for i in range(3):
             analyzer.defer("a.q", Packet(sip=i, dip=9, proto=6, tcp_flags=2),
@@ -117,8 +118,7 @@ class TestDeferred:
         assert analyzer.deferred_packets == 3
 
     def test_deferred_respects_threshold(self):
-        analyzer = Analyzer()
-        register(analyzer, q(threshold=5))
+        analyzer = deployed(q(threshold=5)).analyzer
         analyzer.defer("a.q", Packet(dip=9, proto=6, tcp_flags=2), 0)
         analyzer.advance_window(0)
         assert analyzer.results("a.q").get(0, {}) == {}
@@ -126,10 +126,12 @@ class TestDeferred:
     def test_deferred_share_is_kept_apart_from_reports(self):
         """``results`` mirrors everything; ``deferred_results`` holds only
         what CPU execution produced — through prune and export/absorb."""
-        analyzer = Analyzer()
-        register(analyzer, q(threshold=2))
+        dep = deployed(q(threshold=2))
+        analyzer = dep.analyzer
         for epoch in (0, 1):
-            analyzer.on_report(report_for("a.q", dip=7, count=4, epoch=epoch))
+            dep.collector.ingest(
+                report_for("a.q", dip=7, count=4, epoch=epoch)
+            )
             for i in range(3):
                 analyzer.defer(
                     "a.q", Packet(sip=i, dip=9, proto=6, tcp_flags=2), 0
@@ -150,16 +152,14 @@ class TestDeferred:
         assert analyzer.deferred_results("a.q") == {}
 
     def test_message_count_includes_deferrals(self):
-        analyzer = Analyzer()
-        register(analyzer, q())
-        analyzer.on_report(report_for("a.q", dip=9, count=3))
-        analyzer.defer("a.q", Packet(proto=6, tcp_flags=2), 0)
-        assert analyzer.message_count == 2
+        dep = deployed(q())
+        dep.collector.ingest(report_for("a.q", dip=9, count=3))
+        dep.analyzer.defer("a.q", Packet(proto=6, tcp_flags=2), 0)
+        assert dep.analyzer.message_count == 2
 
     def test_reset(self):
-        analyzer = Analyzer()
-        register(analyzer, q())
-        analyzer.on_report(report_for("a.q", dip=9, count=3))
-        analyzer.reset()
-        assert analyzer.message_count == 0
-        assert analyzer.results("a.q") == {}
+        dep = deployed(q())
+        dep.collector.ingest(report_for("a.q", dip=9, count=3))
+        dep.analyzer.reset()
+        assert dep.analyzer.message_count == 0
+        assert dep.analyzer.results("a.q") == {}

@@ -236,15 +236,16 @@ class TestResultProcess:
         module.execute(spec_for(ModuleType.RESULT_PROCESS, config), ctx, env)
         assert env.reports and not ctx.stopped
 
-    def test_report_sink_invoked(self):
-        captured = []
+    def test_report_lands_in_env_reports(self):
+        """The data plane hands reports to nobody: an emitted report is
+        only appended to the packet's ``env.reports``."""
         module = ResultProcessModule(0, 0)
         config = RConfig(default=RAction(report=True))
         env = make_env()
-        env.report_sink = captured.append
         ctx = PhvContext()
         module.execute(spec_for(ModuleType.RESULT_PROCESS, config), ctx, env)
-        assert len(captured) == 1
+        assert len(env.reports) == 1
+        assert (env.reports[0].switch_id, env.reports[0].epoch) == ("s0", 0)
 
 
 class TestFactory:

@@ -95,7 +95,7 @@ class TestSimulatorContract:
         th = replace(evaluation_thresholds(), new_tcp_conns=3)
         dep.controller.install_query(build_query("Q1", th), self.PARAMS,
                                      path=self.PATH)
-        recorded = record_reports(dep.switches)
+        recorded = record_reports(dep.collector)
         fired = []
 
         def update():

@@ -118,7 +118,7 @@ def observe(engine, trace, mutate=None, **deploy_kw):
     deployment = deploy(engine, **deploy_kw)
     if mutate is not None:
         mutate(deployment)
-    recorded = record_reports(deployment.switches)
+    recorded = record_reports(deployment.collector)
     stats = deployment.simulator.run(trace)
     findings = (None if deployment.sanitizer is None
                 else dict(deployment.sanitizer.counts))

@@ -97,7 +97,7 @@ def drive(dep: Deployment, drain_reports):
 @pytest.fixture(scope="module")
 def single_process():
     dep = build_deployment(linear(3), **DEPLOY_KW)
-    recorded = record_reports(dep.switches)
+    recorded = record_reports(dep.collector)
 
     def drain():
         out = canonical_reports([recorded])

@@ -1,8 +1,6 @@
 """Partitioner properties: determinism, exactly-one-shard coverage, and
 scalar/columnar bit-identity of the flow hash."""
 
-import inspect
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,10 @@ from repro.core.library import build_query
 from repro.core.query import Query
 from repro.experiments.common import evaluation_thresholds
 from repro.fabric import (
+    FLOW_SEED,
     FlowHashPartitioner,
     QueryPartitioner,
     ShardContext,
-    ShardedDeployment,
     owned_sub_qids,
 )
 from repro.network.routing import Router
@@ -96,10 +94,8 @@ class TestFlowHashPartitioner:
         seed: at the defaults every (path, shard) cell is populated, and
         about evenly — no shard sees only one spine's traffic."""
         router = Router(fat_tree(4))
-        flow_seed = inspect.signature(
-            ShardedDeployment.__init__).parameters["flow_seed"].default
-        assert flow_seed != router.seed
-        part = FlowHashPartitioner(flow_seed, 4)
+        assert FLOW_SEED != router.seed
+        part = FlowHashPartitioner(FLOW_SEED, 4)
         rng = np.random.default_rng(3)
         n = 20_000
         columns = {

@@ -64,7 +64,7 @@ class TestServiceParity:
         base_events = drive(baseline)
 
         with ShardedDeployment(
-            linear(3), workers=2, inline=True, record_reports=False,
+            linear(3), workers=2, inline=True,
             **deploy_kwargs(),
         ) as sd:
             sharded = make_service(sd)
@@ -79,7 +79,7 @@ class TestServiceParity:
         """Install / update / remove via the service's spec path, plus
         health and metrics, all fanned out by the commit listener."""
         with ShardedDeployment(
-            linear(3), workers=2, inline=True, record_reports=False,
+            linear(3), workers=2, inline=True,
             **deploy_kwargs(),
         ) as sd:
             service = make_service(sd)

@@ -95,7 +95,7 @@ def run_baseline(trace, engine, queries, topology, install_kw, th=None,
     built = [build_query(name, th or thresholds()) for name in queries]
     for query in built:
         deployment.controller.install_query(query, params, **install_kw)
-    recorded = record_reports(deployment.switches)
+    recorded = record_reports(deployment.collector)
     if schedule is not None:
         schedule(deployment)
     stats = deployment.simulator.run(trace)

@@ -102,7 +102,7 @@ def deploy(engine, queries=("Q1", "Q4"), switches=3, sliced=(), edge=None,
         deployment.controller.install_query(
             build_query(name, thresholds()), PARAMS, **where, **extra
         )
-    return deployment, record_reports(deployment.switches)
+    return deployment, record_reports(deployment.collector)
 
 
 def run_engine(engine, trace, schedule=None, **deploy_kw):
@@ -228,7 +228,7 @@ class TestEquivalence:
                 query, PARAMS, path=["s0", "s1", "s2"],
                 stages_per_switch=stages,
             )
-            recorded = record_reports(deployment.switches)
+            recorded = record_reports(deployment.collector)
             stats = deployment.simulator.run(workload(3000))
             return signature(stats, recorded), deployment.register_dumps(), \
                 stats
@@ -259,7 +259,7 @@ class TestEquivalence:
                 deployment.controller.install_query(
                     build_query(name, thresholds()), PARAMS, topology=topo
                 )
-            recorded = record_reports(deployment.switches)
+            recorded = record_reports(deployment.collector)
             out = []
             for index in range(6):
                 trace = assign_hosts(merge_traces([
@@ -433,7 +433,7 @@ class TestSlicedQueries:
             pipeline.retire_query("meet.q", epoch)
             pipeline.stage_slice(variant, epoch)
             pipeline.commit_epoch(epoch)
-            recorded = record_reports(deployment.switches)
+            recorded = record_reports(deployment.collector)
             stats = deployment.simulator.run(
                 assign_hosts(workload(3000), pairs))
             return (signature(stats, recorded), deployment.register_dumps(),
@@ -468,7 +468,7 @@ class TestSlicedQueries:
             pipeline.retire_query("stamps.q", epoch)
             pipeline.stage_slice(query_slice, epoch)
             pipeline.commit_epoch(epoch)
-            recorded = record_reports(deployment.switches)
+            recorded = record_reports(deployment.collector)
             stats = deployment.simulator.run(
                 assign_hosts(workload(3000), pairs))
             return (signature(stats, recorded), deployment.register_dumps(),
@@ -498,7 +498,7 @@ class TestSlicedQueries:
             deployment.controller.install_query(
                 syn_count("order.whole", "sip"), PARAMS, path=path,
             )
-            recorded = record_reports(deployment.switches)
+            recorded = record_reports(deployment.collector)
             stats = deployment.simulator.run(workload(2000))
             return signature(stats, recorded), stats
 
@@ -552,7 +552,7 @@ class TestKeyGroupHandOff:
                 deployment.controller.install_query(
                     twin(qid), PARAMS, path=["s0"]
                 )
-            recorded = record_reports(deployment.switches)
+            recorded = record_reports(deployment.collector)
             stats = deployment.simulator.run(workload(3000))
             return (signature(stats, recorded), deployment.register_dumps(),
                     dict(deployment.sanitizer.counts), stats)

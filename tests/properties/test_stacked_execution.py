@@ -149,7 +149,7 @@ def observe(engine, scenario):
                  if sliced is not None and name == sliced[0] else {})
         deployment.controller.install_query(
             build_query(name, thresholds()), PARAMS, **where, **extra)
-    recorded = record_reports(deployment.switches)
+    recorded = record_reports(deployment.collector)
     stats = deployment.simulator.run(
         traffic(seed, FAT_PAIRS if fat else [("h_src0", "h_dst0")]))
     return {

@@ -36,6 +36,13 @@
   outside ``resilience/faults.py``, and ``cli.py`` never names a fault
   shim (``FaultyControlChannel`` / ``FaultInjector``) — it builds a
   ``resilience.FaultPlan`` and hands it to the deployment.
+* One report path: the engines hand each report to the collector, whose
+  ingest mirrors it to the analyzer (``engine/base.py``'s ``hand_off``).
+  Outside ``engine/base.py`` nothing names a ``report_sink`` but
+  ``NewtonPipeline``'s class-body declaration of the tap the benchmark
+  harness sets, and ``core/analyzer.py`` defines no
+  ``register`` / ``unregister``: it resolves queries through the
+  controller's installed records.
 * The CLI is a shell: only ``cli.py`` and ``experiments/`` import
   ``repro.experiments`` (the service asks ``core/library.py`` for the
   evaluation thresholds); ``cli.py`` constructs no deployment
@@ -217,6 +224,35 @@ def fault_shim(node):
     return tail_name(node) in shims
 
 
+def report_sink_use(node):
+    """``report_sink`` named: an attribute, a keyword argument, a
+    parameter or a variable / field."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "report_sink"
+    if isinstance(node, (ast.keyword, ast.arg)):
+        return node.arg == "report_sink"
+    return isinstance(node, ast.Name) and node.id == "report_sink"
+
+
+def report_sink_lines(tree):
+    """Lines naming ``report_sink``, except ``NewtonPipeline``'s
+    class-body declaration of the tap."""
+    tap = {
+        id(stmt.target)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "NewtonPipeline"
+        for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+    }
+    return [node.lineno for node in ast.walk(tree)
+            if report_sink_use(node) and id(node) not in tap]
+
+
+def query_registry(node):
+    """A ``register`` / ``unregister`` definition."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in ("register", "unregister"))
+
+
 def experiments_import(node):
     if isinstance(node, ast.Import):
         return any(alias.name.startswith("repro.experiments")
@@ -387,6 +423,28 @@ def test_one_fault_vocabulary():
     assert violations("cli.py", fault_shim) == []
 
 
+def test_one_report_path():
+    assert [
+        f"{path}:{line}"
+        for path, tree in trees("")
+        if path.as_posix() != "engine/base.py"
+        for line in report_sink_lines(tree)
+    ] == []
+    assert violations("core/analyzer.py", query_registry) == []
+
+
+def test_only_the_pipeline_tap_may_be_declared():
+    assert report_sink_lines(ast.parse(
+        "class NewtonPipeline:\n"
+        "    report_sink: Optional[Sink] = None\n"
+    )) == []
+    assert report_sink_lines(ast.parse(
+        "@dataclass\n"
+        "class ExecutionEnv:\n"
+        "    report_sink: Optional[Sink] = None\n"
+    )) == [3]
+
+
 def test_only_the_cli_and_the_experiments_import_the_experiments():
     assert [
         f"{path}:{node.lineno}"
@@ -532,6 +590,14 @@ def test_owners_names_the_innermost_function():
     (fault_shim, "from repro.ctrlplane import FaultyControlChannel", True),
     (fault_shim, "resilience.FaultPlan(events=(control_faults(),))", False),
     (fault_shim, "from repro.collector import CollectorConfig", False),
+    (report_sink_use, "sink = switch.pipeline.report_sink", True),
+    (report_sink_use, "Switch('s0', report_sink=analyzer.on_report)", True),
+    (report_sink_use, "def __init__(self, report_sink=None): ...", True),
+    (report_sink_use, "class P:\n    report_sink = None", True),
+    (report_sink_use, "collector.ingest(report)", False),
+    (query_registry, "class A:\n def register(self, q, c): ...", True),
+    (query_registry, "def unregister(qid): ...", True),
+    (query_registry, "class A:\n def on_commit(self, op, r): ...", False),
     (experiments_import, "from repro.experiments.common import workload",
      True),
     (experiments_import, "import repro.experiments", True),

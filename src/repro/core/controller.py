@@ -21,11 +21,13 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -46,16 +48,16 @@ from repro.dataplane.registers import RegisterArray
 from repro.dataplane.switch import Switch
 from repro.runtime.channel import ControlChannel
 from repro.verify import (
-    Demand,
     Diagnostic,
     PipelineModel,
     VerificationError,
     VerificationReport,
     VerifierConfig,
-    demand_of_slices,
     verify_demand,
     verify_queries,
 )
+from repro.verify.dependencies import check_dependencies
+from repro.verify.fleet.epochs import StagingNeed
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.dataplane.pipeline import NewtonPipeline
@@ -222,21 +224,28 @@ class NewtonController:
         (subqueries, compiled, slices, by_switch, placements) = (
             self._plan_deployment(query, params, opts, **spec)
         )
-        # One demand tally per distinct slice set, handed to both the
-        # verification gate and the transaction's staging gate:
-        # redundant placement stages the same slices on many switches,
-        # and only the fit against each switch's occupancy differs.
-        demands = {
-            hosted: demand_of_slices(
-                slices[sub_qid][index] for sub_qid, index in hosted
+        # One dependency pass per sub-query, shared by the verifier's
+        # NV1xx and — for a query staged whole — the staging gate's NV602,
+        # and one staging need per distinct slice set, handed to both
+        # gates: redundant placement stages the same slices on many
+        # switches, and only the fit against each switch's occupancy
+        # differs.
+        checked = {
+            sub_qid: check_dependencies(comp)
+            for sub_qid, comp in compiled.items()
+        }
+        needs = {
+            hosted: StagingNeed.of(
+                [slices[sub_qid][index] for sub_qid, index in hosted],
+                checked,
             )
             for hosted in dict.fromkeys(map(tuple, by_switch.values()))
         }
         report = VerificationReport()
         gate = (
-            self._verification_gate(compiled, demands, by_switch, report,
+            self._verification_gate(compiled, needs, by_switch, report,
                                     verifier_config,
-                                    exclude_qid=query.qid)
+                                    exclude_qid=query.qid, checked=checked)
             if verify else None
         )
         ops: Dict[object, SwitchOps] = {
@@ -252,7 +261,7 @@ class NewtonController:
                 retire=tuple(sorted({q for q, _ in entries})),
             )
         plan = TxnPlan(op=kind, qid=query.qid, ops=ops, verify=gate,
-                       demands=demands)
+                       needs=needs)
         result = self.txn.execute(plan)  # raises => old version intact
         self._commit(op, InstalledQuery(
             query=query, compiled=compiled, slices=slices,
@@ -415,11 +424,12 @@ class NewtonController:
     def _verification_gate(
         self,
         compiled: Dict[str, CompiledQuery],
-        demands: Mapping[Tuple[Tuple[str, int], ...], Demand],
+        needs: Mapping[Tuple[Tuple[str, int], ...], StagingNeed],
         by_switch: Dict[object, List[Tuple[str, int]]],
         report: VerificationReport,
         verifier_config: Optional[VerifierConfig],
         exclude_qid: Optional[str] = None,
+        checked: Optional[Mapping[str, Sequence[Diagnostic]]] = None,
     ):
         """Build the transaction's pre-commit verification gate.
 
@@ -428,8 +438,9 @@ class NewtonController:
         admission per target switch at its real occupancy (the snapshots
         the transaction manager hands the gate) — which, for an update,
         still includes the outgoing version: make-before-break genuinely
-        needs both banks resident until GC.  ``demands`` holds the tally
-        of each switch's slice set, keyed by its ``by_switch`` entries.
+        needs both banks resident until GC.  ``needs`` holds what each
+        switch's slice set asks, keyed by its ``by_switch`` entries, and
+        ``checked`` the dependency findings already derived, by sub-query.
         ``exclude_qid`` drops the query's own old version from the
         cross-query context.
         """
@@ -442,13 +453,25 @@ class NewtonController:
             ]
             report.extend(verify_queries(
                 list(compiled.values()), context=context,
-                config=verifier_config,
+                config=verifier_config, checked=checked,
             ).diagnostics)
+            # One verdict per distinct (slice set, occupancy): a state
+            # judged clean is clean on every switch in it; one with
+            # findings is judged per switch, so each names its switch.
+            clean: Set[Tuple[Tuple[Tuple[str, int], ...], Hashable]] = set()
             for sid, entries in by_switch.items():
-                report.extend(verify_demand(
-                    demands[tuple(entries)], occupancy[sid], switch=sid,
+                hosted = tuple(entries)
+                state = (hosted, occupancy[sid].state())
+                if state in clean:
+                    continue
+                found = verify_demand(
+                    needs[hosted].demand, occupancy[sid], switch=sid,
                     config=verifier_config,
-                ).diagnostics)
+                ).diagnostics
+                if found:
+                    report.extend(found)
+                else:
+                    clean.add(state)
             if not report.ok:
                 raise VerificationError(report)
         return gate

@@ -51,7 +51,8 @@ from repro.dataplane.switch import Switch
 from repro.runtime.channel import FLIP_OVERHEAD_S, ControlChannel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.verify.program import Demand, PipelineModel
+    from repro.verify.fleet.epochs import StagingNeed
+    from repro.verify.program import PipelineModel
 
 __all__ = [
     "TxnConfig",
@@ -105,11 +106,11 @@ class TxnPlan:
     #: Pre-commit gate, handed the occupancy snapshot of every switch the
     #: plan stages on; raising aborts before any switch is touched.
     verify: Optional[Callable[[Dict[object, PipelineModel]], None]] = None
-    #: Demand tally of each slice set the plan stages, keyed by its
-    #: ``(qid, slice_index)`` names: derived once by whoever built the
-    #: plan, read by ``verify`` and by the staging gate (which tallies any
-    #: set missing here itself).
-    demands: Mapping[Tuple[Tuple[str, int], ...], Demand] = field(
+    #: What each slice set the plan stages asks of any switch (demand
+    #: tally and layout findings), keyed by its ``(qid, slice_index)``
+    #: names: derived once by whoever built the plan, read by ``verify``
+    #: and by the staging gate (which derives any set missing here).
+    needs: Mapping[Tuple[Tuple[str, int], ...], StagingNeed] = field(
         default_factory=dict
     )
 
@@ -200,6 +201,10 @@ class TransactionManager:
         self._m_staged = reg.gauge(
             "txn_staged_rules", "Rules currently resident in shadow banks"
         )
+        #: switch id -> (its ``mutation_seq``, its staged rule count) as
+        #: last read for the gauge: a switch whose rules did not move
+        #: since is not read again.
+        self._staged: Dict[object, Tuple[int, int]] = {}
         self._m_gc = reg.counter(
             "txn_gc_rules_total", "Rules physically deleted by post-flip GC"
         )
@@ -376,7 +381,7 @@ class TransactionManager:
         # make-before-break double-occupancy window fits every target
         # switch, or abort with the prior epoch fully intact.
         report = check_staging_plan(self.switches, staging, target,
-                                    occupancy, plan.demands)
+                                    occupancy, plan.needs)
         if not report.ok:
             exc = VerificationError(report)
             self._finish(plan, txn_id, target, "aborted",
@@ -455,15 +460,18 @@ class TransactionManager:
         # the old banks.
         self.epoch = target
         beacon = 0.0
-        for switch in self.switches.values():
+        for sid, switch in self.switches.items():
             if switch.rule_epoch >= target:
                 continue
+            empty = self._staged.get(sid) == (switch.pipeline.mutation_seq, 0)
             _, sent = self.channel.send(
                 "commit", 0, switch=switch,
                 apply=lambda s=switch: s.commit_epoch(target),
                 overhead_s=FLIP_OVERHEAD_S, reliable=True,
             )
             beacon = max(beacon, sent)
+            if empty:  # a flip stages nothing: the gauge's reading holds
+                self._staged[sid] = (switch.pipeline.mutation_seq, 0)
 
         # Phase 3: background GC of the retired banks.
         gc_delay = 0.0
@@ -499,7 +507,17 @@ class TransactionManager:
     # ------------------------------------------------------------------ #
 
     def _staged_total(self) -> int:
-        return sum(s.staged_rule_count for s in self.switches.values())
+        """Rules in shadow banks fleet-wide, reading again only the
+        switches whose rules moved since their last reading."""
+        total = 0
+        for sid, switch in self.switches.items():
+            seq = switch.pipeline.mutation_seq
+            reading = self._staged.get(sid)
+            if reading is None or reading[0] != seq:
+                reading = self._staged[sid] = (seq,
+                                               switch.staged_rule_count)
+            total += reading[1]
+        return total
 
     def residue(self) -> Dict[str, object]:
         """What a quiescent control plane must not hold: rules still in

@@ -132,7 +132,19 @@ class ModuleLayout:
         return self._stages[stage]
 
     def module_at(self, stage: int, mtype: ModuleType) -> Optional[ModuleInstance]:
-        return self.stage_slots(stage).get(mtype)
+        """The module in one slot; ``None`` where the layout has none
+        (past its last stage included)."""
+        return self._slot_modules.get((stage, mtype))
+
+    @cached_property
+    def _slot_modules(self) -> Dict[Tuple[int, ModuleType], ModuleInstance]:
+        """``(stage, module type)`` -> module: one lookup per rule where
+        rules are placed, removed and compiled."""
+        return {
+            (stage, mtype): module
+            for stage, slots in enumerate(self._stages)
+            for mtype, module in slots.items()
+        }
 
     def modules(self) -> List[ModuleInstance]:
         return [m for slots in self._stages for m in slots.values()]

@@ -15,6 +15,11 @@ class ModuleType(Enum):
     STATE_BANK = "S"
     RESULT_PROCESS = "R"
 
+    #: Members are singletons compared by identity, so identity hashes
+    #: them: ``(stage, module type)`` slots key the occupancy tallies, and
+    #: ``Enum``'s own ``__hash__`` (a Python call) dominated their lookups.
+    __hash__ = object.__hash__
+
     @property
     def symbol(self) -> str:
         return self.value

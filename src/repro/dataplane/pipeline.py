@@ -25,6 +25,11 @@ Packets are stamped with the ingress switch's rule epoch in their SP
 header; downstream switches serve the stamped bank, so a packet observes
 one consistent rule set end to end even while a multi-switch flip is in
 progress.
+
+The pipeline keeps its occupancy live (``slot_rules``: rules per
+``(stage, module type)`` table, every bank counted) and indexes its
+versions by query and by retire mark, so retiring and garbage-collecting
+visit what they change, never every resident version.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from repro.core.packet import Packet
 from repro.core.rules import ModuleRuleSpec, QuerySlice, Report
 from repro.dataplane.hashing import HashFamily
 from repro.dataplane.layout import LayoutKind, ModuleLayout
+from repro.dataplane.module_types import ModuleType
 from repro.dataplane.modules import (
     DEFAULT_REGISTER_ARRAY_SIZE,
     ExecutionEnv,
@@ -57,6 +63,10 @@ TOFINO_DEFAULT_STAGES = 12
 StorageKey = Tuple[str, int, int]
 
 
+def _by_order(installed: "_Installed") -> Tuple[int, int]:
+    return installed.order
+
+
 @dataclass
 class PipelineResult:
     """Outcome of pushing one packet through the pipeline."""
@@ -70,9 +80,10 @@ class PipelineResult:
     rule_epochs: Dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Installed:
-    """Book-keeping for one installed version of one slice."""
+    """Book-keeping for one installed version of one slice (compared and
+    hashed by identity: the pipeline indexes its versions by object)."""
 
     query_slice: QuerySlice
     #: (local stage, spec, epoch-tagged storage key) per module rule.
@@ -84,6 +95,11 @@ class _Installed:
     storage_keys: Dict[Tuple[str, int], StorageKey]
     #: Exclusive end of service (None = open); set by ``retire_query``.
     epoch_until: Optional[int] = None
+    #: Where ``resident_versions`` meets this version: the placement
+    #: number of the version that created its ``(qid, slice_index)``
+    #: entry, then its own.  Sorting a subset by it walks that subset in
+    #: the order a walk over every version would.
+    order: Tuple[int, int] = field(default=(0, 0), init=False)
 
     def valid_at(self, epoch: int) -> bool:
         if epoch < self.epoch_from:
@@ -151,6 +167,24 @@ class NewtonPipeline:
         self.query_filter: Optional[FrozenSet[str]] = None
         #: (qid, slice_index) -> resident versions, oldest first.
         self._slices: Dict[Tuple[str, int], List[_Installed]] = {}
+        #: qid -> its resident versions, every slice index, in placement
+        #: order (what ``retire_query`` visits).
+        self._by_qid: Dict[str, List[_Installed]] = {}
+        #: Version -> its ``epoch_until``, for every version carrying a
+        #: retire mark, whether or not the flip has reached it yet: all
+        #: ``gc_retired`` visits.
+        self._marked: Dict[_Installed, int] = {}
+        #: Versions placed so far (numbers :attr:`_Installed.order`).
+        self._placements = 0
+        #: Highest ``epoch_from`` placed since the last wipe: once the
+        #: active epoch reaches it, nothing can be staged.
+        self._newest_epoch = 0
+        #: (local stage, module type) -> module rules resident in that
+        #: slot's table, every bank counted (active, staged, retired).
+        #: Kept up to date by :meth:`_place` and :meth:`_unplace`, the
+        #: only two places module tables change; a slot at zero has no
+        #: entry.  ``PipelineModel.of_switch`` copies it.
+        self.slot_rules: Dict[Tuple[int, ModuleType], int] = {}
 
     # ------------------------------------------------------------------ #
     # Rule management                                                    #
@@ -166,17 +200,21 @@ class NewtonPipeline:
                 return installed
         return None
 
-    def _place(self, query_slice: QuerySlice, epoch_from: int,
-               epoch_until: Optional[int] = None) -> _Installed:
-        """Physically insert a slice's rules tagged with ``epoch_from``.
+    def _place(self, query_slice: QuerySlice, epoch_from: int) -> _Installed:
+        """Physically insert a slice's rules tagged with ``epoch_from``
+        and record the version as resident.
 
         Insertion is transactional at the switch level: a failure (full
         table, exhausted register array) rolls back everything already
         inserted — Newton must never wedge a running switch halfway
-        through a rule operation.
+        through a rule operation; the rollback takes its rules back out
+        of :attr:`slot_rules` too.
         """
         placed: List[Tuple[int, ModuleRuleSpec, StorageKey]] = []
         init_rules: List[TernaryRule] = []
+        storage_keys: Dict[Tuple[str, int], StorageKey] = {}
+        layout = self.layout
+        slot_rules = self.slot_rules
         # Make-before-break hint: when staging a future-epoch replacement
         # over a currently-active version of the same slice, the active
         # bank's register slices will free at post-commit GC — tell the
@@ -192,7 +230,7 @@ class NewtonPipeline:
         try:
             for spec in sorted(query_slice.specs, key=lambda s: s.step):
                 local_stage = spec.stage - query_slice.stage_base
-                module = self.layout.module_at(local_stage, spec.module_type)
+                module = layout.module_at(local_stage, spec.module_type)
                 if module is None:
                     raise ValueError(
                         f"layout has no {spec.module_type.symbol} module in "
@@ -204,67 +242,81 @@ class NewtonPipeline:
                 else:
                     module.install(spec, key=storage_key)
                 placed.append((local_stage, spec, storage_key))
+                storage_keys.setdefault(spec.key, storage_key)
+                slot = (local_stage, spec.module_type)
+                slot_rules[slot] = slot_rules.get(slot, 0) + 1
             for entry in query_slice.init_entries:
                 rule = TernaryRule(
                     match=entry.match, priority=entry.priority, action=entry.qid
                 )
-                self.newton_init.insert(
-                    rule, epoch_from=epoch_from, epoch_until=epoch_until
-                )
+                self.newton_init.insert(rule, epoch_from=epoch_from)
                 init_rules.append(rule)
         except Exception:
             for local_stage, spec, storage_key in placed:
-                module = self.layout.module_at(local_stage, spec.module_type)
-                assert module is not None
-                module.remove(storage_key)
+                self._remove_rule(local_stage, spec, storage_key)
             for rule in init_rules:
                 self.newton_init.remove(rule, epoch_from=epoch_from)
             raise
-        storage_keys: Dict[Tuple[str, int], StorageKey] = {}
-        for _, spec, storage_key in placed:
-            storage_keys.setdefault(spec.key, storage_key)
-        return _Installed(
+        installed = _Installed(
             query_slice=query_slice,
             placed=tuple(placed),
             init_rules=tuple(init_rules),
             epoch_from=epoch_from,
-            epoch_until=epoch_until,
             storage_keys=storage_keys,
         )
+        self._placements += 1
+        self._newest_epoch = max(self._newest_epoch, epoch_from)
+        key = (query_slice.qid, query_slice.slice_index)
+        versions = self._slices.setdefault(key, [])
+        first = versions[0].order[0] if versions else self._placements
+        installed.order = (first, self._placements)
+        versions.append(installed)
+        self._by_qid.setdefault(query_slice.qid, []).append(installed)
+        self.mutation_seq += 1
+        return installed
 
     def _unplace(self, installed: _Installed) -> int:
         """Physically delete one version's rules; returns entries removed."""
-        removed = 0
         for local_stage, spec, storage_key in installed.placed:
-            module = self.layout.module_at(local_stage, spec.module_type)
-            assert module is not None
-            module.remove(storage_key)
-            removed += 1
+            self._remove_rule(local_stage, spec, storage_key)
         for rule in installed.init_rules:
             self.newton_init.remove(rule, epoch_from=installed.epoch_from)
-            removed += 1
-        key = (installed.query_slice.qid, installed.query_slice.slice_index)
-        versions = self._slices.get(key)
-        if versions is not None:
-            versions.remove(installed)
-            if not versions:
-                del self._slices[key]
-        return removed
+        qid, slice_index = (installed.query_slice.qid,
+                            installed.query_slice.slice_index)
+        versions = self._slices[(qid, slice_index)]
+        versions.remove(installed)
+        if not versions:
+            del self._slices[(qid, slice_index)]
+        versions = self._by_qid[qid]
+        versions.remove(installed)
+        if not versions:
+            del self._by_qid[qid]
+        self._marked.pop(installed, None)
+        return installed.entry_count
+
+    def _remove_rule(self, local_stage: int, spec: ModuleRuleSpec,
+                     storage_key: StorageKey) -> None:
+        """Delete one placed module rule and uncount it."""
+        module = self.layout.module_at(local_stage, spec.module_type)
+        assert module is not None
+        module.remove(storage_key)
+        slot = (local_stage, spec.module_type)
+        left = self.slot_rules[slot] - 1
+        if left:
+            self.slot_rules[slot] = left
+        else:
+            del self.slot_rules[slot]
 
     def install_slice(self, query_slice: QuerySlice) -> int:
         """Install a slice into the active bank (visible immediately);
         returns the number of table entries added."""
-        key = (query_slice.qid, query_slice.slice_index)
         if self._version_at(query_slice.qid, query_slice.slice_index,
                             self.rule_epoch) is not None:
             raise ValueError(
                 f"slice {query_slice.slice_index} of query "
                 f"{query_slice.qid!r} already installed"
             )
-        installed = self._place(query_slice, epoch_from=self.rule_epoch)
-        self._slices.setdefault(key, []).append(installed)
-        self.mutation_seq += 1
-        return installed.entry_count
+        return self._place(query_slice, epoch_from=self.rule_epoch).entry_count
 
     def stage_slice(self, query_slice: QuerySlice, epoch: int) -> int:
         """Install a slice into the shadow bank of rule epoch ``epoch``.
@@ -282,11 +334,7 @@ class NewtonPipeline:
                 f"slice {query_slice.slice_index} of query "
                 f"{query_slice.qid!r} already staged for epoch {epoch}"
             )
-        installed = self._place(query_slice, epoch_from=epoch)
-        key = (query_slice.qid, query_slice.slice_index)
-        self._slices.setdefault(key, []).append(installed)
-        self.mutation_seq += 1
-        return installed.entry_count
+        return self._place(query_slice, epoch_from=epoch).entry_count
 
     def has_staged(self, qid: str, slice_index: int, epoch: int) -> bool:
         """True iff this exact slice is already staged for ``epoch``
@@ -309,20 +357,17 @@ class NewtonPipeline:
                 f"(active epoch {self.rule_epoch})"
             )
         marked = 0
-        for (slice_qid, _), versions in self._slices.items():
-            if slice_qid != qid:
+        for installed in self._by_qid.get(qid, ()):
+            if not installed.valid_at(self.rule_epoch):
                 continue
-            for installed in versions:
-                if not installed.valid_at(self.rule_epoch):
-                    continue
-                if installed.epoch_until == epoch:
-                    continue
-                installed.epoch_until = epoch
-                for rule in installed.init_rules:
-                    self.newton_init.retire(
-                        rule, epoch, epoch_from=installed.epoch_from
-                    )
-                marked += installed.entry_count
+            if installed.epoch_until == epoch:
+                continue
+            installed.epoch_until = self._marked[installed] = epoch
+            for rule in installed.init_rules:
+                self.newton_init.retire(
+                    rule, epoch, epoch_from=installed.epoch_from
+                )
+            marked += installed.entry_count
         if marked:
             self.mutation_seq += 1
         return marked
@@ -363,29 +408,24 @@ class NewtonPipeline:
         ]
         for installed in staged:
             removed += self._unplace(installed)
-        for versions in self._slices.values():
-            for installed in versions:
-                if (installed.epoch_until is not None
-                        and installed.epoch_until > self.rule_epoch):
-                    installed.epoch_until = None
+        for installed, until in list(self._marked.items()):
+            if until > self.rule_epoch:
+                installed.epoch_until = None
+                del self._marked[installed]
         self.newton_init.unretire(self.rule_epoch)
         self.mutation_seq += 1
         return removed
 
     def gc_retired(self) -> int:
         """Physically delete versions retired at or before the active
-        epoch; returns the number of table entries removed."""
-        removed = 0
-        retired = [
-            installed
-            for versions in list(self._slices.values())
-            for installed in list(versions)
-            if installed.epoch_until is not None
-            and installed.epoch_until <= self.rule_epoch
-        ]
-        for installed in retired:
-            removed += self._unplace(installed)
-        return removed
+        epoch, in the order :meth:`resident_versions` meets them; returns
+        the number of table entries removed."""
+        retired = sorted(
+            (installed for installed, until in self._marked.items()
+             if until <= self.rule_epoch),
+            key=_by_order,
+        )
+        return sum(self._unplace(installed) for installed in retired)
 
     def wipe(self) -> int:
         """ASIC crash: every resident bank — active, staged, retired —
@@ -400,7 +440,7 @@ class NewtonPipeline:
         for versions in list(self._slices.values()):
             for installed in list(versions):
                 removed += self._unplace(installed)
-        self.rule_epoch = 0
+        self.rule_epoch = self._newest_epoch = 0
         self.mutation_seq += 1
         return removed
 
@@ -474,6 +514,8 @@ class NewtonPipeline:
     @property
     def staged_rule_count(self) -> int:
         """Physical entries in shadow banks (staged, not yet active)."""
+        if self._newest_epoch <= self.rule_epoch:
+            return 0
         return sum(
             installed.entry_count
             for versions in self._slices.values()
@@ -486,10 +528,8 @@ class NewtonPipeline:
         """Physical entries retired but not yet garbage-collected."""
         return sum(
             installed.entry_count
-            for versions in self._slices.values()
-            for installed in versions
-            if installed.epoch_until is not None
-            and installed.epoch_until <= self.rule_epoch
+            for installed, until in self._marked.items()
+            if until <= self.rule_epoch
         )
 
     # ------------------------------------------------------------------ #

@@ -170,18 +170,21 @@ class TernaryTable(Generic[ActionT]):
         if len(self._entries) >= self.capacity:
             raise TableFullError(f"table {self.name} full ({self.capacity} rules)")
         self._insert_seq += 1
-        self._entries.append(
-            TernaryEntry(rule=rule, epoch_from=epoch_from,
-                         epoch_until=epoch_until, seq=self._insert_seq)
-        )
-        self._entries.sort(key=lambda e: (-e.rule.priority, e.seq))
+        # Entries stay sorted by (-priority, seq): the newest goes after
+        # every entry of its priority or higher.
+        index = len(self._entries)
+        while index and self._entries[index - 1].rule.priority < rule.priority:
+            index -= 1
+        self._entries.insert(index, TernaryEntry(
+            rule=rule, epoch_from=epoch_from, epoch_until=epoch_until,
+            seq=self._insert_seq,
+        ))
 
     def _index(self, rule: TernaryRule[ActionT],
                epoch_from: Optional[int]) -> int:
         for index, entry in enumerate(self._entries):
-            if entry.rule == rule and (
-                epoch_from is None or entry.epoch_from == epoch_from
-            ):
+            if (epoch_from is None or entry.epoch_from == epoch_from) \
+                    and entry.rule == rule:
                 return index
         raise KeyError(f"table {self.name}: rule not present")
 

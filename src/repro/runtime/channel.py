@@ -22,7 +22,7 @@ fail loudly instead of silently timing nothing.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -37,6 +37,9 @@ __all__ = [
 KNOWN_OPERATIONS = frozenset(
     {"install", "remove", "retire", "commit", "rollback", "abort"}
 )
+
+#: Jitter draws taken from the generator at a time.
+_JITTER_BLOCK = 64
 
 #: Setup cost of a single-register control message (epoch flip, rollback,
 #: retire mark, abort): one write, no per-rule payload — far below the
@@ -62,11 +65,19 @@ class ControlChannel:
         self.batch_overhead_s = batch_overhead_s
         self.jitter_s = jitter_s
         self._rng = np.random.default_rng(seed)
+        #: Standard normals drawn ahead, next one last.
+        self._normals: List[float] = []
 
     def _jitter(self) -> float:
+        """``|N(0, jitter_s)|``, one draw per message.  The generator
+        fills a block at a time, which yields the very stream single
+        ``normal(0, jitter_s)`` draws would: every delay is unchanged."""
         if self.jitter_s == 0:
             return 0.0
-        return float(abs(self._rng.normal(0.0, self.jitter_s)))
+        if not self._normals:
+            self._normals = self._rng.standard_normal(_JITTER_BLOCK).tolist()
+            self._normals.reverse()
+        return abs(0.0 + self.jitter_s * self._normals.pop())
 
     def transact(self, operation: str, rules: int,
                  overhead_s: Optional[float] = None) -> float:

@@ -97,9 +97,6 @@ def check_dependencies(compiled: CompiledQuery) -> List[Diagnostic]:
         for i in range(j):
             earlier = specs[i]
             reads_i, writes_i = deps[i]
-            location = Location(
-                qid=later.qid, step=later.step, stage=later.stage
-            )
             if writes_i & reads_j and not earlier.stage < later.stage:
                 out.append(Diagnostic(
                     severity=Severity.ERROR,
@@ -113,7 +110,7 @@ def check_dependencies(compiled: CompiledQuery) -> List[Diagnostic]:
                         f"{earlier.stage}); the reader must be in a "
                         f"strictly later stage"
                     ),
-                    location=location,
+                    location=_at(later),
                 ))
             if reads_i & writes_j and not earlier.stage <= later.stage:
                 out.append(Diagnostic(
@@ -127,7 +124,7 @@ def check_dependencies(compiled: CompiledQuery) -> List[Diagnostic]:
                         f"{later.step} ({later.module_type.symbol}, stage "
                         f"{later.stage}) overwrites in an earlier stage"
                     ),
-                    location=location,
+                    location=_at(later),
                 ))
             if writes_i & writes_j and not earlier.stage < later.stage:
                 out.append(Diagnostic(
@@ -140,9 +137,13 @@ def check_dependencies(compiled: CompiledQuery) -> List[Diagnostic]:
                         f"({earlier.stage} vs {later.stage}) does not "
                         f"preserve logical order"
                     ),
-                    location=location,
+                    location=_at(later),
                 ))
     return out
+
+
+def _at(spec: ModuleRuleSpec) -> Location:
+    return Location(qid=spec.qid, step=spec.step, stage=spec.stage)
 
 
 def _names(containers: FrozenSet) -> str:

@@ -28,9 +28,11 @@ from typing import (
     TYPE_CHECKING,
     AbstractSet,
     Dict,
+    Hashable,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -51,7 +53,7 @@ from repro.verify.fleet.interference import (
     check_hash_unit_sharing,
 )
 from repro.verify.fleet.model import SwitchView
-from repro.verify.program import Demand, PipelineModel
+from repro.verify.program import PipelineModel
 from repro.verify.verifier import VerifierConfig, verify_queries
 
 if TYPE_CHECKING:
@@ -176,35 +178,44 @@ def check_staging_plan(
     plan: Mapping[object, Sequence[QuerySlice]],
     target_epoch: int,
     occupancy: Optional[Mapping[object, PipelineModel]] = None,
-    demands: Optional[Mapping[Tuple[Tuple[str, int], ...], Demand]] = None,
+    needs: Optional[Mapping[Tuple[Tuple[str, int], ...], StagingNeed]] = None,
 ) -> VerificationReport:
     """Statically prove a transaction's staging windows fit (NV6xx).
 
     ``plan`` maps switch id to the query slices the transaction intends
     to stage there; ``occupancy`` holds the snapshots the caller already
     took of those switches (the transaction manager's — one per switch
-    per transaction), any other is taken here.  ``demands`` holds the
-    tallies the caller already derived, keyed by ``(qid, slice_index)``
-    names; any other slice set is tallied here.  Every finding is an
-    ERROR: the transaction would fail mid-prepare and roll back, so the
-    gate refuses it up front.
+    per transaction), any other is taken here.  ``needs`` holds the
+    :class:`StagingNeed` of each slice set the caller already derived,
+    keyed by ``(qid, slice_index)`` names; any other slice set is
+    derived here.  Every finding is an ERROR: the transaction would fail
+    mid-prepare and roll back, so the gate refuses it up front.
     """
     report = VerificationReport()
     occupancy = occupancy or {}
-    demands = demands or {}
     # One transaction stages one version of a slice, so within a plan
     # (qid, slice_index) names it: switches asked for the same fresh
     # slices share one demand tally and one layout pass.
-    needs: Dict[Tuple[Tuple[str, int], ...], StagingNeed] = {}
+    needs = dict(needs or {})
+    # And switches in one occupancy state share a clean verdict (see
+    # PipelineModel.state); a state with findings is judged per switch.
+    clean: Set[Tuple[Tuple[Tuple[str, int], ...], Hashable]] = set()
     for sid, slices in plan.items():
         if not slices:
             continue
         model = occupancy.get(sid) or PipelineModel.of_switch(switches[sid])
         fresh = fresh_slices(switches[sid], slices, target_epoch)
         named = tuple((qs.qid, qs.slice_index) for qs in fresh)
+        state = (named, model.state())
+        if state in clean:
+            continue
         if named not in needs:
-            needs[named] = StagingNeed.of(fresh, demands.get(named))
-        report.extend(check_staging_plan_view(sid, model, needs[named]))
+            needs[named] = StagingNeed.of(fresh)
+        found = check_staging_plan_view(sid, model, needs[named])
+        if found:
+            report.extend(found)
+        else:
+            clean.add(state)
     return report
 
 

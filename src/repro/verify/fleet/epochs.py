@@ -30,7 +30,15 @@ global stages, not the concrete residue on one switch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.compiler import CompiledQuery, Optimizations, QueryParams
 from repro.core.rules import ModuleRuleSpec, QuerySlice
@@ -214,17 +222,24 @@ class StagingNeed:
 
     @staticmethod
     def of(slices: Sequence[QuerySlice],
-           tally: Optional[Demand] = None) -> "StagingNeed":
-        """``tally``, when given, is ``demand_of_slices(slices)`` as the
-        caller already derived it."""
+           checked: Optional[Mapping[str, Sequence[Diagnostic]]] = None,
+           ) -> "StagingNeed":
+        """``checked`` maps a sub-query id to the dependency findings of
+        the compiled query its slices were cut from.  A slice that is the
+        whole query stages exactly the specs those findings judged, so it
+        reuses them; any other slice gets its own pass."""
+        checked = checked or {}
         return StagingNeed(
-            demand=demand_of_slices(slices) if tally is None else tally,
+            demand=demand_of_slices(slices),
             qids=", ".join(sorted({qs.qid for qs in slices})),
             layout=tuple(
                 (qs.qid, qs.slice_index, found.location.step, found.message)
                 for qs in slices
-                for found in check_dependencies(
-                    _pseudo_compiled(qs.qid, qs.specs, stage_base=0)
+                for found in (
+                    checked[qs.qid]
+                    if qs.total_slices == 1 and qs.qid in checked
+                    else check_dependencies(
+                        _pseudo_compiled(qs.qid, qs.specs, stage_base=0))
                 )
             ),
         )

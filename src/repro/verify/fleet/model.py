@@ -10,9 +10,9 @@ interference, NV6xx epoch safety) run over these views, never over the
 live switch objects, so analysis cannot mutate the data plane.
 
 A view answers *whose* rules are where; *how much* is in use is
-:meth:`repro.verify.program.PipelineModel.of_switch`, read from the
-switch's counters — the transaction path needs only that, and never
-builds a view.
+:meth:`repro.verify.program.PipelineModel.of_switch`, copied from the
+pipeline's live occupancy record — the transaction path needs only
+that, and never builds a view.
 
 Bank status is classified against the switch's committed rule epoch:
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.compiler import CompiledQuery
 from repro.core.rules import (
@@ -179,32 +179,40 @@ class PipelineModel:
 
     @staticmethod
     def of_switch(switch: object) -> "PipelineModel":
-        """Snapshot a simulated switch (or bare pipeline) from its physical
-        counters: table lengths and register leases, every resident bank
-        — active, staged and retired — included."""
-        from repro.dataplane.modules import StateBankModule
+        """Snapshot a simulated switch (or bare pipeline): every resident
+        bank — active, staged and retired — counted.
 
+        Rules per slot are the pipeline's live record
+        (``NewtonPipeline.slot_rules``), register leases each state
+        bank's own count, so a snapshot costs a copy, not a walk.
+        """
         pipeline = getattr(switch, "pipeline", switch)
         layout = pipeline.layout
-        rules_used: Dict[Slot, int] = {}
         registers_used: Dict[int, int] = {}
-        for stage in range(layout.num_stages):
-            for mtype, module in layout.stage_slots(stage).items():
-                if module.rule_count:
-                    rules_used[(stage, mtype)] = module.rule_count
-                if isinstance(module, StateBankModule):
-                    used = module.array.size - module.array.free_registers()
-                    if used:
-                        registers_used[stage] = used
+        for stage, bank in enumerate(layout.bank_at):
+            if bank is not None:
+                used = bank.array.size - bank.array.free_registers()
+                if used:
+                    registers_used[stage] = used
         return PipelineModel(
             num_stages=layout.num_stages,
             table_capacity=layout.table_capacity,
             array_size=layout.array_size,
-            rules_used=rules_used,
+            rules_used=dict(pipeline.slot_rules),
             registers_used=registers_used,
             init_used=len(pipeline.newton_init),
             label=f"switch {pipeline.switch_id}",
         )
+
+    def state(self) -> Hashable:
+        """Everything a verdict against this model reads but its label:
+        capacities and what is resident.  Models with equal states give
+        any demand the same findings, up to the wording that names the
+        pipeline — so a clean verdict holds for every switch in the
+        state, and only a state with findings is judged per switch."""
+        return (self.num_stages, self.table_capacity, self.array_size,
+                frozenset(self.rules_used.items()),
+                frozenset(self.registers_used.items()), self.init_used)
 
     def fit(self, need: Demand) -> List[Violation]:
         """Every capacity ``need`` exceeds beside what is resident.

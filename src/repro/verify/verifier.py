@@ -17,7 +17,7 @@ surfaced but do not block.  Individual codes can be suppressed via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompiledQuery
 from repro.verify.accuracy import check_accuracy_budget
@@ -74,6 +74,7 @@ def verify_queries(
     context: Sequence[CompiledQuery] = (),
     model: Optional[PipelineModel] = None,
     config: Optional[VerifierConfig] = None,
+    checked: Optional[Mapping[str, Sequence[Diagnostic]]] = None,
 ) -> VerificationReport:
     """Run every static pass over ``candidates``.
 
@@ -86,14 +87,20 @@ def verify_queries(
     stages (what lint does); the controller instead admits the slices
     per target switch (:func:`verify_demand`).  With
     ``config.expected_flows`` declared, the NV7xx accuracy budget runs
-    last, over the candidates.
+    last, over the candidates.  ``checked`` holds the dependency findings
+    (:func:`~repro.verify.dependencies.check_dependencies`) the caller
+    already derived, by qid; any other candidate is checked here.
     """
     config = config or VerifierConfig()
     report = VerificationReport()
+    checked = checked or {}
 
     # Per-query artifact passes: candidates only.
     for comp in candidates:
-        report.extend(config.filter(check_dependencies(comp)))
+        found = checked.get(comp.qid)
+        report.extend(config.filter(
+            check_dependencies(comp) if found is None else found
+        ))
         report.extend(config.filter(check_r_entry_shadowing(comp)))
         report.extend(config.filter(check_dead_rules(comp)))
     report.extend(config.filter(check_sketch_params(candidates)))

@@ -1,5 +1,7 @@
 """Match-action table tests."""
 
+import random
+
 import pytest
 
 from repro.dataplane.tables import (
@@ -76,6 +78,20 @@ class TestTernaryTable:
         table.insert(high)
         hit = table.lookup({"proto": 6})
         assert hit is not None and hit.action == "high"
+
+    def test_entries_stay_in_priority_then_insertion_order(self):
+        """Each insert finds its place in the sorted entries: the order
+        a full re-sort by (-priority, insertion) would give."""
+        rng = random.Random(4)
+        table = TernaryTable("init", capacity=400)
+        for index in range(300):
+            table.insert(_rule({}, priority=rng.randint(0, 5),
+                               action=f"q{index}"))
+            if index % 7 == 0:
+                table.remove(table.entries()[rng.randrange(len(table))].rule)
+        entries = list(table.entries())
+        assert entries == sorted(entries,
+                                 key=lambda e: (-e.rule.priority, e.seq))
 
     def test_lookup_all_returns_every_match(self):
         table = TernaryTable("init")

@@ -1,5 +1,6 @@
 """Clock and control-channel tests."""
 
+import numpy as np
 import pytest
 
 from repro.runtime.channel import ControlChannel
@@ -51,6 +52,17 @@ class TestChannel:
         a = ControlChannel(seed=1)
         b = ControlChannel(seed=1)
         assert a.transact("install", 5) == b.transact("install", 5)
+
+    def test_jitter_is_the_stream_of_single_draws(self):
+        """Jitter is drawn a block at a time; the delays are exactly
+        those of one ``normal(0, jitter_s)`` draw per message."""
+        channel = ControlChannel(seed=11)
+        reference = np.random.default_rng(11)
+        for rules in range(200):  # several blocks
+            assert channel.transact("install", rules) == (
+                channel.batch_overhead_s + channel.per_rule_s * rules
+                + float(abs(reference.normal(0.0, channel.jitter_s)))
+            )
 
     def test_q1_scale_lands_in_paper_band(self):
         """~9 rules must install in single-digit milliseconds (Figure 11)."""

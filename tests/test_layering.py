@@ -18,7 +18,9 @@
   ``src/repro/network``.
 * One occupancy model: outside ``dataplane/`` only
   ``PipelineModel.of_switch`` (``verify/program.py``) reads a switch's
-  ``free_registers()`` / ``stage_slots()``, and the op path
+  occupancy — its live ``slot_rules`` record or a bank's
+  ``free_registers()`` — nothing there walks ``stage_slots()`` (the
+  record replaced the stage × slot walk), and the op path
   (``src/repro/ctrlplane``, ``src/repro/core``) never imports the
   bank-walking ``SwitchView``.
 * An operation is audited for what it touched: the whole-fleet walk
@@ -171,8 +173,16 @@ def key_hash(node):
 
 
 def occupancy_read(node):
+    """A switch's occupancy read: its live per-slot rule record, or a
+    register-lease / stage-slot call."""
+    if isinstance(node, ast.Attribute) and node.attr == "slot_rules":
+        return True
     return (isinstance(node, ast.Call)
             and tail_name(node.func) in ("free_registers", "stage_slots"))
+
+
+def stage_walk(node):
+    return isinstance(node, ast.Call) and tail_name(node.func) == "stage_slots"
 
 
 def bank_walk(node):
@@ -389,6 +399,15 @@ def test_one_function_reads_occupancy_off_a_switch():
     assert readers == {"verify/program.py:of_switch"}
 
 
+def test_nothing_outside_the_dataplane_walks_the_stages():
+    assert [
+        f"{path}:{node.lineno}"
+        for path, tree in trees("")
+        if path.parts[0] != "dataplane"
+        for node in ast.walk(tree) if stage_walk(node)
+    ] == []
+
+
 @pytest.mark.parametrize("package", ["ctrlplane", "core"])
 def test_op_path_never_imports_the_bank_walk(package):
     assert violations(package, bank_walk) == []
@@ -552,8 +571,14 @@ def test_owners_names_the_innermost_function():
     (key_hash, "flow_hash(packet.five_tuple, self.seed)", False),
     (occupancy_read, "module.array.free_registers()", True),
     (occupancy_read, "pipeline.layout.stage_slots(stage).items()", True),
+    (occupancy_read, "dict(pipeline.slot_rules)", True),
+    (occupancy_read, "switch.pipeline.slot_rules.get(slot, 0)", True),
     (occupancy_read, "PipelineModel.of_switch(switch)", False),
     (occupancy_read, "array.free_registers", False),
+    (occupancy_read, "model.rules_used", False),
+    (stage_walk, "layout.stage_slots(stage).items()", True),
+    (stage_walk, "layout.module_at(stage, mtype)", False),
+    (stage_walk, "layout.bank_at[stage]", False),
     (bank_walk, "from repro.verify.fleet.model import SwitchView", True),
     (bank_walk, "from repro.verify.fleet import SwitchView as SV", True),
     (bank_walk, "fleet.SwitchView.of_switch(switch)", True),

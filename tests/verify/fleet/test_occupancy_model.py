@@ -1,12 +1,17 @@
-"""One occupancy model: the physical counters equal the bank walk.
+"""One occupancy model: the live record equals both walks.
 
-``PipelineModel.of_switch`` reads table lengths and register leases; the
-fleet analyzer's ``SwitchView`` walks every resident bank.  Every fit
-verdict rests on the two describing the same switch — also in the middle
-of a transaction, when staged and retired banks are resident — so this
-sweep checks the equality at every epoch flip, every GC, after aborted
-transactions and across a crash and its recovery, and then that the
-three consumers of the model give one answer.
+``PipelineModel.of_switch`` copies the pipeline's live per-slot rule
+record (``NewtonPipeline.slot_rules``, kept by every placement and
+removal) and reads each state bank's lease count.  Two walks derive the
+same numbers the slow way: the stage × slot walk over every module
+table (:func:`table_walk`, what ``of_switch`` itself did before the
+record existed) and the fleet analyzer's ``SwitchView`` over every
+resident bank (:func:`walk`).  Every fit verdict rests on the three
+describing the same switch — also in the middle of a transaction, when
+staged and retired banks are resident — so this sweep checks the
+equality at every epoch flip, every GC, every abort and rollback, after
+a crash and after its recovery, and then that the three consumers of
+the model give one answer.
 """
 
 import random
@@ -22,6 +27,7 @@ from repro.core.query import Query, flatten
 from repro.core.rules import SConfig
 from repro.ctrlplane import TransactionAborted, TxnConfig
 from repro.dataplane.module_types import ModuleType
+from repro.dataplane.modules import StateBankModule
 from repro.dataplane.switch import Switch
 from repro.network.deployment import build_deployment
 from repro.network.topology import fat_tree, linear
@@ -73,8 +79,25 @@ def walk(switch):
     return view, (dict(rules), dict(registers), len(view.dispatch))
 
 
+def table_walk(switch):
+    """Occupancy off the tables: every stage's every module's rule count
+    and every state bank's leases."""
+    layout = switch.pipeline.layout
+    rules, registers = {}, {}
+    for stage in range(layout.num_stages):
+        for mtype, module in layout.stage_slots(stage).items():
+            if module.rule_count:
+                rules[(stage, mtype)] = module.rule_count
+            if isinstance(module, StateBankModule):
+                used = module.array.size - module.array.free_registers()
+                if used:
+                    registers[stage] = used
+    return rules, registers, len(switch.pipeline.newton_init)
+
+
 class Probe:
-    """Compares the two derivations and remembers what it saw resident."""
+    """Compares the three derivations and remembers what it saw
+    resident."""
 
     def __init__(self):
         self.points = self.staged = self.retired = 0
@@ -84,6 +107,9 @@ class Probe:
         model = PipelineModel.of_switch(switch)
         counters = (model.rules_used, model.registers_used, model.init_used)
         assert counters == walked, f"{label}: switch {view.switch_id}"
+        assert counters == table_walk(switch), \
+            f"{label}: switch {view.switch_id}"
+        assert model.rules_used == switch.pipeline.slot_rules
         self.points += 1
         self.staged += bool(view.banks_with_status(STAGED))
         self.retired += bool(view.banks_with_status(RETIRED))
@@ -91,9 +117,11 @@ class Probe:
 
 @pytest.fixture
 def probe(monkeypatch):
-    """Hooked before and after every epoch flip and every GC."""
+    """Hooked before and after every epoch flip, GC, rollback and abort
+    (a reboot aborts too)."""
     probe = Probe()
-    for name in ("commit_epoch", "gc_retired"):
+    for name in ("commit_epoch", "gc_retired", "rollback_epoch",
+                 "abort_staged"):
         real = getattr(Switch, name)
 
         def hooked(self, *args, _real=real, _name=name):
@@ -136,6 +164,7 @@ def churn(dep, rng, where, probe, ops=10):
                 dep.switches[sid].crash(at=0.0, down_for=0.0)
                 probe(dep.switches[sid], f"step {step}: after crash")
                 dep.controller.recover_switch(sid)
+                probe(dep.switches[sid], f"step {step}: after recovery")
         except (TransactionAborted, VerificationError, PlacementError):
             pass  # refused or rolled back: the probe below still holds
         for switch in dep.switches.values():
@@ -229,3 +258,24 @@ def test_one_snapshot_per_target_switch_per_transaction(monkeypatch):
     dep.controller.update_query(*candidate(rng, "occ.tcp"),
                                 topology=dep.topology)
     assert sorted(snapshots, key=str) == targets
+
+
+def test_a_failed_placement_leaves_the_record_as_it_was():
+    """A slice whose register lease fails after its K and H rules went in
+    is rolled back — tables, leases and the live record alike."""
+    dep = build_deployment(linear(1), array_size=1024)
+    rng = random.Random(1)
+    dep.controller.install_query(*candidate(rng, "occ.syn"), path=["s0"])
+    switch = dep.switch("s0")
+    before = dict(switch.pipeline.slot_rules)
+    big = compile_query(reduce_query("occ.big", 3),
+                        QueryParams(cm_depth=1, reduce_registers=1024),
+                        hash_family=switch.pipeline.hash_family)
+    (query_slice,) = slice_compiled(big, switch.pipeline.layout.num_stages)
+    stateful = min(spec.step for spec in query_slice.specs
+                   if spec.module_type is ModuleType.STATE_BANK)
+    assert any(spec.step < stateful for spec in query_slice.specs)
+    with pytest.raises(Exception):
+        switch.stage_slice(query_slice, switch.rule_epoch + 1)
+    assert switch.pipeline.slot_rules == before
+    assert table_walk(switch)[0] == before

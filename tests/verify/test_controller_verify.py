@@ -163,7 +163,6 @@ class TestOneDemandTallyPerOp:
 
     @staticmethod
     def spy(monkeypatch):
-        from repro.core import controller as core_controller
         from repro.verify import program
         from repro.verify.fleet import epochs
 
@@ -174,8 +173,7 @@ class TestOneDemandTallyPerOp:
             tallied.append(tuple((qs.qid, qs.slice_index) for qs in slices))
             return program.demand_of_slices(slices)
 
-        for module in (core_controller, epochs):
-            monkeypatch.setattr(module, "demand_of_slices", demand_of_slices)
+        monkeypatch.setattr(epochs, "demand_of_slices", demand_of_slices)
         return tallied
 
     def test_install_update_remove_on_the_17_query_fleet(self, monkeypatch):

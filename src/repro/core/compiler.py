@@ -31,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.ast import (
     CmpOp,
@@ -44,6 +44,7 @@ from repro.core.ast import (
     Reduce,
     ResultFilter,
 )
+from repro.core.fields import GLOBAL_FIELDS
 from repro.core.query import Query
 from repro.core.rules import (
     ALL_STATE_RESULTS,
@@ -62,7 +63,7 @@ from repro.core.rules import (
 )
 from repro.dataplane.alu import ResultOp, StatefulOp
 from repro.dataplane.hashing import HashFamily
-from repro.dataplane.module_types import ModuleType
+from repro.dataplane.module_types import MODULE_ORDER, ModuleType
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.readout import ProbeRow
@@ -82,6 +83,10 @@ _FILTER_HASH_RANGE = 1 << 32
 
 #: Largest per-packet increment of a byte-sum reduce (the link MTU).
 _MTU = 1500
+
+#: Module types by local name: ``ModuleType.X`` is an ``Enum`` class
+#: attribute, an order of magnitude slower to look up than a global.
+_K, _H, _S, _R = MODULE_ORDER
 
 
 class CompilationError(ValueError):
@@ -149,11 +154,15 @@ class _Mod:
     stage: int = -1
 
 
+#: Field -> mask pairs of one K selection, sorted by field.
+KeyMasks = Tuple[Tuple[str, int], ...]
+
+
 @dataclass
 class _Suite:
     modules: List[_Mod]
     #: K masks of this suite (None for R-only suites).
-    key_masks: Optional[Tuple[Tuple[str, int], ...]]
+    key_masks: Optional[KeyMasks]
 
 
 @dataclass
@@ -197,7 +206,7 @@ class CompiledQuery:
         """Registers leased across all state-bank rules."""
         total = 0
         for spec in self.specs:
-            if spec.module_type is ModuleType.STATE_BANK:
+            if spec.module_type is _S:
                 config = spec.config
                 if isinstance(config, SConfig) and not config.passthrough:
                     total += config.slice_size
@@ -214,22 +223,18 @@ class CompiledQuery:
         by every later install and update.
         """
         signatures = []
-        specs = sorted(self.specs, key=lambda s: s.step)
-        for index, spec in enumerate(specs):
-            if spec.module_type is not ModuleType.HASH_CALCULATION:
-                continue
+        keys: Dict[int, KConfig] = {}  # set id -> its latest K selection
+        for spec in sorted(self.specs, key=lambda s: s.step):
             config = spec.config
-            if not isinstance(config, HConfig) or config.mode != HashMode.HASH:
-                continue
-            for prior in reversed(specs[:index]):
-                if (prior.module_type is ModuleType.KEY_SELECTION
-                        and prior.set_id == spec.set_id
-                        and isinstance(prior.config, KConfig)):
-                    signatures.append((spec.step, (
-                        config.seed_index, config.range_size,
-                        prior.config.masks,
-                    )))
-                    break
+            if spec.module_type is _K and isinstance(config, KConfig):
+                keys[spec.set_id] = config
+            elif (spec.module_type is _H and isinstance(config, HConfig)
+                    and config.mode == HashMode.HASH
+                    and spec.set_id in keys):
+                signatures.append((spec.step, (
+                    config.seed_index, config.range_size,
+                    keys[spec.set_id].masks,
+                )))
         return tuple(signatures)
 
     @cached_property
@@ -261,7 +266,56 @@ def _continue_if(value_ranges: Sequence[Tuple[int, int]]) -> RConfig:
     )
 
 
-def _lower_filter(prim: Filter, index: int, seed_alloc, params: QueryParams,
+def _fold(op: ResultOp) -> RConfig:
+    """R config of a sketch row: fold the state result into the global."""
+    return RConfig(source=MatchSource.STATE, entries=(),
+                   default=RAction(result_op=op))
+
+
+# The configs are frozen, so suites share the ones that never vary.
+#: The modules Opt.2 removes as unused (map's H/S/R, a threshold's K/H/S).
+_PAD_K, _PAD_H, _PAD_R = KConfig(masks=()), HConfig(), RConfig()
+#: S handing the hash result on as the state result (Figure 3's filter).
+_PASSTHROUGH = SConfig(passthrough=True)
+#: R of a sketch's first row and of every later one (min over rows).
+_FIRST_ROW, _LATER_ROW = _fold(ResultOp.PASS), _fold(ResultOp.MIN)
+#: R of a single-row Bloom filter: the old bit alone decides membership.
+_FIRST_SEEN = _continue_if([(0, 0)])
+#: Finalizer R of a Bloom filter: key is new iff min over the old bits is 0.
+_BLOOM_FINALIZER = RConfig(
+    source=MatchSource.GLOBAL,
+    entries=(RMatchEntry(0, 0, RAction()),),
+    default=RAction(stop=True),
+)
+
+
+def _suite(index: int, row: int, key_masks: Optional[KeyMasks], k: object,
+           h: object, s: object, r: object,
+           padding: Tuple[ModuleType, ...] = ()) -> _Suite:
+    """The K/H/S/R suite ``row`` of primitive ``index``; ``padding`` names
+    the modules Opt.2 removes as unused."""
+    return _Suite(
+        modules=[
+            _Mod(_K, k, index, row, _K not in padding),
+            _Mod(_H, h, index, row, _H not in padding),
+            _Mod(_S, s, index, row, _S not in padding),
+            _Mod(_R, r, index, row, _R not in padding),
+        ],
+        key_masks=key_masks,
+    )
+
+
+def _r_only(index: int, row: int, r: RConfig) -> _Suite:
+    """A suite of one R module on the global result (a threshold gate or
+    a Bloom finalizer)."""
+    return _Suite(modules=[_Mod(_R, r, index, row)], key_masks=None)
+
+
+def _sorted_masks(prim: Primitive) -> KeyMasks:
+    return tuple(sorted(prim.key_masks().items()))
+
+
+def _lower_filter(prim: Filter, index: int, seed_alloc,
                   hash_family: HashFamily) -> List[_Suite]:
     """A packet filter: equality group via the hash trick, ranges direct."""
     suites: List[_Suite] = []
@@ -279,7 +333,7 @@ def _lower_filter(prim: Filter, index: int, seed_alloc, params: QueryParams,
             )
             masks[pred.field] = masks.get(pred.field, 0) | mask
             values[pred.field] = values.get(pred.field, 0) | (value & mask)
-        kconf = KConfig(masks=tuple(sorted(masks.items())))
+        key_masks = tuple(sorted(masks.items()))
         if len(eq_preds) == 1 and eq_preds[0].op is CmpOp.EQ:
             # Single equality: direct mode, match the field value (Figure 3).
             pred = eq_preds[0]
@@ -292,50 +346,26 @@ def _lower_filter(prim: Filter, index: int, seed_alloc, params: QueryParams,
             hconf = HConfig(
                 mode=HashMode.HASH, seed_index=seed, range_size=_FILTER_HASH_RANGE
             )
-            from repro.core.fields import GLOBAL_FIELDS
-
             expected_key = GLOBAL_FIELDS.pack(values, masks)
             expected = hash_family.unit(seed, _FILTER_HASH_RANGE)(expected_key)
             rconf = _continue_if([(expected, expected)])
-        suites.append(
-            _Suite(
-                modules=[
-                    _Mod(ModuleType.KEY_SELECTION, kconf, index, len(suites)),
-                    _Mod(ModuleType.HASH_CALCULATION, hconf, index, len(suites)),
-                    _Mod(ModuleType.STATE_BANK, SConfig(passthrough=True),
-                         index, len(suites)),
-                    _Mod(ModuleType.RESULT_PROCESS, rconf, index, len(suites)),
-                ],
-                key_masks=tuple(sorted(masks.items())),
-            )
-        )
+        suites.append(_suite(index, 0, key_masks, KConfig(masks=key_masks),
+                             hconf, _PASSTHROUGH, rconf))
 
     for pred in range_preds:
-        kconf = KConfig.select(pred.field)
-        hconf = HConfig(mode=HashMode.DIRECT, direct_field=pred.field)
         max_value = _field_mask(pred.field)
-        ranges = _ranges_for(pred, max_value)
-        suites.append(
-            _Suite(
-                modules=[
-                    _Mod(ModuleType.KEY_SELECTION, kconf, index, len(suites)),
-                    _Mod(ModuleType.HASH_CALCULATION, hconf, index, len(suites)),
-                    _Mod(ModuleType.STATE_BANK, SConfig(passthrough=True),
-                         index, len(suites)),
-                    _Mod(ModuleType.RESULT_PROCESS, _continue_if(ranges),
-                         index, len(suites)),
-                ],
-                key_masks=((pred.field, max_value),),
-            )
-        )
+        key_masks = ((pred.field, max_value),)
+        suites.append(_suite(
+            index, len(suites), key_masks, KConfig(masks=key_masks),
+            HConfig(mode=HashMode.DIRECT, direct_field=pred.field),
+            _PASSTHROUGH, _continue_if(_ranges_for(pred, max_value)),
+        ))
     if not suites:
         raise CompilationError(f"filter {prim.describe()} lowered to nothing")
     return suites
 
 
 def _field_mask(name: str) -> int:
-    from repro.core.fields import GLOBAL_FIELDS
-
     return GLOBAL_FIELDS.get(name).max_value
 
 
@@ -361,86 +391,41 @@ def _ranges_for(pred: FieldPredicate, max_value: int) -> List[Tuple[int, int]]:
 
 def _lower_map(prim: Map, index: int) -> List[_Suite]:
     """map: only K is essential; H/S/R are the padding Opt.2 removes."""
-    kconf = KConfig(masks=tuple(sorted(prim.key_masks().items())))
-    return [
-        _Suite(
-            modules=[
-                _Mod(ModuleType.KEY_SELECTION, kconf, index, 0),
-                _Mod(ModuleType.HASH_CALCULATION, HConfig(), index, 0,
-                     essential=False),
-                _Mod(ModuleType.STATE_BANK, SConfig(passthrough=True), index, 0,
-                     essential=False),
-                _Mod(ModuleType.RESULT_PROCESS, RConfig(), index, 0,
-                     essential=False),
-            ],
-            key_masks=tuple(sorted(prim.key_masks().items())),
-        )
-    ]
+    key_masks = _sorted_masks(prim)
+    return [_suite(index, 0, key_masks, KConfig(masks=key_masks), _PAD_H,
+                   _PASSTHROUGH, _PAD_R, padding=(_H, _S, _R))]
 
 
-def _lower_sketch(prim, index: int, rows: int, registers: int,
-                  seed_alloc, stateful: SConfig, first_fold: ResultOp,
-                  rest_fold: ResultOp) -> List[_Suite]:
-    """Shared shape of reduce/distinct: one suite per sketch row + folds."""
-    key_masks = tuple(sorted(prim.key_masks().items()))
+def _lower_sketch(prim, index: int, rows: int, seed_alloc, stateful: SConfig,
+                  first: RConfig, later: RConfig) -> List[_Suite]:
+    """Shared shape of reduce/distinct: one suite per sketch row + folds.
+
+    Every row leases ``stateful.slice_size`` registers, which is also its
+    hash range.
+    """
+    key_masks = _sorted_masks(prim)
     kconf = KConfig(masks=key_masks)
-    suites: List[_Suite] = []
-    for row in range(rows):
-        fold = first_fold if row == 0 else rest_fold
-        rconf = RConfig(
-            source=MatchSource.STATE,
-            entries=(),
-            default=RAction(result_op=fold),
-        )
-        suites.append(
-            _Suite(
-                modules=[
-                    _Mod(ModuleType.KEY_SELECTION, kconf, index, row),
-                    _Mod(
-                        ModuleType.HASH_CALCULATION,
-                        HConfig(seed_index=seed_alloc(), range_size=registers),
-                        index, row,
-                    ),
-                    _Mod(ModuleType.STATE_BANK,
-                         replace(stateful, slice_size=registers), index, row),
-                    _Mod(ModuleType.RESULT_PROCESS, rconf, index, row),
-                ],
-                key_masks=key_masks,
-            )
-        )
-    return suites
+    registers = stateful.slice_size
+    return [
+        _suite(index, row, key_masks, kconf,
+               HConfig(seed_index=seed_alloc(), range_size=registers),
+               stateful, later if row else first)
+        for row in range(rows)
+    ]
 
 
 def _lower_distinct(prim: Distinct, index: int, params: QueryParams,
                     seed_alloc) -> List[_Suite]:
     """distinct: Bloom filter; pass only first-seen keys per window."""
-    base = SConfig(op=StatefulOp.OR, operand_source=OperandSource.CONST,
-                   operand_const=1, output_old=True)
+    stateful = SConfig(op=StatefulOp.OR, operand_source=OperandSource.CONST,
+                       operand_const=1, output_old=True,
+                       slice_size=params.distinct_registers)
     if params.bf_hashes == 1:
-        suites = _lower_sketch(
-            prim, index, 1, params.distinct_registers, seed_alloc,
-            base, ResultOp.NOP, ResultOp.NOP,
-        )
-        # Single row: the old bit alone decides membership.
-        suites[0].modules[-1].config = _continue_if([(0, 0)])
-        return suites
-    suites = _lower_sketch(
-        prim, index, params.bf_hashes, params.distinct_registers, seed_alloc,
-        base, ResultOp.PASS, ResultOp.MIN,
-    )
-    # Finalizer R: key is new iff min over the old bits is 0.
-    finalizer = RConfig(
-        source=MatchSource.GLOBAL,
-        entries=(RMatchEntry(0, 0, RAction()),),
-        default=RAction(stop=True),
-    )
-    suites.append(
-        _Suite(
-            modules=[_Mod(ModuleType.RESULT_PROCESS, finalizer, index,
-                          params.bf_hashes)],
-            key_masks=None,
-        )
-    )
+        return _lower_sketch(prim, index, 1, seed_alloc, stateful,
+                             _FIRST_SEEN, _FIRST_SEEN)
+    suites = _lower_sketch(prim, index, params.bf_hashes, seed_alloc,
+                           stateful, _FIRST_ROW, _LATER_ROW)
+    suites.append(_r_only(index, params.bf_hashes, _BLOOM_FINALIZER))
     return suites
 
 
@@ -450,14 +435,14 @@ def _lower_reduce(prim: Reduce, index: int, params: QueryParams,
     if prim.operand_field is not None:
         stateful = SConfig(op=StatefulOp.ADD,
                            operand_source=OperandSource.FIELD,
-                           operand_field=prim.operand_field)
+                           operand_field=prim.operand_field,
+                           slice_size=params.reduce_registers)
     else:
         stateful = SConfig(op=StatefulOp.ADD,
-                           operand_source=OperandSource.CONST, operand_const=1)
-    return _lower_sketch(
-        prim, index, params.cm_depth, params.reduce_registers, seed_alloc,
-        stateful, ResultOp.PASS, ResultOp.MIN,
-    )
+                           operand_source=OperandSource.CONST, operand_const=1,
+                           slice_size=params.reduce_registers)
+    return _lower_sketch(prim, index, params.cm_depth, seed_alloc, stateful,
+                         _FIRST_ROW, _LATER_ROW)
 
 
 def _lower_result_filter(prim: ResultFilter, index: int) -> List[_Suite]:
@@ -482,24 +467,12 @@ def _lower_result_filter(prim: ResultFilter, index: int) -> List[_Suite]:
         entries=tuple(entries),
         default=RAction(stop=True),
     )
-    return [
-        _Suite(
-            modules=[
-                _Mod(ModuleType.KEY_SELECTION,
-                     KConfig(masks=()), index, 0, essential=False),
-                _Mod(ModuleType.HASH_CALCULATION, HConfig(), index, 0,
-                     essential=False),
-                _Mod(ModuleType.STATE_BANK, SConfig(passthrough=True), index, 0,
-                     essential=False),
-                _Mod(ModuleType.RESULT_PROCESS, rconf, index, 0),
-            ],
-            key_masks=None,
-        )
-    ]
+    return [_suite(index, 0, None, _PAD_K, _PAD_H, _PASSTHROUGH, rconf,
+                   padding=(_K, _H, _S))]
 
 
 def _lower_sum_result_filter(prim: ResultFilter, index: int,
-                             key_masks: Tuple[Tuple[str, int], ...],
+                             key_masks: KeyMasks,
                              registers: int, seed_alloc) -> List[_Suite]:
     """Threshold on a byte-sum reduce.
 
@@ -531,22 +504,10 @@ def _lower_sum_result_filter(prim: ResultFilter, index: int,
     flag_s = SConfig(op=StatefulOp.OR, operand_source=OperandSource.CONST,
                      operand_const=1, output_old=True, slice_size=registers)
     return [
-        _Suite(
-            modules=[_Mod(ModuleType.RESULT_PROCESS, gate, index, 0)],
-            key_masks=None,
-        ),
-        _Suite(
-            modules=[
-                _Mod(ModuleType.KEY_SELECTION, KConfig(masks=key_masks),
-                     index, 1),
-                _Mod(ModuleType.HASH_CALCULATION,
-                     HConfig(seed_index=seed_alloc(), range_size=registers),
-                     index, 1),
-                _Mod(ModuleType.STATE_BANK, flag_s, index, 1),
-                _Mod(ModuleType.RESULT_PROCESS, flag_r, index, 1),
-            ],
-            key_masks=key_masks,
-        ),
+        _r_only(index, 0, gate),
+        _suite(index, 1, key_masks, KConfig(masks=key_masks),
+               HConfig(seed_index=seed_alloc(), range_size=registers),
+               flag_s, flag_r),
     ]
 
 
@@ -576,7 +537,7 @@ def _lower(query: Query, params: QueryParams, opts: Optimizations,
                     init_match[pred.field] = pred.to_init_match()
                 suites = (
                     _lower_filter(Filter(tuple(residue)), index, seed_alloc,
-                                  params, hash_family)
+                                  hash_family)
                     if residue else []
                 )
                 lowered.append(
@@ -585,7 +546,7 @@ def _lower(query: Query, params: QueryParams, opts: Optimizations,
                 )
                 continue
         if isinstance(prim, Filter):
-            suites = _lower_filter(prim, index, seed_alloc, params, hash_family)
+            suites = _lower_filter(prim, index, seed_alloc, hash_family)
         elif isinstance(prim, Map):
             suites = _lower_map(prim, index)
         elif isinstance(prim, Distinct):
@@ -600,7 +561,7 @@ def _lower(query: Query, params: QueryParams, opts: Optimizations,
             if last_reduce is not None and last_reduce.operand_field is not None:
                 suites = _lower_sum_result_filter(
                     prim, index,
-                    key_masks=tuple(sorted(last_reduce.key_masks().items())),
+                    key_masks=_sorted_masks(last_reduce),
                     registers=params.reduce_registers,
                     seed_alloc=seed_alloc,
                 )
@@ -627,9 +588,10 @@ def _apply_opt2_and_sets(lowered: List[_LoweredPrimitive],
 
     Returns the surviving modules in logical order with ``set_id`` fixed.
     """
-    theta: Dict[int, Optional[Tuple]] = {0: None, 1: None}
+    theta: Dict[int, Optional[KeyMasks]] = {0: None, 1: None}
     prev_set = 1  # first key-bearing primitive lands in set 0
     surviving: List[_Mod] = []
+    remove = opts.opt2_remove_modules
 
     for lp in lowered:
         if lp.absorbed:
@@ -643,9 +605,9 @@ def _apply_opt2_and_sets(lowered: List[_LoweredPrimitive],
             set_id = prev_set
         elif not opts.opt3_vertical_composition:
             set_id = 0
-        elif opts.opt2_remove_modules and theta[0] == key_masks:
+        elif remove and theta[0] == key_masks:
             set_id = 0  # reuse set 0's live selection, K becomes redundant
-        elif opts.opt2_remove_modules and theta[1] == key_masks:
+        elif remove and theta[1] == key_masks:
             set_id = 1
         else:
             set_id = 1 - prev_set  # alternate sets (vertical composition)
@@ -653,15 +615,14 @@ def _apply_opt2_and_sets(lowered: List[_LoweredPrimitive],
         for suite in lp.suites:
             for mod in suite.modules:
                 mod.set_id = set_id
-                if opts.opt2_remove_modules:
+                if remove:
                     if not mod.essential:
                         continue  # unused module (Opt.2, first kind)
-                    if mod.mtype is ModuleType.KEY_SELECTION:
+                    if mod.mtype is _K:
                         if suite.key_masks == theta[set_id]:
                             continue  # redundant K (Opt.2, second kind)
                         theta[set_id] = suite.key_masks
-                elif (mod.mtype is ModuleType.KEY_SELECTION
-                        and suite.key_masks is not None):
+                elif mod.mtype is _K and suite.key_masks is not None:
                     theta[set_id] = suite.key_masks
                 surviving.append(mod)
         prev_set = set_id
@@ -674,29 +635,38 @@ def _apply_opt2_and_sets(lowered: List[_LoweredPrimitive],
 
 _KEYS, _HASH, _STATE, _GLOBAL = "keys", "hash", "state", "global"
 
+#: A PHV container: ``(kind, set id)``, or ``(_GLOBAL,)`` for the one
+#: global result.
+Container = Tuple
 
-def _containers(mod: _Mod) -> Tuple[FrozenSet, FrozenSet]:
+
+def _containers(mod: _Mod) -> Tuple[Tuple[Container, ...],
+                                    Tuple[Container, ...]]:
     """(reads, writes) in terms of PHV containers, for dependency checks."""
-    sid = mod.set_id
-    if mod.mtype is ModuleType.KEY_SELECTION:
-        return frozenset(), frozenset({(_KEYS, sid)})
-    if mod.mtype is ModuleType.HASH_CALCULATION:
+    sid, mtype = mod.set_id, mod.mtype
+    if mtype is _K:
+        return (), ((_KEYS, sid),)
+    if mtype is _H:
         config: HConfig = mod.config  # type: ignore[assignment]
-        reads = frozenset() if config.mode == HashMode.DIRECT else frozenset(
-            {(_KEYS, sid)}
-        )
-        return reads, frozenset({(_HASH, sid)})
-    if mod.mtype is ModuleType.STATE_BANK:
-        return frozenset({(_HASH, sid)}), frozenset({(_STATE, sid)})
+        reads = () if config.mode == HashMode.DIRECT else ((_KEYS, sid),)
+        return reads, ((_HASH, sid),)
+    if mtype is _S:
+        return ((_HASH, sid),), ((_STATE, sid),)
     # R reads its set's state result and the global result, writes global.
-    return (
-        frozenset({(_STATE, sid), (_GLOBAL,)}),
-        frozenset({(_GLOBAL,)}),
-    )
+    return ((_STATE, sid), (_GLOBAL,)), ((_GLOBAL,),)
 
 
 def _schedule(mods: List[_Mod], compact: bool) -> int:
     """Assign stages; return the stage count.
+
+    A greedy list schedule in logical order: each module takes the first
+    stage its dependencies on earlier modules allow whose slot of its
+    type is still free.  A true or output dependency puts it after every
+    earlier writer of a container it reads or writes, and an
+    anti-dependency no earlier than every earlier reader of a container
+    it writes.  So one pass keeps two numbers per container, the latest
+    stage that wrote it and the latest that read it, and a module costs
+    a few lookups instead of a comparison with every earlier module.
 
     ``compact=False`` reproduces the naive composition: one module per
     stage in logical order.
@@ -706,57 +676,37 @@ def _schedule(mods: List[_Mod], compact: bool) -> int:
             mod.stage = stage
         return len(mods)
 
-    deps = [_containers(mod) for mod in mods]
-    unassigned = set(range(len(mods)))
-    stage = 0
-    while unassigned:
-        used_types: set = set()
-        placed_now: List[int] = []
-        for i in range(len(mods)):
-            if i not in unassigned:
-                continue
-            mod = mods[i]
-            if mod.mtype in used_types:
-                continue
-            reads_i, writes_i = deps[i]
-            ok = True
-            for j in range(i):
-                reads_j, writes_j = deps[j]
-                true_dep = writes_j & reads_i
-                anti_dep = reads_j & writes_i
-                out_dep = writes_j & writes_i
-                if not (true_dep or anti_dep or out_dep):
-                    continue
-                if j in unassigned:
-                    ok = False  # ordering not yet realisable
-                    break
-                sj = mods[j].stage
-                if (true_dep or out_dep) and not sj < stage:
-                    ok = False
-                    break
-                if anti_dep and not sj <= stage:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # Also respect modules placed in this very stage.
-            for j in placed_now:
-                if j >= i:
-                    continue
-                reads_j, writes_j = deps[j]
-                if (writes_j & reads_i) or (writes_j & writes_i):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mod.stage = stage
-            used_types.add(mod.mtype)
-            placed_now.append(i)
-            unassigned.discard(i)
-        stage += 1
-        if stage > 4 * len(mods) + 4:  # pragma: no cover - safety net
-            raise CompilationError("scheduler failed to converge")
-    return max((m.stage for m in mods), default=-1) + 1
+    written: Dict[Container, int] = {}
+    read: Dict[Container, int] = {}
+    taken: Dict[ModuleType, set] = {mtype: set() for mtype in MODULE_ORDER}
+    count = 0
+    for mod in mods:
+        reads, writes = _containers(mod)
+        stage = 0
+        for container in reads:  # true dependencies
+            last = written.get(container, -1)
+            if last >= stage:
+                stage = last + 1
+        for container in writes:  # output and anti-dependencies
+            last = written.get(container, -1)
+            if last >= stage:
+                stage = last + 1
+            last = read.get(container, 0)
+            if last > stage:
+                stage = last
+        slots = taken[mod.mtype]
+        while stage in slots:
+            stage += 1
+        slots.add(stage)
+        mod.stage = stage
+        if stage >= count:
+            count = stage + 1
+        for container in writes:
+            written[container] = stage
+        for container in reads:
+            if read.get(container, 0) < stage:
+                read[container] = stage
+    return count
 
 
 # --------------------------------------------------------------------------- #
@@ -788,22 +738,16 @@ def compile_query(
             f"query expresses no intent"
         )
     num_stages = _schedule(mods, compact=opts.opt3_vertical_composition)
-    specs = tuple(
-        ModuleRuleSpec(
-            qid=query.qid,
-            step=step,
-            module_type=mod.mtype,
-            set_id=mod.set_id,
-            stage=mod.stage,
-            config=mod.config,
-            suite_index=mod.suite_index,
-            primitive_index=mod.primitive_index,
-        )
+    qid = query.qid
+    # Positional, in field order: keywords cost a quarter of the emission.
+    specs = tuple([
+        ModuleRuleSpec(qid, step, mod.mtype, mod.set_id, mod.stage,
+                       mod.config, mod.suite_index, mod.primitive_index)
         for step, mod in enumerate(mods)
-    )
-    init_entry = NewtonInitEntry.build(query.qid, init_match, priority=0)
+    ])
+    init_entry = NewtonInitEntry.build(qid, init_match, priority=0)
     compiled = CompiledQuery(
-        qid=query.qid,
+        qid=qid,
         specs=specs,
         init_entries=(init_entry,),
         num_stages=num_stages,

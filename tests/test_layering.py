@@ -59,6 +59,13 @@
   ``engine/vector.py`` hold at most ``ENGINE_LINE_CAP`` physical lines
   together (ROADMAP item 4's cap), so a faster op path pays for its
   lines elsewhere in the two files.
+* The stage scheduler and the dependency pass (NV1xx) that re-checks it
+  stay two derivations: ``core/compiler.py`` imports nothing from
+  ``repro.verify`` when it is imported (its self-check imports the pass
+  inside ``compile_query``), ``verify/dependencies.py`` names neither of
+  the compiler's ``_containers`` / ``_schedule``, and the compiler holds
+  at most ``COMPILER_LINE_CAP`` physical lines, so a faster schedule
+  pays for its lines elsewhere in the file.
 * numpy is the only third-party module the package imports, at module
   or function level: every other import under ``src/repro`` is the
   package itself or a standard-library module named in ``STDLIB``
@@ -89,6 +96,9 @@ STRICT = ["verify", "engine", "core/ops.py", "core/admission.py",
 #: Physical lines ``engine/program.py`` + ``engine/vector.py`` may hold.
 ENGINE_LINE_CAP = 1765
 ENGINE_FILES = ("engine/program.py", "engine/vector.py")
+#: Physical lines ``core/compiler.py`` may hold: its size before the
+#: one-pass scheduler.
+COMPILER_LINE_CAP = 931
 #: The package's runtime dependencies, beside itself.
 RUNTIME = {"repro", "numpy"}
 #: Standard-library modules the package imports; a new one is added here.
@@ -302,6 +312,38 @@ def registry_keys_read(source):
     return re.findall(r"""EXPERIMENTS\[["']([\w-]+)["']\]""", source)
 
 
+def module_level(tree):
+    """The nodes that run when the module is imported: all but function
+    bodies (a class body runs, so it counts)."""
+    yield tree
+    for child in ast.iter_child_nodes(tree):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield from module_level(child)
+
+
+def verify_import(node):
+    """``repro.verify`` or one of its modules imported."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("repro.verify")
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("repro.verify") or (
+            node.module == "repro"
+            and any(alias.name == "verify" for alias in node.names)
+        )
+    return False
+
+
+def compiler_scheduler(node):
+    """The compiler's ``_containers`` / ``_schedule`` imported (under any
+    alias) or referenced."""
+    names = ("_containers", "_schedule")
+    if isinstance(node, ast.alias):
+        return node.name in names
+    return tail_name(node) in names
+
+
 def third_party_import(node):
     """An absolute import of a module that is neither the package, numpy
     nor on the standard-library allowlist."""
@@ -508,6 +550,29 @@ def test_physical_lines_count_blank_and_comment_lines():
     assert physical_lines("") == 0
 
 
+def test_the_scheduler_and_its_check_stay_two_derivations():
+    (_, compiler), = trees("core/compiler.py")
+    assert [node.lineno for node in module_level(compiler)
+            if verify_import(node)] == []
+    assert violations("verify/dependencies.py", compiler_scheduler) == []
+    assert physical_lines(
+        (SRC / "core" / "compiler.py").read_text()) <= COMPILER_LINE_CAP
+
+
+def test_module_level_skips_function_bodies_only():
+    tree = ast.parse(
+        "import os\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.verify import Diagnostic\n"
+        "def compile_query():\n"
+        "    from repro.verify.dependencies import check_dependencies\n"
+        "class Spec:\n"
+        "    import repro.verify\n"
+    )
+    assert [node.lineno for node in module_level(tree)
+            if verify_import(node)] == [3, 7]
+
+
 def test_numpy_is_the_only_third_party_import():
     assert violations("", third_party_import) == []
 
@@ -643,6 +708,19 @@ def test_owners_names_the_innermost_function():
     (own_figure_renderer,
      "from repro.experiments.exp_fig7 import figure7, render_figure7", True),
     (own_figure_renderer, "from repro.experiments import EXPERIMENTS", False),
+    (verify_import, "from repro.verify.dependencies import check_dependencies",
+     True),
+    (verify_import, "import repro.verify as verify", True),
+    (verify_import, "from repro import verify", True),
+    (verify_import, "from repro.core.rules import HConfig", False),
+    (verify_import, "from repro import core", False),
+    (compiler_scheduler, "from repro.core.compiler import _containers", True),
+    (compiler_scheduler, "from repro.core.compiler import _schedule as s",
+     True),
+    (compiler_scheduler, "compiler._schedule(mods, compact=True)", True),
+    (compiler_scheduler, "from repro.core.compiler import CompiledQuery",
+     False),
+    (compiler_scheduler, "reads, writes = containers_of(spec)", False),
     (third_party_import, "import networkx as nx", True),
     (third_party_import, "from networkx import Graph", True),
     (third_party_import, "def f():\n import scipy.stats as st", True),

@@ -47,6 +47,7 @@ from repro.collector.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.core.rules import QuerySlice
 from repro.ctrlplane.channel import ChannelFault
 from repro.ctrlplane.journal import JournalEntry, TransactionJournal
+from repro.dataplane.pipeline import PlanMemo
 from repro.dataplane.switch import Switch
 from repro.runtime.channel import FLIP_OVERHEAD_S, ControlChannel
 
@@ -214,16 +215,19 @@ class TransactionManager:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _stage_missing(switch: Switch, ops: SwitchOps, target: int) -> int:
+    def _stage_missing(switch: Switch, ops: SwitchOps, target: int,
+                       plans: PlanMemo) -> int:
         """Stage every not-yet-staged slice for ``target``; idempotent,
-        and self-healing after a reboot wiped the shadow bank."""
+        and self-healing after a reboot wiped the shadow bank.  ``plans``
+        is the transaction's placement memo: a switch in a state already
+        planned for applies that plan."""
         staged = 0
         for query_slice in ops.stage:
             if switch.pipeline.has_staged(
                 query_slice.qid, query_slice.slice_index, target
             ):
                 continue
-            staged += switch.stage_slice(query_slice, target)
+            staged += switch.stage_slice(query_slice, target, plans)
         return staged
 
     @staticmethod
@@ -234,8 +238,8 @@ class TransactionManager:
             marked += switch.retire_query(qid, target)
         return marked
 
-    def _commit_one(self, switch: Switch, ops: SwitchOps,
-                    target: int) -> None:
+    def _commit_one(self, switch: Switch, ops: SwitchOps, target: int,
+                    plans: PlanMemo) -> None:
         """Flip one participant to ``target``.
 
         Idempotent (a lost acknowledgement retry finds the flip already
@@ -245,7 +249,7 @@ class TransactionManager:
         """
         if switch.rule_epoch >= target:
             return
-        self._stage_missing(switch, ops, target)
+        self._stage_missing(switch, ops, target, plans)
         self._retire_all(switch, ops, target)
         switch.commit_epoch(target)
 
@@ -389,6 +393,8 @@ class TransactionManager:
             raise exc
 
         self.channel.begin_transaction(txn_id)
+        # Placement plans by switch state, for this transaction alone.
+        plans: PlanMemo = {}
         delays: Dict[object, float] = {}
         retries = 0
         rules_staged = 0
@@ -403,7 +409,7 @@ class TransactionManager:
                     _, sent, used = self._send_retrying(
                         "prepare", "install", payload, switch,
                         lambda s=switch, o=ops:
-                            self._stage_missing(s, o, target),
+                            self._stage_missing(s, o, target, plans),
                     )
                     delay += sent
                     retries += used
@@ -437,7 +443,8 @@ class TransactionManager:
                 switch = self.switches[sid]
                 _, sent, used = self._send_retrying(
                     "commit", "commit", 0, switch,
-                    lambda s=switch, o=ops: self._commit_one(s, o, target),
+                    lambda s=switch, o=ops:
+                        self._commit_one(s, o, target, plans),
                     overhead_s=FLIP_OVERHEAD_S,
                 )
                 delays[sid] = delays.get(sid, 0.0) + sent

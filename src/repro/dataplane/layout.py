@@ -38,7 +38,6 @@ __all__ = [
     "LayoutKind",
     "ModuleLayout",
     "WRITE_READ_DEPENDENCIES",
-    "can_share_stage",
 ]
 
 #: Intra-metadata-set write-read pairs (writer, reader) from Figure 4.
@@ -49,22 +48,6 @@ WRITE_READ_DEPENDENCIES: Tuple[Tuple[ModuleType, ModuleType], ...] = (
     (ModuleType.HASH_CALCULATION, ModuleType.STATE_BANK),
     (ModuleType.STATE_BANK, ModuleType.RESULT_PROCESS),
 )
-
-
-def can_share_stage(writer: Tuple[ModuleType, int],
-                    reader: Tuple[ModuleType, int]) -> bool:
-    """Whether two modules may share a physical stage.
-
-    Modules of different metadata sets never conflict (that is the point of
-    the compact layout); same-set modules conflict when one reads what the
-    other writes.
-    """
-    (w_type, w_set), (r_type, r_set) = writer, reader
-    if w_set != r_set:
-        return True
-    return (w_type, r_type) not in WRITE_READ_DEPENDENCIES and (
-        (r_type, w_type) not in WRITE_READ_DEPENDENCIES
-    )
 
 
 class LayoutKind:

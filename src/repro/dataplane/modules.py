@@ -176,21 +176,18 @@ class StateBankModule(ModuleInstance):
 
     def install(self, spec: ModuleRuleSpec,
                 key: Optional[Tuple] = None,
-                vacating: Tuple[Tuple, ...] = ()) -> None:
-        """Install the rule and lease its register slice.
-
-        ``vacating`` forwards the make-before-break hint to the register
-        allocator: storage keys of the outgoing bank that will free at
-        post-commit GC (see :meth:`RegisterArray.allocate`).
-        """
+                offset: Optional[int] = None) -> None:
+        """Install the rule and lease its register slice: at ``offset``,
+        where the placement plan put it, or first fit without one."""
         config: SConfig = spec.config  # type: ignore[assignment]
         storage_key = key if key is not None else spec.key
         super().install(spec, key=storage_key)
         if not config.passthrough:
             try:
-                self.array.allocate(
-                    storage_key, config.slice_size, vacating=vacating
-                )
+                if offset is None:
+                    self.array.allocate(storage_key, config.slice_size)
+                else:
+                    self.array.lease(storage_key, config.slice_size, offset)
             except Exception:
                 # Keep rule table and register allocations consistent.
                 self.rules.remove(storage_key)

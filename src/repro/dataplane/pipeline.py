@@ -35,21 +35,24 @@ visit what they change, never every resident version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.packet import Packet
-from repro.core.rules import ModuleRuleSpec, QuerySlice, Report
+from repro.core.rules import ModuleRuleSpec, QuerySlice, Report, SConfig
 from repro.dataplane.hashing import HashFamily
 from repro.dataplane.layout import LayoutKind, ModuleLayout
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.modules import (
     DEFAULT_REGISTER_ARRAY_SIZE,
     ExecutionEnv,
+    ModuleInstance,
     StateBankModule,
 )
 from repro.dataplane.phv import PhvContext
+from repro.dataplane.registers import carve, find_offset
 from repro.dataplane.tables import (
     DEFAULT_TABLE_CAPACITY,
+    TernaryEntry,
     TernaryRule,
     TernaryTable,
 )
@@ -61,6 +64,10 @@ TOFINO_DEFAULT_STAGES = 12
 
 #: Epoch-tagged storage key of one module rule: (qid, step, rule epoch).
 StorageKey = Tuple[str, int, int]
+#: One placed module rule: (local stage, spec, storage key).
+PlacedRule = Tuple[int, ModuleRuleSpec, StorageKey]
+#: A register extent ``(start, end)``.
+Extent = Tuple[int, int]
 
 
 def _by_order(installed: "_Installed") -> Tuple[int, int]:
@@ -80,6 +87,21 @@ class PipelineResult:
     rule_epochs: Dict[str, int] = field(default_factory=dict)
 
 
+#: A placement plan: where one slice's rules go on a switch in one state,
+#: read off a switch by ``_plan`` and written to each switch in that state
+#: by ``_apply``.  It holds the ``placed`` record (a search that fails ends
+#: it at the rule it failed on); each rule's register offset (``None``
+#: where it leases nothing or the search found no room: the S module's
+#: first fit then raises too); the storage keys by rule key; and the
+#: register extents leased in each local stage's bank.
+Plan = Tuple[Tuple[PlacedRule, ...], Tuple[Optional[int], ...],
+             Dict[Tuple[str, int], StorageKey], Dict[int, Tuple[Extent, ...]]]
+#: One transaction's placement plans: ``(qid, slice index, epoch)`` ->
+#: (the slice, the stages of its S rules, state -> plan).
+PlanMemo = Dict[Tuple[str, int, int],
+                Tuple[QuerySlice, Tuple[int, ...], Dict[tuple, Plan]]]
+
+
 @dataclass(eq=False)
 class _Installed:
     """Book-keeping for one installed version of one slice (compared and
@@ -87,14 +109,20 @@ class _Installed:
 
     query_slice: QuerySlice
     #: (local stage, spec, epoch-tagged storage key) per module rule.
-    placed: Tuple[Tuple[int, ModuleRuleSpec, StorageKey], ...]
-    init_rules: Tuple[TernaryRule, ...]
+    placed: Tuple[PlacedRule, ...]
+    #: The module holding each rule of ``placed``, in the same order.
+    modules: Tuple[ModuleInstance, ...]
+    #: This version's ``newton_init`` entries, as inserted.
+    init_entries: Tuple[TernaryEntry, ...]
     #: First rule epoch this version serves.
     epoch_from: int
     #: Rule key -> storage key of its first entry in ``placed``.
     storage_keys: Dict[Tuple[str, int], StorageKey]
+    #: Local stage -> the register extents this version leases in that
+    #: stage's bank: what a successor staged over it vacates at GC.
+    extents: Dict[int, Tuple[Extent, ...]]
     #: Exclusive end of service (None = open); set by ``retire_query``.
-    epoch_until: Optional[int] = None
+    epoch_until: Optional[int] = field(default=None, init=False)
     #: Where ``resident_versions`` meets this version: the placement
     #: number of the version that created its ``(qid, slice_index)``
     #: entry, then its own.  Sorting a subset by it walks that subset in
@@ -108,7 +136,7 @@ class _Installed:
 
     @property
     def entry_count(self) -> int:
-        return len(self.placed) + len(self.init_rules)
+        return len(self.placed) + len(self.init_entries)
 
 
 class NewtonPipeline:
@@ -176,12 +204,12 @@ class NewtonPipeline:
         self._marked: Dict[_Installed, int] = {}
         #: Versions placed so far (numbers :attr:`_Installed.order`).
         self._placements = 0
-        #: Highest ``epoch_from`` placed since the last wipe: once the
-        #: active epoch reaches it, nothing can be staged.
-        self._newest_epoch = 0
+        #: The staged versions: placed for an epoch the active one has
+        #: not reached (what ``staged_rule_count`` sums).
+        self._staged: Dict[_Installed, None] = {}
         #: (local stage, module type) -> module rules resident in that
         #: slot's table, every bank counted (active, staged, retired).
-        #: Kept up to date by :meth:`_place` and :meth:`_unplace`, the
+        #: Kept up to date by :meth:`_apply` and :meth:`_unplace`, the
         #: only two places module tables change; a slot at zero has no
         #: entry.  ``PipelineModel.of_switch`` copies it.
         self.slot_rules: Dict[Tuple[int, ModuleType], int] = {}
@@ -190,82 +218,135 @@ class NewtonPipeline:
     # Rule management                                                    #
     # ------------------------------------------------------------------ #
 
-    def _versions(self, qid: str, slice_index: int) -> List[_Installed]:
-        return self._slices.get((qid, slice_index), [])
-
     def _version_at(self, qid: str, slice_index: int,
                     at_epoch: int) -> Optional[_Installed]:
-        for installed in self._versions(qid, slice_index):
+        for installed in self._slices.get((qid, slice_index), ()):
             if installed.valid_at(at_epoch):
                 return installed
         return None
 
-    def _place(self, query_slice: QuerySlice, epoch_from: int) -> _Installed:
+    def _place(self, query_slice: QuerySlice, epoch_from: int,
+               plans: Optional[PlanMemo] = None) -> _Installed:
         """Physically insert a slice's rules tagged with ``epoch_from``
-        and record the version as resident.
-
-        Insertion is transactional at the switch level: a failure (full
-        table, exhausted register array) rolls back everything already
-        inserted — Newton must never wedge a running switch halfway
-        through a rule operation; the rollback takes its rules back out
-        of :attr:`slot_rules` too.
+        and record the version as resident: apply the placement plan for
+        this switch's state, from ``plans`` (one transaction's memo) when
+        a switch in the same state was planned for.  The state is what
+        the search reads — the layout's shape and, for the bank of each S
+        rule, its free runs and the outgoing version's extents there —
+        read off this switch now, so a switch wiped mid-transaction or
+        fragmented otherwise plans on its own.
         """
-        placed: List[Tuple[int, ModuleRuleSpec, StorageKey]] = []
-        init_rules: List[TernaryRule] = []
-        storage_keys: Dict[Tuple[str, int], StorageKey] = {}
-        layout = self.layout
-        slot_rules = self.slot_rules
-        # Make-before-break hint: when staging a future-epoch replacement
-        # over a currently-active version of the same slice, the active
-        # bank's register slices will free at post-commit GC — tell the
-        # allocator so repeated hitless updates do not fragment the array
-        # (see RegisterArray.allocate).
-        vacating: Tuple[StorageKey, ...] = ()
+        # Make-before-break hint: the outgoing version's register slices
+        # free at post-commit GC, and the search anchors around them so
+        # hitless updates do not fragment the array (RegisterArray.allocate).
+        vacating: Dict[int, Tuple[Extent, ...]] = {}
         if epoch_from > self.rule_epoch:
             outgoing = self._version_at(
                 query_slice.qid, query_slice.slice_index, self.rule_epoch
             )
             if outgoing is not None and outgoing.epoch_from != epoch_from:
-                vacating = tuple(sk for _, _, sk in outgoing.placed)
-        try:
-            for spec in sorted(query_slice.specs, key=lambda s: s.step):
-                local_stage = spec.stage - query_slice.stage_base
-                module = layout.module_at(local_stage, spec.module_type)
-                if module is None:
-                    raise ValueError(
-                        f"layout has no {spec.module_type.symbol} module in "
-                        f"stage {local_stage}"
-                    )
-                storage_key: StorageKey = (spec.qid, spec.step, epoch_from)
-                if vacating and isinstance(module, StateBankModule):
-                    module.install(spec, key=storage_key, vacating=vacating)
+                vacating = outgoing.extents
+        if plans is None:
+            return self._apply(query_slice, epoch_from,
+                               self._plan(query_slice, epoch_from, vacating))
+        name = (query_slice.qid, query_slice.slice_index, epoch_from)
+        memo = plans.get(name)
+        if memo is None or memo[0] is not query_slice:
+            memo = plans[name] = (query_slice, tuple(
+                spec.stage - query_slice.stage_base
+                for spec in query_slice.specs
+                if spec.module_type is ModuleType.STATE_BANK
+            ), {})
+        _, stages, by_state = memo
+        banks = self.layout.bank_at
+        state = (self.layout.kind, len(banks)) + tuple(
+            (vacating.get(stage), banks[stage].array.free_runs()
+             if stage < len(banks) and banks[stage] else None)
+            for stage in stages
+        )
+        plan = by_state.get(state)
+        if plan is None:
+            plan = by_state[state] = self._plan(query_slice, epoch_from,
+                                                vacating)
+        return self._apply(query_slice, epoch_from, plan)
+
+    def _plan(self, query_slice: QuerySlice, epoch_from: int,
+              vacating: Dict[int, Tuple[Extent, ...]]) -> Plan:
+        """The placement search, read-only: each rule's slot, storage
+        key and register offset, in step order (see :data:`Plan`)."""
+        placed: List[PlacedRule] = []
+        offsets: List[Optional[int]] = []
+        storage_keys: Dict[Tuple[str, int], StorageKey] = {}
+        extents: Dict[int, Tuple[Extent, ...]] = {}
+        free: Dict[int, List[Extent]] = {}
+        for spec in sorted(query_slice.specs, key=lambda s: s.step):
+            local_stage = spec.stage - query_slice.stage_base
+            storage_key: StorageKey = (spec.qid, spec.step, epoch_from)
+            placed.append((local_stage, spec, storage_key))
+            storage_keys.setdefault(spec.key, storage_key)
+            module = self.layout.module_at(local_stage, spec.module_type)
+            config: SConfig = spec.config  # type: ignore[assignment]
+            offset = None
+            if isinstance(module, StateBankModule) and not config.passthrough:
+                runs = free.setdefault(local_stage,
+                                       list(module.array.free_runs()))
+                offset = find_offset(runs, config.slice_size,
+                                     vacating.get(local_stage, ()))
+                if offset is None:
+                    module = None
                 else:
-                    module.install(spec, key=storage_key)
-                placed.append((local_stage, spec, storage_key))
-                storage_keys.setdefault(spec.key, storage_key)
-                slot = (local_stage, spec.module_type)
+                    end = offset + config.slice_size
+                    carve(runs, offset, end)
+                    extents[local_stage] = (*extents.get(local_stage, ()),
+                                            (offset, end))
+            offsets.append(offset)
+            if module is None:
+                break
+        return tuple(placed), tuple(offsets), storage_keys, extents
+
+    def _apply(self, query_slice: QuerySlice, epoch_from: int,
+               plan: Plan) -> _Installed:
+        """Insert the rules, lease the planned offsets, count the slots,
+        insert the ``newton_init`` entries and record the version.
+
+        Any failure (a full table, a planned offset not free, the
+        search's own) rolls back everything inserted, out of
+        :attr:`slot_rules` too: Newton must never wedge a running switch
+        halfway through a rule operation.
+        """
+        placed, offsets, storage_keys, extents = plan
+        modules: List[ModuleInstance] = []
+        init_entries: List[TernaryEntry] = []
+        module_at = self.layout.module_at
+        slot_rules = self.slot_rules
+        try:
+            for (stage, spec, key), offset in zip(placed, offsets):
+                module = module_at(stage, spec.module_type)
+                if module is None:
+                    raise ValueError(f"layout has no {spec.module_type.symbol}"
+                                     f" module in stage {stage}")
+                if isinstance(module, StateBankModule):
+                    module.install(spec, key, offset)
+                else:
+                    module.install(spec, key)
+                modules.append(module)
+                slot = (stage, spec.module_type)
                 slot_rules[slot] = slot_rules.get(slot, 0) + 1
             for entry in query_slice.init_entries:
-                rule = TernaryRule(
-                    match=entry.match, priority=entry.priority, action=entry.qid
-                )
-                self.newton_init.insert(rule, epoch_from=epoch_from)
-                init_rules.append(rule)
+                init_entries.append(self.newton_init.insert(TernaryRule(
+                    match=entry.match, priority=entry.priority,
+                    action=entry.qid), epoch_from=epoch_from))
         except Exception:
-            for local_stage, spec, storage_key in placed:
-                self._remove_rule(local_stage, spec, storage_key)
-            for rule in init_rules:
-                self.newton_init.remove(rule, epoch_from=epoch_from)
+            self._remove_rules(placed, modules)
+            for entry in init_entries:
+                self.newton_init.remove(entry)
             raise
-        installed = _Installed(
-            query_slice=query_slice,
-            placed=tuple(placed),
-            init_rules=tuple(init_rules),
-            epoch_from=epoch_from,
-            storage_keys=storage_keys,
-        )
+        installed = _Installed(query_slice, placed, tuple(modules),
+                               tuple(init_entries), epoch_from, storage_keys,
+                               extents)
         self._placements += 1
-        self._newest_epoch = max(self._newest_epoch, epoch_from)
+        if epoch_from > self.rule_epoch:
+            self._staged[installed] = None
         key = (query_slice.qid, query_slice.slice_index)
         versions = self._slices.setdefault(key, [])
         first = versions[0].order[0] if versions else self._placements
@@ -276,11 +357,11 @@ class NewtonPipeline:
         return installed
 
     def _unplace(self, installed: _Installed) -> int:
-        """Physically delete one version's rules; returns entries removed."""
-        for local_stage, spec, storage_key in installed.placed:
-            self._remove_rule(local_stage, spec, storage_key)
-        for rule in installed.init_rules:
-            self.newton_init.remove(rule, epoch_from=installed.epoch_from)
+        """Physically delete one version's rules through the modules and
+        entries it holds; returns entries removed."""
+        self._remove_rules(installed.placed, installed.modules)
+        for entry in installed.init_entries:
+            self.newton_init.remove(entry)
         qid, slice_index = (installed.query_slice.qid,
                             installed.query_slice.slice_index)
         versions = self._slices[(qid, slice_index)]
@@ -292,20 +373,21 @@ class NewtonPipeline:
         if not versions:
             del self._by_qid[qid]
         self._marked.pop(installed, None)
+        self._staged.pop(installed, None)
         return installed.entry_count
 
-    def _remove_rule(self, local_stage: int, spec: ModuleRuleSpec,
-                     storage_key: StorageKey) -> None:
-        """Delete one placed module rule and uncount it."""
-        module = self.layout.module_at(local_stage, spec.module_type)
-        assert module is not None
-        module.remove(storage_key)
-        slot = (local_stage, spec.module_type)
-        left = self.slot_rules[slot] - 1
-        if left:
-            self.slot_rules[slot] = left
-        else:
-            del self.slot_rules[slot]
+    def _remove_rules(self, placed: Sequence[PlacedRule],
+                      modules: Sequence[ModuleInstance]) -> None:
+        """Delete the first ``len(modules)`` placed rules and uncount them."""
+        slot_rules = self.slot_rules
+        for (local_stage, spec, storage_key), module in zip(placed, modules):
+            module.remove(storage_key)
+            slot = (local_stage, spec.module_type)
+            left = slot_rules[slot] - 1
+            if left:
+                slot_rules[slot] = left
+            else:
+                del slot_rules[slot]
 
     def install_slice(self, query_slice: QuerySlice) -> int:
         """Install a slice into the active bank (visible immediately);
@@ -318,8 +400,10 @@ class NewtonPipeline:
             )
         return self._place(query_slice, epoch_from=self.rule_epoch).entry_count
 
-    def stage_slice(self, query_slice: QuerySlice, epoch: int) -> int:
-        """Install a slice into the shadow bank of rule epoch ``epoch``.
+    def stage_slice(self, query_slice: QuerySlice, epoch: int,
+                    plans: Optional[PlanMemo] = None) -> int:
+        """Install a slice into the shadow bank of rule epoch ``epoch``
+        (``plans``: the transaction's placement memo, see :meth:`_place`).
 
         The rules are resident (consuming real capacity) but serve no
         packet until :meth:`commit_epoch` flips to ``epoch``.
@@ -334,15 +418,15 @@ class NewtonPipeline:
                 f"slice {query_slice.slice_index} of query "
                 f"{query_slice.qid!r} already staged for epoch {epoch}"
             )
-        return self._place(query_slice, epoch_from=epoch).entry_count
+        return self._place(query_slice, epoch, plans).entry_count
 
     def has_staged(self, qid: str, slice_index: int, epoch: int) -> bool:
         """True iff this exact slice is already staged for ``epoch``
         (the idempotency probe for retried control messages)."""
-        return any(
-            installed.epoch_from == epoch
-            for installed in self._versions(qid, slice_index)
-        )
+        for installed in self._slices.get((qid, slice_index), ()):
+            if installed.epoch_from == epoch:
+                return True
+        return False
 
     def retire_query(self, qid: str, epoch: int) -> int:
         """Mark every active version of ``qid`` to stop serving at
@@ -363,10 +447,8 @@ class NewtonPipeline:
             if installed.epoch_until == epoch:
                 continue
             installed.epoch_until = self._marked[installed] = epoch
-            for rule in installed.init_rules:
-                self.newton_init.retire(
-                    rule, epoch, epoch_from=installed.epoch_from
-                )
+            for entry in installed.init_entries:
+                entry.epoch_until = epoch
             marked += installed.entry_count
         if marked:
             self.mutation_seq += 1
@@ -380,6 +462,7 @@ class NewtonPipeline:
         if epoch <= self.rule_epoch:
             return False
         self.rule_epoch = epoch
+        self._staged = {v: None for v in self._staged if v.epoch_from > epoch}
         self.mutation_seq += 1
         return True
 
@@ -392,6 +475,8 @@ class NewtonPipeline:
         if epoch >= self.rule_epoch:
             return False
         self.rule_epoch = epoch
+        self._staged = {v: None for _q, _i, v in self.resident_versions()
+                        if v.epoch_from > epoch}
         self.mutation_seq += 1
         return True
 
@@ -399,15 +484,7 @@ class NewtonPipeline:
         """Drop every staged (future-epoch) version and clear pending
         retire marks, restoring the active bank exactly; returns the
         number of physical entries removed."""
-        removed = 0
-        staged = [
-            installed
-            for versions in list(self._slices.values())
-            for installed in list(versions)
-            if installed.epoch_from > self.rule_epoch
-        ]
-        for installed in staged:
-            removed += self._unplace(installed)
+        removed = sum(self._unplace(installed) for installed in list(self._staged))
         for installed, until in list(self._marked.items()):
             if until > self.rule_epoch:
                 installed.epoch_until = None
@@ -436,11 +513,11 @@ class NewtonPipeline:
         re-synchronizes it.  Recovery must re-stage from the controller's
         placement records (:mod:`repro.resilience`).
         """
-        removed = 0
-        for versions in list(self._slices.values()):
-            for installed in list(versions):
-                removed += self._unplace(installed)
-        self.rule_epoch = self._newest_epoch = 0
+        removed = sum(self._unplace(installed) for installed in [
+            installed for versions in self._slices.values()
+            for installed in versions
+        ])
+        self.rule_epoch = 0
         self.mutation_seq += 1
         return removed
 
@@ -448,16 +525,8 @@ class NewtonPipeline:
         """Remove every resident version of ``qid`` immediately; returns
         table entries removed.  (The direct, non-transactional path; the
         transactional controller retires + flips + garbage-collects.)"""
-        removed = 0
-        doomed = [
-            installed
-            for (slice_qid, _), versions in list(self._slices.items())
-            if slice_qid == qid
-            for installed in list(versions)
-        ]
-        for installed in doomed:
-            removed += self._unplace(installed)
-        return removed
+        return sum(self._unplace(installed)
+                   for installed in list(self._by_qid.get(qid, ())))
 
     def version_for(self, qid: str, slice_index: int,
                     at_epoch: Optional[int] = None) -> Optional[_Installed]:
@@ -502,26 +571,15 @@ class NewtonPipeline:
     def rule_count(self) -> int:
         """Total physical table entries resident (modules + dispatch),
         including staged and retired-awaiting-GC banks."""
-        return (
-            sum(
-                len(installed.placed)
-                for versions in self._slices.values()
-                for installed in versions
-            )
-            + len(self.newton_init)
+        return len(self.newton_init) + sum(
+            len(installed.placed)
+            for versions in self._slices.values() for installed in versions
         )
 
     @property
     def staged_rule_count(self) -> int:
         """Physical entries in shadow banks (staged, not yet active)."""
-        if self._newest_epoch <= self.rule_epoch:
-            return 0
-        return sum(
-            installed.entry_count
-            for versions in self._slices.values()
-            for installed in versions
-            if installed.epoch_from > self.rule_epoch
-        )
+        return sum(installed.entry_count for installed in self._staged)
 
     @property
     def retired_rule_count(self) -> int:
@@ -630,11 +688,10 @@ class NewtonPipeline:
 
     def _run_slice(self, installed: _Installed, ctx: PhvContext,
                    env: ExecutionEnv) -> None:
-        for local_stage, spec, storage_key in installed.placed:
+        for (_stage, spec, storage_key), module in zip(installed.placed,
+                                                       installed.modules):
             if ctx.stopped:
                 break
-            module = self.layout.module_at(local_stage, spec.module_type)
-            assert module is not None
             module.execute(spec, ctx, env, key=storage_key)
 
     # ------------------------------------------------------------------ #

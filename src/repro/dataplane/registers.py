@@ -13,13 +13,16 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.dataplane.alu import REGISTER_MAX, StatefulOp, apply_stateful
 
-__all__ = ["Allocation", "RegisterArray", "AllocationError"]
+__all__ = ["Allocation", "RegisterArray", "AllocationError", "carve",
+           "find_offset"]
 
 
 class AllocationError(RuntimeError):
@@ -79,44 +82,41 @@ class RegisterArray:
 
     def allocate(self, owner: Tuple, size: int,
                  vacating: Iterable[Tuple] = ()) -> Allocation:
-        """Lease ``size`` contiguous registers to ``owner``.
-
-        Plain requests use first fit.  ``vacating`` names co-resident
-        owners whose slices are about to be released (the outgoing bank
-        of a make-before-break update, freed at post-commit GC): the new
-        slice still never overlaps them — they are physically live until
-        GC — but among the gaps that fit, the anchor is chosen to
-        maximise the *post-GC* largest contiguous free block.  Without
-        this, back-to-back hitless updates oscillate a query's slice
-        between the two ends of its free space and whether a later grow
-        fits becomes a function of the re-plan count's parity.
+        """Lease ``size`` contiguous registers to ``owner``: first fit, or,
+        where ``vacating`` names co-resident owners whose slices free at
+        post-commit GC (the outgoing bank of a make-before-break update),
+        the gap anchor that maximises the *post-GC* largest free run — the
+        new slice never overlaps theirs, live until GC.  Without it,
+        back-to-back hitless updates oscillate a slice between the two
+        ends of its free space, and whether a later grow fits follows the
+        re-plan count's parity.  The search is :func:`find_offset`, the
+        lease :meth:`lease`.
         """
+        doomed = {(alloc.offset, alloc.end) for alloc in
+                  (self._allocations.get(v) for v in vacating) if alloc}
+        return self.lease(owner, size, find_offset(self._free, size, doomed))
+
+    def lease(self, owner: Tuple, size: int,
+              offset: Optional[int]) -> Allocation:
+        """Lease ``size`` registers at ``offset`` to ``owner``: where
+        :func:`find_offset` put them (``None``: nowhere).  An extent no one
+        free run holds is refused."""
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
         if owner in self._allocations:
             raise AllocationError(f"owner {owner!r} already holds an allocation")
-        vacating_allocs = [
-            self._allocations[v] for v in vacating if v in self._allocations
-        ]
-        if vacating_allocs:
-            offset = self._find_anchor(size, vacating_allocs)
-        else:
-            offset = self._find_gap(size)
         if offset is None:
             raise AllocationError(
                 f"register array exhausted: need {size}, "
                 f"free {self.free_registers()} (fragmented)"
             )
+        if not carve(self._free, offset, offset + size):
+            raise AllocationError(
+                f"registers [{offset}, {offset + size}) are not free"
+            )
         alloc = Allocation(owner=owner, offset=offset, size=size)
         self._allocations[owner] = alloc
         self._leased += size
-        # Carve the slice out of the free run that holds it.
-        index = bisect_right(self._free, (offset, self.size)) - 1
-        start, end = self._free[index]
-        self._free[index:index + 1] = [
-            (lo, hi) for lo, hi in ((start, offset), (alloc.end, end))
-            if lo < hi
-        ]
         return alloc
 
     def release(self, owner: Tuple) -> None:
@@ -125,7 +125,8 @@ class RegisterArray:
         if alloc is None:
             raise AllocationError(f"owner {owner!r} holds no allocation")
         self._leased -= alloc.size
-        self._cells[alloc.offset:alloc.end] = 0
+        if self._dirty:  # a clean array is all zeros already
+            self._cells[alloc.offset:alloc.end] = 0
         # Hand the slice back, merged with the free runs it touches.
         start, end = alloc.offset, alloc.end
         index = stop = bisect_right(self._free, (start, self.size))
@@ -146,63 +147,9 @@ class RegisterArray:
     def free_registers(self) -> int:
         return self.size - self._leased
 
-    def _find_gap(self, size: int) -> Optional[int]:
-        for start, end in self._free:
-            if end - start >= size:
-                return start
-        return None
-
-    def _find_anchor(self, size: int,
-                     vacating: List[Allocation]) -> Optional[int]:
-        """Pick the gap anchor maximising the post-GC largest free run.
-
-        Candidates are the two ends of every currently-free gap that can
-        hold ``size`` (never inside ``vacating`` slices — those registers
-        are still live).  Each candidate is scored by the largest
-        contiguous free block remaining once the vacating slices have
-        been released; ties break to the lowest offset, so the policy is
-        deterministic and degrades to first fit when scores are equal.
-
-        The post-GC free runs are the free gaps and the vacating slices
-        coalesced where they touch; a gap lies inside exactly one run, so
-        a candidate's score is the larger of the two pieces it splits
-        that run into and the largest run on either side — a prefix /
-        suffix maximum over the runs, whatever else the array leases.
-        """
-        doomed = {(a.offset, a.end) for a in vacating}
-        runs: List[List[int]] = []
-        gaps: List[Tuple[int, int, int]] = []   # (start, end, run index)
-        for start, end, free in sorted(
-            [(lo, hi, True) for lo, hi in self._free]
-            + [(lo, hi, False) for lo, hi in doomed]
-        ):
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = end
-            else:
-                runs.append([start, end])
-            if free and end - start >= size:
-                gaps.append((start, end, len(runs) - 1))
-        if not gaps:
-            return None
-        # Largest run strictly before / strictly after each run.
-        before = [0] * len(runs)
-        after = [0] * len(runs)
-        for k in range(1, len(runs)):
-            lo, hi = runs[k - 1]
-            before[k] = max(before[k - 1], hi - lo)
-        for k in range(len(runs) - 2, -1, -1):
-            lo, hi = runs[k + 1]
-            after[k] = max(after[k + 1], hi - lo)
-        best: Optional[Tuple[int, int]] = None   # (largest, -anchor)
-        for gap_start, gap_end, k in gaps:
-            lo, hi = runs[k]
-            around = max(before[k], after[k])
-            for cand in (gap_start, gap_end - size):
-                score = (max(around, cand - lo, hi - cand - size), -cand)
-                if best is None or score > best:
-                    best = score
-        assert best is not None
-        return -best[1]
+    def free_runs(self) -> Tuple[Tuple[int, int], ...]:
+        """The maximal free runs ``(start, end)``, in offset order."""
+        return tuple(self._free)
 
     # ------------------------------------------------------------------ #
     # Stateful execution                                                 #
@@ -453,6 +400,66 @@ class RegisterArray:
     def occupancy(self) -> float:
         """Fraction of registers currently leased (for resource reports)."""
         return 1.0 - self.free_registers() / self.size
+
+
+def find_offset(free: Sequence[Tuple[int, int]], size: int,
+                doomed: Collection[Tuple[int, int]]) -> Optional[int]:
+    """Where a ``size``-register slice goes among the free runs ``free``
+    (in offset order): first fit, or — when ``doomed`` lists the extents
+    a make-before-break update frees at GC — the anchor leaving the
+    largest post-GC free run; ``None`` when no run holds it.
+
+    Candidates are both ends of each free run that holds the slice.  The
+    post-GC runs are the free runs and the doomed extents, coalesced; a
+    candidate splits the one holding it, so its score is the larger
+    piece or the largest *other* post-GC run — the second largest where
+    its own is the largest.  Ties break to the lowest offset.
+    """
+    if not doomed:
+        for start, end in free:
+            if end - start >= size:
+                return start
+        return None
+    runs: List[List[int]] = []
+    for lo, hi in sorted([*free, *doomed]):
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+    largest = second = 0
+    at = -1
+    for index, (lo, hi) in enumerate(runs):
+        if hi - lo > largest:
+            largest, second, at = hi - lo, largest, index
+        elif hi - lo > second:
+            second = hi - lo
+    best, anchor = -1, None
+    k = 0
+    for start, end in free:
+        if end - start < size:
+            continue
+        while runs[k][1] < end:
+            k += 1
+        lo, hi = runs[k]
+        around = second if k == at else largest
+        for cand in (start, end - size):
+            score = max(around, cand - lo, hi - cand - size)
+            if score > best:
+                best, anchor = score, cand
+    return anchor
+
+
+def carve(free: List[Tuple[int, int]], start: int, end: int) -> bool:
+    """Cut ``[start, end)`` out of the free run that holds it, in place;
+    ``False`` (and ``free`` untouched) when no one run holds it."""
+    index = bisect_right(free, (start + 1,)) - 1
+    if index < 0 or free[index][1] < end:
+        return False
+    lo, hi = free[index]
+    free[index:index + 1] = [
+        (a, b) for a, b in ((lo, start), (end, hi)) if a < b
+    ]
+    return True
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from repro.dataplane.modules import DEFAULT_REGISTER_ARRAY_SIZE
 from repro.dataplane.pipeline import (
     NewtonPipeline,
     PipelineResult,
+    PlanMemo,
     TOFINO_DEFAULT_STAGES,
 )
 from repro.dataplane.tables import DEFAULT_TABLE_CAPACITY
@@ -123,14 +124,16 @@ class Switch:
 
     # -- transactional control plane (epoch-versioned banks) ------------ #
 
-    def stage_slice(self, query_slice: QuerySlice, epoch: int) -> int:
-        """Stage a slice under a shadow rule epoch (make-before-break)."""
+    def stage_slice(self, query_slice: QuerySlice, epoch: int,
+                    plans: Optional[PlanMemo] = None) -> int:
+        """Stage a slice under a shadow rule epoch (make-before-break);
+        ``plans`` is the transaction's placement memo."""
         if not self.newton_enabled:
             raise RuntimeError(
                 f"switch {self.switch_id!r} does not run Newton "
                 f"(partial deployment)"
             )
-        return self.pipeline.stage_slice(query_slice, epoch)
+        return self.pipeline.stage_slice(query_slice, epoch, plans)
 
     def retire_query(self, qid: str, epoch: int) -> int:
         """Mark a query's active rules to stop serving at ``epoch``."""

@@ -82,12 +82,6 @@ class ExactMatchTable(Generic[ActionT]):
     def lookup(self, key: Hashable) -> Optional[ActionT]:
         return self._rules.get(key)
 
-    def keys(self) -> Tuple[Hashable, ...]:
-        return tuple(self._rules.keys())
-
-    def clear(self) -> None:
-        self._rules.clear()
-
     @property
     def free(self) -> int:
         return self.capacity - len(self._rules)
@@ -133,8 +127,10 @@ class TernaryEntry(Generic[ActionT]):
 
     rule: TernaryRule[ActionT]
     epoch_from: int = 0
-    epoch_until: Optional[int] = None
-    seq: int = field(default=0, compare=False)
+    #: Set by a retire mark, cleared by an abort.
+    epoch_until: Optional[int] = field(default=None, init=False)
+    #: Insertion number, the table's tie-breaker at equal priority.
+    seq: int = field(default=0, compare=False, init=False)
 
     def valid_at(self, epoch: int) -> bool:
         if epoch < self.epoch_from:
@@ -165,8 +161,10 @@ class TernaryTable(Generic[ActionT]):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def insert(self, rule: TernaryRule[ActionT], *, epoch_from: int = 0,
-               epoch_until: Optional[int] = None) -> None:
+    def insert(self, rule: TernaryRule[ActionT], *,
+               epoch_from: int = 0) -> TernaryEntry[ActionT]:
+        """Add one physical entry and return it: the handle a retire
+        mark is set on (``epoch_until``) and :meth:`remove` takes."""
         if len(self._entries) >= self.capacity:
             raise TableFullError(f"table {self.name} full ({self.capacity} rules)")
         self._insert_seq += 1
@@ -175,54 +173,26 @@ class TernaryTable(Generic[ActionT]):
         index = len(self._entries)
         while index and self._entries[index - 1].rule.priority < rule.priority:
             index -= 1
-        self._entries.insert(index, TernaryEntry(
-            rule=rule, epoch_from=epoch_from, epoch_until=epoch_until,
-            seq=self._insert_seq,
-        ))
+        entry = TernaryEntry(rule=rule, epoch_from=epoch_from)
+        entry.seq = self._insert_seq
+        self._entries.insert(index, entry)
+        return entry
 
-    def _index(self, rule: TernaryRule[ActionT],
-               epoch_from: Optional[int]) -> int:
-        for index, entry in enumerate(self._entries):
-            if (epoch_from is None or entry.epoch_from == epoch_from) \
-                    and entry.rule == rule:
-                return index
-        raise KeyError(f"table {self.name}: rule not present")
+    def remove(self, entry: TernaryEntry[ActionT]) -> None:
+        """Remove the physical entry :meth:`insert` returned (identical
+        rules can be resident under several epoch tags during a
+        make-before-break update; the handle names one)."""
+        for index, resident in enumerate(self._entries):
+            if resident is entry:
+                del self._entries[index]
+                return
+        raise KeyError(f"table {self.name}: entry not present")
 
-    def remove(self, rule: TernaryRule[ActionT], *,
-               epoch_from: Optional[int] = None) -> None:
-        """Remove one physical entry.
-
-        Identical rules can be resident under different epoch tags during
-        a make-before-break update; ``epoch_from`` selects the version.
-        """
-        del self._entries[self._index(rule, epoch_from)]
-
-    def retire(self, rule: TernaryRule[ActionT], until: int, *,
-               epoch_from: Optional[int] = None) -> bool:
-        """Mark an entry to stop serving at epoch ``until``.
-
-        Returns True if the mark was newly placed (idempotent retries of
-        a retire message re-mark without effect).
-        """
-        entry = self._entries[self._index(rule, epoch_from)]
-        already = entry.epoch_until == until
-        entry.epoch_until = until
-        return not already
-
-    def unretire(self, above: int) -> int:
+    def unretire(self, above: int) -> None:
         """Clear retire marks scheduled after epoch ``above`` (abort path)."""
-        cleared = 0
         for entry in self._entries:
             if entry.epoch_until is not None and entry.epoch_until > above:
                 entry.epoch_until = None
-                cleared += 1
-        return cleared
-
-    def remove_if(self, predicate) -> int:
-        """Remove every rule satisfying ``predicate``; return the count."""
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if not predicate(e.rule)]
-        return before - len(self._entries)
 
     def lookup(self, fields: Dict[str, int],
                at_epoch: Optional[int] = None) -> Optional[TernaryRule[ActionT]]:
@@ -241,15 +211,5 @@ class TernaryTable(Generic[ActionT]):
             and entry.rule.matches(fields)
         ]
 
-    def rules(self) -> Tuple[TernaryRule[ActionT], ...]:
-        return tuple(entry.rule for entry in self._entries)
-
     def entries(self) -> Tuple[TernaryEntry[ActionT], ...]:
         return tuple(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    @property
-    def free(self) -> int:
-        return self.capacity - len(self._entries)

@@ -148,7 +148,7 @@ class SwitchView:
                 status=_classify(installed.epoch_from,
                                  installed.epoch_until, rule_epoch),
                 placed=installed.placed,
-                init_count=len(installed.init_rules),
+                init_count=len(installed.init_entries),
             ))
 
         dispatch = tuple(

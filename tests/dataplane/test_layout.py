@@ -1,14 +1,9 @@
-"""Module layout tests (naive vs compact, dependency rules)."""
+"""Module layout tests (naive vs compact)."""
 
 import pytest
 
-from repro.dataplane.layout import (
-    LayoutKind,
-    ModuleLayout,
-    WRITE_READ_DEPENDENCIES,
-    can_share_stage,
-)
-from repro.dataplane.module_types import MODULE_ORDER, ModuleType
+from repro.dataplane.layout import LayoutKind, ModuleLayout
+from repro.dataplane.module_types import MODULE_ORDER
 
 
 class TestCompactLayout:
@@ -66,21 +61,6 @@ class TestResourceAudit:
         one = ModuleLayout(num_stages=1).total_usage()
         four = ModuleLayout(num_stages=4).total_usage()
         assert four.sram == pytest.approx(4 * one.sram)
-
-
-class TestDependencies:
-    def test_same_set_writer_reader_conflict(self):
-        for writer, reader in WRITE_READ_DEPENDENCIES:
-            assert not can_share_stage((writer, 0), (reader, 0))
-
-    def test_different_sets_never_conflict(self):
-        for writer, reader in WRITE_READ_DEPENDENCIES:
-            assert can_share_stage((writer, 0), (reader, 1))
-
-    def test_independent_modules_share(self):
-        assert can_share_stage(
-            (ModuleType.KEY_SELECTION, 0), (ModuleType.RESULT_PROCESS, 0)
-        )
 
 
 class TestValidation:

@@ -88,7 +88,7 @@ class TestTernaryTable:
             table.insert(_rule({}, priority=rng.randint(0, 5),
                                action=f"q{index}"))
             if index % 7 == 0:
-                table.remove(table.entries()[rng.randrange(len(table))].rule)
+                table.remove(table.entries()[rng.randrange(len(table))])
         entries = list(table.entries())
         assert entries == sorted(entries,
                                  key=lambda e: (-e.rule.priority, e.seq))
@@ -108,23 +108,24 @@ class TestTernaryTable:
             table.insert(_rule({}, action="b"))
 
     def test_remove(self):
+        """``remove`` takes the entry ``insert`` returned: of two equal
+        rules under one epoch tag, the one named goes."""
         table = TernaryTable("init")
         rule = _rule({"proto": (6, 0xFF)})
-        table.insert(rule)
-        table.remove(rule)
+        first = table.insert(rule)
+        second = table.insert(rule)
+        table.remove(second)
+        assert table.entries() == (first,)
+        assert table.entries()[0] is first
+        table.remove(first)
         assert table.lookup({"proto": 6}) is None
 
     def test_remove_missing_raises(self):
-        with pytest.raises(KeyError):
-            TernaryTable("init").remove(_rule({}))
-
-    def test_remove_if(self):
         table = TernaryTable("init")
-        table.insert(_rule({}, action="q1"))
-        table.insert(_rule({}, action="q2"))
-        removed = table.remove_if(lambda r: r.action == "q1")
-        assert removed == 1
-        assert len(table) == 1
+        entry = table.insert(_rule({}))
+        table.remove(entry)
+        with pytest.raises(KeyError):
+            table.remove(entry)
 
     def test_no_match_returns_none(self):
         table = TernaryTable("init")

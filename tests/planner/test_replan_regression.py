@@ -81,7 +81,7 @@ class TestVacatingAnchor:
         assert alloc.offset == 4096 - 1500
         array.release(("q", 0, 0))
         # Post-GC: one contiguous block of 2596 at the front.
-        assert array._find_gap(2596) == 0
+        assert array.free_runs() == ((0, 2596),)
 
     def test_anchor_never_overlaps_live_vacating_cells(self):
         array = RegisterArray(1024)

@@ -66,6 +66,11 @@
   the compiler's ``_containers`` / ``_schedule``, and the compiler holds
   at most ``COMPILER_LINE_CAP`` physical lines, so a faster schedule
   pays for its lines elsewhere in the file.
+* The switch's rule and register machinery does not grow:
+  ``dataplane/pipeline.py``, ``registers.py`` and ``tables.py`` hold at
+  most ``DATAPLANE_LINE_CAP`` physical lines together, so the placement
+  plan and the handles that garbage-collect a version pay for their
+  lines in the three files.
 * numpy is the only third-party module the package imports, at module
   or function level: every other import under ``src/repro`` is the
   package itself or a standard-library module named in ``STDLIB``
@@ -99,6 +104,11 @@ ENGINE_FILES = ("engine/program.py", "engine/vector.py")
 #: Physical lines ``core/compiler.py`` may hold: its size before the
 #: one-pass scheduler.
 COMPILER_LINE_CAP = 931
+#: Physical lines the switch's rule and register files may hold: their
+#: size before the shared placement plan, plus 30.
+DATAPLANE_LINE_CAP = 1447
+DATAPLANE_FILES = ("dataplane/pipeline.py", "dataplane/registers.py",
+                   "dataplane/tables.py")
 #: The package's runtime dependencies, beside itself.
 RUNTIME = {"repro", "numpy"}
 #: Standard-library modules the package imports; a new one is added here.
@@ -543,6 +553,11 @@ def physical_lines(text):
 def test_the_batch_engine_stays_under_its_line_cap():
     assert sum(physical_lines((SRC / name).read_text())
                for name in ENGINE_FILES) <= ENGINE_LINE_CAP
+
+
+def test_the_dataplane_rule_files_stay_under_their_line_cap():
+    assert sum(physical_lines((SRC / name).read_text())
+               for name in DATAPLANE_FILES) <= DATAPLANE_LINE_CAP
 
 
 def test_physical_lines_count_blank_and_comment_lines():

@@ -14,6 +14,13 @@ switches that usually hold one identical occupancy state.  Spies on the
 that a second occupancy state costs a second verdict and no more, and
 that the staged-rules gauge still reads the fleet's true total when
 switches change behind the transaction manager's back.
+
+The placement search is shared the same way: one transaction plans a
+slice once per distinct switch state (a bank's free runs and the
+outgoing version's extents in it), so the update runs one search for its
+eight edges, an edge fragmented apart — or wiped between prepare and
+commit — plans on its own, and every lease equals what a search on each
+switch alone gives.
 """
 
 import random
@@ -25,6 +32,7 @@ from repro.core.query import Query
 from repro.ctrlplane import (
     FaultyControlChannel,
     TransactionAborted,
+    TransactionManager,
     TxnConfig,
 )
 from repro.dataplane.pipeline import NewtonPipeline
@@ -169,3 +177,93 @@ def test_the_staged_gauge_reads_the_fleet_total():
         ), f"step {step}"
     assert planted and crashed and aborted
     assert gauge.value() > 0, "the planted banks are still staged"
+
+
+def leases(dep):
+    """Every switch's register leases and free runs, bank by bank."""
+    return {
+        sid: [(sorted((a.owner, a.offset, a.size)
+                      for a in bank.array.allocations()),
+               bank.array.free_runs())
+              for bank in dep.switch(sid).pipeline.layout.state_banks()]
+        for sid in dep.switches
+    }
+
+
+def searches(monkeypatch):
+    """Spy on the placement search: the switch each search ran on."""
+    spy = Spy(monkeypatch)
+    spy.wrap(NewtonPipeline, "_plan", record=lambda pipeline, *_: (
+        pipeline.switch_id))
+    return spy.calls["_plan"]
+
+
+def each_switch_alone(monkeypatch):
+    """Stage without the transaction's plan memo: every switch searches
+    for itself, as before plans were shared."""
+    place = NewtonPipeline._place
+    monkeypatch.setattr(NewtonPipeline, "_place",
+                        lambda self, query_slice, epoch, plans=None:
+                        place(self, query_slice, epoch))
+
+
+def fragment_one_edge(dep):
+    """Lease one register in the bank the target's S rule uses on one
+    edge, ahead of its free space: that edge's state differs."""
+    sid = sorted(dep.controller.installed[TARGET].by_switch, key=str)[0]
+    pipeline = dep.switch(sid).pipeline
+    stage = min(pipeline.version_for(TARGET, 0).extents)
+    pipeline.layout.bank_at[stage].array.allocate(("fragment",), 1)
+    return sid
+
+
+def test_an_update_searches_once_for_its_eight_edges(monkeypatch):
+    dep = fleet()
+    ran = searches(monkeypatch)
+    update(dep, 30_000)
+    assert len(dep.controller.installed[TARGET].by_switch) == 8
+    assert len(ran) == 1
+
+
+def test_a_fragmented_edge_gets_a_search_of_its_own(monkeypatch):
+    shared, alone = fleet(), fleet()
+    sid = fragment_one_edge(shared)
+    assert fragment_one_edge(alone) == sid
+    with monkeypatch.context() as patch:
+        ran = searches(patch)
+        update(shared, 30_000)
+        assert len(ran) == 2 and sid in ran
+    with monkeypatch.context() as patch:
+        each_switch_alone(patch)
+        ran = searches(patch)
+        update(alone, 30_000)
+        assert len(ran) == 8
+    assert leases(shared) == leases(alone)
+
+
+def test_a_switch_wiped_before_its_commit_plans_from_its_own_state(
+        monkeypatch):
+    runs = []
+    for share in (True, False):
+        dep = fleet()
+        victim = sorted(dep.controller.installed[TARGET].by_switch,
+                        key=str)[-1]
+        commit = TransactionManager._commit_one
+
+        def wipe_first(self, switch, ops, target, plans, victim=victim):
+            if switch.switch_id == victim and switch.rule_epoch:
+                switch.crash(at=0.0, down_for=0.0)
+            return commit(self, switch, ops, target, plans)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TransactionManager, "_commit_one", wipe_first)
+            if not share:
+                each_switch_alone(patch)
+            ran = searches(patch)
+            update(dep, 30_000)
+        runs.append((leases(dep), ran))
+        if share:
+            # One search before the wipe, one from the wiped state.
+            assert ran == [ran[0], victim] and ran[0] != victim
+            assert dep.switch(victim).pipeline.hosts_slice(TARGET, 0)
+    assert runs[0][0] == runs[1][0]

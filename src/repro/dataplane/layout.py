@@ -37,18 +37,7 @@ from repro.dataplane.tables import DEFAULT_TABLE_CAPACITY
 __all__ = [
     "LayoutKind",
     "ModuleLayout",
-    "WRITE_READ_DEPENDENCIES",
 ]
-
-#: Intra-metadata-set write-read pairs (writer, reader) from Figure 4.
-#: A reader must sit in a strictly later stage than its writer when both
-#: belong to the same metadata set.
-WRITE_READ_DEPENDENCIES: Tuple[Tuple[ModuleType, ModuleType], ...] = (
-    (ModuleType.KEY_SELECTION, ModuleType.HASH_CALCULATION),
-    (ModuleType.HASH_CALCULATION, ModuleType.STATE_BANK),
-    (ModuleType.STATE_BANK, ModuleType.RESULT_PROCESS),
-)
-
 
 class LayoutKind:
     NAIVE = "naive"

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
-    Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Collection, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -80,21 +80,12 @@ class RegisterArray:
     # Allocation management                                              #
     # ------------------------------------------------------------------ #
 
-    def allocate(self, owner: Tuple, size: int,
-                 vacating: Iterable[Tuple] = ()) -> Allocation:
-        """Lease ``size`` contiguous registers to ``owner``: first fit, or,
-        where ``vacating`` names co-resident owners whose slices free at
-        post-commit GC (the outgoing bank of a make-before-break update),
-        the gap anchor that maximises the *post-GC* largest free run — the
-        new slice never overlaps theirs, live until GC.  Without it,
-        back-to-back hitless updates oscillate a slice between the two
-        ends of its free space, and whether a later grow fits follows the
-        re-plan count's parity.  The search is :func:`find_offset`, the
-        lease :meth:`lease`.
-        """
-        doomed = {(alloc.offset, alloc.end) for alloc in
-                  (self._allocations.get(v) for v in vacating) if alloc}
-        return self.lease(owner, size, find_offset(self._free, size, doomed))
+    def allocate(self, owner: Tuple, size: int) -> Allocation:
+        """Lease ``size`` contiguous registers to ``owner``, first fit.  A
+        make-before-break update places its successor with
+        :func:`find_offset` over the outgoing version's extents and
+        leases there with :meth:`lease`."""
+        return self.lease(owner, size, find_offset(self._free, size, ()))
 
     def lease(self, owner: Tuple, size: int,
               offset: Optional[int]) -> Allocation:
@@ -407,7 +398,10 @@ def find_offset(free: Sequence[Tuple[int, int]], size: int,
     """Where a ``size``-register slice goes among the free runs ``free``
     (in offset order): first fit, or — when ``doomed`` lists the extents
     a make-before-break update frees at GC — the anchor leaving the
-    largest post-GC free run; ``None`` when no run holds it.
+    largest post-GC free run; ``None`` when no run holds it.  Without the
+    anchor, back-to-back hitless updates oscillate a slice between the
+    two ends of its free space, and whether a later grow fits follows
+    the re-plan count's parity.
 
     Candidates are both ends of each free run that holds the slice.  The
     post-GC runs are the free runs and the doomed extents, coalesced; a

@@ -52,7 +52,7 @@ class WorkerDiedError(RuntimeError):
     Raised by the multiprocess backend instead of hanging; carries the
     shard index (so the supervisor knows *which* replica to respawn),
     the phase that detected the death, and the ``perf_counter`` stamp
-    at detection — the benchmark's detect-latency clock.
+    at detection — where a respawn event's latency starts.
     """
 
     def __init__(self, shard: int, message: str, phase: str = ""):
@@ -85,8 +85,8 @@ class WorkerSupervisor:
     The facade performs the actual respawn/replay (it owns the backends
     and the op log); the supervisor decides whether a failed shard may
     respawn, tracks per-shard state, and records every recovery event
-    with ``perf_counter`` stamps so chaos benchmarks can measure detect
-    and respawn latency without instrumenting the facade.
+    with ``perf_counter`` stamps, so detect and respawn latency can be
+    read off :attr:`events` without instrumenting the facade.
     """
 
     def __init__(self, shards: int, config: Optional[SupervisorConfig],

@@ -1,10 +1,11 @@
 """A fleet from a spec: the ``linear(n)`` testbed (Figure 8).
 
-Every CLI subcommand, the service, and the recovery / planning
-benchmarks run on the same thing: a deployment over ``linear(switches)``
-— sharded across worker processes when ``workers > 1`` — with library
-queries installed at the evaluation thresholds along the whole path, fed
-traffic pinned to the one host pair that topology carries.
+Every CLI subcommand, the service, and the standard-crash and
+traffic-shift tests run on the same thing: a deployment over
+``linear(switches)`` — sharded across worker processes when
+``workers > 1`` — with library queries installed at the evaluation
+thresholds along the whole path, fed traffic pinned to the one host
+pair that topology carries.
 :func:`build_fleet` and :func:`fleet_trace` are that, stated once, above
 both deployment classes they choose between.
 """

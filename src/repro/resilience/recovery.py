@@ -22,7 +22,8 @@ switch the detector holds DOWN it applies, in order of preference:
    silent.
 
 All outcomes feed the :class:`~repro.resilience.coverage.CoverageTracker`
-and a :class:`RecoveryRecord` log the benchmarks read.
+and a :class:`RecoveryRecord` log that ``newton-repro chaos`` prints
+and ``tests/resilience/test_recovery.py`` grades.
 """
 
 from __future__ import annotations
@@ -321,8 +322,7 @@ class RecoveryManager:
         """What a run under faults did, JSON-ready: final health per
         switch, every detector transition, every recovery incident, the
         :meth:`summary`, and the coverage gaps left behind — the body of
-        ``newton-repro chaos --json`` and what the recovery benchmark
-        grades."""
+        ``newton-repro chaos --json``."""
         return {
             "health": {
                 str(sid): health.state
@@ -350,7 +350,7 @@ class RecoveryManager:
         }
 
     def summary(self) -> Dict[str, object]:
-        """Digest for the CLI / benchmarks."""
+        """The incident digest :meth:`report` carries."""
         return {
             "incidents": len(self.records),
             "reinstalls": sum(

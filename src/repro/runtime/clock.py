@@ -1,42 +1,16 @@
-"""Simulated time.
+"""Simulated time: the window clock.
 
-All experiments run against simulated clocks so results are deterministic
-and independent of host load.  The clock advances only when a component
-tells it to (packet timestamps, control-channel delays, reboot windows).
+All experiments run on simulated time so results are deterministic and
+independent of host load.  Time advances only when a component tells it
+to (packet timestamps, control-channel delays, reboot windows), and the
+windows it falls into are numbered by :func:`epoch_of`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List
 
-__all__ = ["SimClock", "WindowClock", "epoch_of"]
-
-
-class SimClock:
-    """A monotonically advancing simulated clock (seconds)."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        """Move time forward; rejects negative steps."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance time by {seconds}")
-        self._now += seconds
-        return self._now
-
-    def advance_to(self, when: float) -> float:
-        """Jump to an absolute time, never backwards."""
-        if when < self._now:
-            raise ValueError(
-                f"cannot move clock backwards: {when} < {self._now}"
-            )
-        self._now = when
-        return self._now
+__all__ = ["WindowClock", "epoch_of"]
 
 
 def epoch_of(ts: float, window_s: float) -> int:

@@ -49,7 +49,6 @@ from repro.verify.program import (
 )
 from repro.verify.verifier import (
     VerifierConfig,
-    require_ok,
     verify_demand,
     verify_queries,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "VerifierConfig",
     "demand_of_slices",
     "init_entries_of",
-    "require_ok",
     "rules_of_compiled",
     "rules_of_slices",
     "verify_demand",

@@ -43,7 +43,6 @@ from repro.verify.fleet.interference import (
 )
 from repro.verify.fleet.model import (
     BankView,
-    DeploymentModel,
     DispatchView,
     SwitchView,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "check_fleet_occupancy",
     "check_hash_unit_sharing",
     "BankView",
-    "DeploymentModel",
     "DispatchView",
     "SwitchView",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.rules import HashMode, HConfig, ModuleRuleSpec
 from repro.dataplane.module_types import ModuleType
@@ -36,7 +36,6 @@ __all__ = [
     "BankView",
     "DispatchView",
     "SwitchView",
-    "DeploymentModel",
 ]
 
 _Match = Tuple[Tuple[str, int, int], ...]
@@ -173,17 +172,3 @@ class SwitchView:
     def banks_with_status(self, *statuses: BankStatus) -> Tuple[BankView, ...]:
         wanted = set(statuses)
         return tuple(b for b in self.banks if b.status in wanted)
-
-
-@dataclass(frozen=True)
-class DeploymentModel:
-    """The whole fleet: one view per switch plus controller-side context."""
-
-    switches: Tuple[SwitchView, ...]
-    #: Compiled artifacts by sub-query id, when the controller shares them.
-    compiled: Tuple[Tuple[str, object], ...] = ()
-    #: The control plane's committed transaction epoch, when known.
-    committed_epoch: Optional[int] = None
-
-    def __iter__(self) -> Iterator[SwitchView]:
-        return iter(self.switches)

@@ -23,11 +23,7 @@ from repro.core.compiler import CompiledQuery
 from repro.verify.accuracy import check_accuracy_budget
 from repro.verify.deadrules import check_dead_rules
 from repro.verify.dependencies import check_dependencies
-from repro.verify.diagnostics import (
-    Diagnostic,
-    VerificationError,
-    VerificationReport,
-)
+from repro.verify.diagnostics import Diagnostic, VerificationReport
 from repro.verify.program import (
     Demand,
     PipelineModel,
@@ -48,8 +44,7 @@ from repro.verify.sketch import (
     check_sketch_params,
 )
 
-__all__ = ["VerifierConfig", "verify_queries", "verify_demand",
-           "require_ok"]
+__all__ = ["VerifierConfig", "verify_queries", "verify_demand"]
 
 
 @dataclass(frozen=True)
@@ -154,9 +149,3 @@ def verify_demand(
     report = VerificationReport()
     report.extend(config.filter(check_demand(need, model, switch=switch)))
     return report
-
-
-def require_ok(report: VerificationReport) -> None:
-    """Raise :class:`VerificationError` if the report carries errors."""
-    if not report.ok:
-        raise VerificationError(report)

@@ -1,15 +1,16 @@
 """The register allocator against the one it replaced.
 
-``RegisterArray.allocate`` searches with :func:`find_offset`, which
-scores each make-before-break anchor against the two largest post-GC
-runs.  The allocator it replaced built prefix and suffix maxima over the
-post-GC runs instead.  Lease offsets are history-dependent state — every
-later lease, and every register dump, depends on them — so the two must
-agree exactly.  :class:`ReferenceAllocator` keeps that allocator as it
-was (its ``_find_anchor`` verbatim), without the register cells, and
-thousands of seeded allocate / allocate-with-vacating / release
-sequences over random array sizes must give the same offsets, the same
-free runs and the same ``AllocationError`` messages on both.
+The pipeline places a lease with :func:`find_offset`, which scores each
+make-before-break anchor against the two largest post-GC runs, and takes
+it with ``RegisterArray.lease``.  The allocator it replaced built prefix
+and suffix maxima over the post-GC runs instead.  Lease offsets are
+history-dependent state — every later lease, and every register dump,
+depends on them — so the two must agree exactly.
+:class:`ReferenceAllocator` keeps that allocator as it was (its
+``_find_anchor`` verbatim), without the register cells, and thousands of
+seeded allocate / allocate-with-vacating / release sequences over random
+array sizes must give the same offsets, the same free runs and the same
+``AllocationError`` messages on both.
 """
 
 import random
@@ -140,11 +141,20 @@ class ReferenceAllocator:
         return -best[1]
 
 
-def outcome(allocator, owner, size, vacating):
+def outcome(allocate, *args):
     try:
-        return allocator.allocate(owner, size, vacating=vacating).offset
+        return allocate(*args).offset
     except AllocationError as exc:
         return f"AllocationError: {exc}"
+
+
+def lease_beside(array, owner, size, vacating):
+    """The pipeline's path: search the free runs around the extents the
+    ``vacating`` owners hold, then lease the offset found."""
+    doomed = {(a.offset, a.end) for a in map(array.allocation, vacating)
+              if a}
+    return array.lease(owner, size,
+                       find_offset(array.free_runs(), size, doomed))
 
 
 def run_sequence(seed: int) -> Tuple[int, int]:
@@ -168,8 +178,8 @@ def run_sequence(seed: int) -> Tuple[int, int]:
             # Vacating names may be held or not, repeated, or the owner.
             vacating = (rng.sample(names, rng.randint(1, min(3, len(names))))
                         if roll < 0.75 else [])
-            got = outcome(new, owner, request, vacating)
-            want = outcome(ref, owner, request, vacating)
+            got = outcome(lease_beside, new, owner, request, vacating)
+            want = outcome(ref.allocate, owner, request, vacating)
             assert got == want, (seed, step, owner, request, vacating)
             anchors += any(name in ref._allocations for name in vacating)
             refused += isinstance(want, str)

@@ -17,7 +17,11 @@ import pytest
 
 from repro.core.compiler import QueryParams
 from repro.core.query import Query
-from repro.dataplane.registers import AllocationError, RegisterArray
+from repro.dataplane.registers import (
+    AllocationError,
+    RegisterArray,
+    find_offset,
+)
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
 from repro.verify.fleet import check_staging_plan
@@ -73,11 +77,12 @@ class TestBackToBackReplans:
 class TestVacatingAnchor:
     def test_anchor_leaves_largest_post_gc_block(self):
         array = RegisterArray(4096)
-        array.allocate(("q", 0, 0), 1500)
+        old = array.allocate(("q", 0, 0), 1500)
         # Staged replacement: old slice will vacate at GC.  First fit
         # would pick 1500; the anchor policy picks the tail so the freed
         # front merges with the remaining gap.
-        alloc = array.allocate(("q", 0, 1), 1500, vacating=[("q", 0, 0)])
+        offset = find_offset(array.free_runs(), 1500, [(old.offset, old.end)])
+        alloc = array.lease(("q", 0, 1), 1500, offset)
         assert alloc.offset == 4096 - 1500
         array.release(("q", 0, 0))
         # Post-GC: one contiguous block of 2596 at the front.
@@ -85,22 +90,19 @@ class TestVacatingAnchor:
 
     def test_anchor_never_overlaps_live_vacating_cells(self):
         array = RegisterArray(1024)
-        array.allocate(("q", 0, 0), 600)
+        old = array.allocate(("q", 0, 0), 600)
+        # 600 live + 600 staged does not fit 1024 even though the
+        # vacating slice will free later — double occupancy is real.
+        offset = find_offset(array.free_runs(), 600, [(old.offset, old.end)])
+        assert offset is None
         with pytest.raises(AllocationError):
-            # 600 live + 600 staged does not fit 1024 even though the
-            # vacating slice will free later — double occupancy is real.
-            array.allocate(("q", 0, 1), 600, vacating=[("q", 0, 0)])
+            array.lease(("q", 0, 1), 600, offset)
 
     def test_plain_allocation_stays_first_fit(self):
         array = RegisterArray(1024)
         array.allocate(("a",), 100)
         array.release(("a",))
         alloc = array.allocate(("b",), 50)
-        assert alloc.offset == 0
-
-    def test_vacating_owner_absent_from_array_is_ignored(self):
-        array = RegisterArray(1024)
-        alloc = array.allocate(("q", 0, 1), 100, vacating=[("ghost",)])
         assert alloc.offset == 0
 
 

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from repro.dataplane.alu import REGISTER_MAX, StatefulOp
 from repro.dataplane.hashing import KeyGroup
 from repro.dataplane.phv import PhvContext
-from repro.dataplane.registers import AllocationError, RegisterArray
+from repro.dataplane.registers import (
+    AllocationError,
+    RegisterArray,
+    find_offset,
+)
 from repro.dataplane.tables import TernaryRule, TernaryTable
 from repro.network.snapshot import (
     SNAPSHOT_VALUE_MAX,
@@ -410,11 +414,12 @@ class TestAnchorPolicy:
     @given(lease_steps)
     @settings(max_examples=300, deadline=None)
     def test_the_free_list_picks_the_offsets_the_sorts_picked(self, steps):
-        """Allocate / allocate-with-vacating / release, in any order:
-        every make-before-break anchor equals the reference's (the
-        lowest-offset tie-break included), every plain lease is first
-        fit, and ``free_registers()`` is the array less the sum of its
-        leases at every step."""
+        """Leases placed by :func:`find_offset` — around the extents of
+        vacating owners or not — and releases, in any order: every
+        make-before-break anchor equals the reference's (the lowest-offset
+        tie-break included), every plain lease is first fit, and
+        ``free_registers()`` is the array less the sum of its leases at
+        every step."""
         array = RegisterArray(128)
         for kind, slot, size, vacate in steps:
             owner = ("q", slot)
@@ -435,9 +440,9 @@ class TestAnchorPolicy:
                     first = gaps_by_sorting(array, size)[:1]
                     expected = first[0][0] if first else None
                 try:
-                    got = array.allocate(
-                        owner, size, vacating=[a.owner for a in vacating]
-                    )
+                    got = array.lease(owner, size, find_offset(
+                        array.free_runs(), size,
+                        [(a.offset, a.end) for a in vacating]))
                 except AllocationError:
                     assert expected is None
                 else:

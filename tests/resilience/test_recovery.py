@@ -5,6 +5,7 @@ import pytest
 from repro.core.compiler import QueryParams
 from repro.core.packet import Packet
 from repro.core.query import Query
+from repro.fleet import build_fleet, fleet_trace
 from repro.network.deployment import build_deployment
 from repro.network.topology import linear
 from repro.resilience import (
@@ -16,11 +17,17 @@ from repro.resilience import (
     corrupt_registers,
     crash,
     reboot,
+    standard_crash,
 )
+from repro.traffic.generators import syn_flood
 from repro.traffic.traces import Trace
 
 PARAMS = QueryParams(cm_depth=2, reduce_registers=256,
                      distinct_registers=256)
+
+#: The paper's Figure 11 query-operation band, in seconds: one recovery
+#: re-install is one staged transaction.
+BAND_S = (0.005, 0.020)
 
 
 def syn_query(qid="rz.q", threshold=2):
@@ -116,6 +123,39 @@ class TestReinstall:
         assert dep.detector.state_of("s0") == SwitchState.ALIVE
         # Committed state survived the reboot: no recovery incident.
         assert dep.recovery.records == []
+
+
+def standard_scenario(engine):
+    """Q1 over ``linear(3)``; ``s0`` crashes at 200 ms of a 1 s SYN flood
+    and restarts empty 150 ms later.  Returns the deployment and its
+    recovered state: per-window results, register banks, rule epochs
+    and the packet count."""
+    dep = build_fleet(
+        3, ["Q1"], QueryParams(cm_depth=2, reduce_registers=1024),
+        array_size=1 << 13, engine=engine, faults=standard_crash(11),
+    )
+    stats = dep.simulator.run(fleet_trace(
+        syn_flood(n_packets=3000, duration_s=1.0, seed=11)))
+    results = {epoch: sorted(window.items())
+               for epoch, window in dep.analyzer.results("Q1").items()}
+    epochs = {sid: sw.rule_epoch for sid, sw in dep.switches.items()}
+    return dep, (results, dep.register_dumps(), epochs, stats.packets)
+
+
+class TestStandardCrashScenario:
+    def test_engines_recover_the_same_state_inside_the_band(self):
+        dep, scalar = standard_scenario("scalar")
+        assert standard_scenario("vector")[1] == scalar
+        [incident] = dep.recovery.records
+        assert incident.action == "reinstall"
+        assert BAND_S[0] <= incident.reinstall_delay_s <= BAND_S[1]
+        record = dep.controller.installed["Q1"]
+        assert all(dep.switches[sid].pipeline.hosts_slice(sub_qid, index)
+                   for sid, entries in record.by_switch.items()
+                   for sub_qid, index in entries)
+        coverage = dep.recovery.coverage
+        assert 0 < coverage.coverage("Q1") < 1
+        assert coverage.degraded() == {}
 
 
 class TestReplace:

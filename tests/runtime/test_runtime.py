@@ -4,27 +4,10 @@ import numpy as np
 import pytest
 
 from repro.runtime.channel import ControlChannel
-from repro.runtime.clock import SimClock, WindowClock, epoch_of
+from repro.runtime.clock import WindowClock, epoch_of
 
 
 class TestClock:
-    def test_advance(self):
-        clock = SimClock()
-        assert clock.advance(1.5) == 1.5
-        assert clock.now == 1.5
-
-    def test_no_backwards(self):
-        clock = SimClock(10.0)
-        with pytest.raises(ValueError):
-            clock.advance(-1)
-        with pytest.raises(ValueError):
-            clock.advance_to(5.0)
-
-    def test_advance_to(self):
-        clock = SimClock()
-        clock.advance_to(3.0)
-        assert clock.now == 3.0
-
     def test_epoch_of(self):
         assert epoch_of(0.05, 0.1) == 0
         assert epoch_of(0.1, 0.1) == 1

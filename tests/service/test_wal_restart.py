@@ -239,8 +239,8 @@ class TestCrashResume:
 
 class TestServeSigkillRestart:
     """SIGKILL the real ``serve --wal`` process; restart must resume at
-    the last committed epoch with zero residue and no mixed-epoch
-    packets."""
+    the last committed epoch and a later window, and shut down with one
+    fleet-wide rule epoch, zero residue and no mixed-epoch packets."""
 
     @staticmethod
     def _cmd(wal_dir, max_windows):
@@ -287,10 +287,15 @@ class TestServeSigkillRestart:
         assert recovery is not None, out
         assert int(recovery.group(1)) == 2, "a query was lost"
         assert int(recovery.group(2)) >= 2
-        shutdown = re.search(r"shutdown: committed epoch (\d+)", out)
+        assert int(recovery.group(3)) > 0, "the window clock restarted at 0"
+        shutdown = re.search(
+            r"shutdown: committed epoch (\d+), rule epochs \[([0-9, ]+)\]",
+            out)
         assert shutdown is not None, out
         assert int(shutdown.group(1)) == int(recovery.group(2)), \
             "restart must not burn extra epochs on replay"
+        assert "," not in shutdown.group(2), \
+            "the switches disagree on the rule epoch"
         assert "staged residue 0" in out
         assert "retired residue 0" in out
         assert "0 mixed-epoch packets" in out

@@ -54,7 +54,10 @@
 * One experiment registry: each key of
   ``repro.experiments.EXPERIMENTS`` is read by exactly one
   ``benchmarks/bench_*.py``, and no benchmark imports a
-  ``render_figure*`` of its own.
+  ``render_figure*`` of its own.  Every ``benchmarks/bench_*.py`` reads
+  a registry key, except the standalone drivers named in
+  ``STANDALONE_DRIVERS`` — a list that only shrinks — so no new one can
+  appear.
 * The batch engine's Python does not grow: ``engine/program.py`` and
   ``engine/vector.py`` hold at most ``ENGINE_LINE_CAP`` physical lines
   together (ROADMAP item 4's cap), so a faster op path pays for its
@@ -119,6 +122,10 @@ STDLIB = {
     "os", "pathlib", "pickle", "queue", "random", "runpy", "signal",
     "statistics", "sys", "threading", "time", "typing", "urllib",
 }
+#: The benchmark drivers that read no experiment key: each carries its
+#: own argparse, JSON and render until ``bench/`` has rows for its
+#: timings, and then goes.
+STANDALONE_DRIVERS = ("bench_fabric.py", "bench_service.py")
 
 
 def trees(package):
@@ -543,6 +550,13 @@ def test_each_experiment_is_read_by_exactly_one_benchmark():
     assert set(readers) == set(EXPERIMENTS)
     assert {key: names for key, names in readers.items()
             if len(names) != 1} == {}
+
+
+def test_every_benchmark_but_the_standalone_drivers_reads_the_registry():
+    assert sorted(
+        path.name for path in (ROOT / "benchmarks").glob("bench_*.py")
+        if not registry_keys_read(path.read_text())
+    ) == sorted(STANDALONE_DRIVERS)
 
 
 def physical_lines(text):

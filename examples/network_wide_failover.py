@@ -69,7 +69,7 @@ def main() -> None:
     print("primary path:", " -> ".join(primary))
 
     stats = deployment.simulator.run(syn_burst(src, dst, 25))
-    print(f"before failure: {stats.total_reports} report(s) from "
+    print(f"before failure: {stats.reports_total} report(s) from "
           f"{sorted(stats.reports_by_switch)}")
 
     # Break a backbone link on the primary path mid-operation.
@@ -80,7 +80,7 @@ def main() -> None:
 
     stats = deployment.simulator.run(syn_burst(src, dst, 25, start=0.2))
     victim_hits = deployment.analyzer.results("wide.q1")
-    print(f"after failure: {stats.total_reports} report(s) from "
+    print(f"after failure: {stats.reports_total} report(s) from "
           f"{sorted(stats.reports_by_switch)}; dropped={stats.dropped}")
     last_epoch = max(victim_hits)
     for key, count in victim_hits[last_epoch].items():

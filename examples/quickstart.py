@@ -58,9 +58,9 @@ def main() -> None:
     stats = deployment.simulator.run(routed)
     print(
         f"forwarded {stats.delivered} packets over "
-        f"{stats.epochs} windows; {stats.total_reports} monitoring "
+        f"{stats.epochs} windows; {stats.reports_total} monitoring "
         f"messages exported "
-        f"({stats.total_reports / stats.packets:.2e} per packet)"
+        f"({stats.reports_total / stats.packets:.2e} per packet)"
     )
 
     # -- 4. results -------------------------------------------------------

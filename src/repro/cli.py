@@ -304,7 +304,8 @@ def cmd_txn_stats(args) -> int:
                          distinct_registers=512)
     aborted = _churn(dep.controller, rotation, args.updates, params,
                      list(dep.switches))
-    txn, injected = dep.controller.txn, dep.controller.channel.faults_injected
+    txn = dep.controller.txn
+    injected = txn.channel.faults_injected
     if args.json:
         return _print_json({
             "epoch": txn.epoch, "aborted_operations": aborted,

@@ -452,10 +452,9 @@ class ReportCollector:
             registration = self._registrations[sub_qid]
             bucket = self._results.get((sub_qid, epoch), {})
             occupancy: Optional[float] = None
-            probe = getattr(self.controller, "sketch_occupancy", None)
-            if probe is not None:
+            if self.controller is not None:
                 try:
-                    occupancy = probe(sub_qid)
+                    occupancy = self.controller.sketch_occupancy(sub_qid)
                 except KeyError:
                     continue  # removed mid-flight; skip this window
             if occupancy is None and not bucket:

@@ -61,8 +61,7 @@ class Analyzer:
     it is built with this analyzer.
     """
 
-    def __init__(self, window_ms: int = 100):
-        self.window_ms = window_ms
+    def __init__(self) -> None:
         self.controller: Optional["NewtonController"] = None
         #: Every answer seen: from mirrored reports (losslessly) and from
         #: deferred CPU execution.
@@ -73,7 +72,6 @@ class Analyzer:
         self._deferred_results: Buckets = {}
         #: sub-qid -> (top-level qid, CPU state of its deferred remainder).
         self._deferred_states: Dict[str, Tuple[str, QueryStreamState]] = {}
-        self._deferred_epoch = 0
         self.reports: List[Report] = []
         self.deferred_packets = 0
 
@@ -129,20 +127,18 @@ class Analyzer:
             self._deferred_states[sub_qid] = entry
         entry[1].process(packet)
 
-    def advance_window(self, epoch: Optional[int] = None) -> None:
-        """Close the current window for deferred CPU execution."""
-        closing = self._deferred_epoch if epoch is None else epoch
+    def advance_window(self, epoch: int) -> None:
+        """Close window ``epoch`` for deferred CPU execution."""
         for sub_qid, (_top, state) in self._deferred_states.items():
-            truth = state.finish_window(closing)
-            bucket = self._results[(sub_qid, closing)]
+            truth = state.finish_window(epoch)
+            bucket = self._results[(sub_qid, epoch)]
             deferred = self._deferred_results.setdefault(
-                (sub_qid, closing), {}
+                (sub_qid, epoch), {}
             )
             for key in truth.keys:
                 count = truth.counts.get(key, 1)
                 bucket[key] = max(bucket.get(key, 0), count)
                 deferred[key] = max(deferred.get(key, 0), count)
-        self._deferred_epoch = closing + 1
 
     # ------------------------------------------------------------------ #
     # Results                                                             #
@@ -235,7 +231,6 @@ class Analyzer:
         self._deferred_states.clear()
         self.reports.clear()
         self.deferred_packets = 0
-        self._deferred_epoch = 0
 
 
 def result_key_fields(query: Query) -> Tuple[str, ...]:

@@ -23,6 +23,7 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -42,11 +43,12 @@ from repro.core.compiler import (
 from repro.core.ops import ControlOp
 from repro.core.placement import PlacementError, PlacementResult, place_slices
 from repro.core.query import QueryLike, flatten
+from repro.core.readout import ProbeRow, probe_index
 from repro.core.rules import QuerySlice
 from repro.ctrlplane import SwitchOps, TransactionManager, TxnPlan
+from repro.dataplane.modules import ModuleInstance, StateBankModule
 from repro.dataplane.registers import RegisterArray
 from repro.dataplane.switch import Switch
-from repro.runtime.channel import ControlChannel
 from repro.verify import (
     Diagnostic,
     PipelineModel,
@@ -60,6 +62,7 @@ from repro.verify.dependencies import check_dependencies
 from repro.verify.fleet.epochs import StagingNeed
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.collector import ReportCollector
     from repro.dataplane.pipeline import NewtonPipeline
     from repro.dataplane.registers import Allocation
 
@@ -110,19 +113,18 @@ class NewtonController:
     def __init__(
         self,
         switches: Dict[object, Switch],
-        channel: Optional[ControlChannel] = None,
-        analyzer: Optional[Analyzer] = None,
-        collector=None,
-        txn: Optional[TransactionManager] = None,
+        txn: TransactionManager,
+        analyzer: Analyzer,
+        collector: "ReportCollector",
     ):
         if not switches:
             raise ValueError("controller needs at least one switch")
         self.switches = dict(switches)
-        self.channel = channel or ControlChannel()
         #: Every rule operation routes through the transactional control
         #: plane: 2PC across the query's switches with epoch-versioned
-        #: rule banks (see :mod:`repro.ctrlplane`).
-        self.txn = txn or TransactionManager(self.switches, self.channel)
+        #: rule banks (see :mod:`repro.ctrlplane`); its ``channel`` is
+        #: the control channel.
+        self.txn = txn
         #: Resolves queries through :attr:`installed`; fed by the collector.
         self.analyzer = analyzer
         #: Collection plane (repro.collector.ReportCollector); its query
@@ -137,13 +139,11 @@ class NewtonController:
         self.listeners: List[
             Callable[[ControlOp, Optional[InstalledQuery]], None]
         ] = []
-        if analyzer is not None:
-            analyzer.controller = self
-            self.listeners.append(analyzer.on_commit)
-        if collector is not None:
-            collector.controller = self
-            collector.analyzer = analyzer
-            self.listeners.append(collector.on_commit)
+        analyzer.controller = self
+        self.listeners.append(analyzer.on_commit)
+        collector.controller = self
+        collector.analyzer = analyzer
+        self.listeners.append(collector.on_commit)
         self.installed: Dict[str, InstalledQuery] = {}
         self._sub_owner: Dict[str, str] = {}
 
@@ -404,7 +404,7 @@ class NewtonController:
             transit = [
                 sid for sid in topology.switches()
                 if sid not in excluded
-                and not getattr(self.switches[sid], "newton_enabled", True)
+                and not self.switches[sid].newton_enabled
             ]
             for sub in subqueries:
                 result = place_slices(
@@ -494,7 +494,7 @@ class NewtonController:
         One transaction over the single participant: the lost slices are
         staged under a fresh epoch and flipped in — the placement record
         is unchanged, the switch simply hosts its share again.  Returns
-        the :class:`~repro.ctrlplane.TxnResult`, or ``None`` when
+        the :class:`~repro.ctrlplane.JournalEntry`, or ``None`` when
         nothing was missing.  Raises
         :class:`~repro.ctrlplane.TransactionAborted` if the control
         channel defeats the retry budget; the caller retries later.
@@ -569,11 +569,6 @@ class NewtonController:
     # Runtime support                                                     #
     # ------------------------------------------------------------------ #
 
-    def advance_window(self) -> None:
-        """Roll the 100 ms window on every switch and the analyzer."""
-        for switch in self.switches.values():
-            switch.advance_window()
-
     def cpu_start_for(self, sub_qid: str, executed_slices: int) -> int:
         """First primitive the analyzer must run for a deferred packet."""
         owner = self._sub_owner.get(sub_qid)
@@ -614,48 +609,22 @@ class NewtonController:
         This is the register readout that lets the analyzer replace a
         crossing report's clipped count with the true aggregate.
         """
-        from repro.core.readout import probe_index
-        from repro.dataplane.module_types import ModuleType
-        from repro.dataplane.modules import StateBankModule
-
-        owner = self._sub_owner.get(sub_qid)
-        if owner is None:
-            raise KeyError(f"sub-query {sub_qid!r} is not installed")
-        record = self.installed[owner]
-        compiled = record.compiled[sub_qid]
-        slices = record.slices[sub_qid]
-        if not slices:
-            return None
-        stages_per_switch = slices[0].num_stages
-        rows = compiled.probe_rows
-        if not rows:
-            return None
-
         estimate: Optional[int] = None
-        for row in rows:
-            slice_index = row.stage // stages_per_switch
-            local_stage = row.stage - slice_index * stages_per_switch
+        for row, slice_index, banks in self._row_banks(sub_qid):
             total = 0
             found = False
-            for sid, entries in record.by_switch.items():
-                if (sub_qid, slice_index) not in entries:
+            for pipeline, bank in banks:
+                if not isinstance(bank, StateBankModule):
                     continue
-                switch = self.switches[sid]
-                module = switch.pipeline.layout.module_at(
-                    local_stage, ModuleType.STATE_BANK
-                )
-                if not isinstance(module, StateBankModule):
-                    continue
-                family = switch.pipeline.hash_family
-                index = probe_index(row, key, family)
                 # Rules are stored under epoch-tagged keys; resolve the
                 # version currently serving packets on this switch.
-                storage_key = switch.pipeline.state_storage_key(
+                storage_key = pipeline.state_storage_key(
                     sub_qid, slice_index, row.state_key
                 )
                 if storage_key is None:
                     continue
-                cells = module.array.read_slice(storage_key)
+                cells = bank.array.read_slice(storage_key)
+                index = probe_index(row, key, pipeline.hash_family)
                 total += int(cells[index % len(cells)])
                 found = True
             if not found:
@@ -685,38 +654,15 @@ class NewtonController:
         plane — this replica does not own the sub-query (its registers
         are zeros by the dispatch filter, not by traffic).
         """
-        from repro.dataplane.modules import StateBankModule
-
-        owner = self._sub_owner.get(sub_qid)
-        if owner is None:
-            raise KeyError(f"sub-query {sub_qid!r} is not installed")
-        record = self.installed[owner]
-        slices = record.slices[sub_qid]
-        rows = record.compiled[sub_qid].probe_rows
-        if not slices or not rows:
-            return None
-        stages_per_switch = slices[0].num_stages
-
-        #: slice index -> the pipelines hosting it.
-        hosts: Dict[int, List[NewtonPipeline]] = {}
         worst: Optional[float] = None
-        for row in rows:
-            slice_index, local_stage = divmod(row.stage, stages_per_switch)
-            pipelines = hosts.get(slice_index)
-            if pipelines is None:
-                pipelines = hosts[slice_index] = [
-                    self.switches[sid].pipeline
-                    for sid, entries in record.by_switch.items()
-                    if (sub_qid, slice_index) in entries
-                ]
-                if any(pipeline.query_filter is not None
-                       and sub_qid not in pipeline.query_filter
-                       for pipeline in pipelines):
-                    return None  # not owned by this replica
+        for row, slice_index, banks in self._row_banks(sub_qid):
+            if any(pipeline.query_filter is not None
+                   and sub_qid not in pipeline.query_filter
+                   for pipeline, _ in banks):
+                return None  # not owned by this replica
             length = 0
             written = []
-            for pipeline in pipelines:
-                bank = pipeline.layout.bank_at[local_stage]
+            for pipeline, bank in banks:
                 if not isinstance(bank, StateBankModule) or not bank.array.dirty:
                     continue
                 alloc = _row_slice(pipeline, bank.array, sub_qid,
@@ -726,8 +672,7 @@ class NewtonController:
                     written.append((bank.array, alloc))
             # No written bank holds the row: it is installed (load 0.0)
             # if a clean one does.
-            for pipeline in pipelines if not length else ():
-                bank = pipeline.layout.bank_at[local_stage]
+            for pipeline, bank in banks if not length else ():
                 alloc = (_row_slice(pipeline, bank.array, sub_qid,
                                     slice_index, row.state_key)
                          if isinstance(bank, StateBankModule) else None)
@@ -740,6 +685,38 @@ class NewtonController:
             load = float(nonzero) / float(length)
             worst = load if worst is None else max(worst, load)
         return worst
+
+    def _row_banks(self, sub_qid: str) -> Iterator[
+            Tuple[ProbeRow, int,
+                  List[Tuple[NewtonPipeline, Optional[ModuleInstance]]]]]:
+        """The final reduce's probe rows of ``sub_qid``, each with its
+        slice index and, for every pipeline hosting that slice, the
+        pipeline and its state bank at the row's local stage (``None``
+        where the layout has none there).  Nothing when the query has no
+        data-plane reduce."""
+        owner = self._sub_owner.get(sub_qid)
+        if owner is None:
+            raise KeyError(f"sub-query {sub_qid!r} is not installed")
+        record = self.installed[owner]
+        slices = record.slices[sub_qid]
+        if not slices:
+            return
+        stages_per_switch = slices[0].num_stages
+        #: slice index -> the pipelines hosting it.
+        hosts: Dict[int, List[NewtonPipeline]] = {}
+        for row in record.compiled[sub_qid].probe_rows:
+            slice_index, local_stage = divmod(row.stage, stages_per_switch)
+            pipelines = hosts.get(slice_index)
+            if pipelines is None:
+                pipelines = hosts[slice_index] = [
+                    self.switches[sid].pipeline
+                    for sid, entries in record.by_switch.items()
+                    if (sub_qid, slice_index) in entries
+                ]
+            yield row, slice_index, [
+                (pipeline, pipeline.layout.bank_at[local_stage])
+                for pipeline in pipelines
+            ]
 
 
 def _row_slice(pipeline: NewtonPipeline, array: RegisterArray, sub_qid: str,

@@ -24,7 +24,6 @@ from repro.ctrlplane.txn import (
     TransactionManager,
     TxnConfig,
     TxnPlan,
-    TxnResult,
 )
 from repro.ctrlplane.wal import WalCorruptError, WriteAheadLog
 
@@ -41,7 +40,6 @@ __all__ = [
     "TransactionManager",
     "TxnConfig",
     "TxnPlan",
-    "TxnResult",
     "WalCorruptError",
     "WriteAheadLog",
 ]

@@ -39,6 +39,7 @@ import numpy as np
 from repro.runtime.channel import ControlChannel
 
 if TYPE_CHECKING:  # pragma: no cover - the plan layer sits above this one
+    from repro.dataplane.switch import Switch
     from repro.resilience.faults import FaultPlan
 
 __all__ = [
@@ -117,7 +118,7 @@ class FaultyControlChannel(ControlChannel):
         self,
         operation: str,
         rules: int,
-        switch: object = None,
+        switch: Optional["Switch"] = None,
         apply: Optional[Callable[[], T]] = None,
         overhead_s: Optional[float] = None,
         reliable: bool = False,
@@ -138,7 +139,7 @@ class FaultyControlChannel(ControlChannel):
         draw -= rates.loss_rate
         if draw < rates.reboot_rate:
             self.faults_injected["reboot"] += 1
-            if switch is not None and hasattr(switch, "abort_staged"):
+            if switch is not None:
                 switch.abort_staged()  # shadow state dies with the agent
             raise SwitchRebooted(
                 f"switch rebooted before applying {operation!r}",

@@ -59,7 +59,6 @@ __all__ = [
     "TxnConfig",
     "SwitchOps",
     "TxnPlan",
-    "TxnResult",
     "TransactionAborted",
     "TransactionManager",
 ]
@@ -114,21 +113,6 @@ class TxnPlan:
     needs: Mapping[Tuple[Tuple[str, int], ...], StagingNeed] = field(
         default_factory=dict
     )
-
-
-@dataclass
-class TxnResult:
-    """Outcome of a committed transaction."""
-
-    txn_id: int
-    op: str
-    qid: str
-    epoch: int
-    delay_s: float              # prepare + commit + beacon (visible latency)
-    gc_delay_s: float = 0.0     # background GC latency
-    rules_staged: int = 0
-    rules_removed: int = 0      # physical entries garbage-collected
-    retries: int = 0
 
 
 class TransactionAborted(RuntimeError):
@@ -352,9 +336,10 @@ class TransactionManager:
     # The transaction                                                    #
     # ------------------------------------------------------------------ #
 
-    def execute(self, plan: TxnPlan) -> TxnResult:
-        """Run one transaction end to end; raises with the prior epoch
-        fully intact if it cannot commit."""
+    def execute(self, plan: TxnPlan) -> JournalEntry:
+        """Run one transaction end to end and return its committed
+        journal entry; raises with the prior epoch fully intact if it
+        cannot commit."""
         txn_id = self._txn_counter
         self._txn_counter += 1
         prior = self.epoch
@@ -499,15 +484,10 @@ class TransactionManager:
 
         delay_s = max(delays.values(), default=0.0) + beacon
         self._m_latency.observe(delay_s, op=plan.op)
-        self._finish(plan, txn_id, target, "committed", delay_s=delay_s,
-                     gc_delay_s=gc_delay, rules_staged=rules_staged,
-                     rules_removed=rules_removed, retries=retries)
-        return TxnResult(
-            txn_id=txn_id, op=plan.op, qid=plan.qid, epoch=target,
-            delay_s=delay_s, gc_delay_s=gc_delay,
-            rules_staged=rules_staged, rules_removed=rules_removed,
-            retries=retries,
-        )
+        return self._finish(plan, txn_id, target, "committed",
+                            delay_s=delay_s, gc_delay_s=gc_delay,
+                            rules_staged=rules_staged,
+                            rules_removed=rules_removed, retries=retries)
 
     # ------------------------------------------------------------------ #
     # Book-keeping                                                       #
@@ -541,13 +521,16 @@ class TransactionManager:
                 delay_s: float = 0.0, gc_delay_s: float = 0.0,
                 rules_staged: int = 0, rules_removed: int = 0,
                 retries: int = 0, rolled_back: bool = False,
-                error: str = "") -> None:
+                error: str = "") -> JournalEntry:
+        """Count the outcome and append its journal entry, returned."""
         self._m_txns.inc(op=plan.op, outcome=state)
-        self.journal.append(JournalEntry(
+        entry = JournalEntry(
             txn_id=txn_id, op=plan.op, qid=plan.qid, epoch=target,
             state=state, delay_s=delay_s, gc_delay_s=gc_delay_s,
             rules_staged=rules_staged, rules_removed=rules_removed,
             retries=retries, rolled_back=rolled_back,
             participants=tuple(plan.ops), error=error,
-        ))
+        )
+        self.journal.append(entry)
+        return entry
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.collector.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 
@@ -67,10 +67,9 @@ class WalCorruptError(RuntimeError):
 class WriteAheadLog:
     """Append-only fsync'd JSON-line log in ``directory``.
 
-    Opening the log replays nothing by itself — call :meth:`records`
-    (or :meth:`replay`) to read what a previous incarnation wrote; new
-    :meth:`append` calls continue the sequence after the last durable
-    record.
+    Opening the log replays nothing by itself — call :meth:`records` to
+    read what a previous incarnation wrote; new :meth:`append` calls
+    continue the sequence after the last durable record.
     """
 
     def __init__(self, directory: str,
@@ -165,10 +164,6 @@ class WriteAheadLog:
         for _end, record in self._scan():
             self._m_replayed.inc(kind=str(record["kind"]))
             yield record
-
-    def replay(self) -> List[Dict[str, Any]]:
-        """All durable records as a list (convenience over `records`)."""
-        return list(self.records())
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                          #

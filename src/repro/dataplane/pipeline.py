@@ -9,12 +9,10 @@ execution — snapshot the results for the next hop (``newton_fin``).
 Rule banks are **epoch-versioned** for the transactional control plane
 (:mod:`repro.ctrlplane`):
 
-* ``install_slice`` places rules in the *active* bank (visible at once),
-  preserving the original runtime-install behaviour;
 * ``stage_slice`` places rules in a *shadow* bank tagged with a future
   rule epoch — physically resident (they consume table capacity and
   register space, the real cost of make-before-break) but invisible to
-  packets until the epoch flip;
+  packets until the epoch flip — the only way rules are placed;
 * ``retire_query`` marks the active version to stop serving at the flip;
 * ``commit_epoch`` is the atomic flip (one counter write);
 * ``rollback_epoch`` / ``abort_staged`` undo a partially applied
@@ -239,13 +237,11 @@ class NewtonPipeline:
         # Make-before-break hint: the outgoing version's register slices
         # free at post-commit GC, and the search anchors around them so
         # hitless updates do not fragment the array (RegisterArray.allocate).
-        vacating: Dict[int, Tuple[Extent, ...]] = {}
-        if epoch_from > self.rule_epoch:
-            outgoing = self._version_at(
-                query_slice.qid, query_slice.slice_index, self.rule_epoch
-            )
-            if outgoing is not None and outgoing.epoch_from != epoch_from:
-                vacating = outgoing.extents
+        outgoing = self._version_at(
+            query_slice.qid, query_slice.slice_index, self.rule_epoch
+        )
+        vacating: Dict[int, Tuple[Extent, ...]] = (
+            {} if outgoing is None else outgoing.extents)
         if plans is None:
             return self._apply(query_slice, epoch_from,
                                self._plan(query_slice, epoch_from, vacating))
@@ -345,8 +341,7 @@ class NewtonPipeline:
                                tuple(init_entries), epoch_from, storage_keys,
                                extents)
         self._placements += 1
-        if epoch_from > self.rule_epoch:
-            self._staged[installed] = None
+        self._staged[installed] = None
         key = (query_slice.qid, query_slice.slice_index)
         versions = self._slices.setdefault(key, [])
         first = versions[0].order[0] if versions else self._placements
@@ -388,17 +383,6 @@ class NewtonPipeline:
                 slot_rules[slot] = left
             else:
                 del slot_rules[slot]
-
-    def install_slice(self, query_slice: QuerySlice) -> int:
-        """Install a slice into the active bank (visible immediately);
-        returns the number of table entries added."""
-        if self._version_at(query_slice.qid, query_slice.slice_index,
-                            self.rule_epoch) is not None:
-            raise ValueError(
-                f"slice {query_slice.slice_index} of query "
-                f"{query_slice.qid!r} already installed"
-            )
-        return self._place(query_slice, epoch_from=self.rule_epoch).entry_count
 
     def stage_slice(self, query_slice: QuerySlice, epoch: int,
                     plans: Optional[PlanMemo] = None) -> int:
@@ -520,13 +504,6 @@ class NewtonPipeline:
         self.rule_epoch = 0
         self.mutation_seq += 1
         return removed
-
-    def remove_query(self, qid: str) -> int:
-        """Remove every resident version of ``qid`` immediately; returns
-        table entries removed.  (The direct, non-transactional path; the
-        transactional controller retires + flips + garbage-collects.)"""
-        return sum(self._unplace(installed)
-                   for installed in list(self._by_qid.get(qid, ())))
 
     def version_for(self, qid: str, slice_index: int,
                     at_epoch: Optional[int] = None) -> Optional[_Installed]:

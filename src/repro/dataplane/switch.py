@@ -246,9 +246,6 @@ class Switch:
         i = bisect_right(self._outage_starts, at, hi=len(ends) - 1) - 1
         return i < 0 or at >= ends[i]
 
-    # alias: the resilience plane's liveness probes read better this way
-    is_alive = is_forwarding
-
     def heartbeat(self, at: float) -> Optional[int]:
         """Liveness probe: ``None`` while down, else the current boot id.
 

@@ -14,8 +14,10 @@ windows, sets trace time), ``sim.next_scheduled_ts()`` and ``sim.epoch``
 to find where a batch must be cut, ``sim.finish(stats)`` to end the run,
 and the component attributes (``switches``, ``router``, ``topology``,
 ``collector``, ``analyzer``, ``controller``, ``sanitizer``, ``shard``,
-``window_s``).  Nothing underscore-prefixed — ``tests/test_layering.py``
-holds engines to that.
+``window_s``).  The collector, analyzer and controller are always there;
+only ``sanitizer`` and ``shard`` may be ``None``.  Nothing
+underscore-prefixed and no ``None`` test of a required component —
+``tests/test_layering.py`` holds engines to both.
 
 Reports take one path: switch → :func:`hand_off` → ``sim.collector``,
 whose ``ingest`` decodes each report once and mirrors it to
@@ -67,22 +69,19 @@ def hand_off(sim: "NetworkSimulator", sid: Hashable,
     for report in reports:
         if tap is not None:
             tap(report)
-        if collector is not None:
-            collector.ingest(report)
+        collector.ingest(report)
 
 
 #: Engine registry (name -> class), populated at import time below.
 ENGINES: Dict[str, Type[ExecutionEngine]] = {}
 
 
-def get_engine(spec: Union[str, ExecutionEngine, None]) -> ExecutionEngine:
+def get_engine(spec: Union[str, ExecutionEngine]) -> ExecutionEngine:
     """Resolve an engine name (or pass through an instance).
 
-    ``None`` and ``"scalar"`` give the per-packet reference engine;
-    ``"vector"`` gives the columnar batched engine.
+    ``"scalar"`` gives the per-packet reference engine; ``"vector"``
+    gives the columnar batched engine.
     """
-    if spec is None:
-        spec = "scalar"
     if isinstance(spec, ExecutionEngine):
         return spec
     if not ENGINES:

@@ -94,15 +94,12 @@ class ScalarEngine(ExecutionEngine):
             snapshot.pop(qid)
             if entry.ctx.stopped or entry.complete:
                 continue
-            if sim.analyzer is not None and sim.controller is not None:
-                try:
-                    start = sim.controller.cpu_start_for(qid, entry.cursor)
-                except KeyError:
-                    # The query was removed mid-window while this entry
-                    # was still in flight: drop it, never crash the run.
-                    stats.stale_deferred += 1
-                    continue
-                stats.deferred += 1
-                sim.analyzer.defer(qid, packet, start)
-            else:
-                stats.deferred += 1
+            try:
+                start = sim.controller.cpu_start_for(qid, entry.cursor)
+            except KeyError:
+                # The query was removed mid-window while this entry was
+                # still in flight: drop it, never crash the run.
+                stats.stale_deferred += 1
+                continue
+            stats.deferred += 1
+            sim.analyzer.defer(qid, packet, start)

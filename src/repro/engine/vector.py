@@ -595,9 +595,6 @@ class VectorizedEngine(ExecutionEngine):
             for row, rank in zip(entry.rows[entry.delivered].tolist(),
                                  entry.rank[entry.delivered].tolist())
         )
-        if sim.analyzer is None or sim.controller is None:
-            stats.deferred += len(entries)
-            return
         starts: Dict[Tuple[str, int], Optional[int]] = {}
         for row, _rank, qid, cursor in entries:
             if (qid, cursor) not in starts:

@@ -503,7 +503,7 @@ class ShardedDeployment(Deployment):
         degraded onto the survivors.
         """
         index = backend.index
-        detected = getattr(exc, "detected_at", None) or time.perf_counter()
+        detected = exc.detected_at
         self.supervisor.note_down(index)
         self._backends = [b for b in self._backends if b is not backend]
         backend.destroy()

@@ -115,7 +115,6 @@ def build_deployment(
     table_capacity: int = 256,
     array_size: int = 4096,
     window_ms: int = 100,
-    hash_seed: int = 0x5EED,
     channel: Optional[ControlChannel] = None,
     ecmp: bool = True,
     newton_switches=None,
@@ -162,9 +161,9 @@ def build_deployment(
     manager, subscribed to window closes after the collector and
     analyzer); a rates-only plan does not.
     """
-    family = HashFamily(hash_seed)
+    family = HashFamily()
     clock = WindowClock(window_ms=window_ms)
-    analyzer = Analyzer(window_ms=window_ms)
+    analyzer = Analyzer()
     injector = None
     if faults is not None:
         if faults.event("reports") is not None:
@@ -197,9 +196,10 @@ def build_deployment(
     router = Router(topology, ecmp=ecmp)
     channel = channel or ControlChannel()
     controller = NewtonController(
-        switches, channel=channel, analyzer=analyzer,
-        collector=collector,
+        switches,
         txn=TransactionManager(switches, channel, config=txn_config),
+        analyzer=analyzer,
+        collector=collector,
     )
     simulator = NetworkSimulator(
         topology,
@@ -207,7 +207,6 @@ def build_deployment(
         router=router,
         controller=controller,
         analyzer=analyzer,
-        window_ms=window_ms,
         collector=collector,
         clock=clock,
         engine=engine,

@@ -18,9 +18,10 @@ WindowClock` fires (closing the collector's and the analyzer's window —
 in that order, so the collector's register-readout reconciliation still
 sees live registers) and every switch's registers reset.
 
-Mirrored reports are no longer just counted: when a collection plane is
-attached, every :class:`~repro.core.rules.Report` a switch emits is handed
-to the collector's ingest path as a first-class record.
+Every :class:`~repro.core.rules.Report` a switch emits is handed to the
+collector's ingest path as a first-class record.  The router,
+controller, analyzer, collector and clock are required:
+:func:`~repro.network.deployment.build_deployment` wires them.
 """
 
 from __future__ import annotations
@@ -90,15 +91,6 @@ class SimulationStats:
         """Mirrored reports across all switches."""
         return sum(self.reports_by_switch.values())
 
-    #: Backwards-compatible alias (pre-collection-plane name).
-    @property
-    def total_reports(self) -> int:
-        return self.reports_total
-
-    @property
-    def monitoring_messages(self) -> int:
-        return self.reports_total + self.deferred
-
     @property
     def sp_overhead_ratio(self) -> float:
         """SP bandwidth overhead relative to forwarded traffic."""
@@ -114,13 +106,12 @@ class NetworkSimulator:
         self,
         topology: Topology,
         switches: Dict[Hashable, Switch],
-        router: Optional[Router] = None,
-        controller: Optional[NewtonController] = None,
-        analyzer: Optional[Analyzer] = None,
-        window_ms: int = 100,
-        collector: Optional["ReportCollector"] = None,
-        clock: Optional[WindowClock] = None,
-        engine: Union[str, ExecutionEngine, None] = "scalar",
+        router: Router,
+        controller: NewtonController,
+        analyzer: Analyzer,
+        collector: "ReportCollector",
+        clock: WindowClock,
+        engine: Union[str, ExecutionEngine] = "scalar",
         sanitizer: Optional["Sanitizer"] = None,
     ):
         missing = [s for s in topology.switches() if s not in switches]
@@ -128,19 +119,17 @@ class NetworkSimulator:
             raise ValueError(f"no Switch object for topology nodes: {missing}")
         self.topology = topology
         self.switches = switches
-        self.router = router or Router(topology)
+        self.router = router
         self.controller = controller
         self.analyzer = analyzer
         self.collector = collector
-        self.clock = clock or WindowClock(window_ms=window_ms)
+        self.clock = clock
         # Close order matters: the collector reconciles against registers
         # that the switches reset right after the close, and the analyzer
         # publishes its deferred-CPU window results last.
-        if collector is not None:
-            self.clock.subscribe(collector.close_window)
-        if analyzer is not None:
-            self.clock.subscribe(analyzer.advance_window)
-        self.window_s = self.clock.window_s
+        clock.subscribe(collector.close_window)
+        clock.subscribe(analyzer.advance_window)
+        self.window_s = clock.window_s
         self.engine = get_engine(engine)
         #: Runtime invariant checker (observe-only; ``None`` = disabled).
         self.sanitizer = sanitizer

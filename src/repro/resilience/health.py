@@ -19,10 +19,13 @@ the :class:`~repro.resilience.recovery.RecoveryManager`'s job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional
 
 from repro.collector.metrics import MetricsRegistry
 from repro.runtime.clock import WindowClock
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dataplane.switch import Switch
 
 __all__ = ["SwitchState", "SwitchHealth", "DetectorConfig", "FailureDetector",
            "HealthTransition"]
@@ -96,7 +99,7 @@ class FailureDetector:
 
     def __init__(
         self,
-        switches: Dict[Hashable, object],
+        switches: Dict[Hashable, "Switch"],
         clock: WindowClock,
         config: Optional[DetectorConfig] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -106,7 +109,7 @@ class FailureDetector:
         self.config = config or DetectorConfig()
         self.registry = registry or MetricsRegistry()
         self._health: Dict[Hashable, SwitchHealth] = {
-            sid: SwitchHealth(sid, boot_id=getattr(sw, "boot_id", 0))
+            sid: SwitchHealth(sid, boot_id=sw.boot_id)
             for sid, sw in switches.items()
         }
         self._listeners: List[Callable[[HealthTransition], None]] = []

@@ -22,9 +22,12 @@ fail loudly instead of silently timing nothing.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dataplane.switch import Switch
 
 __all__ = [
     "ControlChannel",
@@ -111,7 +114,7 @@ class ControlChannel:
         self,
         operation: str,
         rules: int,
-        switch: object = None,
+        switch: Optional["Switch"] = None,
         apply: Optional[Callable[[], T]] = None,
         overhead_s: Optional[float] = None,
         reliable: bool = False,

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataplane.hashing import HashUnit
     from repro.dataplane.modules import ExecutionEnv
+    from repro.network.simulator import SimulationStats
 
 __all__ = ["Sanitizer", "SanitizerViolation", "CHECKS"]
 
@@ -112,11 +113,10 @@ class Sanitizer:
             )
         owners.add(qid)
 
-    def check_coverage(self, stats: object) -> None:
+    def check_coverage(self, stats: "SimulationStats") -> None:
         """Packet accounting must balance: packets == delivered + dropped."""
-        packets = int(getattr(stats, "packets", 0))
-        delivered = int(getattr(stats, "delivered", 0))
-        dropped = int(getattr(stats, "dropped", 0))
+        packets, delivered, dropped = (
+            stats.packets, stats.delivered, stats.dropped)
         if packets != delivered + dropped:
             self.record(
                 "coverage",

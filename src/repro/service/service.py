@@ -688,7 +688,7 @@ class NewtonService:
         out = {}
         for qid, record in sorted(controller.installed.items()):
             out[qid] = {
-                "description": getattr(record.query, "description", ""),
+                "description": record.query.description,
                 "sub_queries": [s.qid for s in flatten(record.query)],
                 "switches": sorted(str(s) for s in record.by_switch),
             }
@@ -726,7 +726,7 @@ class NewtonService:
             "queries": sorted(self.deployment.controller.installed),
             "subscribers": self.feed.subscriber_count,
             "engine": self.deployment.simulator.engine.name,
-            "window_ms": self.config.window_ms,
+            "window_ms": round(self.deployment.clock.window_s * 1000),
             "source_exhausted": self.exhausted,
             "fabric": self.deployment.fabric_status(),
         }

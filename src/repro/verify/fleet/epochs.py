@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Dict,
     List,
@@ -59,6 +60,9 @@ from repro.verify.program import (
     demand_of_slices,
 )
 from repro.verify.resources import check_resources
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dataplane.switch import Switch
 
 __all__ = [
     "StagingNeed",
@@ -245,7 +249,7 @@ class StagingNeed:
         )
 
 
-def fresh_slices(switch: object, slices: Sequence[QuerySlice],
+def fresh_slices(switch: "Switch", slices: Sequence[QuerySlice],
                  target_epoch: int) -> Tuple[QuerySlice, ...]:
     """The slices of a plan this switch has not yet staged at
     ``target_epoch`` (idempotent retries are skipped), one per
@@ -256,7 +260,7 @@ def fresh_slices(switch: object, slices: Sequence[QuerySlice],
     retried or planner-composed operation — must not double-count its
     register/rule demand and veto a staging window that in fact fits.
     """
-    pipeline = getattr(switch, "pipeline", switch)
+    pipeline = switch.pipeline
     fresh: Dict[Tuple[str, int], QuerySlice] = {}
     for qs in slices:
         if not pipeline.has_staged(qs.qid, qs.slice_index, target_epoch):

@@ -25,11 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.rules import HashMode, HConfig, ModuleRuleSpec
 from repro.dataplane.module_types import ModuleType
 from repro.verify.program import RuleView
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dataplane.switch import Switch
 
 __all__ = [
     "BankStatus",
@@ -132,9 +135,9 @@ class SwitchView:
     dispatch: Tuple[DispatchView, ...]
 
     @staticmethod
-    def of_switch(switch: object) -> "SwitchView":
-        """Snapshot a simulated switch (or a bare pipeline)."""
-        pipeline = getattr(switch, "pipeline", switch)
+    def of_switch(switch: "Switch") -> "SwitchView":
+        """Snapshot a simulated switch."""
+        pipeline = switch.pipeline
         rule_epoch = int(pipeline.rule_epoch)
 
         banks: List[BankView] = []

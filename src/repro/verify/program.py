@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Tuple,
+)
 
 from repro.core.compiler import CompiledQuery
 from repro.core.rules import (
@@ -30,6 +32,9 @@ from repro.core.rules import (
 )
 from repro.dataplane.module_types import ModuleType
 from repro.dataplane.resources import TOFINO_STAGES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dataplane.switch import Switch
 
 __all__ = ["Demand", "PipelineModel", "RuleView", "Violation", "demand",
            "demand_of_slices", "rules_of_compiled", "rules_of_slices"]
@@ -178,15 +183,15 @@ class PipelineModel:
     label: str = "pipeline"
 
     @staticmethod
-    def of_switch(switch: object) -> "PipelineModel":
-        """Snapshot a simulated switch (or bare pipeline): every resident
-        bank — active, staged and retired — counted.
+    def of_switch(switch: "Switch") -> "PipelineModel":
+        """Snapshot a simulated switch: every resident bank — active,
+        staged and retired — counted.
 
         Rules per slot are the pipeline's live record
         (``NewtonPipeline.slot_rules``), register leases each state
         bank's own count, so a snapshot costs a copy, not a walk.
         """
-        pipeline = getattr(switch, "pipeline", switch)
+        pipeline = switch.pipeline
         layout = pipeline.layout
         registers_used: Dict[int, int] = {}
         for stage, bank in enumerate(layout.bank_at):

@@ -248,7 +248,8 @@ class TestStaleQueries:
 
 
 class _FakeController:
-    """estimate_count stub standing in for the register readout."""
+    """estimate_count / sketch_occupancy stub standing in for the
+    register readout."""
 
     def __init__(self, counts):
         self.counts = counts
@@ -257,6 +258,9 @@ class _FakeController:
     def estimate_count(self, qid, key_map):
         self.probes.append((qid, dict(key_map)))
         return self.counts.get(key_map["dip"])
+
+    def sketch_occupancy(self, qid):
+        return None
 
 
 class TestReconciliation:

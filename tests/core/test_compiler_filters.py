@@ -38,7 +38,8 @@ def run_query(query, packets, threshold_reports=True):
     pipeline = NewtonPipeline(num_stages=12, array_size=256)
     compiled = compile_query(query, PARAMS,
                              hash_family=pipeline.hash_family)
-    pipeline.install_slice(slice_compiled(compiled, 12)[0])
+    pipeline.stage_slice(slice_compiled(compiled, 12)[0], epoch=1)
+    pipeline.commit_epoch(1)
     reports = []
     for packet in packets:
         reports.extend(pipeline.process(packet).reports)

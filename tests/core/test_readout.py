@@ -93,11 +93,33 @@ class TestEstimateCount:
         )
         assert deployment.controller.estimate_count("ro.q", {"dip": 9}) == 5
 
+    def test_sliced_rows_read_like_one_switch(self):
+        """16-register rows collide, so each row overcounts differently:
+        a row resolved to the wrong slice would change the minimum."""
+        params = QueryParams(cm_depth=3, reduce_registers=16,
+                             distinct_registers=1 << 12)
+        packets = [syn(i + 1, dip=dip, ts=(i * 40 + dip) * 1e-5)
+                   for i in range(3) for dip in range(1, 41)]
+
+        def estimates(deployment, **deploy):
+            deployment.controller.install_query(q(), params, **deploy)
+            deployment.simulator.run(packets)
+            return [deployment.controller.estimate_count("ro.q", {"dip": d})
+                    for d in range(1, 41)]
+
+        one = estimates(build_deployment(linear(1), array_size=1 << 13),
+                        path=["s0"])
+        sliced = estimates(
+            build_deployment(linear(3), num_stages=4, array_size=1 << 13),
+            path=["s0", "s1", "s2"], stages_per_switch=4)
+        assert sliced == one
+        assert max(one) > 3  # the rows did collide
+
     def test_window_reset_clears_estimate(self):
         deployment = build_deployment(linear(1), array_size=1 << 13)
         deployment.controller.install_query(q(), PARAMS, path=["s0"])
         deployment.simulator.run([syn(1, dip=9)])
-        deployment.controller.advance_window()
+        deployment.simulator.roll_window()
         assert deployment.controller.estimate_count("ro.q", {"dip": 9}) == 0
 
     def test_unknown_query_rejected(self):

@@ -172,7 +172,7 @@ class TestFaultTolerance:
         lossy = control_faults(loss=1.0)
         dep = deploy(faults=FaultPlan(events=(lossy,), seed=5),
                      txn_config=TxnConfig(max_attempts=2))
-        channel = dep.controller.channel
+        channel = dep.controller.txn.channel
         channel.control = None  # fault-free install
         dep.controller.install_query(q(threshold=3), PARAMS, path=["s0"])
         rules_before = dep.switch("s0").rule_count

@@ -34,7 +34,7 @@ class TestAppendReplay:
             assert wal.append("snapshot", {"window_epoch": 4}) == 3
 
         wal2 = WriteAheadLog(str(tmp_path))
-        records = wal2.replay()
+        records = list(wal2.records())
         assert [r["kind"] for r in records] == ["op", "txn", "snapshot"]
         assert [r["seq"] for r in records] == [1, 2, 3]
         assert records[0]["payload"] == {"op": "install", "spec": {"a": 1}}
@@ -68,7 +68,7 @@ class TestAppendReplay:
         assert wal._m_appends.value(kind="op") == 2
         assert wal._m_appends.value(kind="txn") == 1
         assert wal._h_fsync.count() == 3
-        wal.replay()
+        list(wal.records())
         assert wal._m_replayed.total == 3
         text = reg.render_prometheus()
         assert "wal_appends_total" in text
@@ -88,14 +88,14 @@ class TestTornTail:
 
         reg = MetricsRegistry()
         wal2 = WriteAheadLog(str(tmp_path), registry=reg)
-        records = wal2.replay()
+        records = list(wal2.records())
         assert [r["kind"] for r in records] == ["op", "txn"]
         assert wal2._m_torn.total == 1
         # New appends after truncation stay reachable on the next replay
         # (this is why truncation must happen at open, not at read).
         wal2.append("snapshot", {"window_epoch": 2})
         wal2.close()
-        records = WriteAheadLog(str(tmp_path)).replay()
+        records = list(WriteAheadLog(str(tmp_path)).records())
         assert [r["kind"] for r in records] == ["op", "txn", "snapshot"]
         assert [r["seq"] for r in records] == [1, 2, 3]
 
@@ -110,7 +110,7 @@ class TestTornTail:
         with open(wal.path, "ab") as fh:
             fh.write(b"not json at all\n")
         wal2 = WriteAheadLog(str(tmp_path))
-        assert [r["payload"] for r in wal2.replay()] == [{"n": 1}]
+        assert [r["payload"] for r in wal2.records()] == [{"n": 1}]
         assert wal2._m_torn.total == 1
         wal2.close()
         with open(wal.path, "rb") as fh:
@@ -136,7 +136,7 @@ class TestTornTail:
             with open(wal.path, "rb") as fh:
                 before = fh.read()
             with pytest.raises(WalCorruptError) as reading:
-                wal.replay()
+                list(wal.records())
             wal.close()
             with pytest.raises(WalCorruptError) as opening:
                 WriteAheadLog(directory)
@@ -169,7 +169,7 @@ class TestTornTail:
 
     def test_empty_directory_replays_nothing(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        assert wal.replay() == []
+        assert list(wal.records()) == []
         assert not os.path.exists(wal.path) or \
             os.path.getsize(wal.path) == 0
         wal.close()

@@ -28,12 +28,29 @@ def syn(sip, dip, ts=0.0):
     return Packet(sip=sip, dip=dip, proto=6, tcp_flags=2, ts=ts)
 
 
+def place(pipeline, *slices):
+    """Stage ``slices`` at the next rule epoch and flip to it, the way
+    the control plane installs."""
+    epoch = pipeline.rule_epoch + 1
+    for query_slice in slices:
+        pipeline.stage_slice(query_slice, epoch)
+    pipeline.commit_epoch(epoch)
+
+
+def remove(pipeline, qid):
+    """Retire ``qid``, flip, and garbage-collect it; returns the table
+    entries removed."""
+    epoch = pipeline.rule_epoch + 1
+    pipeline.retire_query(qid, epoch)
+    pipeline.commit_epoch(epoch)
+    return pipeline.gc_retired()
+
+
 def install(pipeline, query, threshold=3, stages=None):
     compiled = compile_query(query, small_params(),
                              hash_family=pipeline.hash_family)
     slices = slice_compiled(compiled, stages or pipeline.layout.num_stages)
-    for s in slices:
-        pipeline.install_slice(s)
+    place(pipeline, *slices)
     return compiled, slices
 
 
@@ -78,15 +95,19 @@ class TestRuleManagement:
         pipeline = NewtonPipeline(num_stages=12, array_size=256)
         compiled, _ = install(pipeline, q1())
         assert pipeline.rule_count == compiled.rule_count
-        removed = pipeline.remove_query("p.q1")
+        removed = remove(pipeline, "p.q1")
         assert removed == compiled.rule_count
         assert pipeline.rule_count == 0
 
     def test_duplicate_install_rejected(self):
         pipeline = NewtonPipeline(num_stages=12, array_size=256)
-        _, slices = install(pipeline, q1())
+        compiled = compile_query(q1(), small_params(),
+                                 hash_family=pipeline.hash_family)
+        query_slice = slice_compiled(compiled, 12)[0]
+        epoch = pipeline.rule_epoch + 1
+        pipeline.stage_slice(query_slice, epoch)
         with pytest.raises(ValueError):
-            pipeline.install_slice(slices[0])
+            pipeline.stage_slice(query_slice, epoch)
 
     def test_failed_install_rolls_back(self):
         # Arrays too small for the requested slices: nothing must remain.
@@ -94,9 +115,7 @@ class TestRuleManagement:
         compiled = compile_query(q1(), small_params(),
                                  hash_family=pipeline.hash_family)
         with pytest.raises(Exception):
-            pipeline.install_slice(
-                slice_compiled(compiled, 12)[0]
-            )
+            place(pipeline, slice_compiled(compiled, 12)[0])
         assert pipeline.rule_count == 0
         assert not pipeline.installed_qids()
 
@@ -104,7 +123,7 @@ class TestRuleManagement:
         pipeline = NewtonPipeline(num_stages=12, array_size=256)
         install(pipeline, q1(threshold=1))
         pipeline.process(syn(1, 9))
-        pipeline.remove_query("p.q1")
+        remove(pipeline, "p.q1")
         result = pipeline.process(syn(2, 9))
         assert not result.initiated
 
@@ -149,12 +168,13 @@ class TestEpochVersioning:
         version it intended to retire — it keeps serving."""
         pipeline = NewtonPipeline(num_stages=12, array_size=256)
         install(pipeline, q1(threshold=1))
-        marked = pipeline.retire_query("p.q1", epoch=1)
+        epoch = pipeline.rule_epoch + 1
+        marked = pipeline.retire_query("p.q1", epoch)
         assert marked > 0
         pipeline.abort_staged()
-        # The retire mark is gone: flipping to epoch 1 anyway must leave
-        # the old version serving, with nothing awaiting GC.
-        pipeline.commit_epoch(1)
+        # The retire mark is gone: flipping to the next epoch anyway must
+        # leave the old version serving, with nothing awaiting GC.
+        pipeline.commit_epoch(epoch)
         assert pipeline.retired_rule_count == 0
         result = pipeline.process(syn(1, 9))
         assert result.initiated == ["p.q1"]
@@ -162,10 +182,11 @@ class TestEpochVersioning:
     def test_retired_rules_serve_until_gc(self):
         pipeline = NewtonPipeline(num_stages=12, array_size=256)
         compiled, _ = install(pipeline, q1(threshold=1))
-        pipeline.retire_query("p.q1", epoch=1)
-        # Still at epoch 0: the retiring version keeps serving.
+        epoch = pipeline.rule_epoch + 1
+        pipeline.retire_query("p.q1", epoch)
+        # Still at the old epoch: the retiring version keeps serving.
         assert pipeline.process(syn(1, 9)).initiated == ["p.q1"]
-        pipeline.commit_epoch(1)
+        pipeline.commit_epoch(epoch)
         assert not pipeline.process(syn(2, 9)).initiated
         # Physically resident (double occupancy) until GC reclaims it.
         assert pipeline.rule_count == compiled.rule_count
@@ -175,10 +196,11 @@ class TestEpochVersioning:
     def test_rollback_epoch_reactivates_old_bank(self):
         pipeline = NewtonPipeline(num_stages=12, array_size=256)
         install(pipeline, q1(threshold=1))
-        pipeline.retire_query("p.q1", epoch=1)
-        pipeline.commit_epoch(1)
+        serving = pipeline.rule_epoch
+        pipeline.retire_query("p.q1", serving + 1)
+        pipeline.commit_epoch(serving + 1)
         assert not pipeline.process(syn(1, 9)).initiated
-        pipeline.rollback_epoch(0)
+        pipeline.rollback_epoch(serving)
         assert pipeline.process(syn(2, 9)).initiated == ["p.q1"]
 
     def test_ingress_stamp_pins_the_serving_epoch(self):
@@ -195,16 +217,16 @@ class TestEpochVersioning:
                                  hash_family=family)
         slices = slice_compiled(compiled, 3)
         assert len(slices) == 2
-        ingress.install_slice(slices[0])
-        egress.install_slice(slices[1])
+        place(ingress, slices[0])
+        place(egress, slices[1])
         # Egress flips ahead, retiring its half of the query.
-        egress.retire_query("p.q1", epoch=1)
-        egress.commit_epoch(1)
+        egress.retire_query("p.q1", epoch=2)
+        egress.commit_epoch(2)
         snapshot = SnapshotHeader()
         result = ingress.process(syn(1, 9), snapshot)
         assert result.initiated == ["p.q1"]
-        assert snapshot.rule_epoch == 0
-        # The stamp resolves the retired-but-resident epoch-0 bank.
+        assert snapshot.rule_epoch == 1
+        # The stamp resolves the retired-but-resident epoch-1 bank.
         downstream = egress.process(syn(1, 9), snapshot,
                                     ingress_edge=False)
         assert downstream.reports, "stamped bank must keep serving"
@@ -225,7 +247,7 @@ class TestCrossSwitch:
         slices = slice_compiled(compiled, stages)
         assert len(slices) == n
         for pipeline, query_slice in zip(pipelines, slices):
-            pipeline.install_slice(query_slice)
+            place(pipeline, query_slice)
         return pipelines
 
     def _walk(self, pipelines, packet):
@@ -274,9 +296,8 @@ class TestCrossSwitch:
                                hash_family=family)
         second = NewtonPipeline("b", num_stages=3, array_size=256,
                                 hash_family=family)
-        first.install_slice(slices[0])
-        second.install_slice(slices[0])  # redundant copy
-        second.install_slice(slices[1])
+        place(first, slices[0])
+        place(second, slices[0], slices[1])  # a redundant copy of slice 0
         header = SnapshotHeader()
         first.process(syn(1, 7), header)
         result = second.process(syn(1, 7), header)

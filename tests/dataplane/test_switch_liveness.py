@@ -36,7 +36,6 @@ class TestIntervalMerging:
         assert switch.is_forwarding(0.5)
         assert not switch.is_forwarding(1.0005)
         assert switch.is_forwarding(1.01)
-        assert switch.is_alive(1.01)
 
     def test_overlapping_outages_merge(self):
         switch = make_switch()

@@ -22,9 +22,6 @@ from repro.traffic.traces import merge_traces
 
 
 class TestGetEngine:
-    def test_none_means_scalar(self):
-        assert isinstance(get_engine(None), ScalarEngine)
-
     def test_by_name(self):
         assert isinstance(get_engine("scalar"), ScalarEngine)
         assert isinstance(get_engine("vector"), VectorizedEngine)

@@ -187,8 +187,12 @@ def mixed(deployment):
     pipeline = switches["p1e0"].pipeline
     first = pipeline.newton_init.entries()[0].rule.action
     query_slice = pipeline.version_for(first, 0).query_slice
-    pipeline.remove_query(first)
-    pipeline.install_slice(query_slice)
+    epoch = pipeline.rule_epoch + 1
+    pipeline.retire_query(first, epoch)
+    pipeline.commit_epoch(epoch)
+    pipeline.gc_retired()
+    pipeline.stage_slice(query_slice, epoch + 1)
+    pipeline.commit_epoch(epoch + 1)
     # p0e1 is down for part of the second window.
     switches["p0e1"].reboot_base_s = 0.04
     switches["p0e1"].reboot(0.13, 0)

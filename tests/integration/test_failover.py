@@ -75,12 +75,12 @@ class TestFatTreeFailover:
         ]
         stats = deployment.simulator.run(Trace(packets))
         # Every flow is monitored somewhere (no deferral, no silence)...
-        assert stats.total_reports >= 1
+        assert stats.reports_total >= 1
         assert stats.deferred == 0
         # ...but register state fragments across the ECMP paths' switches,
         # so at most one crossing fires per distinct reporting switch (the
         # §7 limitation the paper acknowledges for dynamic paths).
-        assert stats.total_reports == len(stats.reports_by_switch)
+        assert stats.reports_total == len(stats.reports_by_switch)
 
 
 class TestIspFailover:

@@ -76,7 +76,7 @@ class TestLegacySwitches:
                                       newton_switches=["s0"])
         stats = deployment.simulator.run(syn_stream(5))
         assert stats.delivered == 5
-        assert stats.total_reports == 0
+        assert stats.reports_total == 0
 
 
 class TestEndToEnd:
@@ -99,7 +99,7 @@ class TestEndToEnd:
         assert placement.slices_at("s1") == ()
         assert placement.slices_at("s2") == (1,)
         stats = deployment.simulator.run(syn_stream(5))
-        assert stats.total_reports == 1
+        assert stats.reports_total == 1
         assert list(stats.reports_by_switch) == ["s2"]
         assert deployment.analyzer.results("pd.q1")[0] == {(9,): 3}
 

@@ -41,7 +41,7 @@ class TestThresholdRearming:
         deployment.controller.install_query(q(3), PARAMS, path=["s0"])
         packets = [syn(1, 0.08), syn(2, 0.09), syn(3, 0.11), syn(4, 0.12)]
         stats = deployment.simulator.run(Trace(packets))
-        assert stats.total_reports == 0
+        assert stats.reports_total == 0
 
     def test_each_window_reports_independently(self):
         deployment = build_deployment(linear(1), array_size=512)

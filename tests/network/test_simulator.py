@@ -43,7 +43,7 @@ class TestForwarding:
         dep = build_deployment(linear(1), array_size=256)
         dep.controller.install_query(q(), PARAMS, path=["s0"])
         stats = dep.simulator.run(syn_trace(5))
-        assert stats.total_reports == 1
+        assert stats.reports_total == 1
         assert dep.analyzer.results("sim.q")[0] == {(9,): 3}
 
     def test_unsorted_trace_rejected(self):
@@ -58,9 +58,10 @@ class TestForwarding:
     def test_missing_switch_object_rejected(self):
         from repro.network.simulator import NetworkSimulator
 
-        topo = linear(2)
+        dep = build_deployment(linear(2))
         with pytest.raises(ValueError):
-            NetworkSimulator(topo, switches={})
+            NetworkSimulator(dep.topology, {}, dep.router, dep.controller,
+                             dep.analyzer, dep.collector, dep.clock)
 
 
 class TestWindows:
@@ -72,7 +73,7 @@ class TestWindows:
         from repro.traffic.traces import merge_traces
 
         stats = dep.simulator.run(merge_traces([first, second]))
-        assert stats.total_reports == 2
+        assert stats.reports_total == 2
         results = dep.analyzer.results("sim.q")
         assert set(results) == {0, 1}
 
@@ -109,7 +110,7 @@ class TestSpOverhead:
             stages_per_switch=3,
         )
         stats = dep.simulator.run(syn_trace(4))
-        assert stats.total_reports == 1
+        assert stats.reports_total == 1
         # The report came from the switch hosting the final slice.
         assert list(stats.reports_by_switch) == ["s1"] or list(
             stats.reports_by_switch
@@ -128,12 +129,12 @@ class TestStats:
         # Missing switches read as zero, Counter-style.
         assert stats.reports_by_switch["s999"] == 0
 
-    def test_reports_total_alias(self):
+    def test_reports_total_sums_the_switches(self):
         dep = build_deployment(linear(1), array_size=256)
         dep.controller.install_query(q(), PARAMS, path=["s0"])
         stats = dep.simulator.run(syn_trace(5))
-        assert stats.reports_total == stats.total_reports == 1
-        assert stats.monitoring_messages == stats.reports_total + stats.deferred
+        assert stats.reports_total == sum(
+            stats.reports_by_switch.values()) == 1
 
 
 class TestStaleDeferred:

@@ -99,7 +99,8 @@ class TestCompilation:
 
     def test_control_events_become_faulty_channel(self):
         plan = FaultPlan(events=(control_faults(loss=0.3),), seed=4)
-        channel = build_deployment(linear(1), faults=plan).controller.channel
+        dep = build_deployment(linear(1), faults=plan)
+        channel = dep.controller.txn.channel
         assert isinstance(channel, FaultyControlChannel)
         assert channel.control.loss_rate == 0.3
         # Seeded with the plan's seed itself, keyed by transaction.
@@ -111,7 +112,7 @@ class TestCompilation:
 
     def test_no_control_events_no_channel(self):
         channel = build_deployment(linear(1), faults=FaultPlan()
-                                   ).controller.channel
+                                   ).controller.txn.channel
         assert not isinstance(channel, FaultyControlChannel)
 
     def test_rates_only_plan_starts_no_resilience_plane(self):

@@ -17,7 +17,6 @@ check's detection path is exercised end to end.
 """
 
 from dataclasses import replace as dc_replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,11 +24,8 @@ from repro.core.compiler import QueryParams
 from repro.core.packet import Packet
 from repro.core.query import Query
 from repro.core.rules import HConfig, HashMode, ModuleType
-from repro.dataplane.pipeline import PipelineResult
-from repro.engine.scalar import ScalarEngine
 from repro.network.deployment import build_deployment, sanitize_enabled
 from repro.network.simulator import SimulationStats
-from repro.network.snapshot import SnapshotHeader
 from repro.network.topology import linear
 from repro.runtime.sanitizer import CHECKS, Sanitizer, SanitizerViolation
 from repro.traffic.generators import assign_hosts, caida_like, syn_flood
@@ -227,50 +223,57 @@ class TestHashCollision:
 
 
 class TestMixedEpoch:
-    def _sim(self, switches, sanitizer):
-        return SimpleNamespace(
-            switches=switches, collector=None, analyzer=None,
-            controller=None, sanitizer=sanitizer,
-        )
+    """One packet crosses two switches at the same rule epoch; ``s1``
+    serves a version of ``san.q`` staged under that epoch, ``s0`` the
+    one it flipped to it with, unless ``restage`` is off."""
 
     @staticmethod
-    def _switch(epoch):
-        def process(packet, snapshot=None, ingress_edge=True):
-            return PipelineResult(rule_epochs={"q": epoch})
-        return SimpleNamespace(process=process)
+    def _deployment(restage):
+        dep = build_deployment(linear(2), num_stages=3,
+                               array_size=1 << 13, sanitize=True)
+        dep.controller.install_query(syn_query(threshold=1), SMALL,
+                                     path=["s0", "s1"], stages_per_switch=3)
+        s0, s1 = dep.switch("s0"), dep.switch("s1")
+        epoch = s1.rule_epoch + 1
+        if restage:
+            query_slice = s1.pipeline.version_for("san.q", 1).query_slice
+            s1.retire_query("san.q", epoch)
+            s1.stage_slice(query_slice, epoch)
+        for switch in (s0, s1):
+            switch.commit_epoch(epoch)
+        return dep
+
+    @staticmethod
+    def _syn():
+        return [Packet(sip=1, dip=9, proto=6, tcp_flags=2, ts=0.0,
+                       src_host="h_src0", dst_host="h_dst0")]
 
     def test_divergent_epochs_along_path_trip(self):
-        sanitizer = Sanitizer()
-        sim = self._sim({"a": self._switch(0), "b": self._switch(1)},
-                        sanitizer)
-        stats = SimulationStats()
-        packet = Packet(ts=0.0)
-        ScalarEngine()._forward(sim, packet, ["a", "b"], stats)
+        dep = self._deployment(restage=True)
+        stats = dep.simulator.run(self._syn())
         assert stats.mixed_rule_epoch_packets == 1
-        assert sanitizer.counts["mixed-epoch"] == 1
-        assert "epochs" in sanitizer.violations[0].message
+        assert dep.sanitizer.counts["mixed-epoch"] == 1
+        assert "epochs" in dep.sanitizer.violations[0].message
 
     def test_consistent_epochs_do_not_trip(self):
-        sanitizer = Sanitizer()
-        sim = self._sim({"a": self._switch(2), "b": self._switch(2)},
-                        sanitizer)
-        stats = SimulationStats()
-        ScalarEngine()._forward(sim, Packet(ts=0.0), ["a", "b"], stats)
+        dep = self._deployment(restage=False)
+        stats = dep.simulator.run(self._syn())
+        assert stats.reports_total == 1
         assert stats.mixed_rule_epoch_packets == 0
-        assert sanitizer.total == 0
+        assert dep.sanitizer.total == 0
 
 
 class TestCoverage:
     def test_accounting_hole_trips(self):
         sanitizer = Sanitizer()
-        stats = SimpleNamespace(packets=10, delivered=7, dropped=2)
+        stats = SimulationStats(packets=10, delivered=7, dropped=2)
         sanitizer.check_coverage(stats)
         assert sanitizer.counts["coverage"] == 1
         assert not sanitizer.clean
 
     def test_balanced_accounting_is_clean(self):
         sanitizer = Sanitizer()
-        stats = SimpleNamespace(packets=10, delivered=8, dropped=2)
+        stats = SimulationStats(packets=10, delivered=8, dropped=2)
         sanitizer.check_coverage(stats)
         assert sanitizer.total == 0
 

@@ -83,7 +83,7 @@ class TestQueryCrud:
         assert response.status == 400, decode(response)
         assert service.tick() is not None  # still ticking
         assert decode(call(service, "GET", "/queries"))["queries"] == {}
-        assert [r for r in service.wal.replay() if r["kind"] == "op"] == []
+        assert [r for r in service.wal.records() if r["kind"] == "op"] == []
 
     def test_duplicate_install_409(self, service):
         call(service, "POST", "/queries", body=install_body())

@@ -248,6 +248,12 @@ class TestIngest:
         assert health["packets"] > 0
         assert health["queries"] == ["Q1"]
 
+    def test_health_reports_the_window_of_a_handed_in_fleet(self):
+        service = NewtonService(GeneratorSource(pps=PPS, seed=9),
+                                ServiceConfig(),
+                                build_deployment(linear(2), window_ms=50))
+        assert service.health()["window_ms"] == 50
+
     def test_metrics_text_is_prometheus(self):
         service = make_service()
         service.install({"query": "Q1"})

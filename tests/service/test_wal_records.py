@@ -42,7 +42,7 @@ def fleet(cfg, **build):
 
 def records(service, kind=None):
     """The durable records of ``service``'s log, of one kind or all."""
-    return [r for r in service.wal.replay() if kind in (None, r["kind"])]
+    return [r for r in service.wal.records() if kind in (None, r["kind"])]
 
 
 class TestOneRecordPerOp:
@@ -107,7 +107,7 @@ class TestOneRecordPerOp:
         lossy = control_faults(loss=1.0)
         deployment = fleet(cfg, faults=FaultPlan(events=(lossy,), seed=5),
                            txn_config=TxnConfig(max_attempts=2))
-        channel = deployment.controller.channel
+        channel = deployment.controller.txn.channel
         channel.control = None  # fault-free install
         service = make_service(tmp_path, deployment=deployment)
         service.install({"query": "Q1"})

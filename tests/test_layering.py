@@ -74,6 +74,14 @@
   most ``DATAPLANE_LINE_CAP`` physical lines together, so the placement
   plan and the handles that garbage-collect a version pay for their
   lines in the three files.
+* One explicit interface, no duck typing: nothing under ``src/repro``
+  calls ``getattr`` / ``hasattr`` with a string-literal attribute name
+  (reflection over a variable name, such as dataclass fields, stays),
+  and the engines take the simulator's collector, analyzer and
+  controller as given — nothing under ``src/repro/engine`` compares
+  ``sim.collector`` / ``sim.analyzer`` / ``sim.controller``, or a local
+  of one of those names, with ``None`` (``sim.sanitizer`` stays
+  optional).
 * numpy is the only third-party module the package imports, at module
   or function level: every other import under ``src/repro`` is the
   package itself or a standard-library module named in ``STDLIB``
@@ -97,6 +105,8 @@ from repro.experiments import EXPERIMENTS
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 SIMULATOR_NAMES = {"sim", "simulator"}
+#: The simulator components every deployment supplies.
+COMPONENTS = {"collector", "analyzer", "controller"}
 #: What CI's ``mypy --strict`` step checks, relative to ``src/repro``.
 STRICT = ["verify", "engine", "core/ops.py", "core/admission.py",
           "dataplane/hashing.py", "dataplane/registers.py",
@@ -182,6 +192,34 @@ def getattr_proxy(node):
 def deployment_probe(node):
     return (isinstance(node, ast.Call) and tail_name(node.func) == "getattr"
             and bool(node.args) and tail_name(node.args[0]) == "deployment")
+
+
+def literal_probe(node):
+    """``getattr`` / ``hasattr`` with a string-literal attribute name."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str))
+
+
+def optional_component(node):
+    """A simulator component (``sim.collector`` and the like, or a local
+    named after one) compared with ``None``."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+
+    def component(operand):
+        if isinstance(operand, ast.Name):
+            return operand.id in COMPONENTS
+        return (isinstance(operand, ast.Attribute)
+                and operand.attr in COMPONENTS
+                and tail_name(operand.value) in SIMULATOR_NAMES)
+
+    return (any(isinstance(o, ast.Constant) and o.value is None
+                for o in operands)
+            and any(map(component, operands)))
 
 
 def hashlib_import(node):
@@ -437,6 +475,14 @@ def test_service_never_probes_its_deployment():
     assert violations("service", deployment_probe) == []
 
 
+def test_nothing_probes_an_attribute_by_literal_name():
+    assert violations("", literal_probe) == []
+
+
+def test_engines_take_every_simulator_component_as_given():
+    assert violations("engine", optional_component) == []
+
+
 def test_only_the_hashing_module_imports_hashlib():
     assert {
         where.split(":")[0] for where in violations("", hashlib_import)
@@ -655,6 +701,21 @@ def test_owners_names_the_innermost_function():
     (deployment_probe, "getattr(self.deployment, 'fabric_status', None)",
      True),
     (deployment_probe, "getattr(record.query, 'description', '')", False),
+    (literal_probe, "getattr(switch, 'pipeline', switch)", True),
+    (literal_probe, "hasattr(switch, 'abort_staged')", True),
+    (literal_probe, 'getattr(exc, "detected_at", None) or now', True),
+    (literal_probe, "getattr(self, f.name) + getattr(other, f.name)", False),
+    (literal_probe, "hasattr(args, name)", False),
+    (literal_probe, "record.query.description", False),
+    (optional_component, "if sim.analyzer is not None and x: pass", True),
+    (optional_component, "sim.collector is None", True),
+    (optional_component, "simulator.controller == None", True),
+    (optional_component, "if collector is not None: collector.ingest(r)",
+     True),
+    (optional_component, "if sim.sanitizer is not None: pass", False),
+    (optional_component, "sim.collector.ingest(report)", False),
+    (optional_component, "start is None", False),
+    (optional_component, "self.controller is None", False),
     (hashlib_import, "import hashlib", True),
     (hashlib_import, "from hashlib import blake2b", True),
     (hashlib_import, "import hashlib.blake2b as b", True),
